@@ -24,13 +24,11 @@ from .audit import (
     audit_absolute_minimality,
     build_comparison,
     endpoint_quotient_scan,
-    perturbation_audit,
     semicontinuity_check,
     snap_delta,
 )
 from .energy import (
     EnergyReport,
-    QuadratureRule,
     jensen_gap,
     power_energy,
     power_energy_gradient,
@@ -68,7 +66,6 @@ from .lagrangian import (
     ScaledModel,
     check_growth_bounds,
     check_level_convexity,
-    finite_difference_jet,
     radial_profile,
     scaled,
 )

@@ -28,18 +28,16 @@ from .path import Path
 def normal_projection(xi, tol_sgn: float | None = None) -> np.ndarray:
     """I - (xi/|xi|) (x) (xi/|xi|) for |xi| above tol_sgn, else the identity.
 
-    The default threshold 1e-12 * (1 + |xi|) guards against projection
-    blow-up from floating-point noise near xi = 0.
+    ``xi`` is one vector (N,) or rows of them (M, N), giving (M, N, N).  The
+    default threshold 1e-12 * (1 + |xi|) guards against projection blow-up
+    from floating-point noise near xi = 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    n = xi.size
-    norm = float(np.linalg.norm(xi))
-    if tol_sgn is None:
-        tol_sgn = 1e-12 * (1.0 + norm)
-    if norm <= tol_sgn:
-        return np.eye(n)
-    unit = xi / norm
-    return np.eye(n) - np.outer(unit, unit)
+    norm = np.linalg.norm(xi, axis=-1, keepdims=True)
+    tol = 1e-12 * (1.0 + norm) if tol_sgn is None else tol_sgn
+    live = norm > tol
+    unit = np.where(live, xi / np.where(live, norm, 1.0), 0.0)
+    return np.eye(xi.shape[-1]) - unit[..., :, None] * unit[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -59,17 +57,25 @@ class SecondOrderPoint:
             object.__setattr__(self, name, arr)
 
 
-def aronsson_operator(model: LagrangianModel, pt: SecondOrderPoint) -> np.ndarray:
-    """Evaluate the operator at one point; needs jets to second order."""
-    jet = model.jet(pt.x, pt.value, pt.slope)
+def _operator_rows(model: LagrangianModel, xs, values, slopes, curvatures) -> np.ndarray:
+    """The operator at rows of points, shape (M, N), from one batched jet."""
+    jet = model.jet_many(xs, values, slopes)
     proj = normal_projection(jet.dp)
-    lead = np.outer(jet.dp, jet.dp) + jet.value * proj @ jet.dpp
-    lower = (float(jet.deta @ pt.slope) + jet.dx) * jet.dp
-    drift = jet.value * proj @ (jet.dpeta @ pt.slope + jet.dpx - jet.deta)
-    out = lead @ pt.curvature + lower + drift
+    scale = jet.value[:, None, None] * proj
+    lead = jet.dp[:, :, None] * jet.dp[:, None, :] + scale @ jet.dpp
+    lower = (np.sum(jet.deta * slopes, axis=1) + jet.dx)[:, None] * jet.dp
+    drift_arg = (jet.dpeta @ slopes[:, :, None])[:, :, 0] + jet.dpx - jet.deta
+    drift = (scale @ drift_arg[:, :, None])[:, :, 0]
+    out = (lead @ curvatures[:, :, None])[:, :, 0] + lower + drift
     if not np.all(np.isfinite(out)):
         raise NonFinite("operator value is not finite")
     return out
+
+
+def aronsson_operator(model: LagrangianModel, pt: SecondOrderPoint) -> np.ndarray:
+    """Evaluate the operator at one point; needs jets to second order."""
+    return _operator_rows(model, np.array([pt.x]), pt.value[None], pt.slope[None],
+                          pt.curvature[None])[0]
 
 
 @dataclass(frozen=True)
@@ -116,12 +122,8 @@ def residual_profile(model: LagrangianModel, path: Path) -> ResidualProfile:
     h = float(grid.nodes[1] - grid.nodes[0])
     u = path.values
     xs = grid.nodes[1:-1]
-    residuals = np.empty((xs.size, path.dim))
-    for k in range(xs.size):
-        i = k + 1
-        slope = (u[i + 1] - u[i - 1]) / (2.0 * h)
-        curvature = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / h**2
-        pt = SecondOrderPoint(float(xs[k]), u[i], slope, curvature)
-        residuals[k] = aronsson_operator(model, pt)
+    slopes = (u[2:] - u[:-2]) / (2.0 * h)
+    curvatures = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+    residuals = _operator_rows(model, xs, u[1:-1], slopes, curvatures)
     norms = np.linalg.norm(residuals, axis=1)
     return ResidualProfile(xs, residuals, norms)

@@ -4,8 +4,6 @@
 node-aligned subintervals with the candidate's own boundary values and
 reports the deficit of the restricted candidate against each local
 competitor: a positive deficit beyond tolerance refutes absolute minimality.
-A re-solve is a much stronger competitor than random perturbations, which are
-kept only as a cheap smoke test (``perturbation_audit``).
 
 ``build_comparison`` glues affine boundary layers of width delta onto an
 interior profile; ``endpoint_quotient_scan`` drives the glued paths along a
@@ -16,12 +14,11 @@ finite family of approximating paths against a limit path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import power_energy, sup_energy, SUP_RULE
+from .energy import SUP_OFFSETS, power_energy, sup_energy
 from .errors import BadDelta, GridTooCoarse, SupminError, TooFewEntries
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, difference_quotient
@@ -36,10 +33,9 @@ class AuditConfig:
     seed: int = 0
     schedule: SweepSchedule | None = None
     options: SolveOptions | None = None
-    jobs: int = 1
 
     def __post_init__(self):
-        if self.num_subintervals < 1 or self.min_elements < 1 or self.jobs < 1:
+        if self.num_subintervals < 1 or self.min_elements < 1:
             raise SupminError("audit config counts must be positive")
         if self.tol_audit <= 0:
             raise SupminError("tol_audit must be positive")
@@ -137,38 +133,8 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     and excluded from pass/fail."""
     config = config or AuditConfig()
     pairs = sample_subintervals(candidate.grid, config)
-    tasks = [(i, j, config.seed + 1000 + k) for k, (i, j) in enumerate(pairs)]
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            entries = list(pool.map(
-                lambda t: _audit_one(model, candidate, t[0], t[1], config, t[2]), tasks))
-    else:
-        entries = [_audit_one(model, candidate, i, j, config, s) for i, j, s in tasks]
-    return AuditReport(entries, config.tol_audit)
-
-
-def perturbation_audit(model: LagrangianModel, candidate: Path,
-                       config: AuditConfig | None = None,
-                       num_perturbations: int = 50) -> AuditReport:
-    """Smoke test: compare against seeded random interior bump competitors
-    instead of re-solves (weaker than the re-solve audit)."""
-    config = config or AuditConfig()
-    rng = np.random.default_rng(config.seed)
-    pairs = sample_subintervals(candidate.grid, config)
-    scale = 1.0 + float(np.max(np.abs(candidate.values)))
-    entries = []
-    for i, j in pairs:
-        nodes = candidate.grid.nodes
-        alpha, beta = float(nodes[i]), float(nodes[j])
-        sup_global = sup_energy(model, candidate, (alpha, beta))
-        best = np.inf
-        for _ in range(num_perturbations):
-            values = np.array(candidate.values)
-            values[i + 1 : j] += rng.normal(scale=0.05 * scale, size=values[i + 1 : j].shape)
-            best = min(best, sup_energy(model, Path(candidate.grid, values), (alpha, beta)))
-        deficit = sup_global - best
-        status = "violation" if deficit > config.tol_audit * (1.0 + sup_global) else "ok"
-        entries.append(SubintervalAudit(alpha, beta, sup_global, float(best), deficit, status))
+    entries = [_audit_one(model, candidate, i, j, config, config.seed + 1000 + k)
+               for k, (i, j) in enumerate(pairs)]
     return AuditReport(entries, config.tol_audit)
 
 
@@ -313,7 +279,7 @@ def _layer_stats(model, glued: Path, anchor_value, elements, quotient):
     slopes = np.broadcast_to(quotient, (elements.size, glued.dim))
     best = -np.inf
     dev = 0.0
-    for offset in SUP_RULE.offsets:
+    for offset in SUP_OFFSETS:
         xs = lo + offset * (hi - lo)
         theta = (xs - lo)[:, None]
         etas = glued.values[elements] + theta * (glued.values[elements + 1] - glued.values[elements]) / (hi - lo)[:, None]

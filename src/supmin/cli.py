@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path as FsPath
+from typing import get_type_hints
 
 import numpy as np
 
@@ -180,6 +180,24 @@ def _model(obj: dict, dim: int) -> LagrangianModel:
     raise ConfigError(f"{path}.kind", f"unknown model kind '{kind}'")
 
 
+def _section(raw: dict, name: str, cls, keys: tuple, nested: tuple = (), **fixed):
+    """``cls`` built from the optional config section ``name``.
+
+    The section may set the fields named in ``keys``, each read with the type
+    of the dataclass field; fields it leaves out keep their defaults.  Keys in
+    ``nested`` are allowed but read by the caller, and ``fixed`` fills the
+    remaining fields.
+    """
+    obj = _get(raw, "", name, dict, required=False, default={})
+    _reject_unknown(obj, name, set(keys) | set(nested))
+    hints = get_type_hints(cls)
+    values = {key: _get(obj, name, key, hints[key]) for key in keys if key in obj}
+    try:
+        return cls(**values, **fixed)
+    except SupminError as exc:
+        raise ConfigError(name, str(exc)) from None
+
+
 def parse_config(raw: dict) -> RunConfig:
     allowed = {"lagrangian", "domain", "N", "grid_points", "boundary", "schedule",
                "solve", "audit", "check", "seed", "output_dir"}
@@ -203,75 +221,31 @@ def parse_config(raw: dict) -> RunConfig:
 
     model = _model(_get(raw, "", "lagrangian", dict), dim)
 
-    sched_obj = _get(raw, "", "schedule", dict, required=False, default={})
-    _reject_unknown(sched_obj, "schedule",
-                    {"m_start", "factor", "m_max", "tol_sweep", "restarts"})
-    try:
-        schedule = SweepSchedule(
-            m_start=_get(sched_obj, "schedule", "m_start", int, required=False, default=2),
-            factor=_get(sched_obj, "schedule", "factor", int, required=False, default=2),
-            m_max=_get(sched_obj, "schedule", "m_max", int, required=False, default=1024),
-            tol_sweep=_get(sched_obj, "schedule", "tol_sweep", float, required=False, default=1e-4),
-            restarts=_get(sched_obj, "schedule", "restarts", int, required=False, default=1),
-        )
-    except SupminError as exc:
-        raise ConfigError("schedule", str(exc)) from None
-
-    solve_obj = _get(raw, "", "solve", dict, required=False, default={})
-    _reject_unknown(solve_obj, "solve",
-                    {"max_iters", "grad_tol", "init_step", "backtrack",
-                     "sufficient_decrease", "history"})
-    try:
-        solve = SolveOptions(
-            max_iters=_get(solve_obj, "solve", "max_iters", int, required=False, default=2000),
-            grad_tol=_get(solve_obj, "solve", "grad_tol", float, required=False, default=1e-8),
-            init_step=_get(solve_obj, "solve", "init_step", float, required=False, default=1.0),
-            backtrack=_get(solve_obj, "solve", "backtrack", float, required=False, default=0.5),
-            sufficient_decrease=_get(solve_obj, "solve", "sufficient_decrease", float,
-                                     required=False, default=1e-4),
-            history=_get(solve_obj, "solve", "history", int, required=False, default=10),
-        )
-    except SupminError as exc:
-        raise ConfigError("solve", str(exc)) from None
+    schedule = _section(raw, "schedule", SweepSchedule,
+                        ("m_start", "factor", "m_max", "tol_sweep", "restarts"))
+    solve = _section(raw, "solve", SolveOptions,
+                     ("max_iters", "grad_tol", "init_step", "backtrack",
+                      "sufficient_decrease", "history"))
 
     seed = _get(raw, "", "seed", int, required=False, default=0)
     if seed < 0:
         raise ConfigError("seed", "seed must be nonnegative")
 
-    audit_obj = _get(raw, "", "audit", dict, required=False, default={})
-    _reject_unknown(audit_obj, "audit", {"num_subintervals", "min_elements", "tol_audit"})
-    num_sub = _get(audit_obj, "audit", "num_subintervals", int, required=False, default=20)
-    min_el = _get(audit_obj, "audit", "min_elements", int, required=False, default=3)
-    tol_audit = _get(audit_obj, "audit", "tol_audit", float, required=False, default=1e-3)
-    try:
-        audit = AuditConfig(num_subintervals=num_sub, min_elements=min_el,
-                            tol_audit=tol_audit, seed=seed, schedule=schedule,
-                            options=solve)
-    except SupminError as exc:
-        raise ConfigError("audit", str(exc)) from None
+    audit = _section(raw, "audit", AuditConfig,
+                     ("num_subintervals", "min_elements", "tol_audit"),
+                     seed=seed, schedule=schedule, options=solve)
 
     check_obj = _get(raw, "", "check", dict, required=False, default={})
-    _reject_unknown(check_obj, "check", {"num_triples", "t_levels", "box"})
     box_obj = _get(check_obj, "check", "box", dict, required=False, default={})
     _reject_unknown(box_obj, "check.box", {"x", "eta", "p"})
-
-    def _range(key, default):
-        if key not in box_obj:
-            return default
-        rng = _vector(box_obj[key], f"check.box.{key}", 2)
-        return (float(rng[0]), float(rng[1]))
-
+    ranges = {key: tuple(float(v) for v in _vector(val, f"check.box.{key}", 2))
+              for key, val in box_obj.items()}
     try:
-        box = Box(x=_range("x", (a, b)), eta=_range("eta", (-5.0, 5.0)),
-                  p=_range("p", (-5.0, 5.0)))
-        plan = SamplePlan(
-            num_triples=_get(check_obj, "check", "num_triples", int, required=False, default=500),
-            box=box,
-            t_levels=_get(check_obj, "check", "t_levels", int, required=False, default=5),
-            seed=seed,
-        )
+        box = Box(**{"x": (a, b), **ranges})
     except SupminError as exc:
         raise ConfigError("check", str(exc)) from None
+    plan = _section(raw, "check", SamplePlan, ("num_triples", "t_levels"), ("box",),
+                    box=box, seed=seed)
 
     output_dir = _get(raw, "", "output_dir", str)
     return RunConfig(model, (a, b), dim, grid_points, AffineMap(b0, b1),
@@ -301,7 +275,7 @@ def _write_energies_csv(path, records) -> None:
             fh.write(f"{rec.m},{fmt_float(rec.normalized_root)}\n")
 
 
-def run_solve(config: RunConfig, output_dir: FsPath, jobs: int = 1) -> int:
+def run_solve(config: RunConfig, output_dir: FsPath) -> int:
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "paths").mkdir(exist_ok=True)
@@ -366,29 +340,43 @@ def run_solve(config: RunConfig, output_dir: FsPath, jobs: int = 1) -> int:
     return EXIT_OK
 
 
-def run_audit(config: RunConfig, output_dir: FsPath, jobs: int = 1,
-              solve_first: bool = False) -> int:
+def _candidate_mismatch(config: RunConfig, candidate: Path) -> str | None:
+    """Why a candidate does not fit the config's grid, dimension and boundary
+    values (within round-off), or None."""
+    a, b = config.domain
+    if candidate.dim != config.dim:
+        return f"has {candidate.dim} value column(s), the config has N = {config.dim}"
+    nodes = Grid.uniform(a, b, config.grid_points).nodes
+    if (candidate.grid.nodes.size != nodes.size
+            or np.max(np.abs(candidate.grid.nodes - nodes)) > 1e-12 * (b - a)):
+        return (f"nodes differ from the config's uniform grid of {config.grid_points} "
+                f"nodes on [{fmt_float(a)}, {fmt_float(b)}]")
+    ends = np.array([config.boundary(a), config.boundary(b)])
+    if np.max(np.abs(candidate.values[[0, -1]] - ends)) > 1e-12 * (1.0 + np.max(np.abs(ends))):
+        return "end values differ from the config's boundary values"
+    return None
+
+
+def run_audit(config: RunConfig, output_dir: FsPath, solve_first: bool = False) -> int:
     out = FsPath(output_dir)
     candidate_csv = out / "candidate.csv"
     if solve_first:
-        code = run_solve(config, out, jobs)
+        code = run_solve(config, out)
         if code != EXIT_OK:
             return code
     if not candidate_csv.exists():
         print(f"audit: {candidate_csv} not found (run solve or pass --solve-first)",
               file=sys.stderr)
         return EXIT_CONFIG
-    candidate = Path.from_csv(str(candidate_csv))
-    audit_cfg = AuditConfig(
-        num_subintervals=config.audit.num_subintervals,
-        min_elements=config.audit.min_elements,
-        tol_audit=config.audit.tol_audit,
-        seed=config.seed,
-        schedule=config.schedule,
-        options=config.solve,
-        jobs=jobs,
-    )
-    report = audit_absolute_minimality(config.model, candidate, audit_cfg)
+    try:
+        candidate = Path.from_csv(str(candidate_csv))
+        problem = _candidate_mismatch(config, candidate)
+    except SupminError as exc:
+        problem = str(exc)
+    if problem is not None:
+        print(f"audit: {candidate_csv}: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    report = audit_absolute_minimality(config.model, candidate, config.audit)
     with open(out / "audit.json", "w", newline="\n") as fh:
         fh.write(dumps_canonical(report.to_json_dict()))
     if report.violations:
@@ -427,18 +415,6 @@ def run_check(config: RunConfig, output_dir: FsPath) -> int:
     return EXIT_OK
 
 
-def _resolve_jobs(arg_jobs) -> int:
-    if arg_jobs is not None:
-        return max(1, int(arg_jobs))
-    env = os.environ.get("SUPMIN_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supmin",
@@ -453,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="JSON run configuration")
         p.add_argument("--output-dir", help="override the config's output_dir")
-        if name != "check":
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker cap (default: SUPMIN_JOBS or 1)")
         if name == "audit":
             p.add_argument("--solve-first", action="store_true",
                            help="run solve before auditing in the same invocation")
@@ -472,10 +445,9 @@ def main(argv=None) -> int:
     output_dir = FsPath(args.output_dir or config.output_dir)
     try:
         if args.command == "solve":
-            return run_solve(config, output_dir, _resolve_jobs(args.jobs))
+            return run_solve(config, output_dir)
         if args.command == "audit":
-            return run_audit(config, output_dir, _resolve_jobs(args.jobs),
-                             solve_first=args.solve_first)
+            return run_audit(config, output_dir, solve_first=args.solve_first)
         return run_check(config, output_dir)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

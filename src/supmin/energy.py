@@ -26,22 +26,10 @@ from .lagrangian import LagrangianModel
 from .path import Path
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Per-element sample offsets in [0, 1]; weights are element lengths."""
-
-    offsets: tuple
-
-    def __post_init__(self):
-        if not all(0.0 <= o <= 1.0 for o in self.offsets):
-            raise SupminError("quadrature offsets must lie in [0, 1]")
-
-    def element_weights(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return hi - lo
-
-
-POWER_RULE = QuadratureRule((0.5,))
-SUP_RULE = QuadratureRule((0.0, 0.5, 1.0))
+# Per-element sample offsets in [0, 1] of the clipped element; the power
+# rule's weights are element lengths.
+POWER_OFFSET = 0.5
+SUP_OFFSETS = (0.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,11 +96,10 @@ def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
     endpoints and midpoint."""
     alpha, beta = _subinterval(path, subinterval)
     idx, lo, hi, slopes = _clipped_elements(path, alpha, beta)
-    best = -np.inf
-    for offset in SUP_RULE.offsets:
-        xs, etas = _samples_at(path, idx, lo, hi, slopes, offset)
-        best = max(best, float(np.max(model.eval_many(xs, etas, slopes))))
-    return best
+    xs, etas = zip(*(_samples_at(path, idx, lo, hi, slopes, o) for o in SUP_OFFSETS))
+    values = model.eval_many(np.concatenate(xs), np.concatenate(etas),
+                             np.tile(slopes, (len(SUP_OFFSETS), 1)))
+    return float(np.max(values))
 
 
 def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:
@@ -122,7 +109,7 @@ def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -
     alpha, beta = _subinterval(path, subinterval)
     idx, lo, hi, slopes = _clipped_elements(path, alpha, beta)
     lengths = hi - lo
-    xs, etas = _samples_at(path, idx, lo, hi, slopes, POWER_RULE.offsets[0])
+    xs, etas = _samples_at(path, idx, lo, hi, slopes, POWER_OFFSET)
     values = model.eval_many(xs, etas, slopes)
     top = float(np.max(values))
     if top == 0.0:
@@ -153,7 +140,7 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
     grad = np.zeros_like(path.values)
     idx, lo, hi, slopes = _clipped_elements(path, alpha, beta)
     lengths = hi - lo
-    xs, etas = _samples_at(path, idx, lo, hi, slopes, POWER_RULE.offsets[0])
+    xs, etas = _samples_at(path, idx, lo, hi, slopes, POWER_OFFSET)
     values = model.eval_many(xs, etas, slopes)
     top = float(np.max(values))
     if top == 0.0:
@@ -162,14 +149,15 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
     weight_sum = float(np.sum(lengths * ratios**m))
     outer = (weight_sum / (beta - alpha)) ** (1.0 / m)
     # d(root)/dL_e in factored form: stays representable for every m
-    coeffs = outer * lengths * ratios ** (m - 1) / weight_sum
-    elem_len = path.grid.element_lengths
-    for k, e in enumerate(idx):
-        jet = model.jet(xs[k], etas[k], slopes[k])
-        theta = (xs[k] - nodes[e]) / elem_len[e]
-        d_slope = jet.dp / elem_len[e]
-        grad[e] += coeffs[k] * ((1.0 - theta) * jet.deta - d_slope)
-        grad[e + 1] += coeffs[k] * (theta * jet.deta + d_slope)
+    coeffs = (outer * lengths * ratios ** (m - 1) / weight_sum)[:, None]
+    elem_len = path.grid.element_lengths[idx]
+    jet = model.jet_many(xs, etas, slopes)
+    theta = ((xs - nodes[idx]) / elem_len)[:, None]
+    d_slope = jet.dp / elem_len[:, None]
+    # each node takes its left element's right share and its right element's
+    # left share; two terms added to zero round the same in either order
+    grad[idx] += coeffs * ((1.0 - theta) * jet.deta - d_slope)
+    grad[idx + 1] += coeffs * (theta * jet.deta + d_slope)
     clamped = (nodes <= alpha) | (nodes >= beta)
     grad[clamped] = 0.0
     if not np.all(np.isfinite(grad)):
@@ -189,6 +177,8 @@ def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(ps),) or np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
         raise BadWeights("weights must be nonnegative and sum to 1 within 1e-12")
-    values = [model.eval(x, eta, p) for p in ps]
-    average = np.sum(w[:, None] * np.stack(ps), axis=0)
-    return float(np.max(values) - model.eval(x, eta, average))
+    rows = np.stack(ps)
+    rows = np.vstack([rows, np.sum(w[:, None] * rows, axis=0)])
+    values = model.eval_many(np.full(len(rows), float(x)),
+                             np.tile(np.asarray(eta, dtype=float), (len(rows), 1)), rows)
+    return float(np.max(values[:-1]) - values[-1])

@@ -1,22 +1,30 @@
 """Lagrangian models L(x, eta, p) >= 0 with jets and hypothesis checkers.
 
 Arguments follow the convention (x, eta, p): position in the interval, map
-value in R^N, derivative in R^N.  Built-in families:
+value in R^N, derivative in R^N.  A model answers two batched calls on rows
+xs (M,), etas (M, N), ps (M, N):
 
-* ``PowerNormModel``       L = |p - offset|^s
-* ``DataAssimilationModel``L = |k(x) - K eta|^2 + |p - (A eta + c(x))|^2
-* ``RadialModel``          L = f(|p - (A eta + c(x))|^2 / 2) for an increasing profile f
-* ``CustomModel``          user callable, finite-difference jets by default
+* ``eval_many`` the values of L, shape (M,);
+* ``jet_many``  the values with first and second derivatives, one
+  ``JetDerivatives`` whose fields carry a leading row axis.
 
-All built-ins carry exact first and second derivatives; anything else falls
-back to central finite differences.  ``check_level_convexity`` and
-``check_growth_bounds`` are sampling certifications: a pass is evidence,
-never a proof.
+``eval`` and ``jet`` are their one-row cases.  The base class derives
+``jet_many`` from ``eval_many`` by central finite differences; the analytic
+families override it.  Built-in families:
+
+* ``PowerNormModel``        L = |p - offset|^s
+* ``DataAssimilationModel`` L = |k(x) - K eta|^2 + |p - (A eta + c(x))|^2
+* ``RadialModel``           L = f(|p - (A eta + c(x))|^2 / 2) for an increasing profile f
+* ``MinOfNormsModel``       L = min_k |p - center_k|^s, finite-difference jets
+* ``CustomModel``           user callable of one row, finite-difference jets
+
+``check_level_convexity`` and ``check_growth_bounds`` are sampling
+certifications: a pass is evidence, never a proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -45,6 +53,13 @@ def _mat(v, name: str) -> np.ndarray:
         raise SupminError(f"{name} must be a finite matrix")
     a.flags.writeable = False
     return a
+
+
+def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ row for every row, summed row by row: BLAS rounds a one-row
+    product differently from a many-row one, and a row's result must not
+    depend on the batch it came in."""
+    return np.sum(rows[:, None, :] * mat[None, :, :], axis=2)
 
 
 @dataclass(frozen=True)
@@ -90,23 +105,22 @@ class SampledSignal:
     def dim(self) -> int:
         return self.values.shape[0] if self.xs is None else self.values.shape[1]
 
-    def eval(self, x: float) -> np.ndarray:
-        if self.xs is None:
-            return self.values
-        return np.array([np.interp(x, self.xs, col) for col in self.values.T])
-
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        """Values at xs, shape (len(xs), dim)."""
         if self.xs is None:
             return np.broadcast_to(self.values, (len(xs), self.dim))
         return np.column_stack([np.interp(xs, self.xs, col) for col in self.values.T])
 
-    def derivative(self, x: float) -> np.ndarray:
-        """Element slope at x (left element at knots); zero outside the samples."""
-        if self.xs is None or x < self.xs[0] or x > self.xs[-1]:
-            return np.zeros(self.dim)
-        idx = int(np.searchsorted(self.xs, x, side="left"))
-        e = min(max(idx - 1, 0), self.xs.size - 2)
-        return (self.values[e + 1] - self.values[e]) / (self.xs[e + 1] - self.xs[e])
+    def derivative_many(self, xs: np.ndarray) -> np.ndarray:
+        """Element slopes at xs (left element at knots), zero outside the
+        samples; shape (len(xs), dim)."""
+        xs = np.asarray(xs, dtype=float)
+        if self.xs is None:
+            return np.zeros((xs.size, self.dim))
+        e = np.clip(np.searchsorted(self.xs, xs, side="left") - 1, 0, self.xs.size - 2)
+        out = (self.values[e + 1] - self.values[e]) / (self.xs[e + 1] - self.xs[e])[:, None]
+        out[(xs < self.xs[0]) | (xs > self.xs[-1])] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -135,131 +149,112 @@ class GrowthParams:
 
 @dataclass(frozen=True)
 class JetDerivatives:
-    """Value and partial derivatives of L at one point (x, eta, p).
+    """Value and partial derivatives of L at rows (x, eta, p).
 
     ``dp``/``deta`` are gradients in p and eta, ``dx`` the x-derivative;
     ``dpp``, ``dpeta``, ``dpx`` are the second-order blocks taken against p
     first.  ``dpp`` is symmetric (symmetrized explicitly when produced by
-    finite differences).
+    finite differences).  From ``jet_many`` every field has a leading row
+    axis: ``value`` and ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the
+    blocks (M, N, N).  ``jet`` returns one row without that axis.
+    Construction rejects non-finite entries, once for the whole batch.
     """
 
-    value: float
+    value: np.ndarray
     dp: np.ndarray
     deta: np.ndarray
-    dx: float
+    dx: np.ndarray
     dpp: np.ndarray
     dpeta: np.ndarray
     dpx: np.ndarray
 
     def __post_init__(self):
-        parts = [self.value, self.dp, self.deta, self.dx, self.dpp, self.dpeta, self.dpx]
-        if not all(np.all(np.isfinite(part)) for part in parts):
+        if not all(np.all(np.isfinite(getattr(self, f.name))) for f in fields(self)):
             raise NonFinite("jet contains non-finite entries")
 
 
-def finite_difference_jet(f, x: float, eta: np.ndarray, p: np.ndarray) -> JetDerivatives:
-    """Central-difference jet of a scalar f(x, eta, p).
-
-    First-order steps are eps^(1/3)*(1+|coord|) per coordinate, second-order
-    steps eps^(1/4)*(1+|coord|).
-    """
-    eta = np.asarray(eta, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    value = float(f(x, eta, p))
-
-    def shift(vec, i, h):
-        out = vec.copy()
-        out[i] += h
-        return out
-
-    h1x = _FD_FIRST * (1.0 + abs(x))
-    h1e = _FD_FIRST * (1.0 + np.abs(eta))
-    h1p = _FD_FIRST * (1.0 + np.abs(p))
-    h2x = _FD_SECOND * (1.0 + abs(x))
-    h2e = _FD_SECOND * (1.0 + np.abs(eta))
-    h2p = _FD_SECOND * (1.0 + np.abs(p))
-
-    dp = np.array(
-        [(f(x, eta, shift(p, i, h1p[i])) - f(x, eta, shift(p, i, -h1p[i]))) / (2 * h1p[i]) for i in range(n)]
-    )
-    deta = np.array(
-        [(f(x, shift(eta, j, h1e[j]), p) - f(x, shift(eta, j, -h1e[j]), p)) / (2 * h1e[j]) for j in range(eta.size)]
-    )
-    dx = (f(x + h1x, eta, p) - f(x - h1x, eta, p)) / (2 * h1x)
-
-    dpp = np.empty((n, n))
-    for i in range(n):
-        dpp[i, i] = (
-            f(x, eta, shift(p, i, h2p[i])) - 2 * value + f(x, eta, shift(p, i, -h2p[i]))
-        ) / h2p[i] ** 2
-        for j in range(i + 1, n):
-            pp = shift(shift(p, i, h2p[i]), j, h2p[j])
-            pm = shift(shift(p, i, h2p[i]), j, -h2p[j])
-            mp = shift(shift(p, i, -h2p[i]), j, h2p[j])
-            mm = shift(shift(p, i, -h2p[i]), j, -h2p[j])
-            dpp[i, j] = dpp[j, i] = (f(x, eta, pp) - f(x, eta, pm) - f(x, eta, mp) + f(x, eta, mm)) / (
-                4 * h2p[i] * h2p[j]
-            )
-    dpp = 0.5 * (dpp + dpp.T)
-
-    dpeta = np.empty((n, eta.size))
-    for i in range(n):
-        for j in range(eta.size):
-            dpeta[i, j] = (
-                f(x, shift(eta, j, h2e[j]), shift(p, i, h2p[i]))
-                - f(x, shift(eta, j, -h2e[j]), shift(p, i, h2p[i]))
-                - f(x, shift(eta, j, h2e[j]), shift(p, i, -h2p[i]))
-                + f(x, shift(eta, j, -h2e[j]), shift(p, i, -h2p[i]))
-            ) / (4 * h2p[i] * h2e[j])
-
-    dpx = np.array(
-        [
-            (
-                f(x + h2x, eta, shift(p, i, h2p[i]))
-                - f(x - h2x, eta, shift(p, i, h2p[i]))
-                - f(x + h2x, eta, shift(p, i, -h2p[i]))
-                + f(x - h2x, eta, shift(p, i, -h2p[i]))
-            )
-            / (4 * h2p[i] * h2x)
-            for i in range(n)
-        ]
-    )
-    return JetDerivatives(value, dp, deta, float(dx), dpp, dpeta, dpx)
+def _one_row(x, eta, p):
+    return (np.array([float(x)]), np.asarray(eta, dtype=float).reshape(1, -1),
+            np.asarray(p, dtype=float).reshape(1, -1))
 
 
 class LagrangianModel:
-    """Base class: nonnegative L(x, eta, p) with jets.
+    """Base class: nonnegative L(x, eta, p), evaluated and differentiated by rows.
 
-    Models are immutable after construction; all evaluation methods are pure,
-    so instances are safe to share between concurrent tasks.
+    Subclasses implement ``eval_many``; ``jet_many`` defaults to central
+    finite differences of it.  Models are immutable after construction and
+    all evaluation methods are pure.
     """
 
     kind = "custom"
 
-    def __init__(self, dim: int, growth: GrowthParams | None = None,
-                 analytic_jets: tuple[bool, bool] = (False, False)):
+    def __init__(self, dim: int, growth: GrowthParams | None = None):
         self.dim = int(dim)
         self.growth = growth
-        self.analytic_jets = (bool(analytic_jets[0]), bool(analytic_jets[1]))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _eval_raw(self, x: float, eta: np.ndarray, p: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def eval(self, x: float, eta, p) -> float:
-        val = float(self._eval_raw(float(x), np.asarray(eta, dtype=float), np.asarray(p, dtype=float)))
-        if not np.isfinite(val):
-            raise NonFinite(f"L({x}, ...) is not finite")
-        if val < 0:
-            raise NegativeLagrangian(f"L({x}, ...) = {val} < 0")
-        return val
 
     def eval_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows; overridden by the built-ins."""
-        out = np.array([self._eval_raw(float(x), e, s) for x, e, s in zip(xs, etas, ps)], dtype=float)
-        return self._checked(out)
+        """L at every row, shape (M,); non-finite or negative values raise."""
+        raise NotImplementedError
+
+    def jet_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray) -> JetDerivatives:
+        """Central-difference jet of ``eval_many`` at every row.
+
+        First-order steps are eps^(1/3)*(1+|coord|) per coordinate, second-order
+        steps eps^(1/4)*(1+|coord|).
+        """
+        f = self.eval_many
+        m, n = ps.shape
+        ne = etas.shape[1]
+
+        def shift(rows, i, h):
+            out = rows.copy()
+            out[:, i] += h
+            return out
+
+        value = f(xs, etas, ps)
+        h1x, h1e, h1p = (_FD_FIRST * (1.0 + np.abs(a)) for a in (xs, etas, ps))
+        h2x, h2e, h2p = (_FD_SECOND * (1.0 + np.abs(a)) for a in (xs, etas, ps))
+        dp, deta, dpx = np.empty((m, n)), np.empty((m, ne)), np.empty((m, n))
+        dpp, dpeta = np.empty((m, n, n)), np.empty((m, n, ne))
+        for i in range(n):
+            h = h1p[:, i]
+            dp[:, i] = (f(xs, etas, shift(ps, i, h)) - f(xs, etas, shift(ps, i, -h))) / (2 * h)
+        for j in range(ne):
+            h = h1e[:, j]
+            deta[:, j] = (f(xs, shift(etas, j, h), ps) - f(xs, shift(etas, j, -h), ps)) / (2 * h)
+        dx = (f(xs + h1x, etas, ps) - f(xs - h1x, etas, ps)) / (2 * h1x)
+
+        for i in range(n):
+            hi = h2p[:, i]
+            up, down = shift(ps, i, hi), shift(ps, i, -hi)
+            dpp[:, i, i] = (f(xs, etas, up) - 2 * value + f(xs, etas, down)) / hi**2
+            for j in range(i + 1, n):
+                hj = h2p[:, j]
+                dpp[:, i, j] = dpp[:, j, i] = (
+                    f(xs, etas, shift(up, j, hj)) - f(xs, etas, shift(up, j, -hj))
+                    - f(xs, etas, shift(down, j, hj)) + f(xs, etas, shift(down, j, -hj))
+                ) / (4 * hi * hj)
+            for j in range(ne):
+                hj = h2e[:, j]
+                e_up, e_down = shift(etas, j, hj), shift(etas, j, -hj)
+                dpeta[:, i, j] = (
+                    f(xs, e_up, up) - f(xs, e_down, up) - f(xs, e_up, down) + f(xs, e_down, down)
+                ) / (4 * hi * hj)
+            dpx[:, i] = (
+                f(xs + h2x, etas, up) - f(xs - h2x, etas, up)
+                - f(xs + h2x, etas, down) + f(xs - h2x, etas, down)
+            ) / (4 * hi * h2x)
+        dpp = 0.5 * (dpp + dpp.transpose(0, 2, 1))
+        return JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx)
+
+    def eval(self, x: float, eta, p) -> float:
+        """L at one point."""
+        return float(self.eval_many(*_one_row(x, eta, p))[0])
+
+    def jet(self, x: float, eta, p) -> JetDerivatives:
+        """Jet at one point, fields without the row axis."""
+        j = self.jet_many(*_one_row(x, eta, p))
+        return JetDerivatives(*(getattr(j, f.name)[0] for f in fields(j)))
 
     @staticmethod
     def _checked(values: np.ndarray) -> np.ndarray:
@@ -269,18 +264,6 @@ class LagrangianModel:
             raise NegativeLagrangian("Lagrangian evaluation is negative")
         return values
 
-    # -- jets ----------------------------------------------------------------
-
-    def _jet_analytic(self, x: float, eta: np.ndarray, p: np.ndarray) -> JetDerivatives:
-        raise NotImplementedError
-
-    def jet(self, x: float, eta, p) -> JetDerivatives:
-        eta = np.asarray(eta, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if self.analytic_jets == (True, True):
-            return self._jet_analytic(float(x), eta, p)
-        return finite_difference_jet(self._eval_raw, float(x), eta, p)
-
 
 class PowerNormModel(LagrangianModel):
     """L = |p - offset|^s, level-convex for every s > 0."""
@@ -289,38 +272,36 @@ class PowerNormModel(LagrangianModel):
 
     def __init__(self, exponent: float, offset, growth: GrowthParams | None = None):
         offset = _vec(offset, "offset")
-        super().__init__(offset.size, growth, analytic_jets=(True, True))
+        super().__init__(offset.size, growth)
         if not (exponent > 0 and np.isfinite(exponent)):
             raise SupminError("exponent must be positive and finite")
         self.exponent = float(exponent)
         self.offset = offset
 
-    def _eval_raw(self, x, eta, p):
-        with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
-            return np.linalg.norm(p - self.offset) ** self.exponent
-
     def eval_many(self, xs, etas, ps):
         rho = np.linalg.norm(ps - self.offset[None, :], axis=1)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
             return self._checked(rho**self.exponent)
 
-    def _jet_analytic(self, x, eta, p):
-        s = self.exponent
-        w = p - self.offset
-        rho = float(np.linalg.norm(w))
-        n = self.dim
-        zeros_v = np.zeros(n)
-        if rho == 0.0:
-            if s < 2:
-                # |w|^s has no two-sided jet at w = 0 below quadratic growth
-                raise NonFinite("power-norm jet is singular at p = offset for s < 2")
-            dpp = 2.0 * np.eye(n) if s == 2 else np.zeros((n, n))
-            return JetDerivatives(0.0, zeros_v, zeros_v, 0.0, dpp, np.zeros((n, n)), zeros_v)
-        unit = w / rho
-        value = rho**s
-        dp = s * rho ** (s - 1) * unit
-        dpp = s * rho ** (s - 2) * (np.eye(n) + (s - 2) * np.outer(unit, unit))
-        return JetDerivatives(value, dp, zeros_v, 0.0, dpp, np.zeros((n, n)), zeros_v)
+    def jet_many(self, xs, etas, ps):
+        s, n = self.exponent, self.dim
+        w = ps - self.offset[None, :]
+        rho = np.linalg.norm(w, axis=1)
+        apex = rho == 0.0
+        if s < 2 and np.any(apex):
+            # |w|^s has no two-sided jet at w = 0 below quadratic growth
+            raise NonFinite("power-norm jet is singular at p = offset for s < 2")
+        safe = np.where(apex, 1.0, rho)
+        unit = w / safe[:, None]
+        with np.errstate(over="ignore"):
+            value = rho**s
+            dp = (s * rho ** (s - 1))[:, None] * unit
+            dpp = (s * safe ** (s - 2))[:, None, None] * (
+                np.eye(n) + (s - 2) * unit[:, :, None] * unit[:, None, :])
+        dpp[apex] = 2.0 * np.eye(n) if s == 2 else 0.0
+        zeros = np.zeros_like(w)
+        return JetDerivatives(value, dp, zeros, np.zeros_like(rho), dpp,
+                              np.zeros_like(dpp), zeros)
 
 
 class DataAssimilationModel(LagrangianModel):
@@ -342,43 +323,42 @@ class DataAssimilationModel(LagrangianModel):
             raise SupminError("signal k must match the rows of K")
         if c.dim != n:
             raise SupminError("signal c must have dimension N")
-        super().__init__(n, growth, analytic_jets=(True, True))
+        super().__init__(n, growth)
         self.K = K
         self.k = k
         self.A = A
         self.c = c
 
-    def velocity(self, x: float, eta: np.ndarray) -> np.ndarray:
-        return self.A @ eta + self.c.eval(x)
-
-    def _eval_raw(self, x, eta, p):
-        r = self.k.eval(x) - self.K @ eta
-        w = p - self.velocity(x, eta)
-        return float(r @ r + w @ w)
+    def _mismatches(self, xs, etas, ps):
+        """Rows of r = k(x) - K eta and w = p - V(x, eta)."""
+        r = self.k.eval_many(xs) - _apply(self.K, etas)
+        w = ps - (_apply(self.A, etas) + self.c.eval_many(xs))
+        return r, w
 
     def eval_many(self, xs, etas, ps):
-        r = self.k.eval_many(xs) - etas @ self.K.T
-        w = ps - (etas @ self.A.T + self.c.eval_many(xs))
+        r, w = self._mismatches(xs, etas, ps)
         return self._checked(np.sum(r * r, axis=1) + np.sum(w * w, axis=1))
 
-    def _jet_analytic(self, x, eta, p):
-        r = self.k.eval(x) - self.K @ eta
-        w = p - self.velocity(x, eta)
-        kdx = self.k.derivative(x)
-        cdx = self.c.derivative(x)
-        value = float(r @ r + w @ w)
-        dp = 2.0 * w
-        deta = -2.0 * self.K.T @ r - 2.0 * self.A.T @ w
-        dx = float(2.0 * r @ kdx - 2.0 * w @ cdx)
-        dpp = 2.0 * np.eye(self.dim)
-        dpeta = -2.0 * self.A
-        dpx = -2.0 * cdx
-        return JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx)
+    def jet_many(self, xs, etas, ps):
+        r, w = self._mismatches(xs, etas, ps)
+        kdx = self.k.derivative_many(xs)
+        cdx = self.c.derivative_many(xs)
+        m, n = w.shape
+        return JetDerivatives(
+            np.sum(r * r, axis=1) + np.sum(w * w, axis=1),
+            2.0 * w,
+            _apply(-2.0 * self.K.T, r) - _apply(2.0 * self.A.T, w),
+            2.0 * np.sum(r * kdx, axis=1) - 2.0 * np.sum(w * cdx, axis=1),
+            np.broadcast_to(2.0 * np.eye(n), (m, n, n)),
+            np.broadcast_to(-2.0 * self.A, (m, n, n)),
+            -2.0 * cdx,
+        )
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Strictly increasing scalar profile f with derivatives, f(t) >= 0 for t >= 0."""
+    """Strictly increasing scalar profile f with derivatives, f(t) >= 0 for
+    t >= 0; each callable takes a float or an array of them."""
 
     name: str
     f: Callable[[float], float]
@@ -422,56 +402,51 @@ class RadialModel(LagrangianModel):
             raise SupminError("A must be square")
         if c.dim != A.shape[0]:
             raise SupminError("signal c must have dimension N")
-        super().__init__(A.shape[0], growth, analytic_jets=(True, True))
+        super().__init__(A.shape[0], growth)
         self.profile = profile
         self.A = A
         self.c = c
 
-    def velocity(self, x: float, eta: np.ndarray) -> np.ndarray:
-        return self.A @ eta + self.c.eval(x)
-
-    def _eval_raw(self, x, eta, p):
-        w = p - self.velocity(x, eta)
-        return float(self.profile.f(0.5 * (w @ w)))
+    def _deviation(self, xs, etas, ps):
+        """Rows of w = p - V(x, eta)."""
+        return ps - (_apply(self.A, etas) + self.c.eval_many(xs))
 
     def eval_many(self, xs, etas, ps):
-        w = ps - (etas @ self.A.T + self.c.eval_many(xs))
-        t = 0.5 * np.sum(w * w, axis=1)
-        return self._checked(np.array([self.profile.f(ti) for ti in t]))
+        w = self._deviation(xs, etas, ps)
+        return self._checked(self.profile.f(0.5 * np.sum(w * w, axis=1)))
 
-    def _jet_analytic(self, x, eta, p):
-        w = p - self.velocity(x, eta)
-        cdx = self.c.derivative(x)
-        t = 0.5 * float(w @ w)
-        f1, f2 = self.profile.df(t), self.profile.ddf(t)
-        at_w = self.A.T @ w
-        w_cdx = float(w @ cdx)
-        value = float(self.profile.f(t))
-        dp = f1 * w
-        deta = -f1 * at_w
-        dx = -f1 * w_cdx
-        dpp = f1 * np.eye(self.dim) + f2 * np.outer(w, w)
-        dpeta = -f2 * np.outer(w, at_w) - f1 * self.A
-        dpx = -f2 * w_cdx * w - f1 * cdx
-        return JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx)
+    def jet_many(self, xs, etas, ps):
+        w = self._deviation(xs, etas, ps)
+        cdx = self.c.derivative_many(xs)
+        t = 0.5 * np.sum(w * w, axis=1)
+        f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
+        f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
+        at_w = _apply(self.A.T, w)
+        w_cdx = np.sum(w * cdx, axis=1)[:, None]
+        return JetDerivatives(
+            self.profile.f(t),
+            f1 * w,
+            -f1 * at_w,
+            (-f1 * w_cdx)[:, 0],
+            f1[:, :, None] * np.eye(self.dim) + f2[:, :, None] * w[:, :, None] * w[:, None, :],
+            -f2[:, :, None] * w[:, :, None] * at_w[:, None, :] - f1[:, :, None] * self.A,
+            -f2 * w_cdx * w - f1 * cdx,
+        )
 
 
 class CustomModel(LagrangianModel):
-    """Callable-backed model; jets by finite differences unless jet_fn is given."""
+    """Model from a callable fn(x, eta, p) of one row; jets by finite differences."""
 
     kind = "custom"
 
-    def __init__(self, fn: Callable, dim: int, jet_fn: Callable | None = None,
-                 growth: GrowthParams | None = None):
-        super().__init__(dim, growth, analytic_jets=(jet_fn is not None,) * 2)
+    def __init__(self, fn: Callable, dim: int, growth: GrowthParams | None = None):
+        super().__init__(dim, growth)
         self.fn = fn
-        self.jet_fn = jet_fn
 
-    def _eval_raw(self, x, eta, p):
-        return float(self.fn(x, eta, p))
-
-    def _jet_analytic(self, x, eta, p):
-        return self.jet_fn(x, eta, p)
+    def eval_many(self, xs, etas, ps):
+        # fn sees one row at a time
+        values = [float(self.fn(float(x), eta, p)) for x, eta, p in zip(xs, etas, ps)]
+        return self._checked(np.array(values, dtype=float))
 
 
 class MinOfNormsModel(LagrangianModel):
@@ -489,11 +464,6 @@ class MinOfNormsModel(LagrangianModel):
         self.centers = centers
         self.exponent = float(exponent)
 
-    def _eval_raw(self, x, eta, p):
-        d = np.linalg.norm(self.centers - p[None, :], axis=1)
-        with np.errstate(over="ignore"):
-            return float(np.min(d) ** np.float64(self.exponent))
-
     def eval_many(self, xs, etas, ps):
         d = np.linalg.norm(ps[:, None, :] - self.centers[None, :, :], axis=2)
         with np.errstate(over="ignore"):
@@ -506,22 +476,17 @@ class ScaledModel(LagrangianModel):
     def __init__(self, inner: LagrangianModel, factor: float):
         if factor <= 0 or not np.isfinite(factor):
             raise SupminError("scale factor must be positive and finite")
-        super().__init__(inner.dim, inner.growth, inner.analytic_jets)
+        super().__init__(inner.dim, inner.growth)
         self.kind = inner.kind
         self.inner = inner
         self.factor = float(factor)
 
-    def _eval_raw(self, x, eta, p):
-        return self.factor * self.inner._eval_raw(x, eta, p)
-
     def eval_many(self, xs, etas, ps):
         return self.factor * self.inner.eval_many(xs, etas, ps)
 
-    def _jet_analytic(self, x, eta, p):
-        j = self.inner._jet_analytic(x, eta, p)
-        c = self.factor
-        return JetDerivatives(c * j.value, c * j.dp, c * j.deta, c * j.dx,
-                              c * j.dpp, c * j.dpeta, c * j.dpx)
+    def jet_many(self, xs, etas, ps):
+        j = self.inner.jet_many(xs, etas, ps)
+        return JetDerivatives(*(self.factor * getattr(j, f.name) for f in fields(j)))
 
 
 def scaled(model: LagrangianModel, factor: float) -> ScaledModel:
@@ -529,6 +494,11 @@ def scaled(model: LagrangianModel, factor: float) -> ScaledModel:
 
 
 # -- sampling certifications --------------------------------------------------
+
+# Points per eval_many call of the samplers.  A call's temporaries grow with
+# its rows (100,000 min-of-norms rows raised peak RSS by 9 MB, 4,096 by none),
+# so the samplers evaluate in blocks of whole samples up to this many points.
+_SAMPLE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -547,7 +517,7 @@ class Box:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    num_triples: int = 200
+    num_triples: int = 500
     box: Box = field(default_factory=Box)
     t_levels: int = 5
     seed: int = 0
@@ -597,26 +567,50 @@ def level_convexity_tolerance(end_max: float) -> float:
     return 1e-9 * (1.0 + end_max)
 
 
+def _sample_blocks(plan: SamplePlan, dim: int, num_p: int, points_per_sample: int):
+    """Uniform samples of the plan's box in blocks of whole samples, at most
+    _SAMPLE_ROWS points each.
+
+    Yields x (k,), eta (k, N) and p (k, num_p, N), drawn in the order of
+    per-sample ``rng.uniform`` calls for x, eta, p_1, ..., p_num_p.
+    """
+    box = plan.box
+    lo = np.array([box.x[0]] + [box.eta[0]] * dim + [box.p[0]] * (num_p * dim))
+    hi = np.array([box.x[1]] + [box.eta[1]] * dim + [box.p[1]] * (num_p * dim))
+    rng = np.random.default_rng(plan.seed)
+    step = max(1, _SAMPLE_ROWS // points_per_sample)
+    for start in range(0, plan.num_triples, step):
+        s = lo + (hi - lo) * rng.random((min(step, plan.num_triples - start), lo.size))
+        yield s[:, 0], s[:, 1 : 1 + dim], s[:, 1 + dim :].reshape(-1, num_p, dim)
+
+
+def _eval_points(model: LagrangianModel, x, eta, points) -> np.ndarray:
+    """L at points (k, R, N), each taken with its sample's x and eta: (k, R)."""
+    k, r, n = points.shape
+    return model.eval_many(np.repeat(x, r), np.repeat(eta, r, axis=0),
+                           points.reshape(k * r, n)).reshape(k, r)
+
+
 def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None) -> LevelConvexityResult:
     """Sample segments in p-space and flag L(mix) > max(L(p1), L(p2)) + tol.
 
     Necessary-only evidence: a pass certifies nothing beyond the samples.
     """
     plan = plan or SamplePlan()
-    rng = np.random.default_rng(plan.seed)
     lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
     witnesses = []
-    for _ in range(plan.num_triples):
-        x = float(rng.uniform(*plan.box.x))
-        eta = rng.uniform(*plan.box.eta, size=model.dim)
-        p1 = rng.uniform(*plan.box.p, size=model.dim)
-        p2 = rng.uniform(*plan.box.p, size=model.dim)
-        end_max = max(model.eval(x, eta, p1), model.eval(x, eta, p2))
-        tol = level_convexity_tolerance(end_max)
-        for lam in lams:
-            mixed = model.eval(x, eta, lam * p1 + (1.0 - lam) * p2)
-            if mixed > end_max + tol:
-                witnesses.append(LevelConvexityWitness(x, eta, p1, p2, float(lam), mixed, end_max))
+    for x, eta, ends in _sample_blocks(plan, model.dim, 2, 2 + lams.size):
+        p1, p2 = ends[:, :1], ends[:, 1:]
+        mixes = lams[:, None] * p1 + (1.0 - lams)[:, None] * p2
+        values = _eval_points(model, x, eta, np.concatenate([ends, mixes], axis=1))
+        end_max = np.max(values[:, :2], axis=1)
+        mixed = values[:, 2:]
+        bad = mixed > (end_max + level_convexity_tolerance(end_max))[:, None]
+        witnesses += [
+            LevelConvexityWitness(float(x[i]), eta[i].copy(), p1[i, 0].copy(), p2[i, 0].copy(),
+                                  float(lams[j]), float(mixed[i, j]), float(end_max[i]))
+            for i, j in zip(*np.nonzero(bad))
+        ]
     return LevelConvexityResult(not witnesses, witnesses)
 
 
@@ -661,23 +655,27 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
     """Sample (x, eta, p) and check both sides of the growth bound; margins
     report the minimal slack found on each side."""
     plan = plan or SamplePlan()
-    rng = np.random.default_rng(plan.seed)
     lower_margin = np.inf
     upper_margin = np.inf
     witnesses = []
-    for _ in range(plan.num_triples):
-        x = float(rng.uniform(*plan.box.x))
-        eta = rng.uniform(*plan.box.eta, size=model.dim)
-        p = rng.uniform(*plan.box.p, size=model.dim)
-        val = model.eval(x, eta, p)
-        pn = float(np.linalg.norm(p))
+    for x, eta, ps in _sample_blocks(plan, model.dim, 1, 1):
+        p = ps[:, 0]
+        val = _eval_points(model, x, eta, ps)[:, 0]
+        pn = np.linalg.norm(p, axis=1)
+        if callable(growth.h_bound):
+            h = np.array([growth.envelope(xi, ei) for xi, ei in zip(x, eta)])
+        else:
+            h = float(growth.h_bound)
         lower = growth.c1 * pn**growth.q - growth.c2
-        upper = growth.envelope(x, eta) * pn**growth.r + growth.c3
-        tol = 1e-9 * (1.0 + abs(val))
-        lower_margin = min(lower_margin, val - lower)
-        upper_margin = min(upper_margin, upper - val)
-        if val - lower < -tol:
-            witnesses.append(GrowthWitness(x, eta, p, val, lower, "lower"))
-        if upper - val < -tol:
-            witnesses.append(GrowthWitness(x, eta, p, val, upper, "upper"))
+        upper = h * pn**growth.r + growth.c3
+        tol = 1e-9 * (1.0 + np.abs(val))
+        lower_margin = min(lower_margin, float(np.min(val - lower)))
+        upper_margin = min(upper_margin, float(np.min(upper - val)))
+        low_bad = val - lower < -tol
+        up_bad = upper - val < -tol
+        for i in np.nonzero(low_bad | up_bad)[0]:
+            for bad, bound, side in ((low_bad, lower, "lower"), (up_bad, upper, "upper")):
+                if bad[i]:
+                    witnesses.append(GrowthWitness(float(x[i]), eta[i].copy(), p[i].copy(),
+                                                   float(val[i]), float(bound[i]), side))
     return GrowthCheckResult(not witnesses, float(lower_margin), float(upper_margin), witnesses)

@@ -68,21 +68,6 @@ class TestAbsoluteMinimalityAudit:
                                               sm.AuditConfig(num_subintervals=20, seed=1))
         assert report.passed
 
-    def test_jobs_parallel_matches_serial(self):
-        cand = tent_path(17)
-        model = sm.PowerNormModel(2.0, [0.0])
-        serial = sm.audit_absolute_minimality(model, cand,
-                                              sm.AuditConfig(num_subintervals=8, seed=2))
-        parallel = sm.audit_absolute_minimality(model, cand,
-                                                sm.AuditConfig(num_subintervals=8, seed=2, jobs=4))
-        assert serial.to_json_dict() == parallel.to_json_dict()
-
-    def test_perturbation_smoke_audit(self):
-        cand = tent_path(17, height=2.0)
-        report = sm.perturbation_audit(sm.PowerNormModel(2.0, [0.0]), cand,
-                                       sm.AuditConfig(num_subintervals=10, seed=3))
-        assert len(report.violations) >= 1
-
     def test_min_subinterval_length(self):
         config = sm.AuditConfig(num_subintervals=50, min_elements=3, seed=5)
         pairs = sm.audit.sample_subintervals(sm.Grid.uniform(0.0, 1.0, 17), config)

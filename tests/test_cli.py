@@ -77,6 +77,28 @@ class TestSolve:
         cfg = write_config(tmp_path, schedule={"m_strt": 2})
         assert cli.main(["solve", cfg]) == 1
 
+    @pytest.mark.parametrize("section, body, message", [
+        ("solve", {"min_step": 1e-30}, "solve.min_step: unknown field"),
+        ("audit", {"seed": 1}, "audit.seed: unknown field"),
+        ("check", {"seed": 1}, "check.seed: unknown field"),
+        ("schedule", {"m_start": 2.5}, "schedule.m_start: expected int"),
+        ("check", {"t_levels": 0}, "check: sample plan needs"),
+    ])
+    def test_section_fields(self, tmp_path, capsys, section, body, message):
+        cfg = write_config(tmp_path, **{section: body})
+        assert cli.main(["solve", cfg]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_section_defaults_are_the_dataclass_defaults(self, tmp_path):
+        config = cli.load_config(write_config(tmp_path, solve={"max_iters": 7},
+                                              check={"box": {"p": [-1, 1]}}))
+        assert config.schedule == sm.SweepSchedule()
+        assert config.solve == sm.SolveOptions(max_iters=7)
+        assert config.audit == sm.AuditConfig(seed=7, schedule=config.schedule,
+                                              options=config.solve)
+        assert config.plan == sm.SamplePlan(box=sm.Box(x=(0.0, 1.0), p=(-1.0, 1.0)), seed=7)
+        assert config.plan.num_triples == 500
+
     def test_json_parse_error_line_anchored(self, tmp_path, capsys):
         f = tmp_path / "broken.json"
         f.write_text('{\n  "domain": [0, 1],\n  "N": \n}\n')
@@ -114,6 +136,23 @@ class TestAudit:
     def test_zero_subintervals_invalid(self, tmp_path):
         cfg = write_config(tmp_path, audit={"num_subintervals": 0})
         assert cli.main(["audit", cfg]) == 1
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "no data rows"),
+        ([(k / 4, float(k)) for k in range(5)], "value column"),
+        ([(k / 32, k / 32, 0.0) for k in range(33) if k != 5], "uniform grid"),
+        ([(k / 32, k / 32, 0.0) for k in range(32)] + [(1.0, 1.0, 0.5)], "boundary values"),
+    ])
+    def test_candidate_must_match_config(self, tmp_path, capsys, rows, message):
+        cfg = write_config(tmp_path, grid_points=33)
+        out = tmp_path / "out"
+        out.mkdir()
+        csv = out / "candidate.csv"
+        header = "x,u1" if len(rows) == 5 else "x,u1,u2"
+        csv.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        assert cli.main(["audit", cfg]) == 1
+        err = capsys.readouterr().err
+        assert str(csv) in err and message in err
 
     def test_round_trip_matches_in_memory(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -176,10 +215,3 @@ class TestDeterminism:
             a = (tmp_path / "out_a" / name).read_bytes()
             b = (tmp_path / "out_b" / name).read_bytes()
             assert a == b, name
-
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SUPMIN_JOBS", "3")
-        assert cli._resolve_jobs(None) == 3
-        monkeypatch.setenv("SUPMIN_JOBS", "junk")
-        assert cli._resolve_jobs(None) == 1
-        assert cli._resolve_jobs(5) == 5

@@ -196,19 +196,3 @@ class TestJensenGap:
             ps = [rng.uniform(-5, 5, size=dim) for _ in range(k)]
             gap = sm.jensen_gap(model, rng.uniform(0, 1), rng.normal(size=dim), weights, ps)
             assert gap >= -1e-9
-
-
-class TestQuadratureRule:
-    def test_offsets_in_unit_interval(self):
-        assert all(0 <= o <= 1 for o in sm.energy.POWER_RULE.offsets)
-        assert all(0 <= o <= 1 for o in sm.energy.SUP_RULE.offsets)
-        with pytest.raises(sm.SupminError):
-            sm.QuadratureRule((1.5,))
-
-    def test_weights_sum_to_length(self, rng):
-        path = random_path(rng)
-        from supmin.energy import _clipped_elements
-        _, lo, hi, _ = _clipped_elements(path, path.grid.a, path.grid.b)
-        w = sm.energy.POWER_RULE.element_weights(lo, hi)
-        assert np.all(w > 0)
-        assert np.sum(w) == pytest.approx(path.grid.b - path.grid.a, rel=1e-14)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,14 +104,41 @@ class TestJet:
         for _ in range(20):
             dim = int(rng.integers(1, 4))
             model = random_builtin_model(rng, dim)
-            x = rng.uniform(0.05, 0.95)
-            eta = rng.uniform(-10, 10, size=dim)
-            p = rng.uniform(-10, 10, size=dim)
+            x = rng.uniform(0.05, 0.95, size=1)
+            eta = rng.uniform(-10, 10, size=(1, dim))
+            p = rng.uniform(-10, 10, size=(1, dim))
             if np.linalg.norm(p - getattr(model, "offset", np.full(dim, np.inf))) < 0.5:
                 continue  # keep clear of the power-norm apex
-            fd = sm.finite_difference_jet(model._eval_raw, x, eta, p)
-            worst = max(worst, jet_block_errors(fd, model.jet(x, eta, p)))
+            fd = sm.LagrangianModel.jet_many(model, x, eta, p)
+            worst = max(worst, jet_block_errors(fd, model.jet_many(x, eta, p)))
         assert worst < 1e-5
+
+    def test_batch_equals_stacked_rows(self, rng):
+        """jet_many and eval_many on a batch equal their one-row calls stacked, bitwise."""
+        models = [sm.PowerNormModel(2.0, [0.3, -0.7]), sm.PowerNormModel(1.5, [0.3, -0.7]),
+                  sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
+                  sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[1]) ** 2 * p[1] ** 4,
+                                 dim=2)]
+        for name in ("identity", "shift", "power"):
+            models.append(sm.RadialModel(sm.radial_profile(name, beta=0.5, gamma=1.7),
+                                         rng.normal(size=(2, 2)),
+                                         sm.SampledSignal(np.linspace(0.0, 1.0, 4),
+                                                          rng.normal(size=(4, 2)))))
+        for _ in range(3):
+            models.append(random_builtin_model(rng, 2))
+        models.append(sm.scaled(models[-1], 3.0))
+        models.append(sm.scaled(models[2], 0.5))
+        xs = rng.uniform(-0.2, 1.2, size=9)
+        etas = rng.normal(size=(9, 2))
+        ps = rng.normal(scale=2.0, size=(9, 2))
+        for model in models:
+            batch = model.jet_many(xs, etas, ps)
+            rows = [model.jet(x, e, p) for x, e, p in zip(xs, etas, ps)]
+            for f in dataclasses.fields(batch):
+                stacked = np.stack([getattr(r, f.name) for r in rows])
+                assert np.array_equal(getattr(batch, f.name), stacked), (type(model), f.name)
+            one = [model.eval(x, e, p) for x, e, p in zip(xs, etas, ps)]
+            assert np.array_equal(model.eval_many(xs, etas, ps), one)
 
     def test_fd_dpp_symmetric(self, rng):
         fn = lambda x, e, p: (p[0] ** 2) * (p[1] + 2.0) ** 2 + x * e[0] ** 2
@@ -127,19 +156,17 @@ class TestJet:
 class TestSampledSignal:
     def test_interpolation_and_extension(self):
         sig = sm.SampledSignal.from_rows([[0.0, 1.0], [1.0, 3.0]])
-        assert sig.eval(0.5)[0] == 2.0
-        assert sig.eval(-1.0)[0] == 1.0 and sig.eval(2.0)[0] == 3.0
+        assert np.array_equal(sig.eval_many(np.array([0.5, -1.0, 2.0]))[:, 0], [2.0, 1.0, 3.0])
 
     def test_derivative_left_tie_break(self):
         sig = sm.SampledSignal.from_rows([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]])
-        assert sig.derivative(0.5)[0] == 0.0
-        assert sig.derivative(0.75)[0] == 2.0
-        assert sig.derivative(1.5)[0] == 0.0
+        assert np.array_equal(sig.derivative_many(np.array([0.5, 0.75, 1.5]))[:, 0],
+                              [0.0, 2.0, 0.0])
 
     def test_constant(self):
         sig = sm.SampledSignal.constant([2.0, -1.0])
-        assert np.array_equal(sig.eval(0.3), [2.0, -1.0])
-        assert np.all(sig.derivative(0.3) == 0.0)
+        assert np.array_equal(sig.eval_many(np.array([0.3])), [[2.0, -1.0]])
+        assert np.all(sig.derivative_many(np.array([0.3])) == 0.0)
 
     def test_validation(self):
         with pytest.raises(sm.SupminError):
@@ -181,6 +208,29 @@ class TestLevelConvexity:
         assert model.eval(0.0, [0.0], [0.0]) == 2.0  # the canonical midpoint witness
 
 
+    def test_matches_per_triple_loop(self):
+        """Block sampling reproduces the per-triple rng.uniform draws, the
+        one-point evaluations and the witness order of a plain loop."""
+        model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
+        plan = sm.SamplePlan(num_triples=1500, box=sm.Box(x=(0.25, 2.0)), t_levels=3, seed=9)
+        rng = np.random.default_rng(plan.seed)
+        lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
+        expected = []
+        for _ in range(plan.num_triples):
+            x = float(rng.uniform(*plan.box.x))
+            eta = rng.uniform(*plan.box.eta, size=2)
+            p1 = rng.uniform(*plan.box.p, size=2)
+            p2 = rng.uniform(*plan.box.p, size=2)
+            end_max = max(model.eval(x, eta, p1), model.eval(x, eta, p2))
+            for lam in lams:
+                mixed = model.eval(x, eta, lam * p1 + (1.0 - lam) * p2)
+                if mixed > end_max + sm.lagrangian.level_convexity_tolerance(end_max):
+                    expected.append([x, *eta, *p1, *p2, lam, mixed, end_max])
+        got = [[w.x, *w.eta, *w.p1, *w.p2, w.lam, w.mixed_value, w.end_max]
+               for w in sm.check_level_convexity(model, plan).witnesses]
+        assert len(expected) > 10 and got == expected
+
+
 class TestGrowthBounds:
     def test_exact_equality_case(self):
         growth = sm.GrowthParams(1.0, 0.0, 0.0, 2.0, 2.0, 1.0)
@@ -211,6 +261,33 @@ class TestGrowthBounds:
         res = sm.check_growth_bounds(model, growth, sm.SamplePlan(num_triples=500, seed=6))
         assert res.passed
 
+    def test_matches_per_sample_loop(self):
+        model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
+        growth = sm.GrowthParams(0.6, 0.5, 0.2, 2.0, 2.0, lambda x, eta: 0.5 + x)
+        plan = sm.SamplePlan(num_triples=5000, seed=11)
+        rng = np.random.default_rng(plan.seed)
+        expected = []
+        for _ in range(plan.num_triples):
+            x = float(rng.uniform(*plan.box.x))
+            eta = rng.uniform(*plan.box.eta, size=2)
+            p = rng.uniform(*plan.box.p, size=2)
+            val = model.eval(x, eta, p)
+            pn = np.linalg.norm(p, axis=-1)
+            lower = growth.c1 * pn**growth.q - growth.c2
+            upper = (0.5 + x) * pn**growth.r + growth.c3
+            tol = 1e-9 * (1.0 + abs(val))
+            if val - lower < -tol:
+                expected.append(([x, *eta, *p, val, "lower"], lower))
+            if upper - val < -tol:
+                expected.append(([x, *eta, *p, val, "upper"], upper))
+        res = sm.check_growth_bounds(model, growth, plan)
+        assert {row[-1] for row, _ in expected} == {"lower", "upper"}
+        assert [[w.x, *w.eta, *w.p, w.value, w.side] for w in res.witnesses] == [
+            row for row, _ in expected]
+        # array and scalar powers may round differently in the last bit
+        np.testing.assert_allclose([w.bound for w in res.witnesses],
+                                   [bound for _, bound in expected], rtol=4 * np.finfo(float).eps)
+
     def test_invalid_params(self):
         with pytest.raises(sm.SupminError):
             sm.GrowthParams(1.0, 0.0, 0.0, 3.0, 2.0)
@@ -226,10 +303,11 @@ class TestDecomposition:
         ksig = sm.SampledSignal(xs, rng.normal(size=(4, 2)))
         csig = sm.SampledSignal(xs, rng.normal(size=(4, 3)))
         model = sm.DataAssimilationModel(K, ksig, A, csig)
-        for _ in range(50):
-            x = rng.uniform(0.0, 1.0)
-            eta = rng.normal(size=3)
-            p = rng.normal(size=3)
-            r = ksig.eval(x) - K @ eta
-            w = p - (A @ eta + csig.eval(x))
-            assert model.eval(x, eta, p) == float(r @ r + w @ w)
+        xs = rng.uniform(0.0, 1.0, size=50)
+        etas = rng.normal(size=(50, 3))
+        ps = rng.normal(size=(50, 3))
+        # the products K eta and A eta are summed row by row, as in the model
+        r = ksig.eval_many(xs) - np.sum(etas[:, None, :] * K, axis=2)
+        w = ps - (np.sum(etas[:, None, :] * A, axis=2) + csig.eval_many(xs))
+        assert np.array_equal(model.eval_many(xs, etas, ps),
+                              np.sum(r * r, axis=1) + np.sum(w * w, axis=1))

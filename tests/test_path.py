@@ -175,3 +175,10 @@ class TestCsv:
         f = tmp_path / "p.csv"
         path.to_csv(str(f))
         assert f.read_text().splitlines()[0] == "x,u1,u2"
+
+    @pytest.mark.parametrize("text", ["x,u1\n", "x,u1\n0,0\n0.5,1,2\n1,0\n", "x,u1\n0,a\n1,0\n"])
+    def test_malformed_rejected(self, tmp_path, text):
+        f = tmp_path / "p.csv"
+        f.write_text(text)
+        with pytest.raises(sm.SupminError):
+            sm.Path.from_csv(str(f))
