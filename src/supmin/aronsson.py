@@ -59,7 +59,7 @@ class SecondOrderPoint:
 
 def _operator_rows(model: LagrangianModel, xs, values, slopes, curvatures) -> np.ndarray:
     """The operator at rows of points, shape (M, N), from one batched jet."""
-    jet = model.jet_many(xs, values, slopes)
+    jet = model.jet_many(xs, values, slopes, order=2)
     proj = normal_projection(jet.dp)
     scale = jet.value[:, None, None] * proj
     lead = jet.dp[:, :, None] * jet.dp[:, None, :] + scale @ jet.dpp

@@ -272,7 +272,7 @@ def _write_energies_csv(path, records) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("m,normalized_root\n")
         for rec in records:
-            fh.write(f"{rec.m},{fmt_float(rec.normalized_root)}\n")
+            fh.write(f"{rec.m},{fmt_float(rec.stats.objective)}\n")
 
 
 def run_solve(config: RunConfig, output_dir: FsPath) -> int:
@@ -289,9 +289,13 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
         rec.path.to_csv(str(out / ref))
         records_json.append({
             "m": rec.m,
-            "normalized_root": rec.normalized_root,
-            "iterations": rec.iterations,
-            "converged": rec.converged,
+            "normalized_root": rec.stats.objective,
+            "iterations": rec.stats.iterations,
+            "converged": rec.stats.converged,
+            "grad_norm": rec.stats.grad_norm,
+            "line_search_failed": rec.stats.line_search_failed,
+            "f_evals": rec.stats.f_evals,
+            "g_evals": rec.stats.g_evals,
             "path_csv": ref,
         })
     sweep.candidate.to_csv(str(out / "candidate.csv"))
@@ -320,7 +324,7 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
         "grid_points": config.grid_points,
         "seed": config.seed,
         "records": records_json,
-        "c_sequence": [rec.normalized_root for rec in sweep.records],
+        "c_sequence": [rec.stats.objective for rec in sweep.records],
         "sup_of_candidate": sweep.sup_of_candidate,
         "candidate_csv": "candidate.csv",
         "aborted": sweep.aborted,

@@ -13,6 +13,13 @@ Power energies are evaluated in factored form: with S the largest sample,
 so the normalized root stays finite up to m = 2^10 and beyond even when the
 raw integral overflows (then flagged).  Elements are always accumulated in
 ascending index order so results are bit-reproducible.
+
+One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
+order and subinterval, it turns nodal values into ``PowerSamples`` with one
+``eval_many`` call, and samples into the gradient with one first-order
+``jet_many`` call.  The solver keeps one rule per solve and reuses an accepted
+trial's samples for its gradient; ``power_energy`` and
+``power_energy_gradient`` are one-call wrappers around the same rule.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .errors import BadWeights, EmptyInterval, NonFinite, OutOfDomain, SupminError
 from .lagrangian import LagrangianModel
-from .path import Path
+from .path import Grid, Path
 
 
 # Per-element sample offsets in [0, 1] of the clipped element; the power
@@ -61,26 +68,24 @@ class EnergyReport:
         }
 
 
-def _subinterval(path: Path, subinterval) -> tuple[float, float]:
+def _subinterval(grid: Grid, subinterval) -> tuple[float, float]:
     if subinterval is None:
-        return path.grid.a, path.grid.b
+        return grid.a, grid.b
     alpha, beta = float(subinterval[0]), float(subinterval[1])
     if alpha >= beta:
         raise EmptyInterval(f"need alpha < beta, got ({alpha}, {beta})")
-    if alpha < path.grid.a or beta > path.grid.b:
-        raise OutOfDomain(f"({alpha}, {beta}) not inside [{path.grid.a}, {path.grid.b}]")
+    if alpha < grid.a or beta > grid.b:
+        raise OutOfDomain(f"({alpha}, {beta}) not inside [{grid.a}, {grid.b}]")
     return alpha, beta
 
 
-def _clipped_elements(path: Path, alpha: float, beta: float):
-    """Element indices overlapping (alpha, beta) with clip bounds and slopes."""
-    nodes = path.grid.nodes
+def _clipped_elements(grid: Grid, alpha: float, beta: float):
+    """Element indices overlapping (alpha, beta) with their clip bounds."""
+    nodes = grid.nodes
     lo = np.maximum(nodes[:-1], alpha)
     hi = np.minimum(nodes[1:], beta)
-    keep = hi > lo
-    idx = np.nonzero(keep)[0]
-    slopes = path.element_slopes()[idx]
-    return idx, lo[idx], hi[idx], slopes
+    idx = np.nonzero(hi > lo)[0]
+    return idx, lo[idx], hi[idx]
 
 
 def _samples_at(path: Path, idx, lo, hi, slopes, offset: float):
@@ -94,37 +99,114 @@ def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
     """Maximum of L(x, u(x), Du(x)) over the three-point rule of every element
     intersecting (alpha, beta); partial elements are sampled at their clipped
     endpoints and midpoint."""
-    alpha, beta = _subinterval(path, subinterval)
-    idx, lo, hi, slopes = _clipped_elements(path, alpha, beta)
+    alpha, beta = _subinterval(path.grid, subinterval)
+    idx, lo, hi = _clipped_elements(path.grid, alpha, beta)
+    slopes = path.element_slopes()[idx]
     xs, etas = zip(*(_samples_at(path, idx, lo, hi, slopes, o) for o in SUP_OFFSETS))
     values = model.eval_many(np.concatenate(xs), np.concatenate(etas),
                              np.tile(slopes, (len(SUP_OFFSETS), 1)))
     return float(np.max(values))
 
 
+@dataclass(frozen=True)
+class PowerSamples:
+    """The midpoint samples of one path: element slopes, sample values of
+    the map, L over its maximum ``top``, and the factored power sum.
+
+    When ``top`` is zero the sums are zero too and ``ratios`` is None.
+    """
+
+    slopes: np.ndarray
+    etas: np.ndarray
+    top: float
+    ratios: np.ndarray | None
+    weight_sum: float
+    outer: float
+
+    @property
+    def root(self) -> float:
+        """The normalized power root."""
+        return self.top * self.outer
+
+
+class MidpointPowerRule:
+    """The midpoint rule of the order-m power energy over (alpha, beta) of a
+    grid, prepared once: element indices and clipped lengths, sample points
+    ``xs`` and their offsets ``theta`` in the element, and the clamped nodes.
+
+    ``samples`` evaluates L at the midpoints of a path (one ``eval_many``
+    call); ``gradient`` turns those samples into the gradient with respect to
+    nodal values (one ``jet_many(order=1)`` call).
+    """
+
+    def __init__(self, grid: Grid, m: int, subinterval=None):
+        if m < 1:
+            raise SupminError("power energy needs m >= 1")
+        alpha, beta = _subinterval(grid, subinterval)
+        idx, lo, hi = _clipped_elements(grid, alpha, beta)
+        nodes = grid.nodes
+        self.m = int(m)
+        self.alpha, self.beta = alpha, beta
+        self.idx = idx
+        self.lengths = hi - lo
+        self.xs = lo + POWER_OFFSET * self.lengths
+        self.elem_len = grid.element_lengths[idx]
+        offsets = self.xs - nodes[idx]
+        self._offsets = offsets[:, None]
+        self.theta = (offsets / self.elem_len)[:, None]
+        self.clamped = (nodes <= alpha) | (nodes >= beta)
+
+    def samples(self, model: LagrangianModel, values: np.ndarray) -> PowerSamples:
+        """Samples of the path with nodal ``values`` (one row per grid node)."""
+        if not np.all(np.isfinite(values)):
+            raise SupminError("path values must be finite")
+        idx, m = self.idx, self.m
+        slopes = (values[idx + 1] - values[idx]) / self.elem_len[:, None]
+        etas = values[idx] + self._offsets * slopes
+        sampled = model.eval_many(self.xs, etas, slopes)
+        top = float(np.max(sampled))
+        if top == 0.0:
+            return PowerSamples(slopes, etas, 0.0, None, 0.0, 0.0)
+        ratios = sampled / top
+        weight_sum = float(np.sum(self.lengths * ratios**m))
+        outer = (weight_sum / (self.beta - self.alpha)) ** (1.0 / m)
+        if not np.isfinite(top * outer):
+            raise NonFinite("normalized power root is not finite")
+        return PowerSamples(slopes, etas, top, ratios, weight_sum, outer)
+
+    def gradient(self, model: LagrangianModel, samples: PowerSamples) -> np.ndarray:
+        """Gradient of the normalized root at the sampled path, one row per
+        node; rows of clamped nodes (on or outside the closed subinterval)
+        are zero."""
+        idx, m = self.idx, self.m
+        grad = np.zeros((self.clamped.size, samples.slopes.shape[1]))
+        if samples.top == 0.0:
+            return grad
+        ratios = samples.ratios
+        # d(root)/dL_e in factored form: stays representable for every m
+        coeffs = (samples.outer * self.lengths * ratios ** (m - 1) / samples.weight_sum)[:, None]
+        jet = model.jet_many(self.xs, samples.etas, samples.slopes, order=1)
+        d_slope = jet.dp / self.elem_len[:, None]
+        # each node takes its left element's right share and its right element's
+        # left share; two terms added to zero round the same in either order
+        grad[idx] += coeffs * ((1.0 - self.theta) * jet.deta - d_slope)
+        grad[idx + 1] += coeffs * (self.theta * jet.deta + d_slope)
+        grad[self.clamped] = 0.0
+        if not np.all(np.isfinite(grad)):
+            raise NonFinite("power energy gradient is not finite")
+        return grad
+
+
 def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:
     """Midpoint-rule integral of L^m in factored, overflow-safe form."""
-    if m < 1:
-        raise SupminError("power energy needs m >= 1")
-    alpha, beta = _subinterval(path, subinterval)
-    idx, lo, hi, slopes = _clipped_elements(path, alpha, beta)
-    lengths = hi - lo
-    xs, etas = _samples_at(path, idx, lo, hi, slopes, POWER_OFFSET)
-    values = model.eval_many(xs, etas, slopes)
-    top = float(np.max(values))
-    if top == 0.0:
-        return EnergyReport(int(m), 0.0, False, 0.0, 0.0, alpha, beta)
-    ratios = values / top
-    weight_sum = float(np.sum(lengths * ratios**m))
-    root = top * (weight_sum / (beta - alpha)) ** (1.0 / m)
+    rule = MidpointPowerRule(path.grid, m, subinterval)
+    s = rule.samples(model, path.values)
     with np.errstate(over="ignore"):
-        raw = float(np.float64(top) ** m * weight_sum)
+        raw = float(np.float64(s.top) ** rule.m * s.weight_sum)
     overflow = not np.isfinite(raw)
     if overflow:
         raw = np.inf
-    if not np.isfinite(root):
-        raise NonFinite("normalized power root is not finite")
-    return EnergyReport(int(m), raw, overflow, root, top, alpha, beta)
+    return EnergyReport(rule.m, raw, overflow, s.root, s.top, rule.alpha, rule.beta)
 
 
 def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterval=None) -> np.ndarray:
@@ -133,36 +215,8 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
     Rows for nodes on or outside the closed subinterval are zero: boundary
     nodes are clamped Dirichlet data of the comparison problem.
     """
-    if m < 1:
-        raise SupminError("power energy needs m >= 1")
-    alpha, beta = _subinterval(path, subinterval)
-    nodes = path.grid.nodes
-    grad = np.zeros_like(path.values)
-    idx, lo, hi, slopes = _clipped_elements(path, alpha, beta)
-    lengths = hi - lo
-    xs, etas = _samples_at(path, idx, lo, hi, slopes, POWER_OFFSET)
-    values = model.eval_many(xs, etas, slopes)
-    top = float(np.max(values))
-    if top == 0.0:
-        return grad
-    ratios = values / top
-    weight_sum = float(np.sum(lengths * ratios**m))
-    outer = (weight_sum / (beta - alpha)) ** (1.0 / m)
-    # d(root)/dL_e in factored form: stays representable for every m
-    coeffs = (outer * lengths * ratios ** (m - 1) / weight_sum)[:, None]
-    elem_len = path.grid.element_lengths[idx]
-    jet = model.jet_many(xs, etas, slopes)
-    theta = ((xs - nodes[idx]) / elem_len)[:, None]
-    d_slope = jet.dp / elem_len[:, None]
-    # each node takes its left element's right share and its right element's
-    # left share; two terms added to zero round the same in either order
-    grad[idx] += coeffs * ((1.0 - theta) * jet.deta - d_slope)
-    grad[idx + 1] += coeffs * (theta * jet.deta + d_slope)
-    clamped = (nodes <= alpha) | (nodes >= beta)
-    grad[clamped] = 0.0
-    if not np.all(np.isfinite(grad)):
-        raise NonFinite("power energy gradient is not finite")
-    return grad
+    rule = MidpointPowerRule(path.grid, m, subinterval)
+    return rule.gradient(model, rule.samples(model, path.values))
 
 
 def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:

@@ -5,12 +5,16 @@ value in R^N, derivative in R^N.  A model answers two batched calls on rows
 xs (M,), etas (M, N), ps (M, N):
 
 * ``eval_many`` the values of L, shape (M,);
-* ``jet_many``  the values with first and second derivatives, one
-  ``JetDerivatives`` whose fields carry a leading row axis.
+* ``jet_many``  the values with derivatives, one ``JetDerivatives`` whose
+  fields carry a leading row axis.  ``order=2`` (the default, used by the
+  residual profile) fills every field; ``order=1`` (used by the power-energy
+  gradient) fills only ``value``, ``dp`` and ``deta``, each bitwise equal to
+  its ``order=2`` field, and leaves the others None.
 
 ``eval`` and ``jet`` are their one-row cases.  The base class derives
-``jet_many`` from ``eval_many`` by central finite differences; the analytic
-families override it.  Built-in families:
+``jet_many`` from ``eval_many`` by central finite differences (9 calls at
+N=2 for ``order=1``, 43 for ``order=2``); the analytic families override it.
+Built-in families:
 
 * ``PowerNormModel``        L = |p - offset|^s
 * ``DataAssimilationModel`` L = |k(x) - K eta|^2 + |p - (A eta + c(x))|^2
@@ -156,21 +160,30 @@ class JetDerivatives:
     first.  ``dpp`` is symmetric (symmetrized explicitly when produced by
     finite differences).  From ``jet_many`` every field has a leading row
     axis: ``value`` and ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the
-    blocks (M, N, N).  ``jet`` returns one row without that axis.
-    Construction rejects non-finite entries, once for the whole batch.
+    blocks (M, N, N).  ``jet`` returns one row without that axis.  A
+    first-order jet leaves ``dx`` and the blocks None.  Construction rejects
+    non-finite entries in the fields that are set, once for the whole batch.
     """
 
     value: np.ndarray
     dp: np.ndarray
     deta: np.ndarray
-    dx: np.ndarray
-    dpp: np.ndarray
-    dpeta: np.ndarray
-    dpx: np.ndarray
+    dx: np.ndarray | None = None
+    dpp: np.ndarray | None = None
+    dpeta: np.ndarray | None = None
+    dpx: np.ndarray | None = None
 
     def __post_init__(self):
-        if not all(np.all(np.isfinite(getattr(self, f.name))) for f in fields(self)):
+        if not all(np.all(np.isfinite(v)) for v in self._set_fields().values()):
             raise NonFinite("jet contains non-finite entries")
+
+    def _set_fields(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
+
+    def map(self, fn) -> "JetDerivatives":
+        """``fn`` applied to every field that is set."""
+        return JetDerivatives(**{k: fn(v) for k, v in self._set_fields().items()})
 
 
 def _one_row(x, eta, p):
@@ -196,8 +209,9 @@ class LagrangianModel:
         """L at every row, shape (M,); non-finite or negative values raise."""
         raise NotImplementedError
 
-    def jet_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray) -> JetDerivatives:
-        """Central-difference jet of ``eval_many`` at every row.
+    def jet_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray,
+                 order: int = 2) -> JetDerivatives:
+        """Central-difference jet of ``eval_many`` at every row, to ``order``.
 
         First-order steps are eps^(1/3)*(1+|coord|) per coordinate, second-order
         steps eps^(1/4)*(1+|coord|).
@@ -213,16 +227,19 @@ class LagrangianModel:
 
         value = f(xs, etas, ps)
         h1x, h1e, h1p = (_FD_FIRST * (1.0 + np.abs(a)) for a in (xs, etas, ps))
-        h2x, h2e, h2p = (_FD_SECOND * (1.0 + np.abs(a)) for a in (xs, etas, ps))
-        dp, deta, dpx = np.empty((m, n)), np.empty((m, ne)), np.empty((m, n))
-        dpp, dpeta = np.empty((m, n, n)), np.empty((m, n, ne))
+        dp, deta = np.empty((m, n)), np.empty((m, ne))
         for i in range(n):
             h = h1p[:, i]
             dp[:, i] = (f(xs, etas, shift(ps, i, h)) - f(xs, etas, shift(ps, i, -h))) / (2 * h)
         for j in range(ne):
             h = h1e[:, j]
             deta[:, j] = (f(xs, shift(etas, j, h), ps) - f(xs, shift(etas, j, -h), ps)) / (2 * h)
+        if order == 1:
+            return JetDerivatives(value, dp, deta)
         dx = (f(xs + h1x, etas, ps) - f(xs - h1x, etas, ps)) / (2 * h1x)
+
+        h2x, h2e, h2p = (_FD_SECOND * (1.0 + np.abs(a)) for a in (xs, etas, ps))
+        dpp, dpeta, dpx = np.empty((m, n, n)), np.empty((m, n, ne)), np.empty((m, n))
 
         for i in range(n):
             hi = h2p[:, i]
@@ -253,8 +270,7 @@ class LagrangianModel:
 
     def jet(self, x: float, eta, p) -> JetDerivatives:
         """Jet at one point, fields without the row axis."""
-        j = self.jet_many(*_one_row(x, eta, p))
-        return JetDerivatives(*(getattr(j, f.name)[0] for f in fields(j)))
+        return self.jet_many(*_one_row(x, eta, p)).map(lambda v: v[0])
 
     @staticmethod
     def _checked(values: np.ndarray) -> np.ndarray:
@@ -283,7 +299,7 @@ class PowerNormModel(LagrangianModel):
         with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
             return self._checked(rho**self.exponent)
 
-    def jet_many(self, xs, etas, ps):
+    def jet_many(self, xs, etas, ps, order=2):
         s, n = self.exponent, self.dim
         w = ps - self.offset[None, :]
         rho = np.linalg.norm(w, axis=1)
@@ -293,13 +309,15 @@ class PowerNormModel(LagrangianModel):
             raise NonFinite("power-norm jet is singular at p = offset for s < 2")
         safe = np.where(apex, 1.0, rho)
         unit = w / safe[:, None]
+        zeros = np.zeros_like(w)
         with np.errstate(over="ignore"):
             value = rho**s
             dp = (s * rho ** (s - 1))[:, None] * unit
+            if order == 1:
+                return JetDerivatives(value, dp, zeros)
             dpp = (s * safe ** (s - 2))[:, None, None] * (
                 np.eye(n) + (s - 2) * unit[:, :, None] * unit[:, None, :])
         dpp[apex] = 2.0 * np.eye(n) if s == 2 else 0.0
-        zeros = np.zeros_like(w)
         return JetDerivatives(value, dp, zeros, np.zeros_like(rho), dpp,
                               np.zeros_like(dpp), zeros)
 
@@ -339,15 +357,18 @@ class DataAssimilationModel(LagrangianModel):
         r, w = self._mismatches(xs, etas, ps)
         return self._checked(np.sum(r * r, axis=1) + np.sum(w * w, axis=1))
 
-    def jet_many(self, xs, etas, ps):
+    def jet_many(self, xs, etas, ps, order=2):
         r, w = self._mismatches(xs, etas, ps)
+        value = np.sum(r * r, axis=1) + np.sum(w * w, axis=1)
+        dp = 2.0 * w
+        deta = _apply(-2.0 * self.K.T, r) - _apply(2.0 * self.A.T, w)
+        if order == 1:
+            return JetDerivatives(value, dp, deta)
         kdx = self.k.derivative_many(xs)
         cdx = self.c.derivative_many(xs)
         m, n = w.shape
         return JetDerivatives(
-            np.sum(r * r, axis=1) + np.sum(w * w, axis=1),
-            2.0 * w,
-            _apply(-2.0 * self.K.T, r) - _apply(2.0 * self.A.T, w),
+            value, dp, deta,
             2.0 * np.sum(r * kdx, axis=1) - 2.0 * np.sum(w * cdx, axis=1),
             np.broadcast_to(2.0 * np.eye(n), (m, n, n)),
             np.broadcast_to(-2.0 * self.A, (m, n, n)),
@@ -415,18 +436,19 @@ class RadialModel(LagrangianModel):
         w = self._deviation(xs, etas, ps)
         return self._checked(self.profile.f(0.5 * np.sum(w * w, axis=1)))
 
-    def jet_many(self, xs, etas, ps):
+    def jet_many(self, xs, etas, ps, order=2):
         w = self._deviation(xs, etas, ps)
-        cdx = self.c.derivative_many(xs)
         t = 0.5 * np.sum(w * w, axis=1)
         f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
-        f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
         at_w = _apply(self.A.T, w)
+        value, dp, deta = self.profile.f(t), f1 * w, -f1 * at_w
+        if order == 1:
+            return JetDerivatives(value, dp, deta)
+        cdx = self.c.derivative_many(xs)
+        f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
         w_cdx = np.sum(w * cdx, axis=1)[:, None]
         return JetDerivatives(
-            self.profile.f(t),
-            f1 * w,
-            -f1 * at_w,
+            value, dp, deta,
             (-f1 * w_cdx)[:, 0],
             f1[:, :, None] * np.eye(self.dim) + f2[:, :, None] * w[:, :, None] * w[:, None, :],
             -f2[:, :, None] * w[:, :, None] * at_w[:, None, :] - f1[:, :, None] * self.A,
@@ -484,9 +506,8 @@ class ScaledModel(LagrangianModel):
     def eval_many(self, xs, etas, ps):
         return self.factor * self.inner.eval_many(xs, etas, ps)
 
-    def jet_many(self, xs, etas, ps):
-        j = self.inner.jet_many(xs, etas, ps)
-        return JetDerivatives(*(self.factor * getattr(j, f.name) for f in fields(j)))
+    def jet_many(self, xs, etas, ps, order=2):
+        return self.inner.jet_many(xs, etas, ps, order=order).map(lambda v: self.factor * v)
 
 
 def scaled(model: LagrangianModel, factor: float) -> ScaledModel:

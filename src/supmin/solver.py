@@ -2,7 +2,10 @@
 
 ``minimize_power`` runs a limited-memory quasi-Newton descent (two-loop
 recursion, Armijo backtracking) on the normalized power root for one
-exponent m; ``m_sweep`` chains solves over a geometric exponent schedule,
+exponent m.  It prepares one ``MidpointPowerRule`` (the rule behind the
+public ``power_energy`` and ``power_energy_gradient``) per solve, evaluates L
+once per trial iterate, and takes the gradient of an accepted trial from that
+trial's samples and one first-order jet.  ``m_sweep`` chains solves over a geometric exponent schedule,
 warm-starting each exponent from the previous minimizer, and extracts the
 final path as the sup-energy candidate.  Everything is deterministic: fixed
 accumulation order, no randomness unless restarts > 1, in which case the
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import power_energy, power_energy_gradient, sup_energy
+from .energy import MidpointPowerRule, sup_energy
 from .errors import NonFinite, SupminError
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, interpolate_affine
@@ -43,11 +46,20 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Why and where one solve stopped.  ``f_evals`` counts objective
+    evaluations (the start and every line-search trial)."""
+
     iterations: int
     grad_norm: float
     objective: float
     converged: bool
     line_search_failed: bool = False
+    f_evals: int = 0
+
+    @property
+    def g_evals(self) -> int:
+        """Gradient evaluations: the start and every accepted trial."""
+        return self.iterations + 1
 
 
 @dataclass(frozen=True)
@@ -78,11 +90,11 @@ class SweepSchedule:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One exponent of a sweep; ``stats.objective`` is its normalized root."""
+
     m: int
     path: Path
-    normalized_root: float
-    iterations: int
-    converged: bool
+    stats: SolveStats
 
 
 @dataclass(frozen=True)
@@ -95,15 +107,6 @@ class SweepResult:
     error: str | None = None
     restart_sups: list = field(default_factory=list)
     tied_candidates: list = field(default_factory=list)
-
-
-def _objective(model, grid, values, m):
-    return power_energy(model, Path(grid, values), m).normalized_root
-
-
-def _gradient(model, grid, values, m, free):
-    g = power_energy_gradient(model, Path(grid, values), m)
-    return g[free]
 
 
 def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: int,
@@ -123,12 +126,12 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
     values[0] = boundary(grid.a)
     values[-1] = boundary(grid.b)
     free = slice(1, values.shape[0] - 1)
+    rule = MidpointPowerRule(grid, m)
 
-    def fval(v):
-        return _objective(model, grid, v, m)
-
-    f = fval(values)
-    g = _gradient(model, grid, values, m, free)
+    samples = rule.samples(model, values)
+    f = samples.root
+    g = rule.gradient(model, samples)[free]
+    f_evals = 1
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise NonFinite("objective or gradient not finite at the initial path")
 
@@ -148,7 +151,9 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         while step >= opts.min_step:
             trial = values.copy()
             trial[free] += step * d
-            f_trial = fval(trial)
+            trial_samples = rule.samples(model, trial)
+            f_trial = trial_samples.root
+            f_evals += 1
             if np.isfinite(f_trial) and f_trial <= f + opts.sufficient_decrease * step * slope:
                 accepted = True
                 break
@@ -156,7 +161,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         if not accepted:
             line_search_failed = True
             break
-        g_trial = _gradient(model, grid, trial, m, free)
+        g_trial = rule.gradient(model, trial_samples)[free]
         s = step * d
         y = g_trial - g
         sy = float(np.sum(s * y))
@@ -172,6 +177,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         objective=f,
         converged=gnorm <= opts.grad_tol,
         line_search_failed=line_search_failed,
+        f_evals=f_evals,
     )
     return Path(grid, values), stats
 
@@ -251,7 +257,7 @@ def _single_sweep(model, grid, boundary, schedule, options, init) -> SweepResult
         except NonFinite as exc:
             aborted, error = True, f"m={m}: {exc}"
             break
-        records.append(SweepRecord(m, path, stats.objective, stats.iterations, stats.converged))
+        records.append(SweepRecord(m, path, stats))
         current = path
         root = stats.objective
         if prev_root is not None and abs(root - prev_root) <= schedule.tol_sweep * (1.0 + abs(root)):
@@ -261,6 +267,6 @@ def _single_sweep(model, grid, boundary, schedule, options, init) -> SweepResult
         empty = init if init is not None else interpolate_affine(boundary, grid)
         return SweepResult([], empty, np.array([]), np.nan, aborted=True, error=error)
     candidate = records[-1].path
-    roots = np.array([rec.normalized_root for rec in records])
+    roots = np.array([rec.stats.objective for rec in records])
     sup = sup_energy(model, candidate)
     return SweepResult(records, candidate, roots, float(sup), aborted=aborted, error=error)

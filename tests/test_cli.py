@@ -47,6 +47,8 @@ class TestSolve:
         doc = json.loads((out / "sweep.json").read_text())
         for rec in doc["records"]:
             assert (out / rec["path_csv"]).exists()
+            assert rec["g_evals"] == rec["iterations"] + 1 <= rec["f_evals"]
+            assert rec["line_search_failed"] is False and rec["grad_norm"] <= 1e-8
         assert doc["sup_of_candidate"] == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_validation_message(self, tmp_path, capsys):

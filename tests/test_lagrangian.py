@@ -132,13 +132,28 @@ class TestJet:
         etas = rng.normal(size=(9, 2))
         ps = rng.normal(scale=2.0, size=(9, 2))
         for model in models:
-            batch = model.jet_many(xs, etas, ps)
+            full = model.jet_many(xs, etas, ps)
             rows = [model.jet(x, e, p) for x, e, p in zip(xs, etas, ps)]
-            for f in dataclasses.fields(batch):
+            first = model.jet_many(xs, etas, ps, order=1)
+            for f in dataclasses.fields(full):
                 stacked = np.stack([getattr(r, f.name) for r in rows])
-                assert np.array_equal(getattr(batch, f.name), stacked), (type(model), f.name)
+                assert np.array_equal(getattr(full, f.name), stacked), (type(model), f.name)
+                if f.name in ("value", "dp", "deta"):
+                    assert np.array_equal(getattr(first, f.name), getattr(full, f.name))
+                else:
+                    assert getattr(first, f.name) is None, (type(model), f.name)
             one = [model.eval(x, e, p) for x, e, p in zip(xs, etas, ps)]
             assert np.array_equal(model.eval_many(xs, etas, ps), one)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_power_norm_apex_raises_below_quadratic(self, order):
+        ps = np.array([[1.0, 2.0], [0.3, -0.7]])
+        with pytest.raises(sm.NonFinite):
+            sm.PowerNormModel(1.5, [0.3, -0.7]).jet_many(np.zeros(2), np.zeros((2, 2)), ps,
+                                                        order=order)
+        jet = sm.PowerNormModel(2.0, [0.3, -0.7]).jet_many(np.zeros(2), np.zeros((2, 2)), ps,
+                                                           order=order)
+        assert np.array_equal(jet.dp[1], [0.0, 0.0])
 
     def test_fd_dpp_symmetric(self, rng):
         fn = lambda x, e, p: (p[0] ** 2) * (p[1] + 2.0) ** 2 + x * e[0] ** 2

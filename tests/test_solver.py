@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 import supmin as sm
+from supmin.solver import _two_loop_direction
 
 
 def normal_equations_path(grid, bmap, velocity):
@@ -36,6 +39,166 @@ def spike_init(grid, bmap, bump):
     mid = values.shape[0] // 2
     values[mid] += bump
     return sm.Path(grid, values)
+
+
+def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
+    """The solver's loop written the plain way: a Path, ``power_energy`` and
+    ``power_energy_gradient`` per trial, the gradient evaluated afresh."""
+    opts = options or sm.SolveOptions()
+    init = init if init is not None else sm.interpolate_affine(boundary, grid)
+    values = np.array(init.values)
+    values[0], values[-1] = boundary(grid.a), boundary(grid.b)
+    free = slice(1, values.shape[0] - 1)
+
+    def fval(v):
+        return sm.power_energy(model, sm.Path(grid, v), m).normalized_root
+
+    def gval(v):
+        return sm.power_energy_gradient(model, sm.Path(grid, v), m)[free]
+
+    f, g = fval(values), gval(values)
+    f_evals = 1
+    memory = deque(maxlen=opts.history)
+    iterations, failed = 0, False
+    gnorm = float(np.max(np.abs(g)))
+    while gnorm > opts.grad_tol and iterations < opts.max_iters:
+        d = _two_loop_direction(memory, g)
+        slope = float(np.sum(d * g))
+        if slope >= 0.0:
+            d, slope = -g, -float(np.sum(g * g))
+        step, accepted = opts.init_step, False
+        while step >= opts.min_step:
+            trial = values.copy()
+            trial[free] += step * d
+            f_trial = fval(trial)
+            f_evals += 1
+            if np.isfinite(f_trial) and f_trial <= f + opts.sufficient_decrease * step * slope:
+                accepted = True
+                break
+            step *= opts.backtrack
+        if not accepted:
+            failed = True
+            break
+        g_trial = gval(trial)
+        s, y = step * d, g_trial - g
+        sy = float(np.sum(s * y))
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            memory.append((s, y, 1.0 / sy))
+        values, f, g = trial, f_trial, g_trial
+        gnorm = float(np.max(np.abs(g)))
+        iterations += 1
+    stats = sm.SolveStats(iterations, gnorm, f, gnorm <= opts.grad_tol, failed, f_evals)
+    return sm.Path(grid, values), stats
+
+
+def drift_model():
+    """L = |p - c(x)|^2 with c = (sin 2 pi x, cos 3x) on 8 knots."""
+    knots = np.linspace(0.0, 1.0, 9)
+    c = sm.SampledSignal(knots, np.column_stack([np.sin(2 * np.pi * knots), np.cos(3 * knots)]))
+    zero = sm.SampledSignal.from_rows([[0.0, 0.0], [1.0, 0.0]])
+    return sm.DataAssimilationModel(np.zeros((1, 2)), zero, np.zeros((2, 2)), c)
+
+
+def da_rot_model():
+    return sm.DataAssimilationModel(
+        [[1.0, 0.0]], sm.SampledSignal.from_rows([[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]]),
+        [[0.0, 1.0], [-1.0, 0.0]],
+        sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 0.0]]))
+
+
+def perturbed_start(grid, bmap, seed, scale=0.2):
+    values = sm.interpolate_affine(bmap, grid).values.copy()
+    values[1:-1] += np.random.default_rng(seed).normal(scale=scale, size=values[1:-1].shape)
+    return sm.Path(grid, values)
+
+
+def loop_reference_cases():
+    grid17 = sm.Grid.uniform(0.0, 1.0, 17)
+    drift_bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
+    rot_bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
+    zig_bmap = sm.AffineMap([0.0, 0.0], [0.0, 1.0])
+    radial = sm.RadialModel(sm.radial_profile("power", gamma=1.5), [[0.0, 0.4], [-0.4, 0.0]],
+                            sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+    # an audit-style re-solve: a sub-grid of a perturbed path, clamped to its chord
+    nodes = sm.Grid.uniform(0.0, 1.0, 33).nodes
+    outer = perturbed_start(sm.Grid(nodes), drift_bmap, 3)
+    i, j = 5, 19
+    b1 = (outer.values[j] - outer.values[i]) / (nodes[j] - nodes[i])
+    chord = sm.AffineMap(outer.values[i] - b1 * nodes[i], b1)
+    return {
+        "drift-oracle": (drift_model(), grid17, drift_bmap, 2, None, None),
+        "drift-oracle-m8": (drift_model(), grid17, drift_bmap, 8,
+                            perturbed_start(grid17, drift_bmap, 1), None),
+        "da-rot-17": (da_rot_model(), grid17, rot_bmap, 2, None, sm.SolveOptions(max_iters=40)),
+        "min-norms": (sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0), grid17,
+                      zig_bmap, 4, perturbed_start(grid17, zig_bmap, 2),
+                      sm.SolveOptions(max_iters=30)),
+        "radial": (radial, grid17, rot_bmap, 4, perturbed_start(grid17, rot_bmap, 4),
+                   sm.SolveOptions(max_iters=60)),
+        "sub-grid": (drift_model(), sm.Grid(nodes[i : j + 1]), chord, 2, None,
+                     sm.SolveOptions(max_iters=60)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(loop_reference_cases()))
+def test_minimize_power_matches_loop_reference(case):
+    """The prepared rule and the reused samples change no bit of the solve."""
+    model, grid, bmap, m, init, options = loop_reference_cases()[case]
+    path, stats = sm.minimize_power(model, grid, bmap, m, init, options)
+    ref_path, ref_stats = reference_minimize_power(model, grid, bmap, m, init, options)
+    assert stats.iterations > 0
+    assert np.array_equal(path.values, ref_path.values)
+    assert stats == ref_stats
+
+
+def count_model_calls(model):
+    """Count the model's eval_many calls (including those of its finite
+    differences) and the order of each jet_many call."""
+    calls = {"eval_many": 0, "jet_orders": []}
+    eval_many, jet_many = model.eval_many, model.jet_many
+
+    def counted_eval(*args):
+        calls["eval_many"] += 1
+        return eval_many(*args)
+
+    def counted_jet(*args, order=2):
+        calls["jet_orders"].append(order)
+        return jet_many(*args, order=order)
+
+    model.eval_many, model.jet_many = counted_eval, counted_jet
+    return calls
+
+
+class TestSolveCounts:
+    def test_analytic_model_one_eval_per_objective(self):
+        model = da_rot_model()
+        calls = count_model_calls(model)
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        _, stats = sm.minimize_power(model, grid, sm.AffineMap([0.0, 0.0], [1.0, 1.0]), 2,
+                                     options=sm.SolveOptions(max_iters=25))
+        assert stats.iterations == 25 and stats.f_evals > stats.g_evals == 26
+        assert calls["eval_many"] == stats.f_evals
+        assert calls["jet_orders"] == [1] * stats.g_evals
+
+    def test_finite_difference_model_nine_evals_per_gradient(self):
+        model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
+        calls = count_model_calls(model)
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        bmap = sm.AffineMap([0.0, 0.0], [0.0, 1.0])
+        _, stats = sm.minimize_power(model, grid, bmap, 4, perturbed_start(grid, bmap, 2),
+                                     sm.SolveOptions(max_iters=20))
+        assert stats.g_evals == stats.iterations + 1 > 1
+        assert calls["eval_many"] == stats.f_evals + 9 * stats.g_evals
+        assert calls["jet_orders"] == [1] * stats.g_evals
+
+    def test_sweep_records_carry_counts(self):
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
+        res = sm.m_sweep(drift_model(), grid, bmap, sm.SweepSchedule(m_max=8))
+        current = None
+        for rec in res.records:
+            current, stats = sm.minimize_power(drift_model(), grid, bmap, rec.m, current)
+            assert rec.stats == stats and stats.f_evals >= stats.g_evals
 
 
 class TestMinimizePower:
