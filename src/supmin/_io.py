@@ -1,8 +1,10 @@
 """Deterministic artifact serialization.
 
-JSON artifacts must be byte-identical across reruns with the same config and
+Artifacts must be byte-identical across reruns with the same config and
 seed, so floats are printed at 17 significant digits (full double round-trip)
-in insertion order; non-finite floats become null.
+by ``fmt_float``, the one float format of every artifact.  JSON keeps
+insertion order and prints non-finite floats as null; ``write_csv`` is the
+one CSV writer.
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ def dumps_canonical(obj, indent: int = 2) -> str:
     return _encode(obj, indent, 0) + "\n"
 
 
-def write_canonical(path, obj) -> None:
+def _cell(v) -> str:
+    return str(int(v)) if isinstance(v, (int, np.integer)) else fmt_float(float(v))
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV file: the ``header`` names, then one line per row of numbers
+    (integers as such, floats by ``fmt_float``)."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")

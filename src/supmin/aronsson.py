@@ -11,7 +11,13 @@ J.dp,
 the natural second-order system attached to sup-energy minimization.  Its
 coefficients are discontinuous across dp = 0, where the projection
 degenerates to the identity (sign of the zero vector is zero); this locus is
-reported as-is, never smoothed.
+reported as-is, never smoothed.  ``normal_projection`` treats |xi| at or
+below 1e-12 * (1 + |xi|) as zero, so round-off near dp = 0 cannot blow the
+projection up.
+
+``residual_profile`` evaluates the operator at the interior nodes of a path
+from one batched second-order jet; ``ResidualProfile.to_csv`` writes the
+profile to a named file through ``_io.write_csv``.
 """
 
 from __future__ import annotations
@@ -20,22 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .errors import NonFinite, NonUniformGrid, SupminError
 from .lagrangian import LagrangianModel
 from .path import Path
 
 
-def normal_projection(xi, tol_sgn: float | None = None) -> np.ndarray:
-    """I - (xi/|xi|) (x) (xi/|xi|) for |xi| above tol_sgn, else the identity.
+def normal_projection(xi) -> np.ndarray:
+    """I - (xi/|xi|) (x) (xi/|xi|) for |xi| above 1e-12 * (1 + |xi|), else
+    the identity.
 
     ``xi`` is one vector (N,) or rows of them (M, N), giving (M, N, N).  The
-    default threshold 1e-12 * (1 + |xi|) guards against projection blow-up
-    from floating-point noise near xi = 0.
+    threshold guards against projection blow-up from floating-point noise
+    near xi = 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     norm = np.linalg.norm(xi, axis=-1, keepdims=True)
-    tol = 1e-12 * (1.0 + norm) if tol_sgn is None else tol_sgn
-    live = norm > tol
+    live = norm > 1e-12 * (1.0 + norm)
     unit = np.where(live, xi / np.where(live, norm, 1.0), 0.0)
     return np.eye(xi.shape[-1]) - unit[..., :, None] * unit[..., None, :]
 
@@ -90,21 +97,12 @@ class ResidualProfile:
     def max_norm(self) -> float:
         return float(np.max(self.norms)) if self.norms.size else 0.0
 
-    def to_csv(self, file) -> None:
-        """Rows `x,res_1,...,res_N,norm` at 17 significant digits."""
-        close = False
-        if isinstance(file, (str, bytes)):
-            file, close = open(file, "w", newline="\n"), True
-        try:
-            n = self.residuals.shape[1]
-            cols = ",".join(f"res_{k + 1}" for k in range(n))
-            file.write(f"x,{cols},norm\n")
-            for x, row, nrm in zip(self.xs, self.residuals, self.norms):
-                vals = ",".join(format(v, ".17g") for v in row)
-                file.write(f"{format(x, '.17g')},{vals},{format(nrm, '.17g')}\n")
-        finally:
-            if close:
-                file.close()
+    def to_csv(self, path) -> None:
+        """Rows `x,res_1,...,res_N,norm` at 17 significant digits; an empty
+        profile writes the header alone."""
+        header = ["x"] + [f"res_{k + 1}" for k in range(self.residuals.shape[1])] + ["norm"]
+        write_csv(path, header,
+                  ([x, *row, nrm] for x, row, nrm in zip(self.xs, self.residuals, self.norms)))
 
 
 def residual_profile(model: LagrangianModel, path: Path) -> ResidualProfile:

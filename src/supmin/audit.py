@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import SUP_OFFSETS, power_energy, sup_energy
+from .energy import power_energy, sup_energy
 from .errors import BadDelta, GridTooCoarse, SupminError, TooFewEntries
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, difference_quotient
@@ -238,15 +238,6 @@ class ScanEntry:
     layer_sup: float
     value_dev: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_requested": self.delta_requested,
-            "delta": self.delta,
-            "quotient": list(self.quotient),
-            "layer_sup": self.layer_sup,
-            "value_dev": self.value_dev,
-        }
-
 
 @dataclass(frozen=True)
 class EndpointScan:
@@ -266,26 +257,9 @@ class EndpointScan:
         return self.right[-1]
 
 
-def default_delta_schedule(length: float, count: int = 8) -> list[float]:
-    return [0.3 * length * 2.0 ** (-i) for i in range(1, count + 1)]
-
-
-def _layer_stats(model, glued: Path, anchor_value, elements, quotient):
-    """Max of L(x, glued(x), quotient) and max |glued(x) - anchor| over the
-    three-point samples of the layer elements."""
-    nodes = glued.grid.nodes
-    lo = nodes[elements]
-    hi = nodes[elements + 1]
-    slopes = np.broadcast_to(quotient, (elements.size, glued.dim))
-    best = -np.inf
-    dev = 0.0
-    for offset in SUP_OFFSETS:
-        xs = lo + offset * (hi - lo)
-        theta = (xs - lo)[:, None]
-        etas = glued.values[elements] + theta * (glued.values[elements + 1] - glued.values[elements]) / (hi - lo)[:, None]
-        best = max(best, float(np.max(model.eval_many(xs, etas, slopes))))
-        dev = max(dev, float(np.max(np.linalg.norm(etas - anchor_value[None, :], axis=1))))
-    return best, dev
+def default_delta_schedule(length: float) -> list[float]:
+    """Eight widths 0.3 * length * 2^-i, i = 1..8."""
+    return [0.3 * length * 2.0 ** (-i) for i in range(1, 9)]
 
 
 def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=None,
@@ -297,7 +271,9 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
     schedule outruns the grid.  The last entries estimate the endpoint limits
     (flagged Cauchy when the final step moved less than tol_audit), and the
     scan verifies that those limit layer energies do not exceed the global
-    sup energy beyond tolerance.
+    sup energy beyond tolerance.  A layer's energy is ``sup_energy`` of the
+    glued path over the layer; its value deviation is the largest distance of
+    the glued nodal values there from the endpoint value.
     """
     grid = psi.grid
     length = grid.b - grid.a
@@ -318,11 +294,13 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
         glued = Path(grid, _glued_values(psi, u_left, u_right, i_left, i_right))
         q_left = difference_quotient(psi, grid.a, d_left)
         q_right = difference_quotient(psi, grid.b, -d_right)
-        sup_l, dev_l = _layer_stats(model, glued, u_left, np.arange(i_left), q_left)
-        sup_r, dev_r = _layer_stats(model, glued, u_right,
-                                    np.arange(i_right, grid.num_elements), q_right)
-        left_entries.append(ScanEntry(d, d_left, q_left, sup_l, dev_l))
-        right_entries.append(ScanEntry(d, d_right, q_right, sup_r, dev_r))
+        for anchor, width, quotient, nodes, entries in (
+                (u_left, d_left, q_left, slice(0, i_left + 1), left_entries),
+                (u_right, d_right, q_right, slice(i_right, None), right_entries)):
+            layer = grid.nodes[nodes]
+            layer_sup = sup_energy(model, glued, (layer[0], layer[-1]))
+            dev = float(np.max(np.linalg.norm(glued.values[nodes] - anchor, axis=1)))
+            entries.append(ScanEntry(d, width, quotient, layer_sup, dev))
 
     def cauchy(entries):
         if len(entries) < 2:

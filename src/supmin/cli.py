@@ -16,8 +16,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ._io import dumps_canonical, fmt_float
-from .aronsson import residual_profile
+from ._io import dumps_canonical, fmt_float, write_csv
+from .aronsson import ResidualProfile, residual_profile
 from .audit import AuditConfig, audit_absolute_minimality
 from .errors import ConfigError, SupminError
 from .lagrangian import (
@@ -66,19 +66,29 @@ def _reject_unknown(obj: dict, path: str, allowed: set):
 
 
 def _get(obj: dict, path: str, key: str, kind, required=True, default=None):
+    name = f"{path}.{key}" if path else key
     if key not in obj:
         if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "required field missing")
+            raise ConfigError(name, "required field missing")
         return default
     val = obj[key]
     if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+        if not abs(val) <= sys.float_info.max:  # NaN, infinities, ints beyond a double
+            raise ConfigError(name, "expected a finite number")
         return float(val)
     if kind is int and isinstance(val, int) and not isinstance(val, bool):
         return int(val)
     if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        name = getattr(kind, "__name__", str(kind))
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected {name}")
+        raise ConfigError(name, f"expected {getattr(kind, '__name__', str(kind))}")
     return val
+
+
+def _build(path: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ``SupminError`` a ``ConfigError`` at ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except SupminError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _vector(obj, path: str, length: int | None = None) -> np.ndarray:
@@ -107,27 +117,21 @@ def _signal(obj, path: str, dim: int) -> SampledSignal:
     rows = _matrix(obj, path)
     if rows.shape[1] != 1 + dim:
         raise ConfigError(path, f"rows must be [x, v1..v{dim}]")
-    try:
-        return SampledSignal.from_rows(rows)
-    except SupminError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _build(path, SampledSignal.from_rows, rows)
+
+
+def _optional(obj: dict, path: str, keys) -> dict:
+    """The float fields of ``keys`` that ``obj`` sets; the others keep the
+    defaults of the constructor they are passed to."""
+    return {key: _get(obj, path, key, float) for key in keys if key in obj}
 
 
 def _growth(obj: dict | None, path: str) -> GrowthParams | None:
     if obj is None:
         return None
     _reject_unknown(obj, path, {"C1", "C2", "C3", "q", "r", "h_bound"})
-    c1 = _get(obj, path, "C1", float)
-    c2 = _get(obj, path, "C2", float)
-    c3 = _get(obj, path, "C3", float)
-    q = _get(obj, path, "q", float)
-    r = _get(obj, path, "r", float)
-    h_bound = _get(obj, path, "h_bound", float, required=False, default=1.0)
-    if min(c1, c2, c3) < 0:
-        raise ConfigError(path, "C1, C2, C3 must be nonnegative")
-    if not (0 < q <= r):
-        raise ConfigError(path, "0 < q <= r required")
-    return GrowthParams(c1, c2, c3, q, r, h_bound)
+    required = [_get(obj, path, key, float) for key in ("C1", "C2", "C3", "q", "r")]
+    return _build(path, GrowthParams, *required, **_optional(obj, path, ("h_bound",)))
 
 
 def _model(obj: dict, dim: int) -> LagrangianModel:
@@ -137,10 +141,8 @@ def _model(obj: dict, dim: int) -> LagrangianModel:
     if kind == "power_norm":
         _reject_unknown(obj, path, {"kind", "exponent", "offset", "growth"})
         exponent = _get(obj, path, "exponent", float)
-        if exponent <= 0:
-            raise ConfigError(f"{path}.exponent", "must be positive")
         offset = _vector(_get(obj, path, "offset", list), f"{path}.offset", dim)
-        return PowerNormModel(exponent, offset, growth)
+        return _build(path, PowerNormModel, exponent, offset, growth)
     if kind == "data_assimilation":
         _reject_unknown(obj, path, {"kind", "K", "k", "A", "c", "growth"})
         K = _matrix(_get(obj, path, "K", list), f"{path}.K")
@@ -151,32 +153,27 @@ def _model(obj: dict, dim: int) -> LagrangianModel:
             raise ConfigError(f"{path}.A", f"must be {dim}x{dim}")
         k = _signal(_get(obj, path, "k", list), f"{path}.k", K.shape[0])
         c = _signal(_get(obj, path, "c", list), f"{path}.c", dim)
-        return DataAssimilationModel(K, k, A, c, growth)
+        return _build(path, DataAssimilationModel, K, k, A, c, growth)
     if kind == "radial":
         _reject_unknown(obj, path, {"kind", "profile", "A", "c", "growth"})
+        prof_path = f"{path}.profile"
         prof = _get(obj, path, "profile", dict)
-        _reject_unknown(prof, f"{path}.profile", {"name", "beta", "gamma"})
-        name = _get(prof, f"{path}.profile", "name", str)
-        beta = _get(prof, f"{path}.profile", "beta", float, required=False, default=0.0)
-        gamma = _get(prof, f"{path}.profile", "gamma", float, required=False, default=1.0)
-        try:
-            profile = radial_profile(name, beta=beta, gamma=gamma)
-        except SupminError as exc:
-            raise ConfigError(f"{path}.profile", str(exc)) from None
+        _reject_unknown(prof, prof_path, {"name", "beta", "gamma"})
+        name = _get(prof, prof_path, "name", str)
+        profile = _build(prof_path, radial_profile, name,
+                         **_optional(prof, prof_path, ("beta", "gamma")))
         A = _matrix(_get(obj, path, "A", list), f"{path}.A")
         if A.shape != (dim, dim):
             raise ConfigError(f"{path}.A", f"must be {dim}x{dim}")
         c = _signal(_get(obj, path, "c", list), f"{path}.c", dim)
-        return RadialModel(profile, A, c, growth)
+        return _build(path, RadialModel, profile, A, c, growth)
     if kind == "min_norms":
         _reject_unknown(obj, path, {"kind", "centers", "exponent", "growth"})
         centers = _matrix(_get(obj, path, "centers", list), f"{path}.centers")
         if centers.shape[1] != dim:
             raise ConfigError(f"{path}.centers", f"centers must have N = {dim} columns")
-        exponent = _get(obj, path, "exponent", float, required=False, default=1.0)
-        if exponent <= 0:
-            raise ConfigError(f"{path}.exponent", "must be positive")
-        return MinOfNormsModel(centers, exponent, growth)
+        return _build(path, MinOfNormsModel, centers, growth=growth,
+                      **_optional(obj, path, ("exponent",)))
     raise ConfigError(f"{path}.kind", f"unknown model kind '{kind}'")
 
 
@@ -192,10 +189,7 @@ def _section(raw: dict, name: str, cls, keys: tuple, nested: tuple = (), **fixed
     _reject_unknown(obj, name, set(keys) | set(nested))
     hints = get_type_hints(cls)
     values = {key: _get(obj, name, key, hints[key]) for key in keys if key in obj}
-    try:
-        return cls(**values, **fixed)
-    except SupminError as exc:
-        raise ConfigError(name, str(exc)) from None
+    return _build(name, cls, **values, **fixed)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -221,11 +215,8 @@ def parse_config(raw: dict) -> RunConfig:
 
     model = _model(_get(raw, "", "lagrangian", dict), dim)
 
-    schedule = _section(raw, "schedule", SweepSchedule,
-                        ("m_start", "factor", "m_max", "tol_sweep", "restarts"))
-    solve = _section(raw, "solve", SolveOptions,
-                     ("max_iters", "grad_tol", "init_step", "backtrack",
-                      "sufficient_decrease", "history"))
+    schedule = _section(raw, "schedule", SweepSchedule, ("m_max", "tol_sweep", "restarts"))
+    solve = _section(raw, "solve", SolveOptions, ("max_iters", "grad_tol"))
 
     seed = _get(raw, "", "seed", int, required=False, default=0)
     if seed < 0:
@@ -234,16 +225,16 @@ def parse_config(raw: dict) -> RunConfig:
     audit = _section(raw, "audit", AuditConfig,
                      ("num_subintervals", "min_elements", "tol_audit"),
                      seed=seed, schedule=schedule, options=solve)
+    if audit.min_elements > grid_points - 1:
+        raise ConfigError("audit.min_elements",
+                          f"exceeds the {grid_points - 1} elements of the grid")
 
     check_obj = _get(raw, "", "check", dict, required=False, default={})
     box_obj = _get(check_obj, "check", "box", dict, required=False, default={})
     _reject_unknown(box_obj, "check.box", {"x", "eta", "p"})
     ranges = {key: tuple(float(v) for v in _vector(val, f"check.box.{key}", 2))
               for key, val in box_obj.items()}
-    try:
-        box = Box(**{"x": (a, b), **ranges})
-    except SupminError as exc:
-        raise ConfigError("check", str(exc)) from None
+    box = _build("check", Box, **{"x": (a, b), **ranges})
     plan = _section(raw, "check", SamplePlan, ("num_triples", "t_levels"), ("box",),
                     box=box, seed=seed)
 
@@ -269,10 +260,7 @@ def load_config(config_path: str) -> RunConfig:
 
 
 def _write_energies_csv(path, records) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("m,normalized_root\n")
-        for rec in records:
-            fh.write(f"{rec.m},{fmt_float(rec.stats.objective)}\n")
+    write_csv(path, ["m", "normalized_root"], ([rec.m, rec.stats.objective] for rec in records))
 
 
 def run_solve(config: RunConfig, output_dir: FsPath) -> int:
@@ -286,7 +274,7 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
     records_json = []
     for rec in sweep.records:
         ref = f"paths/m_{rec.m:06d}.csv"
-        rec.path.to_csv(str(out / ref))
+        rec.path.to_csv(out / ref)
         records_json.append({
             "m": rec.m,
             "normalized_root": rec.stats.objective,
@@ -298,24 +286,24 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
             "g_evals": rec.stats.g_evals,
             "path_csv": ref,
         })
-    sweep.candidate.to_csv(str(out / "candidate.csv"))
+    sweep.candidate.to_csv(out / "candidate.csv")
     _write_energies_csv(out / "energies.csv", sweep.records)
 
     residuals_error = None
     try:
         if sweep.candidate.grid.num_elements >= 4 and not sweep.aborted:
-            residual_profile(config.model, sweep.candidate).to_csv(str(out / "residuals.csv"))
+            residual_profile(config.model, sweep.candidate).to_csv(out / "residuals.csv")
         else:
             raise SupminError("residual profile unavailable")
     except SupminError as exc:
         residuals_error = str(exc)
-        with open(out / "residuals.csv", "w", newline="\n") as fh:
-            fh.write("x," + ",".join(f"res_{k + 1}" for k in range(config.dim)) + ",norm\n")
+        empty = ResidualProfile(np.empty(0), np.empty((0, config.dim)), np.empty(0))
+        empty.to_csv(out / "residuals.csv")
 
     tied_refs = []
     for idx, tied in enumerate(sweep.tied_candidates, start=1):
         ref = f"candidate_tie_{idx}.csv"
-        tied.to_csv(str(out / ref))
+        tied.to_csv(out / ref)
         tied_refs.append(ref)
 
     doc = {
@@ -324,7 +312,7 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
         "grid_points": config.grid_points,
         "seed": config.seed,
         "records": records_json,
-        "c_sequence": [rec.stats.objective for rec in sweep.records],
+        "c_sequence": sweep.c_sequence,
         "sup_of_candidate": sweep.sup_of_candidate,
         "candidate_csv": "candidate.csv",
         "aborted": sweep.aborted,
@@ -373,7 +361,7 @@ def run_audit(config: RunConfig, output_dir: FsPath, solve_first: bool = False) 
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        candidate = Path.from_csv(str(candidate_csv))
+        candidate = Path.from_csv(candidate_csv)
         problem = _candidate_mismatch(config, candidate)
     except SupminError as exc:
         problem = str(exc)

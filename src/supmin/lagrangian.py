@@ -70,32 +70,29 @@ def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class SampledSignal:
     """Piecewise-linear signal from (x, value) samples, constant outside them."""
 
-    xs: np.ndarray | None
+    xs: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        xs = _vec(self.xs, "signal xs")
+        if xs.size < 2 or not np.all(np.diff(xs) > 0):
+            raise SupminError("signal xs must be strictly increasing, >= 2 samples")
         values = np.array(self.values, dtype=float)
-        if self.xs is None:
-            values = np.atleast_1d(values)
-            if values.ndim != 1:
-                raise SupminError("constant signal value must be a vector")
-        else:
-            xs = _vec(self.xs, "signal xs")
-            if xs.size < 2 or not np.all(np.diff(xs) > 0):
-                raise SupminError("signal xs must be strictly increasing, >= 2 samples")
-            if values.ndim == 1:
-                values = values[:, None]
-            if values.shape[0] != xs.size:
-                raise SupminError("signal needs one value row per sample")
-            object.__setattr__(self, "xs", xs)
+        if values.ndim == 1:
+            values = values[:, None]
+        if values.shape[0] != xs.size:
+            raise SupminError("signal needs one value row per sample")
         if not np.all(np.isfinite(values)):
             raise SupminError("signal values must be finite")
         values.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, values) -> "SampledSignal":
-        return cls(None, values)
+        """The constant vector ``values``: two equal samples, zero slope."""
+        value = _vec(values, "constant signal value")
+        return cls(np.array([0.0, 1.0]), np.stack([value, value]))
 
     @classmethod
     def from_rows(cls, rows) -> "SampledSignal":
@@ -107,20 +104,16 @@ class SampledSignal:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0] if self.xs is None else self.values.shape[1]
+        return self.values.shape[1]
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Values at xs, shape (len(xs), dim)."""
-        if self.xs is None:
-            return np.broadcast_to(self.values, (len(xs), self.dim))
         return np.column_stack([np.interp(xs, self.xs, col) for col in self.values.T])
 
     def derivative_many(self, xs: np.ndarray) -> np.ndarray:
         """Element slopes at xs (left element at knots), zero outside the
         samples; shape (len(xs), dim)."""
         xs = np.asarray(xs, dtype=float)
-        if self.xs is None:
-            return np.zeros((xs.size, self.dim))
         e = np.clip(np.searchsorted(self.xs, xs, side="left") - 1, 0, self.xs.size - 2)
         out = (self.values[e + 1] - self.values[e]) / (self.xs[e + 1] - self.xs[e])[:, None]
         out[(xs < self.xs[0]) | (xs > self.xs[-1])] = 0.0
@@ -143,7 +136,7 @@ class GrowthParams:
         if min(self.c1, self.c2, self.c3) < 0:
             raise SupminError("growth constants must be nonnegative")
         if not (0 < self.q <= self.r < np.inf):
-            raise SupminError("growth exponents need 0 < q <= r")
+            raise SupminError("0 < q <= r required")
 
     def envelope(self, x: float, eta: np.ndarray) -> float:
         if callable(self.h_bound):
@@ -198,8 +191,6 @@ class LagrangianModel:
     finite differences of it.  Models are immutable after construction and
     all evaluation methods are pure.
     """
-
-    kind = "custom"
 
     def __init__(self, dim: int, growth: GrowthParams | None = None):
         self.dim = int(dim)
@@ -284,8 +275,6 @@ class LagrangianModel:
 class PowerNormModel(LagrangianModel):
     """L = |p - offset|^s, level-convex for every s > 0."""
 
-    kind = "power_norm"
-
     def __init__(self, exponent: float, offset, growth: GrowthParams | None = None):
         offset = _vec(offset, "offset")
         super().__init__(offset.size, growth)
@@ -325,8 +314,6 @@ class PowerNormModel(LagrangianModel):
 class DataAssimilationModel(LagrangianModel):
     """Squared observation mismatch plus squared law-of-motion mismatch:
     L = |k(x) - K eta|^2 + |p - V(x, eta)|^2 with V(x, eta) = A eta + c(x)."""
-
-    kind = "data_assimilation"
 
     def __init__(self, K, k: SampledSignal, A, c: SampledSignal,
                  growth: GrowthParams | None = None):
@@ -381,31 +368,26 @@ class RadialProfile:
     """Strictly increasing scalar profile f with derivatives, f(t) >= 0 for
     t >= 0; each callable takes a float or an array of them."""
 
-    name: str
     f: Callable[[float], float]
     df: Callable[[float], float]
     ddf: Callable[[float], float]
-    params: dict = field(default_factory=dict)
 
 
 def radial_profile(name: str, *, beta: float = 0.0, gamma: float = 1.0) -> RadialProfile:
     """Profiles: identity t, shift t+beta (beta >= 0), power (1+t)^gamma - 1 (gamma > 0)."""
     if name == "identity":
-        return RadialProfile("identity", lambda t: t, lambda t: 1.0, lambda t: 0.0)
+        return RadialProfile(lambda t: t, lambda t: 1.0, lambda t: 0.0)
     if name == "shift":
         if beta < 0:
             raise SupminError("shift profile needs beta >= 0")
-        return RadialProfile("shift", lambda t: t + beta, lambda t: 1.0, lambda t: 0.0,
-                             {"beta": float(beta)})
+        return RadialProfile(lambda t: t + beta, lambda t: 1.0, lambda t: 0.0)
     if name == "power":
         if gamma <= 0:
             raise SupminError("power profile needs gamma > 0")
         return RadialProfile(
-            "power",
             lambda t: (1.0 + t) ** gamma - 1.0,
             lambda t: gamma * (1.0 + t) ** (gamma - 1.0),
             lambda t: gamma * (gamma - 1.0) * (1.0 + t) ** (gamma - 2.0),
-            {"gamma": float(gamma)},
         )
     raise SupminError(f"unknown radial profile '{name}'")
 
@@ -413,8 +395,6 @@ def radial_profile(name: str, *, beta: float = 0.0, gamma: float = 1.0) -> Radia
 class RadialModel(LagrangianModel):
     """L = f(|p - V(x, eta)|^2 / 2), an increasing profile of the squared
     deviation from the velocity field V(x, eta) = A eta + c(x)."""
-
-    kind = "radial"
 
     def __init__(self, profile: RadialProfile, A, c: SampledSignal,
                  growth: GrowthParams | None = None):
@@ -459,8 +439,6 @@ class RadialModel(LagrangianModel):
 class CustomModel(LagrangianModel):
     """Model from a callable fn(x, eta, p) of one row; jets by finite differences."""
 
-    kind = "custom"
-
     def __init__(self, fn: Callable, dim: int, growth: GrowthParams | None = None):
         super().__init__(dim, growth)
         self.fn = fn
@@ -474,8 +452,6 @@ class CustomModel(LagrangianModel):
 class MinOfNormsModel(LagrangianModel):
     """L = min_k |p - center_k|^s: level-convex only when a single center
     remains; the canonical counterexample with two centers."""
-
-    kind = "custom"
 
     def __init__(self, centers, exponent: float = 1.0,
                  growth: GrowthParams | None = None):
@@ -499,7 +475,6 @@ class ScaledModel(LagrangianModel):
         if factor <= 0 or not np.isfinite(factor):
             raise SupminError("scale factor must be positive and finite")
         super().__init__(inner.dim, inner.growth)
-        self.kind = inner.kind
         self.inner = inner
         self.factor = float(factor)
 

@@ -3,16 +3,18 @@
 A path u : [a, b] -> R^N is stored by its nodal values on a strictly
 increasing grid and interpolated linearly inside each element, so its
 derivative is element-wise constant.  This is the discrete stand-in for
-Lipschitz candidates throughout the package.
+Lipschitz candidates throughout the package.  ``Path.to_csv`` and
+``Path.from_csv`` write and read a path as a CSV file named by its path; the
+writing goes through ``_io.write_csv``.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .errors import OutOfDomain, SupminError, ZeroStep
 
 
@@ -89,37 +91,18 @@ class Path:
         """Constant derivative of each element, shape (M, N)."""
         return np.diff(self.values, axis=0) / self.grid.element_lengths[:, None]
 
-    def with_values(self, values: np.ndarray) -> "Path":
-        return Path(self.grid, values)
-
-    def to_csv(self, file) -> None:
+    def to_csv(self, path) -> None:
         """Write `x,u1,...,uN` rows at full double precision (17 significant digits)."""
-        close = False
-        if isinstance(file, (str, bytes)):
-            file, close = open(file, "w", newline="\n"), True
-        try:
-            cols = ",".join(f"u{k + 1}" for k in range(self.dim))
-            file.write(f"x,{cols}\n")
-            for x, row in zip(self.grid.nodes, self.values):
-                vals = ",".join(format(v, ".17g") for v in row)
-                file.write(f"{format(x, '.17g')},{vals}\n")
-        finally:
-            if close:
-                file.close()
+        header = ["x"] + [f"u{k + 1}" for k in range(self.dim)]
+        write_csv(path, header, ([x, *row] for x, row in zip(self.grid.nodes, self.values)))
 
     @classmethod
-    def from_csv(cls, file) -> "Path":
-        close = False
-        if isinstance(file, (str, bytes)):
-            file, close = open(file, "r"), True
-        try:
+    def from_csv(cls, path) -> "Path":
+        with open(path) as file:
             header = file.readline().strip()
             if not header.startswith("x,"):
                 raise SupminError("path CSV must start with header 'x,u1,...'")
             lines = [line.strip().split(",") for line in file if line.strip()]
-        finally:
-            if close:
-                file.close()
         if not lines:
             raise SupminError("path CSV has no data rows")
         if len(lines[0]) < 2 or any(len(row) != len(lines[0]) for row in lines):
@@ -130,11 +113,6 @@ class Path:
             raise SupminError("path CSV values must be numbers") from None
         data = np.array(rows, dtype=float)
         return cls(Grid(data[:, 0]), data[:, 1:])
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

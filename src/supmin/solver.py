@@ -5,11 +5,23 @@ recursion, Armijo backtracking) on the normalized power root for one
 exponent m.  It prepares one ``MidpointPowerRule`` (the rule behind the
 public ``power_energy`` and ``power_energy_gradient``) per solve, evaluates L
 once per trial iterate, and takes the gradient of an accepted trial from that
-trial's samples and one first-order jet.  ``m_sweep`` chains solves over a geometric exponent schedule,
-warm-starting each exponent from the previous minimizer, and extracts the
-final path as the sup-energy candidate.  Everything is deterministic: fixed
-accumulation order, no randomness unless restarts > 1, in which case the
-perturbed starts are drawn from a caller-supplied seed.
+trial's samples and one first-order jet.  ``m_sweep`` chains solves over the
+exponents m = 2, 4, 8, ... up to ``m_max``, warm-starting each exponent from
+the previous minimizer, and extracts the final path as the sup-energy
+candidate.  Everything is deterministic: fixed accumulation order, no
+randomness unless restarts > 1, in which case the perturbed starts are drawn
+from a caller-supplied seed.
+
+The line search and the quasi-Newton memory are constants, not options, as
+no caller has needed other values.  Each line search tries the full
+quasi-Newton step first (``INIT_STEP`` = 1; the two-loop recursion scales the
+direction to a Newton-sized step), halves it (``BACKTRACK`` = 0.5) until the
+Armijo condition with the customary constant ``SUFFICIENT_DECREASE`` = 1e-4
+holds, and fails below ``MIN_STEP`` = 1e-20, far below the resolution of a
+double at unit scale.  ``HISTORY`` = 10 curvature pairs is the usual L-BFGS
+memory (Nocedal & Wright, *Numerical Optimization*, ch. 3 and 7).  What a
+caller sets in ``SolveOptions`` is the stopping rule: the gradient tolerance
+and the iteration budget.
 """
 
 from __future__ import annotations
@@ -25,23 +37,21 @@ from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, interpolate_affine
 
 
+INIT_STEP = 1.0
+BACKTRACK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MIN_STEP = 1e-20
+HISTORY = 10
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 2000
     grad_tol: float = 1e-8
-    init_step: float = 1.0
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
-    history: int = 10
-    min_step: float = 1e-20
 
     def __post_init__(self):
-        if min(self.max_iters, self.grad_tol, self.init_step, self.history) <= 0:
+        if min(self.max_iters, self.grad_tol) <= 0:
             raise SupminError("solve options must be positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise SupminError("backtracking factor must lie in (0, 1)")
-        if self.sufficient_decrease <= 0:
-            raise SupminError("sufficient-decrease constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,28 +74,21 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    m_start: int = 2
-    factor: int = 2
     m_max: int = 1024
     tol_sweep: float = 1e-4
     restarts: int = 1
 
     def __post_init__(self):
-        if self.m_start < 1 or self.m_max < self.m_start:
-            raise SupminError("schedule needs 1 <= m_start <= m_max")
-        if self.factor < 2:
-            raise SupminError("schedule factor must be >= 2")
+        if self.m_max < 2:
+            raise SupminError("schedule needs m_max >= 2")
         if self.tol_sweep <= 0:
             raise SupminError("tol_sweep must be positive")
         if self.restarts < 1:
             raise SupminError("restarts must be >= 1")
 
     def exponents(self) -> list[int]:
-        ms, m = [], self.m_start
-        while m <= self.m_max:
-            ms.append(m)
-            m *= self.factor
-        return ms
+        """2, 4, 8, ... up to m_max."""
+        return [2**k for k in range(1, self.m_max.bit_length())]
 
 
 @dataclass(frozen=True)
@@ -101,12 +104,16 @@ class SweepRecord:
 class SweepResult:
     records: list
     candidate: Path
-    c_sequence: np.ndarray
     sup_of_candidate: float
     aborted: bool = False
     error: str | None = None
     restart_sups: list = field(default_factory=list)
     tied_candidates: list = field(default_factory=list)
+
+    @property
+    def c_sequence(self) -> np.ndarray:
+        """The normalized roots of the records, one per exponent."""
+        return np.array([rec.stats.objective for rec in self.records])
 
 
 def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: int,
@@ -135,7 +142,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise NonFinite("objective or gradient not finite at the initial path")
 
-    memory: deque = deque(maxlen=opts.history)
+    memory: deque = deque(maxlen=HISTORY)
     iterations = 0
     line_search_failed = False
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -146,18 +153,18 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         if slope >= 0.0:  # not a descent direction; fall back to steepest descent
             d = -g
             slope = -float(np.sum(g * g))
-        step = opts.init_step
+        step = INIT_STEP
         accepted = False
-        while step >= opts.min_step:
+        while step >= MIN_STEP:
             trial = values.copy()
             trial[free] += step * d
             trial_samples = rule.samples(model, trial)
             f_trial = trial_samples.root
             f_evals += 1
-            if np.isfinite(f_trial) and f_trial <= f + opts.sufficient_decrease * step * slope:
+            if np.isfinite(f_trial) and f_trial <= f + SUFFICIENT_DECREASE * step * slope:
                 accepted = True
                 break
-            step *= opts.backtrack
+            step *= BACKTRACK
         if not accepted:
             line_search_failed = True
             break
@@ -205,7 +212,7 @@ def _two_loop_direction(memory, g):
 def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
             schedule: SweepSchedule | None = None, options: SolveOptions | None = None,
             init: Path | None = None, seed: int = 0) -> SweepResult:
-    """Warm-started solves over m = m_start, m_start*factor, ... up to m_max,
+    """Warm-started solves over m = 2, 4, 8, ... up to m_max,
     stopping early once the normalized roots stall within tol_sweep.
 
     The final minimizer is the candidate; its sup energy over the whole
@@ -265,8 +272,7 @@ def _single_sweep(model, grid, boundary, schedule, options, init) -> SweepResult
         prev_root = root
     if not records:
         empty = init if init is not None else interpolate_affine(boundary, grid)
-        return SweepResult([], empty, np.array([]), np.nan, aborted=True, error=error)
+        return SweepResult([], empty, np.nan, aborted=True, error=error)
     candidate = records[-1].path
-    roots = np.array([rec.stats.objective for rec in records])
     sup = sup_energy(model, candidate)
-    return SweepResult(records, candidate, roots, float(sup), aborted=aborted, error=error)
+    return SweepResult(records, candidate, float(sup), aborted=aborted, error=error)

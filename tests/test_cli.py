@@ -83,8 +83,19 @@ class TestSolve:
         ("solve", {"min_step": 1e-30}, "solve.min_step: unknown field"),
         ("audit", {"seed": 1}, "audit.seed: unknown field"),
         ("check", {"seed": 1}, "check.seed: unknown field"),
-        ("schedule", {"m_start": 2.5}, "schedule.m_start: expected int"),
+        ("schedule", {"restarts": 2.5}, "schedule.restarts: expected int"),
         ("check", {"t_levels": 0}, "check: sample plan needs"),
+        ("solve", {"history": 5}, "solve.history: unknown field"),
+        ("schedule", {"factor": 4}, "schedule.factor: unknown field"),
+        ("solve", {"grad_tol": float("nan")}, "solve.grad_tol: expected a finite number"),
+        ("schedule", {"tol_sweep": 10**400}, "schedule.tol_sweep: expected a finite number"),
+        ("lagrangian", {"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0],
+                        "growth": {"C1": 1.0, "C2": float("nan"), "C3": 0.0, "q": 2.0, "r": 2.0}},
+         "lagrangian.growth.C2: expected a finite number"),
+        ("lagrangian", {"kind": "power_norm", "exponent": float("nan"), "offset": [0.0, 0.0]},
+         "lagrangian.exponent: expected a finite number"),
+        ("lagrangian", {"kind": "min_norms", "centers": [[1.0, 0.0]], "exponent": -1.0},
+         "lagrangian: exponent must be positive"),
     ])
     def test_section_fields(self, tmp_path, capsys, section, body, message):
         cfg = write_config(tmp_path, **{section: body})
@@ -134,6 +145,12 @@ class TestAudit:
         assert "violation" in text and "max_deficit" in text
         doc = json.loads((out / "audit.json").read_text())
         assert doc["violation_count"] >= 1
+
+    def test_min_elements_beyond_grid_rejected_before_solving(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid_points=5, audit={"min_elements": 10})
+        assert cli.main(["audit", cfg, "--solve-first"]) == 1
+        assert "audit.min_elements: exceeds the 4 elements of the grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_subintervals_invalid(self, tmp_path):
         cfg = write_config(tmp_path, audit={"num_subintervals": 0})

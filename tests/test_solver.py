@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import supmin as sm
-from supmin.solver import _two_loop_direction
+from supmin.solver import (BACKTRACK, HISTORY, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE,
+                           _two_loop_direction)
 
 
 def normal_equations_path(grid, bmap, velocity):
@@ -58,7 +59,7 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
 
     f, g = fval(values), gval(values)
     f_evals = 1
-    memory = deque(maxlen=opts.history)
+    memory = deque(maxlen=HISTORY)
     iterations, failed = 0, False
     gnorm = float(np.max(np.abs(g)))
     while gnorm > opts.grad_tol and iterations < opts.max_iters:
@@ -66,16 +67,16 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         slope = float(np.sum(d * g))
         if slope >= 0.0:
             d, slope = -g, -float(np.sum(g * g))
-        step, accepted = opts.init_step, False
-        while step >= opts.min_step:
+        step, accepted = INIT_STEP, False
+        while step >= MIN_STEP:
             trial = values.copy()
             trial[free] += step * d
             f_trial = fval(trial)
             f_evals += 1
-            if np.isfinite(f_trial) and f_trial <= f + opts.sufficient_decrease * step * slope:
+            if np.isfinite(f_trial) and f_trial <= f + SUFFICIENT_DECREASE * step * slope:
                 accepted = True
                 break
-            step *= opts.backtrack
+            step *= BACKTRACK
         if not accepted:
             failed = True
             break
@@ -336,9 +337,7 @@ class TestSweep:
 
     def test_schedule_validation(self):
         with pytest.raises(sm.SupminError):
-            sm.SweepSchedule(m_start=0)
-        with pytest.raises(sm.SupminError):
-            sm.SweepSchedule(factor=1)
-        with pytest.raises(sm.SupminError):
-            sm.SweepSchedule(m_start=8, m_max=4)
+            sm.SweepSchedule(m_max=1)
         assert sm.SweepSchedule().exponents() == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
+        assert sm.SweepSchedule(m_max=1000).exponents()[-1] == 512
+        assert sm.SweepSchedule(m_max=2).exponents() == [2]
