@@ -49,6 +49,8 @@ class SubintervalAudit:
     sup_local_solution: float
     deficit: float
     status: str  # "ok" | "violation" | "inconclusive"
+    solve_totals: dict  # the local sweep's ``SweepResult.solve_totals``
+    stop_reasons: list  # the ``stop_reason`` of each of its records
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -60,6 +62,8 @@ class SubintervalAudit:
             "deficit": self.deficit,
             "status": self.status,
             "error": self.error,
+            "stop_reasons": self.stop_reasons,
+            "solve_totals": self.solve_totals,
         }
 
 
@@ -116,13 +120,14 @@ def _audit_one(model, candidate, i, j, config, seed):
     subgrid = Grid(nodes[i : j + 1])
     schedule = config.schedule or SweepSchedule()
     sweep = m_sweep(model, subgrid, chord, schedule, config.options, seed=seed)
+    reasons = [rec.stats.stop_reason for rec in sweep.records]
     if sweep.aborted:
         return SubintervalAudit(alpha, beta, sup_global, float("nan"), float("nan"),
-                                "inconclusive", sweep.error)
+                                "inconclusive", sweep.solve_totals, reasons, sweep.error)
     deficit = sup_global - sweep.sup_of_candidate
     status = "violation" if deficit > config.tol_audit * (1.0 + sup_global) else "ok"
     return SubintervalAudit(alpha, beta, sup_global, sweep.sup_of_candidate,
-                            deficit, status)
+                            deficit, status, sweep.solve_totals, reasons)
 
 
 def audit_absolute_minimality(model: LagrangianModel, candidate: Path,

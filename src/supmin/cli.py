@@ -2,7 +2,8 @@
 
 Artifacts are CSV for paths and profiles, JSON for structured reports; both
 are byte-deterministic for a fixed config and seed.  Exit codes: 0 ok,
-1 config error, 2 solver failure, 3 audit violation, 4 hypothesis witness.
+1 config error, 2 solver failure (or a check sample the model cannot
+evaluate), 3 audit violation, 4 hypothesis witness.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ._io import dumps_canonical, fmt_float, write_csv
 from .aronsson import ResidualProfile, residual_profile
 from .audit import AuditConfig, audit_absolute_minimality
-from .errors import ConfigError, SupminError
+from .errors import ConfigError, NonFinite, SupminError
 from .lagrangian import (
     Box,
     DataAssimilationModel,
@@ -279,6 +280,7 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
             "m": rec.m,
             "normalized_root": rec.stats.objective,
             "iterations": rec.stats.iterations,
+            "stop_reason": rec.stats.stop_reason,
             "converged": rec.stats.converged,
             "grad_norm": rec.stats.grad_norm,
             "line_search_failed": rec.stats.line_search_failed,
@@ -315,10 +317,12 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
         "c_sequence": sweep.c_sequence,
         "sup_of_candidate": sweep.sup_of_candidate,
         "candidate_csv": "candidate.csv",
+        "stop_reason": sweep.stop_reason,
         "aborted": sweep.aborted,
         "error": sweep.error,
         "residuals_error": residuals_error,
         "restart_sups": sweep.restart_sups,
+        "solve_totals": sweep.solve_totals,
         "tied_candidate_csvs": tied_refs,
     }
     with open(out / "sweep.json", "w", newline="\n") as fh:
@@ -388,19 +392,29 @@ def run_audit(config: RunConfig, output_dir: FsPath, solve_first: bool = False) 
 def run_check(config: RunConfig, output_dir: FsPath) -> int:
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    level = check_level_convexity(config.model, config.plan)
-    growth_result = None
-    if config.model.growth is not None:
-        growth_result = check_growth_bounds(config.model, config.model.growth, config.plan)
-    doc = {
-        "level_convexity": level.to_json_dict(),
-        "growth_bounds": growth_result.to_json_dict() if growth_result else None,
-    }
+    model, plan = config.model, config.plan
+    checks = [("level_convexity", check_level_convexity, ())]
+    if model.growth is not None:
+        checks.append(("growth_bounds", check_growth_bounds, (model.growth,)))
+    doc = {"level_convexity": None, "growth_bounds": None}
+    results, errors = [], []
+    for name, check, args in checks:
+        try:
+            result = check(model, *args, plan)
+        except NonFinite as exc:  # a sample the model cannot evaluate
+            errors.append(f"{name}: {exc}")
+            doc[name] = {"error": str(exc)}
+        else:
+            results.append(result)
+            doc[name] = result.to_json_dict()
     with open(out / "hypotheses.json", "w", newline="\n") as fh:
         fh.write(dumps_canonical(doc))
-    failed = (not level.passed) or (growth_result is not None and not growth_result.passed)
-    if failed:
-        n_wit = len(level.witnesses) + (len(growth_result.witnesses) if growth_result else 0)
+    for message in errors:
+        print(f"check: {message}", file=sys.stderr)
+    if errors:
+        return EXIT_SOLVER
+    if not all(result.passed for result in results):
+        n_wit = sum(len(result.witnesses) for result in results)
         print(f"check: {n_wit} witness(es) found")
         return EXIT_HYPOTHESIS
     print("check: hypotheses hold on all samples")

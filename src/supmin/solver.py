@@ -22,6 +22,20 @@ double at unit scale.  ``HISTORY`` = 10 curvature pairs is the usual L-BFGS
 memory (Nocedal & Wright, *Numerical Optimization*, ch. 3 and 7).  What a
 caller sets in ``SolveOptions`` is the stopping rule: the gradient tolerance
 and the iteration budget.
+
+A solve stops for one of four reasons, reported as ``SolveStats.stop_reason``:
+``grad_tol`` (the largest gradient component is at most ``grad_tol``; the
+only one that counts as converged), ``max_iters``, ``line_search`` (no step
+down to ``MIN_STEP`` passed the Armijo test) or ``stalled``.  ``stalled``
+means the accepted trial equals the current nodal values bit for bit: the
+step is lost to round-off, so the objective and the gradient are those of
+the current iterate, ``y = 0`` fails the curvature test and the memory is
+unchanged.  Every later iteration would repeat this one exactly until
+``max_iters``, so the stop changes no returned value and needs no tolerance
+(a rule on f alone is not exact: converging solves run a dozen iterations
+in which f moves by less than a few ulps).  The no-op trial counts in
+``f_evals`` but not in ``iterations``.  A sweep reports its own
+``stop_reason``: ``tol_sweep``, ``m_max`` or ``aborted``.
 """
 
 from __future__ import annotations
@@ -56,15 +70,23 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Why and where one solve stopped.  ``f_evals`` counts objective
-    evaluations (the start and every line-search trial)."""
+    """Why and where one solve stopped.  ``stop_reason`` is one of
+    ``grad_tol``, ``max_iters``, ``line_search`` or ``stalled``; ``f_evals``
+    counts objective evaluations (the start and every line-search trial)."""
 
     iterations: int
     grad_norm: float
     objective: float
-    converged: bool
-    line_search_failed: bool = False
-    f_evals: int = 0
+    stop_reason: str
+    f_evals: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
+
+    @property
+    def line_search_failed(self) -> bool:
+        return self.stop_reason == "line_search"
 
     @property
     def g_evals(self) -> int:
@@ -102,18 +124,34 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One sweep's records and candidate.  ``stop_reason`` is ``tol_sweep``
+    (the roots stalled), ``m_max`` (every exponent ran) or ``aborted`` (a
+    solve failed); ``solves`` holds the stats of every solve run, across all
+    restarts, whereas ``records`` keeps the chosen sweep's alone."""
+
     records: list
     candidate: Path
     sup_of_candidate: float
-    aborted: bool = False
+    stop_reason: str
     error: str | None = None
     restart_sups: list = field(default_factory=list)
     tied_candidates: list = field(default_factory=list)
+    solves: list = field(default_factory=list)
+
+    @property
+    def aborted(self) -> bool:
+        return self.stop_reason == "aborted"
 
     @property
     def c_sequence(self) -> np.ndarray:
         """The normalized roots of the records, one per exponent."""
         return np.array([rec.stats.objective for rec in self.records])
+
+    @property
+    def solve_totals(self) -> dict:
+        """Iterations, objective and gradient evaluations summed over ``solves``."""
+        return {key: sum(getattr(stats, key) for stats in self.solves)
+                for key in ("iterations", "f_evals", "g_evals")}
 
 
 def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: int,
@@ -144,10 +182,15 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
 
     memory: deque = deque(maxlen=HISTORY)
     iterations = 0
-    line_search_failed = False
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
 
-    while gnorm > opts.grad_tol and iterations < opts.max_iters:
+    while True:
+        if gnorm <= opts.grad_tol:
+            stop_reason = "grad_tol"
+            break
+        if iterations >= opts.max_iters:
+            stop_reason = "max_iters"
+            break
         d = _two_loop_direction(memory, g)
         slope = float(np.sum(d * g))
         if slope >= 0.0:  # not a descent direction; fall back to steepest descent
@@ -166,7 +209,10 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
                 break
             step *= BACKTRACK
         if not accepted:
-            line_search_failed = True
+            stop_reason = "line_search"
+            break
+        if np.array_equal(trial, values):  # the step is lost to round-off
+            stop_reason = "stalled"
             break
         g_trial = rule.gradient(model, trial_samples)[free]
         s = step * d
@@ -178,14 +224,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         iterations += 1
 
-    stats = SolveStats(
-        iterations=iterations,
-        grad_norm=gnorm,
-        objective=f,
-        converged=gnorm <= opts.grad_tol,
-        line_search_failed=line_search_failed,
-        f_evals=f_evals,
-    )
+    stats = SolveStats(iterations, gnorm, f, stop_reason, f_evals)
     return Path(grid, values), stats
 
 
@@ -249,12 +288,13 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
         and abs(sups[i] - sups[best]) <= tol
         and np.max(np.abs(res.candidate.values - chosen.candidate.values)) > tol
     ]
-    return replace(chosen, restart_sups=[float(s) for s in sups], tied_candidates=ties)
+    return replace(chosen, restart_sups=[float(s) for s in sups], tied_candidates=ties,
+                   solves=[stats for res in results for stats in res.solves])
 
 
 def _single_sweep(model, grid, boundary, schedule, options, init) -> SweepResult:
     records = []
-    aborted = False
+    stop_reason = "m_max"
     error = None
     current = init
     prev_root = None
@@ -262,17 +302,19 @@ def _single_sweep(model, grid, boundary, schedule, options, init) -> SweepResult
         try:
             path, stats = minimize_power(model, grid, boundary, m, current, options)
         except NonFinite as exc:
-            aborted, error = True, f"m={m}: {exc}"
+            stop_reason, error = "aborted", f"m={m}: {exc}"
             break
         records.append(SweepRecord(m, path, stats))
         current = path
         root = stats.objective
         if prev_root is not None and abs(root - prev_root) <= schedule.tol_sweep * (1.0 + abs(root)):
+            stop_reason = "tol_sweep"
             break
         prev_root = root
+    solves = [rec.stats for rec in records]
     if not records:
         empty = init if init is not None else interpolate_affine(boundary, grid)
-        return SweepResult([], empty, np.nan, aborted=True, error=error)
+        return SweepResult([], empty, np.nan, stop_reason, error, solves=solves)
     candidate = records[-1].path
     sup = sup_energy(model, candidate)
-    return SweepResult(records, candidate, float(sup), aborted=aborted, error=error)
+    return SweepResult(records, candidate, float(sup), stop_reason, error, solves=solves)

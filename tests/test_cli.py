@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,10 @@ class TestSolve:
             assert (out / rec["path_csv"]).exists()
             assert rec["g_evals"] == rec["iterations"] + 1 <= rec["f_evals"]
             assert rec["line_search_failed"] is False and rec["grad_norm"] <= 1e-8
+            assert rec["stop_reason"] == "grad_tol" and rec["converged"] is True
+        assert doc["stop_reason"] == "tol_sweep" and doc["aborted"] is False
+        assert doc["solve_totals"] == {key: sum(rec[key] for rec in doc["records"])
+                                       for key in ("iterations", "f_evals", "g_evals")}
         assert doc["sup_of_candidate"] == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_validation_message(self, tmp_path, capsys):
@@ -74,6 +79,7 @@ class TestSolve:
         assert cli.main(["solve", cfg]) == 2
         doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert doc["aborted"] is True and doc["error"]
+        assert doc["stop_reason"] == "aborted"
 
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, schedule={"m_strt": 2})
@@ -173,6 +179,34 @@ class TestAudit:
         err = capsys.readouterr().err
         assert str(csv) in err and message in err
 
+    def test_solve_totals_count_every_solve(self, tmp_path, monkeypatch):
+        """On the drift oracle at 33 nodes (the benchmark's ``audit-drift``), the
+        ``solve_totals`` of ``sweep.json`` and of the ``audit.json`` subintervals
+        add up to the counts of every solve the two commands ran."""
+        totals = {"iterations": 0, "f_evals": 0, "g_evals": 0}
+        reasons = []
+        minimize_power = sm.solver.minimize_power
+
+        def counted(*args):
+            path, stats = minimize_power(*args)
+            for key in totals:
+                totals[key] += getattr(stats, key)
+            reasons.append(stats.stop_reason)
+            return path, stats
+
+        monkeypatch.setattr(sm.solver, "minimize_power", counted)
+        c = [[i / 8, math.sin(2 * math.pi * i / 8), math.cos(3 * i / 8)] for i in range(9)]
+        cfg = write_config(tmp_path, lagrangian={**da_lagrangian(), "c": c}, grid_points=33,
+                          boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
+                          solve={"max_iters": 400})
+        assert cli.main(["audit", cfg, "--solve-first"]) == 0
+        sweep = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        audit = json.loads((tmp_path / "out" / "audit.json").read_text())
+        parts = [sweep["solve_totals"]] + [e["solve_totals"] for e in audit["subintervals"]]
+        assert {key: sum(part[key] for part in parts) for key in totals} == totals
+        assert [rec["stop_reason"] for rec in sweep["records"]] + [
+            r for e in audit["subintervals"] for r in e["stop_reasons"]] == reasons
+
     def test_round_trip_matches_in_memory(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert cli.main(["audit", cfg_path, "--solve-first"]) == 0
@@ -214,6 +248,21 @@ class TestCheck:
         assert cli.main(["check", cfg]) == 0
         doc = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
         assert doc["growth_bounds"]["pass"] is True
+
+    def test_nonfinite_sample_reported_per_check(self, tmp_path, capsys):
+        """|p|^600 overflows in the default box (5^600): each check records the
+        error in its place, and the command exits 2 naming it on stderr."""
+        lag = {"kind": "power_norm", "exponent": 600.0, "offset": [0.0],
+               "growth": {"C1": 1.0, "C2": 0.0, "C3": 0.0, "q": 2.0, "r": 2.0}}
+        cfg = write_config(tmp_path, lagrangian=lag, N=1, boundary={"b0": [0.0], "b1": [1.0]})
+        assert cli.main(["check", cfg]) == 2
+        doc = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
+        message = "Lagrangian evaluation is not finite"
+        assert doc == {"level_convexity": {"error": message}, "growth_bounds": {"error": message}}
+        err = capsys.readouterr().err
+        assert f"check: level_convexity: {message}" in err
+        assert f"check: growth_bounds: {message}" in err
+        assert "solver failure" not in err
 
     def test_invalid_growth_exponents(self, tmp_path, capsys):
         lag = {"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0],

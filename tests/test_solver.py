@@ -44,7 +44,8 @@ def spike_init(grid, bmap, bump):
 
 def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
     """The solver's loop written the plain way: a Path, ``power_energy`` and
-    ``power_energy_gradient`` per trial, the gradient evaluated afresh."""
+    ``power_energy_gradient`` per trial, the gradient evaluated afresh, and no
+    fixed-point stop (it runs on until ``max_iters``)."""
     opts = options or sm.SolveOptions()
     init = init if init is not None else sm.interpolate_affine(boundary, grid)
     values = np.array(init.values)
@@ -88,7 +89,8 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         values, f, g = trial, f_trial, g_trial
         gnorm = float(np.max(np.abs(g)))
         iterations += 1
-    stats = sm.SolveStats(iterations, gnorm, f, gnorm <= opts.grad_tol, failed, f_evals)
+    reason = "line_search" if failed else "grad_tol" if gnorm <= opts.grad_tol else "max_iters"
+    stats = sm.SolveStats(iterations, gnorm, f, reason, f_evals)
     return sm.Path(grid, values), stats
 
 
@@ -152,6 +154,25 @@ def test_minimize_power_matches_loop_reference(case):
     assert stats == ref_stats
 
 
+def test_fixed_point_stop_changes_no_returned_value():
+    """On 17-node DA-rot at m=2 the accepted trial equals the current values
+    bitwise after 108 iterations; every later iteration repeats that one, so
+    stopping there returns what the run to ``max_iters`` returns."""
+    grid = sm.Grid.uniform(0.0, 1.0, 17)
+    bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
+    options = sm.SolveOptions(max_iters=400)
+    path, stats = sm.minimize_power(da_rot_model(), grid, bmap, 2, options=options)
+    ref_path, ref_stats = reference_minimize_power(da_rot_model(), grid, bmap, 2,
+                                                   options=options)
+    assert (stats.stop_reason, stats.iterations, stats.f_evals) == ("stalled", 108, 235)
+    assert (ref_stats.stop_reason, ref_stats.iterations, ref_stats.f_evals) == (
+        "max_iters", 400, 7510)
+    assert not stats.converged and not stats.line_search_failed
+    assert np.array_equal(path.values, ref_path.values)
+    assert stats.objective == ref_stats.objective
+    assert stats.grad_norm == ref_stats.grad_norm
+
+
 def count_model_calls(model):
     """Count the model's eval_many calls (including those of its finite
     differences) and the order of each jet_many call."""
@@ -200,6 +221,29 @@ class TestSolveCounts:
         for rec in res.records:
             current, stats = sm.minimize_power(drift_model(), grid, bmap, rec.m, current)
             assert rec.stats == stats and stats.f_evals >= stats.g_evals
+
+    def test_solve_totals_cover_every_restart(self, monkeypatch):
+        """``solve_totals`` sums every solve of every restart, not only the
+        chosen sweep's records."""
+        solves = []
+        minimize_power = sm.solver.minimize_power
+
+        def recorded(*args):
+            path, stats = minimize_power(*args)
+            solves.append(stats)
+            return path, stats
+
+        monkeypatch.setattr(sm.solver, "minimize_power", recorded)
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        bmap = sm.AffineMap([0.0, 0.0], [0.0, 1.0])
+        model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
+        res = sm.m_sweep(model, grid, bmap, sm.SweepSchedule(m_max=8, restarts=3), seed=3)
+        assert res.solves == solves and len(solves) > len(res.records)
+        assert res.solve_totals == {
+            "iterations": sum(s.iterations for s in solves),
+            "f_evals": sum(s.f_evals for s in solves),
+            "g_evals": sum(s.g_evals for s in solves),
+        }
 
 
 class TestMinimizePower:
@@ -270,6 +314,8 @@ class TestSweep:
         res = sm.m_sweep(sm.PowerNormModel(2.0, [0.0, 0.0]), grid, bmap)
         assert np.allclose(res.c_sequence, 1.0, atol=1e-12)
         assert res.sup_of_candidate == pytest.approx(1.0, abs=1e-12)
+        assert res.stop_reason == "tol_sweep" and len(res.records) == 2
+        assert [rec.stats.stop_reason for rec in res.records] == ["grad_tol"] * 2
         assert np.array_equal(res.candidate.values,
                               sm.interpolate_affine(bmap, grid).values)
 
@@ -321,7 +367,16 @@ class TestSweep:
         bmap = sm.AffineMap([0.0], [10.0])
         res = sm.m_sweep(sm.PowerNormModel(600.0, [0.0]), grid, bmap)
         assert res.aborted and res.error is not None
-        assert res.records == []
+        assert res.stop_reason == "aborted" and res.records == []
+        assert res.solve_totals == {"iterations": 0, "f_evals": 0, "g_evals": 0}
+
+    def test_every_exponent_run_stops_at_m_max(self):
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
+        res = sm.m_sweep(drift_model(), grid, bmap, sm.SweepSchedule(m_max=2))
+        assert res.stop_reason == "m_max" and not res.aborted
+        assert [rec.m for rec in res.records] == [2]
+        assert res.solve_totals["g_evals"] == res.records[0].stats.g_evals
 
     def test_multi_start_deterministic_and_no_worse(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
