@@ -97,17 +97,19 @@ class AuditReport:
 
 
 def sample_subintervals(grid: Grid, config: AuditConfig) -> list[tuple[int, int]]:
-    """Seeded random node pairs (i, j) spanning at least min_elements elements."""
+    """The distinct node pairs (i, j), in first-draw order, among
+    num_subintervals seeded random draws spanning at least min_elements
+    elements each."""
     m_el = grid.num_elements
     if m_el < config.min_elements:
         raise SupminError("grid has fewer elements than the audit minimum")
     rng = np.random.default_rng(config.seed)
-    pairs = []
+    pairs = {}
     for _ in range(config.num_subintervals):
         i = int(rng.integers(0, m_el - config.min_elements + 1))
         j = int(rng.integers(i + config.min_elements, m_el + 1))
-        pairs.append((i, j))
-    return pairs
+        pairs[i, j] = None
+    return list(pairs)
 
 
 def _audit_one(model, candidate, i, j, config, seed):
@@ -124,6 +126,11 @@ def _audit_one(model, candidate, i, j, config, seed):
     if sweep.aborted:
         return SubintervalAudit(alpha, beta, sup_global, float("nan"), float("nan"),
                                 "inconclusive", sweep.solve_totals, reasons, sweep.error)
+    last = sweep.records[-1]
+    if not last.stats.converged:
+        return SubintervalAudit(alpha, beta, sup_global, sweep.sup_of_candidate, float("nan"),
+                                "inconclusive", sweep.solve_totals, reasons,
+                                f"m={last.m}: stopped at {last.stats.stop_reason}")
     deficit = sup_global - sweep.sup_of_candidate
     status = "violation" if deficit > config.tol_audit * (1.0 + sup_global) else "ok"
     return SubintervalAudit(alpha, beta, sup_global, sweep.sup_of_candidate,
@@ -133,9 +140,11 @@ def _audit_one(model, candidate, i, j, config, seed):
 def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
                               config: AuditConfig | None = None) -> AuditReport:
     """Compare the restricted candidate to a fresh local re-solve on each
-    sampled subinterval (its boundary carrier is the chord through the
-    candidate's values there); failed local solves are marked inconclusive
-    and excluded from pass/fail."""
+    distinct sampled subinterval (its boundary carrier is the chord through
+    the candidate's values there).  Both sups are midpoint-rule values, those
+    of the discrete problem the local sweep minimises.  A local sweep that
+    aborted, or whose last solve stopped short of ``grad_tol``, makes its
+    subinterval inconclusive (NaN deficit), excluded from pass/fail."""
     config = config or AuditConfig()
     pairs = sample_subintervals(candidate.grid, config)
     entries = [_audit_one(model, candidate, i, j, config, config.seed + 1000 + k)
@@ -277,8 +286,9 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
     (flagged Cauchy when the final step moved less than tol_audit), and the
     scan verifies that those limit layer energies do not exceed the global
     sup energy beyond tolerance.  A layer's energy is ``sup_energy`` of the
-    glued path over the layer; its value deviation is the largest distance of
-    the glued nodal values there from the endpoint value.
+    glued path over the layer, the largest midpoint sample of its elements,
+    by the same rule as the global sup; its value deviation is the largest
+    distance of the glued nodal values there from the endpoint value.
     """
     grid = psi.grid
     length = grid.b - grid.a

@@ -1,11 +1,12 @@
 """Sup-energy, stabilized power-mean energies, their gradients, Jensen gaps.
 
-The sup energy of a path over (alpha, beta) is the maximum of L over a fixed
-three-point rule per element (offsets 0, 1/2, 1 of the clipped element); the
-power energy of order m uses a single midpoint sample per element.  Since the
-slope is element-constant, only (x, u(x)) vary inside an element, so the
-midpoint rule is second-order and the three-point maximum brackets the
-within-element variation.
+Every energy of a path over (alpha, beta) samples L by one rule: the midpoint
+of each element intersecting the subinterval, clipped to it, weighted by the
+clipped length.  The slope is element-constant, so only (x, u(x)) vary inside
+an element and the rule is second-order.  The power energy of order m is the
+rule's integral of L^m; the sup energy is the largest sample, the limit of
+its normalized roots as m grows, so the sup reported for a minimiser is the
+value of the same discrete problem the solver minimises.
 
 Power energies are evaluated in factored form: with S the largest sample,
   raw   = S^m * sum_e len_e * (L_e/S)^m,
@@ -18,8 +19,9 @@ One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
 order and subinterval, it turns nodal values into ``PowerSamples`` with one
 ``eval_many`` call, and samples into the gradient with one first-order
 ``jet_many`` call.  The solver keeps one rule per solve and reuses an accepted
-trial's samples for its gradient; ``power_energy`` and
-``power_energy_gradient`` are one-call wrappers around the same rule.
+trial's samples for its gradient; ``power_energy``,
+``power_energy_gradient`` and ``sup_energy`` are one-call wrappers around the
+same rule.
 """
 
 from __future__ import annotations
@@ -33,19 +35,14 @@ from .lagrangian import LagrangianModel
 from .path import Grid, Path
 
 
-# Per-element sample offsets in [0, 1] of the clipped element; the power
-# rule's weights are element lengths.
-POWER_OFFSET = 0.5
-SUP_OFFSETS = (0.0, 0.5, 1.0)
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Power energy of one order over one subinterval.
 
     ``raw`` is the unnormalized integral of L^m (infinite when overflow is
     flagged); ``normalized_root`` is the overflow-safe m-th root of its mean;
-    ``sup`` is the maximum of L over the same quadrature samples.
+    ``sup`` is the maximum of L over the same samples, which is
+    ``sup_energy`` of the path over the subinterval for every m.
     """
 
     m: int
@@ -77,35 +74,6 @@ def _subinterval(grid: Grid, subinterval) -> tuple[float, float]:
     if alpha < grid.a or beta > grid.b:
         raise OutOfDomain(f"({alpha}, {beta}) not inside [{grid.a}, {grid.b}]")
     return alpha, beta
-
-
-def _clipped_elements(grid: Grid, alpha: float, beta: float):
-    """Element indices overlapping (alpha, beta) with their clip bounds."""
-    nodes = grid.nodes
-    lo = np.maximum(nodes[:-1], alpha)
-    hi = np.minimum(nodes[1:], beta)
-    idx = np.nonzero(hi > lo)[0]
-    return idx, lo[idx], hi[idx]
-
-
-def _samples_at(path: Path, idx, lo, hi, slopes, offset: float):
-    xs = lo + offset * (hi - lo)
-    left = path.grid.nodes[idx]
-    etas = path.values[idx] + (xs - left)[:, None] * slopes
-    return xs, etas
-
-
-def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
-    """Maximum of L(x, u(x), Du(x)) over the three-point rule of every element
-    intersecting (alpha, beta); partial elements are sampled at their clipped
-    endpoints and midpoint."""
-    alpha, beta = _subinterval(path.grid, subinterval)
-    idx, lo, hi = _clipped_elements(path.grid, alpha, beta)
-    slopes = path.element_slopes()[idx]
-    xs, etas = zip(*(_samples_at(path, idx, lo, hi, slopes, o) for o in SUP_OFFSETS))
-    values = model.eval_many(np.concatenate(xs), np.concatenate(etas),
-                             np.tile(slopes, (len(SUP_OFFSETS), 1)))
-    return float(np.max(values))
 
 
 @dataclass(frozen=True)
@@ -143,13 +111,16 @@ class MidpointPowerRule:
         if m < 1:
             raise SupminError("power energy needs m >= 1")
         alpha, beta = _subinterval(grid, subinterval)
-        idx, lo, hi = _clipped_elements(grid, alpha, beta)
         nodes = grid.nodes
+        lo = np.maximum(nodes[:-1], alpha)
+        hi = np.minimum(nodes[1:], beta)
+        idx = np.nonzero(hi > lo)[0]  # the elements overlapping (alpha, beta)
+        lo, hi = lo[idx], hi[idx]
         self.m = int(m)
         self.alpha, self.beta = alpha, beta
         self.idx = idx
         self.lengths = hi - lo
-        self.xs = lo + POWER_OFFSET * self.lengths
+        self.xs = lo + 0.5 * self.lengths
         self.elem_len = grid.element_lengths[idx]
         offsets = self.xs - nodes[idx]
         self._offsets = offsets[:, None]
@@ -207,6 +178,14 @@ def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -
     if overflow:
         raw = np.inf
     return EnergyReport(rule.m, raw, overflow, s.root, s.top, rule.alpha, rule.beta)
+
+
+def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
+    """Maximum of L(x, u(x), Du(x)) over the midpoint samples of every element
+    intersecting (alpha, beta), partial elements sampled at the midpoint of
+    their clipped part: the ``sup`` of ``power_energy`` for every m."""
+    # the largest sample does not depend on the order; m = 1 is the cheapest
+    return MidpointPowerRule(path.grid, 1, subinterval).samples(model, path.values).top
 
 
 def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterval=None) -> np.ndarray:

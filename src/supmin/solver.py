@@ -255,7 +255,8 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
     stopping early once the normalized roots stall within tol_sweep.
 
     The final minimizer is the candidate; its sup energy over the whole
-    interval is reported alongside the root sequence.  With restarts > 1 the
+    interval, the largest sample of the midpoint rule the solves minimise,
+    is reported alongside the root sequence.  With restarts > 1 the
     sweep is repeated from seeded perturbed initial paths and the candidate
     with the smallest sup energy wins; distinct candidates whose sup energies
     tie within tol_sweep are all reported.

@@ -300,3 +300,55 @@ def test_c12_determinism(tmp_path):
             }
         assert blobs["one"] == blobs["two"], label
     print("c12 determinism: PASS")
+
+
+# -- curved oracles: L = |p - (A u + c(x))|^2 with c sampled at 8 equal knots -----
+
+DRIFT_KNOTS = np.array([[i / 8, np.sin(2 * np.pi * i / 8), np.cos(3 * i / 8)] for i in range(9)])
+DRIFT_B1 = np.array([1.0, -0.5])  # b0 = 0
+
+
+def drift_sweeps(A):
+    """The sweeps of the drift model with skew matrix A at 17, 33 and 65 nodes."""
+    model = sm.DataAssimilationModel(
+        np.zeros((1, 2)), sm.SampledSignal.from_rows([[0.0, 0.0], [1.0, 0.0]]),
+        np.array(A, dtype=float), sm.SampledSignal.from_rows(DRIFT_KNOTS.tolist()))
+    bmap = sm.AffineMap([0.0, 0.0], DRIFT_B1)
+    return [sm.m_sweep(model, sm.Grid.uniform(0.0, 1.0, n), bmap) for n in (17, 33, 65)]
+
+
+def test_c13_drift_oracle_refinement():
+    """A = 0: the sup-minimiser is u' = c + kappa with kappa = b1 - int c, so the
+    sup energy is |kappa|^2; int c of the piecewise-linear c is the knot
+    trapezoid, exactly.  On grids through the knots the midpoint rule integrates
+    c exactly too, so the discrete min-max value is |kappa|^2 itself and the
+    midpoint sup of the candidate meets it to solver tolerance."""
+    x, c = DRIFT_KNOTS[:, 0], DRIFT_KNOTS[:, 1:]
+    kappa = DRIFT_B1 - np.sum(0.5 * (c[1:] + c[:-1]) * np.diff(x)[:, None], axis=0)
+    oracle = float(kappa @ kappa)
+    errors = [abs(sweep.sup_of_candidate - oracle) for sweep in drift_sweeps(np.zeros((2, 2)))]
+    assert max(errors) <= 1e-7, errors
+    print(f"c13 drift oracle refinement: PASS (errors {errors})")
+
+
+def test_c14_rotating_drift_oracle_refinement():
+    """A = [[0, 1], [-1, 0]] is skew, so v = e^{-Ax} u turns |u' - A u - c| into
+    |v' - e^{-Ax} c| and the sup energy is |kappa|^2 with
+    kappa = e^{-A} b1 - int e^{-Ax} c dx (fine trapezoid on a grid through the
+    knots).  The midpoint sup converges at second order, and the last
+    power-mean root stays below it."""
+    xs = np.linspace(0.0, 1.0, 8 * 25000 + 1)
+    c = np.stack([np.interp(xs, DRIFT_KNOTS[:, 0], DRIFT_KNOTS[:, k]) for k in (1, 2)], axis=1)
+    cos, sin = np.cos(xs), np.sin(xs)
+    rotated = np.stack([cos * c[:, 0] - sin * c[:, 1], sin * c[:, 0] + cos * c[:, 1]], axis=1)
+    integral = np.sum(0.5 * (rotated[1:] + rotated[:-1]) * np.diff(xs)[:, None], axis=0)
+    turn = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])  # e^{-A}
+    kappa = turn @ DRIFT_B1 - integral
+    oracle = float(kappa @ kappa)
+    sweeps = drift_sweeps([[0.0, 1.0], [-1.0, 0.0]])
+    errors = [abs(sweep.sup_of_candidate - oracle) for sweep in sweeps]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine * 3.5 <= coarse, errors
+    for sweep in sweeps:
+        assert sweep.c_sequence[-1] <= sweep.sup_of_candidate
+    print(f"c14 rotating drift oracle refinement: PASS (errors {errors})")

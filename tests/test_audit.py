@@ -73,6 +73,43 @@ class TestAbsoluteMinimalityAudit:
         pairs = sm.audit.sample_subintervals(sm.Grid.uniform(0.0, 1.0, 17), config)
         assert all(j - i >= 3 for i, j in pairs)
 
+    def test_repeated_draws_audited_once(self, monkeypatch):
+        # on a 3-element grid with min_elements 3 every draw is the pair (0, 3)
+        sweeps = []
+        m_sweep = sm.audit.m_sweep
+
+        def counted(*args, **kwargs):
+            sweeps.append(args[1])
+            return m_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(sm.audit, "m_sweep", counted)
+        grid = sm.Grid.uniform(0.0, 1.0, 4)
+        cand = sm.interpolate_affine(sm.AffineMap([0.0], [1.0]), grid)
+        config = sm.AuditConfig(num_subintervals=20, min_elements=3)
+        report = sm.audit_absolute_minimality(sm.PowerNormModel(2.0, [0.0]), cand, config)
+        assert sm.audit.sample_subintervals(grid, config) == [(0, 3)]
+        assert len(report.entries) == 1 and len(sweeps) == 1
+        assert report.to_json_dict()["num_subintervals"] == 1
+
+    def test_unconverged_local_solve_inconclusive(self):
+        """A local sweep whose last solve stops short of grad_tol decides
+        nothing: every entry is inconclusive, with a NaN deficit and the
+        exponent and stop reason in its error."""
+        model = sm.DataAssimilationModel(
+            np.zeros((1, 2)), sm.SampledSignal.from_rows([[0.0, 0.0], [1.0, 0.0]]),
+            np.zeros((2, 2)),
+            sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]]))
+        cand = sm.interpolate_affine(sm.AffineMap([0.0, 0.0], [1.0, -0.5]),
+                                     sm.Grid.uniform(0.0, 1.0, 17))
+        config = sm.AuditConfig(num_subintervals=6, seed=2,
+                                options=sm.SolveOptions(max_iters=1))
+        report = sm.audit_absolute_minimality(model, cand, config)
+        assert report.entries and report.passed and np.isnan(report.max_deficit)
+        for entry in report.entries:
+            assert entry.status == "inconclusive" and np.isnan(entry.deficit)
+            assert entry.stop_reasons[-1] == "max_iters"
+            assert entry.error == f"m={2 ** len(entry.stop_reasons)}: stopped at max_iters"
+
 
 class TestBuildComparison:
     def test_affine_self_gluing_is_identity(self):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +285,14 @@ class TestDeterminism:
             a = (tmp_path / "out_a" / name).read_bytes()
             b = (tmp_path / "out_b" / name).read_bytes()
             assert a == b, name
+
+
+class TestReadme:
+    def test_example_config_runs(self, tmp_path):
+        """The example config in README.md solves, audits and checks with exit 0."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(example))
+        for command in ("solve", "audit", "check"):
+            assert cli.main([command, str(cfg), "--output-dir", str(tmp_path / "out")]) == 0

@@ -47,6 +47,31 @@ class TestSupEnergy:
         with pytest.raises(sm.EmptyInterval):
             sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.5, 0.5))
 
+    def test_equals_power_energy_sup_bitwise(self, rng):
+        """One rule: the sup energy is the largest midpoint sample of every
+        power energy, for models that read x and u too."""
+        signal = sm.SampledSignal(np.linspace(-0.5, 1.5, 5), rng.normal(scale=0.5, size=(5, 2)))
+        models = [
+            sm.PowerNormModel(1.5, rng.normal(size=2)),
+            sm.DataAssimilationModel(rng.normal(scale=0.5, size=(1, 2)),
+                                     sm.SampledSignal(np.linspace(-0.5, 1.5, 5),
+                                                      rng.normal(scale=0.5, size=(5, 1))),
+                                     rng.normal(scale=0.3, size=(2, 2)), signal),
+            sm.RadialModel(sm.radial_profile("shift", beta=0.5, gamma=1.7),
+                           rng.normal(scale=0.3, size=(2, 2)), signal),
+            sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
+            sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[1]) ** 2 * p[1] ** 4, dim=2),
+        ]
+        models.append(sm.scaled(models[1], 3.0))
+        for model in models:
+            for _ in range(10):
+                path = random_path(rng, dim=2)
+                lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+                for sub in (None, (lo, hi)):
+                    sup = sm.sup_energy(model, path, sub)
+                    for m in (1, 2, 64, 1024):
+                        assert sup == sm.power_energy(model, path, m, sub).sup
+
 
 class TestPowerEnergy:
     def test_affine_unit(self):
