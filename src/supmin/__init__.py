@@ -34,20 +34,7 @@ from .energy import (
     power_energy_gradient,
     sup_energy,
 )
-from .errors import (
-    BadDelta,
-    BadWeights,
-    ConfigError,
-    EmptyInterval,
-    GridTooCoarse,
-    NegativeLagrangian,
-    NonFinite,
-    NonUniformGrid,
-    OutOfDomain,
-    SupminError,
-    TooFewEntries,
-    ZeroStep,
-)
+from .errors import ConfigError, NonFinite, SupminError
 from .lagrangian import (
     Box,
     CustomModel,
@@ -67,7 +54,6 @@ from .lagrangian import (
     check_growth_bounds,
     check_level_convexity,
     radial_profile,
-    scaled,
 )
 from .path import (
     AffineMap,
@@ -77,7 +63,6 @@ from .path import (
     difference_quotient,
     eval_and_slope,
     interpolate_affine,
-    resample,
 )
 from .solver import (
     SolveOptions,

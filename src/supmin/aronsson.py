@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .errors import NonFinite, NonUniformGrid, SupminError
+from .errors import NonFinite, SupminError
 from .lagrangian import LagrangianModel
 from .path import Path
 
@@ -116,7 +116,7 @@ def residual_profile(model: LagrangianModel, path: Path) -> ResidualProfile:
     if grid.num_elements < 4:
         raise SupminError("residual profile needs at least 4 elements")
     if not grid.is_uniform:
-        raise NonUniformGrid("residual profile needs a uniform grid")
+        raise SupminError("residual profile needs a uniform grid")
     h = float(grid.nodes[1] - grid.nodes[0])
     u = path.values
     xs = grid.nodes[1:-1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import power_energy, sup_energy
-from .errors import BadDelta, GridTooCoarse, SupminError, TooFewEntries
+from .errors import SupminError
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, difference_quotient
 from .solver import SolveOptions, SweepSchedule, m_sweep
@@ -37,7 +37,7 @@ class AuditConfig:
     def __post_init__(self):
         if self.num_subintervals < 1 or self.min_elements < 1:
             raise SupminError("audit config counts must be positive")
-        if self.tol_audit <= 0:
+        if not self.tol_audit > 0:
             raise SupminError("tol_audit must be positive")
 
 
@@ -83,7 +83,8 @@ class AuditReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        """No violation, and at least one subinterval decided."""
+        return not self.violations and any(e.status != "inconclusive" for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,7 +145,8 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     the candidate's values there).  Both sups are midpoint-rule values, those
     of the discrete problem the local sweep minimises.  A local sweep that
     aborted, or whose last solve stopped short of ``grad_tol``, makes its
-    subinterval inconclusive (NaN deficit), excluded from pass/fail."""
+    subinterval inconclusive (NaN deficit), excluded from pass/fail; a report
+    with no conclusive subinterval does not pass."""
     config = config or AuditConfig()
     pairs = sample_subintervals(candidate.grid, config)
     entries = [_audit_one(model, candidate, i, j, config, config.seed + 1000 + k)
@@ -161,7 +163,7 @@ def snap_delta(grid: Grid, delta: float, clamp: bool = False) -> tuple[int, int]
     The left junction is the largest node within delta of the left endpoint,
     the right junction the smallest node within delta of the right endpoint
     (widths snap down).  Without ``clamp`` a layer narrower than its boundary
-    element raises GridTooCoarse; with it the junction falls back to the
+    element raises SupminError; with it the junction falls back to the
     adjacent node.
     """
     nodes = grid.nodes
@@ -171,13 +173,13 @@ def snap_delta(grid: Grid, delta: float, clamp: bool = False) -> tuple[int, int]
     right_ok = np.nonzero((nodes < b) & (b - nodes <= delta * slack))[0]
     if left_ok.size == 0 or right_ok.size == 0:
         if not clamp:
-            raise GridTooCoarse(f"no grid node within delta={delta} of an endpoint")
+            raise SupminError(f"no grid node within delta={delta} of an endpoint")
         i_left = 1 if left_ok.size == 0 else int(left_ok[-1])
         i_right = nodes.size - 2 if right_ok.size == 0 else int(right_ok[0])
     else:
         i_left, i_right = int(left_ok[-1]), int(right_ok[0])
     if i_left >= i_right:
-        raise GridTooCoarse("boundary layers overlap; grid too coarse for delta")
+        raise SupminError("boundary layers overlap; grid too coarse for delta")
     return i_left, i_right
 
 
@@ -211,7 +213,7 @@ def build_comparison(u_left, u_right, psi: Path, delta: float) -> Path:
         raise SupminError("boundary values must match the path dimension")
     length = psi.grid.b - psi.grid.a
     if not (0.0 < delta < length / 3.0):
-        raise BadDelta(f"delta must lie in (0, {length / 3.0}), got {delta}")
+        raise SupminError(f"delta must lie in (0, {length / 3.0}), got {delta}")
     i_left, i_right = snap_delta(psi.grid, delta)
     return Path(psi.grid, _glued_values(psi, u_left, u_right, i_left, i_right))
 
@@ -233,7 +235,7 @@ def semicontinuity_check(model: LagrangianModel, approx_paths, limit_path: Path,
     approximating paths, the liminf estimated as the minimum over the last
     half of the finite sequence."""
     if len(approx_paths) < 3:
-        raise TooFewEntries("semicontinuity check needs at least 3 approximating paths")
+        raise SupminError("semicontinuity check needs at least 3 approximating paths")
     ms = [m for m, _ in approx_paths]
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise SupminError("exponents must be strictly increasing")
@@ -262,14 +264,6 @@ class EndpointScan:
     global_sup: float
     bounded: bool
 
-    @property
-    def left_limit(self) -> ScanEntry:
-        return self.left[-1]
-
-    @property
-    def right_limit(self) -> ScanEntry:
-        return self.right[-1]
-
 
 def default_delta_schedule(length: float) -> list[float]:
     """Eight widths 0.3 * length * 2^-i, i = 1..8."""
@@ -295,10 +289,10 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
     if delta_schedule is None:
         delta_schedule = default_delta_schedule(length)
     deltas = [float(d) for d in delta_schedule]
-    if not deltas or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise BadDelta("delta schedule must be strictly decreasing")
-    if deltas[0] >= length / 3.0 or deltas[-1] <= 0.0:
-        raise BadDelta("delta schedule must lie in (0, length/3)")
+    if not deltas or not all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:])):
+        raise SupminError("delta schedule must be strictly decreasing")
+    if not (0.0 < deltas[-1] and deltas[0] < length / 3.0):
+        raise SupminError("delta schedule must lie in (0, length/3)")
 
     u_left, u_right = psi.values[0], psi.values[-1]
     left_entries, right_entries = [], []

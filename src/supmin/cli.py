@@ -3,7 +3,8 @@
 Artifacts are CSV for paths and profiles, JSON for structured reports; both
 are byte-deterministic for a fixed config and seed.  Exit codes: 0 ok,
 1 config error, 2 solver failure (or a check sample the model cannot
-evaluate), 3 audit violation, 4 hypothesis witness.
+evaluate, or an audit with no conclusive subinterval), 3 audit violation,
+4 hypothesis witness.
 """
 
 from __future__ import annotations
@@ -384,6 +385,9 @@ def run_audit(config: RunConfig, output_dir: FsPath, solve_first: bool = False) 
             print(f"{e.alpha:>12.6g} {e.beta:>12.6g} {e.sup_global_restricted:>14.8g} "
                   f"{e.sup_local_solution:>14.8g} {e.deficit:>14.8g}")
         return EXIT_AUDIT
+    if not report.passed:
+        print(f"audit: no conclusive subinterval among {len(report.entries)}", file=sys.stderr)
+        return EXIT_SOLVER
     print(f"audit: no violations over {len(report.entries)} subintervals "
           f"(max_deficit = {fmt_float(report.max_deficit)})")
     return EXIT_OK

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWeights, EmptyInterval, NonFinite, OutOfDomain, SupminError
+from .errors import NonFinite, SupminError
 from .lagrangian import LagrangianModel
 from .path import Grid, Path
 
@@ -53,26 +53,15 @@ class EnergyReport:
     alpha: float
     beta: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "raw": None if self.overflow else self.raw,
-            "overflow": self.overflow,
-            "normalized_root": self.normalized_root,
-            "sup": self.sup,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
-
 
 def _subinterval(grid: Grid, subinterval) -> tuple[float, float]:
     if subinterval is None:
         return grid.a, grid.b
     alpha, beta = float(subinterval[0]), float(subinterval[1])
     if alpha >= beta:
-        raise EmptyInterval(f"need alpha < beta, got ({alpha}, {beta})")
+        raise SupminError(f"need alpha < beta, got ({alpha}, {beta})")
     if alpha < grid.a or beta > grid.b:
-        raise OutOfDomain(f"({alpha}, {beta}) not inside [{grid.a}, {grid.b}]")
+        raise SupminError(f"({alpha}, {beta}) not inside [{grid.a}, {grid.b}]")
     return alpha, beta
 
 
@@ -209,7 +198,7 @@ def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:
         raise SupminError("p_list must be nonempty")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(ps),) or np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-        raise BadWeights("weights must be nonnegative and sum to 1 within 1e-12")
+        raise SupminError("weights must be nonnegative and sum to 1 within 1e-12")
     rows = np.stack(ps)
     rows = np.vstack([rows, np.sum(w[:, None] * rows, axis=0)])
     values = model.eval_many(np.full(len(rows), float(x)),

@@ -1,48 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Three types, one for each way a caller handles a failure:
+
+* ``ConfigError``: the run configuration is invalid.  ``cli.main`` catches it
+  and exits 1 with the offending field on stderr.
+* ``NonFinite``: a computation produced NaN or infinity, typically a
+  Lagrangian value.  ``solver`` catches it to abort the sweep (the artifacts
+  record the error), and ``cli.run_check`` to record the failing check.
+* ``SupminError``: every other failure, and the base of both.  ``cli.main``
+  reports it as ``solver failure`` and exits 2.  Where the CLI builds an
+  object from a config value or reads a candidate CSV, it exits 1 instead.
+
+No caller treats a narrower kind of failure differently, so none has a type
+of its own: the message says what went wrong, and tests match on it.
+"""
 
 
 class SupminError(Exception):
     """Base class for all supmin errors."""
 
 
-class NegativeLagrangian(SupminError):
-    """A Lagrangian evaluation returned a negative value."""
-
-
 class NonFinite(SupminError):
     """A computation produced NaN or infinity where a finite value is required."""
-
-
-class OutOfDomain(SupminError):
-    """A coordinate lies outside the interval it must belong to."""
-
-
-class ZeroStep(SupminError):
-    """A difference quotient was requested with step t = 0."""
-
-
-class EmptyInterval(SupminError):
-    """A subinterval (alpha, beta) with alpha >= beta was supplied."""
-
-
-class BadWeights(SupminError):
-    """Averaging weights are negative or do not sum to one."""
-
-
-class NonUniformGrid(SupminError):
-    """An operation requiring a uniform grid received a non-uniform one."""
-
-
-class BadDelta(SupminError):
-    """A boundary-layer width is outside its admissible range."""
-
-
-class GridTooCoarse(SupminError):
-    """No grid node is available inside a requested boundary layer."""
-
-
-class TooFewEntries(SupminError):
-    """A sequence-based check received fewer entries than it needs."""
 
 
 class ConfigError(SupminError):

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NegativeLagrangian, NonFinite, SupminError
+from .errors import NonFinite, SupminError
 
 _EPS = np.finfo(float).eps
 _FD_FIRST = _EPS ** (1.0 / 3.0)
@@ -133,7 +133,7 @@ class GrowthParams:
     h_bound: float | Callable[[float, np.ndarray], float] = 1.0
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c3) < 0:
+        if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
             raise SupminError("growth constants must be nonnegative")
         if not (0 < self.q <= self.r < np.inf):
             raise SupminError("0 < q <= r required")
@@ -268,7 +268,7 @@ class LagrangianModel:
         if not np.all(np.isfinite(values)):
             raise NonFinite("Lagrangian evaluation is not finite")
         if np.any(values < 0):
-            raise NegativeLagrangian("Lagrangian evaluation is negative")
+            raise SupminError("Lagrangian evaluation is negative")
         return values
 
 
@@ -284,14 +284,15 @@ class PowerNormModel(LagrangianModel):
         self.offset = offset
 
     def eval_many(self, xs, etas, ps):
-        rho = np.linalg.norm(ps - self.offset[None, :], axis=1)
         with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
+            rho = np.linalg.norm(ps - self.offset[None, :], axis=1)
             return self._checked(rho**self.exponent)
 
     def jet_many(self, xs, etas, ps, order=2):
         s, n = self.exponent, self.dim
         w = ps - self.offset[None, :]
-        rho = np.linalg.norm(w, axis=1)
+        with np.errstate(over="ignore"):
+            rho = np.linalg.norm(w, axis=1)
         apex = rho == 0.0
         if s < 2 and np.any(apex):
             # |w|^s has no two-sided jet at w = 0 below quadratic growth
@@ -299,7 +300,8 @@ class PowerNormModel(LagrangianModel):
         safe = np.where(apex, 1.0, rho)
         unit = w / safe[:, None]
         zeros = np.zeros_like(w)
-        with np.errstate(over="ignore"):
+        # an infinite rho (overflow) makes NaN slopes; the jet raises NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
             value = rho**s
             dp = (s * rho ** (s - 1))[:, None] * unit
             if order == 1:
@@ -378,11 +380,11 @@ def radial_profile(name: str, *, beta: float = 0.0, gamma: float = 1.0) -> Radia
     if name == "identity":
         return RadialProfile(lambda t: t, lambda t: 1.0, lambda t: 0.0)
     if name == "shift":
-        if beta < 0:
+        if not beta >= 0:
             raise SupminError("shift profile needs beta >= 0")
         return RadialProfile(lambda t: t + beta, lambda t: 1.0, lambda t: 0.0)
     if name == "power":
-        if gamma <= 0:
+        if not gamma > 0:
             raise SupminError("power profile needs gamma > 0")
         return RadialProfile(
             lambda t: (1.0 + t) ** gamma - 1.0,
@@ -457,14 +459,14 @@ class MinOfNormsModel(LagrangianModel):
                  growth: GrowthParams | None = None):
         centers = _mat(centers, "centers")
         super().__init__(centers.shape[1], growth)
-        if exponent <= 0:
+        if not (exponent > 0 and np.isfinite(exponent)):
             raise SupminError("exponent must be positive")
         self.centers = centers
         self.exponent = float(exponent)
 
     def eval_many(self, xs, etas, ps):
-        d = np.linalg.norm(ps[:, None, :] - self.centers[None, :, :], axis=2)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
+            d = np.linalg.norm(ps[:, None, :] - self.centers[None, :, :], axis=2)
             return self._checked(np.min(d, axis=1) ** self.exponent)
 
 
@@ -479,14 +481,14 @@ class ScaledModel(LagrangianModel):
         self.factor = float(factor)
 
     def eval_many(self, xs, etas, ps):
-        return self.factor * self.inner.eval_many(xs, etas, ps)
+        values = self.inner.eval_many(xs, etas, ps)
+        with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
+            return self._checked(self.factor * values)
 
     def jet_many(self, xs, etas, ps, order=2):
-        return self.inner.jet_many(xs, etas, ps, order=order).map(lambda v: self.factor * v)
-
-
-def scaled(model: LagrangianModel, factor: float) -> ScaledModel:
-    return ScaledModel(model, factor)
+        jet = self.inner.jet_many(xs, etas, ps, order=order)
+        with np.errstate(over="ignore"):
+            return jet.map(lambda v: self.factor * v)
 
 
 # -- sampling certifications --------------------------------------------------

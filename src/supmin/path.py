@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .errors import OutOfDomain, SupminError, ZeroStep
+from .errors import SupminError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -163,7 +163,7 @@ def eval_and_slope(path: Path, x: float) -> PathSample:
     """Interpolated value and element slope at x; left element wins at nodes."""
     x = float(x)
     if x < path.grid.a or x > path.grid.b:
-        raise OutOfDomain(f"x={x} outside [{path.grid.a}, {path.grid.b}]")
+        raise SupminError(f"x={x} outside [{path.grid.a}, {path.grid.b}]")
     e = _containing_element(path.grid, x)
     x0 = path.grid.nodes[e]
     slope = (path.values[e + 1] - path.values[e]) / (path.grid.nodes[e + 1] - x0)
@@ -179,7 +179,7 @@ def difference_quotient(path: Path, y: float, t: float) -> np.ndarray:
     """
     t = float(t)
     if t == 0.0:
-        raise ZeroStep("difference quotient needs t != 0")
+        raise SupminError("difference quotient needs t != 0")
     return (eval_and_slope(path, y + t).value - eval_and_slope(path, y).value) / t
 
 
@@ -194,17 +194,3 @@ def quotient_scale(path: Path, y: float, t: float) -> float:
     umax = float(np.max(np.abs(path.values[node_mask]))) if node_mask.any() else 0.0
     return (int(np.count_nonzero(spanned)) + 4) * (1.0 + umax) / abs(t)
 
-
-def resample(path: Path, new_grid: Grid) -> Path:
-    """Re-sample onto a new grid; nodal values are copied bit-exactly where
-    a new node coincides with an old one."""
-    old = path.grid.nodes
-    values = np.empty((new_grid.nodes.size, path.dim))
-    pos = np.searchsorted(old, new_grid.nodes)
-    for i, x in enumerate(new_grid.nodes):
-        j = pos[i]
-        if j < old.size and old[j] == x:
-            values[i] = path.values[j]
-        else:
-            values[i] = eval_and_slope(path, x).value
-    return Path(new_grid, values)

@@ -64,7 +64,7 @@ class SolveOptions:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.max_iters, self.grad_tol) <= 0:
+        if not (self.max_iters > 0 and self.grad_tol > 0):
             raise SupminError("solve options must be positive")
 
 
@@ -103,7 +103,7 @@ class SweepSchedule:
     def __post_init__(self):
         if self.m_max < 2:
             raise SupminError("schedule needs m_max >= 2")
-        if self.tol_sweep <= 0:
+        if not self.tol_sweep > 0:
             raise SupminError("tol_sweep must be positive")
         if self.restarts < 1:
             raise SupminError("restarts must be >= 1")

@@ -201,7 +201,7 @@ def test_c09_projection_algebra():
 
 
 def test_c10_aronsson_residual():
-    half_square = sm.scaled(sm.PowerNormModel(2.0, [0.0]), 0.5)
+    half_square = sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), 0.5)
     errors = []
     for m_el in (32, 64, 128):
         grid = sm.Grid.uniform(0.0, 1.0, m_el + 1)

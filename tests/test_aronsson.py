@@ -8,7 +8,7 @@ from conftest import random_builtin_model
 
 def half_square_1d():
     # L = p^2 / 2
-    return sm.scaled(sm.PowerNormModel(2.0, [0.0]), 0.5)
+    return sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), 0.5)
 
 
 def scalar_aronsson_oracle(model, x, eta, p, xx):
@@ -125,7 +125,7 @@ class TestOperator:
             pt = sm.SecondOrderPoint(rng.uniform(0, 1), rng.normal(size=dim),
                                      rng.normal(size=dim), rng.normal(size=dim))
             base = sm.aronsson_operator(model, pt)
-            scaled_out = sm.aronsson_operator(sm.scaled(model, c), pt)
+            scaled_out = sm.aronsson_operator(sm.ScaledModel(model, c), pt)
             np.testing.assert_allclose(scaled_out, c**2 * base,
                                        rtol=1e-9, atol=1e-9 * (1 + np.max(np.abs(base))))
 
@@ -166,7 +166,7 @@ class TestResidualProfile:
     def test_requires_uniform_grid(self):
         grid = sm.Grid(np.array([0.0, 0.1, 0.3, 0.6, 1.0]))
         path = sm.Path(grid, np.zeros((5, 1)))
-        with pytest.raises(sm.NonUniformGrid):
+        with pytest.raises(sm.SupminError, match="residual profile needs a uniform grid"):
             sm.residual_profile(half_square_1d(), path)
 
     def test_requires_enough_elements(self):

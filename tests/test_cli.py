@@ -154,6 +154,28 @@ class TestAudit:
         doc = json.loads((out / "audit.json").read_text())
         assert doc["violation_count"] >= 1
 
+    def test_no_conclusive_subinterval_exit_2(self, tmp_path, capsys):
+        """Local solves capped at one iteration decide no subinterval: the
+        audit writes its report but does not claim a clean pass."""
+        lagrangian = dict(da_lagrangian(),
+                          c=[[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]])
+        cfg = write_config(tmp_path, lagrangian=lagrangian, grid_points=17,
+                          boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
+                          solve={"max_iters": 1}, audit={"num_subintervals": 6}, seed=2)
+        out = tmp_path / "out"
+        out.mkdir()
+        chord = sm.interpolate_affine(sm.AffineMap([0.0, 0.0], [1.0, -0.5]),
+                                      sm.Grid.uniform(0.0, 1.0, 17))
+        chord.to_csv(str(out / "candidate.csv"))
+        assert cli.main(["audit", cfg]) == 2
+        captured = capsys.readouterr()
+        doc = json.loads((out / "audit.json").read_text())
+        statuses = {entry["status"] for entry in doc["subintervals"]}
+        assert statuses == {"inconclusive"} and doc["violation_count"] == 0
+        assert (f"audit: no conclusive subinterval among {doc['num_subintervals']}"
+                in captured.err)
+        assert "no violations" not in captured.out
+
     def test_min_elements_beyond_grid_rejected_before_solving(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid_points=5, audit={"min_elements": 10})
         assert cli.main(["audit", cfg, "--solve-first"]) == 1

@@ -44,7 +44,7 @@ class TestSupEnergy:
         assert sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.0, 0.4)) == 0.0
 
     def test_empty_interval(self):
-        with pytest.raises(sm.EmptyInterval):
+        with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(0\.5, 0\.5\)"):
             sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.5, 0.5))
 
     def test_equals_power_energy_sup_bitwise(self, rng):
@@ -62,7 +62,7 @@ class TestSupEnergy:
             sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
             sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[1]) ** 2 * p[1] ** 4, dim=2),
         ]
-        models.append(sm.scaled(models[1], 3.0))
+        models.append(sm.ScaledModel(models[1], 3.0))
         for model in models:
             for _ in range(10):
                 path = random_path(rng, dim=2)
@@ -105,13 +105,6 @@ class TestPowerEnergy:
             m = int(rng.integers(1, 64))
             rep = sm.power_energy(model, path, m)
             assert rep.normalized_root <= rep.sup * (1 + 1e-12) + 1e-300
-
-    def test_json_fields(self):
-        rep = sm.power_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), 3, (0.0, 1.0))
-        doc = rep.to_json_dict()
-        assert list(doc) == ["m", "raw", "overflow", "normalized_root", "sup", "alpha", "beta"]
-        over = sm.power_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), 1024)
-        assert over.to_json_dict()["raw"] is None
 
 
 class TestPowerMeanProperties:
@@ -207,9 +200,9 @@ class TestJensenGap:
 
     def test_bad_weights(self):
         model = sm.PowerNormModel(2.0, [0.0])
-        with pytest.raises(sm.BadWeights):
+        with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
             sm.jensen_gap(model, 0.0, [0.0], [0.7, 0.7], [[0.0], [1.0]])
-        with pytest.raises(sm.BadWeights):
+        with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
             sm.jensen_gap(model, 0.0, [0.0], [-0.5, 1.5], [[0.0], [1.0]])
 
     def test_nonnegative_for_builtins(self, rng):

@@ -44,13 +44,26 @@ class TestEval:
 
     def test_negative_custom_raises(self):
         bad = sm.CustomModel(lambda x, e, p: -1.0, dim=1)
-        with pytest.raises(sm.NegativeLagrangian):
+        with pytest.raises(sm.SupminError, match="Lagrangian evaluation is negative"):
             bad.eval(0.0, [0.0], [0.0])
 
     def test_nonfinite_raises(self):
         bad = sm.CustomModel(lambda x, e, p: np.inf, dim=1)
         with pytest.raises(sm.NonFinite):
             bad.eval(0.0, [0.0], [0.0])
+
+    @pytest.mark.parametrize("model, p", [
+        (sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), 1e300), 1e10),
+        (sm.PowerNormModel(2.0, [0.0]), 1e200),
+        (sm.MinOfNormsModel([[1.0], [-1.0]], exponent=2.0), 1e200),
+    ])
+    def test_overflow_raises_nonfinite(self, model, p):
+        """An overflowing value or jet is a NonFinite error: never inf, and
+        never a floating-point warning, which this suite turns into errors."""
+        with pytest.raises(sm.NonFinite):
+            model.eval(0.0, [0.0], [p])
+        with pytest.raises(sm.NonFinite):
+            model.jet(0.0, [0.0], [p])
 
     def test_eval_many_matches_scalar(self, rng):
         for _ in range(10):
@@ -126,8 +139,8 @@ class TestJet:
                                                           rng.normal(size=(4, 2)))))
         for _ in range(3):
             models.append(random_builtin_model(rng, 2))
-        models.append(sm.scaled(models[-1], 3.0))
-        models.append(sm.scaled(models[2], 0.5))
+        models.append(sm.ScaledModel(models[-1], 3.0))
+        models.append(sm.ScaledModel(models[2], 0.5))
         xs = rng.uniform(-0.2, 1.2, size=9)
         etas = rng.normal(size=(9, 2))
         ps = rng.normal(scale=2.0, size=(9, 2))
@@ -162,7 +175,7 @@ class TestJet:
 
     def test_scaled_jets_scale_exactly(self, rng):
         base = sm.PowerNormModel(2.0, [0.0])
-        doubled = sm.scaled(base, 2.0)
+        doubled = sm.ScaledModel(base, 2.0)
         j1 = base.jet(0.0, [0.0], [3.0])
         j2 = doubled.jet(0.0, [0.0], [3.0])
         assert j2.value == 2.0 * j1.value and np.array_equal(j2.dp, 2.0 * j1.dp)
@@ -221,6 +234,13 @@ class TestLevelConvexity:
                         found = True
         assert found
         assert model.eval(0.0, [0.0], [0.0]) == 2.0  # the canonical midpoint witness
+
+    def test_overflowing_model_raises(self):
+        """A model whose every sample overflows is not certified."""
+        model = sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), 1e300)
+        plan = sm.SamplePlan(num_triples=10, box=sm.Box(p=(1e10, 2e10)))
+        with pytest.raises(sm.NonFinite):
+            sm.check_level_convexity(model, plan)
 
 
     def test_matches_per_triple_loop(self):
@@ -326,3 +346,31 @@ class TestDecomposition:
         w = ps - (np.sum(etas[:, None, :] * A, axis=2) + csig.eval_many(xs))
         assert np.array_equal(model.eval_many(xs, etas, ps),
                               np.sum(r * r, axis=1) + np.sum(w * w, axis=1))
+
+
+NAN = float("nan")
+
+
+def _scan_with_schedule(schedule):
+    psi = sm.Path(sm.Grid.uniform(0.0, 1.0, 17), np.zeros((17, 1)))
+    return sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), psi, schedule)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sm.SolveOptions(grad_tol=NAN), "solve options must be positive"),
+    (lambda: sm.SweepSchedule(tol_sweep=NAN), "tol_sweep must be positive"),
+    (lambda: sm.AuditConfig(tol_audit=NAN), "tol_audit must be positive"),
+    (lambda: sm.GrowthParams(NAN, 0, 0, 2, 2), "growth constants must be nonnegative"),
+    (lambda: sm.MinOfNormsModel([[1.0]], exponent=NAN), "exponent must be positive"),
+    (lambda: sm.MinOfNormsModel([[1.0]], exponent=np.inf), "exponent must be positive"),
+    (lambda: sm.radial_profile("shift", beta=NAN), "shift profile needs beta >= 0"),
+    (lambda: sm.radial_profile("power", gamma=NAN), "power profile needs gamma > 0"),
+    (lambda: _scan_with_schedule([0.2, NAN]), "strictly decreasing"),
+    (lambda: _scan_with_schedule([NAN]), r"must lie in \(0, length/3\)"),
+], ids=["grad_tol", "tol_sweep", "tol_audit", "growth_c1", "min_norms_nan",
+        "min_norms_inf", "shift_beta", "power_gamma", "scan_order", "scan_range"])
+def test_range_checks_reject_nan(build, message):
+    """A NaN compares false with every bound, so each check is written to
+    fail, not pass, on it."""
+    with pytest.raises(sm.SupminError, match=message):
+        build()

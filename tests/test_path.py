@@ -77,7 +77,7 @@ class TestEvalAndSlope:
 
     def test_out_of_domain(self):
         path = sm.Path(sm.Grid(np.array([0.0, 0.5, 1.0])), np.zeros((3, 1)))
-        with pytest.raises(sm.OutOfDomain):
+        with pytest.raises(sm.SupminError, match=r"x=1\.5 outside \[0\.0, 1\.0\]"):
             sm.eval_and_slope(path, 1.5)
 
 
@@ -105,9 +105,9 @@ class TestDifferenceQuotient:
 
     def test_zero_step(self):
         path = sm.Path(sm.Grid(np.array([0.0, 0.5, 1.0])), np.zeros((3, 1)))
-        with pytest.raises(sm.ZeroStep):
+        with pytest.raises(sm.SupminError, match="difference quotient needs t != 0"):
             sm.difference_quotient(path, 0.2, 0.0)
-        with pytest.raises(sm.OutOfDomain):
+        with pytest.raises(sm.SupminError, match=r"x=1\.25 outside \[0\.0, 1\.0\]"):
             sm.difference_quotient(path, 0.5, 0.75)
 
     def test_averaging_identity_random(self, rng):
@@ -134,31 +134,6 @@ class TestDifferenceQuotient:
             q = sm.difference_quotient(path, y, t)
             max_slope = np.max(np.linalg.norm(path.element_slopes(), axis=1))
             assert np.linalg.norm(q) <= max_slope * (1 + 1e-12) + 1e-12
-
-
-class TestResample:
-    def test_refinement_keeps_old_nodes_exact(self, rng):
-        path = random_path(rng)
-        old = path.grid.nodes
-        mids = 0.5 * (old[:-1] + old[1:])
-        fine = sm.Grid(np.sort(np.concatenate([old, mids])))
-        refined = sm.resample(path, fine)
-        idx = np.searchsorted(fine.nodes, old)
-        assert np.array_equal(refined.values[idx], path.values)
-
-    def test_refinement_preserves_evaluation(self, rng):
-        path = random_path(rng)
-        old = path.grid.nodes
-        mids = 0.5 * (old[:-1] + old[1:])
-        fine = sm.Grid(np.sort(np.concatenate([old, mids])))
-        refined = sm.resample(path, fine)
-        scale = 1.0 + np.max(np.abs(path.values))
-        for x in rng.uniform(path.grid.a, path.grid.b, size=30):
-            np.testing.assert_allclose(
-                sm.eval_and_slope(refined, x).value,
-                sm.eval_and_slope(path, x).value,
-                atol=64 * EPS * scale,
-            )
 
 
 class TestCsv:
