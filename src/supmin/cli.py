@@ -334,7 +334,10 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
         return EXIT_SOLVER
     print(f"solve: {len(sweep.records)} exponents, "
           f"sup_of_candidate = {fmt_float(sweep.sup_of_candidate)}")
-    return EXIT_OK
+    short = [rec for rec in sweep.records if not rec.stats.converged]
+    for rec in short:
+        print(f"solve: m={rec.m} stopped at {rec.stats.stop_reason}", file=sys.stderr)
+    return EXIT_SOLVER if short else EXIT_OK
 
 
 def _candidate_mismatch(config: RunConfig, candidate: Path) -> str | None:

@@ -17,11 +17,13 @@ ascending index order so results are bit-reproducible.
 
 One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
 order and subinterval, it turns nodal values into ``PowerSamples`` with one
-``eval_many`` call, and samples into the gradient with one first-order
-``jet_many`` call.  The solver keeps one rule per solve and reuses an accepted
-trial's samples for its gradient; ``power_energy``,
-``power_energy_gradient`` and ``sup_energy`` are one-call wrappers around the
-same rule.
+``eval_many`` call, samples into the gradient with one first-order
+``jet_many`` call, and samples into the block-tridiagonal part of the
+Hessian with one second-order ``jet_many`` call: element e reads only nodes
+e and e + 1, so only neighbouring nodes are coupled.  The solver keeps one
+rule per solve and reuses an accepted trial's samples for its gradient and
+Newton direction; ``power_energy``, ``power_energy_gradient`` and
+``sup_energy`` are one-call wrappers around the same rule.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class MidpointPowerRule:
 
     ``samples`` evaluates L at the midpoints of a path (one ``eval_many``
     call); ``gradient`` turns those samples into the gradient with respect to
-    nodal values (one ``jet_many(order=1)`` call).
+    nodal values (one ``jet_many(order=1)`` call) and ``hessian`` into the
+    element part of the Hessian (one ``jet_many(order=2)`` call).
     """
 
     def __init__(self, grid: Grid, m: int, subinterval=None):
@@ -155,6 +158,51 @@ class MidpointPowerRule:
         if not np.all(np.isfinite(grad)):
             raise NonFinite("power energy gradient is not finite")
         return grad
+
+    def hessian(self, model: LagrangianModel, samples: PowerSamples):
+        """The element part of the Hessian of the normalized root at the
+        sampled path, as its block-tridiagonal ``(diag, upper)``: ``diag[i]``
+        couples node i with itself, ``upper[i]`` node i with node i + 1, each
+        N x N.  Clamped nodes get identity diagonal blocks and no coupling.
+
+        With ``coeff_e`` the derivative of the root in L_e, the element part
+        is ``sum_e coeff_e J_e^T (H_e + (m-1)/L_e grad L_e grad L_e^T) J_e``,
+        H_e the (eta, p) Hessian of L and J_e the map from the element's two
+        nodes to (eta_e, p_e); one ``jet_many(order=2)`` call.  The Hessian
+        of the root is this minus ``(m-1)/root g g^T``, g the ``gradient``.
+        """
+        idx, m = self.idx, self.m
+        n_nodes, n = self.clamped.size, samples.slopes.shape[1]
+        diag = np.zeros((n_nodes, n, n))
+        upper = np.zeros((n_nodes - 1, n, n))
+        if samples.top != 0.0:
+            ratios = samples.ratios
+            scale = samples.outer * self.lengths / samples.weight_sum
+            coeffs = (scale * ratios ** (m - 1))[:, None, None]
+            # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
+            rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / samples.top)[:, None, None]
+            jet = model.jet_many(self.xs, samples.etas, samples.slopes, order=2)
+            # the eta and p weights of an element's left and right node in J_e
+            eta_w = (1.0 - self.theta[:, :, None], self.theta[:, :, None])
+            inv_len = (1.0 / self.elem_len)[:, None, None]
+            p_w = (-inv_len, inv_len)
+            dpeta_t = jet.dpeta.transpose(0, 2, 1)
+            v = [eta_w[a][:, :, 0] * jet.deta + p_w[a][:, :, 0] * jet.dp for a in (0, 1)]
+
+            def block(a, b):
+                return coeffs * (eta_w[a] * eta_w[b] * jet.detaeta + eta_w[a] * p_w[b] * dpeta_t
+                                 + p_w[a] * eta_w[b] * jet.dpeta + p_w[a] * p_w[b] * jet.dpp) \
+                    + rank_one * v[a][:, :, None] * v[b][:, None, :]
+
+            diag[idx] += block(0, 0)
+            diag[idx + 1] += block(1, 1)
+            upper[idx] += block(0, 1)
+        clamped = self.clamped
+        diag[clamped] = np.eye(n)
+        upper[clamped[:-1] | clamped[1:]] = 0.0
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(upper))):
+            raise NonFinite("power energy Hessian is not finite")
+        return diag, upper
 
 
 def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:

@@ -6,14 +6,17 @@ xs (M,), etas (M, N), ps (M, N):
 
 * ``eval_many`` the values of L, shape (M,);
 * ``jet_many``  the values with derivatives, one ``JetDerivatives`` whose
-  fields carry a leading row axis.  ``order=2`` (the default, used by the
-  residual profile) fills every field; ``order=1`` (used by the power-energy
-  gradient) fills only ``value``, ``dp`` and ``deta``, each bitwise equal to
-  its ``order=2`` field, and leaves the others None.
+  fields carry a leading row axis.  ``order=2`` (the default) fills every
+  field, the second-order blocks ``dpp``, ``dpeta``, ``detaeta`` and ``dpx``
+  included; the residual profile reads it, and so does the Hessian of the
+  power energy (``MidpointPowerRule.hessian``), which reads the (eta, p)
+  blocks.  ``order=1`` (used by the power-energy gradient) fills only
+  ``value``, ``dp`` and ``deta``, each bitwise equal to its ``order=2``
+  field, and leaves the others None.
 
 ``eval`` and ``jet`` are their one-row cases.  The base class derives
 ``jet_many`` from ``eval_many`` by central finite differences (9 calls at
-N=2 for ``order=1``, 43 for ``order=2``); the analytic families override it.
+N=2 for ``order=1``, 51 for ``order=2``); the analytic families override it.
 Built-in families:
 
 * ``PowerNormModel``        L = |p - offset|^s
@@ -137,11 +140,18 @@ class GrowthParams:
             raise SupminError("growth constants must be nonnegative")
         if not (0 < self.q <= self.r < np.inf):
             raise SupminError("0 < q <= r required")
+        if not (callable(self.h_bound) or 0 <= self.h_bound < np.inf):
+            raise SupminError("h_bound must be finite and nonnegative")
 
     def envelope(self, x: float, eta: np.ndarray) -> float:
-        if callable(self.h_bound):
-            return float(self.h_bound(x, eta))
-        return float(self.h_bound)
+        """h(x, eta); a callable envelope that returns a non-finite value
+        raises ``NonFinite``, since no comparison with it can fail."""
+        if not callable(self.h_bound):
+            return float(self.h_bound)
+        value = float(self.h_bound(x, eta))
+        if not np.isfinite(value):
+            raise NonFinite(f"growth envelope h_bound is not finite at x = {x}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -150,12 +160,13 @@ class JetDerivatives:
 
     ``dp``/``deta`` are gradients in p and eta, ``dx`` the x-derivative;
     ``dpp``, ``dpeta``, ``dpx`` are the second-order blocks taken against p
-    first.  ``dpp`` is symmetric (symmetrized explicitly when produced by
-    finite differences).  From ``jet_many`` every field has a leading row
-    axis: ``value`` and ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the
-    blocks (M, N, N).  ``jet`` returns one row without that axis.  A
-    first-order jet leaves ``dx`` and the blocks None.  Construction rejects
-    non-finite entries in the fields that are set, once for the whole batch.
+    first, and ``detaeta`` the Hessian in eta.  ``dpp`` and ``detaeta`` are
+    symmetric (symmetrized explicitly when produced by finite differences).
+    From ``jet_many`` every field has a leading row axis: ``value`` and
+    ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the blocks (M, N, N).
+    ``jet`` returns one row without that axis.  A first-order jet leaves
+    ``dx`` and the blocks None.  Construction rejects non-finite entries in
+    the fields that are set, once for the whole batch.
     """
 
     value: np.ndarray
@@ -165,6 +176,7 @@ class JetDerivatives:
     dpp: np.ndarray | None = None
     dpeta: np.ndarray | None = None
     dpx: np.ndarray | None = None
+    detaeta: np.ndarray | None = None
 
     def __post_init__(self):
         if not all(np.all(np.isfinite(v)) for v in self._set_fields().values()):
@@ -230,18 +242,29 @@ class LagrangianModel:
         dx = (f(xs + h1x, etas, ps) - f(xs - h1x, etas, ps)) / (2 * h1x)
 
         h2x, h2e, h2p = (_FD_SECOND * (1.0 + np.abs(a)) for a in (xs, etas, ps))
-        dpp, dpeta, dpx = np.empty((m, n, n)), np.empty((m, n, ne)), np.empty((m, n))
+        dpeta, dpx = np.empty((m, n, ne)), np.empty((m, n))
 
+        def second_differences(g, rows, h2):
+            """Second differences of g(rows) in every pair of row coordinates."""
+            k = rows.shape[1]
+            out = np.empty((m, k, k))
+            for i in range(k):
+                hi = h2[:, i]
+                up, down = shift(rows, i, hi), shift(rows, i, -hi)
+                out[:, i, i] = (g(up) - 2 * value + g(down)) / hi**2
+                for j in range(i + 1, k):
+                    hj = h2[:, j]
+                    out[:, i, j] = out[:, j, i] = (
+                        g(shift(up, j, hj)) - g(shift(up, j, -hj))
+                        - g(shift(down, j, hj)) + g(shift(down, j, -hj))
+                    ) / (4 * hi * hj)
+            return 0.5 * (out + out.transpose(0, 2, 1))
+
+        dpp = second_differences(lambda rows: f(xs, etas, rows), ps, h2p)
+        detaeta = second_differences(lambda rows: f(xs, rows, ps), etas, h2e)
         for i in range(n):
             hi = h2p[:, i]
             up, down = shift(ps, i, hi), shift(ps, i, -hi)
-            dpp[:, i, i] = (f(xs, etas, up) - 2 * value + f(xs, etas, down)) / hi**2
-            for j in range(i + 1, n):
-                hj = h2p[:, j]
-                dpp[:, i, j] = dpp[:, j, i] = (
-                    f(xs, etas, shift(up, j, hj)) - f(xs, etas, shift(up, j, -hj))
-                    - f(xs, etas, shift(down, j, hj)) + f(xs, etas, shift(down, j, -hj))
-                ) / (4 * hi * hj)
             for j in range(ne):
                 hj = h2e[:, j]
                 e_up, e_down = shift(etas, j, hj), shift(etas, j, -hj)
@@ -252,8 +275,7 @@ class LagrangianModel:
                 f(xs + h2x, etas, up) - f(xs - h2x, etas, up)
                 - f(xs + h2x, etas, down) + f(xs - h2x, etas, down)
             ) / (4 * hi * h2x)
-        dpp = 0.5 * (dpp + dpp.transpose(0, 2, 1))
-        return JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx)
+        return JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx, detaeta)
 
     def eval(self, x: float, eta, p) -> float:
         """L at one point."""
@@ -310,7 +332,7 @@ class PowerNormModel(LagrangianModel):
                 np.eye(n) + (s - 2) * unit[:, :, None] * unit[:, None, :])
         dpp[apex] = 2.0 * np.eye(n) if s == 2 else 0.0
         return JetDerivatives(value, dp, zeros, np.zeros_like(rho), dpp,
-                              np.zeros_like(dpp), zeros)
+                              np.zeros_like(dpp), zeros, np.zeros_like(dpp))
 
 
 class DataAssimilationModel(LagrangianModel):
@@ -362,6 +384,7 @@ class DataAssimilationModel(LagrangianModel):
             np.broadcast_to(2.0 * np.eye(n), (m, n, n)),
             np.broadcast_to(-2.0 * self.A, (m, n, n)),
             -2.0 * cdx,
+            np.broadcast_to(2.0 * (self.K.T @ self.K) + 2.0 * (self.A.T @ self.A), (m, n, n)),
         )
 
 
@@ -435,6 +458,8 @@ class RadialModel(LagrangianModel):
             f1[:, :, None] * np.eye(self.dim) + f2[:, :, None] * w[:, :, None] * w[:, None, :],
             -f2[:, :, None] * w[:, :, None] * at_w[:, None, :] - f1[:, :, None] * self.A,
             -f2 * w_cdx * w - f1 * cdx,
+            f1[:, :, None] * (self.A.T @ self.A)
+            + f2[:, :, None] * at_w[:, :, None] * at_w[:, None, :],
         )
 
 

@@ -1,46 +1,56 @@
 """Power-energy minimization over paths with clamped affine boundary values.
 
-``minimize_power`` runs a limited-memory quasi-Newton descent (two-loop
-recursion, Armijo backtracking) on the normalized power root for one
-exponent m.  It prepares one ``MidpointPowerRule`` (the rule behind the
-public ``power_energy`` and ``power_energy_gradient``) per solve, evaluates L
-once per trial iterate, and takes the gradient of an accepted trial from that
-trial's samples and one first-order jet.  ``m_sweep`` chains solves over the
-exponents m = 2, 4, 8, ... up to ``m_max``, warm-starting each exponent from
-the previous minimizer, and extracts the final path as the sup-energy
-candidate.  Everything is deterministic: fixed accumulation order, no
-randomness unless restarts > 1, in which case the perturbed starts are drawn
-from a caller-supplied seed.
+``minimize_power`` runs a damped Newton descent (exact Hessian, Armijo
+backtracking) on the normalized power root for one exponent m.  It prepares
+one ``MidpointPowerRule`` (the rule behind the public ``power_energy`` and
+``power_energy_gradient``) per solve, evaluates L once per trial iterate,
+takes the gradient of an accepted trial from that trial's samples and one
+first-order jet, and each Newton direction from the current samples and one
+second-order jet.  ``m_sweep`` chains solves over the exponents m = 2, 4, 8,
+... up to ``m_max``, warm-starting each exponent from the previous
+minimizer, and extracts the final path as the sup-energy candidate.
+Everything is deterministic: fixed accumulation order, no randomness unless
+restarts > 1, in which case the perturbed starts are drawn from a
+caller-supplied seed.
 
-The line search and the quasi-Newton memory are constants, not options, as
-no caller has needed other values.  Each line search tries the full
-quasi-Newton step first (``INIT_STEP`` = 1; the two-loop recursion scales the
-direction to a Newton-sized step), halves it (``BACKTRACK`` = 0.5) until the
-Armijo condition with the customary constant ``SUFFICIENT_DECREASE`` = 1e-4
-holds, and fails below ``MIN_STEP`` = 1e-20, far below the resolution of a
-double at unit scale.  ``HISTORY`` = 10 curvature pairs is the usual L-BFGS
-memory (Nocedal & Wright, *Numerical Optimization*, ch. 3 and 7).  What a
-caller sets in ``SolveOptions`` is the stopping rule: the gradient tolerance
-and the iteration budget.
+The midpoint rule couples only neighbouring nodes, so the Hessian of the
+root is block tridiagonal with N x N blocks (``MidpointPowerRule.hessian``)
+minus one rank-one term, ``(m-1)/root g g^T``.  ``_block_tridiagonal_solve``
+eliminates the block-tridiagonal part in O(M N^3) for M nodes, and since the
+rank-one vector is the gradient, the right-hand side of the Newton system,
+Sherman-Morrison turns that one solve into the exact Newton step.  The
+problem is conditioned like a discrete Laplacian, 1/h^2, which a
+first-order method pays for with iteration counts linear in M; Newton's do
+not grow with M (Nocedal & Wright, *Numerical Optimization*, ch. 3).  When
+the direction is not a finite descent direction, as where L is not convex
+or the Hessian is singular, the iteration steps along -g instead.
+
+The line search is constant, not an option, as no caller has needed other
+values.  Each line search tries the full Newton step first (``INIT_STEP`` =
+1, the step that minimises the local quadratic model, so near a minimiser
+it is accepted and convergence is quadratic), halves it (``BACKTRACK`` =
+0.5) until the Armijo condition with the customary constant
+``SUFFICIENT_DECREASE`` = 1e-4 holds, and fails below ``MIN_STEP`` = 1e-20,
+far below the resolution of a double at unit scale.  What a caller sets in
+``SolveOptions`` is the stopping rule: the gradient tolerance and the
+iteration budget.
 
 A solve stops for one of four reasons, reported as ``SolveStats.stop_reason``:
 ``grad_tol`` (the largest gradient component is at most ``grad_tol``; the
 only one that counts as converged), ``max_iters``, ``line_search`` (no step
 down to ``MIN_STEP`` passed the Armijo test) or ``stalled``.  ``stalled``
 means the accepted trial equals the current nodal values bit for bit: the
-step is lost to round-off, so the objective and the gradient are those of
-the current iterate, ``y = 0`` fails the curvature test and the memory is
-unchanged.  Every later iteration would repeat this one exactly until
-``max_iters``, so the stop changes no returned value and needs no tolerance
-(a rule on f alone is not exact: converging solves run a dozen iterations
-in which f moves by less than a few ulps).  The no-op trial counts in
-``f_evals`` but not in ``iterations``.  A sweep reports its own
+step is lost to round-off, so the next iteration would start from the same
+values, take the same direction and find the same trial, and so would every
+later one until ``max_iters``.  The stop changes no returned value and
+needs no tolerance (a rule on f alone is not exact: converging solves can
+run iterations in which f moves by less than a few ulps).  The no-op trial
+counts in ``f_evals`` but not in ``iterations``.  A sweep reports its own
 ``stop_reason``: ``tol_sweep``, ``m_max`` or ``aborted``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +65,6 @@ INIT_STEP = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-20
-HISTORY = 10
 
 
 @dataclass(frozen=True)
@@ -175,14 +184,13 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
 
     samples = rule.samples(model, values)
     f = samples.root
-    g = rule.gradient(model, samples)[free]
+    grad = rule.gradient(model, samples)
     f_evals = 1
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
         raise NonFinite("objective or gradient not finite at the initial path")
 
-    memory: deque = deque(maxlen=HISTORY)
     iterations = 0
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    gnorm = float(np.max(np.abs(grad[free]))) if grad[free].size else 0.0
 
     while True:
         if gnorm <= opts.grad_tol:
@@ -191,9 +199,10 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         if iterations >= opts.max_iters:
             stop_reason = "max_iters"
             break
-        d = _two_loop_direction(memory, g)
+        g = grad[free]
+        d = _newton_direction(rule, model, samples, grad)[free]
         slope = float(np.sum(d * g))
-        if slope >= 0.0:  # not a descent direction; fall back to steepest descent
+        if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
             d = -g
             slope = -float(np.sum(g * g))
         step = INIT_STEP
@@ -214,38 +223,55 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         if np.array_equal(trial, values):  # the step is lost to round-off
             stop_reason = "stalled"
             break
-        g_trial = rule.gradient(model, trial_samples)[free]
-        s = step * d
-        y = g_trial - g
-        sy = float(np.sum(s * y))
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            memory.append((s, y, 1.0 / sy))
-        values, f, g = trial, f_trial, g_trial
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        values, f, samples = trial, f_trial, trial_samples
+        grad = rule.gradient(model, samples)
+        gnorm = float(np.max(np.abs(grad[free]))) if grad[free].size else 0.0
         iterations += 1
 
     stats = SolveStats(iterations, gnorm, f, stop_reason, f_evals)
     return Path(grid, values), stats
 
 
-def _two_loop_direction(memory, g):
-    """L-BFGS two-loop recursion; s, y, g and the result share one shape."""
-    d = -g
-    if not memory:
-        return d
-    alphas = []
-    for s, y, rho in reversed(memory):
-        a = rho * float(np.sum(s * d))
-        alphas.append(a)
-        d = d - a * y
-    s_last, y_last, _ = memory[-1]
-    yy = float(np.sum(y_last * y_last))
-    if yy > 0:
-        d = d * (float(np.sum(s_last * y_last)) / yy)
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
-        b = rho * float(np.sum(y * d))
-        d = d + (a - b) * s
-    return d
+def _newton_direction(rule: MidpointPowerRule, model: LagrangianModel, samples, grad):
+    """The Newton direction -H^{-1} grad of the normalized root, one row per
+    node, or NaN rows when the element part of H is singular.
+
+    H is the rule's block-tridiagonal element part B minus the rank-one term
+    sigma grad grad^T, sigma = (m-1)/root.  The right-hand side is that same
+    vector, so Sherman-Morrison reduces to a scalar: with z = B^{-1} grad,
+    H^{-1} grad = z / (1 - sigma grad.z), one single-column block solve.
+    """
+    diag, upper = rule.hessian(model, samples)
+    sigma = (rule.m - 1) / samples.root
+    with np.errstate(all="ignore"):  # a singular or indefinite H fails the descent test
+        try:
+            z = _block_tridiagonal_solve(diag, upper, grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return np.full_like(grad, np.nan)
+        return -z / (1.0 - sigma * float(np.sum(grad * z)))
+
+
+def _block_tridiagonal_solve(diag, upper, rhs):
+    """Solve the symmetric block-tridiagonal system with diagonal blocks
+    ``diag`` (K, N, N), blocks ``upper`` (K-1, N, N) above the diagonal and
+    their transposes below, for ``rhs`` (K, N, C), by block Thomas
+    elimination (Golub & Van Loan, *Matrix Computations*, 4.5): K solves of
+    an N x N pivot block, O(K N^3).  Each ``np.linalg.solve`` takes a 2-D
+    right-hand side, which numpy 1 and 2 read alike."""
+    k, n = diag.shape[0], diag.shape[1]
+    gains = np.empty_like(upper)  # pivot^{-1} upper
+    partial = np.empty_like(rhs)  # pivot^{-1} (eliminated rhs)
+    pivot, right = diag[0], rhs[0]
+    for i in range(k - 1):
+        solved = np.linalg.solve(pivot, np.concatenate([upper[i], right], axis=1))
+        gains[i], partial[i] = solved[:, :n], solved[:, n:]
+        pivot = diag[i + 1] - upper[i].T @ gains[i]
+        right = rhs[i + 1] - upper[i].T @ partial[i]
+    out = np.empty_like(rhs)
+    out[-1] = np.linalg.solve(pivot, right)
+    for i in range(k - 2, -1, -1):
+        out[i] = partial[i] - gains[i] @ out[i + 1]
+    return out
 
 
 def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,

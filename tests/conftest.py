@@ -45,6 +45,31 @@ def random_builtin_model(rng, dim):
     return sm.RadialModel(profile, A, c)
 
 
+def drift_model(A=((0.0, 0.0), (0.0, 0.0))):
+    """L = |p - (A eta + c(x))|^2 with c = (sin 2 pi x, cos 3x) on 8 knots: the
+    drift oracle, and with a skew A the rotating drift oracle."""
+    knots = np.linspace(0.0, 1.0, 9)
+    c = sm.SampledSignal(knots, np.column_stack([np.sin(2 * np.pi * knots), np.cos(3 * knots)]))
+    zero = sm.SampledSignal.from_rows([[0.0, 0.0], [1.0, 0.0]])
+    return sm.DataAssimilationModel(np.zeros((1, 2)), zero, A, c)
+
+
+ROTATION = ((0.0, 1.0), (-1.0, 0.0))
+
+
+def dense_block_tridiagonal(diag, upper):
+    """The dense symmetric matrix with diagonal blocks ``diag`` and blocks
+    ``upper`` above the diagonal."""
+    k, n = diag.shape[:2]
+    dense = np.zeros((k, n, k, n))
+    for i in range(k):
+        dense[i, :, i, :] = diag[i]
+    for i in range(k - 1):
+        dense[i, :, i + 1, :] = upper[i]
+        dense[i + 1, :, i, :] = upper[i].T
+    return dense.reshape(k * n, k * n)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

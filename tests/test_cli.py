@@ -83,6 +83,24 @@ class TestSolve:
         assert doc["aborted"] is True and doc["error"]
         assert doc["stop_reason"] == "aborted"
 
+    def test_unconverged_record_exit_2(self, tmp_path, capsys):
+        """A sweep whose solves stop short of ``grad_tol`` writes every
+        artifact but does not exit 0, and names each such record."""
+        lagrangian = dict(da_lagrangian(),
+                          c=[[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]])
+        cfg = write_config(tmp_path, lagrangian=lagrangian, grid_points=17,
+                          boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
+                          solve={"max_iters": 1}, schedule={"m_max": 4})
+        assert cli.main(["solve", cfg]) == 2
+        out = tmp_path / "out"
+        for name in ("sweep.json", "candidate.csv", "energies.csv", "residuals.csv"):
+            assert (out / name).exists()
+        doc = json.loads((out / "sweep.json").read_text())
+        assert [rec["stop_reason"] for rec in doc["records"]] == ["max_iters", "max_iters"]
+        assert doc["aborted"] is False
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["solve: m=2 stopped at max_iters", "solve: m=4 stopped at max_iters"]
+
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, schedule={"m_strt": 2})
         assert cli.main(["solve", cfg]) == 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import supmin as sm
+from supmin.energy import MidpointPowerRule
 
-from conftest import random_builtin_model, random_path
+from conftest import (ROTATION, dense_block_tridiagonal, drift_model, random_builtin_model,
+                      random_path)
 
 EPS = np.finfo(float).eps
 
@@ -181,6 +183,72 @@ class TestGradient:
         fd[9:] = 0.0  # clamped rows by convention
         rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(analytic)))
         assert rel < 1e-5
+
+
+def dense_root_hessian(model, path, m, subinterval=None):
+    """The Hessian of the normalized root over every node: the rule's
+    block-tridiagonal element part assembled densely, minus (m-1)/root g g^T."""
+    rule = MidpointPowerRule(path.grid, m, subinterval)
+    samples = rule.samples(model, path.values)
+    g = rule.gradient(model, samples).ravel()
+    return (dense_block_tridiagonal(*rule.hessian(model, samples))
+            - (m - 1) / samples.root * np.outer(g, g))
+
+
+def fd_root_hessian(model, path, m, subinterval=None, h=1e-4):
+    """Central differences of ``power_energy_gradient`` in every nodal value."""
+    base = np.array(path.values)
+    cols = []
+    for i in range(base.shape[0]):
+        for j in range(base.shape[1]):
+            up, dn = base.copy(), base.copy()
+            up[i, j] += h
+            dn[i, j] -= h
+            cols.append((sm.power_energy_gradient(model, sm.Path(path.grid, up), m, subinterval)
+                         - sm.power_energy_gradient(model, sm.Path(path.grid, dn), m, subinterval)
+                         ).ravel() / (2 * h))
+    return np.column_stack(cols)
+
+
+class TestHessian:
+    @pytest.mark.parametrize("name", ["power_norm_3", "power_norm_4", "data_assimilation",
+                                      "rotating_drift", "radial_power", "radial_identity",
+                                      "min_norms", "custom", "scaled"])
+    def test_matches_finite_differences_of_gradient(self, name, rng):
+        signal = sm.SampledSignal(np.linspace(-0.5, 1.5, 5), rng.normal(scale=0.5, size=(5, 2)))
+        da = sm.DataAssimilationModel(rng.normal(scale=0.5, size=(1, 2)),
+                                      sm.SampledSignal(np.linspace(-0.5, 1.5, 5),
+                                                       rng.normal(scale=0.5, size=(5, 1))),
+                                      rng.normal(scale=0.3, size=(2, 2)), signal)
+        model = {
+            "power_norm_3": lambda: sm.PowerNormModel(3.0, rng.normal(size=2)),
+            "power_norm_4": lambda: sm.PowerNormModel(4.0, rng.normal(size=2)),
+            "data_assimilation": lambda: da,
+            "rotating_drift": lambda: drift_model(ROTATION),
+            "radial_power": lambda: sm.RadialModel(sm.radial_profile("power", gamma=1.7),
+                                                   rng.normal(scale=0.5, size=(2, 2)), signal),
+            "radial_identity": lambda: sm.RadialModel(sm.radial_profile("identity"),
+                                                      rng.normal(scale=0.5, size=(2, 2)), signal),
+            "min_norms": lambda: sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
+            "custom": lambda: sm.CustomModel(
+                lambda x, e, p: (p[0] - x) ** 2 + (1.0 + np.sin(e[1]) ** 2) * p[1] ** 4
+                + e[0] ** 2 * p[0] ** 2, dim=2),
+            "scaled": lambda: sm.ScaledModel(da, 3.0),
+        }[name]()
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        nodes = grid.nodes
+        worst = 0.0
+        for m, sub in ((2, None), (8, None), (4, (nodes[1] + 0.03, nodes[6] - 0.05))):
+            path = random_path(rng, grid=grid, dim=2, scale=0.5)
+            exact = dense_root_hessian(model, path, m, sub)
+            fd = fd_root_hessian(model, path, m, sub)
+            clamped = np.repeat(MidpointPowerRule(grid, m, sub).clamped, 2)
+            free = np.ix_(~clamped, ~clamped)
+            worst = max(worst, np.max(np.abs(exact[free] - fd[free]))
+                        / (1.0 + np.max(np.abs(exact[free]))))
+            assert np.array_equal(exact[np.ix_(clamped, clamped)], np.eye(int(clamped.sum())))
+            assert np.all(exact[np.ix_(clamped, ~clamped)] == 0.0)
+        assert worst < 1e-6
 
 
 class TestJensenGap:

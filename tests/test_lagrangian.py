@@ -11,7 +11,7 @@ from conftest import random_builtin_model
 def jet_block_errors(a, b):
     """Per-block relative deviation between two jets."""
     out = []
-    for name in ("value", "dp", "deta", "dx", "dpp", "dpeta", "dpx"):
+    for name in ("value", "dp", "deta", "dx", "dpp", "dpeta", "dpx", "detaeta"):
         xa, xb = np.atleast_1d(getattr(a, name)), np.atleast_1d(getattr(b, name))
         out.append(np.max(np.abs(xa - xb)) / (1.0 + np.max(np.abs(xb))))
     return max(out)
@@ -328,6 +328,20 @@ class TestGrowthBounds:
             sm.GrowthParams(1.0, 0.0, 0.0, 3.0, 2.0)
         with pytest.raises(sm.SupminError):
             sm.GrowthParams(-1.0, 0.0, 0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("h_bound", [float("nan"), -1.0, np.inf])
+    def test_h_bound_must_be_finite_and_nonnegative(self, h_bound):
+        """A NaN h_bound would pass every upper comparison: with it,
+        |p|^4 <= h |p|^2 was certified where h = 1 has witnesses."""
+        with pytest.raises(sm.SupminError, match="h_bound must be finite and nonnegative"):
+            sm.GrowthParams(0.0, 0.0, 0.0, 2.0, 2.0, h_bound=h_bound)
+
+    def test_nonfinite_envelope_raises(self):
+        growth = sm.GrowthParams(0.0, 0.0, 0.0, 2.0, 2.0,
+                                 lambda x, eta: np.nan if x > 0.5 else 1.0)
+        with pytest.raises(sm.NonFinite, match="growth envelope h_bound is not finite"):
+            sm.check_growth_bounds(sm.PowerNormModel(4.0, [0.0]), growth,
+                                   sm.SamplePlan(num_triples=200))
 
 
 class TestDecomposition:

@@ -1,11 +1,13 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
 import supmin as sm
-from supmin.solver import (BACKTRACK, HISTORY, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE,
-                           _two_loop_direction)
+from supmin.energy import MidpointPowerRule
+from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE,
+                           _block_tridiagonal_solve, _newton_direction)
+
+from conftest import ROTATION, dense_block_tridiagonal, drift_model
+from test_energy import dense_root_hessian
 
 
 def normal_equations_path(grid, bmap, velocity):
@@ -44,8 +46,9 @@ def spike_init(grid, bmap, bump):
 
 def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
     """The solver's loop written the plain way: a Path, ``power_energy`` and
-    ``power_energy_gradient`` per trial, the gradient evaluated afresh, and no
-    fixed-point stop (it runs on until ``max_iters``)."""
+    ``power_energy_gradient`` per trial, the gradient and the Newton direction
+    evaluated afresh from a new rule at every iterate, and no fixed-point stop
+    (it runs on until ``max_iters``)."""
     opts = options or sm.SolveOptions()
     init = init if init is not None else sm.interpolate_affine(boundary, grid)
     values = np.array(init.values)
@@ -56,17 +59,21 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         return sm.power_energy(model, sm.Path(grid, v), m).normalized_root
 
     def gval(v):
-        return sm.power_energy_gradient(model, sm.Path(grid, v), m)[free]
+        return sm.power_energy_gradient(model, sm.Path(grid, v), m)
 
-    f, g = fval(values), gval(values)
+    def newton(v, grad):
+        rule = MidpointPowerRule(grid, m)
+        return _newton_direction(rule, model, rule.samples(model, v), grad)[free]
+
+    f, grad = fval(values), gval(values)
     f_evals = 1
-    memory = deque(maxlen=HISTORY)
     iterations, failed = 0, False
-    gnorm = float(np.max(np.abs(g)))
+    gnorm = float(np.max(np.abs(grad[free])))
     while gnorm > opts.grad_tol and iterations < opts.max_iters:
-        d = _two_loop_direction(memory, g)
+        g = grad[free]
+        d = newton(values, grad)
         slope = float(np.sum(d * g))
-        if slope >= 0.0:
+        if not -np.inf < slope < 0.0:
             d, slope = -g, -float(np.sum(g * g))
         step, accepted = INIT_STEP, False
         while step >= MIN_STEP:
@@ -81,25 +88,12 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         if not accepted:
             failed = True
             break
-        g_trial = gval(trial)
-        s, y = step * d, g_trial - g
-        sy = float(np.sum(s * y))
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            memory.append((s, y, 1.0 / sy))
-        values, f, g = trial, f_trial, g_trial
-        gnorm = float(np.max(np.abs(g)))
+        values, f, grad = trial, f_trial, gval(trial)
+        gnorm = float(np.max(np.abs(grad[free])))
         iterations += 1
     reason = "line_search" if failed else "grad_tol" if gnorm <= opts.grad_tol else "max_iters"
     stats = sm.SolveStats(iterations, gnorm, f, reason, f_evals)
     return sm.Path(grid, values), stats
-
-
-def drift_model():
-    """L = |p - c(x)|^2 with c = (sin 2 pi x, cos 3x) on 8 knots."""
-    knots = np.linspace(0.0, 1.0, 9)
-    c = sm.SampledSignal(knots, np.column_stack([np.sin(2 * np.pi * knots), np.cos(3 * knots)]))
-    zero = sm.SampledSignal.from_rows([[0.0, 0.0], [1.0, 0.0]])
-    return sm.DataAssimilationModel(np.zeros((1, 2)), zero, np.zeros((2, 2)), c)
 
 
 def da_rot_model():
@@ -133,8 +127,9 @@ def loop_reference_cases():
         "drift-oracle-m8": (drift_model(), grid17, drift_bmap, 8,
                             perturbed_start(grid17, drift_bmap, 1), None),
         "da-rot-17": (da_rot_model(), grid17, rot_bmap, 2, None, sm.SolveOptions(max_iters=40)),
+        # non-convex: two of its Newton directions fail the descent test
         "min-norms": (sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0), grid17,
-                      zig_bmap, 4, perturbed_start(grid17, zig_bmap, 2),
+                      zig_bmap, 4, perturbed_start(grid17, zig_bmap, 1),
                       sm.SolveOptions(max_iters=30)),
         "radial": (radial, grid17, rot_bmap, 4, perturbed_start(grid17, rot_bmap, 4),
                    sm.SolveOptions(max_iters=60)),
@@ -155,18 +150,19 @@ def test_minimize_power_matches_loop_reference(case):
 
 
 def test_fixed_point_stop_changes_no_returned_value():
-    """On 17-node DA-rot at m=2 the accepted trial equals the current values
-    bitwise after 108 iterations; every later iteration repeats that one, so
-    stopping there returns what the run to ``max_iters`` returns."""
+    """On 17-node DA-rot at m=2, with ``grad_tol`` below the round-off floor
+    of the gradient, the accepted trial equals the current values bitwise
+    after 7 iterations; every later iteration repeats that one, so stopping
+    there returns what the run to ``max_iters`` returns."""
     grid = sm.Grid.uniform(0.0, 1.0, 17)
     bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
-    options = sm.SolveOptions(max_iters=400)
+    options = sm.SolveOptions(max_iters=100, grad_tol=1e-15)
     path, stats = sm.minimize_power(da_rot_model(), grid, bmap, 2, options=options)
     ref_path, ref_stats = reference_minimize_power(da_rot_model(), grid, bmap, 2,
                                                    options=options)
-    assert (stats.stop_reason, stats.iterations, stats.f_evals) == ("stalled", 108, 235)
+    assert (stats.stop_reason, stats.iterations, stats.f_evals) == ("stalled", 7, 10)
     assert (ref_stats.stop_reason, ref_stats.iterations, ref_stats.f_evals) == (
-        "max_iters", 400, 7510)
+        "max_iters", 100, 194)
     assert not stats.converged and not stats.line_search_failed
     assert np.array_equal(path.values, ref_path.values)
     assert stats.objective == ref_stats.objective
@@ -191,16 +187,24 @@ def count_model_calls(model):
     return calls
 
 
+def newton_jet_orders(stats):
+    """The orders of a solve's jet_many calls: the start's gradient, then a
+    Hessian and the accepted trial's gradient per iteration, and one more
+    Hessian when the last direction found no new iterate."""
+    extra = [2] if stats.stop_reason in ("line_search", "stalled") else []
+    return [1] + [2, 1] * stats.iterations + extra
+
+
 class TestSolveCounts:
     def test_analytic_model_one_eval_per_objective(self):
         model = da_rot_model()
         calls = count_model_calls(model)
         grid = sm.Grid.uniform(0.0, 1.0, 17)
-        _, stats = sm.minimize_power(model, grid, sm.AffineMap([0.0, 0.0], [1.0, 1.0]), 2,
-                                     options=sm.SolveOptions(max_iters=25))
-        assert stats.iterations == 25 and stats.f_evals > stats.g_evals == 26
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
+        _, stats = sm.minimize_power(model, grid, bmap, 8, perturbed_start(grid, bmap, 1))
+        assert stats.converged and stats.f_evals > stats.g_evals == stats.iterations + 1 > 1
         assert calls["eval_many"] == stats.f_evals
-        assert calls["jet_orders"] == [1] * stats.g_evals
+        assert calls["jet_orders"] == newton_jet_orders(stats)
 
     def test_finite_difference_model_nine_evals_per_gradient(self):
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
@@ -210,8 +214,9 @@ class TestSolveCounts:
         _, stats = sm.minimize_power(model, grid, bmap, 4, perturbed_start(grid, bmap, 2),
                                      sm.SolveOptions(max_iters=20))
         assert stats.g_evals == stats.iterations + 1 > 1
-        assert calls["eval_many"] == stats.f_evals + 9 * stats.g_evals
-        assert calls["jet_orders"] == [1] * stats.g_evals
+        assert calls["jet_orders"] == newton_jet_orders(stats)
+        directions = calls["jet_orders"].count(2)
+        assert calls["eval_many"] == stats.f_evals + 9 * stats.g_evals + 51 * directions
 
     def test_sweep_records_carry_counts(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
@@ -244,6 +249,87 @@ class TestSolveCounts:
             "f_evals": sum(s.f_evals for s in solves),
             "g_evals": sum(s.g_evals for s in solves),
         }
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("k, n, cols", [(1, 2, 1), (2, 1, 1), (9, 2, 2), (40, 3, 1)])
+    def test_block_solve_matches_dense_solve(self, k, n, cols, rng):
+        """Block Thomas elimination equals a dense solve of the same system."""
+        upper = rng.normal(size=(k - 1, n, n))
+        diag = rng.normal(size=(k, n, n))
+        diag = diag + diag.transpose(0, 2, 1) + 4.0 * n * np.eye(n)
+        rhs = rng.normal(size=(k, n, cols))
+        got = _block_tridiagonal_solve(diag, upper, rhs)
+        want = np.linalg.solve(dense_block_tridiagonal(diag, upper), rhs.reshape(k * n, cols))
+        assert np.max(np.abs(got.reshape(k * n, cols) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [2, 8, 64])
+    def test_direction_solves_the_exact_hessian(self, m):
+        """The Sherman-Morrison scaling of the block solve is the dense
+        Newton step with the rank-one term of the root included."""
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
+        model = drift_model(ROTATION)
+        # near the minimiser, where every sample is close to the largest one:
+        # far from it the weights ratio^(m-1) make H singular to round-off
+        values = sm.minimize_power(model, grid, bmap, m)[0].values.copy()
+        values[1:-1] += np.random.default_rng(5).normal(scale=1e-3, size=values[1:-1].shape)
+        rule = MidpointPowerRule(grid, m)
+        samples = rule.samples(model, values)
+        grad = rule.gradient(model, samples)
+        hess = dense_root_hessian(model, sm.Path(grid, values), m)
+        want = np.linalg.solve(hess, -grad.ravel())
+        got = _newton_direction(rule, model, samples, grad).ravel()
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.all(got.reshape(grad.shape)[[0, -1]] == 0.0)
+
+    def test_singular_hessian_falls_back_to_steepest_descent(self):
+        """|p|^4 is flat to second order at p = 0, so a node between two flat
+        elements has a zero Hessian block: the direction is NaN, the solver
+        steps along -g and then converges by Newton steps."""
+        grid = sm.Grid.uniform(0.0, 1.0, 5)
+        model = sm.PowerNormModel(4.0, [0.0])
+        bmap = sm.AffineMap([0.0], [1.0])
+        init = sm.Path(grid, np.array([[0.0], [0.0], [0.0], [0.5], [1.0]]))
+        rule = MidpointPowerRule(grid, 2)
+        samples = rule.samples(model, init.values)
+        grad = rule.gradient(model, samples)
+        assert np.any(grad != 0.0)
+        assert np.all(np.isnan(_newton_direction(rule, model, samples, grad)))
+        path, stats = sm.minimize_power(model, grid, bmap, 2, init)
+        assert stats.converged
+        np.testing.assert_allclose(path.values, sm.interpolate_affine(bmap, grid).values,
+                                   atol=1e-8)
+
+
+class TestConvergenceUnderRefinement:
+    @staticmethod
+    def m2_iterations(A):
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
+        counts = []
+        for nodes in (17, 33, 65, 129):
+            _, stats = sm.minimize_power(drift_model(A), sm.Grid.uniform(0.0, 1.0, nodes), bmap, 2)
+            assert stats.converged
+            counts.append(stats.iterations)
+        return counts
+
+    def test_drift_oracle_iterations_flat_in_grid_size(self):
+        """Newton's m=2 iteration count does not grow with the number of
+        nodes, where a first-order method's grows like the 1/h^2 condition
+        number of the discrete Laplacian."""
+        counts = self.m2_iterations(((0.0, 0.0), (0.0, 0.0)))
+        assert len(set(counts)) == 1 and counts[0] <= 10, counts
+        assert max(self.m2_iterations(ROTATION)) <= 10
+
+    @pytest.mark.parametrize("nodes", [17, 33, 65, 129])
+    def test_da_rot_every_record_converges(self, nodes):
+        """DA-rot with the CLI's defaults: every exponent of the sweep stops at
+        ``grad_tol``."""
+        res = sm.m_sweep(da_rot_model(), sm.Grid.uniform(0.0, 1.0, nodes),
+                         sm.AffineMap([0.0, 0.0], [1.0, 1.0]), sm.SweepSchedule(),
+                         sm.SolveOptions())
+        assert [rec.m for rec in res.records] == sm.SweepSchedule().exponents()
+        assert [rec.stats.stop_reason for rec in res.records] == ["grad_tol"] * len(res.records)
 
 
 class TestMinimizePower:
