@@ -66,7 +66,7 @@ class SecondOrderPoint:
 
 def _operator_rows(model: LagrangianModel, xs, values, slopes, curvatures) -> np.ndarray:
     """The operator at rows of points, shape (M, N), from one batched jet."""
-    jet = model.jet_many(xs, values, slopes, order=2)
+    jet = model.jet_many(xs, values, slopes)
     proj = normal_projection(jet.dp)
     scale = jet.value[:, None, None] * proj
     lead = jet.dp[:, :, None] * jet.dp[:, None, :] + scale @ jet.dpp
@@ -80,7 +80,7 @@ def _operator_rows(model: LagrangianModel, xs, values, slopes, curvatures) -> np
 
 
 def aronsson_operator(model: LagrangianModel, pt: SecondOrderPoint) -> np.ndarray:
-    """Evaluate the operator at one point; needs jets to second order."""
+    """Evaluate the operator at one point."""
     return _operator_rows(model, np.array([pt.x]), pt.value[None], pt.slope[None],
                           pt.curvature[None])[0]
 

@@ -17,12 +17,11 @@ ascending index order so results are bit-reproducible.
 
 One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
 order and subinterval, it turns nodal values into ``PowerSamples`` with one
-``eval_many`` call, samples into the gradient with one first-order
-``jet_many`` call, and samples into the block-tridiagonal part of the
-Hessian with one second-order ``jet_many`` call: element e reads only nodes
+``eval_many`` call, and samples into the gradient and the block-tridiagonal
+part of the Hessian with one ``jet_many`` call: element e reads only nodes
 e and e + 1, so only neighbouring nodes are coupled.  The solver keeps one
-rule per solve and reuses an accepted trial's samples for its gradient and
-Newton direction; ``power_energy``, ``power_energy_gradient`` and
+rule per solve and takes an accepted trial's gradient and Hessian from that
+trial's samples; ``power_energy``, ``power_energy_gradient`` and
 ``sup_energy`` are one-call wrappers around the same rule.
 """
 
@@ -94,9 +93,9 @@ class MidpointPowerRule:
     ``xs`` and their offsets ``theta`` in the element, and the clamped nodes.
 
     ``samples`` evaluates L at the midpoints of a path (one ``eval_many``
-    call); ``gradient`` turns those samples into the gradient with respect to
-    nodal values (one ``jet_many(order=1)`` call) and ``hessian`` into the
-    element part of the Hessian (one ``jet_many(order=2)`` call).
+    call); ``derivatives`` turns those samples into the gradient with
+    respect to nodal values and the element part of the Hessian (one
+    ``jet_many`` call).
     """
 
     def __init__(self, grid: Grid, m: int, subinterval=None):
@@ -137,51 +136,47 @@ class MidpointPowerRule:
             raise NonFinite("normalized power root is not finite")
         return PowerSamples(slopes, etas, top, ratios, weight_sum, outer)
 
-    def gradient(self, model: LagrangianModel, samples: PowerSamples) -> np.ndarray:
-        """Gradient of the normalized root at the sampled path, one row per
-        node; rows of clamped nodes (on or outside the closed subinterval)
-        are zero."""
-        idx, m = self.idx, self.m
-        grad = np.zeros((self.clamped.size, samples.slopes.shape[1]))
-        if samples.top == 0.0:
-            return grad
-        ratios = samples.ratios
-        # d(root)/dL_e in factored form: stays representable for every m
-        coeffs = (samples.outer * self.lengths * ratios ** (m - 1) / samples.weight_sum)[:, None]
-        jet = model.jet_many(self.xs, samples.etas, samples.slopes, order=1)
-        d_slope = jet.dp / self.elem_len[:, None]
-        # each node takes its left element's right share and its right element's
-        # left share; two terms added to zero round the same in either order
-        grad[idx] += coeffs * ((1.0 - self.theta) * jet.deta - d_slope)
-        grad[idx + 1] += coeffs * (self.theta * jet.deta + d_slope)
-        grad[self.clamped] = 0.0
-        if not np.all(np.isfinite(grad)):
-            raise NonFinite("power energy gradient is not finite")
-        return grad
+    def derivatives(self, model: LagrangianModel, samples: PowerSamples):
+        """Gradient and element part of the Hessian of the normalized root at
+        the sampled path, from one ``jet_many`` call: ``(grad, (diag,
+        upper))``.
 
-    def hessian(self, model: LagrangianModel, samples: PowerSamples):
-        """The element part of the Hessian of the normalized root at the
-        sampled path, as its block-tridiagonal ``(diag, upper)``: ``diag[i]``
-        couples node i with itself, ``upper[i]`` node i with node i + 1, each
-        N x N.  Clamped nodes get identity diagonal blocks and no coupling.
+        ``grad`` has one row per node.  The element part is block
+        tridiagonal: ``diag[i]`` couples node i with itself, ``upper[i]``
+        node i with node i + 1, each N x N.  Clamped nodes (on or outside the
+        closed subinterval) get zero gradient rows, identity diagonal blocks
+        and no coupling.
 
         With ``coeff_e`` the derivative of the root in L_e, the element part
         is ``sum_e coeff_e J_e^T (H_e + (m-1)/L_e grad L_e grad L_e^T) J_e``,
         H_e the (eta, p) Hessian of L and J_e the map from the element's two
-        nodes to (eta_e, p_e); one ``jet_many(order=2)`` call.  The Hessian
-        of the root is this minus ``(m-1)/root g g^T``, g the ``gradient``.
+        nodes to (eta_e, p_e).  The Hessian of the root is this minus
+        ``(m-1)/root g g^T``, g the gradient.
         """
         idx, m = self.idx, self.m
         n_nodes, n = self.clamped.size, samples.slopes.shape[1]
+        grad = np.zeros((n_nodes, n))
         diag = np.zeros((n_nodes, n, n))
         upper = np.zeros((n_nodes - 1, n, n))
         if samples.top != 0.0:
             ratios = samples.ratios
-            scale = samples.outer * self.lengths / samples.weight_sum
-            coeffs = (scale * ratios ** (m - 1))[:, None, None]
+            weighted = samples.outer * self.lengths
+            powers = ratios ** (m - 1)
+            jet = model.jet_many(self.xs, samples.etas, samples.slopes)
+            # d(root)/dL_e in factored form: stays representable for every m
+            g_coeffs = (weighted * powers / samples.weight_sum)[:, None]
+            d_slope = jet.dp / self.elem_len[:, None]
+            # each node takes its left element's right share and its right element's
+            # left share; two terms added to zero round the same in either order
+            grad[idx] += g_coeffs * ((1.0 - self.theta) * jet.deta - d_slope)
+            grad[idx + 1] += g_coeffs * (self.theta * jet.deta + d_slope)
+
+            # the gradient's coefficients again, rounded in another order; one
+            # form for both would move the last bits of every artifact
+            scale = weighted / samples.weight_sum
+            coeffs = (scale * powers)[:, None, None]
             # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
             rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / samples.top)[:, None, None]
-            jet = model.jet_many(self.xs, samples.etas, samples.slopes, order=2)
             # the eta and p weights of an element's left and right node in J_e
             eta_w = (1.0 - self.theta[:, :, None], self.theta[:, :, None])
             inv_len = (1.0 / self.elem_len)[:, None, None]
@@ -198,11 +193,14 @@ class MidpointPowerRule:
             diag[idx + 1] += block(1, 1)
             upper[idx] += block(0, 1)
         clamped = self.clamped
+        grad[clamped] = 0.0
         diag[clamped] = np.eye(n)
         upper[clamped[:-1] | clamped[1:]] = 0.0
+        if not np.all(np.isfinite(grad)):
+            raise NonFinite("power energy gradient is not finite")
         if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(upper))):
             raise NonFinite("power energy Hessian is not finite")
-        return diag, upper
+        return grad, (diag, upper)
 
 
 def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:
@@ -232,7 +230,7 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
     nodes are clamped Dirichlet data of the comparison problem.
     """
     rule = MidpointPowerRule(path.grid, m, subinterval)
-    return rule.gradient(model, rule.samples(model, path.values))
+    return rule.derivatives(model, rule.samples(model, path.values))[0]
 
 
 def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:
@@ -245,7 +243,8 @@ def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:
     if not ps:
         raise SupminError("p_list must be nonempty")
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(ps),) or np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
+    # written so that NaN weights fail it
+    if not (w.shape == (len(ps),) and np.all(w >= 0) and abs(float(np.sum(w)) - 1.0) <= 1e-12):
         raise SupminError("weights must be nonnegative and sum to 1 within 1e-12")
     rows = np.stack(ps)
     rows = np.vstack([rows, np.sum(w[:, None] * rows, axis=0)])

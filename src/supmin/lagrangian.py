@@ -5,18 +5,15 @@ value in R^N, derivative in R^N.  A model answers two batched calls on rows
 xs (M,), etas (M, N), ps (M, N):
 
 * ``eval_many`` the values of L, shape (M,);
-* ``jet_many``  the values with derivatives, one ``JetDerivatives`` whose
-  fields carry a leading row axis.  ``order=2`` (the default) fills every
-  field, the second-order blocks ``dpp``, ``dpeta``, ``detaeta`` and ``dpx``
-  included; the residual profile reads it, and so does the Hessian of the
-  power energy (``MidpointPowerRule.hessian``), which reads the (eta, p)
-  blocks.  ``order=1`` (used by the power-energy gradient) fills only
-  ``value``, ``dp`` and ``deta``, each bitwise equal to its ``order=2``
-  field, and leaves the others None.
+* ``jet_many``  the values with every first and second derivative, one
+  ``JetDerivatives`` whose fields carry a leading row axis.  The power
+  energy's gradient and Hessian (``MidpointPowerRule.derivatives``) read
+  ``dp``, ``deta`` and the (eta, p) blocks of one such jet; the residual
+  profile reads ``dx`` and ``dpx`` too.
 
 ``eval`` and ``jet`` are their one-row cases.  The base class derives
-``jet_many`` from ``eval_many`` by central finite differences (9 calls at
-N=2 for ``order=1``, 51 for ``order=2``); the analytic families override it.
+``jet_many`` from ``eval_many`` by central finite differences (51 calls at
+N=2); the analytic families override it.
 Built-in families:
 
 * ``PowerNormModel``        L = |p - offset|^s
@@ -164,31 +161,26 @@ class JetDerivatives:
     symmetric (symmetrized explicitly when produced by finite differences).
     From ``jet_many`` every field has a leading row axis: ``value`` and
     ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the blocks (M, N, N).
-    ``jet`` returns one row without that axis.  A first-order jet leaves
-    ``dx`` and the blocks None.  Construction rejects non-finite entries in
-    the fields that are set, once for the whole batch.
+    ``jet`` returns one row without that axis.  Construction rejects
+    non-finite entries, once for the whole batch.
     """
 
     value: np.ndarray
     dp: np.ndarray
     deta: np.ndarray
-    dx: np.ndarray | None = None
-    dpp: np.ndarray | None = None
-    dpeta: np.ndarray | None = None
-    dpx: np.ndarray | None = None
-    detaeta: np.ndarray | None = None
+    dx: np.ndarray
+    dpp: np.ndarray
+    dpeta: np.ndarray
+    dpx: np.ndarray
+    detaeta: np.ndarray
 
     def __post_init__(self):
-        if not all(np.all(np.isfinite(v)) for v in self._set_fields().values()):
+        if not all(np.all(np.isfinite(getattr(self, f.name))) for f in fields(self)):
             raise NonFinite("jet contains non-finite entries")
 
-    def _set_fields(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not None}
-
     def map(self, fn) -> "JetDerivatives":
-        """``fn`` applied to every field that is set."""
-        return JetDerivatives(**{k: fn(v) for k, v in self._set_fields().items()})
+        """``fn`` applied to every field."""
+        return JetDerivatives(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
 
 
 def _one_row(x, eta, p):
@@ -212,9 +204,8 @@ class LagrangianModel:
         """L at every row, shape (M,); non-finite or negative values raise."""
         raise NotImplementedError
 
-    def jet_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray,
-                 order: int = 2) -> JetDerivatives:
-        """Central-difference jet of ``eval_many`` at every row, to ``order``.
+    def jet_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray) -> JetDerivatives:
+        """Central-difference jet of ``eval_many`` at every row.
 
         First-order steps are eps^(1/3)*(1+|coord|) per coordinate, second-order
         steps eps^(1/4)*(1+|coord|).
@@ -237,8 +228,6 @@ class LagrangianModel:
         for j in range(ne):
             h = h1e[:, j]
             deta[:, j] = (f(xs, shift(etas, j, h), ps) - f(xs, shift(etas, j, -h), ps)) / (2 * h)
-        if order == 1:
-            return JetDerivatives(value, dp, deta)
         dx = (f(xs + h1x, etas, ps) - f(xs - h1x, etas, ps)) / (2 * h1x)
 
         h2x, h2e, h2p = (_FD_SECOND * (1.0 + np.abs(a)) for a in (xs, etas, ps))
@@ -310,7 +299,7 @@ class PowerNormModel(LagrangianModel):
             rho = np.linalg.norm(ps - self.offset[None, :], axis=1)
             return self._checked(rho**self.exponent)
 
-    def jet_many(self, xs, etas, ps, order=2):
+    def jet_many(self, xs, etas, ps):
         s, n = self.exponent, self.dim
         w = ps - self.offset[None, :]
         with np.errstate(over="ignore"):
@@ -326,8 +315,6 @@ class PowerNormModel(LagrangianModel):
         with np.errstate(over="ignore", invalid="ignore"):
             value = rho**s
             dp = (s * rho ** (s - 1))[:, None] * unit
-            if order == 1:
-                return JetDerivatives(value, dp, zeros)
             dpp = (s * safe ** (s - 2))[:, None, None] * (
                 np.eye(n) + (s - 2) * unit[:, :, None] * unit[:, None, :])
         dpp[apex] = 2.0 * np.eye(n) if s == 2 else 0.0
@@ -368,13 +355,11 @@ class DataAssimilationModel(LagrangianModel):
         r, w = self._mismatches(xs, etas, ps)
         return self._checked(np.sum(r * r, axis=1) + np.sum(w * w, axis=1))
 
-    def jet_many(self, xs, etas, ps, order=2):
+    def jet_many(self, xs, etas, ps):
         r, w = self._mismatches(xs, etas, ps)
         value = np.sum(r * r, axis=1) + np.sum(w * w, axis=1)
         dp = 2.0 * w
         deta = _apply(-2.0 * self.K.T, r) - _apply(2.0 * self.A.T, w)
-        if order == 1:
-            return JetDerivatives(value, dp, deta)
         kdx = self.k.derivative_many(xs)
         cdx = self.c.derivative_many(xs)
         m, n = w.shape
@@ -399,16 +384,17 @@ class RadialProfile:
 
 
 def radial_profile(name: str, *, beta: float = 0.0, gamma: float = 1.0) -> RadialProfile:
-    """Profiles: identity t, shift t+beta (beta >= 0), power (1+t)^gamma - 1 (gamma > 0)."""
+    """Profiles: identity t, shift t+beta (finite beta >= 0), power
+    (1+t)^gamma - 1 (finite gamma > 0)."""
     if name == "identity":
         return RadialProfile(lambda t: t, lambda t: 1.0, lambda t: 0.0)
     if name == "shift":
-        if not beta >= 0:
-            raise SupminError("shift profile needs beta >= 0")
+        if not 0 <= beta < np.inf:
+            raise SupminError("shift profile needs beta >= 0, finite")
         return RadialProfile(lambda t: t + beta, lambda t: 1.0, lambda t: 0.0)
     if name == "power":
-        if not gamma > 0:
-            raise SupminError("power profile needs gamma > 0")
+        if not 0 < gamma < np.inf:
+            raise SupminError("power profile needs gamma > 0, finite")
         return RadialProfile(
             lambda t: (1.0 + t) ** gamma - 1.0,
             lambda t: gamma * (1.0 + t) ** (gamma - 1.0),
@@ -441,14 +427,12 @@ class RadialModel(LagrangianModel):
         w = self._deviation(xs, etas, ps)
         return self._checked(self.profile.f(0.5 * np.sum(w * w, axis=1)))
 
-    def jet_many(self, xs, etas, ps, order=2):
+    def jet_many(self, xs, etas, ps):
         w = self._deviation(xs, etas, ps)
         t = 0.5 * np.sum(w * w, axis=1)
         f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
         at_w = _apply(self.A.T, w)
         value, dp, deta = self.profile.f(t), f1 * w, -f1 * at_w
-        if order == 1:
-            return JetDerivatives(value, dp, deta)
         cdx = self.c.derivative_many(xs)
         f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
         w_cdx = np.sum(w * cdx, axis=1)[:, None]
@@ -510,8 +494,8 @@ class ScaledModel(LagrangianModel):
         with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
             return self._checked(self.factor * values)
 
-    def jet_many(self, xs, etas, ps, order=2):
-        jet = self.inner.jet_many(xs, etas, ps, order=order)
+    def jet_many(self, xs, etas, ps):
+        jet = self.inner.jet_many(xs, etas, ps)
         with np.errstate(over="ignore"):
             return jet.map(lambda v: self.factor * v)
 

@@ -4,9 +4,8 @@
 backtracking) on the normalized power root for one exponent m.  It prepares
 one ``MidpointPowerRule`` (the rule behind the public ``power_energy`` and
 ``power_energy_gradient``) per solve, evaluates L once per trial iterate,
-takes the gradient of an accepted trial from that trial's samples and one
-first-order jet, and each Newton direction from the current samples and one
-second-order jet.  ``m_sweep`` chains solves over the exponents m = 2, 4, 8,
+and takes the gradient and Hessian of an accepted trial from that trial's
+samples and one jet.  ``m_sweep`` chains solves over the exponents m = 2, 4, 8,
 ... up to ``m_max``, warm-starting each exponent from the previous
 minimizer, and extracts the final path as the sup-energy candidate.
 Everything is deterministic: fixed accumulation order, no randomness unless
@@ -14,7 +13,7 @@ restarts > 1, in which case the perturbed starts are drawn from a
 caller-supplied seed.
 
 The midpoint rule couples only neighbouring nodes, so the Hessian of the
-root is block tridiagonal with N x N blocks (``MidpointPowerRule.hessian``)
+root is block tridiagonal with N x N blocks (``MidpointPowerRule.derivatives``)
 minus one rank-one term, ``(m-1)/root g g^T``.  ``_block_tridiagonal_solve``
 eliminates the block-tridiagonal part in O(M N^3) for M nodes, and since the
 rank-one vector is the gradient, the right-hand side of the Newton system,
@@ -23,7 +22,9 @@ problem is conditioned like a discrete Laplacian, 1/h^2, which a
 first-order method pays for with iteration counts linear in M; Newton's do
 not grow with M (Nocedal & Wright, *Numerical Optimization*, ch. 3).  When
 the direction is not a finite descent direction, as where L is not convex
-or the Hessian is singular, the iteration steps along -g instead.
+or the Hessian is singular, the iteration steps along -g instead.  A trial
+at which the model overflows is a rejected step, like one that fails the
+Armijo test.
 
 The line search is constant, not an option, as no caller has needed other
 values.  Each line search tries the full Newton step first (``INIT_STEP`` =
@@ -184,11 +185,8 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
 
     samples = rule.samples(model, values)
     f = samples.root
-    grad = rule.gradient(model, samples)
+    grad, hessian = rule.derivatives(model, samples)
     f_evals = 1
-    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-        raise NonFinite("objective or gradient not finite at the initial path")
-
     iterations = 0
     gnorm = float(np.max(np.abs(grad[free]))) if grad[free].size else 0.0
 
@@ -200,20 +198,25 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
             stop_reason = "max_iters"
             break
         g = grad[free]
-        d = _newton_direction(rule, model, samples, grad)[free]
+        d = _newton_direction(grad, hessian, (rule.m - 1) / samples.root)[free]
         slope = float(np.sum(d * g))
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
             d = -g
-            slope = -float(np.sum(g * g))
+            with np.errstate(over="ignore"):  # an infinite slope fails the Armijo test
+                slope = -float(np.sum(g * g))
         step = INIT_STEP
         accepted = False
         while step >= MIN_STEP:
             trial = values.copy()
             trial[free] += step * d
-            trial_samples = rule.samples(model, trial)
-            f_trial = trial_samples.root
             f_evals += 1
-            if np.isfinite(f_trial) and f_trial <= f + SUFFICIENT_DECREASE * step * slope:
+            try:
+                trial_samples = rule.samples(model, trial)
+            except NonFinite:  # the model overflows at the trial: reject the step
+                step *= BACKTRACK
+                continue
+            f_trial = trial_samples.root
+            if f_trial <= f + SUFFICIENT_DECREASE * step * slope:
                 accepted = True
                 break
             step *= BACKTRACK
@@ -224,7 +227,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
             stop_reason = "stalled"
             break
         values, f, samples = trial, f_trial, trial_samples
-        grad = rule.gradient(model, samples)
+        grad, hessian = rule.derivatives(model, samples)
         gnorm = float(np.max(np.abs(grad[free]))) if grad[free].size else 0.0
         iterations += 1
 
@@ -232,17 +235,18 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
     return Path(grid, values), stats
 
 
-def _newton_direction(rule: MidpointPowerRule, model: LagrangianModel, samples, grad):
+def _newton_direction(grad, hessian, sigma):
     """The Newton direction -H^{-1} grad of the normalized root, one row per
     node, or NaN rows when the element part of H is singular.
 
-    H is the rule's block-tridiagonal element part B minus the rank-one term
-    sigma grad grad^T, sigma = (m-1)/root.  The right-hand side is that same
-    vector, so Sherman-Morrison reduces to a scalar: with z = B^{-1} grad,
-    H^{-1} grad = z / (1 - sigma grad.z), one single-column block solve.
+    ``hessian`` is the block-tridiagonal element part B = (diag, upper) of
+    H from ``MidpointPowerRule.derivatives``, and H is B minus the rank-one
+    term sigma grad grad^T, sigma = (m-1)/root.  The right-hand side is
+    that same vector, so Sherman-Morrison reduces to a scalar: with
+    z = B^{-1} grad, H^{-1} grad = z / (1 - sigma grad.z), one single-column
+    block solve.
     """
-    diag, upper = rule.hessian(model, samples)
-    sigma = (rule.m - 1) / samples.root
+    diag, upper = hessian
     with np.errstate(all="ignore"):  # a singular or indefinite H fails the descent test
         try:
             z = _block_tridiagonal_solve(diag, upper, grad[:, :, None])[:, :, 0]

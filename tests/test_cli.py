@@ -327,12 +327,21 @@ class TestDeterminism:
             assert a == b, name
 
 
+def readme_block(language):
+    """The first ```language block of README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(rf"```{language}\n(.*?)```", readme, re.S).group(1)
+
+
 class TestReadme:
     def test_example_config_runs(self, tmp_path):
         """The example config in README.md solves, audits and checks with exit 0."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        example = json.loads(readme_block("json"))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(example))
         for command in ("solve", "audit", "check"):
             assert cli.main([command, str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+
+    def test_library_example_runs(self):
+        """The library example in README.md runs as written."""
+        exec(readme_block("python"), {})

@@ -190,8 +190,9 @@ def dense_root_hessian(model, path, m, subinterval=None):
     block-tridiagonal element part assembled densely, minus (m-1)/root g g^T."""
     rule = MidpointPowerRule(path.grid, m, subinterval)
     samples = rule.samples(model, path.values)
-    g = rule.gradient(model, samples).ravel()
-    return (dense_block_tridiagonal(*rule.hessian(model, samples))
+    grad, hessian = rule.derivatives(model, samples)
+    g = grad.ravel()
+    return (dense_block_tridiagonal(*hessian)
             - (m - 1) / samples.root * np.outer(g, g))
 
 
@@ -272,6 +273,8 @@ class TestJensenGap:
             sm.jensen_gap(model, 0.0, [0.0], [0.7, 0.7], [[0.0], [1.0]])
         with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
             sm.jensen_gap(model, 0.0, [0.0], [-0.5, 1.5], [[0.0], [1.0]])
+        with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
+            sm.jensen_gap(model, 0.0, [0.0], [np.nan, np.nan], [[0.0], [1.0]])
 
     def test_nonnegative_for_builtins(self, rng):
         for _ in range(100):
