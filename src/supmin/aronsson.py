@@ -117,6 +117,8 @@ def residual_profile(model: LagrangianModel, path: Path) -> ResidualProfile:
         raise SupminError("residual profile needs at least 4 elements")
     if not grid.is_uniform:
         raise SupminError("residual profile needs a uniform grid")
+    if path.dim != model.dim:
+        raise SupminError(f"path dimension {path.dim} differs from the model dimension {model.dim}")
     h = float(grid.nodes[1] - grid.nodes[0])
     u = path.values
     xs = grid.nodes[1:-1]

@@ -122,6 +122,9 @@ class MidpointPowerRule:
         """Samples of the path with nodal ``values`` (one row per grid node)."""
         if not np.all(np.isfinite(values)):
             raise SupminError("path values must be finite")
+        if values.shape[1] != model.dim:
+            raise SupminError(f"path dimension {values.shape[1]} differs from the model "
+                              f"dimension {model.dim}")
         idx, m = self.idx, self.m
         slopes = (values[idx + 1] - values[idx]) / self.elem_len[:, None]
         etas = values[idx] + self._offsets * slopes

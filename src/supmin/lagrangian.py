@@ -12,8 +12,9 @@ xs (M,), etas (M, N), ps (M, N):
   profile reads ``dx`` and ``dpx`` too.
 
 ``eval`` and ``jet`` are their one-row cases.  The base class derives
-``jet_many`` from ``eval_many`` by central finite differences (51 calls at
-N=2); the analytic families override it.
+``jet_many`` from ``eval_many`` by central finite differences, one call on
+every shifted row of the stencil (51 rows per row at N=2); the analytic
+families override it.
 Built-in families:
 
 * ``PowerNormModel``        L = |p - offset|^s
@@ -158,7 +159,7 @@ class JetDerivatives:
     ``dp``/``deta`` are gradients in p and eta, ``dx`` the x-derivative;
     ``dpp``, ``dpeta``, ``dpx`` are the second-order blocks taken against p
     first, and ``detaeta`` the Hessian in eta.  ``dpp`` and ``detaeta`` are
-    symmetric (symmetrized explicitly when produced by finite differences).
+    symmetric.
     From ``jet_many`` every field has a leading row axis: ``value`` and
     ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the blocks (M, N, N).
     ``jet`` returns one row without that axis.  Construction rejects
@@ -192,8 +193,11 @@ class LagrangianModel:
     """Base class: nonnegative L(x, eta, p), evaluated and differentiated by rows.
 
     Subclasses implement ``eval_many``; ``jet_many`` defaults to central
-    finite differences of it.  Models are immutable after construction and
-    all evaluation methods are pure.
+    finite differences of it, one ``eval_many`` call on all rows of the
+    stencil (51 rows per row at N=2).  That call needs ``eval_many``'s value
+    for a row not to depend on the other rows of its batch (``_apply``
+    keeps products so).  Models are immutable after construction and all
+    evaluation methods are pure.
     """
 
     def __init__(self, dim: int, growth: GrowthParams | None = None):
@@ -205,66 +209,54 @@ class LagrangianModel:
         raise NotImplementedError
 
     def jet_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray) -> JetDerivatives:
-        """Central-difference jet of ``eval_many`` at every row.
+        """Central-difference jet of ``eval_many`` at every row, from one
+        ``eval_many`` call on the stencil's shifted copies of all rows.
 
-        First-order steps are eps^(1/3)*(1+|coord|) per coordinate, second-order
-        steps eps^(1/4)*(1+|coord|).
+        A row is a point z = (p, eta, x).  Its stencil is z itself,
+        z +- h1 e_i for every coordinate, z +- h2 e_i for every coordinate
+        but x, and the corners z +- h2 e_i +- h2 e_j for every pair i < j
+        that a block reports: (p, p), (p, eta), (p, x) and (eta, eta).  The
+        steps are h1 = eps^(1/3)*(1+|z_i|) and h2 = eps^(1/4)*(1+|z_i|).  A
+        mixed difference is f(++) - f(+-) - f(-+) + f(--), signs of
+        (e_i, e_j), taken once and mirrored.
         """
-        f = self.eval_many
         m, n = ps.shape
-        ne = etas.shape[1]
+        z = np.column_stack([ps, etas, xs])
+        k = z.shape[1]
+        h1, h2 = _FD_FIRST * (1.0 + np.abs(z)), _FD_SECOND * (1.0 + np.abs(z))
+        eye = np.eye(k)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if i < n or j < k - 1]
 
-        def shift(rows, i, h):
-            out = rows.copy()
-            out[:, i] += h
-            return out
+        def shifted(signs, h):
+            signs = np.array(signs)[:, None, :]
+            # an unshifted coordinate keeps its exact value, -0.0 included
+            return np.where(signs != 0, z + signs * h, z)
 
-        value = f(xs, etas, ps)
-        h1x, h1e, h1p = (_FD_FIRST * (1.0 + np.abs(a)) for a in (xs, etas, ps))
-        dp, deta = np.empty((m, n)), np.empty((m, ne))
-        for i in range(n):
-            h = h1p[:, i]
-            dp[:, i] = (f(xs, etas, shift(ps, i, h)) - f(xs, etas, shift(ps, i, -h))) / (2 * h)
-        for j in range(ne):
-            h = h1e[:, j]
-            deta[:, j] = (f(xs, shift(etas, j, h), ps) - f(xs, shift(etas, j, -h), ps)) / (2 * h)
-        dx = (f(xs + h1x, etas, ps) - f(xs - h1x, etas, ps)) / (2 * h1x)
+        rows = np.concatenate([
+            z[None],
+            shifted([s * eye[i] for i in range(k) for s in (1, -1)], h1),
+            shifted([s * eye[i] for i in range(k - 1) for s in (1, -1)]
+                    + [si * eye[i] + sj * eye[j] for i, j in pairs for si in (1, -1)
+                       for sj in (1, -1)], h2),
+        ]).reshape(-1, k)
+        f = self.eval_many(*(np.ascontiguousarray(a)
+                             for a in (rows[:, -1], rows[:, n:-1], rows[:, :n]))).reshape(-1, m)
 
-        h2x, h2e, h2p = (_FD_SECOND * (1.0 + np.abs(a)) for a in (xs, etas, ps))
-        dpeta, dpx = np.empty((m, n, ne)), np.empty((m, n))
-
-        def second_differences(g, rows, h2):
-            """Second differences of g(rows) in every pair of row coordinates."""
-            k = rows.shape[1]
-            out = np.empty((m, k, k))
-            for i in range(k):
-                hi = h2[:, i]
-                up, down = shift(rows, i, hi), shift(rows, i, -hi)
-                out[:, i, i] = (g(up) - 2 * value + g(down)) / hi**2
-                for j in range(i + 1, k):
-                    hj = h2[:, j]
-                    out[:, i, j] = out[:, j, i] = (
-                        g(shift(up, j, hj)) - g(shift(up, j, -hj))
-                        - g(shift(down, j, hj)) + g(shift(down, j, -hj))
-                    ) / (4 * hi * hj)
-            return 0.5 * (out + out.transpose(0, 2, 1))
-
-        dpp = second_differences(lambda rows: f(xs, etas, rows), ps, h2p)
-        detaeta = second_differences(lambda rows: f(xs, rows, ps), etas, h2e)
-        for i in range(n):
-            hi = h2p[:, i]
-            up, down = shift(ps, i, hi), shift(ps, i, -hi)
-            for j in range(ne):
-                hj = h2e[:, j]
-                e_up, e_down = shift(etas, j, hj), shift(etas, j, -hj)
-                dpeta[:, i, j] = (
-                    f(xs, e_up, up) - f(xs, e_down, up) - f(xs, e_up, down) + f(xs, e_down, down)
-                ) / (4 * hi * hj)
-            dpx[:, i] = (
-                f(xs + h2x, etas, up) - f(xs - h2x, etas, up)
-                - f(xs + h2x, etas, down) + f(xs - h2x, etas, down)
-            ) / (4 * hi * h2x)
-        return JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx, detaeta)
+        value, first, diagonal = f[0], f[1 : 2 * k + 1], f[2 * k + 1 : 4 * k - 1]
+        corners = f[4 * k - 1 :].reshape(len(pairs), 4, m)
+        grad = ((first[0::2] - first[1::2]) / (2 * h1.T)).T
+        hess = np.zeros((m, k, k))
+        d = np.arange(k - 1)
+        hess[:, d, d] = ((diagonal[0::2] - 2 * value + diagonal[1::2]) / h2.T[:-1] ** 2).T
+        i, j = np.array(pairs).T
+        hess[:, i, j] = hess[:, j, i] = (
+            (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3])
+            / (4 * h2.T[i] * h2.T[j])).T
+        eta = slice(n, k - 1)
+        # C-ordered fields: numpy may sum the rows of a strided view in another order
+        return JetDerivatives(*(np.ascontiguousarray(a) for a in (
+            value, grad[:, :n], grad[:, eta], grad[:, -1],
+            hess[:, :n, :n], hess[:, :n, eta], hess[:, :n, -1], hess[:, eta, eta])))
 
     def eval(self, x: float, eta, p) -> float:
         """L at one point."""

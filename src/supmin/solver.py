@@ -177,10 +177,12 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         init = interpolate_affine(boundary, grid)
     if init.grid.nodes.shape != grid.nodes.shape or np.any(init.grid.nodes != grid.nodes):
         raise SupminError("init path must live on the solve grid")
+    if not boundary.dim == init.dim == model.dim:
+        raise SupminError(f"boundary dimension {boundary.dim} and init dimension {init.dim} "
+                          f"must equal the model dimension {model.dim}")
     values = np.array(init.values)
     values[0] = boundary(grid.a)
     values[-1] = boundary(grid.b)
-    free = slice(1, values.shape[0] - 1)
     rule = MidpointPowerRule(grid, m)
 
     samples = rule.samples(model, values)
@@ -188,7 +190,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
     grad, hessian = rule.derivatives(model, samples)
     f_evals = 1
     iterations = 0
-    gnorm = float(np.max(np.abs(grad[free]))) if grad[free].size else 0.0
+    gnorm = float(np.max(np.abs(grad)))
 
     while True:
         if gnorm <= opts.grad_tol:
@@ -197,18 +199,17 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         if iterations >= opts.max_iters:
             stop_reason = "max_iters"
             break
-        g = grad[free]
-        d = _newton_direction(grad, hessian, (rule.m - 1) / samples.root)[free]
-        slope = float(np.sum(d * g))
+        d = _newton_direction(grad, hessian, (rule.m - 1) / samples.root)
+        slope = float(np.sum(d * grad))
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
-            d = -g
+            d = -grad
             with np.errstate(over="ignore"):  # an infinite slope fails the Armijo test
-                slope = -float(np.sum(g * g))
+                slope = -float(np.sum(grad * grad))
         step = INIT_STEP
         accepted = False
         while step >= MIN_STEP:
             trial = values.copy()
-            trial[free] += step * d
+            trial += step * d
             f_evals += 1
             try:
                 trial_samples = rule.samples(model, trial)
@@ -228,7 +229,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
             break
         values, f, samples = trial, f_trial, trial_samples
         grad, hessian = rule.derivatives(model, samples)
-        gnorm = float(np.max(np.abs(grad[free]))) if grad[free].size else 0.0
+        gnorm = float(np.max(np.abs(grad)))
         iterations += 1
 
     stats = SolveStats(iterations, gnorm, f, stop_reason, f_evals)

@@ -169,6 +169,13 @@ class TestResidualProfile:
         with pytest.raises(sm.SupminError, match="residual profile needs a uniform grid"):
             sm.residual_profile(half_square_1d(), path)
 
+    def test_model_dimension_mismatch(self):
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        path = sm.Path(grid, np.column_stack([np.sin(3.0 * grid.nodes), grid.nodes**2]))
+        with pytest.raises(sm.SupminError, match="path dimension 2 differs from the model "
+                                                 "dimension 1"):
+            sm.residual_profile(half_square_1d(), path)
+
     def test_requires_enough_elements(self):
         grid = sm.Grid.uniform(0.0, 1.0, 4)
         path = sm.Path(grid, np.zeros((4, 1)))

@@ -111,6 +111,14 @@ class TestAbsoluteMinimalityAudit:
             assert entry.error == f"m={2 ** len(entry.stop_reasons)}: stopped at max_iters"
 
 
+    def test_model_dimension_mismatch(self):
+        cand = sm.interpolate_affine(sm.AffineMap([0.0], [1.0]), sm.Grid.uniform(0.0, 1.0, 17))
+        with pytest.raises(sm.SupminError, match="path dimension 1 differs from the model "
+                                                 "dimension 2"):
+            sm.audit_absolute_minimality(sm.PowerNormModel(2.0, [0.0, 0.0]), cand,
+                                         sm.AuditConfig(num_subintervals=3, seed=1))
+
+
 class TestBuildComparison:
     def test_affine_self_gluing_is_identity(self):
         grid = sm.Grid.uniform(0.0, 1.0, 33)

@@ -49,6 +49,12 @@ class TestSupEnergy:
         with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(0\.5, 0\.5\)"):
             sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.5, 0.5))
 
+    def test_model_dimension_mismatch(self):
+        path = affine_path([0.0, 0.0], [2.0, 0.0])
+        with pytest.raises(sm.SupminError, match="path dimension 2 differs from the model "
+                                                 "dimension 1"):
+            sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), path)
+
     def test_equals_power_energy_sup_bitwise(self, rng):
         """One rule: the sup energy is the largest midpoint sample of every
         power energy, for models that read x and u too."""

@@ -17,6 +17,67 @@ def jet_block_errors(a, b):
     return max(out)
 
 
+def loop_reference_jet(model, xs, etas, ps):
+    """The central-difference jet as one ``eval_many`` call per shifted row
+    set (51 at N=2): the reference the batched stencil of
+    ``LagrangianModel.jet_many`` must equal bitwise."""
+    f = model.eval_many
+    eps = np.finfo(float).eps
+    m, n = ps.shape
+    ne = etas.shape[1]
+
+    def shift(rows, i, h):
+        out = rows.copy()
+        out[:, i] += h
+        return out
+
+    value = f(xs, etas, ps)
+    h1x, h1e, h1p = (eps ** (1.0 / 3.0) * (1.0 + np.abs(a)) for a in (xs, etas, ps))
+    dp, deta = np.empty((m, n)), np.empty((m, ne))
+    for i in range(n):
+        h = h1p[:, i]
+        dp[:, i] = (f(xs, etas, shift(ps, i, h)) - f(xs, etas, shift(ps, i, -h))) / (2 * h)
+    for j in range(ne):
+        h = h1e[:, j]
+        deta[:, j] = (f(xs, shift(etas, j, h), ps) - f(xs, shift(etas, j, -h), ps)) / (2 * h)
+    dx = (f(xs + h1x, etas, ps) - f(xs - h1x, etas, ps)) / (2 * h1x)
+
+    h2x, h2e, h2p = (eps**0.25 * (1.0 + np.abs(a)) for a in (xs, etas, ps))
+
+    def second_differences(g, rows, h2):
+        k = rows.shape[1]
+        out = np.empty((m, k, k))
+        for i in range(k):
+            hi = h2[:, i]
+            up, down = shift(rows, i, hi), shift(rows, i, -hi)
+            out[:, i, i] = (g(up) - 2 * value + g(down)) / hi**2
+            for j in range(i + 1, k):
+                hj = h2[:, j]
+                out[:, i, j] = out[:, j, i] = (
+                    g(shift(up, j, hj)) - g(shift(up, j, -hj))
+                    - g(shift(down, j, hj)) + g(shift(down, j, -hj))
+                ) / (4 * hi * hj)
+        return 0.5 * (out + out.transpose(0, 2, 1))
+
+    dpp = second_differences(lambda rows: f(xs, etas, rows), ps, h2p)
+    detaeta = second_differences(lambda rows: f(xs, rows, ps), etas, h2e)
+    dpeta, dpx = np.empty((m, n, ne)), np.empty((m, n))
+    for i in range(n):
+        hi = h2p[:, i]
+        up, down = shift(ps, i, hi), shift(ps, i, -hi)
+        for j in range(ne):
+            hj = h2e[:, j]
+            e_up, e_down = shift(etas, j, hj), shift(etas, j, -hj)
+            dpeta[:, i, j] = (
+                f(xs, e_up, up) - f(xs, e_down, up) - f(xs, e_up, down) + f(xs, e_down, down)
+            ) / (4 * hi * hj)
+        dpx[:, i] = (
+            f(xs + h2x, etas, up) - f(xs - h2x, etas, up)
+            - f(xs + h2x, etas, down) + f(xs - h2x, etas, down)
+        ) / (4 * hi * h2x)
+    return sm.JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx, detaeta)
+
+
 def make_da(K, k_rows, A, c_rows):
     return sm.DataAssimilationModel(
         np.atleast_2d(K),
@@ -152,6 +213,41 @@ class TestJet:
                 assert np.array_equal(getattr(full, f.name), stacked), (type(model), f.name)
             one = [model.eval(x, e, p) for x, e, p in zip(xs, etas, ps)]
             assert np.array_equal(model.eval_many(xs, etas, ps), one)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fd_jet_equals_loop_reference(self, rng, dim):
+        """Every field of the batched stencil equals the one-call-per-row-set
+        loop, bitwise, for the finite-difference models and the base-class
+        jet of each analytic family."""
+        knots = np.linspace(-0.5, 1.5, 5)
+        c = sm.SampledSignal(knots, rng.normal(size=(5, dim)))
+        centers = rng.normal(size=(3, dim))
+        models = [
+            sm.MinOfNormsModel(centers, exponent=1.7),
+            # arctan2(0, p) tells -0.0 from +0.0
+            sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[-1]) ** 2 * p[-1] ** 4
+                           + np.cos(x * e[0]) ** 2 + np.arctan2(0.0, p[0]), dim=dim),
+            sm.PowerNormModel(2.5, rng.normal(size=dim)),
+            sm.DataAssimilationModel(rng.normal(size=(2, dim)),
+                                     sm.SampledSignal(knots, rng.normal(size=(5, 2))),
+                                     rng.normal(size=(dim, dim)), c),
+        ] + [sm.RadialModel(sm.radial_profile(name, beta=0.5, gamma=1.7),
+                            rng.normal(size=(dim, dim)), c)
+             for name in ("identity", "shift", "power")]
+        for model in models:
+            for rows in (1, 2, 7, 39):
+                xs = rng.uniform(-0.2, 1.2, size=rows)
+                etas = rng.normal(size=(rows, dim))
+                ps = rng.normal(scale=2.0, size=(rows, dim))
+                # near a min-of-norms centre the stencil's values are far apart,
+                # so the order of a mixed difference's terms shows in its last bits
+                ps[1:6] = centers[0] + 1e-3 * rng.normal(size=(len(ps[1:6]), dim))
+                ps[0, 0] = -0.0  # stays -0.0 in every row that does not shift it
+                jet = sm.LagrangianModel.jet_many(model, xs, etas, ps)
+                ref = loop_reference_jet(model, xs, etas, ps)
+                for f in dataclasses.fields(jet):
+                    assert np.array_equal(getattr(jet, f.name), getattr(ref, f.name)), \
+                        (type(model), rows, f.name)
 
     def test_power_norm_apex_raises_below_quadratic(self):
         ps = np.array([[1.0, 2.0], [0.3, -0.7]])

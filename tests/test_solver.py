@@ -175,12 +175,13 @@ def test_fixed_point_stop_changes_no_returned_value():
 
 def count_model_calls(model):
     """Count the model's eval_many calls (including those of its finite
-    differences) and its jet_many calls."""
-    calls = {"eval_many": 0, "jet_many": 0}
+    differences) with their row counts, and its jet_many calls."""
+    calls = {"eval_many": 0, "jet_many": 0, "rows": []}
     eval_many, jet_many = model.eval_many, model.jet_many
 
     def counted_eval(*args):
         calls["eval_many"] += 1
+        calls["rows"].append(len(args[0]))
         return eval_many(*args)
 
     def counted_jet(*args):
@@ -205,7 +206,7 @@ class TestSolveCounts:
         assert calls["eval_many"] == stats.f_evals
         assert calls["jet_many"] == stats.g_evals
 
-    def test_finite_difference_model_51_evals_per_jet(self):
+    def test_finite_difference_model_one_eval_of_51_rows_per_jet(self):
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
         calls = count_model_calls(model)
         grid = sm.Grid.uniform(0.0, 1.0, 17)
@@ -214,7 +215,11 @@ class TestSolveCounts:
                                      sm.SolveOptions(max_iters=20))
         assert stats.g_evals == stats.iterations + 1 > 1
         assert calls["jet_many"] == stats.g_evals
-        assert calls["eval_many"] == stats.f_evals + 51 * stats.g_evals
+        assert calls["eval_many"] == stats.f_evals + stats.g_evals
+        # one row per element per objective, 51 per element in a jet's stencil
+        elements = grid.num_elements
+        assert sorted(set(calls["rows"])) == [elements, 51 * elements]
+        assert calls["rows"].count(51 * elements) == stats.g_evals
 
     def test_sweep_records_carry_counts(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
@@ -383,6 +388,14 @@ class TestMinimizePower:
         path, stats = sm.minimize_power(model, grid, bmap, 8, init)
         assert stats.objective <= prev
 
+    def test_model_dimension_mismatch(self):
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, 2.0])
+        init = spike_init(grid, bmap, np.array([4.0, -1.0]))
+        with pytest.raises(sm.SupminError, match="boundary dimension 2 and init dimension 2 "
+                                                 "must equal the model dimension 1"):
+            sm.minimize_power(sm.PowerNormModel(2.0, [0.0]), grid, bmap, 8, init)
+
     def test_nonfinite_initial_objective(self):
         grid = sm.Grid.uniform(0.0, 1.0, 9)
         bmap = sm.AffineMap([0.0], [10.0])
@@ -463,6 +476,12 @@ class TestSweep:
         assert np.array_equal(r1.c_sequence, r2.c_sequence)
         assert np.array_equal(r1.candidate.values, r2.candidate.values)
         assert r1.sup_of_candidate == r2.sup_of_candidate
+
+    def test_model_dimension_mismatch(self):
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        with pytest.raises(sm.SupminError, match="boundary dimension 1 and init dimension 1 "
+                                                 "must equal the model dimension 2"):
+            sm.m_sweep(sm.PowerNormModel(2.0, [0.0, 0.0]), grid, sm.AffineMap([0.0], [1.0]))
 
     def test_aborted_sweep_partial(self):
         grid = sm.Grid.uniform(0.0, 1.0, 9)
