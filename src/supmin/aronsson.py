@@ -28,7 +28,7 @@ import numpy as np
 
 from ._io import write_csv
 from .errors import NonFinite, SupminError
-from .lagrangian import LagrangianModel
+from .lagrangian import LagrangianModel, check_width
 from .path import Path
 
 
@@ -81,6 +81,7 @@ def _operator_rows(model: LagrangianModel, xs, values, slopes, curvatures) -> np
 
 def aronsson_operator(model: LagrangianModel, pt: SecondOrderPoint) -> np.ndarray:
     """Evaluate the operator at one point."""
+    check_width(model, value=pt.value, slope=pt.slope, curvature=pt.curvature)
     return _operator_rows(model, np.array([pt.x]), pt.value[None], pt.slope[None],
                           pt.curvature[None])[0]
 

@@ -144,7 +144,8 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     distinct sampled subinterval (its boundary carrier is the chord through
     the candidate's values there).  Both sups are midpoint-rule values, those
     of the discrete problem the local sweep minimises.  A local sweep that
-    aborted, or whose last solve stopped short of ``grad_tol``, makes its
+    aborted, or whose last solve stopped at ``max_iters`` or ``line_search``
+    before its Newton decrement reached the round-off floor, makes its
     subinterval inconclusive (NaN deficit), excluded from pass/fail; a report
     with no conclusive subinterval does not pass."""
     config = config or AuditConfig()

@@ -218,7 +218,7 @@ def parse_config(raw: dict) -> RunConfig:
     model = _model(_get(raw, "", "lagrangian", dict), dim)
 
     schedule = _section(raw, "schedule", SweepSchedule, ("m_max", "tol_sweep", "restarts"))
-    solve = _section(raw, "solve", SolveOptions, ("max_iters", "grad_tol"))
+    solve = _section(raw, "solve", SolveOptions, ("max_iters",))
 
     seed = _get(raw, "", "seed", int, required=False, default=0)
     if seed < 0:
@@ -284,7 +284,6 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
             "stop_reason": rec.stats.stop_reason,
             "converged": rec.stats.converged,
             "grad_norm": rec.stats.grad_norm,
-            "line_search_failed": rec.stats.line_search_failed,
             "f_evals": rec.stats.f_evals,
             "g_evals": rec.stats.g_evals,
             "path_csv": ref,

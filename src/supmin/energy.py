@@ -9,11 +9,10 @@ its normalized roots as m grows, so the sup reported for a minimiser is the
 value of the same discrete problem the solver minimises.
 
 Power energies are evaluated in factored form: with S the largest sample,
-  raw   = S^m * sum_e len_e * (L_e/S)^m,
   root  = S * ( sum_e len_e * (L_e/S)^m / (beta-alpha) )^(1/m),
-so the normalized root stays finite up to m = 2^10 and beyond even when the
-raw integral overflows (then flagged).  Elements are always accumulated in
-ascending index order so results are bit-reproducible.
+so the normalized root stays finite up to m = 2^10 and beyond even where
+the integral S^m * sum_e len_e * (L_e/S)^m overflows.  Elements are always
+accumulated in ascending index order so results are bit-reproducible.
 
 One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
 order and subinterval, it turns nodal values into ``PowerSamples`` with one
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, SupminError
-from .lagrangian import LagrangianModel
+from .lagrangian import LagrangianModel, check_width
 from .path import Grid, Path
 
 
@@ -40,15 +39,12 @@ from .path import Grid, Path
 class EnergyReport:
     """Power energy of one order over one subinterval.
 
-    ``raw`` is the unnormalized integral of L^m (infinite when overflow is
-    flagged); ``normalized_root`` is the overflow-safe m-th root of its mean;
+    ``normalized_root`` is the overflow-safe m-th root of the mean of L^m;
     ``sup`` is the maximum of L over the same samples, which is
     ``sup_energy`` of the path over the subinterval for every m.
     """
 
     m: int
-    raw: float
-    overflow: bool
     normalized_root: float
     sup: float
     alpha: float
@@ -207,15 +203,11 @@ class MidpointPowerRule:
 
 
 def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:
-    """Midpoint-rule integral of L^m in factored, overflow-safe form."""
+    """Normalized root of the midpoint-rule mean of L^m, in factored,
+    overflow-safe form, with the largest sample."""
     rule = MidpointPowerRule(path.grid, m, subinterval)
     s = rule.samples(model, path.values)
-    with np.errstate(over="ignore"):
-        raw = float(np.float64(s.top) ** rule.m * s.weight_sum)
-    overflow = not np.isfinite(raw)
-    if overflow:
-        raw = np.inf
-    return EnergyReport(rule.m, raw, overflow, s.root, s.top, rule.alpha, rule.beta)
+    return EnergyReport(rule.m, s.root, s.top, rule.alpha, rule.beta)
 
 
 def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
@@ -242,15 +234,18 @@ def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:
     Nonnegative (within the level-convexity tolerance) whenever L(x, eta, .)
     is level-convex; a negative gap exhibits a failure of level convexity.
     """
-    ps = [np.asarray(p, dtype=float) for p in p_list]
+    ps = [np.atleast_1d(np.asarray(p, dtype=float)) for p in p_list]
     if not ps:
         raise SupminError("p_list must be nonempty")
     w = np.asarray(weights, dtype=float)
     # written so that NaN weights fail it
     if not (w.shape == (len(ps),) and np.all(w >= 0) and abs(float(np.sum(w)) - 1.0) <= 1e-12):
         raise SupminError("weights must be nonnegative and sum to 1 within 1e-12")
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    check_width(model, eta=eta)
+    for p in ps:
+        check_width(model, p=p)
     rows = np.stack(ps)
     rows = np.vstack([rows, np.sum(w[:, None] * rows, axis=0)])
-    values = model.eval_many(np.full(len(rows), float(x)),
-                             np.tile(np.asarray(eta, dtype=float), (len(rows), 1)), rows)
+    values = model.eval_many(np.full(len(rows), float(x)), np.tile(eta, (len(rows), 1)), rows)
     return float(np.max(values[:-1]) - values[-1])

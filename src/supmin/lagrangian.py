@@ -11,7 +11,9 @@ xs (M,), etas (M, N), ps (M, N):
   ``dp``, ``deta`` and the (eta, p) blocks of one such jet; the residual
   profile reads ``dx`` and ``dpx`` too.
 
-``eval`` and ``jet`` are their one-row cases.  The base class derives
+``eval`` and ``jet`` are their one-row cases; like every entry point that
+takes points rather than paths, they reject a point whose width is not the
+model's ``dim`` (``check_width``).  The base class derives
 ``jet_many`` from ``eval_many`` by central finite differences, one call on
 every shifted row of the stencil (51 rows per row at N=2); the analytic
 families override it.
@@ -184,9 +186,22 @@ class JetDerivatives:
         return JetDerivatives(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
 
 
-def _one_row(x, eta, p):
-    return (np.array([float(x)]), np.asarray(eta, dtype=float).reshape(1, -1),
-            np.asarray(p, dtype=float).reshape(1, -1))
+def check_width(model: LagrangianModel, **arrays) -> None:
+    """Raise SupminError unless every named array has ``model.dim`` entries
+    along its last axis.  A model broadcasts rows of another width without
+    complaint, so each entry point that takes points, not paths, checks."""
+    for name, array in arrays.items():
+        width = np.shape(array)[-1]
+        if width != model.dim:
+            raise SupminError(f"{name} dimension {width} differs from the model "
+                              f"dimension {model.dim}")
+
+
+def _one_row(model, x, eta, p):
+    etas = np.asarray(eta, dtype=float).reshape(1, -1)
+    ps = np.asarray(p, dtype=float).reshape(1, -1)
+    check_width(model, eta=etas, p=ps)
+    return np.array([float(x)]), etas, ps
 
 
 class LagrangianModel:
@@ -260,11 +275,11 @@ class LagrangianModel:
 
     def eval(self, x: float, eta, p) -> float:
         """L at one point."""
-        return float(self.eval_many(*_one_row(x, eta, p))[0])
+        return float(self.eval_many(*_one_row(self, x, eta, p))[0])
 
     def jet(self, x: float, eta, p) -> JetDerivatives:
         """Jet at one point, fields without the row axis."""
-        return self.jet_many(*_one_row(x, eta, p)).map(lambda v: v[0])
+        return self.jet_many(*_one_row(self, x, eta, p)).map(lambda v: v[0])
 
     @staticmethod
     def _checked(values: np.ndarray) -> np.ndarray:

@@ -33,20 +33,22 @@ it is accepted and convergence is quadratic), halves it (``BACKTRACK`` =
 0.5) until the Armijo condition with the customary constant
 ``SUFFICIENT_DECREASE`` = 1e-4 holds, and fails below ``MIN_STEP`` = 1e-20,
 far below the resolution of a double at unit scale.  What a caller sets in
-``SolveOptions`` is the stopping rule: the gradient tolerance and the
-iteration budget.
+``SolveOptions`` is the iteration budget.
 
-A solve stops for one of four reasons, reported as ``SolveStats.stop_reason``:
-``grad_tol`` (the largest gradient component is at most ``grad_tol``; the
-only one that counts as converged), ``max_iters``, ``line_search`` (no step
-down to ``MIN_STEP`` passed the Armijo test) or ``stalled``.  ``stalled``
-means the accepted trial equals the current nodal values bit for bit: the
-step is lost to round-off, so the next iteration would start from the same
-values, take the same direction and find the same trial, and so would every
-later one until ``max_iters``.  The stop changes no returned value and
-needs no tolerance (a rule on f alone is not exact: converging solves can
-run iterations in which f moves by less than a few ulps).  The no-op trial
-counts in ``f_evals`` but not in ``iterations``.  A sweep reports its own
+A solve converges when the Newton decrement reaches the round-off floor of
+the objective: ``-g.d <= eps f``, with d the direction the iteration was
+about to take (``-g`` on the fallback, where the test reads
+``|g|^2 <= eps f``) and eps the spacing of doubles at 1.  There the
+decrease ``-g.d / 2`` that the local quadratic model predicts for the full
+step is at most ``eps f / 2``, less than one ulp of f, so no step can gain
+anything that shows.
+The decrement is invariant under affine changes of variables (Boyd &
+Vandenberghe, *Convex Optimization*, 9.5.1), so the rule needs no tolerance
+scaled to the grid, the model or the exponent.  f = 0 is a global minimum
+(L >= 0) and stops the solve too.  A solve stops for one of three reasons,
+reported as ``SolveStats.stop_reason``: ``decrement`` (the only one that
+counts as converged), ``max_iters`` or ``line_search`` (no step down to
+``MIN_STEP`` passed the Armijo test).  A sweep reports its own
 ``stop_reason``: ``tol_sweep``, ``m_max`` or ``aborted``.
 """
 
@@ -71,18 +73,17 @@ MIN_STEP = 1e-20
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 2000
-    grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.max_iters > 0 and self.grad_tol > 0):
-            raise SupminError("solve options must be positive")
+        if not self.max_iters > 0:  # written so that NaN fails it
+            raise SupminError("max_iters must be positive")
 
 
 @dataclass(frozen=True)
 class SolveStats:
     """Why and where one solve stopped.  ``stop_reason`` is one of
-    ``grad_tol``, ``max_iters``, ``line_search`` or ``stalled``; ``f_evals``
-    counts objective evaluations (the start and every line-search trial)."""
+    ``decrement``, ``max_iters`` or ``line_search``; ``f_evals`` counts
+    objective evaluations (the start and every line-search trial)."""
 
     iterations: int
     grad_norm: float
@@ -92,11 +93,7 @@ class SolveStats:
 
     @property
     def converged(self) -> bool:
-        return self.stop_reason == "grad_tol"
-
-    @property
-    def line_search_failed(self) -> bool:
-        return self.stop_reason == "line_search"
+        return self.stop_reason == "decrement"
 
     @property
     def g_evals(self) -> int:
@@ -135,7 +132,7 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SweepResult:
     """One sweep's records and candidate.  ``stop_reason`` is ``tol_sweep``
-    (the roots stalled), ``m_max`` (every exponent ran) or ``aborted`` (a
+    (the roots settled), ``m_max`` (every exponent ran) or ``aborted`` (a
     solve failed); ``solves`` holds the stats of every solve run, across all
     restarts, whereas ``records`` keeps the chosen sweep's alone."""
 
@@ -187,24 +184,26 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
 
     samples = rule.samples(model, values)
     f = samples.root
-    grad, hessian = rule.derivatives(model, samples)
     f_evals = 1
     iterations = 0
-    gnorm = float(np.max(np.abs(grad)))
 
     while True:
-        if gnorm <= opts.grad_tol:
-            stop_reason = "grad_tol"
+        grad, hessian = rule.derivatives(model, samples)
+        if f == 0.0:  # L >= 0, so this is a global minimum
+            stop_reason = "decrement"
             break
-        if iterations >= opts.max_iters:
-            stop_reason = "max_iters"
-            break
-        d = _newton_direction(grad, hessian, (rule.m - 1) / samples.root)
+        d = _newton_direction(grad, hessian, (rule.m - 1) / f)
         slope = float(np.sum(d * grad))
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
             d = -grad
             with np.errstate(over="ignore"):  # an infinite slope fails the Armijo test
                 slope = -float(np.sum(grad * grad))
+        if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
+            stop_reason = "decrement"
+            break
+        if iterations >= opts.max_iters:
+            stop_reason = "max_iters"
+            break
         step = INIT_STEP
         accepted = False
         while step >= MIN_STEP:
@@ -224,15 +223,10 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
         if not accepted:
             stop_reason = "line_search"
             break
-        if np.array_equal(trial, values):  # the step is lost to round-off
-            stop_reason = "stalled"
-            break
         values, f, samples = trial, f_trial, trial_samples
-        grad, hessian = rule.derivatives(model, samples)
-        gnorm = float(np.max(np.abs(grad)))
         iterations += 1
 
-    stats = SolveStats(iterations, gnorm, f, stop_reason, f_evals)
+    stats = SolveStats(iterations, float(np.max(np.abs(grad))), f, stop_reason, f_evals)
     return Path(grid, values), stats
 
 
@@ -283,7 +277,7 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
             schedule: SweepSchedule | None = None, options: SolveOptions | None = None,
             init: Path | None = None, seed: int = 0) -> SweepResult:
     """Warm-started solves over m = 2, 4, 8, ... up to m_max,
-    stopping early once the normalized roots stall within tol_sweep.
+    stopping early once the normalized roots settle within tol_sweep.
 
     The final minimizer is the candidate; its sup energy over the whole
     interval, the largest sample of the midpoint rule the solves minimise,

@@ -54,6 +54,13 @@ class TestOperator:
         out = sm.aronsson_operator(half_square_1d(), pt)
         assert out[0] == pytest.approx(4.0, abs=1e-14)
 
+    def test_point_width_must_match_model(self):
+        """Unchecked, a 1-D model at a 2-D point returns [-2, -4]."""
+        pt = sm.SecondOrderPoint(0.2, [0.1, 0.2], [1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(sm.SupminError, match="value dimension 2 differs from the model "
+                                                 "dimension 1"):
+            sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), pt)
+
     def test_vector_curvature_parallel_to_slope(self):
         # L = |p|^2: dp = 2p; with xx parallel to p the projected block dies,
         # leaving (dp . xx) dp = 4 (p . xx) p -- checked term by term.

@@ -92,7 +92,7 @@ class TestAbsoluteMinimalityAudit:
         assert report.to_json_dict()["num_subintervals"] == 1
 
     def test_unconverged_local_solve_inconclusive(self):
-        """A local sweep whose last solve stops short of grad_tol decides
+        """A local sweep whose last solve stops at max_iters decides
         nothing: every entry is inconclusive, with a NaN deficit and the
         exponent and stop reason in its error, and the report does not pass."""
         model = sm.DataAssimilationModel(

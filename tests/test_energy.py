@@ -86,25 +86,24 @@ class TestPowerEnergy:
         model = sm.PowerNormModel(2.0, [0.0, 0.0])
         for m in (1, 2, 7, 64):
             rep = sm.power_energy(model, affine_path([0.0, 0.0], [1.0, 0.0]), m)
-            assert rep.raw == pytest.approx(1.0, abs=1e-14)
             assert rep.normalized_root == pytest.approx(1.0, abs=1e-14)
 
     def test_spike_m3_closed_form(self):
         rep = sm.power_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), 3)
-        assert rep.raw == 32.0 and not rep.overflow
         assert rep.normalized_root == pytest.approx(4.0 * 0.5 ** (1.0 / 3.0), rel=1e-14)
 
     def test_overflow_flag_and_stable_root(self):
+        """At m = 1024 the integral of L^m, 4^1024 / 2, overflows a double;
+        the factored root does not."""
         mp = pytest.importorskip("mpmath")
         rep = sm.power_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), 1024)
-        assert rep.overflow and rep.raw == np.inf
         mp.mp.dps = 60
         oracle = mp.mpf(4) * mp.power(mp.mpf("0.5"), mp.mpf(1) / 1024)
         assert rep.normalized_root == pytest.approx(float(oracle), rel=1e-13)
 
     def test_zero_energy(self):
         rep = sm.power_energy(sm.PowerNormModel(2.0, [0.0]), affine_path([1.0], [0.0]), 8)
-        assert rep.raw == 0.0 and rep.normalized_root == 0.0 and rep.sup == 0.0
+        assert rep.normalized_root == 0.0 and rep.sup == 0.0
 
     def test_root_below_sample_max(self, rng):
         for _ in range(30):
@@ -281,6 +280,17 @@ class TestJensenGap:
             sm.jensen_gap(model, 0.0, [0.0], [-0.5, 1.5], [[0.0], [1.0]])
         with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
             sm.jensen_gap(model, 0.0, [0.0], [np.nan, np.nan], [[0.0], [1.0]])
+
+    def test_width_must_match_model(self):
+        """Unchecked, a 1-D model at 2-entry slopes returns 5.75."""
+        model = sm.PowerNormModel(2.0, [0.0])
+        with pytest.raises(sm.SupminError, match="p dimension 2 differs from the model "
+                                                 "dimension 1"):
+            sm.jensen_gap(model, 0.0, [0.0], [0.5, 0.5], [[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(sm.SupminError, match="p dimension 2 differs"):
+            sm.jensen_gap(model, 0.0, [0.0], [0.5, 0.5], [[0.0], [2.0, 3.0]])
+        with pytest.raises(sm.SupminError, match="eta dimension 2 differs"):
+            sm.jensen_gap(model, 0.0, [0.0, 0.0], [0.5, 0.5], [[0.0], [2.0]])
 
     def test_nonnegative_for_builtins(self, rng):
         for _ in range(100):

@@ -113,6 +113,16 @@ class TestEval:
         with pytest.raises(sm.NonFinite):
             bad.eval(0.0, [0.0], [0.0])
 
+    def test_row_width_must_match_model(self):
+        """|p - offset|^2 with a 1-entry offset broadcasts over a 2-entry p:
+        the row is rejected, not evaluated."""
+        model = sm.PowerNormModel(2.0, [0.0])
+        with pytest.raises(sm.SupminError, match="p dimension 2 differs from the model "
+                                                 "dimension 1"):
+            model.eval(0.2, [0.1], [1.0, 2.0])
+        with pytest.raises(sm.SupminError, match="eta dimension 2 differs"):
+            model.eval(0.2, [0.1, 0.2], [1.0])
+
     @pytest.mark.parametrize("model, p", [
         (sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), 1e300), 1e10),
         (sm.PowerNormModel(2.0, [0.0]), 1e200),
@@ -153,6 +163,13 @@ class TestJet:
         np.testing.assert_allclose(jet.dp, [2.0, 4.0], atol=1e-14)
         np.testing.assert_allclose(jet.dpp, 2.0 * np.eye(2), atol=1e-14)
         assert np.all(jet.deta == 0.0) and jet.dx == 0.0
+
+    def test_row_width_must_match_model(self):
+        """Unchecked, this jet of |p|^2 at 2-entry rows has dpp [[2, 2], [2, 2]]."""
+        model = sm.PowerNormModel(2.0, [0.0])
+        with pytest.raises(sm.SupminError, match="eta dimension 2 differs from the model "
+                                                 "dimension 1"):
+            model.jet(0.2, [0.1, 0.2], [1.0, 2.0])
 
     def test_da_minimum_at_velocity(self):
         v = [1.5, -0.5]
@@ -459,7 +476,7 @@ def _scan_with_schedule(schedule):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: sm.SolveOptions(grad_tol=NAN), "solve options must be positive"),
+    (lambda: sm.SolveOptions(max_iters=NAN), "max_iters must be positive"),
     (lambda: sm.SweepSchedule(tol_sweep=NAN), "tol_sweep must be positive"),
     (lambda: sm.AuditConfig(tol_audit=NAN), "tol_audit must be positive"),
     (lambda: sm.GrowthParams(NAN, 0, 0, 2, 2), "growth constants must be nonnegative"),
@@ -471,7 +488,7 @@ def _scan_with_schedule(schedule):
     (lambda: sm.radial_profile("power", gamma=np.inf), "power profile needs gamma > 0, finite"),
     (lambda: _scan_with_schedule([0.2, NAN]), "strictly decreasing"),
     (lambda: _scan_with_schedule([NAN]), r"must lie in \(0, length/3\)"),
-], ids=["grad_tol", "tol_sweep", "tol_audit", "growth_c1", "min_norms_nan",
+], ids=["max_iters", "tol_sweep", "tol_audit", "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
         "scan_order", "scan_range"])
 def test_range_checks_reject_nan(build, message):

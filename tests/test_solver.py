@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -48,9 +49,9 @@ def spike_init(grid, bmap, bump):
 
 def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
     """The solver's loop written the plain way: a Path, ``power_energy`` and
-    ``power_energy_gradient`` per trial, the gradient and the Newton direction
-    evaluated afresh from a new rule at every iterate, and no fixed-point stop
-    (it runs on until ``max_iters``)."""
+    ``power_energy_gradient`` per trial, and the gradient and the Newton
+    direction evaluated afresh from a new rule at every iterate; it stops
+    where the Newton decrement reaches the round-off floor of f."""
     opts = options or sm.SolveOptions()
     init = init if init is not None else sm.interpolate_affine(boundary, grid)
     values = np.array(init.values)
@@ -69,16 +70,24 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         hessian = rule.derivatives(model, samples)[1]
         return _newton_direction(grad, hessian, (m - 1) / samples.root)[free]
 
-    f, grad = fval(values), gval(values)
-    f_evals = 1
-    iterations, failed = 0, False
-    gnorm = float(np.max(np.abs(grad[free])))
-    while gnorm > opts.grad_tol and iterations < opts.max_iters:
+    f = fval(values)
+    f_evals, iterations = 1, 0
+    while True:
+        grad = gval(values)
         g = grad[free]
+        if f == 0.0:
+            reason = "decrement"
+            break
         d = newton(values, grad)
         slope = float(np.sum(d * g))
         if not -np.inf < slope < 0.0:
             d, slope = -g, -float(np.sum(g * g))
+        if -slope <= np.finfo(float).eps * f:
+            reason = "decrement"
+            break
+        if iterations >= opts.max_iters:
+            reason = "max_iters"
+            break
         step, accepted = INIT_STEP, False
         while step >= MIN_STEP:
             trial = values.copy()
@@ -90,13 +99,11 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
                 break
             step *= BACKTRACK
         if not accepted:
-            failed = True
+            reason = "line_search"
             break
-        values, f, grad = trial, f_trial, gval(trial)
-        gnorm = float(np.max(np.abs(grad[free])))
+        values, f = trial, f_trial
         iterations += 1
-    reason = "line_search" if failed else "grad_tol" if gnorm <= opts.grad_tol else "max_iters"
-    stats = sm.SolveStats(iterations, gnorm, f, reason, f_evals)
+    stats = sm.SolveStats(iterations, float(np.max(np.abs(g))), f, reason, f_evals)
     return sm.Path(grid, values), stats
 
 
@@ -151,26 +158,6 @@ def test_minimize_power_matches_loop_reference(case):
     assert stats.iterations > 0
     assert np.array_equal(path.values, ref_path.values)
     assert stats == ref_stats
-
-
-def test_fixed_point_stop_changes_no_returned_value():
-    """On 17-node DA-rot at m=2, with ``grad_tol`` below the round-off floor
-    of the gradient, the accepted trial equals the current values bitwise
-    after 7 iterations; every later iteration repeats that one, so stopping
-    there returns what the run to ``max_iters`` returns."""
-    grid = sm.Grid.uniform(0.0, 1.0, 17)
-    bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
-    options = sm.SolveOptions(max_iters=100, grad_tol=1e-15)
-    path, stats = sm.minimize_power(da_rot_model(), grid, bmap, 2, options=options)
-    ref_path, ref_stats = reference_minimize_power(da_rot_model(), grid, bmap, 2,
-                                                   options=options)
-    assert (stats.stop_reason, stats.iterations, stats.f_evals) == ("stalled", 7, 10)
-    assert (ref_stats.stop_reason, ref_stats.iterations, ref_stats.f_evals) == (
-        "max_iters", 100, 194)
-    assert not stats.converged and not stats.line_search_failed
-    assert np.array_equal(path.values, ref_path.values)
-    assert stats.objective == ref_stats.objective
-    assert stats.grad_norm == ref_stats.grad_norm
 
 
 def count_model_calls(model):
@@ -319,20 +306,25 @@ class TestConvergenceUnderRefinement:
     def test_drift_oracle_iterations_flat_in_grid_size(self):
         """Newton's m=2 iteration count does not grow with the number of
         nodes, where a first-order method's grows like the 1/h^2 condition
-        number of the discrete Laplacian."""
-        counts = self.m2_iterations(((0.0, 0.0), (0.0, 0.0)))
-        assert len(set(counts)) == 1 and counts[0] <= 10, counts
-        assert max(self.m2_iterations(ROTATION)) <= 10
+        number of the discrete Laplacian.  It may differ by the one
+        iteration that the last quadratic step takes or saves against the
+        round-off floor: 5, 5, 6, 6 for the drift oracle at 17 to 129 nodes,
+        8 at each size for the rotating one."""
+        for A in (((0.0, 0.0), (0.0, 0.0)), ROTATION):
+            counts = self.m2_iterations(A)
+            assert max(counts) - min(counts) <= 1 and max(counts) <= 10, counts
 
-    @pytest.mark.parametrize("nodes", [17, 33, 65, 129])
+    @pytest.mark.parametrize("nodes", [17, 33, 65, 129, 2049])
     def test_da_rot_every_record_converges(self, nodes):
-        """DA-rot with the CLI's defaults: every exponent of the sweep stops at
-        ``grad_tol``."""
+        """DA-rot with the CLI's defaults: every exponent of the sweep stops
+        where its Newton decrement reaches the round-off floor of f.  At 2049
+        nodes m=128 gets there with |g| still 1.1e-8: the gradient's
+        round-off floor grows with the grid, and the decrement's does not."""
         res = sm.m_sweep(da_rot_model(), sm.Grid.uniform(0.0, 1.0, nodes),
                          sm.AffineMap([0.0, 0.0], [1.0, 1.0]), sm.SweepSchedule(),
                          sm.SolveOptions())
         assert [rec.m for rec in res.records] == sm.SweepSchedule().exponents()
-        assert [rec.stats.stop_reason for rec in res.records] == ["grad_tol"] * len(res.records)
+        assert [rec.stats.stop_reason for rec in res.records] == ["decrement"] * len(res.records)
 
 
 class TestMinimizePower:
@@ -403,6 +395,32 @@ class TestMinimizePower:
         with pytest.raises(sm.NonFinite):
             sm.minimize_power(model, grid, bmap, 2)
 
+    def test_nonfinite_hessian_at_the_last_iterate_aborts(self):
+        """The decrement stop needs the Newton direction at the iterate it
+        tests, so a second-order jet that is not finite there aborts the
+        solve, even at the minimiser.  This |p|^2 has an infinite dpp once
+        every slope is within 1e-6 of 1, the slope of its minimiser; the
+        jets of the start and of the iterates before are finite."""
+
+        class SingularAtTheMinimiser(sm.PowerNormModel):
+            def jet_many(self, xs, etas, ps):
+                jet = super().jet_many(xs, etas, ps)
+                if np.all(np.abs(ps - 1.0) < 1e-6):
+                    return dataclasses.replace(jet, dpp=np.full_like(jet.dpp, np.inf))
+                return jet
+
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        bmap = sm.AffineMap([0.0], [1.0])
+        init = spike_init(grid, bmap, np.array([0.5]))
+        model = SingularAtTheMinimiser(2.0, [0.0])
+        calls = count_model_calls(model)
+        with pytest.raises(sm.NonFinite, match="jet contains non-finite entries"):
+            sm.minimize_power(model, grid, bmap, 2, init)
+        assert calls["jet_many"] > 1
+        res = sm.m_sweep(model, grid, bmap, sm.SweepSchedule(m_max=4), init=init)
+        assert res.aborted and res.records == []
+        assert res.error == "m=2: jet contains non-finite entries"
+
     @pytest.mark.parametrize("steep", [0.6, 1.1])
     def test_overflowing_trial_is_a_rejected_step(self, steep):
         """|p|^300 overflows at the full steps from a path with one steep
@@ -430,7 +448,7 @@ class TestSweep:
         assert np.allclose(res.c_sequence, 1.0, atol=1e-12)
         assert res.sup_of_candidate == pytest.approx(1.0, abs=1e-12)
         assert res.stop_reason == "tol_sweep" and len(res.records) == 2
-        assert [rec.stats.stop_reason for rec in res.records] == ["grad_tol"] * 2
+        assert [rec.stats.stop_reason for rec in res.records] == ["decrement"] * 2
         assert np.array_equal(res.candidate.values,
                               sm.interpolate_affine(bmap, grid).values)
 
