@@ -9,6 +9,7 @@ one CSV writer.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt_float(float(obj))
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -159,21 +159,16 @@ class MidpointPowerRule:
         upper = np.zeros((n_nodes - 1, n, n))
         if samples.top != 0.0:
             ratios = samples.ratios
-            weighted = samples.outer * self.lengths
-            powers = ratios ** (m - 1)
+            scale = samples.outer * self.lengths / samples.weight_sum
             jet = model.jet_many(self.xs, samples.etas, samples.slopes)
             # d(root)/dL_e in factored form: stays representable for every m
-            g_coeffs = (weighted * powers / samples.weight_sum)[:, None]
+            coeffs = scale * ratios ** (m - 1)
             d_slope = jet.dp / self.elem_len[:, None]
             # each node takes its left element's right share and its right element's
             # left share; two terms added to zero round the same in either order
-            grad[idx] += g_coeffs * ((1.0 - self.theta) * jet.deta - d_slope)
-            grad[idx + 1] += g_coeffs * (self.theta * jet.deta + d_slope)
+            grad[idx] += coeffs[:, None] * ((1.0 - self.theta) * jet.deta - d_slope)
+            grad[idx + 1] += coeffs[:, None] * (self.theta * jet.deta + d_slope)
 
-            # the gradient's coefficients again, rounded in another order; one
-            # form for both would move the last bits of every artifact
-            scale = weighted / samples.weight_sum
-            coeffs = (scale * powers)[:, None, None]
             # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
             rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / samples.top)[:, None, None]
             # the eta and p weights of an element's left and right node in J_e
@@ -184,8 +179,9 @@ class MidpointPowerRule:
             v = [eta_w[a][:, :, 0] * jet.deta + p_w[a][:, :, 0] * jet.dp for a in (0, 1)]
 
             def block(a, b):
-                return coeffs * (eta_w[a] * eta_w[b] * jet.detaeta + eta_w[a] * p_w[b] * dpeta_t
-                                 + p_w[a] * eta_w[b] * jet.dpeta + p_w[a] * p_w[b] * jet.dpp) \
+                return coeffs[:, None, None] * (
+                    eta_w[a] * eta_w[b] * jet.detaeta + eta_w[a] * p_w[b] * dpeta_t
+                    + p_w[a] * eta_w[b] * jet.dpeta + p_w[a] * p_w[b] * jet.dpp) \
                     + rank_one * v[a][:, :, None] * v[b][:, None, :]
 
             diag[idx] += block(0, 0)

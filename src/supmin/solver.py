@@ -15,16 +15,18 @@ caller-supplied seed.
 The midpoint rule couples only neighbouring nodes, so the Hessian of the
 root is block tridiagonal with N x N blocks (``MidpointPowerRule.derivatives``)
 minus one rank-one term, ``(m-1)/root g g^T``.  ``_block_tridiagonal_solve``
-eliminates the block-tridiagonal part in O(M N^3) for M nodes, and since the
-rank-one vector is the gradient, the right-hand side of the Newton system,
-Sherman-Morrison turns that one solve into the exact Newton step.  The
-problem is conditioned like a discrete Laplacian, 1/h^2, which a
-first-order method pays for with iteration counts linear in M; Newton's do
-not grow with M (Nocedal & Wright, *Numerical Optimization*, ch. 3).  When
-the direction is not a finite descent direction, as where L is not convex
-or the Hessian is singular, the iteration steps along -g instead.  A trial
-at which the model overflows is a rejected step, like one that fails the
-Armijo test.
+solves the block-tridiagonal part by block cyclic reduction: O(M N^3) flops
+for M nodes in ``M.bit_length()`` stacked solves, each eliminating every
+other remaining node, so the number of numpy calls grows with log M, not
+M.  Since the rank-one vector is the gradient, the right-hand side of the
+Newton system, Sherman-Morrison turns that one solve into the exact Newton
+step.  The problem is conditioned like a discrete Laplacian, 1/h^2, which
+a first-order method pays for with iteration counts linear in M; Newton's
+do not grow with M (Nocedal & Wright, *Numerical Optimization*, ch. 3).
+When the direction is not a finite descent direction, as where L is not
+convex or the Hessian is singular, the iteration steps along -g instead.
+A trial at which the model overflows is a rejected step, like one that
+fails the Armijo test.
 
 The line search is constant, not an option, as no caller has needed other
 values.  Each line search tries the full Newton step first (``INIT_STEP`` =
@@ -253,24 +255,53 @@ def _newton_direction(grad, hessian, sigma):
 def _block_tridiagonal_solve(diag, upper, rhs):
     """Solve the symmetric block-tridiagonal system with diagonal blocks
     ``diag`` (K, N, N), blocks ``upper`` (K-1, N, N) above the diagonal and
-    their transposes below, for ``rhs`` (K, N, C), by block Thomas
-    elimination (Golub & Van Loan, *Matrix Computations*, 4.5): K solves of
-    an N x N pivot block, O(K N^3).  Each ``np.linalg.solve`` takes a 2-D
-    right-hand side, which numpy 1 and 2 read alike."""
-    k, n = diag.shape[0], diag.shape[1]
-    gains = np.empty_like(upper)  # pivot^{-1} upper
-    partial = np.empty_like(rhs)  # pivot^{-1} (eliminated rhs)
-    pivot, right = diag[0], rhs[0]
-    for i in range(k - 1):
-        solved = np.linalg.solve(pivot, np.concatenate([upper[i], right], axis=1))
-        gains[i], partial[i] = solved[:, :n], solved[:, n:]
-        pivot = diag[i + 1] - upper[i].T @ gains[i]
-        right = rhs[i + 1] - upper[i].T @ partial[i]
-    out = np.empty_like(rhs)
-    out[-1] = np.linalg.solve(pivot, right)
-    for i in range(k - 2, -1, -1):
-        out[i] = partial[i] - gains[i] @ out[i + 1]
-    return out
+    their transposes below, for ``rhs`` (K, N, C), by block cyclic reduction
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+
+    The system is padded with identity rows to 2^p - 1 rows, p =
+    ``K.bit_length()``.  Each level eliminates every other row: one stacked
+    ``np.linalg.solve`` of the eliminated rows' diagonal blocks against
+    their two couplings and their right-hand side, then a Schur complement
+    onto the kept rows, which form a system of the same shape with half the
+    rows.  The last level has one row, so a solve makes p stacked solves and
+    O(K N^3) flops; back-substitution reuses the solved blocks and solves
+    nothing.  Both arguments of every solve are 3-D stacks, which numpy 1
+    and 2 read alike.  Only the upper couplings are kept, since every
+    Schur complement of a symmetric system is symmetric.
+    """
+    k, n, c = rhs.shape
+    size = (1 << k.bit_length()) - 1
+    # coupling[i] couples rows i - 1 and i; rows -1 and size are zero
+    coupling = np.zeros((size + 1, n, n))
+    coupling[1:k] = upper
+    pivots = np.zeros((size, n, n))
+    pivots[:k] = diag
+    pivots[k:] = np.eye(n)
+    right = np.zeros((size, n, c))
+    right[:k] = rhs
+    levels = []
+    while len(pivots) > 1:
+        before, after = coupling[0::2], coupling[1::2]
+        # pivot^{-1} [coupling to the row before, to the row after, rhs]
+        gains = np.linalg.solve(pivots[0::2], np.concatenate(
+            [before.transpose(0, 2, 1), after, right[0::2]], axis=2))
+        # what each kept row takes from the eliminated row after it (indexed
+        # by that row) and from the one before it
+        from_after = before @ gains
+        from_before = after[:-1].transpose(0, 2, 1) @ gains[:-1, :, n:]
+        pivots = pivots[1::2] - from_before[..., :n] - from_after[1:, :, :n]
+        right = right[1::2] - from_before[..., n:] - from_after[1:, :, 2 * n:]
+        # the two kept rows beside an eliminated row are coupled through it
+        coupling = -from_after[..., n:2 * n]
+        levels.append(gains)
+    # row i of the solution is out[i + 1], between two zero rows
+    out = np.zeros((size + 2, n, c))
+    out[len(out) // 2] = np.linalg.solve(pivots, right)[0]
+    for level in range(len(levels) - 1, -1, -1):
+        gains, step = levels[level], 1 << level
+        out[step::2 * step] = (gains[..., 2 * n:] - gains[..., :n] @ out[:-1:2 * step]
+                               - gains[..., n:2 * n] @ out[2 * step::2 * step])
+    return out[1:k + 1]
 
 
 def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,

@@ -326,6 +326,13 @@ class TestDeterminism:
             b = (tmp_path / "out_b" / name).read_bytes()
             assert a == b, name
 
+    def test_strings_with_control_characters_round_trip(self):
+        """Error messages may quote any input; every string of an artifact
+        must come back from a JSON reader as written."""
+        doc = {"error": "tab\tcr\rnul\x00quote\"backslash\\newline\nletter é",
+               "k\ty": ["\x1f"]}
+        assert json.loads(cli.dumps_canonical(doc)) == doc
+
 
 def readme_block(language):
     """The first ```language block of README.md."""

@@ -242,16 +242,39 @@ class TestSolveCounts:
 
 
 class TestNewtonDirection:
-    @pytest.mark.parametrize("k, n, cols", [(1, 2, 1), (2, 1, 1), (9, 2, 2), (40, 3, 1)])
-    def test_block_solve_matches_dense_solve(self, k, n, cols, rng):
-        """Block Thomas elimination equals a dense solve of the same system."""
+    @staticmethod
+    def system(rng, k, n, cols):
         upper = rng.normal(size=(k - 1, n, n))
         diag = rng.normal(size=(k, n, n))
         diag = diag + diag.transpose(0, 2, 1) + 4.0 * n * np.eye(n)
-        rhs = rng.normal(size=(k, n, cols))
+        return diag, upper, rng.normal(size=(k, n, cols))
+
+    # both sides of every padding boundary 2^p - 1 up to 17 blocks
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 40, 257])
+    def test_block_solve_matches_dense_solve(self, k, n, cols, rng):
+        """Block cyclic reduction equals a dense solve of the same system."""
+        diag, upper, rhs = self.system(rng, k, n, cols)
         got = _block_tridiagonal_solve(diag, upper, rhs)
         want = np.linalg.solve(dense_block_tridiagonal(diag, upper), rhs.reshape(k * n, cols))
         assert np.max(np.abs(got.reshape(k * n, cols) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 40, 257])
+    def test_block_solve_makes_one_stacked_solve_per_level(self, k, rng, monkeypatch):
+        """A system of K blocks takes K.bit_length() calls of np.linalg.solve,
+        not one per block."""
+        diag, upper, rhs = self.system(rng, k, 2, 1)
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        _block_tridiagonal_solve(diag, upper, rhs)
+        assert len(calls) == k.bit_length(), calls
 
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_direction_solves_the_exact_hessian(self, m):
