@@ -4,6 +4,8 @@
 node-aligned subintervals with the candidate's own boundary values and
 reports the deficit of the restricted candidate against each local
 competitor: a positive deficit beyond tolerance refutes absolute minimality.
+The local sweeps run as one lockstep batch (``solver.m_sweep_many``), and
+the restricted sups are slices of one evaluation of the candidate.
 
 ``build_comparison`` glues affine boundary layers of width delta onto an
 interior profile; ``endpoint_quotient_scan`` drives the glued paths along a
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import power_energy, sup_energy
+from .energy import MidpointPowerRule, power_energy, sup_energy
 from .errors import SupminError
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, difference_quotient
-from .solver import SolveOptions, SweepSchedule, m_sweep
+from .solver import SolveOptions, SweepSchedule, m_sweep_many
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,13 @@ class AuditReport:
         """No violation, and at least one subinterval decided."""
         return not self.violations and any(e.status != "inconclusive" for e in self.entries)
 
+    @property
+    def solve_totals(self) -> dict:
+        """Iterations, objective and gradient evaluations summed over the
+        subintervals' local sweeps."""
+        return {key: sum(e.solve_totals[key] for e in self.entries)
+                for key in ("iterations", "f_evals", "g_evals")}
+
     def to_json_dict(self) -> dict:
         return {
             "tol_audit": self.tol_audit,
@@ -93,6 +102,7 @@ class AuditReport:
             "violation_count": len(self.violations),
             "violations": self.violations,
             "max_deficit": self.max_deficit,
+            "solve_totals": self.solve_totals,
             "subintervals": [e.to_json_dict() for e in self.entries],
         }
 
@@ -113,16 +123,7 @@ def sample_subintervals(grid: Grid, config: AuditConfig) -> list[tuple[int, int]
     return list(pairs)
 
 
-def _audit_one(model, candidate, i, j, config, seed):
-    nodes = candidate.grid.nodes
-    alpha, beta = float(nodes[i]), float(nodes[j])
-    sup_global = sup_energy(model, candidate, (alpha, beta))
-    u_a, u_b = candidate.values[i], candidate.values[j]
-    b1 = (u_b - u_a) / (beta - alpha)
-    chord = AffineMap(u_a - b1 * alpha, b1)
-    subgrid = Grid(nodes[i : j + 1])
-    schedule = config.schedule or SweepSchedule()
-    sweep = m_sweep(model, subgrid, chord, schedule, config.options, seed=seed)
+def _entry(alpha, beta, sup_global, sweep, config) -> SubintervalAudit:
     reasons = [rec.stats.stop_reason for rec in sweep.records]
     if sweep.aborted:
         return SubintervalAudit(alpha, beta, sup_global, float("nan"), float("nan"),
@@ -147,11 +148,27 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     aborted, or whose last solve stopped at ``max_iters`` or ``line_search``
     before its Newton decrement reached the round-off floor, makes its
     subinterval inconclusive (NaN deficit), excluded from pass/fail; a report
-    with no conclusive subinterval does not pass."""
+    with no conclusive subinterval does not pass.
+
+    The subintervals are node-aligned, so the samples of the restricted
+    candidate over nodes i..j are elements i..j-1 of one midpoint evaluation
+    on the whole grid, the rows ``sup_energy`` would evaluate.  The local
+    sweeps, and every restart of each, run as one lockstep batch
+    (``m_sweep_many``)."""
     config = config or AuditConfig()
     pairs = sample_subintervals(candidate.grid, config)
-    entries = [_audit_one(model, candidate, i, j, config, config.seed + 1000 + k)
-               for k, (i, j) in enumerate(pairs)]
+    nodes = candidate.grid.nodes
+    sampled = MidpointPowerRule(candidate.grid, 1).samples(model, candidate.values).sampled
+    problems = []
+    for k, (i, j) in enumerate(pairs):
+        alpha, beta = float(nodes[i]), float(nodes[j])
+        u_a, u_b = candidate.values[i], candidate.values[j]
+        b1 = (u_b - u_a) / (beta - alpha)
+        chord = AffineMap(u_a - b1 * alpha, b1)
+        problems.append((Grid(nodes[i : j + 1]), chord, None, config.seed + 1000 + k))
+    sweeps = m_sweep_many(model, problems, config.schedule, config.options)
+    entries = [_entry(float(nodes[i]), float(nodes[j]), float(np.max(sampled[i:j])), sweep, config)
+               for (i, j), sweep in zip(pairs, sweeps)]
     return AuditReport(entries, config.tol_audit)
 
 

@@ -18,15 +18,19 @@ One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
 order and subinterval, it turns nodal values into ``PowerSamples`` with one
 ``eval_many`` call, and samples into the gradient and the block-tridiagonal
 part of the Hessian with one ``jet_many`` call: element e reads only nodes
-e and e + 1, so only neighbouring nodes are coupled.  The solver keeps one
-rule per solve and takes an accepted trial's gradient and Hessian from that
-trial's samples; ``power_energy``, ``power_energy_gradient`` and
-``sup_energy`` are one-call wrappers around the same rule.
+e and e + 1, so only neighbouring nodes are coupled.  Rules of one order
+stack into one rule over the concatenated nodes of all their problems, so
+that one call serves a whole batch of solves; each problem's largest
+sample, power sum and root are segment reductions, rounded as that problem
+alone would round them.  The solver keeps one rule per problem and takes an
+accepted trial's gradient and Hessian from that trial's samples;
+``power_energy``, ``power_energy_gradient`` and ``sup_energy`` are one-call
+wrappers around a rule of one problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,36 +66,71 @@ def _subinterval(grid: Grid, subinterval) -> tuple[float, float]:
     return alpha, beta
 
 
+def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each segment of ``values`` along its first axis, segment k
+    running from ``starts[k]`` to the next start, each rounded exactly as
+    ``np.sum`` of that segment alone.
+
+    ``np.add.reduceat`` adds a segment's first entry to the pairwise sum of
+    the rest, where ``np.sum`` sums all of it pairwise, so a zero goes ahead
+    of every segment.
+    """
+    flat = values.reshape(len(values), -1)
+    width = flat.shape[1]
+    padded = np.insert(flat.ravel(), starts * width, 0.0)
+    return np.add.reduceat(padded, starts * width + np.arange(len(starts)))
+
+
 @dataclass(frozen=True)
 class PowerSamples:
-    """The midpoint samples of one path: element slopes, sample values of
-    the map, L over its maximum ``top``, and the factored power sum.
+    """The midpoint samples of a stack of paths: per element the slope, the
+    sample value of the map, L itself (``sampled``) and L over its problem's
+    largest sample (``ratios``); per problem that largest sample ``top`` and
+    the factored power sum ``weight_sum``, ``outer``.
 
-    When ``top`` is zero the sums are zero too and ``ratios`` is None.
+    A problem whose ``top`` is zero has every sample zero (L >= 0), zero
+    ratios and zero sums.
     """
 
     slopes: np.ndarray
     etas: np.ndarray
-    top: float
-    ratios: np.ndarray | None
-    weight_sum: float
-    outer: float
+    sampled: np.ndarray
+    ratios: np.ndarray
+    top: np.ndarray
+    weight_sum: np.ndarray
+    outer: np.ndarray
 
     @property
-    def root(self) -> float:
-        """The normalized power root."""
+    def root(self) -> np.ndarray:
+        """The normalized power root of each problem."""
         return self.top * self.outer
+
+    @staticmethod
+    def concat(parts) -> "PowerSamples":
+        """The samples of several stacks as one, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return PowerSamples(*(np.concatenate([getattr(part, f.name) for part in parts])
+                              for f in fields(PowerSamples)))
 
 
 class MidpointPowerRule:
-    """The midpoint rule of the order-m power energy over (alpha, beta) of a
-    grid, prepared once: element indices and clipped lengths, sample points
-    ``xs`` and their offsets ``theta`` in the element, and the clamped nodes.
+    """The midpoint rule of the order-m power energy over a stack of
+    problems, prepared once: per element its index, clipped length, sample
+    point ``xs`` and offset ``theta`` in the element; per node whether it is
+    clamped; per problem its first element, first node and the length of
+    its subinterval.
 
-    ``samples`` evaluates L at the midpoints of a path (one ``eval_many``
-    call); ``derivatives`` turns those samples into the gradient with
-    respect to nodal values and the element part of the Hessian (one
-    ``jet_many`` call).
+    A rule built from a grid (and a subinterval of it) is a stack of one
+    problem; ``stack`` concatenates the nodes and elements of rules of one
+    order.  ``samples`` evaluates L at the midpoints of every problem's path
+    (one ``eval_many`` call); ``derivatives`` turns those samples into the
+    gradient with respect to nodal values and the element part of the
+    Hessian (one ``jet_many`` call).  Every per-problem sum is rounded as
+    the same sum over that problem alone (``segment_sums``), and every other
+    operation acts on one element or node at a time, so a problem's numbers
+    do not depend on the stack it is evaluated in, as long as the model's
+    value for a row does not depend on the other rows of its batch.
     """
 
     def __init__(self, grid: Grid, m: int, subinterval=None):
@@ -104,18 +143,54 @@ class MidpointPowerRule:
         idx = np.nonzero(hi > lo)[0]  # the elements overlapping (alpha, beta)
         lo, hi = lo[idx], hi[idx]
         self.m = int(m)
-        self.alpha, self.beta = alpha, beta
         self.idx = idx
         self.lengths = hi - lo
         self.xs = lo + 0.5 * self.lengths
         self.elem_len = grid.element_lengths[idx]
         offsets = self.xs - nodes[idx]
-        self._offsets = offsets[:, None]
+        self.offsets = offsets[:, None]
         self.theta = (offsets / self.elem_len)[:, None]
+        # the grid's end nodes are always clamped, so stacked problems never couple
         self.clamped = (nodes <= alpha) | (nodes >= beta)
+        self.spans = [beta - alpha]
+        self.elem_starts, self.node_starts = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+        # the problem of each element and node
+        self.elem_problem = np.zeros(idx.size, dtype=int)
+        self.node_problem = np.zeros(nodes.size, dtype=int)
+
+    @classmethod
+    def stack(cls, rules) -> "MidpointPowerRule":
+        """One rule over the problems of ``rules``, all of one order, in
+        order; a stack of one rule is that rule."""
+        if len(rules) == 1:
+            return rules[0]
+        node_offsets = np.cumsum([0] + [rule.clamped.size for rule in rules[:-1]])
+        elem_offsets = np.cumsum([0] + [rule.idx.size for rule in rules[:-1]])
+        out = cls.__new__(cls)
+        out.m = rules[0].m
+        out.idx = np.concatenate([rule.idx + off for rule, off in zip(rules, node_offsets)])
+        for name in ("lengths", "xs", "elem_len", "offsets", "theta", "clamped"):
+            setattr(out, name, np.concatenate([getattr(rule, name) for rule in rules]))
+        out.spans = [span for rule in rules for span in rule.spans]
+        problem_offsets = np.cumsum([0] + [len(rule.spans) for rule in rules[:-1]])
+        for name, offsets in (("elem_starts", elem_offsets), ("node_starts", node_offsets),
+                              ("elem_problem", problem_offsets), ("node_problem", problem_offsets)):
+            setattr(out, name, np.concatenate([getattr(rule, name) + off
+                                               for rule, off in zip(rules, offsets)]))
+        return out
+
+    def split(self, samples: PowerSamples) -> list:
+        """The samples of each problem of the stack, as stacks of one."""
+        bounds = np.append(self.elem_starts, self.idx.size).tolist()
+        return [PowerSamples(samples.slopes[lo:hi], samples.etas[lo:hi],
+                             samples.sampled[lo:hi], samples.ratios[lo:hi],
+                             samples.top[k:k + 1], samples.weight_sum[k:k + 1],
+                             samples.outer[k:k + 1])
+                for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
     def samples(self, model: LagrangianModel, values: np.ndarray) -> PowerSamples:
-        """Samples of the path with nodal ``values`` (one row per grid node)."""
+        """Samples of the paths with nodal ``values`` (one row per node of
+        the stack)."""
         if not np.all(np.isfinite(values)):
             raise SupminError("path values must be finite")
         if values.shape[1] != model.dim:
@@ -123,28 +198,30 @@ class MidpointPowerRule:
                               f"dimension {model.dim}")
         idx, m = self.idx, self.m
         slopes = (values[idx + 1] - values[idx]) / self.elem_len[:, None]
-        etas = values[idx] + self._offsets * slopes
+        etas = values[idx] + self.offsets * slopes
         sampled = model.eval_many(self.xs, etas, slopes)
-        top = float(np.max(sampled))
-        if top == 0.0:
-            return PowerSamples(slopes, etas, 0.0, None, 0.0, 0.0)
-        ratios = sampled / top
-        weight_sum = float(np.sum(self.lengths * ratios**m))
-        outer = (weight_sum / (self.beta - self.alpha)) ** (1.0 / m)
-        if not np.isfinite(top * outer):
+        top = np.maximum.reduceat(sampled, self.elem_starts)
+        ratios = sampled / np.where(top == 0.0, 1.0, top)[self.elem_problem]
+        weight_sum = segment_sums(self.lengths * ratios**m, self.elem_starts)
+        # one scalar power per problem: numpy's vector power may round differently
+        outer = np.array([(w / span) ** (1.0 / m)
+                          for w, span in zip(weight_sum.tolist(), self.spans)])
+        if not np.all(np.isfinite(top * outer)):
             raise NonFinite("normalized power root is not finite")
-        return PowerSamples(slopes, etas, top, ratios, weight_sum, outer)
+        return PowerSamples(slopes, etas, sampled, ratios, top, weight_sum, outer)
 
     def derivatives(self, model: LagrangianModel, samples: PowerSamples):
-        """Gradient and element part of the Hessian of the normalized root at
-        the sampled path, from one ``jet_many`` call: ``(grad, (diag,
-        upper))``.
+        """Gradient and element part of the Hessian of each problem's
+        normalized root at the sampled paths, from one ``jet_many`` call:
+        ``(grad, (diag, upper))``.
 
         ``grad`` has one row per node.  The element part is block
         tridiagonal: ``diag[i]`` couples node i with itself, ``upper[i]``
         node i with node i + 1, each N x N.  Clamped nodes (on or outside the
         closed subinterval) get zero gradient rows, identity diagonal blocks
-        and no coupling.
+        and no coupling, so the stack's element part is block diagonal, one
+        block-tridiagonal system per problem.  A problem whose samples are
+        all zero has zero rows and takes no jet.
 
         With ``coeff_e`` the derivative of the root in L_e, the element part
         is ``sum_e coeff_e J_e^T (H_e + (m-1)/L_e grad L_e grad L_e^T) J_e``,
@@ -152,28 +229,34 @@ class MidpointPowerRule:
         nodes to (eta_e, p_e).  The Hessian of the root is this minus
         ``(m-1)/root g g^T``, g the gradient.
         """
-        idx, m = self.idx, self.m
+        m = self.m
         n_nodes, n = self.clamped.size, samples.slopes.shape[1]
         grad = np.zeros((n_nodes, n))
         diag = np.zeros((n_nodes, n, n))
         upper = np.zeros((n_nodes - 1, n, n))
-        if samples.top != 0.0:
-            ratios = samples.ratios
-            scale = samples.outer * self.lengths / samples.weight_sum
-            jet = model.jet_many(self.xs, samples.etas, samples.slopes)
+        live = (samples.top != 0.0)[self.elem_problem]
+        elements = (self.idx, self.lengths, self.xs, self.elem_len, self.theta,
+                    samples.slopes, samples.etas, samples.ratios, self.elem_problem)
+        if not np.all(live):
+            elements = tuple(a[live] for a in elements)
+        idx, lengths, xs, elem_len, theta, slopes, etas, ratios, problem = elements
+        if idx.size:
+            top = samples.top[problem]
+            scale = samples.outer[problem] * lengths / samples.weight_sum[problem]
+            jet = model.jet_many(xs, etas, slopes)
             # d(root)/dL_e in factored form: stays representable for every m
             coeffs = scale * ratios ** (m - 1)
-            d_slope = jet.dp / self.elem_len[:, None]
+            d_slope = jet.dp / elem_len[:, None]
             # each node takes its left element's right share and its right element's
             # left share; two terms added to zero round the same in either order
-            grad[idx] += coeffs[:, None] * ((1.0 - self.theta) * jet.deta - d_slope)
-            grad[idx + 1] += coeffs[:, None] * (self.theta * jet.deta + d_slope)
+            grad[idx] += coeffs[:, None] * ((1.0 - theta) * jet.deta - d_slope)
+            grad[idx + 1] += coeffs[:, None] * (theta * jet.deta + d_slope)
 
             # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
-            rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / samples.top)[:, None, None]
+            rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / top)[:, None, None]
             # the eta and p weights of an element's left and right node in J_e
-            eta_w = (1.0 - self.theta[:, :, None], self.theta[:, :, None])
-            inv_len = (1.0 / self.elem_len)[:, None, None]
+            eta_w = (1.0 - theta[:, :, None], theta[:, :, None])
+            inv_len = (1.0 / elem_len)[:, None, None]
             p_w = (-inv_len, inv_len)
             dpeta_t = jet.dpeta.transpose(0, 2, 1)
             v = [eta_w[a][:, :, 0] * jet.deta + p_w[a][:, :, 0] * jet.dp for a in (0, 1)]
@@ -203,7 +286,8 @@ def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -
     overflow-safe form, with the largest sample."""
     rule = MidpointPowerRule(path.grid, m, subinterval)
     s = rule.samples(model, path.values)
-    return EnergyReport(rule.m, s.root, s.top, rule.alpha, rule.beta)
+    return EnergyReport(rule.m, float(s.root[0]), float(s.top[0]),
+                        *_subinterval(path.grid, subinterval))
 
 
 def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
@@ -211,7 +295,7 @@ def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
     intersecting (alpha, beta), partial elements sampled at the midpoint of
     their clipped part: the ``sup`` of ``power_energy`` for every m."""
     # the largest sample does not depend on the order; m = 1 is the cheapest
-    return MidpointPowerRule(path.grid, 1, subinterval).samples(model, path.values).top
+    return float(MidpointPowerRule(path.grid, 1, subinterval).samples(model, path.values).top[0])
 
 
 def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterval=None) -> np.ndarray:

@@ -211,7 +211,8 @@ class LagrangianModel:
     finite differences of it, one ``eval_many`` call on all rows of the
     stencil (51 rows per row at N=2).  That call needs ``eval_many``'s value
     for a row not to depend on the other rows of its batch (``_apply``
-    keeps products so).  Models are immutable after construction and all
+    keeps products so), and the solver, which evaluates many problems in
+    one call, needs the same of ``jet_many``.  Models are immutable after construction and all
     evaluation methods are pure.
     """
 

@@ -12,16 +12,31 @@ Everything is deterministic: fixed accumulation order, no randomness unless
 restarts > 1, in which case the perturbed starts are drawn from a
 caller-supplied seed.
 
+Independent solves of one model and exponent run in lockstep
+(``minimize_power_many``): each round makes one ``jet_many`` call for every
+problem that needs a Newton direction, one batched block solve per padded
+system size, and one ``eval_many`` call per line-search step for the
+problems still searching, so the number of calls follows the slowest
+problem, not the number of problems.  ``m_sweep_many`` advances many sweeps,
+and every restart of each, one exponent at a time the same way; the audit
+runs all its subintervals as one such batch.  ``minimize_power`` and
+``m_sweep`` are the batches of one.  A problem's numbers do not depend on
+its batch: every operation acts on one problem's rows, its sums are
+rounded as its own, and its block system is solved exactly as alone.  When
+a stacked call raises ``NonFinite``, each problem is evaluated alone to
+find the failing ones, and only those fail.
+
 The midpoint rule couples only neighbouring nodes, so the Hessian of the
 root is block tridiagonal with N x N blocks (``MidpointPowerRule.derivatives``)
 minus one rank-one term, ``(m-1)/root g g^T``.  ``_block_tridiagonal_solve``
 solves the block-tridiagonal part by block cyclic reduction: O(M N^3) flops
 for M nodes in ``M.bit_length()`` stacked solves, each eliminating every
 other remaining node, so the number of numpy calls grows with log M, not
-M.  Since the rank-one vector is the gradient, the right-hand side of the
-Newton system, Sherman-Morrison turns that one solve into the exact Newton
-step.  The problem is conditioned like a discrete Laplacian, 1/h^2, which
-a first-order method pays for with iteration counts linear in M; Newton's
+M; a batch of systems of one padded size takes the same calls.  Since the
+rank-one vector is the gradient, the right-hand side of the Newton system,
+Sherman-Morrison turns that one solve into the exact Newton step.  The
+problem is conditioned like a discrete Laplacian, 1/h^2, which a
+first-order method pays for with iteration counts linear in M; Newton's
 do not grow with M (Nocedal & Wright, *Numerical Optimization*, ch. 3).
 When the direction is not a finite descent direction, as where L is not
 convex or the Hessian is singular, the iteration steps along -g instead.
@@ -60,7 +75,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import MidpointPowerRule, sup_energy
+from .energy import MidpointPowerRule, PowerSamples, segment_sums
 from .errors import NonFinite, SupminError
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, interpolate_affine
@@ -169,94 +184,257 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
 
     Endpoints are clamped to boundary(a), boundary(b) and never updated.
     Returns (path, stats); on a failed line search the best iterate found so
-    far is returned with the failure flagged in the stats.
+    far is returned with the failure flagged in the stats.  This is the
+    batch of one of ``minimize_power_many``, whose ``NonFinite`` it raises.
+    """
+    outcome = minimize_power_many(model, [(grid, boundary, init)], m, options)[0]
+    if isinstance(outcome, NonFinite):
+        raise outcome
+    return outcome[:2]
+
+
+def minimize_power_many(model: LagrangianModel, problems, m: int,
+                        options: SolveOptions | None = None) -> list:
+    """``minimize_power`` of order m on each of ``problems``, (grid,
+    boundary, init) triples with init None for the affine interpolant, in
+    lockstep.
+
+    Each round makes one ``jet_many`` call for every problem that needs a
+    Newton direction and one block solve per padded system size
+    (``_stacked_solve``), and each step of the line search one
+    ``eval_many`` call on the trials of the problems still searching.
+    Every problem keeps its own step, iteration budget and stop reason.
+    Returns, per problem, ``(path, stats, sup)``, sup the largest midpoint
+    sample at the path (its ``sup_energy``), or the ``NonFinite`` that
+    aborted it: L not finite at its start, or its jet or derivatives not
+    finite at an iterate.  A trial at which L is not finite is a rejected
+    step.
     """
     opts = options or SolveOptions()
-    if init is None:
-        init = interpolate_affine(boundary, grid)
-    if init.grid.nodes.shape != grid.nodes.shape or np.any(init.grid.nodes != grid.nodes):
-        raise SupminError("init path must live on the solve grid")
-    if not boundary.dim == init.dim == model.dim:
-        raise SupminError(f"boundary dimension {boundary.dim} and init dimension {init.dim} "
-                          f"must equal the model dimension {model.dim}")
-    values = np.array(init.values)
-    values[0] = boundary(grid.a)
-    values[-1] = boundary(grid.b)
-    rule = MidpointPowerRule(grid, m)
+    grids, rules, values = [], [], []
+    for grid, boundary, init in problems:
+        if init is None:
+            init = interpolate_affine(boundary, grid)
+        if init.grid.nodes.shape != grid.nodes.shape or np.any(init.grid.nodes != grid.nodes):
+            raise SupminError("init path must live on the solve grid")
+        if not boundary.dim == init.dim == model.dim:
+            raise SupminError(f"boundary dimension {boundary.dim} and init dimension {init.dim} "
+                              f"must equal the model dimension {model.dim}")
+        start = np.array(init.values)
+        start[0] = boundary(grid.a)
+        start[-1] = boundary(grid.b)
+        grids.append(grid)
+        rules.append(MidpointPowerRule(grid, m))
+        values.append(start)
+    batch = _Batch(model, rules)
+    count = len(problems)
+    outcomes, samples = [None] * count, [None] * count
+    f_evals, iterations = [1] * count, [0] * count
 
-    samples = rule.samples(model, values)
-    f = samples.root
-    f_evals = 1
-    iterations = 0
+    def finish(i, stop_reason, grad_norm):
+        stats = SolveStats(iterations[i], grad_norm, float(samples[i].root[0]), stop_reason,
+                           f_evals[i])
+        outcomes[i] = (Path(grids[i], values[i]), stats, float(samples[i].top[0]))
 
-    while True:
-        grad, hessian = rule.derivatives(model, samples)
-        if f == 0.0:  # L >= 0, so this is a global minimum
-            stop_reason = "decrement"
+    active, started, failed = batch.samples(list(range(count)), values)
+    for i, exc in failed.items():
+        outcomes[i] = exc
+    for i, sampled in zip(active, started or ()):
+        samples[i] = sampled
+    while active:
+        f = {i: float(samples[i].root[0]) for i in active}
+        for i in active:
+            if f[i] == 0.0:  # L >= 0, so this is a global minimum
+                finish(i, "decrement", 0.0)
+        ids = [i for i in active if f[i] != 0.0]
+        if ids:
+            ids, derivatives, failed = batch.derivatives(ids, samples)
+            for i, exc in failed.items():
+                outcomes[i] = exc
+        if not ids:
             break
-        d = _newton_direction(grad, hessian, (rule.m - 1) / f)
-        slope = float(np.sum(d * grad))
-        if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
-            d = -grad
+        grad, hessian = derivatives
+        rule = batch.stack(ids)
+        starts = rule.node_starts
+        d = _newton_direction(grad, hessian, (m - 1) / np.array([f[i] for i in ids]), starts)
+        slope = segment_sums(d * grad, starts)
+        steep = ~((-np.inf < slope) & (slope < 0.0))
+        if np.any(steep):  # no finite descent; fall back to steepest descent
+            rows = steep[rule.node_problem]
+            d[rows] = -grad[rows]
             with np.errstate(over="ignore"):  # an infinite slope fails the Armijo test
-                slope = -float(np.sum(grad * grad))
-        if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
-            stop_reason = "decrement"
-            break
-        if iterations >= opts.max_iters:
-            stop_reason = "max_iters"
-            break
-        step = INIT_STEP
-        accepted = False
-        while step >= MIN_STEP:
-            trial = values.copy()
-            trial += step * d
-            f_evals += 1
+                slope[steep] = -segment_sums(grad * grad, starts)[steep]
+        grad_norms = np.maximum.reduceat(np.abs(grad).ravel(), starts * grad.shape[1]).tolist()
+        bounds = np.append(starts, len(grad)).tolist()
+        direction, slopes, norms, searching = {}, {}, {}, []
+        for k, i in enumerate(ids):
+            slopes[i], norms[i] = float(slope[k]), grad_norms[k]
+            if -slopes[i] <= np.finfo(float).eps * f[i]:  # the decrement is at f's round-off floor
+                finish(i, "decrement", norms[i])
+            elif iterations[i] >= opts.max_iters:
+                finish(i, "max_iters", norms[i])
+            else:
+                direction[i] = d[bounds[k]:bounds[k + 1]]
+                searching.append(i)
+        active = []
+        step = dict.fromkeys(searching, INIT_STEP)
+        while searching:
+            trials = [values[i] + step[i] * direction[i] for i in searching]
+            for i in searching:
+                f_evals[i] += 1
+            evaluated, trial_samples, _ = batch.samples(searching, trials)
+            trial_of = dict(zip(searching, trials))
+            for i, sampled in zip(evaluated, trial_samples or ()):
+                if float(sampled.root[0]) <= f[i] + SUFFICIENT_DECREASE * step[i] * slopes[i]:
+                    values[i], samples[i] = trial_of[i], sampled
+                    iterations[i] += 1
+                    active.append(i)
+                    del trial_of[i]
+            searching = []
+            for i in trial_of:  # rejected: an Armijo failure, or L not finite at the trial
+                step[i] *= BACKTRACK
+                if step[i] >= MIN_STEP:
+                    searching.append(i)
+                else:
+                    finish(i, "line_search", norms[i])
+        active.sort()
+    return outcomes
+
+
+class _Batch:
+    """The prepared rules of a batch of problems, their stacks by the
+    problems they hold, and the two stacked calls of a round."""
+
+    def __init__(self, model, rules):
+        self.model, self.rules, self._stacks = model, rules, {}
+
+    def stack(self, ids) -> MidpointPowerRule:
+        key = tuple(ids)
+        if key not in self._stacks:
+            self._stacks[key] = MidpointPowerRule.stack([self.rules[i] for i in key])
+        return self._stacks[key]
+
+    def samples(self, ids, values):
+        """The samples of each problem of ``ids`` at its nodal ``values``,
+        from one ``eval_many`` call; see ``_attributed``."""
+        value_of = dict(zip(ids, values))
+
+        def run(ids):
+            rule = self.stack(ids)
+            return rule.split(rule.samples(self.model, np.concatenate([value_of[i] for i in ids])))
+
+        return _attributed(run, ids)
+
+    def derivatives(self, ids, samples):
+        """The stacked gradient and element part of the Hessian of the
+        problems ``ids`` at their ``samples``, from one ``jet_many`` call;
+        see ``_attributed``."""
+
+        def run(ids):
+            return self.stack(ids).derivatives(self.model,
+                                               PowerSamples.concat([samples[i] for i in ids]))
+
+        return _attributed(run, ids)
+
+
+def _attributed(run, ids):
+    """``run(ids)``, one stacked call on the problems ``ids``, as (the
+    problems it ran on, its result, {problem: NonFinite}).
+
+    When the stacked call raises ``NonFinite``, each problem is run alone
+    to find the ones that raise, and the call is repeated on the rest, so
+    that a problem's failure is its own.
+    """
+    try:
+        return ids, run(ids), {}
+    except NonFinite as exc:
+        if len(ids) == 1:
+            return [], None, {ids[0]: exc}
+        failed = {}
+        for i in ids:
             try:
-                trial_samples = rule.samples(model, trial)
-            except NonFinite:  # the model overflows at the trial: reject the step
-                step *= BACKTRACK
-                continue
-            f_trial = trial_samples.root
-            if f_trial <= f + SUFFICIENT_DECREASE * step * slope:
-                accepted = True
-                break
-            step *= BACKTRACK
-        if not accepted:
-            stop_reason = "line_search"
-            break
-        values, f, samples = trial, f_trial, trial_samples
-        iterations += 1
-
-    stats = SolveStats(iterations, float(np.max(np.abs(grad))), f, stop_reason, f_evals)
-    return Path(grid, values), stats
+                run([i])
+            except NonFinite as alone:
+                failed[i] = alone
+        rest = [i for i in ids if i not in failed]
+        return rest, (run(rest) if rest else None), failed
 
 
-def _newton_direction(grad, hessian, sigma):
+def _newton_direction(grad, hessian, sigma, starts=(0,)):
     """The Newton direction -H^{-1} grad of the normalized root, one row per
-    node, or NaN rows when the element part of H is singular.
+    node, or NaN rows where the element part of H is singular, for a stack
+    of problems whose first nodes are ``starts``, one sigma each.
 
     ``hessian`` is the block-tridiagonal element part B = (diag, upper) of
     H from ``MidpointPowerRule.derivatives``, and H is B minus the rank-one
     term sigma grad grad^T, sigma = (m-1)/root.  The right-hand side is
-    that same vector, so Sherman-Morrison reduces to a scalar: with
-    z = B^{-1} grad, H^{-1} grad = z / (1 - sigma grad.z), one single-column
-    block solve.
+    that same vector, so Sherman-Morrison reduces to a scalar per problem:
+    with z = B^{-1} grad, H^{-1} grad = z / (1 - sigma grad.z), one
+    single-column block solve (``_stacked_solve``).
     """
     diag, upper = hessian
+    starts = np.asarray(starts)
     with np.errstate(all="ignore"):  # a singular or indefinite H fails the descent test
+        z = _stacked_solve(diag, upper, grad[:, :, None], starts)[:, :, 0]
+        scale = 1.0 - sigma * segment_sums(grad * z, starts)
+        return -z / np.repeat(scale, np.diff(starts, append=len(grad)))[:, None]
+
+
+def _stacked_solve(diag, upper, rhs, starts):
+    """B^{-1} rhs for a stack of uncoupled block-tridiagonal systems, the
+    k-th beginning at row ``starts[k]``, with NaN rows for a singular one.
+
+    Systems that ``_block_tridiagonal_solve`` pads to the same size 2^p - 1
+    are solved as one batch, each laid out and padded exactly as it would
+    be alone, so a system's solution does not depend on the others.  When
+    a batch raises ``LinAlgError``, its systems are solved one at a time to
+    find the singular ones.
+    """
+    counts = np.diff(starts, append=len(rhs))
+    padded = np.array([(1 << k.bit_length()) - 1 for k in counts.tolist()])
+    out = np.empty_like(rhs)
+    n = rhs.shape[1]
+    for size in sorted(set(padded.tolist())):
+        members = padded == size
+        first, count = starts[members], counts[members]
+        at = np.arange(len(count))
+        # the rows and couplings of each member in the stack, and in the batch
+        rows, slots = _ranges(first, count), _ranges(at * size, count)
+        links, link_slots = _ranges(first, count - 1), _ranges(at * (size - 1), count - 1)
+        shape = (len(count), size)
+        batch_diag = np.broadcast_to(np.eye(n), (*shape, n, n)).copy()
+        batch_diag.reshape(-1, n, n)[slots] = diag[rows]
+        batch_upper = np.zeros((len(count), size - 1, n, n))
+        batch_upper.reshape(-1, n, n)[link_slots] = upper[links]
+        batch_rhs = np.zeros((*shape, n, rhs.shape[2]))
+        batch_rhs.reshape(-1, n, rhs.shape[2])[slots] = rhs[rows]
         try:
-            z = _block_tridiagonal_solve(diag, upper, grad[:, :, None])[:, :, 0]
+            solved = _block_tridiagonal_solve(batch_diag, batch_upper, batch_rhs)
         except np.linalg.LinAlgError:
-            return np.full_like(grad, np.nan)
-        return -z / (1.0 - sigma * float(np.sum(grad * z)))
+            solved = np.full_like(batch_rhs, np.nan)
+            for b in range(len(count)):
+                try:
+                    solved[b] = _block_tridiagonal_solve(batch_diag[b], batch_upper[b],
+                                                         batch_rhs[b])
+                except np.linalg.LinAlgError:
+                    pass
+        out[rows] = solved.reshape(-1, n, rhs.shape[2])[slots]
+    return out
+
+
+def _ranges(firsts, counts):
+    """The concatenated ranges firsts[k], ..., firsts[k] + counts[k] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
 
 
 def _block_tridiagonal_solve(diag, upper, rhs):
     """Solve the symmetric block-tridiagonal system with diagonal blocks
     ``diag`` (K, N, N), blocks ``upper`` (K-1, N, N) above the diagonal and
     their transposes below, for ``rhs`` (K, N, C), by block cyclic reduction
-    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  With one more
+    leading axis on all three, it solves a batch of such systems of one
+    size, each with the same operations as alone.
 
     The system is padded with identity rows to 2^p - 1 rows, p =
     ``K.bit_length()``.  Each level eliminates every other row: one stacked
@@ -265,43 +443,47 @@ def _block_tridiagonal_solve(diag, upper, rhs):
     onto the kept rows, which form a system of the same shape with half the
     rows.  The last level has one row, so a solve makes p stacked solves and
     O(K N^3) flops; back-substitution reuses the solved blocks and solves
-    nothing.  Both arguments of every solve are 3-D stacks, which numpy 1
+    nothing.  Both arguments of every solve are 4-D stacks, which numpy 1
     and 2 read alike.  Only the upper couplings are kept, since every
     Schur complement of a symmetric system is symmetric.
     """
-    k, n, c = rhs.shape
+    alone = rhs.ndim == 3
+    if alone:
+        diag, upper, rhs = diag[None], upper[None], rhs[None]
+    systems, k, n, c = rhs.shape
     size = (1 << k.bit_length()) - 1
-    # coupling[i] couples rows i - 1 and i; rows -1 and size are zero
-    coupling = np.zeros((size + 1, n, n))
-    coupling[1:k] = upper
-    pivots = np.zeros((size, n, n))
-    pivots[:k] = diag
-    pivots[k:] = np.eye(n)
-    right = np.zeros((size, n, c))
-    right[:k] = rhs
+    # coupling[:, i] couples rows i - 1 and i; rows -1 and size are zero
+    coupling = np.zeros((systems, size + 1, n, n))
+    coupling[:, 1:k] = upper
+    pivots = np.zeros((systems, size, n, n))
+    pivots[:, :k] = diag
+    pivots[:, k:] = np.eye(n)
+    right = np.zeros((systems, size, n, c))
+    right[:, :k] = rhs
     levels = []
-    while len(pivots) > 1:
-        before, after = coupling[0::2], coupling[1::2]
+    while pivots.shape[1] > 1:
+        before, after = coupling[:, 0::2], coupling[:, 1::2]
         # pivot^{-1} [coupling to the row before, to the row after, rhs]
-        gains = np.linalg.solve(pivots[0::2], np.concatenate(
-            [before.transpose(0, 2, 1), after, right[0::2]], axis=2))
+        gains = np.linalg.solve(pivots[:, 0::2], np.concatenate(
+            [before.swapaxes(2, 3), after, right[:, 0::2]], axis=3))
         # what each kept row takes from the eliminated row after it (indexed
         # by that row) and from the one before it
         from_after = before @ gains
-        from_before = after[:-1].transpose(0, 2, 1) @ gains[:-1, :, n:]
-        pivots = pivots[1::2] - from_before[..., :n] - from_after[1:, :, :n]
-        right = right[1::2] - from_before[..., n:] - from_after[1:, :, 2 * n:]
+        from_before = after[:, :-1].swapaxes(2, 3) @ gains[:, :-1, :, n:]
+        pivots = pivots[:, 1::2] - from_before[..., :n] - from_after[:, 1:, :, :n]
+        right = right[:, 1::2] - from_before[..., n:] - from_after[:, 1:, :, 2 * n:]
         # the two kept rows beside an eliminated row are coupled through it
         coupling = -from_after[..., n:2 * n]
         levels.append(gains)
-    # row i of the solution is out[i + 1], between two zero rows
-    out = np.zeros((size + 2, n, c))
-    out[len(out) // 2] = np.linalg.solve(pivots, right)[0]
+    # row i of the solution is out[:, i + 1], between two zero rows
+    out = np.zeros((systems, size + 2, n, c))
+    out[:, (size + 2) // 2] = np.linalg.solve(pivots, right)[:, 0]
     for level in range(len(levels) - 1, -1, -1):
         gains, step = levels[level], 1 << level
-        out[step::2 * step] = (gains[..., 2 * n:] - gains[..., :n] @ out[:-1:2 * step]
-                               - gains[..., n:2 * n] @ out[2 * step::2 * step])
-    return out[1:k + 1]
+        out[:, step::2 * step] = (gains[..., 2 * n:] - gains[..., :n] @ out[:, :-1:2 * step]
+                                  - gains[..., n:2 * n] @ out[:, 2 * step::2 * step])
+    out = out[:, 1:k + 1]
+    return out[0] if alone else out
 
 
 def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
@@ -315,24 +497,53 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
     is reported alongside the root sequence.  With restarts > 1 the
     sweep is repeated from seeded perturbed initial paths and the candidate
     with the smallest sup energy wins; distinct candidates whose sup energies
-    tie within tol_sweep are all reported.
+    tie within tol_sweep are all reported.  This is the batch of one of
+    ``m_sweep_many``.
     """
-    schedule = schedule or SweepSchedule()
-    if schedule.restarts == 1:
-        return _single_sweep(model, grid, boundary, schedule, options, init)
+    return m_sweep_many(model, [(grid, boundary, init, seed)], schedule, options)[0]
 
+
+def m_sweep_many(model: LagrangianModel, problems, schedule: SweepSchedule | None = None,
+                 options: SolveOptions | None = None) -> list:
+    """``m_sweep`` of each of ``problems``, (grid, boundary, init, seed)
+    tuples, with every restart of every problem run as one lockstep batch
+    (``_lockstep_sweeps``)."""
+    schedule = schedule or SweepSchedule()
+    starts = [_restart_starts(grid, boundary, init, schedule.restarts, seed)
+              for grid, boundary, init, seed in problems]
+    runs = _lockstep_sweeps(model, [(grid, boundary, start)
+                                    for (grid, boundary, _, _), group in zip(problems, starts)
+                                    for start in group], schedule, options)
+    results = []
+    for group in starts:
+        results.append(_best_of(runs[:len(group)], schedule))
+        runs = runs[len(group):]
+    return results
+
+
+def _restart_starts(grid, boundary, init, restarts, seed) -> list:
+    """The start of each restart: init itself when there is one restart;
+    else init (or the affine interpolant), then perturbations of it drawn
+    from ``seed``."""
+    if restarts == 1:
+        return [init]
     rng = np.random.default_rng(seed)
     base = init if init is not None else interpolate_affine(boundary, grid)
     scale = 1.0 + float(np.max(np.abs(base.values)))
-    results = []
-    for start in range(schedule.restarts):
-        if start == 0:
-            start_path = base
-        else:
-            values = np.array(base.values)
-            values[1:-1] += rng.normal(scale=0.1 * scale, size=values[1:-1].shape)
-            start_path = Path(grid, values)
-        results.append(_single_sweep(model, grid, boundary, schedule, options, start_path))
+    starts = [base]
+    for _ in range(restarts - 1):
+        values = np.array(base.values)
+        values[1:-1] += rng.normal(scale=0.1 * scale, size=values[1:-1].shape)
+        starts.append(Path(grid, values))
+    return starts
+
+
+def _best_of(results, schedule) -> SweepResult:
+    """The restart whose candidate has the smallest sup energy, with every
+    restart's sup, the distinct candidates that tie with it within
+    tol_sweep, and the solves of all of them."""
+    if len(results) == 1:
+        return results[0]
     sups = [res.sup_of_candidate if not res.aborted else np.inf for res in results]
     best = int(np.argmin(sups))
     chosen = results[best]
@@ -349,29 +560,47 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
                    solves=[stats for res in results for stats in res.solves])
 
 
-def _single_sweep(model, grid, boundary, schedule, options, init) -> SweepResult:
-    records = []
-    stop_reason = "m_max"
-    error = None
-    current = init
-    prev_root = None
+def _lockstep_sweeps(model, problems, schedule, options) -> list:
+    """One sweep of each (grid, boundary, init) problem, all advanced one
+    exponent at a time: each exponent is one ``minimize_power_many`` batch
+    of the sweeps still running, each warm-started from its own last path.
+    A sweep leaves the batch when its roots settle (``tol_sweep``), after
+    m_max (``m_max``), or when its solve fails (``aborted``)."""
+    count = len(problems)
+    records = [[] for _ in range(count)]
+    current = [init for _, _, init in problems]
+    sups, prev_roots = [np.nan] * count, [None] * count
+    stop_reasons, errors = ["m_max"] * count, [None] * count
+    running = list(range(count))
     for m in schedule.exponents():
-        try:
-            path, stats = minimize_power(model, grid, boundary, m, current, options)
-        except NonFinite as exc:
-            stop_reason, error = "aborted", f"m={m}: {exc}"
+        if not running:
             break
-        records.append(SweepRecord(m, path, stats))
-        current = path
-        root = stats.objective
-        if prev_root is not None and abs(root - prev_root) <= schedule.tol_sweep * (1.0 + abs(root)):
-            stop_reason = "tol_sweep"
-            break
-        prev_root = root
-    solves = [rec.stats for rec in records]
-    if not records:
-        empty = init if init is not None else interpolate_affine(boundary, grid)
-        return SweepResult([], empty, np.nan, stop_reason, error, solves=solves)
-    candidate = records[-1].path
-    sup = sup_energy(model, candidate)
-    return SweepResult(records, candidate, float(sup), stop_reason, error, solves=solves)
+        outcomes = minimize_power_many(
+            model, [(*problems[i][:2], current[i]) for i in running], m, options)
+        still = []
+        for i, outcome in zip(running, outcomes):
+            if isinstance(outcome, NonFinite):
+                stop_reasons[i], errors[i] = "aborted", f"m={m}: {outcome}"
+                continue
+            path, stats, sups[i] = outcome
+            records[i].append(SweepRecord(m, path, stats))
+            current[i] = path
+            root, prev_root = stats.objective, prev_roots[i]
+            settled = schedule.tol_sweep * (1.0 + abs(root))
+            if prev_root is not None and abs(root - prev_root) <= settled:
+                stop_reasons[i] = "tol_sweep"
+                continue
+            prev_roots[i] = root
+            still.append(i)
+        running = still
+    results = []
+    for (grid, boundary, init), recs, sup, stop_reason, error in zip(
+            problems, records, sups, stop_reasons, errors):
+        solves = [rec.stats for rec in recs]
+        if not recs:
+            empty = init if init is not None else interpolate_affine(boundary, grid)
+            results.append(SweepResult([], empty, np.nan, stop_reason, error, solves=solves))
+        else:
+            results.append(SweepResult(recs, recs[-1].path, sup, stop_reason, error,
+                                       solves=solves))
+    return results

@@ -70,6 +70,32 @@ def dense_block_tridiagonal(diag, upper):
     return dense.reshape(k * n, k * n)
 
 
+def record_sweep_solves(monkeypatch):
+    """Hook ``solver.minimize_power_many``, the solver's one entry point,
+    and return the stats of every solve it makes, one list per sweep, the
+    sweeps in the order of their first solves.  A sweep warm-starts each
+    solve from the path its last solve returned, so a problem whose init is
+    such a path continues that path's sweep."""
+    sweeps, sweep_of = [], {}
+    minimize_power_many = sm.solver.minimize_power_many
+
+    def recorded(model, problems, m, options=None):
+        outcomes = minimize_power_many(model, problems, m, options)
+        for (_, _, init), outcome in zip(problems, outcomes):
+            sweep = sweep_of.pop(id(init), None) if init is not None else None
+            if sweep is None:
+                sweep = []
+                sweeps.append(sweep)
+            if not isinstance(outcome, sm.NonFinite):
+                path, stats, _ = outcome
+                sweep.append(stats)
+                sweep_of[id(path)] = sweep
+        return outcomes
+
+    monkeypatch.setattr(sm.solver, "minimize_power_many", recorded)
+    return sweeps
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

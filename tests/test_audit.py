@@ -3,7 +3,7 @@ import pytest
 
 import supmin as sm
 
-from conftest import random_builtin_model, random_path
+from conftest import drift_model, random_builtin_model, random_path
 
 EPS = np.finfo(float).eps
 
@@ -76,13 +76,13 @@ class TestAbsoluteMinimalityAudit:
     def test_repeated_draws_audited_once(self, monkeypatch):
         # on a 3-element grid with min_elements 3 every draw is the pair (0, 3)
         sweeps = []
-        m_sweep = sm.audit.m_sweep
+        m_sweep_many = sm.audit.m_sweep_many
 
-        def counted(*args, **kwargs):
-            sweeps.append(args[1])
-            return m_sweep(*args, **kwargs)
+        def counted(model, problems, *args):
+            sweeps.extend(grid for grid, *_ in problems)
+            return m_sweep_many(model, problems, *args)
 
-        monkeypatch.setattr(sm.audit, "m_sweep", counted)
+        monkeypatch.setattr(sm.audit, "m_sweep_many", counted)
         grid = sm.Grid.uniform(0.0, 1.0, 4)
         cand = sm.interpolate_affine(sm.AffineMap([0.0], [1.0]), grid)
         config = sm.AuditConfig(num_subintervals=20, min_elements=3)
@@ -90,6 +90,49 @@ class TestAbsoluteMinimalityAudit:
         assert sm.audit.sample_subintervals(grid, config) == [(0, 3)]
         assert len(report.entries) == 1 and len(sweeps) == 1
         assert report.to_json_dict()["num_subintervals"] == 1
+
+    def test_solve_totals_sum_the_entries(self):
+        model = drift_model()
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        cand = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], [1.0, -0.5])).candidate
+        report = sm.audit_absolute_minimality(model, cand, sm.AuditConfig(num_subintervals=6,
+                                                                          seed=3))
+        doc = report.to_json_dict()
+        assert doc["solve_totals"] == report.solve_totals == {
+            key: sum(e.solve_totals[key] for e in report.entries)
+            for key in ("iterations", "f_evals", "g_evals")}
+        assert doc["solve_totals"]["g_evals"] > doc["solve_totals"]["iterations"] > 0
+
+    def test_jets_bounded_by_the_slowest_subinterval_of_each_exponent(self):
+        """The audit's local sweeps advance in lockstep, one jet_many call
+        per Newton round for every subinterval still iterating: its jets are
+        at most the sum over exponents of the largest g_evals of any one
+        subinterval, however many subintervals it draws, where solving them
+        one by one takes the sum over subintervals too."""
+        model = drift_model()
+        grid = sm.Grid.uniform(0.0, 1.0, 33)
+        cand = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], [1.0, -0.5])).candidate
+        config = sm.AuditConfig(num_subintervals=20, seed=7)
+        nodes = grid.nodes
+        per_exponent = {}
+        for k, (i, j) in enumerate(sm.audit.sample_subintervals(grid, config)):
+            b1 = (cand.values[j] - cand.values[i]) / (nodes[j] - nodes[i])
+            chord = sm.AffineMap(cand.values[i] - b1 * nodes[i], b1)
+            alone = sm.m_sweep(model, sm.Grid(nodes[i : j + 1]), chord, seed=config.seed + 1000 + k)
+            for rec in alone.records:
+                per_exponent.setdefault(rec.m, []).append(rec.stats.g_evals)
+        jets = {"calls": 0}
+        jet_many = model.jet_many
+
+        def counted(*args):
+            jets["calls"] += 1
+            return jet_many(*args)
+
+        model.jet_many = counted
+        report = sm.audit_absolute_minimality(model, cand, config)
+        assert report.passed and len(report.entries) > 10
+        bound = sum(max(g_evals) for g_evals in per_exponent.values())
+        assert jets["calls"] <= bound < sum(map(sum, per_exponent.values()))
 
     def test_unconverged_local_solve_inconclusive(self):
         """A local sweep whose last solve stops at max_iters decides

@@ -9,6 +9,8 @@ import pytest
 import supmin as sm
 from supmin import cli
 
+from conftest import record_sweep_solves
+
 
 def write_config(tmp_path, name="config.json", **overrides):
     doc = {
@@ -225,18 +227,7 @@ class TestAudit:
         """On the drift oracle at 33 nodes (the benchmark's ``audit-drift``), the
         ``solve_totals`` of ``sweep.json`` and of the ``audit.json`` subintervals
         add up to the counts of every solve the two commands ran."""
-        totals = {"iterations": 0, "f_evals": 0, "g_evals": 0}
-        reasons = []
-        minimize_power = sm.solver.minimize_power
-
-        def counted(*args):
-            path, stats = minimize_power(*args)
-            for key in totals:
-                totals[key] += getattr(stats, key)
-            reasons.append(stats.stop_reason)
-            return path, stats
-
-        monkeypatch.setattr(sm.solver, "minimize_power", counted)
+        sweeps = record_sweep_solves(monkeypatch)
         c = [[i / 8, math.sin(2 * math.pi * i / 8), math.cos(3 * i / 8)] for i in range(9)]
         cfg = write_config(tmp_path, lagrangian={**da_lagrangian(), "c": c}, grid_points=33,
                           boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
@@ -244,10 +235,17 @@ class TestAudit:
         assert cli.main(["audit", cfg, "--solve-first"]) == 0
         sweep = json.loads((tmp_path / "out" / "sweep.json").read_text())
         audit = json.loads((tmp_path / "out" / "audit.json").read_text())
-        parts = [sweep["solve_totals"]] + [e["solve_totals"] for e in audit["subintervals"]]
-        assert {key: sum(part[key] for part in parts) for key in totals} == totals
+        solves = [stats for run in sweeps for stats in run]
+        totals = {key: sum(getattr(stats, key) for stats in solves)
+                  for key in ("iterations", "f_evals", "g_evals")}
+        entries = [e["solve_totals"] for e in audit["subintervals"]]
+        assert {key: sum(part[key] for part in entries) for key in totals} == audit["solve_totals"]
+        assert {key: sweep["solve_totals"][key] + audit["solve_totals"][key]
+                for key in totals} == totals
+        assert len(sweeps) == 1 + len(entries)
         assert [rec["stop_reason"] for rec in sweep["records"]] + [
-            r for e in audit["subintervals"] for r in e["stop_reasons"]] == reasons
+            r for e in audit["subintervals"] for r in e["stop_reasons"]] == [
+            stats.stop_reason for stats in solves]
 
     def test_round_trip_matches_in_memory(self, tmp_path):
         cfg_path = write_config(tmp_path)

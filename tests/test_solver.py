@@ -9,7 +9,7 @@ from supmin.energy import MidpointPowerRule
 from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE,
                            _block_tridiagonal_solve, _newton_direction)
 
-from conftest import ROTATION, dense_block_tridiagonal, drift_model
+from conftest import ROTATION, dense_block_tridiagonal, drift_model, record_sweep_solves
 from test_energy import dense_root_hessian
 
 
@@ -220,19 +220,13 @@ class TestSolveCounts:
     def test_solve_totals_cover_every_restart(self, monkeypatch):
         """``solve_totals`` sums every solve of every restart, not only the
         chosen sweep's records."""
-        solves = []
-        minimize_power = sm.solver.minimize_power
-
-        def recorded(*args):
-            path, stats = minimize_power(*args)
-            solves.append(stats)
-            return path, stats
-
-        monkeypatch.setattr(sm.solver, "minimize_power", recorded)
+        sweeps = record_sweep_solves(monkeypatch)
         grid = sm.Grid.uniform(0.0, 1.0, 17)
         bmap = sm.AffineMap([0.0, 0.0], [0.0, 1.0])
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
         res = sm.m_sweep(model, grid, bmap, sm.SweepSchedule(m_max=8, restarts=3), seed=3)
+        solves = [stats for sweep in sweeps for stats in sweep]
+        assert len(sweeps) == 3
         assert res.solves == solves and len(solves) > len(res.records)
         assert res.solve_totals == {
             "iterations": sum(s.iterations for s in solves),
@@ -275,6 +269,15 @@ class TestNewtonDirection:
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         _block_tridiagonal_solve(diag, upper, rhs)
         assert len(calls) == k.bit_length(), calls
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 17])
+    def test_block_solve_batch_matches_each_alone(self, k, rng):
+        """A leading batch axis solves each system with the same operations
+        as alone: every solution agrees bit for bit."""
+        systems = [self.system(rng, k, 2, 1) for _ in range(3)]
+        got = _block_tridiagonal_solve(*(np.stack(parts) for parts in zip(*systems)))
+        for solved, system in zip(got, systems):
+            assert np.array_equal(solved, _block_tridiagonal_solve(*system))
 
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_direction_solves_the_exact_hessian(self, m):
@@ -558,3 +561,149 @@ class TestSweep:
         assert sm.SweepSchedule().exponents() == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
         assert sm.SweepSchedule(m_max=1000).exponents()[-1] == 512
         assert sm.SweepSchedule(m_max=2).exponents() == [2]
+
+
+class SingularAtSlopeOne(sm.PowerNormModel):
+    """|p|^2 with an infinite dpp at each row whose slope is within 1e-6 of 1."""
+
+    def jet_many(self, xs, etas, ps):
+        jet = super().jet_many(xs, etas, ps)
+        dpp = np.where((np.abs(ps - 1.0) < 1e-6)[:, :, None], np.inf, jet.dpp)
+        return dataclasses.replace(jet, dpp=dpp)
+
+
+class TestLockstep:
+    """Problems solved as one batch get exactly what each gets alone, and a
+    failure stays with its own problem."""
+
+    @staticmethod
+    def audit_style_problems():
+        """Sub-grids of a perturbed 33-node path with the chords through its
+        values there, keyed by what their sweeps do under |p - v|^8 with
+        ``max_iters`` 6: one converges at once from its chord, two run out of
+        iterations from the perturbed path, and one, whose chord is 1e40
+        times too steep, overflows at its start."""
+        nodes = sm.Grid.uniform(0.0, 1.0, 33).nodes
+        outer = perturbed_start(sm.Grid(nodes), sm.AffineMap([0.0, 0.0], [1.0, -0.5]), 3).values
+
+        def problem(i, j, steep=1.0, perturbed=False):
+            grid = sm.Grid(nodes[i : j + 1])
+            b1 = steep * (outer[j] - outer[i]) / (nodes[j] - nodes[i])
+            init = sm.Path(grid, outer[i : j + 1].copy()) if perturbed else None
+            return grid, sm.AffineMap(outer[i] - b1 * nodes[i], b1), init, 1000 + i
+
+        return {"quick": problem(2, 5), "long": problem(4, 28, perturbed=True),
+                "overflow": problem(10, 16, steep=1e40), "mid": problem(8, 20, perturbed=True)}
+
+    @staticmethod
+    def assert_same_solve(batched, alone):
+        """Equal outcomes: the same exception, or the same stop reason and
+        counts with paths equal to 1e-12 relative."""
+        if isinstance(alone, sm.NonFinite):
+            assert isinstance(batched, sm.NonFinite) and str(batched) == str(alone)
+            return
+        (path, stats), (ref_path, ref_stats) = batched[:2], alone[:2]
+        assert (stats.stop_reason, stats.iterations, stats.f_evals, stats.g_evals) == (
+            ref_stats.stop_reason, ref_stats.iterations, ref_stats.f_evals, ref_stats.g_evals)
+        scale = np.max(np.abs(ref_path.values))
+        assert np.max(np.abs(path.values - ref_path.values)) <= 1e-12 * scale
+        assert stats.objective == pytest.approx(ref_stats.objective, rel=1e-12, abs=0.0)
+
+    def assert_records_solved_alone(self, model, grid, bmap, init, res, options):
+        """Each record of a sweep is what ``minimize_power`` alone returns
+        from the record before it."""
+        current = init
+        for rec in res.records:
+            path, stats = sm.minimize_power(model, grid, bmap, rec.m, current, options)
+            self.assert_same_solve((rec.path, rec.stats), (path, stats))
+            current = rec.path
+
+    def test_mixed_outcomes_match_solo_solves(self):
+        model = sm.PowerNormModel(8.0, [0.5, -0.25])
+        problems = self.audit_style_problems()
+        schedule, options = sm.SweepSchedule(m_max=16), sm.SolveOptions(max_iters=6)
+        batched = dict(zip(problems, sm.solver.m_sweep_many(
+            model, list(problems.values()), schedule, options)))
+        reasons = {name: [rec.stats.stop_reason for rec in res.records]
+                   for name, res in batched.items()}
+        assert reasons["quick"] == ["decrement", "decrement"]
+        assert "max_iters" in reasons["long"] and "max_iters" in reasons["mid"]
+        assert [name for name, res in batched.items() if res.aborted] == ["overflow"]
+        assert batched["overflow"].error == "m=2: Lagrangian evaluation is not finite"
+        for name, (grid, bmap, init, seed) in problems.items():
+            alone = sm.m_sweep(model, grid, bmap, schedule, options, init, seed)
+            res = batched[name]
+            assert (res.stop_reason, res.error) == (alone.stop_reason, alone.error)
+            assert res.solve_totals == alone.solve_totals
+            assert res.sup_of_candidate == pytest.approx(alone.sup_of_candidate, rel=1e-12,
+                                                         nan_ok=True)
+            for rec, ref in zip(res.records, alone.records, strict=True):
+                self.assert_same_solve((rec.path, rec.stats), (ref.path, ref.stats))
+            self.assert_records_solved_alone(model, grid, bmap, init, res, options)
+
+    def test_restart_batch_matches_each_problem_alone(self):
+        """Every restart of every problem runs in one batch; each problem's
+        choice among its restarts is the one it makes alone."""
+        model = sm.PowerNormModel(8.0, [0.5, -0.25])
+        problems = self.audit_style_problems()
+        schedule, options = sm.SweepSchedule(m_max=8, restarts=3), sm.SolveOptions(max_iters=6)
+        batched = sm.solver.m_sweep_many(model, list(problems.values()), schedule, options)
+        for (grid, bmap, init, seed), res in zip(problems.values(), batched):
+            alone = sm.m_sweep(model, grid, bmap, schedule, options, init, seed)
+            assert (res.stop_reason, res.error) == (alone.stop_reason, alone.error)
+            assert len(res.restart_sups) == 3
+            assert res.restart_sups == pytest.approx(alone.restart_sups, rel=1e-12)
+            assert [(s.stop_reason, s.iterations, s.f_evals) for s in res.solves] == [
+                (s.stop_reason, s.iterations, s.f_evals) for s in alone.solves]
+            assert len(res.tied_candidates) == len(alone.tied_candidates)
+            scale = 1.0 + np.max(np.abs(alone.candidate.values))
+            assert np.max(np.abs(res.candidate.values - alone.candidate.values)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case", ["trial overflow", "jet", "singular Hessian"])
+    def test_failure_stays_with_its_problem(self, case):
+        """A batch whose stacked call fails is attributed problem by
+        problem: |p|^300 overflows at the trials of a steep start (rejected
+        steps), a jet that is not finite aborts its solve, and a singular
+        Hessian makes its problem alone step along -g.  The healthy problem
+        beside each gets what it gets alone."""
+        grid = sm.Grid.uniform(0.0, 1.0, 5)
+        bmap = sm.AffineMap([0.0], [1.0])
+        healthy = sm.Path(grid, np.array([[0.0], [0.3], [0.5], [0.7], [1.0]]))
+        model, failing, m = {
+            "trial overflow": (sm.PowerNormModel(300.0, [0.0]),
+                               sm.Path(grid, np.array([[0.0], [0.25], [1.1], [0.75], [1.0]])), 2),
+            "jet": (SingularAtSlopeOne(2.0, [0.0]), spike_init(grid, bmap, np.array([0.5])), 2),
+            "singular Hessian": (sm.PowerNormModel(4.0, [0.0]),
+                                 sm.Path(grid, np.array([[0.0], [0.0], [0.0], [0.5], [1.0]])), 2),
+        }[case]
+        other = sm.AffineMap([0.0], [2.0]) if case == "jet" else bmap
+        problems = [(grid, bmap, failing), (grid, other, healthy)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = sm.solver.minimize_power_many(model, problems, m)
+        for problem, outcome in zip(problems, batched):
+            alone = sm.solver.minimize_power_many(model, [problem], m)[0]
+            self.assert_same_solve(outcome, alone)
+        failed, fine = batched
+        if case == "jet":
+            assert isinstance(failed, sm.NonFinite) and fine[1].converged
+        elif case == "trial overflow":
+            assert failed[1].stop_reason == "line_search" and fine[1].converged
+        else:
+            assert failed[1].converged and fine[1].converged
+
+    def test_one_jet_per_round(self):
+        """A batch makes one jet_many call per Newton round, as many as its
+        slowest problem's g_evals, and one eval_many call per line-search
+        step, shared by every problem still searching."""
+        model = da_rot_model()
+        calls = count_model_calls(model)
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
+        grids = [sm.Grid.uniform(0.0, 1.0, n) for n in (5, 9, 17, 33)]
+        problems = [(grid, bmap, perturbed_start(grid, bmap, grid.nodes.size)) for grid in grids]
+        outcomes = sm.solver.minimize_power_many(model, problems, 4)
+        g_evals = [stats.g_evals for _, stats, _ in outcomes]
+        assert len(set(g_evals)) > 1
+        assert calls["jet_many"] == max(g_evals) < sum(g_evals)
+        f_evals = [stats.f_evals for _, stats, _ in outcomes]
+        assert max(f_evals) <= calls["eval_many"] < sum(f_evals)
