@@ -37,7 +37,7 @@ class AuditConfig:
     options: SolveOptions | None = None
 
     def __post_init__(self):
-        if self.num_subintervals < 1 or self.min_elements < 1:
+        if not (self.num_subintervals >= 1 and self.min_elements >= 1):  # NaN fails it
             raise SupminError("audit config counts must be positive")
         if not self.tol_audit > 0:
             raise SupminError("tol_audit must be positive")

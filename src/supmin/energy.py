@@ -59,9 +59,9 @@ def _subinterval(grid: Grid, subinterval) -> tuple[float, float]:
     if subinterval is None:
         return grid.a, grid.b
     alpha, beta = float(subinterval[0]), float(subinterval[1])
-    if alpha >= beta:
+    if not alpha < beta:  # written so that a NaN end fails it, as the next check
         raise SupminError(f"need alpha < beta, got ({alpha}, {beta})")
-    if alpha < grid.a or beta > grid.b:
+    if not (grid.a <= alpha and beta <= grid.b):
         raise SupminError(f"({alpha}, {beta}) not inside [{grid.a}, {grid.b}]")
     return alpha, beta
 
@@ -154,9 +154,8 @@ class MidpointPowerRule:
         self.clamped = (nodes <= alpha) | (nodes >= beta)
         self.spans = [beta - alpha]
         self.elem_starts, self.node_starts = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
-        # the problem of each element and node
+        # the problem of each element
         self.elem_problem = np.zeros(idx.size, dtype=int)
-        self.node_problem = np.zeros(nodes.size, dtype=int)
 
     @classmethod
     def stack(cls, rules) -> "MidpointPowerRule":
@@ -174,7 +173,7 @@ class MidpointPowerRule:
         out.spans = [span for rule in rules for span in rule.spans]
         problem_offsets = np.cumsum([0] + [len(rule.spans) for rule in rules[:-1]])
         for name, offsets in (("elem_starts", elem_offsets), ("node_starts", node_offsets),
-                              ("elem_problem", problem_offsets), ("node_problem", problem_offsets)):
+                              ("elem_problem", problem_offsets)):
             setattr(out, name, np.concatenate([getattr(rule, name) + off
                                                for rule, off in zip(rules, offsets)]))
         return out

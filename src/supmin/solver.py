@@ -13,18 +13,19 @@ restarts > 1, in which case the perturbed starts are drawn from a
 caller-supplied seed.
 
 Independent solves of one model and exponent run in lockstep
-(``minimize_power_many``): each round makes one ``jet_many`` call for every
-problem that needs a Newton direction, one batched block solve per padded
-system size, and one ``eval_many`` call per line-search step for the
-problems still searching, so the number of calls follows the slowest
-problem, not the number of problems.  ``m_sweep_many`` advances many sweeps,
-and every restart of each, one exponent at a time the same way; the audit
-runs all its subintervals as one such batch.  ``minimize_power`` and
-``m_sweep`` are the batches of one.  A problem's numbers do not depend on
-its batch: every operation acts on one problem's rows, its sums are
-rounded as its own, and its block system is solved exactly as alone.  When
-a stacked call raises ``NonFinite``, each problem is evaluated alone to
-find the failing ones, and only those fail.
+(``minimize_power_many``): one generator (``_newton``) holds each problem's
+Newton loop, and one scheduler (``_lockstep``) stacks their model calls.
+Each round makes one ``jet_many`` call, one batched block solve per padded
+system size, and one ``eval_many`` call per line-search step, so the
+number of calls follows the slowest problem, not the number of problems.
+``m_sweep_many`` advances many sweeps, and every restart of each, one
+exponent at a time the same way; the audit runs all its subintervals as
+one such batch.  ``minimize_power`` and ``m_sweep`` are the batches of
+one.  A problem's numbers do not depend on its batch: every operation acts
+on one problem's rows, its sums are rounded as its own, and its block
+system is solved exactly as alone.  When a stacked call raises
+``NonFinite``, each problem is evaluated alone to find the failing ones,
+and only those fail.
 
 The midpoint rule couples only neighbouring nodes, so the Hessian of the
 root is block tridiagonal with N x N blocks (``MidpointPowerRule.derivatives``)
@@ -125,11 +126,11 @@ class SweepSchedule:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.m_max < 2:
+        if not self.m_max >= 2:  # written so that NaN fails it, as below
             raise SupminError("schedule needs m_max >= 2")
         if not self.tol_sweep > 0:
             raise SupminError("tol_sweep must be positive")
-        if self.restarts < 1:
+        if not self.restarts >= 1:
             raise SupminError("restarts must be >= 1")
 
     def exponents(self) -> list[int]:
@@ -202,16 +203,17 @@ def minimize_power_many(model: LagrangianModel, problems, m: int,
     Each round makes one ``jet_many`` call for every problem that needs a
     Newton direction and one block solve per padded system size
     (``_stacked_solve``), and each step of the line search one
-    ``eval_many`` call on the trials of the problems still searching.
-    Every problem keeps its own step, iteration budget and stop reason.
-    Returns, per problem, ``(path, stats, sup)``, sup the largest midpoint
-    sample at the path (its ``sup_energy``), or the ``NonFinite`` that
-    aborted it: L not finite at its start, or its jet or derivatives not
-    finite at an iterate.  A trial at which L is not finite is a rejected
-    step.
+    ``eval_many`` call on the trials of the problems still searching: one
+    generator (``_newton``) holds each problem's Newton loop, with its own
+    step, iteration budget and stop reason, and one scheduler
+    (``_lockstep``) stacks their calls.  Returns, per problem, ``(path,
+    stats, sup)``, sup the largest midpoint sample at the path (its
+    ``sup_energy``), or the ``NonFinite`` that aborted it: L not finite at
+    its start, or its jet or derivatives not finite at an iterate.  A trial
+    at which L is not finite is a rejected step.
     """
     opts = options or SolveOptions()
-    grids, rules, values = [], [], []
+    rules, solves = [], []
     for grid, boundary, init in problems:
         if init is None:
             init = interpolate_affine(boundary, grid)
@@ -223,118 +225,105 @@ def minimize_power_many(model: LagrangianModel, problems, m: int,
         start = np.array(init.values)
         start[0] = boundary(grid.a)
         start[-1] = boundary(grid.b)
-        grids.append(grid)
         rules.append(MidpointPowerRule(grid, m))
-        values.append(start)
-    batch = _Batch(model, rules)
-    count = len(problems)
-    outcomes, samples = [None] * count, [None] * count
-    f_evals, iterations = [1] * count, [0] * count
-
-    def finish(i, stop_reason, grad_norm):
-        stats = SolveStats(iterations[i], grad_norm, float(samples[i].root[0]), stop_reason,
-                           f_evals[i])
-        outcomes[i] = (Path(grids[i], values[i]), stats, float(samples[i].top[0]))
-
-    active, started, failed = batch.samples(list(range(count)), values)
-    for i, exc in failed.items():
-        outcomes[i] = exc
-    for i, sampled in zip(active, started or ()):
-        samples[i] = sampled
-    while active:
-        f = {i: float(samples[i].root[0]) for i in active}
-        for i in active:
-            if f[i] == 0.0:  # L >= 0, so this is a global minimum
-                finish(i, "decrement", 0.0)
-        ids = [i for i in active if f[i] != 0.0]
-        if ids:
-            ids, derivatives, failed = batch.derivatives(ids, samples)
-            for i, exc in failed.items():
-                outcomes[i] = exc
-        if not ids:
-            break
-        grad, hessian = derivatives
-        rule = batch.stack(ids)
-        starts = rule.node_starts
-        d = _newton_direction(grad, hessian, (m - 1) / np.array([f[i] for i in ids]), starts)
-        slope = segment_sums(d * grad, starts)
-        steep = ~((-np.inf < slope) & (slope < 0.0))
-        if np.any(steep):  # no finite descent; fall back to steepest descent
-            rows = steep[rule.node_problem]
-            d[rows] = -grad[rows]
-            with np.errstate(over="ignore"):  # an infinite slope fails the Armijo test
-                slope[steep] = -segment_sums(grad * grad, starts)[steep]
-        grad_norms = np.maximum.reduceat(np.abs(grad).ravel(), starts * grad.shape[1]).tolist()
-        bounds = np.append(starts, len(grad)).tolist()
-        direction, slopes, norms, searching = {}, {}, {}, []
-        for k, i in enumerate(ids):
-            slopes[i], norms[i] = float(slope[k]), grad_norms[k]
-            if -slopes[i] <= np.finfo(float).eps * f[i]:  # the decrement is at f's round-off floor
-                finish(i, "decrement", norms[i])
-            elif iterations[i] >= opts.max_iters:
-                finish(i, "max_iters", norms[i])
-            else:
-                direction[i] = d[bounds[k]:bounds[k + 1]]
-                searching.append(i)
-        active = []
-        step = dict.fromkeys(searching, INIT_STEP)
-        while searching:
-            trials = [values[i] + step[i] * direction[i] for i in searching]
-            for i in searching:
-                f_evals[i] += 1
-            evaluated, trial_samples, _ = batch.samples(searching, trials)
-            trial_of = dict(zip(searching, trials))
-            for i, sampled in zip(evaluated, trial_samples or ()):
-                if float(sampled.root[0]) <= f[i] + SUFFICIENT_DECREASE * step[i] * slopes[i]:
-                    values[i], samples[i] = trial_of[i], sampled
-                    iterations[i] += 1
-                    active.append(i)
-                    del trial_of[i]
-            searching = []
-            for i in trial_of:  # rejected: an Armijo failure, or L not finite at the trial
-                step[i] *= BACKTRACK
-                if step[i] >= MIN_STEP:
-                    searching.append(i)
-                else:
-                    finish(i, "line_search", norms[i])
-        active.sort()
-    return outcomes
+        solves.append(_newton(grid, start, opts.max_iters))
+    return _lockstep(model, rules, solves)
 
 
-class _Batch:
-    """The prepared rules of a batch of problems, their stacks by the
-    problems they hold, and the two stacked calls of a round."""
+def _newton(grid, values, max_iters):
+    """One problem's damped Newton loop from the nodal ``values``, as a
+    generator that yields ``("samples", values)`` for the samples of a path
+    and ``("newton", samples)`` for ``(grad, d, g.d, |g|^2, max|g|)``, d the
+    Newton direction, and returns ``(path, stats, sup)``.  A ``NonFinite``
+    thrown in at the start or at a jet ends the solve; at a trial it
+    rejects the step."""
+    samples = yield "samples", values
+    f_evals, iterations = 1, 0
 
-    def __init__(self, model, rules):
-        self.model, self.rules, self._stacks = model, rules, {}
+    def outcome(stop_reason, grad_norm):
+        stats = SolveStats(iterations, grad_norm, float(samples.root[0]), stop_reason, f_evals)
+        return Path(grid, values), stats, float(samples.top[0])
 
-    def stack(self, ids) -> MidpointPowerRule:
+    while True:
+        f = float(samples.root[0])
+        if f == 0.0:  # L >= 0, so this is a global minimum
+            return outcome("decrement", 0.0)
+        grad, d, slope, grad_sq, grad_norm = yield "newton", samples
+        if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
+            d, slope = -grad, -grad_sq
+        if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
+            return outcome("decrement", grad_norm)
+        if iterations >= max_iters:
+            return outcome("max_iters", grad_norm)
+        step = INIT_STEP
+        while True:
+            trial = values + step * d
+            f_evals += 1
+            try:
+                trial_samples = yield "samples", trial
+                if float(trial_samples.root[0]) <= f + SUFFICIENT_DECREASE * step * slope:
+                    break
+            except NonFinite:  # L not finite at the trial: a rejected step
+                pass
+            step *= BACKTRACK
+            if step < MIN_STEP:
+                return outcome("line_search", grad_norm)
+        values, samples = trial, trial_samples
+        iterations += 1
+
+
+def _lockstep(model, rules, solves) -> list:
+    """The outcomes of the ``_newton`` generators ``solves``, the i-th on
+    the problem of ``rules[i]``, or the ``NonFinite`` that ended each.  Each
+    step serves every pending request of one kind with one stacked call
+    (``_attributed``); samples come before directions, so a round's jets
+    wait until every line search of the round has ended."""
+    requests, outcomes, stacks = {}, [None] * len(solves), {}
+
+    def stack(ids):
         key = tuple(ids)
-        if key not in self._stacks:
-            self._stacks[key] = MidpointPowerRule.stack([self.rules[i] for i in key])
-        return self._stacks[key]
+        if key not in stacks:
+            stacks[key] = MidpointPowerRule.stack([rules[i] for i in key])
+        return stacks[key]
 
-    def samples(self, ids, values):
-        """The samples of each problem of ``ids`` at its nodal ``values``,
-        from one ``eval_many`` call; see ``_attributed``."""
-        value_of = dict(zip(ids, values))
+    def samples(ids):
+        rule = stack(ids)
+        return rule.split(rule.samples(model, np.concatenate([requests[i][1] for i in ids])))
 
-        def run(ids):
-            rule = self.stack(ids)
-            return rule.split(rule.samples(self.model, np.concatenate([value_of[i] for i in ids])))
+    def newton(ids):
+        rule = stack(ids)
+        starts = rule.node_starts
+        sampled = PowerSamples.concat([requests[i][1] for i in ids])
+        grad, hessian = rule.derivatives(model, sampled)
+        d = _newton_direction(grad, hessian, (rule.m - 1) / sampled.root, starts)
+        slopes = segment_sums(d * grad, starts).tolist()
+        with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
+            grad_sq = segment_sums(grad * grad, starts).tolist()
+        norms = np.maximum.reduceat(np.abs(grad).ravel(), starts * grad.shape[1]).tolist()
+        bounds = np.append(starts, len(grad)).tolist()
+        return [(grad[lo:hi], d[lo:hi], *sums)
+                for lo, hi, *sums in zip(bounds, bounds[1:], slopes, grad_sq, norms)]
 
-        return _attributed(run, ids)
+    def resume(i, reply):
+        step = solves[i].throw if isinstance(reply, NonFinite) else solves[i].send
+        try:
+            requests[i] = step(reply)
+        except StopIteration as done:
+            outcomes[i] = done.value
+        except NonFinite as exc:
+            outcomes[i] = exc
 
-    def derivatives(self, ids, samples):
-        """The stacked gradient and element part of the Hessian of the
-        problems ``ids`` at their ``samples``, from one ``jet_many`` call;
-        see ``_attributed``."""
-
-        def run(ids):
-            return self.stack(ids).derivatives(self.model,
-                                               PowerSamples.concat([samples[i] for i in ids]))
-
-        return _attributed(run, ids)
+    for i in range(len(solves)):
+        resume(i, None)
+    while requests:
+        kind = "samples" if any(k == "samples" for k, _ in requests.values()) else "newton"
+        ids = sorted(i for i, (k, _) in requests.items() if k == kind)
+        done, replies, failed = _attributed(samples if kind == "samples" else newton, ids)
+        for i in ids:
+            del requests[i]
+        for i, reply in [*zip(done, replies or ()), *failed.items()]:
+            resume(i, reply)
+    return outcomes
 
 
 def _attributed(run, ids):

@@ -8,6 +8,7 @@ from conftest import (ROTATION, dense_block_tridiagonal, drift_model, random_bui
                       random_path)
 
 EPS = np.finfo(float).eps
+NAN = float("nan")
 
 
 def spike_path():
@@ -48,6 +49,18 @@ class TestSupEnergy:
     def test_empty_interval(self):
         with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(0\.5, 0\.5\)"):
             sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.5, 0.5))
+
+    @pytest.mark.parametrize("energy", [
+        lambda model, path, sub: sm.sup_energy(model, path, sub),
+        lambda model, path, sub: sm.power_energy(model, path, 4, sub),
+        lambda model, path, sub: sm.power_energy_gradient(model, path, 4, sub),
+    ], ids=["sup_energy", "power_energy", "power_energy_gradient"])
+    @pytest.mark.parametrize("subinterval", [(NAN, 0.5), (0.0, NAN)],
+                             ids=["nan_alpha", "nan_beta"])
+    def test_nan_end(self, energy, subinterval):
+        """A NaN end fails the subinterval checks instead of reaching numpy."""
+        with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(.*nan.*\)"):
+            energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), subinterval)
 
     def test_model_dimension_mismatch(self):
         path = affine_path([0.0, 0.0], [2.0, 0.0])

@@ -479,6 +479,8 @@ def _scan_with_schedule(schedule):
     (lambda: sm.SolveOptions(max_iters=NAN), "max_iters must be positive"),
     (lambda: sm.SweepSchedule(tol_sweep=NAN), "tol_sweep must be positive"),
     (lambda: sm.AuditConfig(tol_audit=NAN), "tol_audit must be positive"),
+    (lambda: sm.AuditConfig(num_subintervals=NAN), "audit config counts must be positive"),
+    (lambda: sm.AuditConfig(min_elements=NAN), "audit config counts must be positive"),
     (lambda: sm.GrowthParams(NAN, 0, 0, 2, 2), "growth constants must be nonnegative"),
     (lambda: sm.MinOfNormsModel([[1.0]], exponent=NAN), "exponent must be positive"),
     (lambda: sm.MinOfNormsModel([[1.0]], exponent=np.inf), "exponent must be positive"),
@@ -488,7 +490,8 @@ def _scan_with_schedule(schedule):
     (lambda: sm.radial_profile("power", gamma=np.inf), "power profile needs gamma > 0, finite"),
     (lambda: _scan_with_schedule([0.2, NAN]), "strictly decreasing"),
     (lambda: _scan_with_schedule([NAN]), r"must lie in \(0, length/3\)"),
-], ids=["max_iters", "tol_sweep", "tol_audit", "growth_c1", "min_norms_nan",
+], ids=["max_iters", "tol_sweep", "tol_audit", "audit_subintervals", "audit_min_elements",
+        "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
         "scan_order", "scan_range"])
 def test_range_checks_reject_nan(build, message):

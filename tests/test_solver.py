@@ -558,6 +558,10 @@ class TestSweep:
     def test_schedule_validation(self):
         with pytest.raises(sm.SupminError):
             sm.SweepSchedule(m_max=1)
+        with pytest.raises(sm.SupminError, match="schedule needs m_max >= 2"):
+            sm.SweepSchedule(m_max=float("nan"))
+        with pytest.raises(sm.SupminError, match="restarts must be >= 1"):
+            sm.SweepSchedule(restarts=float("nan"))
         assert sm.SweepSchedule().exponents() == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
         assert sm.SweepSchedule(m_max=1000).exponents()[-1] == 512
         assert sm.SweepSchedule(m_max=2).exponents() == [2]
