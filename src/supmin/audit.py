@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import MidpointPowerRule, power_energy, sup_energy
-from .errors import SupminError
+from .errors import SupminError, check_count
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, difference_quotient
 from .solver import SolveOptions, SweepSchedule, m_sweep_many
@@ -37,9 +37,10 @@ class AuditConfig:
     options: SolveOptions | None = None
 
     def __post_init__(self):
-        if not (self.num_subintervals >= 1 and self.min_elements >= 1):  # NaN fails it
-            raise SupminError("audit config counts must be positive")
-        if not self.tol_audit > 0:
+        for count in (self.num_subintervals, self.min_elements):
+            check_count(count, 1, "audit config counts must be positive integers")
+        check_count(self.seed, 0, "audit seed must be an integer >= 0")
+        if not self.tol_audit > 0:  # written so that NaN fails it
             raise SupminError("tol_audit must be positive")
 
 

@@ -16,25 +16,25 @@ accumulated in ascending index order so results are bit-reproducible.
 
 One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
 order and subinterval, it turns nodal values into ``PowerSamples`` with one
-``eval_many`` call, and samples into the gradient and the block-tridiagonal
-part of the Hessian with one ``jet_many`` call: element e reads only nodes
-e and e + 1, so only neighbouring nodes are coupled.  Rules of one order
-stack into one rule over the concatenated nodes of all their problems, so
-that one call serves a whole batch of solves; each problem's largest
-sample, power sum and root are segment reductions, rounded as that problem
-alone would round them.  The solver keeps one rule per problem and takes an
-accepted trial's gradient and Hessian from that trial's samples;
-``power_energy``, ``power_energy_gradient`` and ``sup_energy`` are one-call
-wrappers around a rule of one problem.
+``eval_many`` call, and nodal values into the gradient and the
+block-tridiagonal part of the Hessian with one ``jet_many`` call, whose
+values are the samples again: element e reads only nodes e and e + 1, so
+only neighbouring nodes are coupled.  Rules of one order stack into one
+rule over the concatenated nodes of all their problems, so that one call
+serves a whole batch of solves; each problem's largest sample, power sum
+and root are segment reductions, rounded as that problem alone would round
+them.  The solver keeps one rule per problem and hands it nothing but an
+iterate's nodal values; ``power_energy``, ``power_energy_gradient`` and
+``sup_energy`` are one-call wrappers around a rule of one problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, SupminError
+from .errors import NonFinite, SupminError, check_count
 from .lagrangian import LagrangianModel, check_width
 from .path import Grid, Path
 
@@ -83,35 +83,13 @@ def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerSamples:
-    """The midpoint samples of a stack of paths: per element the slope, the
-    sample value of the map, L itself (``sampled``) and L over its problem's
-    largest sample (``ratios``); per problem that largest sample ``top`` and
-    the factored power sum ``weight_sum``, ``outer``.
+    """The midpoint samples of a stack of paths: L at every element's sample
+    point (``sampled``), and per problem the largest sample ``top`` and the
+    normalized power root ``root``, both zero where every sample is zero."""
 
-    A problem whose ``top`` is zero has every sample zero (L >= 0), zero
-    ratios and zero sums.
-    """
-
-    slopes: np.ndarray
-    etas: np.ndarray
     sampled: np.ndarray
-    ratios: np.ndarray
     top: np.ndarray
-    weight_sum: np.ndarray
-    outer: np.ndarray
-
-    @property
-    def root(self) -> np.ndarray:
-        """The normalized power root of each problem."""
-        return self.top * self.outer
-
-    @staticmethod
-    def concat(parts) -> "PowerSamples":
-        """The samples of several stacks as one, in order."""
-        if len(parts) == 1:
-            return parts[0]
-        return PowerSamples(*(np.concatenate([getattr(part, f.name) for part in parts])
-                              for f in fields(PowerSamples)))
+    root: np.ndarray
 
 
 class MidpointPowerRule:
@@ -123,26 +101,26 @@ class MidpointPowerRule:
 
     A rule built from a grid (and a subinterval of it) is a stack of one
     problem; ``stack`` concatenates the nodes and elements of rules of one
-    order.  ``samples`` evaluates L at the midpoints of every problem's path
-    (one ``eval_many`` call); ``derivatives`` turns those samples into the
-    gradient with respect to nodal values and the element part of the
-    Hessian (one ``jet_many`` call).  Every per-problem sum is rounded as
-    the same sum over that problem alone (``segment_sums``), and every other
-    operation acts on one element or node at a time, so a problem's numbers
-    do not depend on the stack it is evaluated in, as long as the model's
-    value for a row does not depend on the other rows of its batch.
+    order.  From nodal values, ``samples`` evaluates L at the midpoints of
+    every problem's path (one ``eval_many`` call), and ``derivatives`` the
+    gradient and the element part of the Hessian (one ``jet_many`` call),
+    both by the same helpers ``_points`` and ``_powers``.  Every per-problem
+    sum is rounded as the same sum over that problem alone
+    (``segment_sums``), and every other operation acts on one element or
+    node at a time, so a problem's numbers do not depend on the stack it is
+    evaluated in, as long as the model's value for a row does not depend on
+    the other rows of its batch.
     """
 
     def __init__(self, grid: Grid, m: int, subinterval=None):
-        if m < 1:
-            raise SupminError("power energy needs m >= 1")
+        check_count(m, 1, "power energy needs m >= 1, an integer")
         alpha, beta = _subinterval(grid, subinterval)
         nodes = grid.nodes
         lo = np.maximum(nodes[:-1], alpha)
         hi = np.minimum(nodes[1:], beta)
         idx = np.nonzero(hi > lo)[0]  # the elements overlapping (alpha, beta)
         lo, hi = lo[idx], hi[idx]
-        self.m = int(m)
+        self.m = m
         self.idx = idx
         self.lengths = hi - lo
         self.xs = lo + 0.5 * self.lengths
@@ -178,49 +156,53 @@ class MidpointPowerRule:
                                                for rule, off in zip(rules, offsets)]))
         return out
 
-    def split(self, samples: PowerSamples) -> list:
-        """The samples of each problem of the stack, as stacks of one."""
-        bounds = np.append(self.elem_starts, self.idx.size).tolist()
-        return [PowerSamples(samples.slopes[lo:hi], samples.etas[lo:hi],
-                             samples.sampled[lo:hi], samples.ratios[lo:hi],
-                             samples.top[k:k + 1], samples.weight_sum[k:k + 1],
-                             samples.outer[k:k + 1])
-                for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-
-    def samples(self, model: LagrangianModel, values: np.ndarray) -> PowerSamples:
-        """Samples of the paths with nodal ``values`` (one row per node of
-        the stack)."""
+    def _points(self, model: LagrangianModel, values: np.ndarray):
+        """The map's value and slope at every element's sample point of the
+        paths with nodal ``values`` (one row per node of the stack)."""
         if not np.all(np.isfinite(values)):
             raise SupminError("path values must be finite")
         if values.shape[1] != model.dim:
             raise SupminError(f"path dimension {values.shape[1]} differs from the model "
                               f"dimension {model.dim}")
-        idx, m = self.idx, self.m
+        idx = self.idx
         slopes = (values[idx + 1] - values[idx]) / self.elem_len[:, None]
-        etas = values[idx] + self.offsets * slopes
-        sampled = model.eval_many(self.xs, etas, slopes)
+        return values[idx] + self.offsets * slopes, slopes
+
+    def _powers(self, sampled: np.ndarray):
+        """``(top, ratios, weight_sum, outer)`` of the samples L_e: per problem
+        the largest sample, the factored power sum and ``root / top``; per
+        element L_e / top."""
         top = np.maximum.reduceat(sampled, self.elem_starts)
         ratios = sampled / np.where(top == 0.0, 1.0, top)[self.elem_problem]
-        weight_sum = segment_sums(self.lengths * ratios**m, self.elem_starts)
+        weight_sum = segment_sums(self.lengths * ratios**self.m, self.elem_starts)
         # one scalar power per problem: numpy's vector power may round differently
-        outer = np.array([(w / span) ** (1.0 / m)
+        outer = np.array([(w / span) ** (1.0 / self.m)
                           for w, span in zip(weight_sum.tolist(), self.spans)])
         if not np.all(np.isfinite(top * outer)):
             raise NonFinite("normalized power root is not finite")
-        return PowerSamples(slopes, etas, sampled, ratios, top, weight_sum, outer)
+        return top, ratios, weight_sum, outer
 
-    def derivatives(self, model: LagrangianModel, samples: PowerSamples):
+    def samples(self, model: LagrangianModel, values: np.ndarray) -> PowerSamples:
+        """Samples of the paths with nodal ``values``, one row per stack node."""
+        sampled = model.eval_many(self.xs, *self._points(model, values))
+        top, _, _, outer = self._powers(sampled)
+        return PowerSamples(sampled, top, top * outer)
+
+    def derivatives(self, model: LagrangianModel, values: np.ndarray):
         """Gradient and element part of the Hessian of each problem's
-        normalized root at the sampled paths, from one ``jet_many`` call:
-        ``(grad, (diag, upper))``.
+        normalized root at the paths with nodal ``values``, from one
+        ``jet_many`` call: ``(grad, (diag, upper))``.
+
+        The jet's values are bitwise the samples (a ``LagrangianModel``
+        contract), reduced as in ``samples``.  Every problem needs a nonzero
+        largest sample.
 
         ``grad`` has one row per node.  The element part is block
         tridiagonal: ``diag[i]`` couples node i with itself, ``upper[i]``
         node i with node i + 1, each N x N.  Clamped nodes (on or outside the
         closed subinterval) get zero gradient rows, identity diagonal blocks
         and no coupling, so the stack's element part is block diagonal, one
-        block-tridiagonal system per problem.  A problem whose samples are
-        all zero has zero rows and takes no jet.
+        block-tridiagonal system per problem.
 
         With ``coeff_e`` the derivative of the root in L_e, the element part
         is ``sum_e coeff_e J_e^T (H_e + (m-1)/L_e grad L_e grad L_e^T) J_e``,
@@ -228,47 +210,41 @@ class MidpointPowerRule:
         nodes to (eta_e, p_e).  The Hessian of the root is this minus
         ``(m-1)/root g g^T``, g the gradient.
         """
-        m = self.m
-        n_nodes, n = self.clamped.size, samples.slopes.shape[1]
+        m, idx, theta, elem_len = self.m, self.idx, self.theta, self.elem_len
+        n_nodes, n = values.shape
+        jet = model.jet_many(self.xs, *self._points(model, values))
+        top, ratios, weight_sum, outer = self._powers(jet.value)
+        problem = self.elem_problem
+        scale = outer[problem] * self.lengths / weight_sum[problem]
+        # d(root)/dL_e in factored form: stays representable for every m
+        coeffs = scale * ratios ** (m - 1)
+        d_slope = jet.dp / elem_len[:, None]
         grad = np.zeros((n_nodes, n))
+        # each node takes its left element's right share and its right element's
+        # left share; two terms added to zero round the same in either order
+        grad[idx] += coeffs[:, None] * ((1.0 - theta) * jet.deta - d_slope)
+        grad[idx + 1] += coeffs[:, None] * (theta * jet.deta + d_slope)
+
+        # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
+        rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / top[problem])[:, None, None]
+        # the eta and p weights of an element's left and right node in J_e
+        eta_w = (1.0 - theta[:, :, None], theta[:, :, None])
+        inv_len = (1.0 / elem_len)[:, None, None]
+        p_w = (-inv_len, inv_len)
+        dpeta_t = jet.dpeta.transpose(0, 2, 1)
+        v = [eta_w[a][:, :, 0] * jet.deta + p_w[a][:, :, 0] * jet.dp for a in (0, 1)]
+
+        def block(a, b):
+            return coeffs[:, None, None] * (
+                eta_w[a] * eta_w[b] * jet.detaeta + eta_w[a] * p_w[b] * dpeta_t
+                + p_w[a] * eta_w[b] * jet.dpeta + p_w[a] * p_w[b] * jet.dpp) \
+                + rank_one * v[a][:, :, None] * v[b][:, None, :]
+
         diag = np.zeros((n_nodes, n, n))
         upper = np.zeros((n_nodes - 1, n, n))
-        live = (samples.top != 0.0)[self.elem_problem]
-        elements = (self.idx, self.lengths, self.xs, self.elem_len, self.theta,
-                    samples.slopes, samples.etas, samples.ratios, self.elem_problem)
-        if not np.all(live):
-            elements = tuple(a[live] for a in elements)
-        idx, lengths, xs, elem_len, theta, slopes, etas, ratios, problem = elements
-        if idx.size:
-            top = samples.top[problem]
-            scale = samples.outer[problem] * lengths / samples.weight_sum[problem]
-            jet = model.jet_many(xs, etas, slopes)
-            # d(root)/dL_e in factored form: stays representable for every m
-            coeffs = scale * ratios ** (m - 1)
-            d_slope = jet.dp / elem_len[:, None]
-            # each node takes its left element's right share and its right element's
-            # left share; two terms added to zero round the same in either order
-            grad[idx] += coeffs[:, None] * ((1.0 - theta) * jet.deta - d_slope)
-            grad[idx + 1] += coeffs[:, None] * (theta * jet.deta + d_slope)
-
-            # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
-            rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / top)[:, None, None]
-            # the eta and p weights of an element's left and right node in J_e
-            eta_w = (1.0 - theta[:, :, None], theta[:, :, None])
-            inv_len = (1.0 / elem_len)[:, None, None]
-            p_w = (-inv_len, inv_len)
-            dpeta_t = jet.dpeta.transpose(0, 2, 1)
-            v = [eta_w[a][:, :, 0] * jet.deta + p_w[a][:, :, 0] * jet.dp for a in (0, 1)]
-
-            def block(a, b):
-                return coeffs[:, None, None] * (
-                    eta_w[a] * eta_w[b] * jet.detaeta + eta_w[a] * p_w[b] * dpeta_t
-                    + p_w[a] * eta_w[b] * jet.dpeta + p_w[a] * p_w[b] * jet.dpp) \
-                    + rank_one * v[a][:, :, None] * v[b][:, None, :]
-
-            diag[idx] += block(0, 0)
-            diag[idx + 1] += block(1, 1)
-            upper[idx] += block(0, 1)
+        diag[idx] += block(0, 0)
+        diag[idx + 1] += block(1, 1)
+        upper[idx] += block(0, 1)
         clamped = self.clamped
         grad[clamped] = 0.0
         diag[clamped] = np.eye(n)
@@ -301,10 +277,13 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
     """Gradient of the normalized power root with respect to nodal values.
 
     Rows for nodes on or outside the closed subinterval are zero: boundary
-    nodes are clamped Dirichlet data of the comparison problem.
+    nodes are clamped Dirichlet data of the comparison problem.  Where every
+    sample is zero, a global minimum, every row is zero and no jet is taken.
     """
     rule = MidpointPowerRule(path.grid, m, subinterval)
-    return rule.derivatives(model, rule.samples(model, path.values))[0]
+    if rule.samples(model, path.values).top[0] == 0.0:  # L vanishes at every sample
+        return np.zeros(path.values.shape)
+    return rule.derivatives(model, path.values)[0]
 
 
 def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:

@@ -13,6 +13,7 @@ Three types, one for each way a caller handles a failure:
 
 No caller treats a narrower kind of failure differently, so none has a type
 of its own: the message says what went wrong, and tests match on it.
+``check_count`` is the one range check that every count and seed shares.
 """
 
 
@@ -31,3 +32,10 @@ class ConfigError(SupminError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def check_count(value, minimum: int, message: str) -> None:
+    """Raise ``SupminError`` unless ``value`` is an ``int``, not a ``bool``,
+    of at least ``minimum``: a float count (NaN too) is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SupminError(f"{message}; got {value!r}")

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, SupminError
+from .errors import NonFinite, SupminError, check_count
 
 _EPS = np.finfo(float).eps
 _FD_FIRST = _EPS ** (1.0 / 3.0)
@@ -212,8 +212,10 @@ class LagrangianModel:
     stencil (51 rows per row at N=2).  That call needs ``eval_many``'s value
     for a row not to depend on the other rows of its batch (``_apply``
     keeps products so), and the solver, which evaluates many problems in
-    one call, needs the same of ``jet_many``.  Models are immutable after construction and all
-    evaluation methods are pure.
+    one call, needs the same of ``jet_many``.  The ``value`` of
+    ``jet_many`` is ``eval_many`` of the same rows, bitwise: a Newton step
+    reads its iterate's samples from the jet.  Models are immutable after
+    construction and all evaluation methods are pure.
     """
 
     def __init__(self, dim: int, growth: GrowthParams | None = None):
@@ -538,8 +540,9 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_triples < 1 or self.t_levels < 1:
-            raise SupminError("sample plan needs num_triples >= 1 and t_levels >= 1")
+        for count in (self.num_triples, self.t_levels):
+            check_count(count, 1, "sample plan needs num_triples >= 1 and t_levels >= 1, integers")
+        check_count(self.seed, 0, "sample plan seed must be an integer >= 0")
 
 
 @dataclass(frozen=True)

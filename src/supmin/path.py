@@ -105,8 +105,9 @@ class Path:
             lines = [line.strip().split(",") for line in file if line.strip()]
         if not lines:
             raise SupminError("path CSV has no data rows")
-        if len(lines[0]) < 2 or any(len(row) != len(lines[0]) for row in lines):
-            raise SupminError("path CSV rows must all have the same number (>= 2) of columns")
+        width = len(header.split(","))  # at least 2, as the header starts with "x,"
+        if any(len(row) != width for row in lines):
+            raise SupminError(f"path CSV rows must all have the header's {width} columns")
         try:
             rows = [[float(tok) for tok in row] for row in lines]
         except ValueError:

@@ -4,8 +4,9 @@
 backtracking) on the normalized power root for one exponent m.  It prepares
 one ``MidpointPowerRule`` (the rule behind the public ``power_energy`` and
 ``power_energy_gradient``) per solve, evaluates L once per trial iterate,
-and takes the gradient and Hessian of an accepted trial from that trial's
-samples and one jet.  ``m_sweep`` chains solves over the exponents m = 2, 4, 8,
+and takes the gradient and Hessian of an accepted trial from one jet at its
+nodal values; the line search keeps only the trial's root and largest
+sample.  ``m_sweep`` chains solves over the exponents m = 2, 4, 8,
 ... up to ``m_max``, warm-starting each exponent from the previous
 minimizer, and extracts the final path as the sup-energy candidate.
 Everything is deterministic: fixed accumulation order, no randomness unless
@@ -76,8 +77,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import MidpointPowerRule, PowerSamples, segment_sums
-from .errors import NonFinite, SupminError
+from .energy import MidpointPowerRule, segment_sums
+from .errors import NonFinite, SupminError, check_count
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, interpolate_affine
 
@@ -93,8 +94,7 @@ class SolveOptions:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if not self.max_iters > 0:  # written so that NaN fails it
-            raise SupminError("max_iters must be positive")
+        check_count(self.max_iters, 1, "max_iters must be positive, an integer")
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,10 @@ class SweepSchedule:
     restarts: int = 1
 
     def __post_init__(self):
-        if not self.m_max >= 2:  # written so that NaN fails it, as below
-            raise SupminError("schedule needs m_max >= 2")
-        if not self.tol_sweep > 0:
+        check_count(self.m_max, 2, "schedule needs m_max >= 2, an integer")
+        if not self.tol_sweep > 0:  # written so that NaN fails it
             raise SupminError("tol_sweep must be positive")
-        if not self.restarts >= 1:
-            raise SupminError("restarts must be >= 1")
+        check_count(self.restarts, 1, "restarts must be >= 1, an integer")
 
     def exponents(self) -> list[int]:
         """2, 4, 8, ... up to m_max."""
@@ -232,23 +230,23 @@ def minimize_power_many(model: LagrangianModel, problems, m: int,
 
 def _newton(grid, values, max_iters):
     """One problem's damped Newton loop from the nodal ``values``, as a
-    generator that yields ``("samples", values)`` for the samples of a path
-    and ``("newton", samples)`` for ``(grad, d, g.d, |g|^2, max|g|)``, d the
-    Newton direction, and returns ``(path, stats, sup)``.  A ``NonFinite``
+    generator that yields ``("samples", values)`` for the normalized root
+    and largest sample ``(root, top)`` of a path, and ``("newton", values,
+    f)`` for ``(grad, d, g.d, |g|^2, max|g|)`` at the path with root f, d
+    the Newton direction, and returns ``(path, stats, sup)``.  A step thus
+    hands on only an iterate's values and two floats.  A ``NonFinite``
     thrown in at the start or at a jet ends the solve; at a trial it
     rejects the step."""
-    samples = yield "samples", values
+    f, top = yield "samples", values
     f_evals, iterations = 1, 0
 
     def outcome(stop_reason, grad_norm):
-        stats = SolveStats(iterations, grad_norm, float(samples.root[0]), stop_reason, f_evals)
-        return Path(grid, values), stats, float(samples.top[0])
+        return Path(grid, values), SolveStats(iterations, grad_norm, f, stop_reason, f_evals), top
 
     while True:
-        f = float(samples.root[0])
         if f == 0.0:  # L >= 0, so this is a global minimum
             return outcome("decrement", 0.0)
-        grad, d, slope, grad_sq, grad_norm = yield "newton", samples
+        grad, d, slope, grad_sq, grad_norm = yield "newton", values, f
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
             d, slope = -grad, -grad_sq
         if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
@@ -260,15 +258,15 @@ def _newton(grid, values, max_iters):
             trial = values + step * d
             f_evals += 1
             try:
-                trial_samples = yield "samples", trial
-                if float(trial_samples.root[0]) <= f + SUFFICIENT_DECREASE * step * slope:
+                trial_f, trial_top = yield "samples", trial
+                if trial_f <= f + SUFFICIENT_DECREASE * step * slope:
                     break
             except NonFinite:  # L not finite at the trial: a rejected step
                 pass
             step *= BACKTRACK
             if step < MIN_STEP:
                 return outcome("line_search", grad_norm)
-        values, samples = trial, trial_samples
+        values, f, top = trial, trial_f, trial_top
         iterations += 1
 
 
@@ -286,16 +284,19 @@ def _lockstep(model, rules, solves) -> list:
             stacks[key] = MidpointPowerRule.stack([rules[i] for i in key])
         return stacks[key]
 
+    def values(ids):
+        return np.concatenate([requests[i][1] for i in ids])
+
     def samples(ids):
-        rule = stack(ids)
-        return rule.split(rule.samples(model, np.concatenate([requests[i][1] for i in ids])))
+        sampled = stack(ids).samples(model, values(ids))
+        return list(zip(sampled.root.tolist(), sampled.top.tolist()))
 
     def newton(ids):
         rule = stack(ids)
         starts = rule.node_starts
-        sampled = PowerSamples.concat([requests[i][1] for i in ids])
-        grad, hessian = rule.derivatives(model, sampled)
-        d = _newton_direction(grad, hessian, (rule.m - 1) / sampled.root, starts)
+        grad, hessian = rule.derivatives(model, values(ids))
+        sigma = (rule.m - 1) / np.array([requests[i][2] for i in ids])
+        d = _newton_direction(grad, hessian, sigma, starts)
         slopes = segment_sums(d * grad, starts).tolist()
         with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
             grad_sq = segment_sums(grad * grad, starts).tolist()
@@ -316,8 +317,8 @@ def _lockstep(model, rules, solves) -> list:
     for i in range(len(solves)):
         resume(i, None)
     while requests:
-        kind = "samples" if any(k == "samples" for k, _ in requests.values()) else "newton"
-        ids = sorted(i for i, (k, _) in requests.items() if k == kind)
+        kind = "samples" if any(k == "samples" for k, *_ in requests.values()) else "newton"
+        ids = sorted(i for i, (k, *_) in requests.items() if k == kind)
         done, replies, failed = _attributed(samples if kind == "samples" else newton, ids)
         for i in ids:
             del requests[i]
@@ -514,6 +515,7 @@ def _restart_starts(grid, boundary, init, restarts, seed) -> list:
     """The start of each restart: init itself when there is one restart;
     else init (or the affine interpolant), then perturbations of it drawn
     from ``seed``."""
+    check_count(seed, 0, "sweep seed must be an integer >= 0")
     if restarts == 1:
         return [init]
     rng = np.random.default_rng(seed)

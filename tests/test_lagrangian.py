@@ -230,6 +230,9 @@ class TestJet:
                 assert np.array_equal(getattr(full, f.name), stacked), (type(model), f.name)
             one = [model.eval(x, e, p) for x, e, p in zip(xs, etas, ps)]
             assert np.array_equal(model.eval_many(xs, etas, ps), one)
+            # the jet's values are the batch's values, bitwise: the Newton step
+            # reads its sample values from the jet
+            assert np.array_equal(full.value, model.eval_many(xs, etas, ps)), type(model)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_fd_jet_equals_loop_reference(self, rng, dim):
@@ -475,6 +478,16 @@ def _scan_with_schedule(schedule):
     return sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), psi, schedule)
 
 
+def _power_energy_of_order(m):
+    path = sm.Path(sm.Grid.uniform(0.0, 1.0, 5), np.zeros((5, 1)))
+    return sm.power_energy(sm.PowerNormModel(2.0, [1.0]), path, m)
+
+
+def _minimize_power_of_order(m):
+    return sm.minimize_power(sm.PowerNormModel(2.0, [1.0]), sm.Grid.uniform(0.0, 1.0, 5),
+                             sm.AffineMap([0.0], [1.0]), m)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: sm.SolveOptions(max_iters=NAN), "max_iters must be positive"),
     (lambda: sm.SweepSchedule(tol_sweep=NAN), "tol_sweep must be positive"),
@@ -490,10 +503,29 @@ def _scan_with_schedule(schedule):
     (lambda: sm.radial_profile("power", gamma=np.inf), "power profile needs gamma > 0, finite"),
     (lambda: _scan_with_schedule([0.2, NAN]), "strictly decreasing"),
     (lambda: _scan_with_schedule([NAN]), r"must lie in \(0, length/3\)"),
+    # counts and seeds must be ints in range, not floats that fail deep in a run
+    (lambda: sm.SolveOptions(max_iters=2.5), "max_iters must be positive"),
+    (lambda: sm.SweepSchedule(m_max=8.0), "schedule needs m_max >= 2"),
+    (lambda: sm.SweepSchedule(restarts=2.0), "restarts must be >= 1"),
+    (lambda: sm.AuditConfig(num_subintervals=2.5), "audit config counts must be positive"),
+    (lambda: sm.AuditConfig(seed=-1), "seed must be an integer >= 0"),
+    (lambda: sm.SamplePlan(num_triples=NAN), "needs num_triples >= 1 and t_levels >= 1"),
+    (lambda: sm.SamplePlan(t_levels=NAN), "needs num_triples >= 1 and t_levels >= 1"),
+    (lambda: sm.SamplePlan(num_triples=2.5), "needs num_triples >= 1 and t_levels >= 1"),
+    (lambda: sm.SamplePlan(seed=-1), "seed must be an integer >= 0"),
+    (lambda: sm.m_sweep(sm.PowerNormModel(2.0, [1.0]), sm.Grid.uniform(0.0, 1.0, 5),
+                        sm.AffineMap([0.0], [1.0]), seed=-1), "seed must be an integer >= 0"),
+    # the order must be an integer, not truncated to one
+    (lambda: _power_energy_of_order(2.5), "power energy needs m >= 1"),
+    (lambda: _minimize_power_of_order(2.5), "power energy needs m >= 1"),
+    (lambda: _minimize_power_of_order(NAN), "power energy needs m >= 1"),
 ], ids=["max_iters", "tol_sweep", "tol_audit", "audit_subintervals", "audit_min_elements",
         "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
-        "scan_order", "scan_range"])
+        "scan_order", "scan_range", "max_iters_float", "m_max_float", "restarts_float",
+        "audit_subintervals_float", "audit_seed_negative", "plan_triples_nan",
+        "plan_levels_nan", "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
+        "power_order_float", "solve_order_float", "solve_order_nan"])
 def test_range_checks_reject_nan(build, message):
     """A NaN compares false with every bound, so each check is written to
     fail, not pass, on it."""

@@ -151,7 +151,8 @@ class TestCsv:
         path.to_csv(str(f))
         assert f.read_text().splitlines()[0] == "x,u1,u2"
 
-    @pytest.mark.parametrize("text", ["x,u1\n", "x,u1\n0,0\n0.5,1,2\n1,0\n", "x,u1\n0,a\n1,0\n"])
+    @pytest.mark.parametrize("text", ["x,u1\n", "x,u1\n0,0\n0.5,1,2\n1,0\n", "x,u1\n0,a\n1,0\n",
+                                      "x,u1,u2\n0,0\n0.5,1\n1,1\n"])
     def test_malformed_rejected(self, tmp_path, text):
         f = tmp_path / "p.csv"
         f.write_text(text)

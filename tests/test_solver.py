@@ -67,7 +67,7 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
     def newton(v, grad):
         rule = MidpointPowerRule(grid, m)
         samples = rule.samples(model, v)
-        hessian = rule.derivatives(model, samples)[1]
+        hessian = rule.derivatives(model, v)[1]
         return _newton_direction(grad, hessian, (m - 1) / samples.root)[free]
 
     f = fval(values)
@@ -292,7 +292,7 @@ class TestNewtonDirection:
         values[1:-1] += np.random.default_rng(5).normal(scale=1e-3, size=values[1:-1].shape)
         rule = MidpointPowerRule(grid, m)
         samples = rule.samples(model, values)
-        grad, hessian = rule.derivatives(model, samples)
+        grad, hessian = rule.derivatives(model, values)
         hess = dense_root_hessian(model, sm.Path(grid, values), m)
         want = np.linalg.solve(hess, -grad.ravel())
         got = _newton_direction(grad, hessian, (m - 1) / samples.root).ravel()
@@ -309,7 +309,7 @@ class TestNewtonDirection:
         init = sm.Path(grid, np.array([[0.0], [0.0], [0.0], [0.5], [1.0]]))
         rule = MidpointPowerRule(grid, 2)
         samples = rule.samples(model, init.values)
-        grad, hessian = rule.derivatives(model, samples)
+        grad, hessian = rule.derivatives(model, init.values)
         assert np.any(grad != 0.0)
         assert np.all(np.isnan(_newton_direction(grad, hessian, 1.0 / samples.root)))
         path, stats = sm.minimize_power(model, grid, bmap, 2, init)
