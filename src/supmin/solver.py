@@ -13,18 +13,19 @@ Everything is deterministic: fixed accumulation order, no randomness unless
 restarts > 1, in which case the perturbed starts are drawn from a
 caller-supplied seed.
 
-Independent solves of one model and exponent run in lockstep
-(``minimize_power_many``): one generator (``_newton``) holds each problem's
-Newton loop, and one scheduler (``_lockstep``) stacks their model calls.
-Each round makes one ``jet_many`` call, one batched block solve per padded
-system size, and one ``eval_many`` call per line-search step, so the
-number of calls follows the slowest problem, not the number of problems.
-``m_sweep_many`` advances many sweeps, and every restart of each, one
-exponent at a time the same way; the audit runs all its subintervals as
-one such batch.  ``minimize_power`` and ``m_sweep`` are the batches of
-one.  A problem's numbers do not depend on its batch: every operation acts
-on one problem's rows, its sums are rounded as its own, and its block
-system is solved exactly as alone.  When a stacked call raises
+Independent problems run in lockstep.  One generator, ``_newton``, holds
+one solve and yields the model calls it needs.  One generator, ``_sweep``,
+holds one sweep and runs a ``_newton`` per exponent.  One scheduler,
+``_lockstep``, stacks the pending calls of all generators into one call,
+serving the lowest order first.  So a round of solves makes one
+``jet_many`` call, one block solve per padded system size and one
+``eval_many`` call per line-search step, however many problems it holds.
+``minimize_power_many`` runs solves of one exponent this way, and
+``m_sweep_many`` sweeps, every restart of each; the audit runs all its
+subintervals as one such batch.  ``minimize_power`` and ``m_sweep`` are
+the batches of one.  A problem's numbers do not depend on its batch: every
+operation acts on one problem's rows, its sums are rounded as its own, and
+its block system is solved exactly as alone.  When a stacked call raises
 ``NonFinite``, each problem is evaluated alone to find the failing ones,
 and only those fail.
 
@@ -195,49 +196,49 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
 def minimize_power_many(model: LagrangianModel, problems, m: int,
                         options: SolveOptions | None = None) -> list:
     """``minimize_power`` of order m on each of ``problems``, (grid,
-    boundary, init) triples with init None for the affine interpolant, in
-    lockstep.
+    boundary, init) triples with init None for the affine interpolant, as
+    one ``_newton`` generator each, run together by ``_lockstep``.
 
-    Each round makes one ``jet_many`` call for every problem that needs a
-    Newton direction and one block solve per padded system size
-    (``_stacked_solve``), and each step of the line search one
-    ``eval_many`` call on the trials of the problems still searching: one
-    generator (``_newton``) holds each problem's Newton loop, with its own
-    step, iteration budget and stop reason, and one scheduler
-    (``_lockstep``) stacks their calls.  Returns, per problem, ``(path,
-    stats, sup)``, sup the largest midpoint sample at the path (its
-    ``sup_energy``), or the ``NonFinite`` that aborted it: L not finite at
-    its start, or its jet or derivatives not finite at an iterate.  A trial
-    at which L is not finite is a rejected step.
+    Returns, per problem, ``(path, stats, sup)``, sup the largest midpoint
+    sample at the path (its ``sup_energy``), or the ``NonFinite`` that
+    aborted it: L not finite at its start, or its jet or derivatives not
+    finite at an iterate.  A trial at which L is not finite is a rejected
+    step.
     """
-    opts = options or SolveOptions()
-    rules, solves = [], []
-    for grid, boundary, init in problems:
-        if init is None:
-            init = interpolate_affine(boundary, grid)
-        if init.grid.nodes.shape != grid.nodes.shape or np.any(init.grid.nodes != grid.nodes):
-            raise SupminError("init path must live on the solve grid")
-        if not boundary.dim == init.dim == model.dim:
-            raise SupminError(f"boundary dimension {boundary.dim} and init dimension {init.dim} "
-                              f"must equal the model dimension {model.dim}")
-        start = np.array(init.values)
-        start[0] = boundary(grid.a)
-        start[-1] = boundary(grid.b)
-        rules.append(MidpointPowerRule(grid, m))
-        solves.append(_newton(grid, start, opts.max_iters))
-    return _lockstep(model, rules, solves)
+    max_iters = (options or SolveOptions()).max_iters
+    return _lockstep(model, [_newton(grid, m, _start(model, grid, boundary, init)[1], max_iters)
+                             for grid, boundary, init in problems])
 
 
-def _newton(grid, values, max_iters):
-    """One problem's damped Newton loop from the nodal ``values``, as a
-    generator that yields ``("samples", values)`` for the normalized root
-    and largest sample ``(root, top)`` of a path, and ``("newton", values,
-    f)`` for ``(grad, d, g.d, |g|^2, max|g|)`` at the path with root f, d
-    the Newton direction, and returns ``(path, stats, sup)``.  A step thus
+def _start(model, grid, boundary, init):
+    """``(init, values)``: ``init``, the affine interpolant when it is None,
+    checked against the grid and the model, and its nodal values with the
+    ends clamped to the boundary."""
+    if init is None:
+        init = interpolate_affine(boundary, grid)
+    if init.grid.nodes.shape != grid.nodes.shape or np.any(init.grid.nodes != grid.nodes):
+        raise SupminError("init path must live on the solve grid")
+    if not boundary.dim == init.dim == model.dim:
+        raise SupminError(f"boundary dimension {boundary.dim} and init dimension {init.dim} "
+                          f"must equal the model dimension {model.dim}")
+    values = np.array(init.values)
+    values[0] = boundary(grid.a)
+    values[-1] = boundary(grid.b)
+    return init, values
+
+
+def _newton(grid, m, values, max_iters):
+    """One damped Newton solve of order m from the nodal ``values``, as a
+    generator whose requests carry the solve's ``MidpointPowerRule``: it
+    yields ``("samples", rule, values)`` for the normalized root and largest
+    sample ``(root, top)`` of a path, and ``("newton", rule, values, f)``
+    for ``(grad, d, g.d, |g|^2, max|g|)`` at the path with root f, d the
+    Newton direction, and returns ``(path, stats, sup)``.  A step thus
     hands on only an iterate's values and two floats.  A ``NonFinite``
     thrown in at the start or at a jet ends the solve; at a trial it
     rejects the step."""
-    f, top = yield "samples", values
+    rule = MidpointPowerRule(grid, m)
+    f, top = yield "samples", rule, values
     f_evals, iterations = 1, 0
 
     def outcome(stop_reason, grad_norm):
@@ -246,7 +247,7 @@ def _newton(grid, values, max_iters):
     while True:
         if f == 0.0:  # L >= 0, so this is a global minimum
             return outcome("decrement", 0.0)
-        grad, d, slope, grad_sq, grad_norm = yield "newton", values, f
+        grad, d, slope, grad_sq, grad_norm = yield "newton", rule, values, f
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
             d, slope = -grad, -grad_sq
         if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
@@ -258,7 +259,7 @@ def _newton(grid, values, max_iters):
             trial = values + step * d
             f_evals += 1
             try:
-                trial_f, trial_top = yield "samples", trial
+                trial_f, trial_top = yield "samples", rule, trial
                 if trial_f <= f + SUFFICIENT_DECREASE * step * slope:
                     break
             except NonFinite:  # L not finite at the trial: a rejected step
@@ -270,22 +271,27 @@ def _newton(grid, values, max_iters):
         iterations += 1
 
 
-def _lockstep(model, rules, solves) -> list:
-    """The outcomes of the ``_newton`` generators ``solves``, the i-th on
-    the problem of ``rules[i]``, or the ``NonFinite`` that ended each.  Each
-    step serves every pending request of one kind with one stacked call
-    (``_attributed``); samples come before directions, so a round's jets
-    wait until every line search of the round has ended."""
-    requests, outcomes, stacks = {}, [None] * len(solves), {}
+def _lockstep(model, solves) -> list:
+    """The outcomes of the generators ``solves`` (``_newton`` or
+    ``_sweep``), or the ``NonFinite`` that ended each.
+
+    Each step serves every pending request of one kind and order with one
+    stacked call (``_attributed``) over the requests' rules.  The lowest
+    pending order goes first, and within it samples before directions: a
+    round's jets wait until every line search of the round has ended, and
+    a sweep's next exponent until every solve of the current one has.  So
+    each call is the one that a batch of one exponent's solves makes.  The
+    stacked rules are kept while the order holds."""
+    requests, outcomes, stacks, order = {}, [None] * len(solves), {}, 0
 
     def stack(ids):
         key = tuple(ids)
         if key not in stacks:
-            stacks[key] = MidpointPowerRule.stack([rules[i] for i in key])
+            stacks[key] = MidpointPowerRule.stack([requests[i][1] for i in key])
         return stacks[key]
 
     def values(ids):
-        return np.concatenate([requests[i][1] for i in ids])
+        return np.concatenate([requests[i][2] for i in ids])
 
     def samples(ids):
         sampled = stack(ids).samples(model, values(ids))
@@ -295,7 +301,7 @@ def _lockstep(model, rules, solves) -> list:
         rule = stack(ids)
         starts = rule.node_starts
         grad, hessian = rule.derivatives(model, values(ids))
-        sigma = (rule.m - 1) / np.array([requests[i][2] for i in ids])
+        sigma = (rule.m - 1) / np.array([requests[i][3] for i in ids])
         d = _newton_direction(grad, hessian, sigma, starts)
         slopes = segment_sums(d * grad, starts).tolist()
         with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
@@ -317,8 +323,13 @@ def _lockstep(model, rules, solves) -> list:
     for i in range(len(solves)):
         resume(i, None)
     while requests:
-        kind = "samples" if any(k == "samples" for k, *_ in requests.values()) else "newton"
-        ids = sorted(i for i, (k, *_) in requests.items() if k == kind)
+        lowest = min(rule.m for _, rule, *_ in requests.values())
+        if lowest > order:
+            order = lowest
+            stacks.clear()
+        pending = {i: kind for i, (kind, rule, *_) in requests.items() if rule.m == order}
+        kind = "samples" if "samples" in pending.values() else "newton"
+        ids = sorted(i for i, k in pending.items() if k == kind)
         done, replies, failed = _attributed(samples if kind == "samples" else newton, ids)
         for i in ids:
             del requests[i]
@@ -374,8 +385,10 @@ def _stacked_solve(diag, upper, rhs, starts):
     """B^{-1} rhs for a stack of uncoupled block-tridiagonal systems, the
     k-th beginning at row ``starts[k]``, with NaN rows for a singular one.
 
-    Systems that ``_block_tridiagonal_solve`` pads to the same size 2^p - 1
-    are solved as one batch, each laid out and padded exactly as it would
+    A system of K rows is padded to 2^p - 1 rows, p = ``K.bit_length()``,
+    with identity pivots, zero couplings and zero right-hand sides, and
+    systems of one padded size are solved as one batch
+    (``_block_tridiagonal_solve``).  Each is laid out exactly as it would
     be alone, so a system's solution does not depend on the others.  When
     a batch raises ``LinAlgError``, its systems are solved one at a time to
     find the singular ones.
@@ -383,32 +396,32 @@ def _stacked_solve(diag, upper, rhs, starts):
     counts = np.diff(starts, append=len(rhs))
     padded = np.array([(1 << k.bit_length()) - 1 for k in counts.tolist()])
     out = np.empty_like(rhs)
-    n = rhs.shape[1]
+    n, c = rhs.shape[1:]
     for size in sorted(set(padded.tolist())):
         members = padded == size
         first, count = starts[members], counts[members]
         at = np.arange(len(count))
-        # the rows and couplings of each member in the stack, and in the batch
+        # the rows and couplings of each member in the stack, and in the batch,
+        # where coupling i joins rows i - 1 and i, so a member's first is zero
         rows, slots = _ranges(first, count), _ranges(at * size, count)
-        links, link_slots = _ranges(first, count - 1), _ranges(at * (size - 1), count - 1)
-        shape = (len(count), size)
-        batch_diag = np.broadcast_to(np.eye(n), (*shape, n, n)).copy()
-        batch_diag.reshape(-1, n, n)[slots] = diag[rows]
-        batch_upper = np.zeros((len(count), size - 1, n, n))
-        batch_upper.reshape(-1, n, n)[link_slots] = upper[links]
-        batch_rhs = np.zeros((*shape, n, rhs.shape[2]))
-        batch_rhs.reshape(-1, n, rhs.shape[2])[slots] = rhs[rows]
+        links, link_slots = _ranges(first, count - 1), _ranges(at * (size + 1) + 1, count - 1)
+        pivots = np.broadcast_to(np.eye(n), (len(count), size, n, n)).copy()
+        pivots.reshape(-1, n, n)[slots] = diag[rows]
+        coupling = np.zeros((len(count), size + 1, n, n))
+        coupling.reshape(-1, n, n)[link_slots] = upper[links]
+        right = np.zeros((len(count), size, n, c))
+        right.reshape(-1, n, c)[slots] = rhs[rows]
         try:
-            solved = _block_tridiagonal_solve(batch_diag, batch_upper, batch_rhs)
+            solved = _block_tridiagonal_solve(pivots, coupling, right)
         except np.linalg.LinAlgError:
-            solved = np.full_like(batch_rhs, np.nan)
+            solved = np.full_like(right, np.nan)
             for b in range(len(count)):
                 try:
-                    solved[b] = _block_tridiagonal_solve(batch_diag[b], batch_upper[b],
-                                                         batch_rhs[b])
+                    solved[b:b + 1] = _block_tridiagonal_solve(
+                        pivots[b:b + 1], coupling[b:b + 1], right[b:b + 1])
                 except np.linalg.LinAlgError:
                     pass
-        out[rows] = solved.reshape(-1, n, rhs.shape[2])[slots]
+        out[rows] = solved.reshape(-1, n, c)[slots]
     return out
 
 
@@ -418,38 +431,26 @@ def _ranges(firsts, counts):
     return np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
 
 
-def _block_tridiagonal_solve(diag, upper, rhs):
-    """Solve the symmetric block-tridiagonal system with diagonal blocks
-    ``diag`` (K, N, N), blocks ``upper`` (K-1, N, N) above the diagonal and
-    their transposes below, for ``rhs`` (K, N, C), by block cyclic reduction
-    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  With one more
-    leading axis on all three, it solves a batch of such systems of one
-    size, each with the same operations as alone.
+def _block_tridiagonal_solve(pivots, coupling, right):
+    """Solve a batch of symmetric block-tridiagonal systems of 2^p - 1 rows
+    by block cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7, 1970).  System b has diagonal blocks ``pivots[b]`` (2^p - 1, N,
+    N), blocks ``coupling[b]`` (2^p, N, N) above the diagonal, the i-th
+    between rows i - 1 and i and the two end ones zero, their transposes
+    below, and right-hand side ``right[b]`` (2^p - 1, N, C).  Each system
+    takes the same operations as alone.
 
-    The system is padded with identity rows to 2^p - 1 rows, p =
-    ``K.bit_length()``.  Each level eliminates every other row: one stacked
-    ``np.linalg.solve`` of the eliminated rows' diagonal blocks against
-    their two couplings and their right-hand side, then a Schur complement
-    onto the kept rows, which form a system of the same shape with half the
-    rows.  The last level has one row, so a solve makes p stacked solves and
-    O(K N^3) flops; back-substitution reuses the solved blocks and solves
-    nothing.  Both arguments of every solve are 4-D stacks, which numpy 1
-    and 2 read alike.  Only the upper couplings are kept, since every
-    Schur complement of a symmetric system is symmetric.
+    Each level eliminates every other row: one stacked ``np.linalg.solve``
+    of the eliminated rows' diagonal blocks against their two couplings and
+    their right-hand side, then a Schur complement onto the kept rows, which
+    form a system of the same shape with half the rows.  The last level has
+    one row, so a solve makes p stacked solves and O(2^p N^3) flops;
+    back-substitution reuses the solved blocks and solves nothing.  Both
+    arguments of every solve are 4-D stacks, which numpy 1 and 2 read
+    alike.  Only the upper couplings are kept, since every Schur complement
+    of a symmetric system is symmetric.
     """
-    alone = rhs.ndim == 3
-    if alone:
-        diag, upper, rhs = diag[None], upper[None], rhs[None]
-    systems, k, n, c = rhs.shape
-    size = (1 << k.bit_length()) - 1
-    # coupling[:, i] couples rows i - 1 and i; rows -1 and size are zero
-    coupling = np.zeros((systems, size + 1, n, n))
-    coupling[:, 1:k] = upper
-    pivots = np.zeros((systems, size, n, n))
-    pivots[:, :k] = diag
-    pivots[:, k:] = np.eye(n)
-    right = np.zeros((systems, size, n, c))
-    right[:, :k] = rhs
+    systems, size, n, c = right.shape
     levels = []
     while pivots.shape[1] > 1:
         before, after = coupling[:, 0::2], coupling[:, 1::2]
@@ -472,8 +473,7 @@ def _block_tridiagonal_solve(diag, upper, rhs):
         gains, step = levels[level], 1 << level
         out[:, step::2 * step] = (gains[..., 2 * n:] - gains[..., :n] @ out[:, :-1:2 * step]
                                   - gains[..., n:2 * n] @ out[:, 2 * step::2 * step])
-    out = out[:, 1:k + 1]
-    return out[0] if alone else out
+    return out[:, 1:-1]
 
 
 def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
@@ -496,19 +496,46 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
 def m_sweep_many(model: LagrangianModel, problems, schedule: SweepSchedule | None = None,
                  options: SolveOptions | None = None) -> list:
     """``m_sweep`` of each of ``problems``, (grid, boundary, init, seed)
-    tuples, with every restart of every problem run as one lockstep batch
-    (``_lockstep_sweeps``)."""
+    tuples, with every restart of every problem run as one ``_sweep``
+    generator, all run together by ``_lockstep``."""
     schedule = schedule or SweepSchedule()
+    max_iters = (options or SolveOptions()).max_iters
     starts = [_restart_starts(grid, boundary, init, schedule.restarts, seed)
               for grid, boundary, init, seed in problems]
-    runs = _lockstep_sweeps(model, [(grid, boundary, start)
-                                    for (grid, boundary, _, _), group in zip(problems, starts)
-                                    for start in group], schedule, options)
+    runs = _lockstep(model, [_sweep(model, grid, boundary, start, schedule, max_iters)
+                             for (grid, boundary, _, _), group in zip(problems, starts)
+                             for start in group])
     results = []
     for group in starts:
         results.append(_best_of(runs[:len(group)], schedule))
         runs = runs[len(group):]
     return results
+
+
+def _sweep(model, grid, boundary, init, schedule, max_iters):
+    """One sweep from ``init`` (None for the affine interpolant), as a
+    generator that runs a ``_newton`` solve per exponent, each warm-started
+    from the last one's path, and returns its ``SweepResult``.  The sweep
+    stops when its roots settle (``tol_sweep``), after m_max (``m_max``),
+    or when a solve fails (``aborted``)."""
+    init, values = _start(model, grid, boundary, init)
+    records, prev_root, sup = [], None, np.nan
+    stop_reason, error = "m_max", None
+    for m in schedule.exponents():
+        try:
+            path, stats, sup = yield from _newton(grid, m, values, max_iters)
+        except NonFinite as exc:
+            stop_reason, error = "aborted", f"m={m}: {exc}"
+            break
+        records.append(SweepRecord(m, path, stats))
+        values, root = path.values, stats.objective
+        settled = schedule.tol_sweep * (1.0 + abs(root))
+        if prev_root is not None and abs(root - prev_root) <= settled:
+            stop_reason = "tol_sweep"
+            break
+        prev_root = root
+    return SweepResult(records, records[-1].path if records else init, sup, stop_reason, error,
+                       solves=[rec.stats for rec in records])
 
 
 def _restart_starts(grid, boundary, init, restarts, seed) -> list:
@@ -549,49 +576,3 @@ def _best_of(results, schedule) -> SweepResult:
     ]
     return replace(chosen, restart_sups=[float(s) for s in sups], tied_candidates=ties,
                    solves=[stats for res in results for stats in res.solves])
-
-
-def _lockstep_sweeps(model, problems, schedule, options) -> list:
-    """One sweep of each (grid, boundary, init) problem, all advanced one
-    exponent at a time: each exponent is one ``minimize_power_many`` batch
-    of the sweeps still running, each warm-started from its own last path.
-    A sweep leaves the batch when its roots settle (``tol_sweep``), after
-    m_max (``m_max``), or when its solve fails (``aborted``)."""
-    count = len(problems)
-    records = [[] for _ in range(count)]
-    current = [init for _, _, init in problems]
-    sups, prev_roots = [np.nan] * count, [None] * count
-    stop_reasons, errors = ["m_max"] * count, [None] * count
-    running = list(range(count))
-    for m in schedule.exponents():
-        if not running:
-            break
-        outcomes = minimize_power_many(
-            model, [(*problems[i][:2], current[i]) for i in running], m, options)
-        still = []
-        for i, outcome in zip(running, outcomes):
-            if isinstance(outcome, NonFinite):
-                stop_reasons[i], errors[i] = "aborted", f"m={m}: {outcome}"
-                continue
-            path, stats, sups[i] = outcome
-            records[i].append(SweepRecord(m, path, stats))
-            current[i] = path
-            root, prev_root = stats.objective, prev_roots[i]
-            settled = schedule.tol_sweep * (1.0 + abs(root))
-            if prev_root is not None and abs(root - prev_root) <= settled:
-                stop_reasons[i] = "tol_sweep"
-                continue
-            prev_roots[i] = root
-            still.append(i)
-        running = still
-    results = []
-    for (grid, boundary, init), recs, sup, stop_reason, error in zip(
-            problems, records, sups, stop_reasons, errors):
-        solves = [rec.stats for rec in recs]
-        if not recs:
-            empty = init if init is not None else interpolate_affine(boundary, grid)
-            results.append(SweepResult([], empty, np.nan, stop_reason, error, solves=solves))
-        else:
-            results.append(SweepResult(recs, recs[-1].path, sup, stop_reason, error,
-                                       solves=solves))
-    return results

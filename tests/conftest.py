@@ -71,28 +71,26 @@ def dense_block_tridiagonal(diag, upper):
 
 
 def record_sweep_solves(monkeypatch):
-    """Hook ``solver.minimize_power_many``, the solver's one entry point,
-    and return the stats of every solve it makes, one list per sweep, the
-    sweeps in the order of their first solves.  A sweep warm-starts each
-    solve from the path its last solve returned, so a problem whose init is
-    such a path continues that path's sweep."""
-    sweeps, sweep_of = [], {}
-    minimize_power_many = sm.solver.minimize_power_many
+    """Hook ``solver._newton``, the generator behind every solve, and return
+    the stats of every solve it completes, one list per sweep, the sweeps in
+    the order of their first solves.  A sweep warm-starts each solve from
+    the values of the path its last solve returned, so a solve that starts
+    from such values continues that path's sweep."""
+    sweeps, sweep_of, paths = [], {}, []  # paths keeps every id in sweep_of alive
+    newton = sm.solver._newton
 
-    def recorded(model, problems, m, options=None):
-        outcomes = minimize_power_many(model, problems, m, options)
-        for (_, _, init), outcome in zip(problems, outcomes):
-            sweep = sweep_of.pop(id(init), None) if init is not None else None
-            if sweep is None:
-                sweep = []
-                sweeps.append(sweep)
-            if not isinstance(outcome, sm.NonFinite):
-                path, stats, _ = outcome
-                sweep.append(stats)
-                sweep_of[id(path)] = sweep
-        return outcomes
+    def recorded(grid, m, values, max_iters):
+        sweep = sweep_of.pop(id(values), None)
+        if sweep is None:
+            sweep = []
+            sweeps.append(sweep)
+        path, stats, sup = yield from newton(grid, m, values, max_iters)
+        sweep.append(stats)
+        sweep_of[id(path.values)] = sweep
+        paths.append(path)
+        return path, stats, sup
 
-    monkeypatch.setattr(sm.solver, "minimize_power_many", recorded)
+    monkeypatch.setattr(sm.solver, "_newton", recorded)
     return sweeps
 
 

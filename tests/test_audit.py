@@ -106,9 +106,11 @@ class TestAbsoluteMinimalityAudit:
     def test_jets_bounded_by_the_slowest_subinterval_of_each_exponent(self):
         """The audit's local sweeps advance in lockstep, one jet_many call
         per Newton round for every subinterval still iterating: its jets are
-        at most the sum over exponents of the largest g_evals of any one
+        the sum over exponents of the largest g_evals of any one
         subinterval, however many subintervals it draws, where solving them
-        one by one takes the sum over subintervals too."""
+        one by one takes the sum over subintervals too.  The equality pins
+        the scheduler waiting for every solve of an order before it starts
+        the next: a sweep that ran ahead would make jets of its own."""
         model = drift_model()
         grid = sm.Grid.uniform(0.0, 1.0, 33)
         cand = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], [1.0, -0.5])).candidate
@@ -132,7 +134,7 @@ class TestAbsoluteMinimalityAudit:
         report = sm.audit_absolute_minimality(model, cand, config)
         assert report.passed and len(report.entries) > 10
         bound = sum(max(g_evals) for g_evals in per_exponent.values())
-        assert jets["calls"] <= bound < sum(map(sum, per_exponent.values()))
+        assert jets["calls"] == bound < sum(map(sum, per_exponent.values()))
 
     def test_unconverged_local_solve_inconclusive(self):
         """A local sweep whose last solve stops at max_iters decides

@@ -7,7 +7,7 @@ import pytest
 import supmin as sm
 from supmin.energy import MidpointPowerRule
 from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE,
-                           _block_tridiagonal_solve, _newton_direction)
+                           _newton_direction, _stacked_solve)
 
 from conftest import ROTATION, dense_block_tridiagonal, drift_model, record_sweep_solves
 from test_energy import dense_root_hessian
@@ -250,7 +250,7 @@ class TestNewtonDirection:
     def test_block_solve_matches_dense_solve(self, k, n, cols, rng):
         """Block cyclic reduction equals a dense solve of the same system."""
         diag, upper, rhs = self.system(rng, k, n, cols)
-        got = _block_tridiagonal_solve(diag, upper, rhs)
+        got = _stacked_solve(diag, upper, rhs, np.array([0]))
         want = np.linalg.solve(dense_block_tridiagonal(diag, upper), rhs.reshape(k * n, cols))
         assert np.max(np.abs(got.reshape(k * n, cols) - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -267,17 +267,22 @@ class TestNewtonDirection:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        _block_tridiagonal_solve(diag, upper, rhs)
+        _stacked_solve(diag, upper, rhs, np.array([0]))
         assert len(calls) == k.bit_length(), calls
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8, 17])
     def test_block_solve_batch_matches_each_alone(self, k, rng):
-        """A leading batch axis solves each system with the same operations
-        as alone: every solution agrees bit for bit."""
+        """A stack of systems, with zero links between them, is solved as
+        one batch with the same operations as each alone: every solution
+        agrees bit for bit."""
         systems = [self.system(rng, k, 2, 1) for _ in range(3)]
-        got = _block_tridiagonal_solve(*(np.stack(parts) for parts in zip(*systems)))
-        for solved, system in zip(got, systems):
-            assert np.array_equal(solved, _block_tridiagonal_solve(*system))
+        diags, uppers, rhss = zip(*systems)
+        zero = np.zeros((1, 2, 2))
+        upper = np.concatenate([uppers[0], zero, uppers[1], zero, uppers[2]])
+        got = _stacked_solve(np.concatenate(diags), upper, np.concatenate(rhss),
+                             np.array([0, k, 2 * k]))
+        for solved, system in zip(np.split(got, 3), systems):
+            assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
 
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_direction_solves_the_exact_hessian(self, m):
