@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 from typing import get_type_hints
 
@@ -115,11 +115,8 @@ def _matrix(obj, path: str) -> np.ndarray:
     return arr
 
 
-def _signal(obj, path: str, dim: int) -> SampledSignal:
-    rows = _matrix(obj, path)
-    if rows.shape[1] != 1 + dim:
-        raise ConfigError(path, f"rows must be [x, v1..v{dim}]")
-    return _build(path, SampledSignal.from_rows, rows)
+def _signal(obj, path: str) -> SampledSignal:
+    return _build(path, SampledSignal.from_rows, _matrix(obj, path))
 
 
 def _optional(obj: dict, path: str, keys) -> dict:
@@ -136,25 +133,24 @@ def _growth(obj: dict | None, path: str) -> GrowthParams | None:
     return _build(path, GrowthParams, *required, **_optional(obj, path, ("h_bound",)))
 
 
-def _model(obj: dict, dim: int) -> LagrangianModel:
+def _model(obj: dict) -> LagrangianModel:
+    """The model of the ``lagrangian`` section.  Each field is read as a
+    number, vector or matrix here; whether their shapes agree is the model
+    constructor's rule, reported at ``lagrangian``."""
     path = "lagrangian"
     kind = _get(obj, path, "kind", str)
     growth = _growth(_get(obj, path, "growth", dict, required=False), f"{path}.growth")
     if kind == "power_norm":
         _reject_unknown(obj, path, {"kind", "exponent", "offset", "growth"})
         exponent = _get(obj, path, "exponent", float)
-        offset = _vector(_get(obj, path, "offset", list), f"{path}.offset", dim)
+        offset = _vector(_get(obj, path, "offset", list), f"{path}.offset")
         return _build(path, PowerNormModel, exponent, offset, growth)
     if kind == "data_assimilation":
         _reject_unknown(obj, path, {"kind", "K", "k", "A", "c", "growth"})
         K = _matrix(_get(obj, path, "K", list), f"{path}.K")
-        if K.shape[1] != dim:
-            raise ConfigError(f"{path}.K", f"must have N = {dim} columns")
         A = _matrix(_get(obj, path, "A", list), f"{path}.A")
-        if A.shape != (dim, dim):
-            raise ConfigError(f"{path}.A", f"must be {dim}x{dim}")
-        k = _signal(_get(obj, path, "k", list), f"{path}.k", K.shape[0])
-        c = _signal(_get(obj, path, "c", list), f"{path}.c", dim)
+        k = _signal(_get(obj, path, "k", list), f"{path}.k")
+        c = _signal(_get(obj, path, "c", list), f"{path}.c")
         return _build(path, DataAssimilationModel, K, k, A, c, growth)
     if kind == "radial":
         _reject_unknown(obj, path, {"kind", "profile", "A", "c", "growth"})
@@ -165,29 +161,25 @@ def _model(obj: dict, dim: int) -> LagrangianModel:
         profile = _build(prof_path, radial_profile, name,
                          **_optional(prof, prof_path, ("beta", "gamma")))
         A = _matrix(_get(obj, path, "A", list), f"{path}.A")
-        if A.shape != (dim, dim):
-            raise ConfigError(f"{path}.A", f"must be {dim}x{dim}")
-        c = _signal(_get(obj, path, "c", list), f"{path}.c", dim)
+        c = _signal(_get(obj, path, "c", list), f"{path}.c")
         return _build(path, RadialModel, profile, A, c, growth)
     if kind == "min_norms":
         _reject_unknown(obj, path, {"kind", "centers", "exponent", "growth"})
         centers = _matrix(_get(obj, path, "centers", list), f"{path}.centers")
-        if centers.shape[1] != dim:
-            raise ConfigError(f"{path}.centers", f"centers must have N = {dim} columns")
         return _build(path, MinOfNormsModel, centers, growth=growth,
                       **_optional(obj, path, ("exponent",)))
     raise ConfigError(f"{path}.kind", f"unknown model kind '{kind}'")
 
 
-def _section(raw: dict, name: str, cls, keys: tuple, nested: tuple = (), **fixed):
-    """``cls`` built from the optional config section ``name``.
+def _section(raw: dict, name: str, cls, nested: tuple = (), **fixed):
+    """The dataclass ``cls`` built from the optional config section ``name``.
 
-    The section may set the fields named in ``keys``, each read with the type
-    of the dataclass field; fields it leaves out keep their defaults.  Keys in
-    ``nested`` are allowed but read by the caller, and ``fixed`` fills the
-    remaining fields.
+    The section may set every field of ``cls`` but those that ``fixed``
+    fills, each read with the type of the field; fields it leaves out keep
+    their defaults.  Keys in ``nested`` are allowed but read by the caller.
     """
     obj = _get(raw, "", name, dict, required=False, default={})
+    keys = [f.name for f in fields(cls) if f.name not in fixed and f.name not in nested]
     _reject_unknown(obj, name, set(keys) | set(nested))
     hints = get_type_hints(cls)
     values = {key: _get(obj, name, key, hints[key]) for key in keys if key in obj}
@@ -215,18 +207,18 @@ def parse_config(raw: dict) -> RunConfig:
     b0 = _vector(_get(boundary_obj, "boundary", "b0", list), "boundary.b0", dim)
     b1 = _vector(_get(boundary_obj, "boundary", "b1", list), "boundary.b1", dim)
 
-    model = _model(_get(raw, "", "lagrangian", dict), dim)
+    model = _model(_get(raw, "", "lagrangian", dict))
+    if model.dim != dim:
+        raise ConfigError("lagrangian", f"model dimension {model.dim} differs from N = {dim}")
 
-    schedule = _section(raw, "schedule", SweepSchedule, ("m_max", "tol_sweep", "restarts"))
-    solve = _section(raw, "solve", SolveOptions, ("max_iters",))
+    schedule = _section(raw, "schedule", SweepSchedule)
+    solve = _section(raw, "solve", SolveOptions)
 
     seed = _get(raw, "", "seed", int, required=False, default=0)
     if seed < 0:
         raise ConfigError("seed", "seed must be nonnegative")
 
-    audit = _section(raw, "audit", AuditConfig,
-                     ("num_subintervals", "min_elements", "tol_audit"),
-                     seed=seed, schedule=schedule, options=solve)
+    audit = _section(raw, "audit", AuditConfig, seed=seed, schedule=schedule, options=solve)
     if audit.min_elements > grid_points - 1:
         raise ConfigError("audit.min_elements",
                           f"exceeds the {grid_points - 1} elements of the grid")
@@ -237,8 +229,7 @@ def parse_config(raw: dict) -> RunConfig:
     ranges = {key: tuple(float(v) for v in _vector(val, f"check.box.{key}", 2))
               for key, val in box_obj.items()}
     box = _build("check", Box, **{"x": (a, b), **ranges})
-    plan = _section(raw, "check", SamplePlan, ("num_triples", "t_levels"), ("box",),
-                    box=box, seed=seed)
+    plan = _section(raw, "check", SamplePlan, ("box",), box=box, seed=seed)
 
     output_dir = _get(raw, "", "output_dir", str)
     return RunConfig(model, (a, b), dim, grid_points, AffineMap(b0, b1),

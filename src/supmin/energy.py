@@ -161,9 +161,7 @@ class MidpointPowerRule:
         paths with nodal ``values`` (one row per node of the stack)."""
         if not np.all(np.isfinite(values)):
             raise SupminError("path values must be finite")
-        if values.shape[1] != model.dim:
-            raise SupminError(f"path dimension {values.shape[1]} differs from the model "
-                              f"dimension {model.dim}")
+        check_width(model, path=values)
         idx = self.idx
         slopes = (values[idx + 1] - values[idx]) / self.elem_len[:, None]
         return values[idx] + self.offsets * slopes, slopes

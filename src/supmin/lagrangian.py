@@ -12,11 +12,12 @@ xs (M,), etas (M, N), ps (M, N):
   profile reads ``dx`` and ``dpx`` too.
 
 ``eval`` and ``jet`` are their one-row cases; like every entry point that
-takes points rather than paths, they reject a point whose width is not the
-model's ``dim`` (``check_width``).  The base class derives
-``jet_many`` from ``eval_many`` by central finite differences, one call on
-every shifted row of the stencil (51 rows per row at N=2); the analytic
-families override it.
+takes points or paths, they reject a point or path whose width is not the
+model's ``dim`` (``check_width``).  Each constructor checks that its fields
+agree in shape, and its message names the fields it compares.  The base
+class derives ``jet_many`` from ``eval_many`` by central finite
+differences, one call on every shifted row of the stencil (51 rows per row
+at N=2); the analytic families override it.
 Built-in families:
 
 * ``PowerNormModel``        L = |p - offset|^s
@@ -189,7 +190,7 @@ class JetDerivatives:
 def check_width(model: LagrangianModel, **arrays) -> None:
     """Raise SupminError unless every named array has ``model.dim`` entries
     along its last axis.  A model broadcasts rows of another width without
-    complaint, so each entry point that takes points, not paths, checks."""
+    complaint, so each entry point that takes points or paths checks."""
     for name, array in arrays.items():
         width = np.shape(array)[-1]
         if width != model.dim:
@@ -332,6 +333,17 @@ class PowerNormModel(LagrangianModel):
                               np.zeros_like(dpp), zeros, np.zeros_like(dpp))
 
 
+def _velocity_dim(A: np.ndarray, c: SampledSignal) -> int:
+    """N for the velocity field V(x, eta) = A eta + c(x): A must be N x N and
+    the signal c have N value columns."""
+    rows, cols = A.shape
+    if rows != cols:
+        raise SupminError(f"A must be square, got {rows}x{cols}")
+    if c.dim != rows:
+        raise SupminError(f"c has {c.dim} value column(s), A is {rows}x{rows}")
+    return rows
+
+
 class DataAssimilationModel(LagrangianModel):
     """Squared observation mismatch plus squared law-of-motion mismatch:
     L = |k(x) - K eta|^2 + |p - V(x, eta)|^2 with V(x, eta) = A eta + c(x)."""
@@ -340,15 +352,11 @@ class DataAssimilationModel(LagrangianModel):
                  growth: GrowthParams | None = None):
         K = _mat(K, "K")
         A = _mat(A, "A")
-        if A.shape[0] != A.shape[1]:
-            raise SupminError("A must be square")
-        n = A.shape[0]
+        n = _velocity_dim(A, c)
         if K.shape[1] != n:
-            raise SupminError("K must have N columns")
+            raise SupminError(f"K has {K.shape[1]} columns, A is {n}x{n}")
         if k.dim != K.shape[0]:
-            raise SupminError("signal k must match the rows of K")
-        if c.dim != n:
-            raise SupminError("signal c must have dimension N")
+            raise SupminError(f"k has {k.dim} value column(s), K has {K.shape[0]} row(s)")
         super().__init__(n, growth)
         self.K = K
         self.k = k
@@ -420,11 +428,7 @@ class RadialModel(LagrangianModel):
     def __init__(self, profile: RadialProfile, A, c: SampledSignal,
                  growth: GrowthParams | None = None):
         A = _mat(A, "A")
-        if A.shape[0] != A.shape[1]:
-            raise SupminError("A must be square")
-        if c.dim != A.shape[0]:
-            raise SupminError("signal c must have dimension N")
-        super().__init__(A.shape[0], growth)
+        super().__init__(_velocity_dim(A, c), growth)
         self.profile = profile
         self.A = A
         self.c = c

@@ -26,8 +26,9 @@ subintervals as one such batch.  ``minimize_power`` and ``m_sweep`` are
 the batches of one.  A problem's numbers do not depend on its batch: every
 operation acts on one problem's rows, its sums are rounded as its own, and
 its block system is solved exactly as alone.  When a stacked call raises
-``NonFinite``, each problem is evaluated alone to find the failing ones,
-and only those fail.
+``NonFinite``, or a batch of block systems ``LinAlgError``, each problem
+is run alone to find the failing ones, and only those fail
+(``_attributed``).
 
 The midpoint rule couples only neighbouring nodes, so the Hessian of the
 root is block tridiagonal with N x N blocks (``MidpointPowerRule.derivatives``)
@@ -338,24 +339,25 @@ def _lockstep(model, solves) -> list:
     return outcomes
 
 
-def _attributed(run, ids):
+def _attributed(run, ids, error=NonFinite):
     """``run(ids)``, one stacked call on the problems ``ids``, as (the
-    problems it ran on, its result, {problem: NonFinite}).
+    problems it ran on, its result, {problem: the ``error`` it raised}).
 
-    When the stacked call raises ``NonFinite``, each problem is run alone
-    to find the ones that raise, and the call is repeated on the rest, so
-    that a problem's failure is its own.
+    When the stacked call raises ``error``, each problem is run alone to
+    find the ones that raise, and the call is repeated on the rest, so that
+    a problem's failure is its own.  The result is None when every problem
+    failed.
     """
     try:
         return ids, run(ids), {}
-    except NonFinite as exc:
+    except error as exc:
         if len(ids) == 1:
             return [], None, {ids[0]: exc}
         failed = {}
         for i in ids:
             try:
                 run([i])
-            except NonFinite as alone:
+            except error as alone:
                 failed[i] = alone
         rest = [i for i in ids if i not in failed]
         return rest, (run(rest) if rest else None), failed
@@ -390,8 +392,8 @@ def _stacked_solve(diag, upper, rhs, starts):
     systems of one padded size are solved as one batch
     (``_block_tridiagonal_solve``).  Each is laid out exactly as it would
     be alone, so a system's solution does not depend on the others.  When
-    a batch raises ``LinAlgError``, its systems are solved one at a time to
-    find the singular ones.
+    a batch raises ``LinAlgError``, ``_attributed`` finds the singular
+    systems, and the rest are solved without them.
     """
     counts = np.diff(starts, append=len(rhs))
     padded = np.array([(1 << k.bit_length()) - 1 for k in counts.tolist()])
@@ -411,16 +413,12 @@ def _stacked_solve(diag, upper, rhs, starts):
         coupling.reshape(-1, n, n)[link_slots] = upper[links]
         right = np.zeros((len(count), size, n, c))
         right.reshape(-1, n, c)[slots] = rhs[rows]
-        try:
-            solved = _block_tridiagonal_solve(pivots, coupling, right)
-        except np.linalg.LinAlgError:
-            solved = np.full_like(right, np.nan)
-            for b in range(len(count)):
-                try:
-                    solved[b:b + 1] = _block_tridiagonal_solve(
-                        pivots[b:b + 1], coupling[b:b + 1], right[b:b + 1])
-                except np.linalg.LinAlgError:
-                    pass
+        solved = np.full_like(right, np.nan)
+        regular, result, _ = _attributed(
+            lambda ids: _block_tridiagonal_solve(pivots[ids], coupling[ids], right[ids]),
+            list(range(len(count))), np.linalg.LinAlgError)
+        if regular:  # not every system is singular
+            solved[regular] = result
         out[rows] = solved.reshape(-1, n, c)[slots]
     return out
 

@@ -352,3 +352,66 @@ def test_c14_rotating_drift_oracle_refinement():
     for sweep in sweeps:
         assert sweep.c_sequence[-1] <= sweep.sup_of_candidate
     print(f"c14 rotating drift oracle refinement: PASS (errors {errors})")
+
+
+# -- weighted oracle: L = a(x)|p|^2, whose minimisers move with m ---------------
+
+WEIGHTED_D = np.array([1.0, -0.5])  # b0 = 0, b1 = D
+
+
+class WeightedModel(sm.LagrangianModel):
+    """L = a(x)|p|^2 with a = 1 + 0.8 sin^2(2 pi x), and its analytic jet."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    @staticmethod
+    def weight(xs):
+        return 1.0 + 0.8 * np.sin(2 * np.pi * xs) ** 2
+
+    def eval_many(self, xs, etas, ps):
+        return self._checked(self.weight(xs) * np.sum(ps * ps, axis=1))
+
+    def jet_many(self, xs, etas, ps):
+        a, sq = self.weight(xs), np.sum(ps * ps, axis=1)
+        da = 1.6 * np.pi * np.sin(4 * np.pi * xs)
+        m, n = ps.shape
+        zeros = np.zeros((m, n, n))
+        return sm.JetDerivatives(a * sq, 2.0 * a[:, None] * ps, np.zeros_like(ps), da * sq,
+                                 2.0 * a[:, None, None] * np.eye(n), zeros,
+                                 2.0 * da[:, None] * ps, zeros)
+
+
+def test_c15_weighted_oracle_moves_with_m():
+    """Every element slope of the order-m minimiser is t_e D/|D| with
+    t_e = |D| w_e / sum_f h_f w_f, w_e = a_e^(-m/(2m-1)) at the element
+    midpoints, and its root is (sum_e h_e (a_e t_e^2)^m)^(1/m).  As m grows
+    the sup tends to V = (|D| / sum_e h_e a_e^(-1/2))^2, its excess over V
+    halving per doubling of m.  tol_sweep = 1e-300 runs every exponent."""
+    model, size = WeightedModel(), np.linalg.norm(WEIGHTED_D)
+    schedule = sm.SweepSchedule(tol_sweep=1e-300)
+    worst_root, worst_slope = 0.0, 0.0
+    for num_nodes in (17, 65, 257):
+        grid = sm.Grid.uniform(0.0, 1.0, num_nodes)
+        h = grid.element_lengths
+        a = model.weight(grid.nodes[:-1] + 0.5 * h)
+        value = (size / np.sum(h * a**-0.5)) ** 2
+        sweep = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], WEIGHTED_D), schedule)
+        assert [rec.m for rec in sweep.records] == [2**k for k in range(1, 11)]
+        excess = []
+        for rec in sweep.records:
+            assert rec.stats.stop_reason == "decrement"
+            w = a ** (-rec.m / (2 * rec.m - 1))
+            t = size * w / np.sum(h * w)
+            root = np.sum(h * (a * t**2) ** rec.m) ** (1.0 / rec.m)
+            worst_root = max(worst_root, abs(rec.stats.objective - root) / root)
+            slopes = np.diff(rec.path.values, axis=0) / h[:, None]
+            exact = t[:, None] * WEIGHTED_D / size
+            worst_slope = max(worst_slope,
+                              np.max(np.abs(slopes - exact)) / np.max(np.abs(exact)))
+            excess.append((sm.sup_energy(model, rec.path) - value) / value)
+        ratios = np.array(excess[1:]) / np.array(excess[:-1])
+        assert np.all((ratios >= 0.40) & (ratios <= 0.51)), (num_nodes, ratios)
+        assert np.all(ratios[2:] >= 0.48), (num_nodes, ratios)
+    assert worst_root <= 1e-14 and worst_slope <= 1e-9, (worst_root, worst_slope)
+    print(f"c15 weighted oracle: PASS (roots {worst_root:.1e}, slopes {worst_slope:.1e})")

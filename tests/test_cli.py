@@ -38,6 +38,11 @@ def da_lagrangian():
     }
 
 
+RADIAL = {"kind": "radial", "profile": {"name": "power", "gamma": 1.5},
+          "A": [[0.0, 1.0], [-1.0, 0.0]], "c": [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]}
+MIN_NORMS = {"kind": "min_norms", "centers": [[1.0, 0.0], [-1.0, 0.0]], "exponent": 2.0}
+
+
 class TestSolve:
     def test_power_norm_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -129,6 +134,67 @@ class TestSolve:
         cfg = write_config(tmp_path, **{section: body})
         assert cli.main(["solve", cfg]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lagrangian, message", [
+        ({"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0, 0.0]},
+         "lagrangian: model dimension 3 differs from N = 2"),
+        (dict(da_lagrangian(), K=[[0.0, 0.0, 0.0]]), "lagrangian: K has 3 columns, A is 2x2"),
+        (dict(da_lagrangian(), A=np.zeros((3, 3)).tolist()),
+         "lagrangian: c has 2 value column(s), A is 3x3"),
+        (dict(da_lagrangian(), A=np.zeros((2, 3)).tolist()),
+         "lagrangian: A must be square, got 2x3"),
+        (dict(da_lagrangian(), k=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+         "lagrangian: k has 2 value column(s), K has 1 row(s)"),
+        (dict(da_lagrangian(), c=[[0.0, 1.0], [1.0, 1.0]]),
+         "lagrangian: c has 1 value column(s), A is 2x2"),
+        (dict(da_lagrangian(), K=[[0.0, 0.0, 0.0]], A=np.zeros((3, 3)).tolist(),
+              c=[[0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]),
+         "lagrangian: model dimension 3 differs from N = 2"),
+        (dict(da_lagrangian(), k=[[0.0, 0.0], [1.0]]),
+         "lagrangian.k: expected a matrix of numbers"),
+        (dict(da_lagrangian(), c=[[0.0], [1.0]]),
+         "lagrangian.c: signal rows need at least [x, value]"),
+        (dict(RADIAL, A=np.zeros((3, 3)).tolist()),
+         "lagrangian: c has 2 value column(s), A is 3x3"),
+        (dict(RADIAL, c=[[0.0, 1.0], [1.0, 1.0]]), "lagrangian: c has 1 value column(s), A is 2x2"),
+        ({"kind": "min_norms", "centers": [[1.0], [-1.0]]},
+         "lagrangian: model dimension 1 differs from N = 2"),
+    ])
+    def test_malformed_model_rejected(self, tmp_path, capsys, lagrangian, message):
+        """Fields of a model that disagree in shape, or a model dimension that
+        differs from N, fail at config time with the model's own rule."""
+        cfg = write_config(tmp_path, lagrangian=lagrangian)
+        assert cli.main(["solve", cfg]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_radial_solve_audit_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, lagrangian=RADIAL, grid_points=9, seed=0)
+        for command in ("solve", "audit", "check"):
+            assert cli.main([command, cfg]) == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert len(doc["records"]) == 2
+        assert doc["sup_of_candidate"] == 0.18259409874493793
+
+    def test_tied_restart_candidate_written(self, tmp_path):
+        """Of four restarts on the two-centre min of norms, one reaches another
+        candidate of the same sup, which is written beside ``candidate.csv``."""
+        cfg = write_config(tmp_path, lagrangian=MIN_NORMS, grid_points=9,
+                          boundary={"b0": [0.0, 0.0], "b1": [0.0, 1.0]},
+                          schedule={"restarts": 4}, seed=0)
+        assert cli.main(["solve", cfg]) == 0
+        out = tmp_path / "out"
+        doc = json.loads((out / "sweep.json").read_text())
+        assert doc["restart_sups"] == [2.0000000000000004, 1.062500000003544,
+                                       1.0000000000048193, 1.0000000000032827]
+        assert doc["tied_candidate_csvs"] == ["candidate_tie_1.csv"]
+        config = cli.load_config(cfg)
+        sup = doc["sup_of_candidate"]
+        tol = config.schedule.tol_sweep * (1.0 + sup)
+        tie = sm.Path.from_csv(str(out / "candidate_tie_1.csv"))
+        candidate = sm.Path.from_csv(str(out / "candidate.csv"))
+        assert abs(sm.sup_energy(config.model, tie) - sup) <= tol
+        assert np.max(np.abs(tie.values - candidate.values)) > tol
 
     def test_section_defaults_are_the_dataclass_defaults(self, tmp_path):
         config = cli.load_config(write_config(tmp_path, solve={"max_iters": 7},
@@ -303,6 +369,20 @@ class TestCheck:
         assert f"check: level_convexity: {message}" in err
         assert f"check: growth_bounds: {message}" in err
         assert "solver failure" not in err
+
+    def test_growth_witnesses_written(self, tmp_path):
+        """|p|^2 below the lower bound 2|p|^2 at every sample: each of the 500
+        samples is a witness, and the first 20 are written."""
+        lag = {"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0],
+               "growth": {"C1": 2.0, "C2": 0.0, "C3": 0.0, "q": 2.0, "r": 2.0}}
+        cfg = write_config(tmp_path, lagrangian=lag)
+        assert cli.main(["check", cfg]) == 4
+        doc = json.loads((tmp_path / "out" / "hypotheses.json").read_text())["growth_bounds"]
+        assert doc["pass"] is False and doc["witness_count"] == 500
+        assert len(doc["witnesses"]) == 20
+        for witness in doc["witnesses"]:
+            assert set(witness) == {"x", "eta", "p", "value", "bound", "side"}
+            assert witness["side"] == "lower"
 
     def test_invalid_growth_exponents(self, tmp_path, capsys):
         lag = {"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0],

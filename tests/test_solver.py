@@ -284,6 +284,27 @@ class TestNewtonDirection:
         for solved, system in zip(np.split(got, 3), systems):
             assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
 
+    @pytest.mark.parametrize("singular", [(1,), (0, 2), (0, 1, 2)])
+    def test_singular_systems_keep_nan_rows(self, singular, rng):
+        """A singular system of a batch, here one of zero blocks, gets NaN
+        rows, and each other system what it gets alone, bit for bit; a
+        batch with no regular system is all NaN."""
+        k = 5
+        systems = [self.system(rng, k, 2, 1) for _ in range(3)]
+        for i in singular:
+            systems[i] = (np.zeros_like(systems[i][0]), np.zeros_like(systems[i][1]),
+                          systems[i][2])
+        diags, uppers, rhss = zip(*systems)
+        zero = np.zeros((1, 2, 2))
+        upper = np.concatenate([uppers[0], zero, uppers[1], zero, uppers[2]])
+        got = _stacked_solve(np.concatenate(diags), upper, np.concatenate(rhss),
+                             np.array([0, k, 2 * k]))
+        for i, (solved, system) in enumerate(zip(np.split(got, 3), systems)):
+            if i in singular:
+                assert np.all(np.isnan(solved))
+            else:
+                assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
+
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_direction_solves_the_exact_hessian(self, m):
         """The Sherman-Morrison scaling of the block solve is the dense
