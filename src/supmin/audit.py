@@ -16,7 +16,7 @@ finite family of approximating paths against a limit path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,6 +25,12 @@ from .errors import SupminError, check_count
 from .lagrangian import LagrangianModel
 from .path import AffineMap, Grid, Path, difference_quotient
 from .solver import SolveOptions, SweepSchedule, m_sweep_many
+
+
+def _check_tol_audit(tol_audit: float) -> None:
+    """Raise ``SupminError`` unless the relative tolerance is positive."""
+    if not tol_audit > 0:  # written so that NaN fails it
+        raise SupminError("tol_audit must be positive")
 
 
 @dataclass(frozen=True)
@@ -40,34 +46,23 @@ class AuditConfig:
         for count in (self.num_subintervals, self.min_elements):
             check_count(count, 1, "audit config counts must be positive integers")
         check_count(self.seed, 0, "audit seed must be an integer >= 0")
-        if not self.tol_audit > 0:  # written so that NaN fails it
-            raise SupminError("tol_audit must be positive")
+        _check_tol_audit(self.tol_audit)
 
 
 @dataclass(frozen=True)
 class SubintervalAudit:
+    """One audited subinterval, its fields in the order ``audit.json``
+    writes them."""
+
     alpha: float
     beta: float
     sup_global_restricted: float
     sup_local_solution: float
     deficit: float
     status: str  # "ok" | "violation" | "inconclusive"
+    error: str | None
+    stop_reasons: list  # the ``stop_reason`` of each record of the local sweep
     solve_totals: dict  # the local sweep's ``SweepResult.solve_totals``
-    stop_reasons: list  # the ``stop_reason`` of each of its records
-    error: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "sup_global_restricted": self.sup_global_restricted,
-            "sup_local_solution": self.sup_local_solution,
-            "deficit": self.deficit,
-            "status": self.status,
-            "error": self.error,
-            "stop_reasons": self.stop_reasons,
-            "solve_totals": self.solve_totals,
-        }
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ class AuditReport:
             "violations": self.violations,
             "max_deficit": self.max_deficit,
             "solve_totals": self.solve_totals,
-            "subintervals": [e.to_json_dict() for e in self.entries],
+            "subintervals": [asdict(e) for e in self.entries],
         }
 
 
@@ -125,19 +120,18 @@ def sample_subintervals(grid: Grid, config: AuditConfig) -> list[tuple[int, int]
 
 
 def _entry(alpha, beta, sup_global, sweep, config) -> SubintervalAudit:
-    reasons = [rec.stats.stop_reason for rec in sweep.records]
+    sup_local, deficit, status, error = (sweep.sup_of_candidate, float("nan"),
+                                         "inconclusive", sweep.error)
     if sweep.aborted:
-        return SubintervalAudit(alpha, beta, sup_global, float("nan"), float("nan"),
-                                "inconclusive", sweep.solve_totals, reasons, sweep.error)
-    last = sweep.records[-1]
-    if not last.stats.converged:
-        return SubintervalAudit(alpha, beta, sup_global, sweep.sup_of_candidate, float("nan"),
-                                "inconclusive", sweep.solve_totals, reasons,
-                                f"m={last.m}: stopped at {last.stats.stop_reason}")
-    deficit = sup_global - sweep.sup_of_candidate
-    status = "violation" if deficit > config.tol_audit * (1.0 + sup_global) else "ok"
-    return SubintervalAudit(alpha, beta, sup_global, sweep.sup_of_candidate,
-                            deficit, status, sweep.solve_totals, reasons)
+        sup_local = float("nan")
+    elif not (last := sweep.records[-1]).stats.converged:
+        error = f"m={last.m}: stopped at {last.stats.stop_reason}"
+    else:
+        deficit = sup_global - sup_local
+        status = "violation" if deficit > config.tol_audit * (1.0 + sup_global) else "ok"
+    return SubintervalAudit(alpha, beta, sup_global, sup_local, deficit, status, error,
+                            [rec.stats.stop_reason for rec in sweep.records],
+                            sweep.solve_totals)
 
 
 def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
@@ -253,6 +247,7 @@ def semicontinuity_check(model: LagrangianModel, approx_paths, limit_path: Path,
     """Check sup_energy(limit) <= liminf of the normalized power roots of the
     approximating paths, the liminf estimated as the minimum over the last
     half of the finite sequence."""
+    _check_tol_audit(tol_audit)
     if len(approx_paths) < 3:
         raise SupminError("semicontinuity check needs at least 3 approximating paths")
     ms = [m for m, _ in approx_paths]
@@ -303,6 +298,7 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
     by the same rule as the global sup; its value deviation is the largest
     distance of the glued nodal values there from the endpoint value.
     """
+    _check_tol_audit(tol_audit)
     grid = psi.grid
     length = grid.b - grid.a
     if delta_schedule is None:

@@ -49,9 +49,8 @@ EXIT_HYPOTHESIS = 4
 @dataclass
 class RunConfig:
     model: LagrangianModel
-    domain: tuple[float, float]
-    dim: int
-    grid_points: int
+    growth: GrowthParams | None  # the bounds ``check`` samples, if the config sets them
+    grid: Grid
     boundary: AffineMap
     schedule: SweepSchedule
     solve: SolveOptions
@@ -133,9 +132,10 @@ def _growth(obj: dict | None, path: str) -> GrowthParams | None:
     return _build(path, GrowthParams, *required, **_optional(obj, path, ("h_bound",)))
 
 
-def _model(obj: dict) -> LagrangianModel:
-    """The model of the ``lagrangian`` section.  Each field is read as a
-    number, vector or matrix here; whether their shapes agree is the model
+def _model(obj: dict) -> tuple[LagrangianModel, GrowthParams | None]:
+    """The model of the ``lagrangian`` section and the growth bounds of its
+    ``growth`` block (None without one).  Each field is read as a number,
+    vector or matrix here; whether their shapes agree is the model
     constructor's rule, reported at ``lagrangian``."""
     path = "lagrangian"
     kind = _get(obj, path, "kind", str)
@@ -144,14 +144,14 @@ def _model(obj: dict) -> LagrangianModel:
         _reject_unknown(obj, path, {"kind", "exponent", "offset", "growth"})
         exponent = _get(obj, path, "exponent", float)
         offset = _vector(_get(obj, path, "offset", list), f"{path}.offset")
-        return _build(path, PowerNormModel, exponent, offset, growth)
+        return _build(path, PowerNormModel, exponent, offset), growth
     if kind == "data_assimilation":
         _reject_unknown(obj, path, {"kind", "K", "k", "A", "c", "growth"})
         K = _matrix(_get(obj, path, "K", list), f"{path}.K")
         A = _matrix(_get(obj, path, "A", list), f"{path}.A")
         k = _signal(_get(obj, path, "k", list), f"{path}.k")
         c = _signal(_get(obj, path, "c", list), f"{path}.c")
-        return _build(path, DataAssimilationModel, K, k, A, c, growth)
+        return _build(path, DataAssimilationModel, K, k, A, c), growth
     if kind == "radial":
         _reject_unknown(obj, path, {"kind", "profile", "A", "c", "growth"})
         prof_path = f"{path}.profile"
@@ -162,12 +162,12 @@ def _model(obj: dict) -> LagrangianModel:
                          **_optional(prof, prof_path, ("beta", "gamma")))
         A = _matrix(_get(obj, path, "A", list), f"{path}.A")
         c = _signal(_get(obj, path, "c", list), f"{path}.c")
-        return _build(path, RadialModel, profile, A, c, growth)
+        return _build(path, RadialModel, profile, A, c), growth
     if kind == "min_norms":
         _reject_unknown(obj, path, {"kind", "centers", "exponent", "growth"})
         centers = _matrix(_get(obj, path, "centers", list), f"{path}.centers")
-        return _build(path, MinOfNormsModel, centers, growth=growth,
-                      **_optional(obj, path, ("exponent",)))
+        return _build(path, MinOfNormsModel, centers,
+                      **_optional(obj, path, ("exponent",))), growth
     raise ConfigError(f"{path}.kind", f"unknown model kind '{kind}'")
 
 
@@ -201,13 +201,14 @@ def parse_config(raw: dict) -> RunConfig:
     grid_points = _get(raw, "", "grid_points", int)
     if grid_points < 3:
         raise ConfigError("grid_points", "grid_points >= 3 required")
+    grid = _build("domain", Grid.uniform, a, b, grid_points)
 
     boundary_obj = _get(raw, "", "boundary", dict)
     _reject_unknown(boundary_obj, "boundary", {"b0", "b1"})
     b0 = _vector(_get(boundary_obj, "boundary", "b0", list), "boundary.b0", dim)
     b1 = _vector(_get(boundary_obj, "boundary", "b1", list), "boundary.b1", dim)
 
-    model = _model(_get(raw, "", "lagrangian", dict))
+    model, growth = _model(_get(raw, "", "lagrangian", dict))
     if model.dim != dim:
         raise ConfigError("lagrangian", f"model dimension {model.dim} differs from N = {dim}")
 
@@ -219,9 +220,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("seed", "seed must be nonnegative")
 
     audit = _section(raw, "audit", AuditConfig, seed=seed, schedule=schedule, options=solve)
-    if audit.min_elements > grid_points - 1:
+    if audit.min_elements > grid.num_elements:
         raise ConfigError("audit.min_elements",
-                          f"exceeds the {grid_points - 1} elements of the grid")
+                          f"exceeds the {grid.num_elements} elements of the grid")
 
     check_obj = _get(raw, "", "check", dict, required=False, default={})
     box_obj = _get(check_obj, "check", "box", dict, required=False, default={})
@@ -232,7 +233,7 @@ def parse_config(raw: dict) -> RunConfig:
     plan = _section(raw, "check", SamplePlan, ("box",), box=box, seed=seed)
 
     output_dir = _get(raw, "", "output_dir", str)
-    return RunConfig(model, (a, b), dim, grid_points, AffineMap(b0, b1),
+    return RunConfig(model, growth, grid, AffineMap(b0, b1),
                      schedule, solve, audit, plan, seed, output_dir)
 
 
@@ -260,8 +261,7 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "paths").mkdir(exist_ok=True)
-    grid = Grid.uniform(config.domain[0], config.domain[1], config.grid_points)
-    sweep = m_sweep(config.model, grid, config.boundary, config.schedule,
+    sweep = m_sweep(config.model, config.grid, config.boundary, config.schedule,
                     config.solve, seed=config.seed)
 
     records_json = []
@@ -290,7 +290,7 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
             raise SupminError("residual profile unavailable")
     except SupminError as exc:
         residuals_error = str(exc)
-        empty = ResidualProfile(np.empty(0), np.empty((0, config.dim)), np.empty(0))
+        empty = ResidualProfile(np.empty(0), np.empty((0, config.model.dim)), np.empty(0))
         empty.to_csv(out / "residuals.csv")
 
     tied_refs = []
@@ -300,9 +300,9 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
         tied_refs.append(ref)
 
     doc = {
-        "domain": [config.domain[0], config.domain[1]],
-        "n": config.dim,
-        "grid_points": config.grid_points,
+        "domain": [config.grid.a, config.grid.b],
+        "n": config.model.dim,
+        "grid_points": config.grid.nodes.size,
         "seed": config.seed,
         "records": records_json,
         "c_sequence": sweep.c_sequence,
@@ -333,13 +333,12 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
 def _candidate_mismatch(config: RunConfig, candidate: Path) -> str | None:
     """Why a candidate does not fit the config's grid, dimension and boundary
     values (within round-off), or None."""
-    a, b = config.domain
-    if candidate.dim != config.dim:
-        return f"has {candidate.dim} value column(s), the config has N = {config.dim}"
-    nodes = Grid.uniform(a, b, config.grid_points).nodes
+    a, b, nodes = config.grid.a, config.grid.b, config.grid.nodes
+    if candidate.dim != config.model.dim:
+        return f"has {candidate.dim} value column(s), the config has N = {config.model.dim}"
     if (candidate.grid.nodes.size != nodes.size
             or np.max(np.abs(candidate.grid.nodes - nodes)) > 1e-12 * (b - a)):
-        return (f"nodes differ from the config's uniform grid of {config.grid_points} "
+        return (f"nodes differ from the config's uniform grid of {nodes.size} "
                 f"nodes on [{fmt_float(a)}, {fmt_float(b)}]")
     ends = np.array([config.boundary(a), config.boundary(b)])
     if np.max(np.abs(candidate.values[[0, -1]] - ends)) > 1e-12 * (1.0 + np.max(np.abs(ends))):
@@ -391,8 +390,8 @@ def run_check(config: RunConfig, output_dir: FsPath) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model, plan = config.model, config.plan
     checks = [("level_convexity", check_level_convexity, ())]
-    if model.growth is not None:
-        checks.append(("growth_bounds", check_growth_bounds, (model.growth,)))
+    if config.growth is not None:
+        checks.append(("growth_bounds", check_growth_bounds, (config.growth,)))
     doc = {"level_convexity": None, "growth_bounds": None}
     results, errors = [], []
     for name, check, args in checks:

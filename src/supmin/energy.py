@@ -48,11 +48,8 @@ class EnergyReport:
     ``sup_energy`` of the path over the subinterval for every m.
     """
 
-    m: int
     normalized_root: float
     sup: float
-    alpha: float
-    beta: float
 
 
 def _subinterval(grid: Grid, subinterval) -> tuple[float, float]:
@@ -259,8 +256,7 @@ def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -
     overflow-safe form, with the largest sample."""
     rule = MidpointPowerRule(path.grid, m, subinterval)
     s = rule.samples(model, path.values)
-    return EnergyReport(rule.m, float(s.root[0]), float(s.top[0]),
-                        *_subinterval(path.grid, subinterval))
+    return EnergyReport(float(s.root[0]), float(s.top[0]))
 
 
 def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:

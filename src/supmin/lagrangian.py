@@ -27,12 +27,14 @@ Built-in families:
 * ``CustomModel``           user callable of one row, finite-difference jets
 
 ``check_level_convexity`` and ``check_growth_bounds`` are sampling
-certifications: a pass is evidence, never a proof.
+certifications: a pass is evidence, never a proof.  The growth bounds
+(``GrowthParams``) are a setting of that check, not of a model: the run
+config carries its ``lagrangian.growth`` block to ``check_growth_bounds``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -219,9 +221,8 @@ class LagrangianModel:
     construction and all evaluation methods are pure.
     """
 
-    def __init__(self, dim: int, growth: GrowthParams | None = None):
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        self.growth = growth
 
     def eval_many(self, xs: np.ndarray, etas: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """L at every row, shape (M,); non-finite or negative values raise."""
@@ -297,9 +298,9 @@ class LagrangianModel:
 class PowerNormModel(LagrangianModel):
     """L = |p - offset|^s, level-convex for every s > 0."""
 
-    def __init__(self, exponent: float, offset, growth: GrowthParams | None = None):
+    def __init__(self, exponent: float, offset):
         offset = _vec(offset, "offset")
-        super().__init__(offset.size, growth)
+        super().__init__(offset.size)
         if not (exponent > 0 and np.isfinite(exponent)):
             raise SupminError("exponent must be positive and finite")
         self.exponent = float(exponent)
@@ -348,8 +349,7 @@ class DataAssimilationModel(LagrangianModel):
     """Squared observation mismatch plus squared law-of-motion mismatch:
     L = |k(x) - K eta|^2 + |p - V(x, eta)|^2 with V(x, eta) = A eta + c(x)."""
 
-    def __init__(self, K, k: SampledSignal, A, c: SampledSignal,
-                 growth: GrowthParams | None = None):
+    def __init__(self, K, k: SampledSignal, A, c: SampledSignal):
         K = _mat(K, "K")
         A = _mat(A, "A")
         n = _velocity_dim(A, c)
@@ -357,7 +357,7 @@ class DataAssimilationModel(LagrangianModel):
             raise SupminError(f"K has {K.shape[1]} columns, A is {n}x{n}")
         if k.dim != K.shape[0]:
             raise SupminError(f"k has {k.dim} value column(s), K has {K.shape[0]} row(s)")
-        super().__init__(n, growth)
+        super().__init__(n)
         self.K = K
         self.k = k
         self.A = A
@@ -425,10 +425,9 @@ class RadialModel(LagrangianModel):
     """L = f(|p - V(x, eta)|^2 / 2), an increasing profile of the squared
     deviation from the velocity field V(x, eta) = A eta + c(x)."""
 
-    def __init__(self, profile: RadialProfile, A, c: SampledSignal,
-                 growth: GrowthParams | None = None):
+    def __init__(self, profile: RadialProfile, A, c: SampledSignal):
         A = _mat(A, "A")
-        super().__init__(_velocity_dim(A, c), growth)
+        super().__init__(_velocity_dim(A, c))
         self.profile = profile
         self.A = A
         self.c = c
@@ -464,8 +463,8 @@ class RadialModel(LagrangianModel):
 class CustomModel(LagrangianModel):
     """Model from a callable fn(x, eta, p) of one row; jets by finite differences."""
 
-    def __init__(self, fn: Callable, dim: int, growth: GrowthParams | None = None):
-        super().__init__(dim, growth)
+    def __init__(self, fn: Callable, dim: int):
+        super().__init__(dim)
         self.fn = fn
 
     def eval_many(self, xs, etas, ps):
@@ -478,10 +477,9 @@ class MinOfNormsModel(LagrangianModel):
     """L = min_k |p - center_k|^s: level-convex only when a single center
     remains; the canonical counterexample with two centers."""
 
-    def __init__(self, centers, exponent: float = 1.0,
-                 growth: GrowthParams | None = None):
+    def __init__(self, centers, exponent: float = 1.0):
         centers = _mat(centers, "centers")
-        super().__init__(centers.shape[1], growth)
+        super().__init__(centers.shape[1])
         if not (exponent > 0 and np.isfinite(exponent)):
             raise SupminError("exponent must be positive")
         self.centers = centers
@@ -499,7 +497,7 @@ class ScaledModel(LagrangianModel):
     def __init__(self, inner: LagrangianModel, factor: float):
         if factor <= 0 or not np.isfinite(factor):
             raise SupminError("scale factor must be positive and finite")
-        super().__init__(inner.dim, inner.growth)
+        super().__init__(inner.dim)
         self.inner = inner
         self.factor = float(factor)
 
@@ -573,8 +571,11 @@ class LevelConvexityWitness:
 
 @dataclass(frozen=True)
 class LevelConvexityResult:
-    passed: bool
     witnesses: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
     def to_json_dict(self) -> dict:
         return {
@@ -633,7 +634,7 @@ def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None
                                   float(lams[j]), float(mixed[i, j]), float(end_max[i]))
             for i, j in zip(*np.nonzero(bad))
         ]
-    return LevelConvexityResult(not witnesses, witnesses)
+    return LevelConvexityResult(witnesses)
 
 
 @dataclass(frozen=True)
@@ -645,30 +646,23 @@ class GrowthWitness:
     bound: float
     side: str  # "lower" or "upper"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "eta": list(self.eta),
-            "p": list(self.p),
-            "value": self.value,
-            "bound": self.bound,
-            "side": self.side,
-        }
-
 
 @dataclass(frozen=True)
 class GrowthCheckResult:
-    passed: bool
     lower_margin: float
     upper_margin: float
     witnesses: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
     def to_json_dict(self) -> dict:
         return {
             "pass": self.passed,
             "worst_margins": {"lower": self.lower_margin, "upper": self.upper_margin},
             "witness_count": len(self.witnesses),
-            "witnesses": [w.to_json_dict() for w in self.witnesses[:20]],
+            "witnesses": [asdict(w) for w in self.witnesses[:20]],
         }
 
 
@@ -700,4 +694,4 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
                 if bad[i]:
                     witnesses.append(GrowthWitness(float(x[i]), eta[i].copy(), p[i].copy(),
                                                    float(val[i]), float(bound[i]), side))
-    return GrowthCheckResult(not witnesses, float(lower_margin), float(upper_margin), witnesses)
+    return GrowthCheckResult(float(lower_margin), float(upper_margin), witnesses)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .errors import SupminError
+from .errors import SupminError, check_count
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -42,7 +42,8 @@ class Grid:
 
     @classmethod
     def uniform(cls, a: float, b: float, num_nodes: int) -> "Grid":
-        return cls(np.linspace(float(a), float(b), int(num_nodes)))
+        check_count(num_nodes, 3, "grid needs at least 3 nodes, an integer")
+        return cls(np.linspace(float(a), float(b), num_nodes))
 
     @property
     def a(self) -> float:
@@ -163,7 +164,7 @@ def _containing_element(grid: Grid, x: float) -> int:
 def eval_and_slope(path: Path, x: float) -> PathSample:
     """Interpolated value and element slope at x; left element wins at nodes."""
     x = float(x)
-    if x < path.grid.a or x > path.grid.b:
+    if not path.grid.a <= x <= path.grid.b:  # written so that NaN fails it
         raise SupminError(f"x={x} outside [{path.grid.a}, {path.grid.b}]")
     e = _containing_element(path.grid, x)
     x0 = path.grid.nodes[e]

@@ -360,21 +360,19 @@ WEIGHTED_D = np.array([1.0, -0.5])  # b0 = 0, b1 = D
 
 
 class WeightedModel(sm.LagrangianModel):
-    """L = a(x)|p|^2 with a = 1 + 0.8 sin^2(2 pi x), and its analytic jet."""
+    """L = a(x)|p|^2 for a positive weight a with derivative da, and its
+    analytic jet."""
 
-    def __init__(self):
+    def __init__(self, weight, dweight):
         super().__init__(2)
-
-    @staticmethod
-    def weight(xs):
-        return 1.0 + 0.8 * np.sin(2 * np.pi * xs) ** 2
+        self.weight, self.dweight = weight, dweight
 
     def eval_many(self, xs, etas, ps):
         return self._checked(self.weight(xs) * np.sum(ps * ps, axis=1))
 
     def jet_many(self, xs, etas, ps):
         a, sq = self.weight(xs), np.sum(ps * ps, axis=1)
-        da = 1.6 * np.pi * np.sin(4 * np.pi * xs)
+        da = self.dweight(xs)
         m, n = ps.shape
         zeros = np.zeros((m, n, n))
         return sm.JetDerivatives(a * sq, 2.0 * a[:, None] * ps, np.zeros_like(ps), da * sq,
@@ -388,7 +386,9 @@ def test_c15_weighted_oracle_moves_with_m():
     midpoints, and its root is (sum_e h_e (a_e t_e^2)^m)^(1/m).  As m grows
     the sup tends to V = (|D| / sum_e h_e a_e^(-1/2))^2, its excess over V
     halving per doubling of m.  tol_sweep = 1e-300 runs every exponent."""
-    model, size = WeightedModel(), np.linalg.norm(WEIGHTED_D)
+    model = WeightedModel(lambda x: 1.0 + 0.8 * np.sin(2 * np.pi * x) ** 2,
+                          lambda x: 1.6 * np.pi * np.sin(4 * np.pi * x))
+    size = np.linalg.norm(WEIGHTED_D)
     schedule = sm.SweepSchedule(tol_sweep=1e-300)
     worst_root, worst_slope = 0.0, 0.0
     for num_nodes in (17, 65, 257):
@@ -415,3 +415,40 @@ def test_c15_weighted_oracle_moves_with_m():
         assert np.all(ratios[2:] >= 0.48), (num_nodes, ratios)
     assert worst_root <= 1e-14 and worst_slope <= 1e-9, (worst_root, worst_slope)
     print(f"c15 weighted oracle: PASS (roots {worst_root:.1e}, slopes {worst_slope:.1e})")
+
+
+def test_c16_weighted_oracle_refinement():
+    """With the weight a = 1 + 0.8 x^2, which is not periodic on [0, 1], each
+    record's root converges at second order to the continuum order-m root
+    (int (a t^2)^m)^(1/m), t = |D| w / int w with w = a^(-m/(2m-1)), the
+    slope of the continuum order-m minimiser along D.  The continuum
+    integrals are taken by mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    model = WeightedModel(lambda x: 1.0 + 0.8 * x**2, lambda x: 1.6 * x)
+    exponents = [2**k for k in range(1, 11)]
+    exact = []
+    with mp.workdps(30):
+        size = mp.mpf(np.linalg.norm(WEIGHTED_D))
+
+        def a(x):
+            return 1 + mp.mpf("0.8") * x**2
+
+        for m in exponents:
+            q = mp.mpf(m) / (2 * m - 1)
+            total = mp.quad(lambda x: a(x) ** -q, [0, 1])
+            energy = mp.quad(lambda x: (a(x) * (size * a(x) ** -q / total) ** 2) ** m, [0, 1])
+            exact.append(float(energy ** (mp.mpf(1) / m)))
+    schedule = sm.SweepSchedule(tol_sweep=1e-300)
+    errors = []
+    for num_nodes in (17, 65, 257):
+        sweep = sm.m_sweep(model, sm.Grid.uniform(0.0, 1.0, num_nodes),
+                           sm.AffineMap([0.0, 0.0], WEIGHTED_D), schedule)
+        assert [rec.m for rec in sweep.records] == exponents
+        assert all(rec.stats.stop_reason == "decrement" for rec in sweep.records)
+        errors.append([abs(rec.stats.objective - root) / root
+                       for rec, root in zip(sweep.records, exact)])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((ratios >= 14.0) & (ratios <= 18.0)), ratios
+    print(f"c16 weighted oracle refinement: PASS (errors at 257 nodes "
+          f"{min(errors[-1]):.1e} to {max(errors[-1]):.1e}, ratios {ratios.min():.2f} "
+          f"to {ratios.max():.2f})")

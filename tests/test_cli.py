@@ -129,6 +129,8 @@ class TestSolve:
          "lagrangian.exponent: expected a finite number"),
         ("lagrangian", {"kind": "min_norms", "centers": [[1.0, 0.0]], "exponent": -1.0},
          "lagrangian: exponent must be positive"),
+        # the grid is built with the config: a domain too narrow for its nodes fails there
+        ("domain", [0.0, 5e-323], "domain: grid nodes must be strictly increasing"),
     ])
     def test_section_fields(self, tmp_path, capsys, section, body, message):
         cfg = write_config(tmp_path, **{section: body})

@@ -483,6 +483,16 @@ def _power_energy_of_order(m):
     return sm.power_energy(sm.PowerNormModel(2.0, [1.0]), path, m)
 
 
+def _five_node_path():
+    return sm.Path(sm.Grid.uniform(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)[:, None])
+
+
+def _semicontinuity_with_tol(tol_audit):
+    path = _five_node_path()
+    return sm.semicontinuity_check(sm.PowerNormModel(2.0, [0.0]), [(2, path), (4, path), (8, path)],
+                                   path, tol_audit=tol_audit)
+
+
 def _minimize_power_of_order(m):
     return sm.minimize_power(sm.PowerNormModel(2.0, [1.0]), sm.Grid.uniform(0.0, 1.0, 5),
                              sm.AffineMap([0.0], [1.0]), m)
@@ -519,13 +529,20 @@ def _minimize_power_of_order(m):
     (lambda: _power_energy_of_order(2.5), "power energy needs m >= 1"),
     (lambda: _minimize_power_of_order(2.5), "power energy needs m >= 1"),
     (lambda: _minimize_power_of_order(NAN), "power energy needs m >= 1"),
+    (lambda: sm.eval_and_slope(_five_node_path(), NAN), "outside"),
+    (lambda: sm.difference_quotient(_five_node_path(), 0.5, NAN), "outside"),
+    (lambda: sm.Grid.uniform(0.0, 1.0, 17.5), "grid needs at least 3 nodes"),
+    (lambda: _semicontinuity_with_tol(NAN), "tol_audit must be positive"),
+    (lambda: sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), _five_node_path(),
+                                       [0.2], tol_audit=NAN), "tol_audit must be positive"),
 ], ids=["max_iters", "tol_sweep", "tol_audit", "audit_subintervals", "audit_min_elements",
         "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
         "scan_order", "scan_range", "max_iters_float", "m_max_float", "restarts_float",
         "audit_subintervals_float", "audit_seed_negative", "plan_triples_nan",
         "plan_levels_nan", "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
-        "power_order_float", "solve_order_float", "solve_order_nan"])
+        "power_order_float", "solve_order_float", "solve_order_nan", "eval_and_slope_nan",
+        "quotient_t_nan", "grid_nodes_float", "semicontinuity_tol_nan", "scan_tol_nan"])
 def test_range_checks_reject_nan(build, message):
     """A NaN compares false with every bound, so each check is written to
     fail, not pass, on it."""
