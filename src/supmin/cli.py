@@ -195,6 +195,8 @@ def parse_config(raw: dict) -> RunConfig:
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ConfigError("domain", "a < b required")
+    if not np.isfinite(b - a):
+        raise ConfigError("domain", "b - a must be finite")
     dim = _get(raw, "", "N", int)
     if dim < 1:
         raise ConfigError("N", "N >= 1 required")

@@ -189,8 +189,9 @@ class MidpointPowerRule:
         ``jet_many`` call: ``(grad, (diag, upper))``.
 
         The jet's values are bitwise the samples (a ``LagrangianModel``
-        contract), reduced as in ``samples``.  Every problem needs a nonzero
-        largest sample.
+        contract), reduced as in ``samples``.  A problem whose samples all
+        vanish, a global minimum, gets zero gradient rows and a zero element
+        part.
 
         ``grad`` has one row per node.  The element part is block
         tridiagonal: ``diag[i]`` couples node i with itself, ``upper[i]``
@@ -210,7 +211,10 @@ class MidpointPowerRule:
         jet = model.jet_many(self.xs, *self._points(model, values))
         top, ratios, weight_sum, outer = self._powers(jet.value)
         problem = self.elem_problem
-        scale = outer[problem] * self.lengths / weight_sum[problem]
+        # a problem whose samples all vanish has zero top, power sum and
+        # root; dividing its entries by one instead of zero gives it zero rows
+        vanished = (top == 0.0)[problem]
+        scale = outer[problem] * self.lengths / np.where(vanished, 1.0, weight_sum[problem])
         # d(root)/dL_e in factored form: stays representable for every m
         coeffs = scale * ratios ** (m - 1)
         d_slope = jet.dp / elem_len[:, None]
@@ -221,7 +225,8 @@ class MidpointPowerRule:
         grad[idx + 1] += coeffs[:, None] * (theta * jet.deta + d_slope)
 
         # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
-        rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0) / top[problem])[:, None, None]
+        rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0)
+                    / np.where(vanished, 1.0, top[problem]))[:, None, None]
         # the eta and p weights of an element's left and right node in J_e
         eta_w = (1.0 - theta[:, :, None], theta[:, :, None])
         inv_len = (1.0 / elem_len)[:, None, None]
@@ -272,12 +277,16 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
 
     Rows for nodes on or outside the closed subinterval are zero: boundary
     nodes are clamped Dirichlet data of the comparison problem.  Where every
-    sample is zero, a global minimum, every row is zero and no jet is taken.
+    sample is zero, a global minimum, every row is zero, and so it stays
+    where the model has no jet at such a path (|p|^s, s < 2, at p = offset).
     """
     rule = MidpointPowerRule(path.grid, m, subinterval)
-    if rule.samples(model, path.values).top[0] == 0.0:  # L vanishes at every sample
-        return np.zeros(path.values.shape)
-    return rule.derivatives(model, path.values)[0]
+    try:
+        return rule.derivatives(model, path.values)[0]
+    except NonFinite:
+        if rule.samples(model, path.values).top[0] == 0.0:  # L vanishes at every sample
+            return np.zeros(path.values.shape)
+        raise
 
 
 def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:

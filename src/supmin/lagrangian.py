@@ -34,6 +34,7 @@ config carries its ``lagrangian.growth`` block to ``check_growth_bounds``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
@@ -70,6 +71,23 @@ def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     product differently from a many-row one, and a row's result must not
     depend on the batch it came in."""
     return np.sum(rows[:, None, :] * mat[None, :, :], axis=2)
+
+
+def _squared_distances(ps: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """|p - center|^2 for every row p of ps (M, N), added up one column at a
+    time over 1-D arrays of length M.
+
+    numpy's norm along a row adds its N squares one after another for N < 8,
+    so the square root of this is ``np.linalg.norm(ps - center, axis=1)``
+    bitwise for N <= 7; from N = 8 on numpy sums pairwise and the last bit
+    may differ.  Unlike that norm, it builds no array with a short trailing
+    axis, which numpy loops over slowly.
+    """
+    total = np.zeros(len(ps))
+    for p_j, c_j in zip(ps.T, center):
+        d = p_j - c_j
+        total += d * d
+    return total
 
 
 @dataclass(frozen=True)
@@ -200,6 +218,27 @@ def check_width(model: LagrangianModel, **arrays) -> None:
                               f"dimension {model.dim}")
 
 
+@functools.cache
+def _fd_stencil(n: int):
+    """The shifts of ``LagrangianModel.jet_many``'s stencil at N = n, as
+    signs over z = (p, eta, x), built once per n and read-only:
+    ``(first, second, (i, j))``.  ``first`` holds the h1 shifts +-e_i;
+    ``second`` the h2 shifts +-e_i but x, then the corners ++, +-, -+, --
+    of each pair (i[q], j[q]) that a jet block reports.
+    """
+    k = 2 * n + 1
+    eye = np.eye(k)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if i < n or j < k - 1]
+    first = np.array([s * eye[i] for i in range(k) for s in (1, -1)])
+    second = np.array([s * eye[i] for i in range(k - 1) for s in (1, -1)]
+                      + [si * eye[i] + sj * eye[j] for i, j in pairs
+                         for si in (1, -1) for sj in (1, -1)])
+    i, j = np.array(pairs).T
+    for a in (first, second, i, j):
+        a.flags.writeable = False
+    return first, second, (i, j)
+
+
 def _one_row(model, x, eta, p):
     etas = np.asarray(eta, dtype=float).reshape(1, -1)
     ps = np.asarray(p, dtype=float).reshape(1, -1)
@@ -244,31 +283,24 @@ class LagrangianModel:
         z = np.column_stack([ps, etas, xs])
         k = z.shape[1]
         h1, h2 = _FD_FIRST * (1.0 + np.abs(z)), _FD_SECOND * (1.0 + np.abs(z))
-        eye = np.eye(k)
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if i < n or j < k - 1]
+        first_signs, second_signs, (i, j) = _fd_stencil(n)
 
         def shifted(signs, h):
-            signs = np.array(signs)[:, None, :]
+            signs = signs[:, None, :]
             # an unshifted coordinate keeps its exact value, -0.0 included
             return np.where(signs != 0, z + signs * h, z)
 
-        rows = np.concatenate([
-            z[None],
-            shifted([s * eye[i] for i in range(k) for s in (1, -1)], h1),
-            shifted([s * eye[i] for i in range(k - 1) for s in (1, -1)]
-                    + [si * eye[i] + sj * eye[j] for i, j in pairs for si in (1, -1)
-                       for sj in (1, -1)], h2),
-        ]).reshape(-1, k)
+        rows = np.concatenate([z[None], shifted(first_signs, h1),
+                               shifted(second_signs, h2)]).reshape(-1, k)
         f = self.eval_many(*(np.ascontiguousarray(a)
                              for a in (rows[:, -1], rows[:, n:-1], rows[:, :n]))).reshape(-1, m)
 
         value, first, diagonal = f[0], f[1 : 2 * k + 1], f[2 * k + 1 : 4 * k - 1]
-        corners = f[4 * k - 1 :].reshape(len(pairs), 4, m)
+        corners = f[4 * k - 1 :].reshape(len(i), 4, m)
         grad = ((first[0::2] - first[1::2]) / (2 * h1.T)).T
         hess = np.zeros((m, k, k))
         d = np.arange(k - 1)
         hess[:, d, d] = ((diagonal[0::2] - 2 * value + diagonal[1::2]) / h2.T[:-1] ** 2).T
-        i, j = np.array(pairs).T
         hess[:, i, j] = hess[:, j, i] = (
             (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3])
             / (4 * h2.T[i] * h2.T[j])).T
@@ -308,14 +340,14 @@ class PowerNormModel(LagrangianModel):
 
     def eval_many(self, xs, etas, ps):
         with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
-            rho = np.linalg.norm(ps - self.offset[None, :], axis=1)
+            rho = np.sqrt(_squared_distances(ps, self.offset))
             return self._checked(rho**self.exponent)
 
     def jet_many(self, xs, etas, ps):
         s, n = self.exponent, self.dim
         w = ps - self.offset[None, :]
         with np.errstate(over="ignore"):
-            rho = np.linalg.norm(w, axis=1)
+            rho = np.sqrt(_squared_distances(ps, self.offset))
         apex = rho == 0.0
         if s < 2 and np.any(apex):
             # |w|^s has no two-sided jet at w = 0 below quadratic growth
@@ -487,8 +519,10 @@ class MinOfNormsModel(LagrangianModel):
 
     def eval_many(self, xs, etas, ps):
         with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
-            d = np.linalg.norm(ps[:, None, :] - self.centers[None, :, :], axis=2)
-            return self._checked(np.min(d, axis=1) ** self.exponent)
+            nearest = np.minimum.reduce([_squared_distances(ps, c) for c in self.centers])
+            # sqrt is monotone and correctly rounded: the root of the least
+            # square is the least distance, bitwise
+            return self._checked(np.sqrt(nearest) ** self.exponent)
 
 
 class ScaledModel(LagrangianModel):
@@ -515,8 +549,10 @@ class ScaledModel(LagrangianModel):
 # -- sampling certifications --------------------------------------------------
 
 # Points per eval_many call of the samplers.  A call's temporaries grow with
-# its rows (100,000 min-of-norms rows raised peak RSS by 9 MB, 4,096 by none),
-# so the samplers evaluate in blocks of whole samples up to this many points.
+# its rows: ``check`` of the min-norms benchmark config (140,000 level-convexity
+# points) peaks 9.5 MB higher in blocks of 100,000 points than in blocks of 64,
+# and 0.3 MB higher in blocks of 4,096.  So the samplers evaluate in blocks of
+# whole samples up to this many points.
 _SAMPLE_ROWS = 4096
 
 
@@ -677,7 +713,7 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
     for x, eta, ps in _sample_blocks(plan, model.dim, 1, 1):
         p = ps[:, 0]
         val = _eval_points(model, x, eta, ps)[:, 0]
-        pn = np.linalg.norm(p, axis=1)
+        pn = np.sqrt(_squared_distances(p, np.zeros(model.dim)))
         if callable(growth.h_bound):
             h = np.array([growth.envelope(xi, ei) for xi, ei in zip(x, eta)])
         else:

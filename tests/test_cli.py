@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestSolve:
         cfg = write_config(tmp_path, domain=[1.0, 1.0])
         assert cli.main(["solve", cfg]) == 1
         assert "domain: a < b required" in capsys.readouterr().err
+
+    def test_overflowing_domain_width_rejected(self, tmp_path, capsys):
+        """Finite ends whose difference overflows fail at the domain, before
+        numpy builds the grid and warns."""
+        cfg = write_config(tmp_path, domain=[-1e308, 1e308])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["solve", cfg]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == "domain: b - a must be finite\n"
+        assert not (tmp_path / "out").exists()
 
     def test_data_assimilation_closed_form(self, tmp_path):
         cfg = write_config(tmp_path, lagrangian=da_lagrangian(),

@@ -168,11 +168,56 @@ class TestGradient:
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_constant_path_zero_region(self):
-        # the jet of |p|^1 is singular at p = offset: s = 1 shows no jet is taken
+        # the jet of |p|^1 is singular at p = offset: s = 1 takes the zero-sample fallback
         for s in (2.0, 1.0):
             model = sm.PowerNormModel(s, [0.0])
             grad = sm.power_energy_gradient(model, affine_path([2.0], [0.0]), 2)
             assert np.all(grad == 0.0)
+
+    def test_one_jet_call_and_no_eval_call(self):
+        """The gradient takes one jet and no separate evaluation, on a path
+        with nonzero samples and on one where L vanishes everywhere."""
+        model = sm.PowerNormModel(2.0, [0.5, 0.0])
+        calls = {"eval_many": 0, "jet_many": 0}
+
+        def counted(name):
+            method = getattr(model, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        for name in calls:
+            setattr(model, name, counted(name))
+        straight = affine_path([0.0, 0.0], [1.0, -1.0])
+        bump = np.zeros((9, 2))
+        bump[4, 0] = 0.25
+        bent = sm.Path(straight.grid, straight.values + bump)
+        for path, zero in ((bent, False), (affine_path([0.0, 0.0], [0.5, 0.0]), True)):
+            calls.update(eval_many=0, jet_many=0)
+            grad = sm.power_energy_gradient(model, path, 4)
+            assert calls == {"eval_many": 0, "jet_many": 1}
+            assert np.all(grad == 0.0) == zero
+            if zero:
+                assert not np.any(np.signbit(grad))
+
+    def test_vanished_problem_in_a_stack(self, rng):
+        """In a stack, a problem whose samples all vanish gets zero gradient
+        rows and a zero element part, with no 0/0, and the other problem's
+        numbers are those it has alone, bitwise."""
+        model = sm.PowerNormModel(2.0, [1.0, 0.0])
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        zero = affine_path([0.0, 0.0], [1.0, 0.0]).values
+        other = random_path(rng, grid=grid, dim=2).values
+        for m in (1, 2, 8):
+            alone = MidpointPowerRule(grid, m).derivatives(model, other)
+            rule = MidpointPowerRule.stack([MidpointPowerRule(grid, m)] * 2)
+            grad, (diag, upper) = rule.derivatives(model, np.concatenate([zero, other]))
+            assert np.all(grad[:9] == 0.0) and np.all(upper[:9] == 0.0)
+            assert np.all(diag[1:8] == 0.0) and np.array_equal(diag[[0, 8]], [np.eye(2)] * 2)
+            assert np.array_equal(grad[9:], alone[0])
+            assert np.array_equal(diag[9:], alone[1][0]) and np.array_equal(upper[9:], alone[1][1])
 
     def test_matches_finite_differences(self, rng):
         worst = 0.0

@@ -78,6 +78,46 @@ def loop_reference_jet(model, xs, etas, ps):
     return sm.JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx, detaeta)
 
 
+def per_call_stencil_jet(model, xs, etas, ps):
+    """``LagrangianModel.jet_many`` with its stencil's sign rows and pairs
+    rebuilt on every call, as the stencil was built before it was cached."""
+    eps = np.finfo(float).eps
+    m, n = ps.shape
+    z = np.column_stack([ps, etas, xs])
+    k = z.shape[1]
+    h1, h2 = eps ** (1.0 / 3.0) * (1.0 + np.abs(z)), eps**0.25 * (1.0 + np.abs(z))
+    eye = np.eye(k)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if i < n or j < k - 1]
+
+    def shifted(signs, h):
+        signs = np.array(signs)[:, None, :]
+        return np.where(signs != 0, z + signs * h, z)
+
+    rows = np.concatenate([
+        z[None],
+        shifted([s * eye[i] for i in range(k) for s in (1, -1)], h1),
+        shifted([s * eye[i] for i in range(k - 1) for s in (1, -1)]
+                + [si * eye[i] + sj * eye[j] for i, j in pairs for si in (1, -1)
+                   for sj in (1, -1)], h2),
+    ]).reshape(-1, k)
+    f = model.eval_many(*(np.ascontiguousarray(a)
+                          for a in (rows[:, -1], rows[:, n:-1], rows[:, :n]))).reshape(-1, m)
+    value, first, diagonal = f[0], f[1 : 2 * k + 1], f[2 * k + 1 : 4 * k - 1]
+    corners = f[4 * k - 1 :].reshape(len(pairs), 4, m)
+    grad = ((first[0::2] - first[1::2]) / (2 * h1.T)).T
+    hess = np.zeros((m, k, k))
+    d = np.arange(k - 1)
+    hess[:, d, d] = ((diagonal[0::2] - 2 * value + diagonal[1::2]) / h2.T[:-1] ** 2).T
+    i, j = np.array(pairs).T
+    hess[:, i, j] = hess[:, j, i] = (
+        (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3])
+        / (4 * h2.T[i] * h2.T[j])).T
+    eta = slice(n, k - 1)
+    return sm.JetDerivatives(*(np.ascontiguousarray(a) for a in (
+        value, grad[:, :n], grad[:, eta], grad[:, -1],
+        hess[:, :n, :n], hess[:, :n, eta], hess[:, :n, -1], hess[:, eta, eta])))
+
+
 def make_da(K, k_rows, A, c_rows):
     return sm.DataAssimilationModel(
         np.atleast_2d(K),
@@ -269,6 +309,40 @@ class TestJet:
                     assert np.array_equal(getattr(jet, f.name), getattr(ref, f.name)), \
                         (type(model), rows, f.name)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fd_jet_equals_per_call_stencil(self, rng, dim):
+        """The cached stencil gives every field of the stencil rebuilt per
+        call, bitwise."""
+        centers = rng.normal(size=(2, dim))
+        models = [
+            sm.MinOfNormsModel(centers, exponent=1.3),
+            sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[-1]) ** 2 * p[-1] ** 4
+                           + np.cos(x * e[0]) ** 2 + np.arctan2(0.0, p[0]), dim=dim),
+        ]
+        xs = rng.uniform(-0.2, 1.2, size=11)
+        etas = rng.normal(size=(11, dim))
+        ps = rng.normal(scale=2.0, size=(11, dim))
+        ps[1:4] = centers[0] + 1e-3 * rng.normal(size=(3, dim))
+        ps[0, 0] = etas[0, -1] = -0.0
+        for model in models:
+            jet = model.jet_many(xs, etas, ps)
+            ref = per_call_stencil_jet(model, xs, etas, ps)
+            for f in dataclasses.fields(jet):
+                assert np.array_equal(getattr(jet, f.name), getattr(ref, f.name)), \
+                    (type(model), f.name)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stencil_built_once_and_read_only(self, dim):
+        stencil = sm.lagrangian._fd_stencil(dim)
+        assert sm.lagrangian._fd_stencil(dim) is stencil
+        first, second, (i, j) = stencil
+        k = 2 * dim + 1
+        assert first.shape == (2 * k, k) and second.shape == (2 * (k - 1) + 4 * len(i), k)
+        for array in (first, second, i, j):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
     def test_power_norm_apex_raises_below_quadratic(self):
         ps = np.array([[1.0, 2.0], [0.3, -0.7]])
         with pytest.raises(sm.NonFinite):
@@ -287,6 +361,51 @@ class TestJet:
         j1 = base.jet(0.0, [0.0], [3.0])
         j2 = doubled.jet(0.0, [0.0], [3.0])
         assert j2.value == 2.0 * j1.value and np.array_equal(j2.dp, 2.0 * j1.dp)
+
+
+class TestRowNorms:
+    """Every row norm of a model is ``_squared_distances`` under a square
+    root, bitwise equal to the ``np.linalg.norm`` forms it replaced for
+    N <= 7."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    @pytest.mark.parametrize("num_centers", [1, 2, 3])
+    def test_equals_linalg_norm(self, rng, dim, num_centers):
+        centers = rng.normal(size=(num_centers, dim))
+        exponent = float(rng.uniform(0.5, 3.0))
+        for rows in (1, 2, 7, 39, 4096):
+            ps = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-4, 5, size=(rows, dim))
+            ps[rng.random((rows, dim)) < 0.2] = -0.0
+            ps[0] = centers[0]  # a zero distance
+            xs, etas = np.zeros(rows), np.zeros((rows, dim))
+            helper = sm.lagrangian._squared_distances
+            for c in centers:
+                assert np.array_equal(np.sqrt(helper(ps, c)), np.linalg.norm(ps - c, axis=1))
+            # the growth check's |p|
+            assert np.array_equal(np.sqrt(helper(ps, np.zeros(dim))), np.linalg.norm(ps, axis=1))
+            nearest = np.min(np.linalg.norm(ps[:, None, :] - centers[None, :, :], axis=2), axis=1)
+            assert np.array_equal(sm.MinOfNormsModel(centers, exponent).eval_many(xs, etas, ps),
+                                  nearest**exponent)
+            model = sm.PowerNormModel(exponent, centers[-1])
+            rho = np.linalg.norm(ps - centers[-1][None, :], axis=1)
+            assert np.array_equal(model.eval_many(xs, etas, ps), rho**exponent)
+            ps[0] += 1.0  # off the apex, where the jet of s < 2 is singular
+            rho = np.linalg.norm(ps - centers[-1][None, :], axis=1)
+            assert np.array_equal(model.jet_many(xs, etas, ps).value, rho**exponent)
+
+    @pytest.mark.parametrize("p", [[1e200, 0.0, 0.0], [1.3e154, 1.3e154, 0.0]],
+                             ids=["square", "sum"])
+    def test_overflowing_row_raises_nonfinite(self, p):
+        """A square or a sum of squares that overflows raises NonFinite, with
+        no floating-point warning."""
+        ps = np.array([[0.5, -0.0, 2.0], p, [0.0, 1.0, 0.0]])
+        xs, etas = np.zeros(3), np.zeros((3, 3))
+        for model in (sm.MinOfNormsModel([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], exponent=1.0),
+                      sm.PowerNormModel(1.0, [0.0, 0.0, 0.0])):
+            with pytest.raises(sm.NonFinite):
+                model.eval_many(xs, etas, ps)
+        with pytest.raises(sm.NonFinite):
+            sm.PowerNormModel(2.0, [0.0, 0.0, 0.0]).jet_many(xs, etas, ps)
 
 
 class TestSampledSignal:
