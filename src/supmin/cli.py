@@ -92,30 +92,24 @@ def _build(path: str, cls, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
-def _vector(obj, path: str, length: int | None = None) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(path, "expected an array of numbers") from None
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise ConfigError(path, "expected a finite 1-d array")
-    if length is not None and arr.size != length:
+def _array(obj, path: str, ndim: int, length: int | None = None) -> np.ndarray:
+    """``obj`` as floats: an array (``ndim`` 1) or a matrix of equal rows (2),
+    each entry held to ``_get``'s rule for a float field."""
+    rows = [obj] if ndim == 1 else obj
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for row in rows for v in row)):
+        raise ConfigError(path, f"expected {'an array' if ndim == 1 else 'a matrix'} of numbers")
+    if not rows or not all(abs(v) <= sys.float_info.max for row in rows for v in row):
+        raise ConfigError(path, f"expected a finite {ndim}-d array")
+    if length is not None and len(obj) != length:
         raise ConfigError(path, f"length must equal N = {length}")
-    return arr
-
-
-def _matrix(obj, path: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(path, "expected a matrix of numbers") from None
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise ConfigError(path, "expected a finite 2-d array")
-    return arr
+    return np.array(obj, dtype=float)
 
 
 def _signal(obj, path: str) -> SampledSignal:
-    return _build(path, SampledSignal.from_rows, _matrix(obj, path))
+    return _build(path, SampledSignal.from_rows, _array(obj, path, 2))
 
 
 def _optional(obj: dict, path: str, keys) -> dict:
@@ -143,12 +137,12 @@ def _model(obj: dict) -> tuple[LagrangianModel, GrowthParams | None]:
     if kind == "power_norm":
         _reject_unknown(obj, path, {"kind", "exponent", "offset", "growth"})
         exponent = _get(obj, path, "exponent", float)
-        offset = _vector(_get(obj, path, "offset", list), f"{path}.offset")
+        offset = _array(_get(obj, path, "offset", list), f"{path}.offset", 1)
         return _build(path, PowerNormModel, exponent, offset), growth
     if kind == "data_assimilation":
         _reject_unknown(obj, path, {"kind", "K", "k", "A", "c", "growth"})
-        K = _matrix(_get(obj, path, "K", list), f"{path}.K")
-        A = _matrix(_get(obj, path, "A", list), f"{path}.A")
+        K = _array(_get(obj, path, "K", list), f"{path}.K", 2)
+        A = _array(_get(obj, path, "A", list), f"{path}.A", 2)
         k = _signal(_get(obj, path, "k", list), f"{path}.k")
         c = _signal(_get(obj, path, "c", list), f"{path}.c")
         return _build(path, DataAssimilationModel, K, k, A, c), growth
@@ -160,12 +154,12 @@ def _model(obj: dict) -> tuple[LagrangianModel, GrowthParams | None]:
         name = _get(prof, prof_path, "name", str)
         profile = _build(prof_path, radial_profile, name,
                          **_optional(prof, prof_path, ("beta", "gamma")))
-        A = _matrix(_get(obj, path, "A", list), f"{path}.A")
+        A = _array(_get(obj, path, "A", list), f"{path}.A", 2)
         c = _signal(_get(obj, path, "c", list), f"{path}.c")
         return _build(path, RadialModel, profile, A, c), growth
     if kind == "min_norms":
         _reject_unknown(obj, path, {"kind", "centers", "exponent", "growth"})
-        centers = _matrix(_get(obj, path, "centers", list), f"{path}.centers")
+        centers = _array(_get(obj, path, "centers", list), f"{path}.centers", 2)
         return _build(path, MinOfNormsModel, centers,
                       **_optional(obj, path, ("exponent",))), growth
     raise ConfigError(f"{path}.kind", f"unknown model kind '{kind}'")
@@ -191,7 +185,7 @@ def parse_config(raw: dict) -> RunConfig:
                "solve", "audit", "check", "seed", "output_dir"}
     _reject_unknown(raw, "", allowed)
 
-    domain = _vector(_get(raw, "", "domain", list), "domain", 2)
+    domain = _array(_get(raw, "", "domain", list), "domain", 1, 2)
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ConfigError("domain", "a < b required")
@@ -207,8 +201,8 @@ def parse_config(raw: dict) -> RunConfig:
 
     boundary_obj = _get(raw, "", "boundary", dict)
     _reject_unknown(boundary_obj, "boundary", {"b0", "b1"})
-    b0 = _vector(_get(boundary_obj, "boundary", "b0", list), "boundary.b0", dim)
-    b1 = _vector(_get(boundary_obj, "boundary", "b1", list), "boundary.b1", dim)
+    b0 = _array(_get(boundary_obj, "boundary", "b0", list), "boundary.b0", 1, dim)
+    b1 = _array(_get(boundary_obj, "boundary", "b1", list), "boundary.b1", 1, dim)
 
     model, growth = _model(_get(raw, "", "lagrangian", dict))
     if model.dim != dim:
@@ -229,7 +223,7 @@ def parse_config(raw: dict) -> RunConfig:
     check_obj = _get(raw, "", "check", dict, required=False, default={})
     box_obj = _get(check_obj, "check", "box", dict, required=False, default={})
     _reject_unknown(box_obj, "check.box", {"x", "eta", "p"})
-    ranges = {key: tuple(float(v) for v in _vector(val, f"check.box.{key}", 2))
+    ranges = {key: tuple(_array(val, f"check.box.{key}", 1, 2).tolist())
               for key, val in box_obj.items()}
     box = _build("check", Box, **{"x": (a, b), **ranges})
     plan = _section(raw, "check", SamplePlan, ("box",), box=box, seed=seed)
@@ -255,8 +249,9 @@ def load_config(config_path: str) -> RunConfig:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _write_energies_csv(path, records) -> None:
-    write_csv(path, ["m", "normalized_root"], ([rec.m, rec.stats.objective] for rec in records))
+# the ``SolveStats`` of a sweep.json record in order, ``objective`` as its normalized root
+_RECORD_STATS = ("objective", "iterations", "stop_reason", "converged", "grad_norm", "f_evals",
+                 "g_evals")
 
 
 def run_solve(config: RunConfig, output_dir: FsPath) -> int:
@@ -270,19 +265,12 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
     for rec in sweep.records:
         ref = f"paths/m_{rec.m:06d}.csv"
         rec.path.to_csv(out / ref)
-        records_json.append({
-            "m": rec.m,
-            "normalized_root": rec.stats.objective,
-            "iterations": rec.stats.iterations,
-            "stop_reason": rec.stats.stop_reason,
-            "converged": rec.stats.converged,
-            "grad_norm": rec.stats.grad_norm,
-            "f_evals": rec.stats.f_evals,
-            "g_evals": rec.stats.g_evals,
-            "path_csv": ref,
-        })
+        stats = {key: getattr(rec.stats, key) for key in _RECORD_STATS}
+        records_json.append({"m": rec.m, "normalized_root": stats.pop("objective"), **stats,
+                             "path_csv": ref})
     sweep.candidate.to_csv(out / "candidate.csv")
-    _write_energies_csv(out / "energies.csv", sweep.records)
+    write_csv(out / "energies.csv", ["m", "normalized_root"],
+              ([rec.m, rec.stats.objective] for rec in sweep.records))
 
     residuals_error = None
     try:

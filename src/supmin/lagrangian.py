@@ -566,8 +566,8 @@ class Box:
 
     def __post_init__(self):
         for lo, hi in (self.x, self.eta, self.p):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise SupminError("box ranges must be finite with lo <= hi")
+            if not (lo <= hi and np.isfinite(float(hi) - float(lo))):  # so lo and hi are finite
+                raise SupminError("box ranges need lo <= hi and a finite width hi - lo")
 
 
 @dataclass(frozen=True)
@@ -593,17 +593,6 @@ class LevelConvexityWitness:
     mixed_value: float
     end_max: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "eta": list(self.eta),
-            "p1": list(self.p1),
-            "p2": list(self.p2),
-            "lambda": self.lam,
-            "mixed_value": self.mixed_value,
-            "end_max": self.end_max,
-        }
-
 
 @dataclass(frozen=True)
 class LevelConvexityResult:
@@ -617,7 +606,8 @@ class LevelConvexityResult:
         return {
             "pass": self.passed,
             "witness_count": len(self.witnesses),
-            "witnesses": [w.to_json_dict() for w in self.witnesses[:20]],
+            "witnesses": [{"lambda" if key == "lam" else key: value
+                           for key, value in asdict(w).items()} for w in self.witnesses[:20]],
         }
 
 

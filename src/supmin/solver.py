@@ -20,12 +20,12 @@ holds one sweep and runs a ``_newton`` per exponent.  One scheduler,
 serving the lowest order first.  So a round of solves makes one
 ``jet_many`` call, one block solve per padded system size and one
 ``eval_many`` call per line-search step, however many problems it holds.
-``minimize_power_many`` runs solves of one exponent this way, and
-``m_sweep_many`` sweeps, every restart of each; the audit runs all its
-subintervals as one such batch.  ``minimize_power`` and ``m_sweep`` are
-the batches of one.  A problem's numbers do not depend on its batch: every
-operation acts on one problem's rows, its sums are rounded as its own, and
-its block system is solved exactly as alone.  When a stacked call raises
+``m_sweep_many`` runs sweeps this way, every restart of each; the audit
+runs all its subintervals as one such batch.  ``minimize_power`` is one
+``_newton`` run alone, and ``m_sweep`` the batch of one sweep.  A
+problem's numbers do not depend on its batch: every operation acts on one
+problem's rows, its sums are rounded as its own, and its block system is
+solved exactly as alone.  When a stacked call raises
 ``NonFinite``, or a batch of block systems ``LinAlgError``, each problem
 is run alone to find the failing ones, and only those fail
 (``_attributed``).
@@ -185,30 +185,17 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
 
     Endpoints are clamped to boundary(a), boundary(b) and never updated.
     Returns (path, stats); on a failed line search the best iterate found so
-    far is returned with the failure flagged in the stats.  This is the
-    batch of one of ``minimize_power_many``, whose ``NonFinite`` it raises.
+    far is returned with the failure flagged in the stats.  Raises
+    ``NonFinite`` when L is not finite at the start, or its jet or
+    derivatives at an iterate; a trial at which L is not finite is a
+    rejected step.
     """
-    outcome = minimize_power_many(model, [(grid, boundary, init)], m, options)[0]
+    max_iters = (options or SolveOptions()).max_iters
+    [outcome] = _lockstep(model, [_newton(grid, m, _start(model, grid, boundary, init)[1],
+                                          max_iters)])
     if isinstance(outcome, NonFinite):
         raise outcome
     return outcome[:2]
-
-
-def minimize_power_many(model: LagrangianModel, problems, m: int,
-                        options: SolveOptions | None = None) -> list:
-    """``minimize_power`` of order m on each of ``problems``, (grid,
-    boundary, init) triples with init None for the affine interpolant, as
-    one ``_newton`` generator each, run together by ``_lockstep``.
-
-    Returns, per problem, ``(path, stats, sup)``, sup the largest midpoint
-    sample at the path (its ``sup_energy``), or the ``NonFinite`` that
-    aborted it: L not finite at its start, or its jet or derivatives not
-    finite at an iterate.  A trial at which L is not finite is a rejected
-    step.
-    """
-    max_iters = (options or SolveOptions()).max_iters
-    return _lockstep(model, [_newton(grid, m, _start(model, grid, boundary, init)[1], max_iters)
-                             for grid, boundary, init in problems])
 
 
 def _start(model, grid, boundary, init):
@@ -500,14 +487,10 @@ def m_sweep_many(model: LagrangianModel, problems, schedule: SweepSchedule | Non
     max_iters = (options or SolveOptions()).max_iters
     starts = [_restart_starts(grid, boundary, init, schedule.restarts, seed)
               for grid, boundary, init, seed in problems]
-    runs = _lockstep(model, [_sweep(model, grid, boundary, start, schedule, max_iters)
-                             for (grid, boundary, _, _), group in zip(problems, starts)
-                             for start in group])
-    results = []
-    for group in starts:
-        results.append(_best_of(runs[:len(group)], schedule))
-        runs = runs[len(group):]
-    return results
+    runs = iter(_lockstep(model, [_sweep(model, grid, boundary, start, schedule, max_iters)
+                                  for (grid, boundary, _, _), group in zip(problems, starts)
+                                  for start in group]))
+    return [_best_of([next(runs) for _ in group], schedule) for group in starts]
 
 
 def _sweep(model, grid, boundary, init, schedule, max_iters):

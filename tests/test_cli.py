@@ -143,11 +143,39 @@ class TestSolve:
          "lagrangian: exponent must be positive"),
         # the grid is built with the config: a domain too narrow for its nodes fails there
         ("domain", [0.0, 5e-323], "domain: grid nodes must be strictly increasing"),
+        # a sampling box whose width overflows fails before numpy samples it
+        ("check", {"box": {"p": [-1e308, 1e308]}},
+         "check: box ranges need lo <= hi and a finite width hi - lo"),
     ])
     def test_section_fields(self, tmp_path, capsys, section, body, message):
         cfg = write_config(tmp_path, **{section: body})
-        assert cli.main(["solve", cfg]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["solve", cfg]) == 1
         assert message in capsys.readouterr().err
+        assert caught == []
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"domain": ["0", "1"]}, "domain: expected an array of numbers"),
+        ({"lagrangian": {"kind": "power_norm", "exponent": 2.0, "offset": [True, False]}},
+         "lagrangian.offset: expected an array of numbers"),
+        ({"boundary": {"b0": [0.0, 0.0], "b1": [True, 0.0]}},
+         "boundary.b1: expected an array of numbers"),
+        ({"check": {"box": {"p": ["-1", "1"]}}}, "check.box.p: expected an array of numbers"),
+        ({"lagrangian": dict(da_lagrangian(), K=[["1", "0"]])},
+         "lagrangian.K: expected a matrix of numbers"),
+        ({"lagrangian": {"kind": "power_norm", "exponent": 2.0, "offset": [10**400, 0]}},
+         "lagrangian.offset: expected a finite 1-d array"),
+    ], ids=["domain_strings", "offset_bools", "boundary_bool", "box_strings", "K_strings",
+            "offset_beyond_double"])
+    def test_array_entries_follow_the_scalar_rule(self, tmp_path, capsys, overrides, message):
+        """A number inside an array is read as a scalar float field is: a JSON
+        number, not a bool or a string, finite and within a double's range."""
+        cfg = write_config(tmp_path, **overrides)
+        for command in ("solve", "check"):
+            assert cli.main([command, cfg]) == 1
+            assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lagrangian, message", [
         ({"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0, 0.0]},
@@ -424,6 +452,92 @@ class TestDeterminism:
         doc = {"error": "tab\tcr\rnul\x00quote\"backslash\\newline\nletter é",
                "k\ty": ["\x1f"]}
         assert json.loads(cli.dumps_canonical(doc)) == doc
+
+
+def drift_c():
+    return [[i / 8, math.sin(2 * math.pi * (i / 8)), math.cos(3 * (i / 8))] for i in range(9)]
+
+
+# The benchmark's four workloads at benchmark seed 0, copied from their
+# definition so that a change to either shows here.
+TRAFFIC_CONFIGS = {
+    "da-rot": {
+        "lagrangian": {"kind": "data_assimilation", "K": [[1.0, 0.0]],
+                       "k": [[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]],
+                       "A": [[0.0, 1.0], [-1.0, 0.0]],
+                       "c": [[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 0.0]]},
+        "domain": [0.0, 1.0], "N": 2, "grid_points": 17,
+        "boundary": {"b0": [0.0, 0.0], "b1": [1.0, 1.0]},
+        "solve": {"max_iters": 400}, "seed": 42,
+    },
+    "drift-65": {
+        "lagrangian": {"kind": "data_assimilation", "K": [[0.0, 0.0]],
+                       "k": [[0.0, 0.0], [1.0, 0.0]],
+                       "A": [[0.0, 0.0], [0.0, 0.0]], "c": drift_c()},
+        "domain": [0.0, 1.0], "N": 2, "grid_points": 65,
+        "boundary": {"b0": [0.0, 0.0], "b1": [1.0, -0.5]}, "seed": 7,
+    },
+    "audit-drift": {
+        "lagrangian": {"kind": "data_assimilation", "K": [[0.0, 0.0]],
+                       "k": [[0.0, 0.0], [1.0, 0.0]],
+                       "A": [[0.0, 0.0], [0.0, 0.0]], "c": drift_c()},
+        "domain": [0.0, 1.0], "N": 2, "grid_points": 33,
+        "boundary": {"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
+        "solve": {"max_iters": 400}, "seed": 7,
+    },
+    "min-norms": {
+        "lagrangian": {"kind": "min_norms", "centers": [[1.0, 0.0], [-1.0, 0.0]],
+                       "exponent": 2.0,
+                       "growth": {"C1": 0.5, "C2": 1.0, "C3": 2.0, "q": 2.0, "r": 2.0,
+                                  "h_bound": 2.0}},
+        "domain": [0.0, 1.0], "N": 2, "grid_points": 17,
+        "boundary": {"b0": [0.0, 0.0], "b1": [0.0, 1.0]},
+        "schedule": {"restarts": 3}, "check": {"num_triples": 20000}, "seed": 3,
+    },
+}
+
+
+class TestModelTraffic:
+    @pytest.mark.parametrize("workload, command, code, evals, jets, totals", [
+        ("da-rot", ["solve"], 0, (36, 576), (37, 591), (26, 36, 36)),
+        ("drift-65", ["solve"], 0, (8, 512), (9, 575), (6, 8, 8)),
+        ("audit-drift", ["solve"], 0, (8, 256), (9, 287), (6, 8, 8)),
+        ("audit-drift", ["solve", "audit"], 0, (11, 1339), (9, 1296), (86, 125, 124)),
+        ("min-norms", ["solve"], 0, (34, 24221), (14, 463), (22, 38, 28)),
+        ("min-norms", ["solve", "check"], 4, (40, 160000), (0, 0), None),
+    ])
+    def test_benchmark_configs(self, tmp_path, monkeypatch, workload, command, code, evals,
+                               jets, totals):
+        """The exit code, solve totals and model calls and rows of the last of
+        ``command`` on a benchmark config.  ``eval_many`` counts the calls a
+        finite-difference jet makes."""
+        calls = {}
+        parse = cli.parse_config
+
+        def counted(raw):
+            config = parse(raw)
+            for name in ("eval_many", "jet_many"):
+                method, calls[name] = getattr(config.model, name), []
+
+                def wrapped(xs, *rest, method=method, log=calls[name]):
+                    log.append(len(xs))
+                    return method(xs, *rest)
+
+                setattr(config.model, name, wrapped)
+            return config
+
+        monkeypatch.setattr(cli, "parse_config", counted)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TRAFFIC_CONFIGS[workload], output_dir=str(tmp_path))))
+        for name in command:
+            status = cli.main([name, str(cfg)])
+        assert status == code
+        assert (len(calls["eval_many"]), sum(calls["eval_many"])) == evals
+        assert (len(calls["jet_many"]), sum(calls["jet_many"])) == jets
+        if totals is not None:
+            artifact = "audit.json" if command[-1] == "audit" else "sweep.json"
+            doc = json.loads((tmp_path / artifact).read_text())
+            assert doc["solve_totals"] == dict(zip(("iterations", "f_evals", "g_evals"), totals))
 
 
 def readme_block(language):

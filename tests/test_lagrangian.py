@@ -654,6 +654,8 @@ def _minimize_power_of_order(m):
     (lambda: _semicontinuity_with_tol(NAN), "tol_audit must be positive"),
     (lambda: sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), _five_node_path(),
                                        [0.2], tol_audit=NAN), "tol_audit must be positive"),
+    # finite ends whose difference overflows
+    (lambda: sm.Box(p=(-1e308, 1e308)), "a finite width"),
 ], ids=["max_iters", "tol_sweep", "tol_audit", "audit_subintervals", "audit_min_elements",
         "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
@@ -661,7 +663,8 @@ def _minimize_power_of_order(m):
         "audit_subintervals_float", "audit_seed_negative", "plan_triples_nan",
         "plan_levels_nan", "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
         "power_order_float", "solve_order_float", "solve_order_nan", "eval_and_slope_nan",
-        "quotient_t_nan", "grid_nodes_float", "semicontinuity_tol_nan", "scan_tol_nan"])
+        "quotient_t_nan", "grid_nodes_float", "semicontinuity_tol_nan", "scan_tol_nan",
+        "box_width_overflow"])
 def test_range_checks_reject_nan(build, message):
     """A NaN compares false with every bound, so each check is written to
     fail, not pass, on it."""

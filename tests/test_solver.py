@@ -6,8 +6,8 @@ import pytest
 
 import supmin as sm
 from supmin.energy import MidpointPowerRule
-from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE,
-                           _newton_direction, _stacked_solve)
+from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE, _lockstep,
+                           _newton, _newton_direction, _stacked_solve, _start)
 
 from conftest import ROTATION, dense_block_tridiagonal, drift_model, record_sweep_solves
 from test_energy import dense_root_hessian
@@ -177,6 +177,15 @@ def count_model_calls(model):
 
     model.eval_many, model.jet_many = counted_eval, counted_jet
     return calls
+
+
+def newton_batch(model, problems, m):
+    """The ``_newton`` solve of order m of each of ``problems``, (grid,
+    boundary, init) triples, run together by ``_lockstep``: per problem
+    ``(path, stats, sup)`` or the ``NonFinite`` that ended it."""
+    max_iters = sm.SolveOptions().max_iters
+    return _lockstep(model, [_newton(grid, m, _start(model, grid, bmap, init)[1], max_iters)
+                             for grid, bmap, init in problems])
 
 
 class TestSolveCounts:
@@ -710,9 +719,9 @@ class TestLockstep:
         problems = [(grid, bmap, failing), (grid, other, healthy)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batched = sm.solver.minimize_power_many(model, problems, m)
+            batched = newton_batch(model, problems, m)
         for problem, outcome in zip(problems, batched):
-            alone = sm.solver.minimize_power_many(model, [problem], m)[0]
+            alone = newton_batch(model, [problem], m)[0]
             self.assert_same_solve(outcome, alone)
         failed, fine = batched
         if case == "jet":
@@ -731,7 +740,7 @@ class TestLockstep:
         bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
         grids = [sm.Grid.uniform(0.0, 1.0, n) for n in (5, 9, 17, 33)]
         problems = [(grid, bmap, perturbed_start(grid, bmap, grid.nodes.size)) for grid in grids]
-        outcomes = sm.solver.minimize_power_many(model, problems, 4)
+        outcomes = newton_batch(model, problems, 4)
         g_evals = [stats.g_evals for _, stats, _ in outcomes]
         assert len(set(g_evals)) > 1
         assert calls["jet_many"] == max(g_evals) < sum(g_evals)
