@@ -43,8 +43,10 @@ class AuditConfig:
     options: SolveOptions | None = None
 
     def __post_init__(self):
-        for count in (self.num_subintervals, self.min_elements):
-            check_count(count, 1, "audit config counts must be positive integers")
+        check_count(self.num_subintervals, 1, "audit config counts must be positive integers")
+        # a subinterval of one element has no free node to re-solve
+        check_count(self.min_elements, 2,
+                    "audit config counts must be positive integers, min_elements at least 2")
         check_count(self.seed, 0, "audit seed must be an integer >= 0")
         _check_tol_audit(self.tol_audit)
 
@@ -153,7 +155,8 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     config = config or AuditConfig()
     pairs = sample_subintervals(candidate.grid, config)
     nodes = candidate.grid.nodes
-    sampled = MidpointPowerRule(candidate.grid, 1).samples(model, candidate.values).sampled
+    rule = MidpointPowerRule(1, [(candidate.grid, None)])
+    sampled = rule.samples(model, candidate.values).sampled
     problems = []
     for k, (i, j) in enumerate(pairs):
         alpha, beta = float(nodes[i]), float(nodes[j])

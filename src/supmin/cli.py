@@ -2,9 +2,10 @@
 
 Artifacts are CSV for paths and profiles, JSON for structured reports; both
 are byte-deterministic for a fixed config and seed.  Exit codes: 0 ok,
-1 config error, 2 solver failure (or a check sample the model cannot
-evaluate, or an audit with no conclusive subinterval), 3 audit violation,
-4 hypothesis witness.
+1 config error (or an output directory or candidate path that cannot be
+used), 2 solver failure (or a check sample the model cannot evaluate, or an
+audit with no conclusive subinterval), 3 audit violation, 4 hypothesis
+witness.
 """
 
 from __future__ import annotations
@@ -216,9 +217,6 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("seed", "seed must be nonnegative")
 
     audit = _section(raw, "audit", AuditConfig, seed=seed, schedule=schedule, options=solve)
-    if audit.min_elements > grid.num_elements:
-        raise ConfigError("audit.min_elements",
-                          f"exceeds the {grid.num_elements} elements of the grid")
 
     check_obj = _get(raw, "", "check", dict, required=False, default={})
     box_obj = _get(check_obj, "check", "box", dict, required=False, default={})
@@ -337,6 +335,9 @@ def _candidate_mismatch(config: RunConfig, candidate: Path) -> str | None:
 
 
 def run_audit(config: RunConfig, output_dir: FsPath, solve_first: bool = False) -> int:
+    if config.audit.min_elements > config.grid.num_elements:
+        raise ConfigError("audit.min_elements",
+                          f"exceeds the {config.grid.num_elements} elements of the grid")
     out = FsPath(output_dir)
     candidate_csv = out / "candidate.csv"
     if solve_first:
@@ -447,6 +448,9 @@ def main(argv=None) -> int:
     except SupminError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # an output directory or candidate path that cannot be used
+        print(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

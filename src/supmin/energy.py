@@ -14,18 +14,19 @@ so the normalized root stays finite up to m = 2^10 and beyond even where
 the integral S^m * sum_e len_e * (L_e/S)^m overflows.  Elements are always
 accumulated in ascending index order so results are bit-reproducible.
 
-One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per grid,
-order and subinterval, it turns nodal values into ``PowerSamples`` with one
+One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per order
+for a list of problems, each a grid and a subinterval of it, it holds the
+concatenated nodes and elements of all of them, so that one call serves a
+whole batch of solves.  It turns nodal values into ``PowerSamples`` with one
 ``eval_many`` call, and nodal values into the gradient and the
 block-tridiagonal part of the Hessian with one ``jet_many`` call, whose
 values are the samples again: element e reads only nodes e and e + 1, so
-only neighbouring nodes are coupled.  Rules of one order stack into one
-rule over the concatenated nodes of all their problems, so that one call
-serves a whole batch of solves; each problem's largest sample, power sum
-and root are segment reductions, rounded as that problem alone would round
-them.  The solver keeps one rule per problem and hands it nothing but an
-iterate's nodal values; ``power_energy``, ``power_energy_gradient`` and
-``sup_energy`` are one-call wrappers around a rule of one problem.
+only neighbouring nodes are coupled.  Each problem's largest sample, power
+sum and root are segment reductions, rounded as that problem alone would
+round them.  The solver builds one rule per batch of solves and hands it
+nothing but the iterates' nodal values; ``power_energy``,
+``power_energy_gradient`` and ``sup_energy`` are one-call wrappers around a
+rule of one problem.
 """
 
 from __future__ import annotations
@@ -96,62 +97,49 @@ class MidpointPowerRule:
     clamped; per problem its first element, first node and the length of
     its subinterval.
 
-    A rule built from a grid (and a subinterval of it) is a stack of one
-    problem; ``stack`` concatenates the nodes and elements of rules of one
-    order.  From nodal values, ``samples`` evaluates L at the midpoints of
-    every problem's path (one ``eval_many`` call), and ``derivatives`` the
-    gradient and the element part of the Hessian (one ``jet_many`` call),
-    both by the same helpers ``_points`` and ``_powers``.  Every per-problem
-    sum is rounded as the same sum over that problem alone
-    (``segment_sums``), and every other operation acts on one element or
-    node at a time, so a problem's numbers do not depend on the stack it is
-    evaluated in, as long as the model's value for a row does not depend on
-    the other rows of its batch.
+    The rule is built in one pass over ``problems``, ``(grid, subinterval)``
+    pairs (``None`` for the whole grid): their nodes are concatenated, each
+    problem's subinterval ends are repeated over its nodes, and the element
+    that would join two problems is left out.  From nodal values,
+    ``samples`` evaluates L at the midpoints of every problem's path (one
+    ``eval_many`` call), and ``derivatives`` the gradient and the element
+    part of the Hessian (one ``jet_many`` call), both by the same helpers
+    ``_points`` and ``_powers``.  Every per-problem sum is rounded as the
+    same sum over that problem alone (``segment_sums``), and every other
+    operation acts on one element or node at a time, so a problem's numbers
+    do not depend on the problems it is built with, as long as the model's
+    value for a row does not depend on the other rows of its batch.
     """
 
-    def __init__(self, grid: Grid, m: int, subinterval=None):
+    def __init__(self, m: int, problems):
         check_count(m, 1, "power energy needs m >= 1, an integer")
-        alpha, beta = _subinterval(grid, subinterval)
-        nodes = grid.nodes
-        lo = np.maximum(nodes[:-1], alpha)
-        hi = np.minimum(nodes[1:], beta)
-        idx = np.nonzero(hi > lo)[0]  # the elements overlapping (alpha, beta)
+        bounds = np.array([_subinterval(grid, sub) for grid, sub in problems])
+        sizes = [grid.nodes.size for grid, _ in problems]
+        nodes = np.concatenate([grid.nodes for grid, _ in problems])
+        node_problem = np.repeat(np.arange(len(sizes)), sizes)
+        alpha, beta = bounds[node_problem, 0], bounds[node_problem, 1]
+        self.node_starts = np.cumsum(sizes) - sizes
+        lo = np.maximum(nodes[:-1], alpha[:-1])
+        hi = np.minimum(nodes[1:], beta[:-1])
+        # the elements overlapping (alpha, beta), but none joining two problems
+        joins = np.zeros(nodes.size - 1, dtype=bool)
+        joins[self.node_starts[1:] - 1] = True
+        idx = np.nonzero((hi > lo) & ~joins)[0]
         lo, hi = lo[idx], hi[idx]
         self.m = m
         self.idx = idx
         self.lengths = hi - lo
         self.xs = lo + 0.5 * self.lengths
-        self.elem_len = grid.element_lengths[idx]
+        self.elem_len = nodes[idx + 1] - nodes[idx]
         offsets = self.xs - nodes[idx]
         self.offsets = offsets[:, None]
         self.theta = (offsets / self.elem_len)[:, None]
-        # the grid's end nodes are always clamped, so stacked problems never couple
+        # a grid's end nodes are always clamped, so the problems never couple
         self.clamped = (nodes <= alpha) | (nodes >= beta)
-        self.spans = [beta - alpha]
-        self.elem_starts, self.node_starts = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+        self.spans = (bounds[:, 1] - bounds[:, 0]).tolist()
+        self.elem_starts = np.searchsorted(idx, self.node_starts)
         # the problem of each element
-        self.elem_problem = np.zeros(idx.size, dtype=int)
-
-    @classmethod
-    def stack(cls, rules) -> "MidpointPowerRule":
-        """One rule over the problems of ``rules``, all of one order, in
-        order; a stack of one rule is that rule."""
-        if len(rules) == 1:
-            return rules[0]
-        node_offsets = np.cumsum([0] + [rule.clamped.size for rule in rules[:-1]])
-        elem_offsets = np.cumsum([0] + [rule.idx.size for rule in rules[:-1]])
-        out = cls.__new__(cls)
-        out.m = rules[0].m
-        out.idx = np.concatenate([rule.idx + off for rule, off in zip(rules, node_offsets)])
-        for name in ("lengths", "xs", "elem_len", "offsets", "theta", "clamped"):
-            setattr(out, name, np.concatenate([getattr(rule, name) for rule in rules]))
-        out.spans = [span for rule in rules for span in rule.spans]
-        problem_offsets = np.cumsum([0] + [len(rule.spans) for rule in rules[:-1]])
-        for name, offsets in (("elem_starts", elem_offsets), ("node_starts", node_offsets),
-                              ("elem_problem", problem_offsets)):
-            setattr(out, name, np.concatenate([getattr(rule, name) + off
-                                               for rule, off in zip(rules, offsets)]))
-        return out
+        self.elem_problem = node_problem[idx]
 
     def _points(self, model: LagrangianModel, values: np.ndarray):
         """The map's value and slope at every element's sample point of the
@@ -259,7 +247,7 @@ class MidpointPowerRule:
 def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:
     """Normalized root of the midpoint-rule mean of L^m, in factored,
     overflow-safe form, with the largest sample."""
-    rule = MidpointPowerRule(path.grid, m, subinterval)
+    rule = MidpointPowerRule(m, [(path.grid, subinterval)])
     s = rule.samples(model, path.values)
     return EnergyReport(float(s.root[0]), float(s.top[0]))
 
@@ -269,7 +257,8 @@ def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
     intersecting (alpha, beta), partial elements sampled at the midpoint of
     their clipped part: the ``sup`` of ``power_energy`` for every m."""
     # the largest sample does not depend on the order; m = 1 is the cheapest
-    return float(MidpointPowerRule(path.grid, 1, subinterval).samples(model, path.values).top[0])
+    rule = MidpointPowerRule(1, [(path.grid, subinterval)])
+    return float(rule.samples(model, path.values).top[0])
 
 
 def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterval=None) -> np.ndarray:
@@ -280,7 +269,7 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
     sample is zero, a global minimum, every row is zero, and so it stays
     where the model has no jet at such a path (|p|^s, s < 2, at p = offset).
     """
-    rule = MidpointPowerRule(path.grid, m, subinterval)
+    rule = MidpointPowerRule(m, [(path.grid, subinterval)])
     try:
         return rule.derivatives(model, path.values)[0]
     except NonFinite:

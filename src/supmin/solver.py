@@ -1,10 +1,10 @@
 """Power-energy minimization over paths with clamped affine boundary values.
 
 ``minimize_power`` runs a damped Newton descent (exact Hessian, Armijo
-backtracking) on the normalized power root for one exponent m.  It prepares
-one ``MidpointPowerRule`` (the rule behind the public ``power_energy`` and
-``power_energy_gradient``) per solve, evaluates L once per trial iterate,
-and takes the gradient and Hessian of an accepted trial from one jet at its
+backtracking) on the normalized power root for one exponent m, by the
+``MidpointPowerRule`` behind the public ``power_energy`` and
+``power_energy_gradient``.  It evaluates L once per trial iterate, and
+takes the gradient and Hessian of an accepted trial from one jet at its
 nodal values; the line search keeps only the trial's root and largest
 sample.  ``m_sweep`` chains solves over the exponents m = 2, 4, 8,
 ... up to ``m_max``, warm-starting each exponent from the previous
@@ -14,10 +14,11 @@ restarts > 1, in which case the perturbed starts are drawn from a
 caller-supplied seed.
 
 Independent problems run in lockstep.  One generator, ``_newton``, holds
-one solve and yields the model calls it needs.  One generator, ``_sweep``,
-holds one sweep and runs a ``_newton`` per exponent.  One scheduler,
-``_lockstep``, stacks the pending calls of all generators into one call,
-serving the lowest order first.  So a round of solves makes one
+one solve and yields the model calls it needs, each naming its grid and
+order.  One generator, ``_sweep``, holds one sweep and runs a ``_newton``
+per exponent.  One scheduler, ``_lockstep``, builds one rule over the
+grids of all pending calls of one kind and order and serves them with one
+call, the lowest order first.  So a round of solves makes one
 ``jet_many`` call, one block solve per padded system size and one
 ``eval_many`` call per line-search step, however many problems it holds.
 ``m_sweep_many`` runs sweeps this way, every restart of each; the audit
@@ -190,6 +191,7 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
     derivatives at an iterate; a trial at which L is not finite is a
     rejected step.
     """
+    check_count(m, 1, "power energy needs m >= 1, an integer")
     max_iters = (options or SolveOptions()).max_iters
     [outcome] = _lockstep(model, [_newton(grid, m, _start(model, grid, boundary, init)[1],
                                           max_iters)])
@@ -216,17 +218,15 @@ def _start(model, grid, boundary, init):
 
 
 def _newton(grid, m, values, max_iters):
-    """One damped Newton solve of order m from the nodal ``values``, as a
-    generator whose requests carry the solve's ``MidpointPowerRule``: it
-    yields ``("samples", rule, values)`` for the normalized root and largest
-    sample ``(root, top)`` of a path, and ``("newton", rule, values, f)``
-    for ``(grad, d, g.d, |g|^2, max|g|)`` at the path with root f, d the
-    Newton direction, and returns ``(path, stats, sup)``.  A step thus
-    hands on only an iterate's values and two floats.  A ``NonFinite``
-    thrown in at the start or at a jet ends the solve; at a trial it
-    rejects the step."""
-    rule = MidpointPowerRule(grid, m)
-    f, top = yield "samples", rule, values
+    """One damped Newton solve of order m from the nodal ``values`` on
+    ``grid``, as a generator: it yields ``("samples", grid, m, values)``
+    for the normalized root and largest sample ``(root, top)`` of a path,
+    and ``("newton", grid, m, values, f)`` for ``(grad, d, g.d, |g|^2,
+    max|g|)`` at the path with root f, d the Newton direction, and returns
+    ``(path, stats, sup)``.  A step thus hands on only an iterate's values
+    and two floats.  A ``NonFinite`` thrown in at the start or at a jet
+    ends the solve; at a trial it rejects the step."""
+    f, top = yield "samples", grid, m, values
     f_evals, iterations = 1, 0
 
     def outcome(stop_reason, grad_norm):
@@ -235,7 +235,7 @@ def _newton(grid, m, values, max_iters):
     while True:
         if f == 0.0:  # L >= 0, so this is a global minimum
             return outcome("decrement", 0.0)
-        grad, d, slope, grad_sq, grad_norm = yield "newton", rule, values, f
+        grad, d, slope, grad_sq, grad_norm = yield "newton", grid, m, values, f
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
             d, slope = -grad, -grad_sq
         if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
@@ -247,7 +247,7 @@ def _newton(grid, m, values, max_iters):
             trial = values + step * d
             f_evals += 1
             try:
-                trial_f, trial_top = yield "samples", rule, trial
+                trial_f, trial_top = yield "samples", grid, m, trial
                 if trial_f <= f + SUFFICIENT_DECREASE * step * slope:
                     break
             except NonFinite:  # L not finite at the trial: a rejected step
@@ -264,22 +264,23 @@ def _lockstep(model, solves) -> list:
     ``_sweep``), or the ``NonFinite`` that ended each.
 
     Each step serves every pending request of one kind and order with one
-    stacked call (``_attributed``) over the requests' rules.  The lowest
-    pending order goes first, and within it samples before directions: a
-    round's jets wait until every line search of the round has ended, and
-    a sweep's next exponent until every solve of the current one has.  So
-    each call is the one that a batch of one exponent's solves makes.  The
-    stacked rules are kept while the order holds."""
+    stacked call (``_attributed``) by one ``MidpointPowerRule`` over the
+    requests' grids.  The lowest pending order goes first, and within it
+    samples before directions: a round's jets wait until every line search
+    of the round has ended, and a sweep's next exponent until every solve
+    of the current one has.  So each call is the one that a batch of one
+    exponent's solves makes.  The rule of each set of requests is kept
+    while the order holds."""
     requests, outcomes, stacks, order = {}, [None] * len(solves), {}, 0
 
     def stack(ids):
         key = tuple(ids)
         if key not in stacks:
-            stacks[key] = MidpointPowerRule.stack([requests[i][1] for i in key])
+            stacks[key] = MidpointPowerRule(order, [(requests[i][1], None) for i in key])
         return stacks[key]
 
     def values(ids):
-        return np.concatenate([requests[i][2] for i in ids])
+        return np.concatenate([requests[i][3] for i in ids])
 
     def samples(ids):
         sampled = stack(ids).samples(model, values(ids))
@@ -289,7 +290,7 @@ def _lockstep(model, solves) -> list:
         rule = stack(ids)
         starts = rule.node_starts
         grad, hessian = rule.derivatives(model, values(ids))
-        sigma = (rule.m - 1) / np.array([requests[i][3] for i in ids])
+        sigma = (order - 1) / np.array([requests[i][4] for i in ids])
         d = _newton_direction(grad, hessian, sigma, starts)
         slopes = segment_sums(d * grad, starts).tolist()
         with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
@@ -311,11 +312,11 @@ def _lockstep(model, solves) -> list:
     for i in range(len(solves)):
         resume(i, None)
     while requests:
-        lowest = min(rule.m for _, rule, *_ in requests.values())
+        lowest = min(m for _, _, m, *_ in requests.values())
         if lowest > order:
             order = lowest
             stacks.clear()
-        pending = {i: kind for i, (kind, rule, *_) in requests.items() if rule.m == order}
+        pending = {i: kind for i, (kind, _, m, *_) in requests.items() if m == order}
         kind = "samples" if "samples" in pending.values() else "newton"
         ids = sorted(i for i, k in pending.items() if k == kind)
         done, replies, failed = _attributed(samples if kind == "samples" else newton, ids)

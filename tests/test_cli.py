@@ -310,6 +310,26 @@ class TestAudit:
         assert "audit.min_elements: exceeds the 4 elements of the grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_three_node_grid_rejected_by_audit_alone(self, tmp_path, capsys):
+        """The default min_elements (3) exceeds the 2 elements of a 3-node
+        grid, which only the audit needs: solve and check run, and the audit
+        fails before solving."""
+        cfg = write_config(tmp_path, grid_points=3)
+        assert cli.main(["solve", cfg]) == 0
+        assert cli.main(["check", cfg]) == 0
+        capsys.readouterr()
+        fresh = tmp_path / "audit-out"
+        assert cli.main(["audit", cfg, "--solve-first", "--output-dir", str(fresh)]) == 1
+        assert "audit.min_elements: exceeds the 2 elements of the grid" in capsys.readouterr().err
+        assert not fresh.exists()
+
+    def test_one_element_minimum_rejected_at_config_time(self, tmp_path, capsys):
+        """A one-element subinterval has no free node to re-solve."""
+        cfg = write_config(tmp_path, audit={"min_elements": 1})
+        assert cli.main(["solve", cfg]) == 1
+        assert "audit: audit config counts must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_subintervals_invalid(self, tmp_path):
         cfg = write_config(tmp_path, audit={"num_subintervals": 0})
         assert cli.main(["audit", cfg]) == 1
@@ -368,6 +388,27 @@ class TestAudit:
         in_memory = sm.audit_absolute_minimality(config.model, candidate, audit_cfg)
         on_disk = json.loads((tmp_path / "out" / "audit.json").read_text())
         assert json.loads(cli.dumps_canonical(in_memory.to_json_dict())) == on_disk
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("command, target", [
+        (["solve"], "file"), (["solve"], "under-file"),
+        (["check"], "file"), (["check"], "under-file"),
+        (["audit", "--solve-first"], "file"), (["audit"], "candidate-dir"),
+    ], ids=["solve-file", "solve-under-file", "check-file", "check-under-file",
+            "audit-file", "audit-candidate-dir"])
+    def test_one_line_and_exit_1(self, tmp_path, capsys, command, target):
+        """An output directory that is a file or lies under one, or a
+        candidate.csv that is a directory, is reported on one stderr line."""
+        cfg = write_config(tmp_path, grid_points=9)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {"file": blocker, "under-file": blocker / "out",
+               "candidate-dir": tmp_path / "out"}[target]
+        (tmp_path / "out" / "candidate.csv").mkdir(parents=True)
+        assert cli.main([*command, cfg, "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(str(out))
 
 
 class TestCheck:

@@ -211,13 +211,41 @@ class TestGradient:
         zero = affine_path([0.0, 0.0], [1.0, 0.0]).values
         other = random_path(rng, grid=grid, dim=2).values
         for m in (1, 2, 8):
-            alone = MidpointPowerRule(grid, m).derivatives(model, other)
-            rule = MidpointPowerRule.stack([MidpointPowerRule(grid, m)] * 2)
+            alone = MidpointPowerRule(m, [(grid, None)]).derivatives(model, other)
+            rule = MidpointPowerRule(m, [(grid, None)] * 2)
             grad, (diag, upper) = rule.derivatives(model, np.concatenate([zero, other]))
             assert np.all(grad[:9] == 0.0) and np.all(upper[:9] == 0.0)
             assert np.all(diag[1:8] == 0.0) and np.array_equal(diag[[0, 8]], [np.eye(2)] * 2)
             assert np.array_equal(grad[9:], alone[0])
             assert np.array_equal(diag[9:], alone[1][0]) and np.array_equal(upper[9:], alone[1][1])
+
+    def test_one_rule_over_many_problems(self, rng):
+        """One rule over whole grids of 9 and 17 nodes and a subinterval of
+        17 nodes that clips partial elements gives each problem the samples
+        and derivatives of its own rule, bit for bit."""
+        model = drift_model(ROTATION)
+        fine = sm.Grid.uniform(0.0, 1.0, 17)
+        problems = [(sm.Grid.uniform(0.0, 1.0, 9), None), (fine, None),
+                    (fine, (fine.nodes[2] + 0.01, fine.nodes[11] - 0.02))]
+        paths = [random_path(rng, grid=grid, dim=2).values for grid, _ in problems]
+        values = np.concatenate(paths)
+        for m in (1, 4, 64):
+            rule = MidpointPowerRule(m, problems)
+            samples = rule.samples(model, values)
+            grad, (diag, upper) = rule.derivatives(model, values)
+            node = elem = 0
+            for k, (problem, own_values) in enumerate(zip(problems, paths)):
+                alone = MidpointPowerRule(m, [problem])
+                own = alone.samples(model, own_values)
+                own_grad, (own_diag, own_upper) = alone.derivatives(model, own_values)
+                nodes, elems = len(own_values), own.sampled.size
+                assert samples.root[k] == own.root[0] and samples.top[k] == own.top[0]
+                assert np.array_equal(samples.sampled[elem:elem + elems], own.sampled)
+                assert np.array_equal(grad[node:node + nodes], own_grad)
+                assert np.array_equal(diag[node:node + nodes], own_diag)
+                assert np.array_equal(upper[node:node + nodes - 1], own_upper)
+                node, elem = node + nodes, elem + elems
+            assert (node, elem) == (len(values), samples.sampled.size)
 
     def test_matches_finite_differences(self, rng):
         worst = 0.0
@@ -253,7 +281,7 @@ class TestGradient:
 def dense_root_hessian(model, path, m, subinterval=None):
     """The Hessian of the normalized root over every node: the rule's
     block-tridiagonal element part assembled densely, minus (m-1)/root g g^T."""
-    rule = MidpointPowerRule(path.grid, m, subinterval)
+    rule = MidpointPowerRule(m, [(path.grid, subinterval)])
     samples = rule.samples(model, path.values)
     grad, hessian = rule.derivatives(model, path.values)
     g = grad.ravel()
@@ -308,7 +336,7 @@ class TestHessian:
             path = random_path(rng, grid=grid, dim=2, scale=0.5)
             exact = dense_root_hessian(model, path, m, sub)
             fd = fd_root_hessian(model, path, m, sub)
-            clamped = np.repeat(MidpointPowerRule(grid, m, sub).clamped, 2)
+            clamped = np.repeat(MidpointPowerRule(m, [(grid, sub)]).clamped, 2)
             free = np.ix_(~clamped, ~clamped)
             worst = max(worst, np.max(np.abs(exact[free] - fd[free]))
                         / (1.0 + np.max(np.abs(exact[free]))))

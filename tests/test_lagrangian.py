@@ -623,6 +623,7 @@ def _minimize_power_of_order(m):
     (lambda: sm.AuditConfig(tol_audit=NAN), "tol_audit must be positive"),
     (lambda: sm.AuditConfig(num_subintervals=NAN), "audit config counts must be positive"),
     (lambda: sm.AuditConfig(min_elements=NAN), "audit config counts must be positive"),
+    (lambda: sm.AuditConfig(min_elements=1), "audit config counts must be positive"),
     (lambda: sm.GrowthParams(NAN, 0, 0, 2, 2), "growth constants must be nonnegative"),
     (lambda: sm.MinOfNormsModel([[1.0]], exponent=NAN), "exponent must be positive"),
     (lambda: sm.MinOfNormsModel([[1.0]], exponent=np.inf), "exponent must be positive"),
@@ -657,6 +658,7 @@ def _minimize_power_of_order(m):
     # finite ends whose difference overflows
     (lambda: sm.Box(p=(-1e308, 1e308)), "a finite width"),
 ], ids=["max_iters", "tol_sweep", "tol_audit", "audit_subintervals", "audit_min_elements",
+        "audit_min_elements_one",
         "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
         "scan_order", "scan_range", "max_iters_float", "m_max_float", "restarts_float",
