@@ -37,13 +37,12 @@ from .energy import (
 from .errors import ConfigError, NonFinite, SupminError
 from .lagrangian import (
     Box,
+    CheckResult,
     CustomModel,
     DataAssimilationModel,
-    GrowthCheckResult,
     GrowthParams,
     JetDerivatives,
     LagrangianModel,
-    LevelConvexityResult,
     MinOfNormsModel,
     PowerNormModel,
     RadialModel,

@@ -147,7 +147,13 @@ class SampledSignal:
 @dataclass(frozen=True)
 class GrowthParams:
     """Constants of the two-sided growth bound
-    c1*|p|^q - c2 <= L <= h(x,eta)*|p|^r + c3."""
+    c1*|p|^q - c2 <= L <= h(x,eta)*|p|^r + c3.
+
+    ``h_bound`` is a constant or a callable h(x, eta) of one sample.  A
+    bound term whose coefficient (c1 or h) is 0 is 0, even where |p|^q or
+    |p|^r overflows; with a positive coefficient an overflowing power is an
+    infinite term, so every finite L violates that lower bound and meets
+    that upper bound."""
 
     c1: float
     c2: float
@@ -163,16 +169,6 @@ class GrowthParams:
             raise SupminError("0 < q <= r required")
         if not (callable(self.h_bound) or 0 <= self.h_bound < np.inf):
             raise SupminError("h_bound must be finite and nonnegative")
-
-    def envelope(self, x: float, eta: np.ndarray) -> float:
-        """h(x, eta); a callable envelope that returns a non-finite value
-        raises ``NonFinite``, since no comparison with it can fail."""
-        if not callable(self.h_bound):
-            return float(self.h_bound)
-        value = float(self.h_bound(x, eta))
-        if not np.isfinite(value):
-            raise NonFinite(f"growth envelope h_bound is not finite at x = {x}")
-        return value
 
 
 @dataclass(frozen=True)
@@ -402,25 +398,26 @@ class DataAssimilationModel(LagrangianModel):
         return r, w
 
     def eval_many(self, xs, etas, ps):
-        r, w = self._mismatches(xs, etas, ps)
-        return self._checked(np.sum(r * r, axis=1) + np.sum(w * w, axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFinite
+            r, w = self._mismatches(xs, etas, ps)
+            return self._checked(np.sum(r * r, axis=1) + np.sum(w * w, axis=1))
 
     def jet_many(self, xs, etas, ps):
-        r, w = self._mismatches(xs, etas, ps)
-        value = np.sum(r * r, axis=1) + np.sum(w * w, axis=1)
-        dp = 2.0 * w
-        deta = _apply(-2.0 * self.K.T, r) - _apply(2.0 * self.A.T, w)
         kdx = self.k.derivative_many(xs)
         cdx = self.c.derivative_many(xs)
-        m, n = w.shape
-        return JetDerivatives(
-            value, dp, deta,
-            2.0 * np.sum(r * kdx, axis=1) - 2.0 * np.sum(w * cdx, axis=1),
-            np.broadcast_to(2.0 * np.eye(n), (m, n, n)),
-            np.broadcast_to(-2.0 * self.A, (m, n, n)),
-            -2.0 * cdx,
-            np.broadcast_to(2.0 * (self.K.T @ self.K) + 2.0 * (self.A.T @ self.A), (m, n, n)),
-        )
+        m, n = ps.shape
+        # an overflowing row makes inf and NaN entries; the jet raises NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, w = self._mismatches(xs, etas, ps)
+            return JetDerivatives(
+                np.sum(r * r, axis=1) + np.sum(w * w, axis=1), 2.0 * w,
+                _apply(-2.0 * self.K.T, r) - _apply(2.0 * self.A.T, w),
+                2.0 * np.sum(r * kdx, axis=1) - 2.0 * np.sum(w * cdx, axis=1),
+                np.broadcast_to(2.0 * np.eye(n), (m, n, n)),
+                np.broadcast_to(-2.0 * self.A, (m, n, n)),
+                -2.0 * cdx,
+                np.broadcast_to(2.0 * (self.K.T @ self.K) + 2.0 * (self.A.T @ self.A), (m, n, n)),
+            )
 
 
 @dataclass(frozen=True)
@@ -469,27 +466,29 @@ class RadialModel(LagrangianModel):
         return ps - (_apply(self.A, etas) + self.c.eval_many(xs))
 
     def eval_many(self, xs, etas, ps):
-        w = self._deviation(xs, etas, ps)
-        return self._checked(self.profile.f(0.5 * np.sum(w * w, axis=1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFinite
+            w = self._deviation(xs, etas, ps)
+            return self._checked(self.profile.f(0.5 * np.sum(w * w, axis=1)))
 
     def jet_many(self, xs, etas, ps):
-        w = self._deviation(xs, etas, ps)
-        t = 0.5 * np.sum(w * w, axis=1)
-        f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
-        at_w = _apply(self.A.T, w)
-        value, dp, deta = self.profile.f(t), f1 * w, -f1 * at_w
         cdx = self.c.derivative_many(xs)
-        f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
-        w_cdx = np.sum(w * cdx, axis=1)[:, None]
-        return JetDerivatives(
-            value, dp, deta,
-            (-f1 * w_cdx)[:, 0],
-            f1[:, :, None] * np.eye(self.dim) + f2[:, :, None] * w[:, :, None] * w[:, None, :],
-            -f2[:, :, None] * w[:, :, None] * at_w[:, None, :] - f1[:, :, None] * self.A,
-            -f2 * w_cdx * w - f1 * cdx,
-            f1[:, :, None] * (self.A.T @ self.A)
-            + f2[:, :, None] * at_w[:, :, None] * at_w[:, None, :],
-        )
+        # an overflowing row makes inf and NaN entries; the jet raises NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self._deviation(xs, etas, ps)
+            t = 0.5 * np.sum(w * w, axis=1)
+            f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
+            f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
+            at_w = _apply(self.A.T, w)
+            w_cdx = np.sum(w * cdx, axis=1)[:, None]
+            return JetDerivatives(
+                self.profile.f(t), f1 * w, -f1 * at_w,
+                (-f1 * w_cdx)[:, 0],
+                f1[:, :, None] * np.eye(self.dim) + f2[:, :, None] * w[:, :, None] * w[:, None, :],
+                -f2[:, :, None] * w[:, :, None] * at_w[:, None, :] - f1[:, :, None] * self.A,
+                -f2 * w_cdx * w - f1 * cdx,
+                f1[:, :, None] * (self.A.T @ self.A)
+                + f2[:, :, None] * at_w[:, :, None] * at_w[:, None, :],
+            )
 
 
 class CustomModel(LagrangianModel):
@@ -595,25 +594,31 @@ class LevelConvexityWitness:
 
 
 @dataclass(frozen=True)
-class LevelConvexityResult:
+class CheckResult:
+    """A sampling check's witnesses; the growth check also reports the least
+    slack found on each side, ``{"lower": ..., "upper": ...}``."""
+
     witnesses: list
+    worst_margins: dict | None = None
 
     @property
     def passed(self) -> bool:
         return not self.witnesses
 
     def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "witness_count": len(self.witnesses),
-            "witnesses": [{"lambda" if key == "lam" else key: value
-                           for key, value in asdict(w).items()} for w in self.witnesses[:20]],
-        }
+        doc = {"pass": self.passed}
+        if self.worst_margins is not None:
+            doc["worst_margins"] = self.worst_margins
+        doc["witness_count"] = len(self.witnesses)
+        doc["witnesses"] = [{"lambda" if key == "lam" else key: value
+                             for key, value in asdict(w).items()} for w in self.witnesses[:20]]
+        return doc
 
 
-def level_convexity_tolerance(end_max: float) -> float:
-    """Slack absorbing floating-point noise on exact-equality cases."""
-    return 1e-9 * (1.0 + end_max)
+def sample_tolerance(value):
+    """Slack 1e-9 * (1 + |value|) of both checks' comparisons, absorbing
+    floating-point noise on exact-equality cases."""
+    return 1e-9 * (1.0 + np.abs(value))
 
 
 def _sample_blocks(plan: SamplePlan, dim: int, num_p: int, points_per_sample: int):
@@ -640,8 +645,10 @@ def _eval_points(model: LagrangianModel, x, eta, points) -> np.ndarray:
                            points.reshape(k * r, n)).reshape(k, r)
 
 
-def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None) -> LevelConvexityResult:
-    """Sample segments in p-space and flag L(mix) > max(L(p1), L(p2)) + tol.
+def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None) -> CheckResult:
+    """Sample segments in p-space and flag L(mix) > max(L(p1), L(p2)) + tol,
+    tol = ``sample_tolerance(max(L(p1), L(p2)))``; each flagged mix is a
+    ``LevelConvexityWitness``.
 
     Necessary-only evidence: a pass certifies nothing beyond the samples.
     """
@@ -654,13 +661,13 @@ def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None
         values = _eval_points(model, x, eta, np.concatenate([ends, mixes], axis=1))
         end_max = np.max(values[:, :2], axis=1)
         mixed = values[:, 2:]
-        bad = mixed > (end_max + level_convexity_tolerance(end_max))[:, None]
+        bad = mixed > (end_max + sample_tolerance(end_max))[:, None]
         witnesses += [
             LevelConvexityWitness(float(x[i]), eta[i].copy(), p1[i, 0].copy(), p2[i, 0].copy(),
                                   float(lams[j]), float(mixed[i, j]), float(end_max[i]))
             for i, j in zip(*np.nonzero(bad))
         ]
-    return LevelConvexityResult(witnesses)
+    return CheckResult(witnesses)
 
 
 @dataclass(frozen=True)
@@ -673,51 +680,40 @@ class GrowthWitness:
     side: str  # "lower" or "upper"
 
 
-@dataclass(frozen=True)
-class GrowthCheckResult:
-    lower_margin: float
-    upper_margin: float
-    witnesses: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.witnesses
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "worst_margins": {"lower": self.lower_margin, "upper": self.upper_margin},
-            "witness_count": len(self.witnesses),
-            "witnesses": [asdict(w) for w in self.witnesses[:20]],
-        }
+_SIDES = ("lower", "upper")
 
 
 def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
-                        plan: SamplePlan | None = None) -> GrowthCheckResult:
-    """Sample (x, eta, p) and check both sides of the growth bound; margins
-    report the minimal slack found on each side."""
+                        plan: SamplePlan | None = None) -> CheckResult:
+    """Sample (x, eta, p) and check both sides of the growth bound: a side
+    whose slack (L - lower or upper - L) is below ``-sample_tolerance(L)``
+    is a ``GrowthWitness``, lower before upper for each sample.
+    ``worst_margins`` reports the least slack found on each side.  A
+    callable ``h_bound`` that returns a non-finite value raises
+    ``NonFinite``, since no comparison with it can fail."""
     plan = plan or SamplePlan()
-    lower_margin = np.inf
-    upper_margin = np.inf
+    margins = np.full(2, np.inf)
     witnesses = []
     for x, eta, ps in _sample_blocks(plan, model.dim, 1, 1):
         p = ps[:, 0]
         val = _eval_points(model, x, eta, ps)[:, 0]
-        pn = np.sqrt(_squared_distances(p, np.zeros(model.dim)))
-        if callable(growth.h_bound):
-            h = np.array([growth.envelope(xi, ei) for xi, ei in zip(x, eta)])
-        else:
-            h = float(growth.h_bound)
-        lower = growth.c1 * pn**growth.q - growth.c2
-        upper = h * pn**growth.r + growth.c3
-        tol = 1e-9 * (1.0 + np.abs(val))
-        lower_margin = min(lower_margin, float(np.min(val - lower)))
-        upper_margin = min(upper_margin, float(np.min(upper - val)))
-        low_bad = val - lower < -tol
-        up_bad = upper - val < -tol
-        for i in np.nonzero(low_bad | up_bad)[0]:
-            for bad, bound, side in ((low_bad, lower, "lower"), (up_bad, upper, "upper")):
-                if bad[i]:
-                    witnesses.append(GrowthWitness(float(x[i]), eta[i].copy(), p[i].copy(),
-                                                   float(val[i]), float(bound[i]), side))
-    return GrowthCheckResult(float(lower_margin), float(upper_margin), witnesses)
+        h = growth.h_bound
+        if callable(h):
+            h = np.array([float(h(xi, ei)) for xi, ei in zip(x, eta)])
+            if not np.all(np.isfinite(h)):
+                raise NonFinite("growth envelope h_bound is not finite at "
+                                f"x = {x[np.argmin(np.isfinite(h))]}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            pn = np.sqrt(_squared_distances(p, np.zeros(model.dim)))
+            # a zero coefficient makes a zero term, also where its power overflows
+            lower, upper = (np.where(c == 0, 0.0, c * pn**e)
+                            for c, e in ((growth.c1, growth.q), (h, growth.r)))
+        bounds = np.column_stack([lower - growth.c2, upper + growth.c3])
+        slack = np.column_stack([val - bounds[:, 0], bounds[:, 1] - val])
+        margins = np.minimum(margins, slack.min(axis=0))
+        witnesses += [
+            GrowthWitness(float(x[i]), eta[i].copy(), p[i].copy(), float(val[i]),
+                          float(bounds[i, j]), _SIDES[j])
+            for i, j in zip(*np.nonzero(slack < -sample_tolerance(val)[:, None]))
+        ]
+    return CheckResult(witnesses, dict(zip(_SIDES, margins.tolist())))

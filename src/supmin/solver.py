@@ -362,12 +362,21 @@ def _newton_direction(grad, hessian, sigma, starts=(0,)):
     that same vector, so Sherman-Morrison reduces to a scalar per problem:
     with z = B^{-1} grad, H^{-1} grad = z / (1 - sigma grad.z), one
     single-column block solve (``_stacked_solve``).
+
+    Where 1 - sigma grad.z <= 0 that direction climbs: the m-th root of the
+    power sum need not be convex where L is level-convex but not convex.
+    There the direction is -z, the Newton step of the power sum itself,
+    whose Hessian is B up to the factor m root^(m-1); it descends, since
+    grad.z >= 1/sigma > 0 (Hessian modification, Nocedal & Wright 3.4).
+    A NaN scale (a singular B) keeps its NaN rows, and the caller falls
+    back to steepest descent.
     """
     diag, upper = hessian
     starts = np.asarray(starts)
     with np.errstate(all="ignore"):  # a singular or indefinite H fails the descent test
         z = _stacked_solve(diag, upper, grad[:, :, None], starts)[:, :, 0]
         scale = 1.0 - sigma * segment_sums(grad * z, starts)
+        scale = np.where(scale <= 0.0, 1.0, scale)
         return -z / np.repeat(scale, np.diff(starts, append=len(grad)))[:, None]
 
 

@@ -467,6 +467,27 @@ class TestCheck:
             assert set(witness) == {"x", "eta", "p", "value", "bound", "side"}
             assert witness["side"] == "lower"
 
+    def test_zero_coefficient_bound_fails_where_the_power_overflows(self, tmp_path, capsys):
+        """The upper bound 0 * |p|^3 claims L <= 0; at |p| ~ 1e150 the power
+        overflows, and the bound stays 0, so all 50 samples are witnesses."""
+        lag = {"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0],
+               "growth": {"C1": 0, "C2": 0, "C3": 0, "q": 1, "r": 3, "h_bound": 0}}
+        cfg = write_config(tmp_path, lagrangian=lag,
+                           check={"box": {"p": [1e150, 2e150]}, "num_triples": 50})
+        assert cli.main(["check", cfg]) == 4
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "hypotheses.json").read_text())["growth_bounds"]
+        assert doc["witness_count"] == 50 and doc["worst_margins"]["upper"] is not None
+
+    def test_overflowing_da_sample_is_one_stderr_line(self, tmp_path, capsys):
+        """A data-assimilation model that overflows in the check box reports
+        its NonFinite on one stderr line, with no floating-point warning."""
+        cfg = write_config(tmp_path, lagrangian=da_lagrangian(),
+                           check={"box": {"p": [-1e160, 1e160]}})
+        assert cli.main(["check", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == "check: level_convexity: Lagrangian evaluation is not finite\n"
+
     def test_invalid_growth_exponents(self, tmp_path, capsys):
         lag = {"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0],
                "growth": {"C1": 1.0, "C2": 0.0, "C3": 0.0, "q": 3.0, "r": 2.0}}

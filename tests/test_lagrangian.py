@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ class TestEval:
             model.eval(0.0, [0.0], [p])
         with pytest.raises(sm.NonFinite):
             model.jet(0.0, [0.0], [p])
+
+    @pytest.mark.parametrize("model, p", [
+        (make_da([[1.0, 0.0]], [[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]], [[0.0, 1.0], [-1.0, 0.0]],
+                 [[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 0.0]]), 1e160),
+        (sm.RadialModel(sm.radial_profile("power", gamma=3.0), [[0.0, 1.0], [-1.0, 0.0]],
+                        sm.SampledSignal.constant([1.0, 0.0])), 1e110),
+    ], ids=["data_assimilation", "radial"])
+    def test_overflowing_row_in_a_batch_raises_quietly(self, model, p):
+        """One row among finite ones whose value overflows: ``eval_many`` and
+        ``jet_many`` raise NonFinite and no floating-point warning."""
+        xs, etas = np.array([0.1, 0.5, 0.9]), np.zeros((3, 2))
+        ps = np.array([[1.0, 0.0], [p, -p], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate in (model.eval_many, model.jet_many):
+                with pytest.raises(sm.NonFinite):
+                    evaluate(xs, etas, ps)
 
     def test_eval_many_matches_scalar(self, rng):
         for _ in range(10):
@@ -486,7 +504,7 @@ class TestLevelConvexity:
             end_max = max(model.eval(x, eta, p1), model.eval(x, eta, p2))
             for lam in lams:
                 mixed = model.eval(x, eta, lam * p1 + (1.0 - lam) * p2)
-                if mixed > end_max + sm.lagrangian.level_convexity_tolerance(end_max):
+                if mixed > end_max + sm.lagrangian.sample_tolerance(end_max):
                     expected.append([x, *eta, *p1, *p2, lam, mixed, end_max])
         got = [[w.x, *w.eta, *w.p1, *w.p2, w.lam, w.mixed_value, w.end_max]
                for w in sm.check_level_convexity(model, plan).witnesses]
@@ -499,7 +517,7 @@ class TestGrowthBounds:
         res = sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0, 0.0]),
                                      growth, sm.SamplePlan(num_triples=300, seed=4))
         assert res.passed
-        assert res.lower_margin == 0.0 and res.upper_margin == 0.0
+        assert res.worst_margins == {"lower": 0.0, "upper": 0.0}
 
     def test_false_lower_bound_witnessed(self):
         growth = sm.GrowthParams(2.0, 0.0, 0.0, 2.0, 2.0, 1.0)
@@ -550,6 +568,30 @@ class TestGrowthBounds:
         np.testing.assert_allclose([w.bound for w in res.witnesses],
                                    [bound for _, bound in expected], rtol=4 * np.finfo(float).eps)
 
+    def test_zero_coefficient_term_is_zero_where_the_power_overflows(self):
+        """L = |p|^2 against the upper bound 0 * |p|^3 at |p| ~ 1e150: the
+        term is 0, not 0 * inf = NaN, so every sample is an upper witness."""
+        growth = sm.GrowthParams(0.0, 0.0, 0.0, 1.0, 3.0, h_bound=0.0)
+        plan = sm.SamplePlan(num_triples=20, box=sm.Box(p=(1e150, 2e150)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0, 0.0]), growth, plan)
+        assert len(res.witnesses) == 20
+        assert all(w.side == "upper" and w.bound == 0.0 for w in res.witnesses)
+        assert np.isfinite(res.worst_margins["upper"]) and res.worst_margins["upper"] < 0
+        assert res.worst_margins["lower"] > 0
+
+    def test_positive_coefficient_term_is_infinite_where_the_power_overflows(self):
+        """With c1 = h = 1, |p|^3 overflows to inf on both sides: every finite
+        L violates the lower bound and meets the upper one."""
+        growth = sm.GrowthParams(1.0, 0.0, 0.0, 3.0, 3.0, h_bound=1.0)
+        plan = sm.SamplePlan(num_triples=20, box=sm.Box(p=(1e150, 2e150)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0, 0.0]), growth, plan)
+        assert [w.side for w in res.witnesses] == ["lower"] * 20
+        assert res.worst_margins == {"lower": -np.inf, "upper": np.inf}
+
     def test_invalid_params(self):
         with pytest.raises(sm.SupminError):
             sm.GrowthParams(1.0, 0.0, 0.0, 3.0, 2.0)
@@ -569,6 +611,40 @@ class TestGrowthBounds:
         with pytest.raises(sm.NonFinite, match="growth envelope h_bound is not finite"):
             sm.check_growth_bounds(sm.PowerNormModel(4.0, [0.0]), growth,
                                    sm.SamplePlan(num_triples=200))
+
+
+class TestCheckResult:
+    """Both checks return ``CheckResult``; its JSON layout is the
+    ``hypotheses.json`` entry of each check."""
+
+    def test_level_convexity_layout(self):
+        model = sm.MinOfNormsModel([[2.0], [-2.0]], exponent=1.0)
+        res = sm.check_level_convexity(model, sm.SamplePlan(num_triples=500, seed=3))
+        doc = res.to_json_dict()
+        assert isinstance(res, sm.CheckResult) and res.worst_margins is None
+        assert list(doc) == ["pass", "witness_count", "witnesses"]
+        assert doc["pass"] is False and doc["witness_count"] == len(res.witnesses) > 20
+        assert len(doc["witnesses"]) == 20
+        for witness in doc["witnesses"]:
+            assert list(witness) == ["x", "eta", "p1", "p2", "lambda", "mixed_value", "end_max"]
+
+    def test_growth_layout(self):
+        growth = sm.GrowthParams(2.0, 0.0, 0.0, 2.0, 2.0, 1.0)
+        res = sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0, 0.0]), growth,
+                                     sm.SamplePlan(num_triples=100, seed=5))
+        doc = res.to_json_dict()
+        assert isinstance(res, sm.CheckResult)
+        assert list(doc) == ["pass", "worst_margins", "witness_count", "witnesses"]
+        assert doc["pass"] is False and doc["witness_count"] == 100
+        assert list(doc["worst_margins"]) == ["lower", "upper"]
+        assert len(doc["witnesses"]) == 20
+        for witness in doc["witnesses"]:
+            assert list(witness) == ["x", "eta", "p", "value", "bound", "side"]
+
+    def test_passing_check_writes_no_witness(self):
+        doc = sm.CheckResult([], {"lower": 0.0, "upper": 1.0}).to_json_dict()
+        assert doc == {"pass": True, "worst_margins": {"lower": 0.0, "upper": 1.0},
+                       "witness_count": 0, "witnesses": []}
 
 
 class TestDecomposition:

@@ -352,6 +352,20 @@ class TestNewtonDirection:
         np.testing.assert_allclose(path.values, sm.interpolate_affine(bmap, grid).values,
                                    atol=1e-8)
 
+    def test_level_convex_radial_takes_the_power_sum_step(self):
+        """Radial-gamma at gamma = 1/4, f(t) = (1 + t)^(1/4) - 1 of DA-rot's
+        deviation, is level-convex but not convex in p: the root's
+        Sherman-Morrison direction climbs at many iterates.  Stepping along
+        -z there, the power sum's Newton step, converges every record in at
+        most 100 iterations over 3 restarts, where -g took 205."""
+        model = sm.RadialModel(sm.radial_profile("power", gamma=0.25), ROTATION,
+                               da_rot_model().c)
+        res = sm.m_sweep(model, sm.Grid.uniform(0.0, 1.0, 257),
+                         sm.AffineMap([0.0, 0.0], [1.0, 1.0]), sm.SweepSchedule(restarts=3),
+                         seed=42)
+        assert res.records and all(rec.stats.converged for rec in res.records)
+        assert res.solve_totals["iterations"] <= 100
+
 
 class TestConvergenceUnderRefinement:
     @staticmethod
