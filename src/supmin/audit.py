@@ -204,10 +204,10 @@ def _glued_values(psi: Path, u_left, u_right, i_left: int, i_right: int) -> np.n
     a, b = psi.grid.a, psi.grid.b
     values = np.array(psi.values)
     xl, xr = nodes[i_left], nodes[i_right]
-    for k in range(i_left):
-        values[k] = u_left + (nodes[k] - a) / (xl - a) * (psi.values[i_left] - u_left)
-    for k in range(i_right + 1, nodes.size):
-        values[k] = psi.values[i_right] + (nodes[k] - xr) / (b - xr) * (u_right - psi.values[i_right])
+    left, right = nodes[:i_left], nodes[i_right + 1 :]
+    values[:i_left] = u_left + ((left - a) / (xl - a))[:, None] * (psi.values[i_left] - u_left)
+    values[i_right + 1 :] = psi.values[i_right] + ((right - xr) / (b - xr))[:, None] * (
+        u_right - psi.values[i_right])
     values[0] = u_left
     values[-1] = u_right
     return values
@@ -313,21 +313,22 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
         raise SupminError("delta schedule must lie in (0, length/3)")
 
     u_left, u_right = psi.values[0], psi.values[-1]
+    rule = MidpointPowerRule(1, [(grid, None)])
     left_entries, right_entries = [], []
     for d in deltas:
         i_left, i_right = snap_delta(grid, d, clamp=True)
         d_left = float(grid.nodes[i_left] - grid.a)
         d_right = float(grid.b - grid.nodes[i_right])
-        glued = Path(grid, _glued_values(psi, u_left, u_right, i_left, i_right))
+        glued = _glued_values(psi, u_left, u_right, i_left, i_right)
+        sampled = rule.samples(model, glued).sampled
         q_left = difference_quotient(psi, grid.a, d_left)
         q_right = difference_quotient(psi, grid.b, -d_right)
-        for anchor, width, quotient, nodes, entries in (
-                (u_left, d_left, q_left, slice(0, i_left + 1), left_entries),
-                (u_right, d_right, q_right, slice(i_right, None), right_entries)):
-            layer = grid.nodes[nodes]
-            layer_sup = sup_energy(model, glued, (layer[0], layer[-1]))
-            dev = float(np.max(np.linalg.norm(glued.values[nodes] - anchor, axis=1)))
-            entries.append(ScanEntry(d, width, quotient, layer_sup, dev))
+        # the samples of a layer over nodes i..j are elements i..j-1 of the whole grid's
+        for anchor, width, quotient, (i, j), entries in (
+                (u_left, d_left, q_left, (0, i_left), left_entries),
+                (u_right, d_right, q_right, (i_right, grid.nodes.size - 1), right_entries)):
+            dev = float(np.max(np.linalg.norm(glued[i : j + 1] - anchor, axis=1)))
+            entries.append(ScanEntry(d, width, quotient, float(np.max(sampled[i:j])), dev))
 
     def cauchy(entries):
         if len(entries) < 2:

@@ -11,9 +11,10 @@ witness.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import get_type_hints
 
@@ -31,6 +32,7 @@ from .lagrangian import (
     MinOfNormsModel,
     PowerNormModel,
     RadialModel,
+    RadialProfile,
     SampledSignal,
     SamplePlan,
     check_growth_bounds,
@@ -93,30 +95,22 @@ def _build(path: str, cls, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
-def _array(obj, path: str, ndim: int, length: int | None = None) -> np.ndarray:
-    """``obj`` as floats: an array (``ndim`` 1) or a matrix of equal rows (2),
-    each entry held to ``_get``'s rule for a float field."""
-    rows = [obj] if ndim == 1 else obj
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-            and len({len(row) for row in rows}) <= 1
+def _array(obj, path: str, length: int | None = None) -> np.ndarray:
+    """``obj`` as floats, each entry held to ``_get``'s rule for a float field:
+    an array of ``length`` entries if that is given, else a matrix of equal
+    rows if ``obj`` is a list of lists and an array if not."""
+    matrix = (length is None and isinstance(obj, list) and len(obj) > 0
+              and all(isinstance(row, list) for row in obj))
+    rows = obj if matrix else [obj]
+    if not (isinstance(obj, list) and len({len(row) for row in rows}) <= 1
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     for row in rows for v in row)):
-        raise ConfigError(path, f"expected {'an array' if ndim == 1 else 'a matrix'} of numbers")
-    if not rows or not all(abs(v) <= sys.float_info.max for row in rows for v in row):
-        raise ConfigError(path, f"expected a finite {ndim}-d array")
+        raise ConfigError(path, f"expected {'a matrix' if matrix else 'an array'} of numbers")
+    if not all(abs(v) <= sys.float_info.max for row in rows for v in row):
+        raise ConfigError(path, f"expected a finite {2 if matrix else 1}-d array")
     if length is not None and len(obj) != length:
         raise ConfigError(path, f"length must equal N = {length}")
     return np.array(obj, dtype=float)
-
-
-def _signal(obj, path: str) -> SampledSignal:
-    return _build(path, SampledSignal.from_rows, _array(obj, path, 2))
-
-
-def _optional(obj: dict, path: str, keys) -> dict:
-    """The float fields of ``keys`` that ``obj`` sets; the others keep the
-    defaults of the constructor they are passed to."""
-    return {key: _get(obj, path, key, float) for key in keys if key in obj}
 
 
 def _growth(obj: dict | None, path: str) -> GrowthParams | None:
@@ -124,61 +118,43 @@ def _growth(obj: dict | None, path: str) -> GrowthParams | None:
         return None
     _reject_unknown(obj, path, {"C1", "C2", "C3", "q", "r", "h_bound"})
     required = [_get(obj, path, key, float) for key in ("C1", "C2", "C3", "q", "r")]
-    return _build(path, GrowthParams, *required, **_optional(obj, path, ("h_bound",)))
+    h_bound = {"h_bound": _get(obj, path, "h_bound", float)} if "h_bound" in obj else {}
+    return _build(path, GrowthParams, *required, **h_bound)
 
 
-def _model(obj: dict) -> tuple[LagrangianModel, GrowthParams | None]:
-    """The model of the ``lagrangian`` section and the growth bounds of its
-    ``growth`` block (None without one).  Each field is read as a number,
-    vector or matrix here; whether their shapes agree is the model
-    constructor's rule, reported at ``lagrangian``."""
-    path = "lagrangian"
-    kind = _get(obj, path, "kind", str)
-    growth = _growth(_get(obj, path, "growth", dict, required=False), f"{path}.growth")
-    if kind == "power_norm":
-        _reject_unknown(obj, path, {"kind", "exponent", "offset", "growth"})
-        exponent = _get(obj, path, "exponent", float)
-        offset = _array(_get(obj, path, "offset", list), f"{path}.offset", 1)
-        return _build(path, PowerNormModel, exponent, offset), growth
-    if kind == "data_assimilation":
-        _reject_unknown(obj, path, {"kind", "K", "k", "A", "c", "growth"})
-        K = _array(_get(obj, path, "K", list), f"{path}.K", 2)
-        A = _array(_get(obj, path, "A", list), f"{path}.A", 2)
-        k = _signal(_get(obj, path, "k", list), f"{path}.k")
-        c = _signal(_get(obj, path, "c", list), f"{path}.c")
-        return _build(path, DataAssimilationModel, K, k, A, c), growth
-    if kind == "radial":
-        _reject_unknown(obj, path, {"kind", "profile", "A", "c", "growth"})
-        prof_path = f"{path}.profile"
-        prof = _get(obj, path, "profile", dict)
-        _reject_unknown(prof, prof_path, {"name", "beta", "gamma"})
-        name = _get(prof, prof_path, "name", str)
-        profile = _build(prof_path, radial_profile, name,
-                         **_optional(prof, prof_path, ("beta", "gamma")))
-        A = _array(_get(obj, path, "A", list), f"{path}.A", 2)
-        c = _signal(_get(obj, path, "c", list), f"{path}.c")
-        return _build(path, RadialModel, profile, A, c), growth
-    if kind == "min_norms":
-        _reject_unknown(obj, path, {"kind", "centers", "exponent", "growth"})
-        centers = _array(_get(obj, path, "centers", list), f"{path}.centers", 2)
-        return _build(path, MinOfNormsModel, centers,
-                      **_optional(obj, path, ("exponent",))), growth
-    raise ConfigError(f"{path}.kind", f"unknown model kind '{kind}'")
+# how a field is read by its annotation (None: unannotated), as a JSON type
+# and a reader of a value of that type; any other annotation by ``_get``'s rule
+_READERS = {
+    None: (list, _array),
+    SampledSignal: (list, lambda rows, path: _build(path, SampledSignal.from_rows,
+                                                    _array(rows, path))),
+    RadialProfile: (dict, lambda obj, path: _call(obj, path, radial_profile)),
+}
+
+# the constructor of each ``lagrangian.kind``
+_MODELS = {"power_norm": PowerNormModel, "data_assimilation": DataAssimilationModel,
+           "radial": RadialModel, "min_norms": MinOfNormsModel}
 
 
-def _section(raw: dict, name: str, cls, nested: tuple = (), **fixed):
-    """The dataclass ``cls`` built from the optional config section ``name``.
+def _call(obj: dict, path: str, fn, nested: tuple = (), **fixed):
+    """``fn`` called with the fields of the config section ``obj`` at ``path``.
 
-    The section may set every field of ``cls`` but those that ``fixed``
-    fills, each read with the type of the field; fields it leaves out keep
-    their defaults.  Keys in ``nested`` are allowed but read by the caller.
+    The section may set every parameter of ``fn`` but those that ``fixed``
+    fills, and must set those without a default; the others keep their
+    defaults.  Each is read by its annotation (``_READERS``).  Keys in
+    ``nested`` are allowed but read by the caller.
     """
-    obj = _get(raw, "", name, dict, required=False, default={})
-    keys = [f.name for f in fields(cls) if f.name not in fixed and f.name not in nested]
-    _reject_unknown(obj, name, set(keys) | set(nested))
-    hints = get_type_hints(cls)
-    values = {key: _get(obj, name, key, hints[key]) for key in keys if key in obj}
-    return _build(name, cls, **values, **fixed)
+    params = inspect.signature(fn).parameters
+    keys = [key for key in params if key not in fixed]
+    _reject_unknown(obj, path, set(keys) | set(nested))
+    hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+    values = {}
+    for key in keys:
+        if key in obj or params[key].default is params[key].empty:  # else it keeps its default
+            kind, read = _READERS.get(hints.get(key), (hints.get(key), None))
+            value = _get(obj, path, key, kind)
+            values[key] = read(value, f"{path}.{key}") if read else value
+    return _build(path, fn, **values, **fixed)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -186,7 +162,10 @@ def parse_config(raw: dict) -> RunConfig:
                "solve", "audit", "check", "seed", "output_dir"}
     _reject_unknown(raw, "", allowed)
 
-    domain = _array(_get(raw, "", "domain", list), "domain", 1, 2)
+    def section(name: str) -> dict:
+        return _get(raw, "", name, dict, required=False, default={})
+
+    domain = _array(_get(raw, "", "domain", list), "domain", 2)
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ConfigError("domain", "a < b required")
@@ -202,39 +181,58 @@ def parse_config(raw: dict) -> RunConfig:
 
     boundary_obj = _get(raw, "", "boundary", dict)
     _reject_unknown(boundary_obj, "boundary", {"b0", "b1"})
-    b0 = _array(_get(boundary_obj, "boundary", "b0", list), "boundary.b0", 1, dim)
-    b1 = _array(_get(boundary_obj, "boundary", "b1", list), "boundary.b1", 1, dim)
+    b0 = _array(_get(boundary_obj, "boundary", "b0", list), "boundary.b0", dim)
+    b1 = _array(_get(boundary_obj, "boundary", "b1", list), "boundary.b1", dim)
 
-    model, growth = _model(_get(raw, "", "lagrangian", dict))
+    # the rank and shape of the model's fields are its constructor's rule
+    model_obj = _get(raw, "", "lagrangian", dict)
+    kind = _get(model_obj, "lagrangian", "kind", str)
+    growth = _growth(_get(model_obj, "lagrangian", "growth", dict, required=False),
+                     "lagrangian.growth")
+    if kind not in _MODELS:
+        raise ConfigError("lagrangian.kind", f"unknown model kind '{kind}'")
+    model = _call(model_obj, "lagrangian", _MODELS[kind], ("kind", "growth"))
     if model.dim != dim:
         raise ConfigError("lagrangian", f"model dimension {model.dim} differs from N = {dim}")
 
-    schedule = _section(raw, "schedule", SweepSchedule)
-    solve = _section(raw, "solve", SolveOptions)
+    schedule = _call(section("schedule"), "schedule", SweepSchedule)
+    solve = _call(section("solve"), "solve", SolveOptions)
 
     seed = _get(raw, "", "seed", int, required=False, default=0)
     if seed < 0:
         raise ConfigError("seed", "seed must be nonnegative")
 
-    audit = _section(raw, "audit", AuditConfig, seed=seed, schedule=schedule, options=solve)
+    audit = _call(section("audit"), "audit", AuditConfig, seed=seed, schedule=schedule,
+                  options=solve)
 
-    check_obj = _get(raw, "", "check", dict, required=False, default={})
+    check_obj = section("check")
     box_obj = _get(check_obj, "check", "box", dict, required=False, default={})
     _reject_unknown(box_obj, "check.box", {"x", "eta", "p"})
-    ranges = {key: tuple(_array(val, f"check.box.{key}", 1, 2).tolist())
+    ranges = {key: tuple(_array(val, f"check.box.{key}", 2).tolist())
               for key, val in box_obj.items()}
     box = _build("check", Box, **{"x": (a, b), **ranges})
-    plan = _section(raw, "check", SamplePlan, ("box",), box=box, seed=seed)
+    plan = _call(check_obj, "check", SamplePlan, ("box",), box=box, seed=seed)
 
     output_dir = _get(raw, "", "output_dir", str)
     return RunConfig(model, growth, grid, AffineMap(b0, b1),
                      schedule, solve, audit, plan, seed, output_dir)
 
 
+def _unique_keys(pairs: list, config_path: str) -> dict:
+    """The pairs of a JSON object as a dict; a key given twice is an error,
+    not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(config_path, f"repeated key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def load_config(config_path: str) -> RunConfig:
     try:
         with open(config_path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, config_path))
     except OSError as exc:
         raise ConfigError(config_path, str(exc)) from None
     except json.JSONDecodeError as exc:

@@ -59,7 +59,6 @@ def _vec(v, name: str) -> np.ndarray:
 
 def _mat(v, name: str) -> np.ndarray:
     a = np.array(v, dtype=float)
-    a = np.atleast_2d(a)
     if a.ndim != 2 or not np.all(np.isfinite(a)):
         raise SupminError(f"{name} must be a finite matrix")
     a.flags.writeable = False

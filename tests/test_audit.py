@@ -322,6 +322,33 @@ class TestEndpointQuotientScan:
                 direct = sm.sup_energy(model, glued, (psi.grid.a, psi.grid.nodes[i_left]))
                 assert entry.layer_sup == direct
 
+    def test_every_layer_sup_is_sup_energy_bitwise(self, rng):
+        """At every width of the default schedule, clamped ones too, each
+        layer sup is ``sup_energy`` over that layer of the path glued node
+        by node, bitwise, on both sides of a jittered grid."""
+        for _ in range(6):
+            dim = int(rng.integers(1, 3))
+            model = random_builtin_model(rng, dim)
+            num = int(rng.integers(9, 41))
+            nodes = np.linspace(0.0, 1.0, num)
+            nodes[1:-1] += rng.uniform(-0.2, 0.2, num - 2) / (num - 1)
+            psi = random_path(rng, grid=sm.Grid(nodes), dim=dim)
+            u_left, u_right = psi.values[0], psi.values[-1]
+            scan = sm.endpoint_quotient_scan(model, psi)
+            for left, right in zip(scan.left, scan.right):
+                i_left, i_right = sm.snap_delta(psi.grid, left.delta_requested, clamp=True)
+                xl, xr = nodes[i_left], nodes[i_right]
+                values = np.array(psi.values)
+                for k in range(i_left):
+                    values[k] = u_left + (nodes[k] - 0.0) / (xl - 0.0) * (psi.values[i_left] - u_left)
+                for k in range(i_right + 1, num):
+                    values[k] = psi.values[i_right] + (nodes[k] - xr) / (1.0 - xr) * (
+                        u_right - psi.values[i_right])
+                values[0], values[-1] = u_left, u_right
+                glued = sm.Path(psi.grid, values)
+                assert left.layer_sup == sm.sup_energy(model, glued, (0.0, xl))
+                assert right.layer_sup == sm.sup_energy(model, glued, (xr, 1.0))
+
     def test_schedule_validation(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
         psi = sm.Path(grid, np.zeros((17, 1)))

@@ -42,6 +42,57 @@ def da_lagrangian():
 RADIAL = {"kind": "radial", "profile": {"name": "power", "gamma": 1.5},
           "A": [[0.0, 1.0], [-1.0, 0.0]], "c": [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]}
 MIN_NORMS = {"kind": "min_norms", "centers": [[1.0, 0.0], [-1.0, 0.0]], "exponent": 2.0}
+POWER_NORM = {"kind": "power_norm", "exponent": 2.0, "offset": [0.0, 0.0]}
+
+
+def without(section, key):
+    return {name: value for name, value in section.items() if name != key}
+
+
+def lagrangian_messages():
+    """``pytest.param(lagrangian, stderr line)`` for each model kind: every
+    required field left out in turn, an unknown field, a value of the wrong
+    type and an unknown kind."""
+    cases = {
+        "power_norm": (POWER_NORM, dict(POWER_NORM, exponent="2"),
+                       "lagrangian.exponent: expected float"),
+        "data_assimilation": (da_lagrangian(), dict(da_lagrangian(), K=1.0),
+                              "lagrangian.K: expected list"),
+        "radial": (RADIAL, dict(RADIAL, profile={"name": "power", "gamma": "1.5"}),
+                   "lagrangian.profile.gamma: expected float"),
+        "min_norms": (MIN_NORMS, dict(MIN_NORMS, exponent=True),
+                      "lagrangian.exponent: expected float"),
+    }
+    params = []
+    for kind, (base, mistyped, mistyped_message) in cases.items():
+        required = [key for key in base if key != "kind" and not (
+            kind == "min_norms" and key == "exponent")]
+        params += [pytest.param(without(base, key), f"lagrangian.{key}: required field missing",
+                                id=f"{kind}-missing-{key}") for key in required]
+        params += [
+            pytest.param(dict(base, scale=1.0), "lagrangian.scale: unknown field",
+                         id=f"{kind}-unknown-field"),
+            pytest.param(mistyped, mistyped_message, id=f"{kind}-mistyped"),
+            pytest.param(dict(base, kind=kind + "s"),
+                         f"lagrangian.kind: unknown model kind '{kind}s'", id=f"{kind}-unknown-kind"),
+        ]
+    return params + [
+        pytest.param(dict(RADIAL, profile={"gamma": 1.5}),
+                     "lagrangian.profile.name: required field missing", id="profile-missing-name"),
+        pytest.param(dict(RADIAL, profile={"name": "power", "delta": 1.0}),
+                     "lagrangian.profile.delta: unknown field", id="profile-unknown-field"),
+        pytest.param(dict(RADIAL, profile={"name": 2}), "lagrangian.profile.name: expected str",
+                     id="profile-mistyped-name"),
+        pytest.param(dict(RADIAL, profile="power"), "lagrangian.profile: expected dict",
+                     id="profile-not-a-section"),
+        pytest.param(dict(RADIAL, profile={"name": "cubic"}),
+                     "lagrangian.profile: unknown radial profile 'cubic'", id="profile-unknown-name"),
+        pytest.param(without(POWER_NORM, "kind"), "lagrangian.kind: required field missing",
+                     id="missing-kind"),
+    ]
+
+
+LAGRANGIAN_MESSAGES = lagrangian_messages()
 
 
 class TestSolve:
@@ -201,13 +252,61 @@ class TestSolve:
         (dict(RADIAL, c=[[0.0, 1.0], [1.0, 1.0]]), "lagrangian: c has 1 value column(s), A is 2x2"),
         ({"kind": "min_norms", "centers": [[1.0], [-1.0]]},
          "lagrangian: model dimension 1 differs from N = 2"),
+        # a flat list where a model wants a matrix, a nested one where it wants a vector
+        (dict(da_lagrangian(), K=[0.0, 0.0]), "lagrangian: K must be a finite matrix"),
+        (dict(da_lagrangian(), A=[0.0, 0.0]), "lagrangian: A must be a finite matrix"),
+        (dict(RADIAL, A=[0.0, 1.0]), "lagrangian: A must be a finite matrix"),
+        (dict(MIN_NORMS, centers=[1.0, 0.0]), "lagrangian: centers must be a finite matrix"),
+        (dict(POWER_NORM, offset=[[0.0, 0.0]]), "lagrangian: offset must be a finite vector"),
     ])
     def test_malformed_model_rejected(self, tmp_path, capsys, lagrangian, message):
-        """Fields of a model that disagree in shape, or a model dimension that
-        differs from N, fail at config time with the model's own rule."""
+        """Fields of a model that disagree in rank or shape, or a model
+        dimension that differs from N, fail at config time with the model's
+        own rule."""
         cfg = write_config(tmp_path, lagrangian=lagrangian)
         assert cli.main(["solve", cfg]) == 1
         assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lagrangian, message", LAGRANGIAN_MESSAGES)
+    def test_lagrangian_field_messages(self, tmp_path, capsys, lagrangian, message):
+        """Each model kind reports a required field left out, an unknown
+        field, a value of the wrong type and an unknown kind on one line at
+        the field, from solve and check alike, and writes nothing."""
+        cfg = write_config(tmp_path, lagrangian=lagrangian)
+        for command in ("solve", "check"):
+            assert cli.main([command, cfg]) == 1
+            assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_optional_model_fields_keep_constructor_defaults(self, tmp_path):
+        """min_norms' exponent and a radial profile's beta and gamma, left
+        out, are 1, 0 and 1."""
+        model = cli.load_config(write_config(tmp_path, lagrangian=without(MIN_NORMS, "exponent"))).model
+        assert model.exponent == 1.0
+        t = np.linspace(0.0, 3.0, 7)
+        for name in ("shift", "power"):
+            profile = cli.load_config(write_config(
+                tmp_path, lagrangian=dict(RADIAL, profile={"name": name}))).model.profile
+            assert np.array_equal(profile.f(t), t)
+            assert np.array_equal(np.broadcast_to(profile.df(t), t.shape), np.ones_like(t))
+
+    @pytest.mark.parametrize("overrides, once, twice", [
+        ({}, '"grid_points": 65', '"grid_points": 65, "grid_points": 9'),
+        ({"schedule": {"m_max": 8}}, '"m_max": 8', '"m_max": 8, "m_max": 4'),
+        ({"lagrangian": RADIAL}, '"gamma": 1.5', '"gamma": 1.5, "gamma": 3.0'),
+    ], ids=["top_level", "section", "radial_profile"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, overrides, once, twice):
+        """A key given twice in one object, at any depth, is an error, not
+        its last value."""
+        cfg = write_config(tmp_path, **overrides)
+        text = Path(cfg).read_text()
+        assert text.count(once) == 1
+        Path(cfg).write_text(text.replace(once, twice))
+        key = once.split('"')[1]
+        for command in ("solve", "check"):
+            assert cli.main([command, cfg]) == 1
+            assert capsys.readouterr().err == f"{cfg}: repeated key '{key}'\n"
         assert not (tmp_path / "out").exists()
 
     def test_radial_solve_audit_check(self, tmp_path, capsys):
