@@ -9,7 +9,6 @@ and the residual of the associated second-order system.
 
 from .aronsson import (
     ResidualProfile,
-    SecondOrderPoint,
     aronsson_operator,
     normal_projection,
     residual_profile,

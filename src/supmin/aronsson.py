@@ -1,8 +1,8 @@
-"""Pointwise vectorial Aronsson operator and residual profiles along paths.
+"""Row-batched vectorial Aronsson operator and residual profiles along paths.
 
-For a second-order point (x, eta, p, xx) and jet J of the model the operator
-assembles, with Q the orthogonal projection onto the hyperplane normal to
-J.dp,
+At a point x with value eta, slope p and curvature xx, and with J the
+model's jet at (x, eta, p) and Q the orthogonal projection onto the
+hyperplane normal to J.dp, the operator assembles
 
     [ dp (x) dp + L * Q * dpp ] xx
     + (deta . p + dx) dp
@@ -15,9 +15,10 @@ reported as-is, never smoothed.  ``normal_projection`` treats |xi| at or
 below 1e-12 * (1 + |xi|) as zero, so round-off near dp = 0 cannot blow the
 projection up.
 
-``residual_profile`` evaluates the operator at the interior nodes of a path
-from one batched second-order jet; ``ResidualProfile.to_csv`` writes the
-profile to a named file through ``_io.write_csv``.
+``aronsson_operator`` evaluates it at rows of points from one batched jet;
+``residual_profile`` feeds it the interior nodes of a path, and
+``ResidualProfile.to_csv`` writes the profile to a named file through
+``_io.write_csv``.
 """
 
 from __future__ import annotations
@@ -47,25 +48,17 @@ def normal_projection(xi) -> np.ndarray:
     return np.eye(xi.shape[-1]) - unit[..., :, None] * unit[..., None, :]
 
 
-@dataclass(frozen=True)
-class SecondOrderPoint:
-    """Arguments of the operator: position, value, slope, curvature."""
+def aronsson_operator(model: LagrangianModel, xs, values, slopes, curvatures) -> np.ndarray:
+    """The operator at rows of points, shape (M, N), from one batched jet.
 
-    x: float
-    value: np.ndarray
-    slope: np.ndarray
-    curvature: np.ndarray
-
-    def __post_init__(self):
-        for name in ("value", "slope", "curvature"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(arr)):
-                raise SupminError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
-
-
-def _operator_rows(model: LagrangianModel, xs, values, slopes, curvatures) -> np.ndarray:
-    """The operator at rows of points, shape (M, N), from one batched jet."""
+    ``xs`` is (M,); ``values``, ``slopes`` and ``curvatures`` are (M, N).
+    A width other than the model's ``dim`` or a non-finite entry raises
+    SupminError: a model that does not read a value would not notice it.
+    """
+    check_width(model, value=values, slope=slopes, curvature=curvatures)
+    for name, rows in (("value", values), ("slope", slopes), ("curvature", curvatures)):
+        if not np.all(np.isfinite(rows)):
+            raise SupminError(f"{name} must be finite")
     jet = model.jet_many(xs, values, slopes)
     proj = normal_projection(jet.dp)
     scale = jet.value[:, None, None] * proj
@@ -77,13 +70,6 @@ def _operator_rows(model: LagrangianModel, xs, values, slopes, curvatures) -> np
     if not np.all(np.isfinite(out)):
         raise NonFinite("operator value is not finite")
     return out
-
-
-def aronsson_operator(model: LagrangianModel, pt: SecondOrderPoint) -> np.ndarray:
-    """Evaluate the operator at one point."""
-    check_width(model, value=pt.value, slope=pt.slope, curvature=pt.curvature)
-    return _operator_rows(model, np.array([pt.x]), pt.value[None], pt.slope[None],
-                          pt.curvature[None])[0]
 
 
 @dataclass(frozen=True)
@@ -124,6 +110,6 @@ def residual_profile(model: LagrangianModel, path: Path) -> ResidualProfile:
     xs = grid.nodes[1:-1]
     slopes = (u[2:] - u[:-2]) / (2.0 * h)
     curvatures = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    residuals = _operator_rows(model, xs, u[1:-1], slopes, curvatures)
+    residuals = aronsson_operator(model, xs, u[1:-1], slopes, curvatures)
     norms = np.linalg.norm(residuals, axis=1)
     return ResidualProfile(xs, residuals, norms)

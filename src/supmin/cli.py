@@ -269,13 +269,14 @@ def run_solve(config: RunConfig, output_dir: FsPath) -> int:
               ([rec.m, rec.stats.objective] for rec in sweep.records))
 
     residuals_error = None
-    try:
-        if sweep.candidate.grid.num_elements >= 4 and not sweep.aborted:
+    if sweep.candidate.grid.num_elements < 4 or sweep.aborted:
+        residuals_error = "residual profile unavailable"
+    else:
+        try:
             residual_profile(config.model, sweep.candidate).to_csv(out / "residuals.csv")
-        else:
-            raise SupminError("residual profile unavailable")
-    except SupminError as exc:
-        residuals_error = str(exc)
+        except SupminError as exc:
+            residuals_error = str(exc)
+    if residuals_error is not None:
         empty = ResidualProfile(np.empty(0), np.empty((0, config.model.dim)), np.empty(0))
         empty.to_csv(out / "residuals.csv")
 

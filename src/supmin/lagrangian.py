@@ -11,11 +11,11 @@ xs (M,), etas (M, N), ps (M, N):
   ``dp``, ``deta`` and the (eta, p) blocks of one such jet; the residual
   profile reads ``dx`` and ``dpx`` too.
 
-``eval`` and ``jet`` are their one-row cases; like every entry point that
-takes points or paths, they reject a point or path whose width is not the
-model's ``dim`` (``check_width``).  Each constructor checks that its fields
-agree in shape, and its message names the fields it compares.  The base
-class derives ``jet_many`` from ``eval_many`` by central finite
+These two are the only ways to evaluate a model.  They take rows as they
+come; every entry point that takes points or paths rejects a width that is
+not the model's ``dim`` (``check_width``).  Each constructor checks that its
+fields agree in shape, and its message names the fields it compares.  The
+base class derives ``jet_many`` from ``eval_many`` by central finite
 differences, one call on every shifted row of the stencil (51 rows per row
 at N=2); the analytic families override it.
 Built-in families:
@@ -24,7 +24,7 @@ Built-in families:
 * ``DataAssimilationModel`` L = |k(x) - K eta|^2 + |p - (A eta + c(x))|^2
 * ``RadialModel``           L = f(|p - (A eta + c(x))|^2 / 2) for an increasing profile f
 * ``MinOfNormsModel``       L = min_k |p - center_k|^s, finite-difference jets
-* ``CustomModel``           user callable of one row, finite-difference jets
+* ``CustomModel``           user callable of rows, finite-difference jets
 
 ``check_level_convexity`` and ``check_growth_bounds`` are sampling
 certifications: a pass is evidence, never a proof.  The growth bounds
@@ -119,8 +119,8 @@ class SampledSignal:
 
     @classmethod
     def from_rows(cls, rows) -> "SampledSignal":
-        """Rows [x, v1, ..., vD], strictly increasing in x."""
-        data = np.atleast_2d(np.array(rows, dtype=float))
+        """Rows [x, v1, ..., vD] of a finite matrix, strictly increasing in x."""
+        data = _mat(rows, "signal rows")
         if data.shape[1] < 2:
             raise SupminError("signal rows need at least [x, value]")
         return cls(data[:, 0], data[:, 1:])
@@ -148,7 +148,8 @@ class GrowthParams:
     """Constants of the two-sided growth bound
     c1*|p|^q - c2 <= L <= h(x,eta)*|p|^r + c3.
 
-    ``h_bound`` is a constant or a callable h(x, eta) of one sample.  A
+    ``h_bound`` is a constant or a callable h(x, eta) of rows, x (k,) and
+    eta (k, N), that returns h at each row, (k,).  A
     bound term whose coefficient (c1 or h) is 0 is 0, even where |p|^q or
     |p|^r overflows; with a positive coefficient an overflowing power is an
     infinite term, so every finite L violates that lower bound and meets
@@ -159,7 +160,7 @@ class GrowthParams:
     c3: float
     q: float
     r: float
-    h_bound: float | Callable[[float, np.ndarray], float] = 1.0
+    h_bound: float | Callable[[np.ndarray, np.ndarray], np.ndarray] = 1.0
 
     def __post_init__(self):
         if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
@@ -180,8 +181,7 @@ class JetDerivatives:
     symmetric.
     From ``jet_many`` every field has a leading row axis: ``value`` and
     ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the blocks (M, N, N).
-    ``jet`` returns one row without that axis.  Construction rejects
-    non-finite entries, once for the whole batch.
+    Construction rejects non-finite entries, once for the whole batch.
     """
 
     value: np.ndarray
@@ -200,6 +200,15 @@ class JetDerivatives:
     def map(self, fn) -> "JetDerivatives":
         """``fn`` applied to every field."""
         return JetDerivatives(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
+
+
+def _user_rows(values, rows: int, name: str) -> np.ndarray:
+    """The result of a user callable as floats, one per row: a shape other
+    than (rows,) raises SupminError rather than broadcasting."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (rows,):
+        raise SupminError(f"{name} returned shape {values.shape}, expected ({rows},)")
+    return values
 
 
 def check_width(model: LagrangianModel, **arrays) -> None:
@@ -232,13 +241,6 @@ def _fd_stencil(n: int):
     for a in (first, second, i, j):
         a.flags.writeable = False
     return first, second, (i, j)
-
-
-def _one_row(model, x, eta, p):
-    etas = np.asarray(eta, dtype=float).reshape(1, -1)
-    ps = np.asarray(p, dtype=float).reshape(1, -1)
-    check_width(model, eta=etas, p=ps)
-    return np.array([float(x)]), etas, ps
 
 
 class LagrangianModel:
@@ -304,14 +306,6 @@ class LagrangianModel:
         return JetDerivatives(*(np.ascontiguousarray(a) for a in (
             value, grad[:, :n], grad[:, eta], grad[:, -1],
             hess[:, :n, :n], hess[:, :n, eta], hess[:, :n, -1], hess[:, eta, eta])))
-
-    def eval(self, x: float, eta, p) -> float:
-        """L at one point."""
-        return float(self.eval_many(*_one_row(self, x, eta, p))[0])
-
-    def jet(self, x: float, eta, p) -> JetDerivatives:
-        """Jet at one point, fields without the row axis."""
-        return self.jet_many(*_one_row(self, x, eta, p)).map(lambda v: v[0])
 
     @staticmethod
     def _checked(values: np.ndarray) -> np.ndarray:
@@ -491,16 +485,17 @@ class RadialModel(LagrangianModel):
 
 
 class CustomModel(LagrangianModel):
-    """Model from a callable fn(x, eta, p) of one row; jets by finite differences."""
+    """Model from a callable fn(xs, etas, ps) of rows, (M,), (M, N), (M, N),
+    that returns L at each row, (M,); jets by finite differences.  ``fn``
+    is called once per ``eval_many`` call and once per ``jet_many`` call,
+    and a row's value must not depend on the other rows of its batch."""
 
     def __init__(self, fn: Callable, dim: int):
         super().__init__(dim)
         self.fn = fn
 
     def eval_many(self, xs, etas, ps):
-        # fn sees one row at a time
-        values = [float(self.fn(float(x), eta, p)) for x, eta, p in zip(xs, etas, ps)]
-        return self._checked(np.array(values, dtype=float))
+        return self._checked(_user_rows(self.fn(xs, etas, ps), len(xs), "custom model fn"))
 
 
 class MinOfNormsModel(LagrangianModel):
@@ -688,8 +683,8 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
     whose slack (L - lower or upper - L) is below ``-sample_tolerance(L)``
     is a ``GrowthWitness``, lower before upper for each sample.
     ``worst_margins`` reports the least slack found on each side.  A
-    callable ``h_bound`` that returns a non-finite value raises
-    ``NonFinite``, since no comparison with it can fail."""
+    callable ``h_bound`` is called once per block of samples; a non-finite
+    value of it raises ``NonFinite``, since no comparison with it can fail."""
     plan = plan or SamplePlan()
     margins = np.full(2, np.inf)
     witnesses = []
@@ -698,7 +693,7 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
         val = _eval_points(model, x, eta, ps)[:, 0]
         h = growth.h_bound
         if callable(h):
-            h = np.array([float(h(xi, ei)) for xi, ei in zip(x, eta)])
+            h = _user_rows(h(x, eta), len(x), "h_bound")
             if not np.all(np.isfinite(h)):
                 raise NonFinite("growth envelope h_bound is not finite at "
                                 f"x = {x[np.argmin(np.isfinite(h))]}")

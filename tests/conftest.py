@@ -6,6 +6,12 @@ import pytest
 import supmin as sm
 
 
+def one_row(x, *vectors):
+    """One point as a batch of one row: x as (1,) and each vector as (1, N),
+    the arguments of ``eval_many``, ``jet_many`` and ``aronsson_operator``."""
+    return (np.array([x], dtype=float), *(np.array([v], dtype=float) for v in vectors))
+
+
 def random_grid(rng, max_elements=12, a=0.0, b=1.0):
     m = int(rng.integers(3, max_elements + 1))
     interior = np.sort(rng.uniform(a, b, size=m - 1))

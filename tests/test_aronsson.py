@@ -3,7 +3,7 @@ import pytest
 
 import supmin as sm
 
-from conftest import random_builtin_model
+from conftest import one_row, random_builtin_model
 
 
 def half_square_1d():
@@ -13,9 +13,9 @@ def half_square_1d():
 
 def scalar_aronsson_oracle(model, x, eta, p, xx):
     """Directly coded scalar operator: d/dx[L(x, u, u')] * L_p at the point."""
-    jet = model.jet(x, [eta], [p])
-    total_derivative = jet.dx + jet.deta[0] * p + jet.dp[0] * xx
-    return total_derivative * jet.dp[0]
+    jet = model.jet_many(*one_row(x, [eta], [p]))
+    total_derivative = jet.dx[0] + jet.deta[0, 0] * p + jet.dp[0, 0] * xx
+    return total_derivative * jet.dp[0, 0]
 
 
 class TestNormalProjection:
@@ -45,21 +45,40 @@ class TestNormalProjection:
 
 class TestOperator:
     def test_scalar_affine_data_vanishes(self):
-        pt = sm.SecondOrderPoint(0.3, [1.0], [2.0], [0.0])
-        assert sm.aronsson_operator(half_square_1d(), pt)[0] == 0.0
+        pt = one_row(0.3, [1.0], [2.0], [0.0])
+        assert sm.aronsson_operator(half_square_1d(), *pt)[0, 0] == 0.0
 
     def test_scalar_hand_value(self):
         # L = p^2/2: dp = p = 2, projection term dies, value = dp^2 * xx = 4
-        pt = sm.SecondOrderPoint(0.0, [0.0], [2.0], [1.0])
-        out = sm.aronsson_operator(half_square_1d(), pt)
-        assert out[0] == pytest.approx(4.0, abs=1e-14)
+        pt = one_row(0.0, [0.0], [2.0], [1.0])
+        out = sm.aronsson_operator(half_square_1d(), *pt)
+        assert out[0, 0] == pytest.approx(4.0, abs=1e-14)
 
     def test_point_width_must_match_model(self):
         """Unchecked, a 1-D model at a 2-D point returns [-2, -4]."""
-        pt = sm.SecondOrderPoint(0.2, [0.1, 0.2], [1.0, 2.0], [0.0, 0.0])
+        pt = one_row(0.2, [0.1, 0.2], [1.0, 2.0], [0.0, 0.0])
         with pytest.raises(sm.SupminError, match="value dimension 2 differs from the model "
                                                  "dimension 1"):
-            sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), pt)
+            sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), *pt)
+
+    @pytest.mark.parametrize("wide", ["value", "slope", "curvature"])
+    def test_row_widths_must_match_model(self, wide):
+        """Each of values, slopes and curvatures is checked against the model."""
+        rows = {name: np.zeros((3, 2 if name == wide else 1))
+                for name in ("value", "slope", "curvature")}
+        with pytest.raises(sm.SupminError, match=f"^{wide} dimension 2 differs from the model "
+                                                 "dimension 1$"):
+            sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), np.zeros(3), rows["value"],
+                                 rows["slope"], rows["curvature"])
+
+    @pytest.mark.parametrize("bad", ["value", "slope", "curvature"])
+    def test_rows_must_be_finite(self, bad):
+        """|p|^2 reads no value: a NaN one would pass through unnoticed."""
+        rows = {name: np.ones((3, 1)) for name in ("value", "slope", "curvature")}
+        rows[bad][1, 0] = np.nan
+        with pytest.raises(sm.SupminError, match=f"^{bad} must be finite$"):
+            sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), np.zeros(3), rows["value"],
+                                 rows["slope"], rows["curvature"])
 
     def test_vector_curvature_parallel_to_slope(self):
         # L = |p|^2: dp = 2p; with xx parallel to p the projected block dies,
@@ -67,8 +86,8 @@ class TestOperator:
         model = sm.PowerNormModel(2.0, [0.0, 0.0])
         p = np.array([1.0, 2.0])
         xx = 2.0 * p
-        pt = sm.SecondOrderPoint(0.0, [0.0, 0.0], p, xx)
-        out = sm.aronsson_operator(model, pt)
+        pt = one_row(0.0, [0.0, 0.0], p, xx)
+        out = sm.aronsson_operator(model, *pt)[0]
         oracle = 4.0 * float(p @ xx) * p
         np.testing.assert_allclose(out, oracle, rtol=1e-13)
         proj = sm.normal_projection(2.0 * p)
@@ -79,10 +98,10 @@ class TestOperator:
             model = random_builtin_model(rng, 1)
             x = rng.uniform(0.1, 0.9)
             eta, p, xx = rng.normal(size=3) * np.array([1.0, 3.0, 3.0])
-            jet = model.jet(x, [eta], [p])
-            if abs(jet.dp[0]) < 1e-6:
+            jet = model.jet_many(*one_row(x, [eta], [p]))
+            if abs(jet.dp[0, 0]) < 1e-6:
                 continue
-            out = sm.aronsson_operator(model, sm.SecondOrderPoint(x, [eta], [p], [xx]))
+            out = sm.aronsson_operator(model, *one_row(x, [eta], [p], [xx]))[0]
             oracle = scalar_aronsson_oracle(model, x, eta, p, xx)
             scale = 1.0 + abs(oracle)
             assert abs(out[0] - oracle) <= 1e-9 * scale
@@ -112,15 +131,15 @@ class TestOperator:
 
         h = 1e-5
         for x in (0.2, 0.3, 0.7):  # stay inside signal elements (knot at 0.5)
-            jet = model.jet(x, traj(x), traj_d(x))
-            g = lambda z: model.eval(z, traj(z), traj_d(z))
-            dp_of = lambda z: model.jet(z, traj(z), traj_d(z)).dp
+            jet = model.jet_many(*one_row(x, traj(x), traj_d(x))).map(lambda v: v[0])
+            g = lambda z: model.eval_many(*one_row(z, traj(z), traj_d(z)))[0]
+            dp_of = lambda z: model.jet_many(*one_row(z, traj(z), traj_d(z))).dp[0]
             dg = (g(x + h) - g(x - h)) / (2 * h)
             ddp = (dp_of(x + h) - dp_of(x - h)) / (2 * h)
             proj = sm.normal_projection(jet.dp)
             oracle = dg * jet.dp + jet.value * proj @ (ddp - jet.deta)
-            pt = sm.SecondOrderPoint(x, traj(x), traj_d(x), traj_dd(x))
-            out = sm.aronsson_operator(model, pt)
+            pt = one_row(x, traj(x), traj_d(x), traj_dd(x))
+            out = sm.aronsson_operator(model, *pt)[0]
             np.testing.assert_allclose(out, oracle, rtol=2e-5,
                                        atol=2e-5 * (1 + np.max(np.abs(oracle))))
 
@@ -129,10 +148,10 @@ class TestOperator:
             dim = int(rng.integers(1, 4))
             model = random_builtin_model(rng, dim)
             c = float(rng.uniform(0.5, 3.0))
-            pt = sm.SecondOrderPoint(rng.uniform(0, 1), rng.normal(size=dim),
-                                     rng.normal(size=dim), rng.normal(size=dim))
-            base = sm.aronsson_operator(model, pt)
-            scaled_out = sm.aronsson_operator(sm.ScaledModel(model, c), pt)
+            pt = one_row(rng.uniform(0, 1), rng.normal(size=dim), rng.normal(size=dim),
+                         rng.normal(size=dim))
+            base = sm.aronsson_operator(model, *pt)
+            scaled_out = sm.aronsson_operator(sm.ScaledModel(model, c), *pt)
             np.testing.assert_allclose(scaled_out, c**2 * base,
                                        rtol=1e-9, atol=1e-9 * (1 + np.max(np.abs(base))))
 

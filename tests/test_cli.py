@@ -258,6 +258,9 @@ class TestSolve:
         (dict(RADIAL, A=[0.0, 1.0]), "lagrangian: A must be a finite matrix"),
         (dict(MIN_NORMS, centers=[1.0, 0.0]), "lagrangian: centers must be a finite matrix"),
         (dict(POWER_NORM, offset=[[0.0, 0.0]]), "lagrangian: offset must be a finite vector"),
+        # a flat or empty list where a signal wants [x, value...] rows
+        (dict(da_lagrangian(), k=[0.0, 1.0]), "lagrangian.k: signal rows must be a finite matrix"),
+        (dict(da_lagrangian(), c=[]), "lagrangian.c: signal rows must be a finite matrix"),
     ])
     def test_malformed_model_rejected(self, tmp_path, capsys, lagrangian, message):
         """Fields of a model that disagree in rank or shape, or a model

@@ -81,7 +81,8 @@ class TestSupEnergy:
             sm.RadialModel(sm.radial_profile("shift", beta=0.5, gamma=1.7),
                            rng.normal(scale=0.3, size=(2, 2)), signal),
             sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
-            sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[1]) ** 2 * p[1] ** 4, dim=2),
+            sm.CustomModel(lambda x, e, p: (p[:, 0] - x) ** 2 + np.sin(e[:, 1]) ** 2 * p[:, 1] ** 4,
+                           dim=2),
         ]
         models.append(sm.ScaledModel(models[1], 3.0))
         for model in models:
@@ -325,8 +326,8 @@ class TestHessian:
                                                       rng.normal(scale=0.5, size=(2, 2)), signal),
             "min_norms": lambda: sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
             "custom": lambda: sm.CustomModel(
-                lambda x, e, p: (p[0] - x) ** 2 + (1.0 + np.sin(e[1]) ** 2) * p[1] ** 4
-                + e[0] ** 2 * p[0] ** 2, dim=2),
+                lambda x, e, p: (p[:, 0] - x) ** 2 + (1.0 + np.sin(e[:, 1]) ** 2) * p[:, 1] ** 4
+                + e[:, 0] ** 2 * p[:, 0] ** 2, dim=2),
             "scaled": lambda: sm.ScaledModel(da, 3.0),
         }[name]()
         grid = sm.Grid.uniform(0.0, 1.0, 9)

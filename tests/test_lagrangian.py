@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import supmin as sm
 
-from conftest import random_builtin_model
+from conftest import one_row, random_builtin_model
 
 
 def jet_block_errors(a, b):
@@ -131,38 +132,28 @@ def make_da(K, k_rows, A, c_rows):
 class TestEval:
     def test_power_norm_square(self):
         model = sm.PowerNormModel(2.0, [0.0, 0.0])
-        assert model.eval(0.3, [5.0, -1.0], [3.0, 4.0]) == 25.0
+        assert model.eval_many(*one_row(0.3, [5.0, -1.0], [3.0, 4.0]))[0] == 25.0
 
     def test_data_assimilation_zero_fields(self):
         model = make_da([[0.0]], [[0.0, 0.0], [1.0, 0.0]], [[0.0]],
                         [[0.0, 0.0], [1.0, 0.0]])
-        assert model.eval(0.5, [0.7], [1.0]) == 1.0
+        assert model.eval_many(*one_row(0.5, [0.7], [1.0]))[0] == 1.0
 
     def test_data_assimilation_hand_value(self):
         # |k(0.5) - eta|^2 + |p|^2 = (0.5 - 0.2)^2 + 1 = 1.09
         model = make_da([[1.0]], [[0.0, 0.0], [1.0, 1.0]], [[0.0]],
                         [[0.0, 0.0], [1.0, 0.0]])
-        assert model.eval(0.5, [0.2], [1.0]) == pytest.approx(1.09, abs=1e-15)
+        assert model.eval_many(*one_row(0.5, [0.2], [1.0]))[0] == pytest.approx(1.09, abs=1e-15)
 
     def test_negative_custom_raises(self):
-        bad = sm.CustomModel(lambda x, e, p: -1.0, dim=1)
+        bad = sm.CustomModel(lambda x, e, p: np.full(len(x), -1.0), dim=1)
         with pytest.raises(sm.SupminError, match="Lagrangian evaluation is negative"):
-            bad.eval(0.0, [0.0], [0.0])
+            bad.eval_many(*one_row(0.0, [0.0], [0.0]))
 
     def test_nonfinite_raises(self):
-        bad = sm.CustomModel(lambda x, e, p: np.inf, dim=1)
+        bad = sm.CustomModel(lambda x, e, p: np.full(len(x), np.inf), dim=1)
         with pytest.raises(sm.NonFinite):
-            bad.eval(0.0, [0.0], [0.0])
-
-    def test_row_width_must_match_model(self):
-        """|p - offset|^2 with a 1-entry offset broadcasts over a 2-entry p:
-        the row is rejected, not evaluated."""
-        model = sm.PowerNormModel(2.0, [0.0])
-        with pytest.raises(sm.SupminError, match="p dimension 2 differs from the model "
-                                                 "dimension 1"):
-            model.eval(0.2, [0.1], [1.0, 2.0])
-        with pytest.raises(sm.SupminError, match="eta dimension 2 differs"):
-            model.eval(0.2, [0.1, 0.2], [1.0])
+            bad.eval_many(*one_row(0.0, [0.0], [0.0]))
 
     @pytest.mark.parametrize("model, p", [
         (sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), 1e300), 1e10),
@@ -173,9 +164,9 @@ class TestEval:
         """An overflowing value or jet is a NonFinite error: never inf, and
         never a floating-point warning, which this suite turns into errors."""
         with pytest.raises(sm.NonFinite):
-            model.eval(0.0, [0.0], [p])
+            model.eval_many(*one_row(0.0, [0.0], [p]))
         with pytest.raises(sm.NonFinite):
-            model.jet(0.0, [0.0], [p])
+            model.jet_many(*one_row(0.0, [0.0], [p]))
 
     @pytest.mark.parametrize("model, p", [
         (make_da([[1.0, 0.0]], [[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]], [[0.0, 1.0], [-1.0, 0.0]],
@@ -202,7 +193,7 @@ class TestEval:
             etas = rng.normal(size=(7, dim))
             ps = rng.normal(size=(7, dim))
             many = model.eval_many(xs, etas, ps)
-            one = [model.eval(x, e, p) for x, e, p in zip(xs, etas, ps)]
+            one = [model.eval_many(xs[i:i + 1], etas[i:i + 1], ps[i:i + 1])[0] for i in range(7)]
             np.testing.assert_allclose(many, one, rtol=1e-13, atol=1e-13)
 
     def test_nonnegativity_sampling(self, rng):
@@ -217,35 +208,27 @@ class TestEval:
 
 class TestJet:
     def test_power_norm_square_jet(self):
-        jet = sm.PowerNormModel(2.0, [0.0, 0.0]).jet(0.1, [3.0, 1.0], [1.0, 2.0])
-        np.testing.assert_allclose(jet.dp, [2.0, 4.0], atol=1e-14)
-        np.testing.assert_allclose(jet.dpp, 2.0 * np.eye(2), atol=1e-14)
-        assert np.all(jet.deta == 0.0) and jet.dx == 0.0
-
-    def test_row_width_must_match_model(self):
-        """Unchecked, this jet of |p|^2 at 2-entry rows has dpp [[2, 2], [2, 2]]."""
-        model = sm.PowerNormModel(2.0, [0.0])
-        with pytest.raises(sm.SupminError, match="eta dimension 2 differs from the model "
-                                                 "dimension 1"):
-            model.jet(0.2, [0.1, 0.2], [1.0, 2.0])
+        jet = sm.PowerNormModel(2.0, [0.0, 0.0]).jet_many(*one_row(0.1, [3.0, 1.0], [1.0, 2.0]))
+        np.testing.assert_allclose(jet.dp[0], [2.0, 4.0], atol=1e-14)
+        np.testing.assert_allclose(jet.dpp[0], 2.0 * np.eye(2), atol=1e-14)
+        assert np.all(jet.deta[0] == 0.0) and jet.dx[0] == 0.0
 
     def test_da_minimum_at_velocity(self):
         v = [1.5, -0.5]
         model = make_da(np.zeros((1, 2)), [[0.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)),
                         [[0.0, *v], [1.0, *v]])
-        jet = model.jet(0.5, [0.3, 0.4], v)
-        assert jet.value == 0.0
-        np.testing.assert_allclose(jet.dp, 0.0, atol=1e-15)
+        jet = model.jet_many(*one_row(0.5, [0.3, 0.4], v))
+        assert jet.value[0] == 0.0
+        np.testing.assert_allclose(jet.dp[0], 0.0, atol=1e-15)
 
     def test_fd_matches_analytic_power_norm(self, rng):
         model = sm.PowerNormModel(2.0, [0.3, -0.7])
-        mirror = sm.CustomModel(lambda x, e, p: np.linalg.norm(p - np.array([0.3, -0.7])) ** 2, dim=2)
+        mirror = sm.CustomModel(
+            lambda x, e, p: np.linalg.norm(p - np.array([0.3, -0.7]), axis=1) ** 2, dim=2)
         worst = 0.0
         for _ in range(100):
-            x = rng.uniform(0.0, 1.0)
-            eta = rng.normal(size=2)
-            p = rng.normal(scale=2.0, size=2)
-            worst = max(worst, jet_block_errors(mirror.jet(x, eta, p), model.jet(x, eta, p)))
+            row = one_row(rng.uniform(0.0, 1.0), rng.normal(size=2), rng.normal(scale=2.0, size=2))
+            worst = max(worst, jet_block_errors(mirror.jet_many(*row), model.jet_many(*row)))
         assert worst < 1e-6
 
     def test_fd_consistency_all_builtins(self, rng):
@@ -266,8 +249,8 @@ class TestJet:
         """jet_many and eval_many on a batch equal their one-row calls stacked, bitwise."""
         models = [sm.PowerNormModel(2.0, [0.3, -0.7]), sm.PowerNormModel(1.5, [0.3, -0.7]),
                   sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
-                  sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[1]) ** 2 * p[1] ** 4,
-                                 dim=2)]
+                  sm.CustomModel(lambda x, e, p: (p[:, 0] - x) ** 2
+                                 + np.sin(e[:, 1]) ** 2 * p[:, 1] ** 4, dim=2)]
         for name in ("identity", "shift", "power"):
             models.append(sm.RadialModel(sm.radial_profile(name, beta=0.5, gamma=1.7),
                                          rng.normal(size=(2, 2)),
@@ -282,11 +265,12 @@ class TestJet:
         ps = rng.normal(scale=2.0, size=(9, 2))
         for model in models:
             full = model.jet_many(xs, etas, ps)
-            rows = [model.jet(x, e, p) for x, e, p in zip(xs, etas, ps)]
+            rows = [model.jet_many(xs[i:i + 1], etas[i:i + 1], ps[i:i + 1]) for i in range(9)]
             for f in dataclasses.fields(full):
-                stacked = np.stack([getattr(r, f.name) for r in rows])
+                stacked = np.concatenate([getattr(r, f.name) for r in rows])
                 assert np.array_equal(getattr(full, f.name), stacked), (type(model), f.name)
-            one = [model.eval(x, e, p) for x, e, p in zip(xs, etas, ps)]
+            one = np.concatenate([model.eval_many(xs[i:i + 1], etas[i:i + 1], ps[i:i + 1])
+                                  for i in range(9)])
             assert np.array_equal(model.eval_many(xs, etas, ps), one)
             # the jet's values are the batch's values, bitwise: the Newton step
             # reads its sample values from the jet
@@ -303,8 +287,8 @@ class TestJet:
         models = [
             sm.MinOfNormsModel(centers, exponent=1.7),
             # arctan2(0, p) tells -0.0 from +0.0
-            sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[-1]) ** 2 * p[-1] ** 4
-                           + np.cos(x * e[0]) ** 2 + np.arctan2(0.0, p[0]), dim=dim),
+            sm.CustomModel(lambda x, e, p: (p[:, 0] - x) ** 2 + np.sin(e[:, -1]) ** 2 * p[:, -1] ** 4
+                           + np.cos(x * e[:, 0]) ** 2 + np.arctan2(0.0, p[:, 0]), dim=dim),
             sm.PowerNormModel(2.5, rng.normal(size=dim)),
             sm.DataAssimilationModel(rng.normal(size=(2, dim)),
                                      sm.SampledSignal(knots, rng.normal(size=(5, 2))),
@@ -334,8 +318,8 @@ class TestJet:
         centers = rng.normal(size=(2, dim))
         models = [
             sm.MinOfNormsModel(centers, exponent=1.3),
-            sm.CustomModel(lambda x, e, p: (p[0] - x) ** 2 + np.sin(e[-1]) ** 2 * p[-1] ** 4
-                           + np.cos(x * e[0]) ** 2 + np.arctan2(0.0, p[0]), dim=dim),
+            sm.CustomModel(lambda x, e, p: (p[:, 0] - x) ** 2 + np.sin(e[:, -1]) ** 2 * p[:, -1] ** 4
+                           + np.cos(x * e[:, 0]) ** 2 + np.arctan2(0.0, p[:, 0]), dim=dim),
         ]
         xs = rng.uniform(-0.2, 1.2, size=11)
         etas = rng.normal(size=(11, dim))
@@ -369,16 +353,16 @@ class TestJet:
         assert np.array_equal(jet.dp[1], [0.0, 0.0])
 
     def test_fd_dpp_symmetric(self, rng):
-        fn = lambda x, e, p: (p[0] ** 2) * (p[1] + 2.0) ** 2 + x * e[0] ** 2
-        jet = sm.CustomModel(fn, dim=2).jet(0.4, [1.0, -1.0], [0.7, 0.3])
-        assert np.array_equal(jet.dpp, jet.dpp.T)
+        fn = lambda x, e, p: (p[:, 0] ** 2) * (p[:, 1] + 2.0) ** 2 + x * e[:, 0] ** 2
+        jet = sm.CustomModel(fn, dim=2).jet_many(*one_row(0.4, [1.0, -1.0], [0.7, 0.3]))
+        assert np.array_equal(jet.dpp[0], jet.dpp[0].T)
 
     def test_scaled_jets_scale_exactly(self, rng):
         base = sm.PowerNormModel(2.0, [0.0])
         doubled = sm.ScaledModel(base, 2.0)
-        j1 = base.jet(0.0, [0.0], [3.0])
-        j2 = doubled.jet(0.0, [0.0], [3.0])
-        assert j2.value == 2.0 * j1.value and np.array_equal(j2.dp, 2.0 * j1.dp)
+        j1 = base.jet_many(*one_row(0.0, [0.0], [3.0]))
+        j2 = doubled.jet_many(*one_row(0.0, [0.0], [3.0]))
+        assert j2.value[0] == 2.0 * j1.value[0] and np.array_equal(j2.dp, 2.0 * j1.dp)
 
 
 class TestRowNorms:
@@ -445,6 +429,45 @@ class TestSampledSignal:
         with pytest.raises(sm.SupminError):
             sm.SampledSignal.from_rows([[0.0, 1.0], [0.0, 2.0]])
 
+    @pytest.mark.parametrize("rows", [[0.0, 1.0], [], 0.0, [[[0.0, 1.0], [1.0, 2.0]]],
+                                      [[0.0, 1.0], [1.0, np.nan]]],
+                             ids=["flat", "empty", "scalar", "3-d", "nan"])
+    def test_rows_must_be_a_finite_matrix(self, rows):
+        """A flat list is not read as one [x, value] row."""
+        with pytest.raises(sm.SupminError, match="^signal rows must be a finite matrix$"):
+            sm.SampledSignal.from_rows(rows)
+
+
+class TestCustomModel:
+    """``fn`` takes every row of a batch in one call."""
+
+    @staticmethod
+    def counting_model(calls):
+        def fn(xs, etas, ps):
+            calls.append(len(xs))
+            return (ps[:, 0] - xs) ** 2 + np.sin(etas[:, 1]) ** 2 * ps[:, 1] ** 4
+        return sm.CustomModel(fn, dim=2)
+
+    def test_fn_called_once_per_batch(self, rng):
+        calls = []
+        model = self.counting_model(calls)
+        xs, etas, ps = rng.uniform(size=7), rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+        model.eval_many(xs, etas, ps)
+        assert calls == [7]
+        model.jet_many(xs, etas, ps)
+        assert calls == [7, 51 * 7]  # the finite-difference stencil at N = 2
+
+    @pytest.mark.parametrize("result, shape", [
+        (lambda xs: 1.0, "()"),
+        (lambda xs: np.ones((len(xs), 1)), "(7, 1)"),
+        (lambda xs: np.ones(len(xs) + 1), "(8,)"),
+    ], ids=["scalar", "column", "one_more"])
+    def test_result_of_another_shape_raises(self, result, shape):
+        model = sm.CustomModel(lambda x, e, p: result(x), dim=1)
+        message = re.escape(f"custom model fn returned shape {shape}, expected (7,)")
+        with pytest.raises(sm.SupminError, match=message):
+            model.eval_many(np.zeros(7), np.zeros((7, 1)), np.zeros((7, 1)))
+
 
 class TestLevelConvexity:
     def test_power_norm_passes(self):
@@ -462,23 +485,24 @@ class TestLevelConvexity:
         res = sm.check_level_convexity(model, sm.SamplePlan(num_triples=500, seed=3))
         assert not res.passed
         for w in res.witnesses:
-            mixed = model.eval(w.x, w.eta, w.lam * w.p1 + (1 - w.lam) * w.p2)
+            mixed = model.eval_many(*one_row(w.x, w.eta, w.lam * w.p1 + (1 - w.lam) * w.p2))[0]
             assert mixed > w.end_max + 1e-9 * (1.0 + w.end_max)
 
     def test_min_norms_brute_force_oracle(self):
         # independent grid scan certifies the midpoint witness at p1=-2, p2=2
         model = sm.MinOfNormsModel([[2.0], [-2.0]], exponent=1.0)
+        L = lambda p: model.eval_many(*one_row(0.0, [0.0], [p]))[0]
         found = False
         for p1 in np.linspace(-3, 3, 13):
             for p2 in np.linspace(-3, 3, 13):
                 for lam in np.linspace(0.0, 1.0, 5):
                     mix = lam * p1 + (1 - lam) * p2
-                    lhs = model.eval(0.0, [0.0], [mix])
-                    rhs = max(model.eval(0.0, [0.0], [p1]), model.eval(0.0, [0.0], [p2]))
+                    lhs = L(mix)
+                    rhs = max(L(p1), L(p2))
                     if lhs > rhs + 1e-9:
                         found = True
         assert found
-        assert model.eval(0.0, [0.0], [0.0]) == 2.0  # the canonical midpoint witness
+        assert L(0.0) == 2.0  # the canonical midpoint witness
 
     def test_overflowing_model_raises(self):
         """A model whose every sample overflows is not certified."""
@@ -492,6 +516,7 @@ class TestLevelConvexity:
         """Block sampling reproduces the per-triple rng.uniform draws, the
         one-point evaluations and the witness order of a plain loop."""
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
+        L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
         plan = sm.SamplePlan(num_triples=1500, box=sm.Box(x=(0.25, 2.0)), t_levels=3, seed=9)
         rng = np.random.default_rng(plan.seed)
         lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
@@ -501,9 +526,9 @@ class TestLevelConvexity:
             eta = rng.uniform(*plan.box.eta, size=2)
             p1 = rng.uniform(*plan.box.p, size=2)
             p2 = rng.uniform(*plan.box.p, size=2)
-            end_max = max(model.eval(x, eta, p1), model.eval(x, eta, p2))
+            end_max = max(L(x, eta, p1), L(x, eta, p2))
             for lam in lams:
-                mixed = model.eval(x, eta, lam * p1 + (1.0 - lam) * p2)
+                mixed = L(x, eta, lam * p1 + (1.0 - lam) * p2)
                 if mixed > end_max + sm.lagrangian.sample_tolerance(end_max):
                     expected.append([x, *eta, *p1, *p2, lam, mixed, end_max])
         got = [[w.x, *w.eta, *w.p1, *w.p2, w.lam, w.mixed_value, w.end_max]
@@ -544,6 +569,7 @@ class TestGrowthBounds:
     def test_matches_per_sample_loop(self):
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
         growth = sm.GrowthParams(0.6, 0.5, 0.2, 2.0, 2.0, lambda x, eta: 0.5 + x)
+        L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
         plan = sm.SamplePlan(num_triples=5000, seed=11)
         rng = np.random.default_rng(plan.seed)
         expected = []
@@ -551,7 +577,7 @@ class TestGrowthBounds:
             x = float(rng.uniform(*plan.box.x))
             eta = rng.uniform(*plan.box.eta, size=2)
             p = rng.uniform(*plan.box.p, size=2)
-            val = model.eval(x, eta, p)
+            val = L(x, eta, p)
             pn = np.linalg.norm(p, axis=-1)
             lower = growth.c1 * pn**growth.q - growth.c2
             upper = (0.5 + x) * pn**growth.r + growth.c3
@@ -607,10 +633,30 @@ class TestGrowthBounds:
 
     def test_nonfinite_envelope_raises(self):
         growth = sm.GrowthParams(0.0, 0.0, 0.0, 2.0, 2.0,
-                                 lambda x, eta: np.nan if x > 0.5 else 1.0)
+                                 lambda x, eta: np.where(x > 0.5, np.nan, 1.0))
         with pytest.raises(sm.NonFinite, match="growth envelope h_bound is not finite"):
             sm.check_growth_bounds(sm.PowerNormModel(4.0, [0.0]), growth,
                                    sm.SamplePlan(num_triples=200))
+
+    def test_callable_h_bound_called_once_per_sample_block(self):
+        blocks = []
+
+        def h(x, eta):
+            blocks.append((x.shape, eta.shape))
+            return 0.5 + x
+
+        growth = sm.GrowthParams(0.6, 0.5, 0.2, 2.0, 2.0, h)
+        rows = sm.lagrangian._SAMPLE_ROWS
+        plan = sm.SamplePlan(num_triples=rows + 100, seed=11)
+        sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0, 0.0]), growth, plan)
+        assert blocks == [((rows,), (rows, 2)), ((100,), (100, 2))]
+
+    def test_h_bound_result_of_another_shape_raises(self):
+        growth = sm.GrowthParams(0.0, 0.0, 0.0, 2.0, 2.0, lambda x, eta: 1.0)
+        with pytest.raises(sm.SupminError, match=re.escape("h_bound returned shape (), "
+                                                           "expected (50,)")):
+            sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0]), growth,
+                                   sm.SamplePlan(num_triples=50))
 
 
 class TestCheckResult:
