@@ -52,11 +52,15 @@ def aronsson_operator(model: LagrangianModel, xs, values, slopes, curvatures) ->
     """The operator at rows of points, shape (M, N), from one batched jet.
 
     ``xs`` is (M,); ``values``, ``slopes`` and ``curvatures`` are (M, N).
-    A width other than the model's ``dim`` or a non-finite entry raises
-    SupminError: a model that does not read a value would not notice it.
+    A width other than the model's ``dim``, a row count other than the
+    length of ``xs`` or a non-finite entry raises SupminError: a model
+    broadcasts a single x over every row, and one that does not read a
+    value would not notice it.
     """
     check_width(model, value=values, slope=slopes, curvature=curvatures)
     for name, rows in (("value", values), ("slope", slopes), ("curvature", curvatures)):
+        if len(rows) != len(xs):
+            raise SupminError(f"{name} has {len(rows)} rows, xs has length {len(xs)}")
         if not np.all(np.isfinite(rows)):
             raise SupminError(f"{name} must be finite")
     jet = model.jet_many(xs, values, slopes)

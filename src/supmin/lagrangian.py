@@ -543,9 +543,9 @@ class ScaledModel(LagrangianModel):
 
 # Points per eval_many call of the samplers.  A call's temporaries grow with
 # its rows: ``check`` of the min-norms benchmark config (140,000 level-convexity
-# points) peaks 9.5 MB higher in blocks of 100,000 points than in blocks of 64,
-# and 0.3 MB higher in blocks of 4,096.  So the samplers evaluate in blocks of
-# whole samples up to this many points.
+# points) peaks 8.3 MB higher in blocks of 100,000 points than in blocks of 64,
+# and 0.4 MB higher in blocks of 4,096 (peak RSS).  So the samplers evaluate in
+# blocks of whole samples up to this many points.
 _SAMPLE_ROWS = 4096
 
 
@@ -632,35 +632,33 @@ def _sample_blocks(plan: SamplePlan, dim: int, num_p: int, points_per_sample: in
         yield s[:, 0], s[:, 1 : 1 + dim], s[:, 1 + dim :].reshape(-1, num_p, dim)
 
 
-def _eval_points(model: LagrangianModel, x, eta, points) -> np.ndarray:
-    """L at points (k, R, N), each taken with its sample's x and eta: (k, R)."""
-    k, r, n = points.shape
-    return model.eval_many(np.repeat(x, r), np.repeat(eta, r, axis=0),
-                           points.reshape(k * r, n)).reshape(k, r)
-
-
 def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None) -> CheckResult:
     """Sample segments in p-space and flag L(mix) > max(L(p1), L(p2)) + tol,
     tol = ``sample_tolerance(max(L(p1), L(p2)))``; each flagged mix is a
-    ``LevelConvexityWitness``.
+    ``LevelConvexityWitness``, by sample, then by lambda.  Each block of k
+    samples is one ``eval_many`` call of at most ``_SAMPLE_ROWS`` rows, in
+    order of point kind: the k p1's, the k p2's, then the k mixes of each
+    lambda, each row with its sample's x and eta.
 
     Necessary-only evidence: a pass certifies nothing beyond the samples.
     """
     plan = plan or SamplePlan()
     lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
+    kinds = 2 + lams.size
     witnesses = []
-    for x, eta, ends in _sample_blocks(plan, model.dim, 2, 2 + lams.size):
-        p1, p2 = ends[:, :1], ends[:, 1:]
-        mixes = lams[:, None] * p1 + (1.0 - lams)[:, None] * p2
-        values = _eval_points(model, x, eta, np.concatenate([ends, mixes], axis=1))
-        end_max = np.max(values[:, :2], axis=1)
-        mixed = values[:, 2:]
-        bad = mixed > (end_max + sample_tolerance(end_max))[:, None]
-        witnesses += [
-            LevelConvexityWitness(float(x[i]), eta[i].copy(), p1[i, 0].copy(), p2[i, 0].copy(),
-                                  float(lams[j]), float(mixed[i, j]), float(end_max[i]))
-            for i, j in zip(*np.nonzero(bad))
-        ]
+    for x, eta, ends in _sample_blocks(plan, model.dim, 2, kinds):
+        points = np.empty((kinds, len(x), model.dim))
+        for j in range(model.dim):
+            p1, p2 = ends[:, 0, j], ends[:, 1, j]
+            points[0, :, j], points[1, :, j] = p1, p2
+            points[2:, :, j] = np.multiply.outer(lams, p1) + np.multiply.outer(1.0 - lams, p2)
+        values = model.eval_many(np.tile(x, kinds), np.tile(eta, (kinds, 1)),
+                                 points.reshape(-1, model.dim)).reshape(kinds, -1)
+        end_max = np.maximum(values[0], values[1])
+        mixed = values[2:]
+        i, j = np.nonzero((mixed > end_max + sample_tolerance(end_max)).T)
+        witnesses += map(LevelConvexityWitness, x[i].tolist(), eta[i], ends[i, 0], ends[i, 1],
+                         lams[j].tolist(), mixed[j, i].tolist(), end_max[i].tolist())
     return CheckResult(witnesses)
 
 
@@ -690,7 +688,7 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
     witnesses = []
     for x, eta, ps in _sample_blocks(plan, model.dim, 1, 1):
         p = ps[:, 0]
-        val = _eval_points(model, x, eta, ps)[:, 0]
+        val = model.eval_many(x, eta, p)
         h = growth.h_bound
         if callable(h):
             h = _user_rows(h(x, eta), len(x), "h_bound")
@@ -702,12 +700,10 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
             # a zero coefficient makes a zero term, also where its power overflows
             lower, upper = (np.where(c == 0, 0.0, c * pn**e)
                             for c, e in ((growth.c1, growth.q), (h, growth.r)))
-        bounds = np.column_stack([lower - growth.c2, upper + growth.c3])
-        slack = np.column_stack([val - bounds[:, 0], bounds[:, 1] - val])
-        margins = np.minimum(margins, slack.min(axis=0))
-        witnesses += [
-            GrowthWitness(float(x[i]), eta[i].copy(), p[i].copy(), float(val[i]),
-                          float(bounds[i, j]), _SIDES[j])
-            for i, j in zip(*np.nonzero(slack < -sample_tolerance(val)[:, None]))
-        ]
+        bounds = np.stack([lower - growth.c2, upper + growth.c3])
+        slack = np.stack([val - bounds[0], bounds[1] - val])
+        margins = np.minimum(margins, slack.min(axis=1))
+        i, side = np.nonzero((slack < -sample_tolerance(val)).T)
+        witnesses += map(GrowthWitness, x[i].tolist(), eta[i], p[i], val[i].tolist(),
+                         bounds[side, i].tolist(), (_SIDES[s] for s in side))
     return CheckResult(witnesses, dict(zip(_SIDES, margins.tolist())))

@@ -71,6 +71,25 @@ class TestOperator:
             sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), np.zeros(3), rows["value"],
                                  rows["slope"], rows["curvature"])
 
+    def test_row_count_must_match_xs(self):
+        """Unchecked, DA-rot broadcasts the one x over three rows of values,
+        slopes and curvatures and returns a (3, 2) result."""
+        model = sm.DataAssimilationModel(
+            [[1.0, 0.0]], sm.SampledSignal.from_rows([[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]]),
+            [[0.0, 1.0], [-1.0, 0.0]],
+            sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 0.0]]))
+        rows = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(sm.SupminError, match=r"^value has 3 rows, xs has length 1$"):
+            sm.aronsson_operator(model, np.zeros(1), rows, rows, rows)
+
+    @pytest.mark.parametrize("short", ["value", "slope", "curvature"])
+    def test_each_row_count_is_checked(self, short):
+        rows = {name: np.zeros((2 if name == short else 3, 1))
+                for name in ("value", "slope", "curvature")}
+        with pytest.raises(sm.SupminError, match=f"^{short} has 2 rows, xs has length 3$"):
+            sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), np.zeros(3), rows["value"],
+                                 rows["slope"], rows["curvature"])
+
     @pytest.mark.parametrize("bad", ["value", "slope", "curvature"])
     def test_rows_must_be_finite(self, bad):
         """|p|^2 reads no value: a NaN one would pass through unnoticed."""

@@ -129,6 +129,80 @@ def make_da(K, k_rows, A, c_rows):
     )
 
 
+def da_model(n):
+    """DA-rot's model at N = 2; at another N, one with DA-rot's signal knots
+    and fields drawn from a generator seeded with N."""
+    if n == 2:
+        K, A, c = [[1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]]
+    else:
+        rng = np.random.default_rng(n)
+        K, A = rng.normal(size=(1, n)), rng.normal(scale=0.5, size=(n, n))
+        c = rng.normal(size=(3, n))
+    return make_da(K, [[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]], A,
+                   np.column_stack([[0.0, 0.5, 1.0], c]))
+
+
+def two_wells(n):
+    """min(L(x, eta, p), L(x, eta, p + 2)) for ``da_model(n)``: a model that
+    reads x and eta and is not level-convex in p."""
+    da = da_model(n)
+    return sm.CustomModel(lambda xs, etas, ps: np.minimum(da.eval_many(xs, etas, ps),
+                                                          da.eval_many(xs, etas, ps + 2.0)), n)
+
+
+def assert_matches_per_triple_loop(model, plan):
+    """``check_level_convexity`` finds the witnesses of a plain loop over
+    triples, per-triple ``rng.uniform`` draws and one ``eval_many`` call
+    per point, in its order, and more than ten of them."""
+    L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
+    rng = np.random.default_rng(plan.seed)
+    lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
+    expected = []
+    for _ in range(plan.num_triples):
+        x = float(rng.uniform(*plan.box.x))
+        eta = rng.uniform(*plan.box.eta, size=model.dim)
+        p1 = rng.uniform(*plan.box.p, size=model.dim)
+        p2 = rng.uniform(*plan.box.p, size=model.dim)
+        end_max = max(L(x, eta, p1), L(x, eta, p2))
+        for lam in lams:
+            mixed = L(x, eta, lam * p1 + (1.0 - lam) * p2)
+            if mixed > end_max + sm.lagrangian.sample_tolerance(end_max):
+                expected.append([x, *eta, *p1, *p2, lam, mixed, end_max])
+    got = [[w.x, *w.eta, *w.p1, *w.p2, w.lam, w.mixed_value, w.end_max]
+           for w in sm.check_level_convexity(model, plan).witnesses]
+    assert len(expected) > 10 and got == expected
+
+
+def assert_matches_per_sample_loop(model, growth, plan):
+    """``check_growth_bounds`` finds the witnesses of a plain loop over
+    samples, per-sample ``rng.uniform`` draws and one ``eval_many`` call per
+    point, in its order, and among them witnesses of both sides."""
+    L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
+    h = growth.h_bound
+    rng = np.random.default_rng(plan.seed)
+    expected = []
+    for _ in range(plan.num_triples):
+        x = float(rng.uniform(*plan.box.x))
+        eta = rng.uniform(*plan.box.eta, size=model.dim)
+        p = rng.uniform(*plan.box.p, size=model.dim)
+        val = L(x, eta, p)
+        pn = np.linalg.norm(p, axis=-1)
+        lower = growth.c1 * pn**growth.q - growth.c2
+        upper = float(h(np.array([x]), eta[None])[0]) * pn**growth.r + growth.c3
+        tol = 1e-9 * (1.0 + abs(val))
+        if val - lower < -tol:
+            expected.append(([x, *eta, *p, val, "lower"], lower))
+        if upper - val < -tol:
+            expected.append(([x, *eta, *p, val, "upper"], upper))
+    res = sm.check_growth_bounds(model, growth, plan)
+    assert {row[-1] for row, _ in expected} == {"lower", "upper"}
+    assert [[w.x, *w.eta, *w.p, w.value, w.side] for w in res.witnesses] == [
+        row for row, _ in expected]
+    # array and scalar powers may round differently in the last bit
+    np.testing.assert_allclose([w.bound for w in res.witnesses],
+                               [bound for _, bound in expected], rtol=4 * np.finfo(float).eps)
+
+
 class TestEval:
     def test_power_norm_square(self):
         model = sm.PowerNormModel(2.0, [0.0, 0.0])
@@ -516,24 +590,18 @@ class TestLevelConvexity:
         """Block sampling reproduces the per-triple rng.uniform draws, the
         one-point evaluations and the witness order of a plain loop."""
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
-        L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
         plan = sm.SamplePlan(num_triples=1500, box=sm.Box(x=(0.25, 2.0)), t_levels=3, seed=9)
-        rng = np.random.default_rng(plan.seed)
-        lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
-        expected = []
-        for _ in range(plan.num_triples):
-            x = float(rng.uniform(*plan.box.x))
-            eta = rng.uniform(*plan.box.eta, size=2)
-            p1 = rng.uniform(*plan.box.p, size=2)
-            p2 = rng.uniform(*plan.box.p, size=2)
-            end_max = max(L(x, eta, p1), L(x, eta, p2))
-            for lam in lams:
-                mixed = L(x, eta, lam * p1 + (1.0 - lam) * p2)
-                if mixed > end_max + sm.lagrangian.sample_tolerance(end_max):
-                    expected.append([x, *eta, *p1, *p2, lam, mixed, end_max])
-        got = [[w.x, *w.eta, *w.p1, *w.p2, w.lam, w.mixed_value, w.end_max]
-               for w in sm.check_level_convexity(model, plan).witnesses]
-        assert len(expected) > 10 and got == expected
+        assert_matches_per_triple_loop(model, plan)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_triple_loop_with_x_and_eta(self, n):
+        """The same for a model that reads x and eta, the lower envelope of
+        two data-assimilation wells, across more than one sample block: each
+        point of a block is taken with its own sample's x and eta."""
+        model = two_wells(n)
+        box = sm.Box(x=(0.25, 2.0), eta=(-1.0, 1.0), p=(-2.0, 2.0))
+        assert_matches_per_triple_loop(
+            model, sm.SamplePlan(num_triples=1000, box=box, t_levels=4, seed=9))
 
 
 class TestGrowthBounds:
@@ -569,30 +637,15 @@ class TestGrowthBounds:
     def test_matches_per_sample_loop(self):
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
         growth = sm.GrowthParams(0.6, 0.5, 0.2, 2.0, 2.0, lambda x, eta: 0.5 + x)
-        L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
-        plan = sm.SamplePlan(num_triples=5000, seed=11)
-        rng = np.random.default_rng(plan.seed)
-        expected = []
-        for _ in range(plan.num_triples):
-            x = float(rng.uniform(*plan.box.x))
-            eta = rng.uniform(*plan.box.eta, size=2)
-            p = rng.uniform(*plan.box.p, size=2)
-            val = L(x, eta, p)
-            pn = np.linalg.norm(p, axis=-1)
-            lower = growth.c1 * pn**growth.q - growth.c2
-            upper = (0.5 + x) * pn**growth.r + growth.c3
-            tol = 1e-9 * (1.0 + abs(val))
-            if val - lower < -tol:
-                expected.append(([x, *eta, *p, val, "lower"], lower))
-            if upper - val < -tol:
-                expected.append(([x, *eta, *p, val, "upper"], upper))
-        res = sm.check_growth_bounds(model, growth, plan)
-        assert {row[-1] for row, _ in expected} == {"lower", "upper"}
-        assert [[w.x, *w.eta, *w.p, w.value, w.side] for w in res.witnesses] == [
-            row for row, _ in expected]
-        # array and scalar powers may round differently in the last bit
-        np.testing.assert_allclose([w.bound for w in res.witnesses],
-                                   [bound for _, bound in expected], rtol=4 * np.finfo(float).eps)
+        assert_matches_per_sample_loop(model, growth, sm.SamplePlan(num_triples=5000, seed=11))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_sample_loop_with_x_and_eta(self, n):
+        """The same for a data-assimilation model (DA-rot at N = 2), which
+        reads x and eta, with constants that give witnesses on both sides."""
+        growth = sm.GrowthParams(0.3, 1.0, 1.0, 2.0, 2.0, lambda x, eta: 1.0 + x)
+        assert_matches_per_sample_loop(da_model(n), growth,
+                                       sm.SamplePlan(num_triples=5000, seed=11))
 
     def test_zero_coefficient_term_is_zero_where_the_power_overflows(self):
         """L = |p|^2 against the upper bound 0 * |p|^3 at |p| ~ 1e150: the

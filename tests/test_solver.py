@@ -293,6 +293,22 @@ class TestNewtonDirection:
         for solved, system in zip(np.split(got, 3), systems):
             assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
 
+    @pytest.mark.parametrize("draw", range(4))
+    def test_block_solve_batch_of_padded_sizes_matches_each_alone(self, draw):
+        """Systems of 1, 5 and 17 blocks, padded to 1, 7 and 31 rows, in one
+        stack: each is solved at its own padded size, bit for bit as alone.
+        (Padded to 31 rows, the smaller ones would differ in the last bits
+        for some draws.)"""
+        rng = np.random.default_rng([draw, 20240811])
+        systems = [self.system(rng, k, 2, 1) for k in (1, 5, 17)]
+        diags, uppers, rhss = zip(*systems)
+        zero = np.zeros((1, 2, 2))
+        upper = np.concatenate([uppers[0], zero, uppers[1], zero, uppers[2]])
+        got = _stacked_solve(np.concatenate(diags), upper, np.concatenate(rhss),
+                             np.array([0, 1, 6]))
+        for solved, system in zip(np.split(got, [1, 6]), systems):
+            assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
+
     @pytest.mark.parametrize("singular", [(1,), (0, 2), (0, 1, 2)])
     def test_singular_systems_keep_nan_rows(self, singular, rng):
         """A singular system of a batch, here one of zero blocks, gets NaN
