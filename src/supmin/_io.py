@@ -9,8 +9,8 @@ one CSV writer.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -21,39 +21,64 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
+def _encode(obj, pad: str, out: list) -> None:
+    """Append the text of ``obj`` to ``out``, nested lines indented by
+    ``pad`` and two more spaces per level.
+
+    The scalars that make up most of an artifact are dispatched on their
+    exact type; the rest, numpy's scalars and arrays included, by
+    ``isinstance``, ``bool`` before ``int``.
+    """
+    kind = type(obj)
+    if kind is float:
+        out.append(fmt_float(obj))
+    elif kind is str:
+        out.append(encode_basestring(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), pad, out)
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [_encode(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+            out.append("[]")
+            return
+        inner, sep = pad + "  ", "[\n"
+        for value in obj:
+            out.extend((sep, inner))
+            _encode(value, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{pad_in}{_encode(str(k), indent, 0)}: {_encode(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{\n"
+        for key, value in obj.items():
+            out.extend((sep, inner, encode_basestring(str(key)), ": "))
+            _encode(value, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {kind!r}")
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+def dumps_canonical(obj) -> str:
+    """``obj`` as JSON text, indented two spaces per level, ending in a
+    newline; built in one pass."""
+    out = []
+    _encode(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _cell(v) -> str:

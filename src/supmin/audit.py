@@ -16,7 +16,7 @@ finite family of approximating paths against a limit path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,7 +101,8 @@ class AuditReport:
             "violations": self.violations,
             "max_deficit": self.max_deficit,
             "solve_totals": self.solve_totals,
-            "subintervals": [asdict(e) for e in self.entries],
+            "subintervals": [{f.name: getattr(e, f.name) for f in fields(e)}
+                             for e in self.entries],
         }
 
 

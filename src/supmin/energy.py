@@ -23,14 +23,16 @@ block-tridiagonal part of the Hessian with one ``jet_many`` call, whose
 values are the samples again: element e reads only nodes e and e + 1, so
 only neighbouring nodes are coupled.  Each problem's largest sample, power
 sum and root are segment reductions, rounded as that problem alone would
-round them.  The solver builds one rule per batch of solves and hands it
-nothing but the iterates' nodal values; ``power_energy``,
-``power_energy_gradient`` and ``sup_energy`` are one-call wrappers around a
-rule of one problem.
+round them.  The solver builds one rule per batch of solves, hands it
+nothing but the iterates' nodal values, and takes from it the layout of the
+batch's block systems (``block_layout``), built once per rule.
+``power_energy``, ``power_energy_gradient`` and ``sup_energy`` are one-call
+wrappers around a rule of one problem.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +75,56 @@ def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     the rest, where ``np.sum`` sums all of it pairwise, so a zero goes ahead
     of every segment.
     """
-    flat = values.reshape(len(values), -1)
-    width = flat.shape[1]
-    padded = np.insert(flat.ravel(), starts * width, 0.0)
-    return np.add.reduceat(padded, starts * width + np.arange(len(starts)))
+    flat = values.ravel()
+    heads = starts * (flat.size // len(values)) + np.arange(len(starts))
+    padded = np.zeros(flat.size + len(starts))
+    kept = np.ones(padded.size, dtype=bool)
+    kept[heads] = False
+    padded[kept] = flat
+    return np.add.reduceat(padded, heads)
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Where a stack of uncoupled block-tridiagonal systems goes in a
+    batched block solve, worked out once per stack by ``block_layout``.
+
+    System k begins at row ``starts[k]``, and ``system`` is the system of
+    each row.  A system of K rows is padded to 2^p - 1 rows, p =
+    ``K.bit_length()``, and ``batches`` holds one entry per padded size,
+    ascending: ``(size, count, rows, slots, links, link_slots)``, the number
+    of systems of that size, their rows in the stack and their slots in the
+    flattened (count, size) batch, then their couplings in the stack, where
+    coupling i joins rows i and i + 1, and their slots in the flattened
+    (count, size + 1) batch, where coupling i joins rows i - 1 and i, so a
+    system's first is zero.
+    """
+
+    starts: np.ndarray
+    system: np.ndarray
+    batches: list
+
+
+def block_layout(system: np.ndarray) -> BlockLayout:
+    """The ``BlockLayout`` of the systems whose rows are numbered by
+    ``system``: ascending, each system's rows contiguous."""
+    counts = np.bincount(system)
+    starts = np.cumsum(counts) - counts
+    padded = np.array([(1 << k.bit_length()) - 1 for k in counts.tolist()])
+    batches = []
+    for size in sorted(set(padded.tolist())):
+        members = padded == size
+        first, count = starts[members], counts[members]
+        at = np.arange(len(count))
+        batches.append((size, len(count), _ranges(first, count), _ranges(at * size, count),
+                        _ranges(first, count - 1), _ranges(at * (size + 1) + 1, count - 1)))
+    return BlockLayout(starts, system, batches)
+
+
+def _ranges(firsts, counts):
+    """The concatenated ranges firsts[k], ..., firsts[k] + counts[k] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
 
 
 @dataclass(frozen=True)
@@ -138,8 +186,15 @@ class MidpointPowerRule:
         self.clamped = (nodes <= alpha) | (nodes >= beta)
         self.spans = (bounds[:, 1] - bounds[:, 0]).tolist()
         self.elem_starts = np.searchsorted(idx, self.node_starts)
-        # the problem of each element
+        # the problem of each node and of each element
+        self.node_problem = node_problem
         self.elem_problem = node_problem[idx]
+
+    @functools.cached_property
+    def layout(self) -> BlockLayout:
+        """The ``BlockLayout`` of the element part of the Hessian, one
+        system per problem, built at its first use."""
+        return block_layout(self.node_problem)
 
     def _points(self, model: LagrangianModel, values: np.ndarray):
         """The map's value and slope at every element's sample point of the

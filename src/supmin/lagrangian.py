@@ -35,7 +35,7 @@ config carries its ``lagrangian.growth`` block to ``check_growth_bounds``.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -604,8 +604,8 @@ class CheckResult:
         if self.worst_margins is not None:
             doc["worst_margins"] = self.worst_margins
         doc["witness_count"] = len(self.witnesses)
-        doc["witnesses"] = [{"lambda" if key == "lam" else key: value
-                             for key, value in asdict(w).items()} for w in self.witnesses[:20]]
+        doc["witnesses"] = [{"lambda" if f.name == "lam" else f.name: getattr(w, f.name)
+                             for f in fields(w)} for w in self.witnesses[:20]]
         return doc
 
 

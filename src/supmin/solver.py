@@ -21,6 +21,9 @@ grids of all pending calls of one kind and order and serves them with one
 call, the lowest order first.  So a round of solves makes one
 ``jet_many`` call, one block solve per padded system size and one
 ``eval_many`` call per line-search step, however many problems it holds.
+A rule works out where its problems' block systems go in those solves
+once, at its first Newton round (``MidpointPowerRule.layout``), and every
+later round of the same problems reuses it.
 ``m_sweep_many`` runs sweeps this way, every restart of each; the audit
 runs all its subintervals as one such batch.  ``minimize_power`` is one
 ``_newton`` run alone, and ``m_sweep`` the batch of one sweep.  A
@@ -291,7 +294,7 @@ def _lockstep(model, solves) -> list:
         starts = rule.node_starts
         grad, hessian = rule.derivatives(model, values(ids))
         sigma = (order - 1) / np.array([requests[i][4] for i in ids])
-        d = _newton_direction(grad, hessian, sigma, starts)
+        d = _newton_direction(grad, hessian, sigma, rule.layout)
         slopes = segment_sums(d * grad, starts).tolist()
         with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
             grad_sq = segment_sums(grad * grad, starts).tolist()
@@ -351,10 +354,11 @@ def _attributed(run, ids, error=NonFinite):
         return rest, (run(rest) if rest else None), failed
 
 
-def _newton_direction(grad, hessian, sigma, starts=(0,)):
+def _newton_direction(grad, hessian, sigma, layout):
     """The Newton direction -H^{-1} grad of the normalized root, one row per
     node, or NaN rows where the element part of H is singular, for a stack
-    of problems whose first nodes are ``starts``, one sigma each.
+    of problems laid out by ``layout`` (``MidpointPowerRule.layout``), one
+    sigma each.
 
     ``hessian`` is the block-tridiagonal element part B = (diag, upper) of
     H from ``MidpointPowerRule.derivatives``, and H is B minus the rank-one
@@ -372,58 +376,47 @@ def _newton_direction(grad, hessian, sigma, starts=(0,)):
     back to steepest descent.
     """
     diag, upper = hessian
-    starts = np.asarray(starts)
     with np.errstate(all="ignore"):  # a singular or indefinite H fails the descent test
-        z = _stacked_solve(diag, upper, grad[:, :, None], starts)[:, :, 0]
-        scale = 1.0 - sigma * segment_sums(grad * z, starts)
+        z = _stacked_solve(diag, upper, grad[:, :, None], layout)[:, :, 0]
+        scale = 1.0 - sigma * segment_sums(grad * z, layout.starts)
         scale = np.where(scale <= 0.0, 1.0, scale)
-        return -z / np.repeat(scale, np.diff(starts, append=len(grad)))[:, None]
+        return -z / scale[layout.system][:, None]
 
 
-def _stacked_solve(diag, upper, rhs, starts):
-    """B^{-1} rhs for a stack of uncoupled block-tridiagonal systems, the
-    k-th beginning at row ``starts[k]``, with NaN rows for a singular one.
+def _stacked_solve(diag, upper, rhs, layout):
+    """B^{-1} rhs for a stack of uncoupled block-tridiagonal systems laid
+    out by ``layout`` (``energy.block_layout``), with NaN rows for a
+    singular one.
 
-    A system of K rows is padded to 2^p - 1 rows, p = ``K.bit_length()``,
-    with identity pivots, zero couplings and zero right-hand sides, and
-    systems of one padded size are solved as one batch
-    (``_block_tridiagonal_solve``).  Each is laid out exactly as it would
-    be alone, so a system's solution does not depend on the others.  When
-    a batch raises ``LinAlgError``, ``_attributed`` finds the singular
-    systems, and the rest are solved without them.
+    Each system is padded to its layout's size with identity pivots, zero
+    couplings and zero right-hand sides, and the systems of one padded size
+    are solved as one batch (``_block_tridiagonal_solve``).  Each is laid
+    out exactly as it would be alone, so a system's solution does not
+    depend on the others.  The layout is worked out once per stack, so a
+    call only scatters, solves and gathers.  When a batch raises
+    ``LinAlgError``, ``_attributed`` finds the singular systems, and the
+    rest are solved without them.
     """
-    counts = np.diff(starts, append=len(rhs))
-    padded = np.array([(1 << k.bit_length()) - 1 for k in counts.tolist()])
     out = np.empty_like(rhs)
     n, c = rhs.shape[1:]
-    for size in sorted(set(padded.tolist())):
-        members = padded == size
-        first, count = starts[members], counts[members]
-        at = np.arange(len(count))
-        # the rows and couplings of each member in the stack, and in the batch,
-        # where coupling i joins rows i - 1 and i, so a member's first is zero
-        rows, slots = _ranges(first, count), _ranges(at * size, count)
-        links, link_slots = _ranges(first, count - 1), _ranges(at * (size + 1) + 1, count - 1)
-        pivots = np.broadcast_to(np.eye(n), (len(count), size, n, n)).copy()
+    for size, count, rows, slots, links, link_slots in layout.batches:
+        pivots = np.broadcast_to(np.eye(n), (count, size, n, n)).copy()
         pivots.reshape(-1, n, n)[slots] = diag[rows]
-        coupling = np.zeros((len(count), size + 1, n, n))
+        coupling = np.zeros((count, size + 1, n, n))
         coupling.reshape(-1, n, n)[link_slots] = upper[links]
-        right = np.zeros((len(count), size, n, c))
+        right = np.zeros((count, size, n, c))
         right.reshape(-1, n, c)[slots] = rhs[rows]
-        solved = np.full_like(right, np.nan)
-        regular, result, _ = _attributed(
-            lambda ids: _block_tridiagonal_solve(pivots[ids], coupling[ids], right[ids]),
-            list(range(len(count))), np.linalg.LinAlgError)
-        if regular:  # not every system is singular
-            solved[regular] = result
+        try:
+            solved = _block_tridiagonal_solve(pivots, coupling, right)
+        except np.linalg.LinAlgError:
+            solved = np.full_like(right, np.nan)
+            regular, result, _ = _attributed(
+                lambda ids: _block_tridiagonal_solve(pivots[ids], coupling[ids], right[ids]),
+                list(range(count)), np.linalg.LinAlgError)
+            if regular:  # not every system is singular
+                solved[regular] = result
         out[rows] = solved.reshape(-1, n, c)[slots]
     return out
-
-
-def _ranges(firsts, counts):
-    """The concatenated ranges firsts[k], ..., firsts[k] + counts[k] - 1."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
 
 
 def _block_tridiagonal_solve(pivots, coupling, right):

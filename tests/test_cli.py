@@ -617,6 +617,68 @@ class TestDeterminism:
                "k\ty": ["\x1f"]}
         assert json.loads(cli.dumps_canonical(doc)) == doc
 
+    def test_canonical_text_is_pinned(self):
+        """The exact text of every kind of value an artifact holds: a
+        round trip through a JSON reader cannot see a change of format."""
+        doc = {
+            "floats": [0.1, -0.0, float("nan"), float("inf"), -float("inf"),
+                       np.float64(0.1), np.float64("-inf"), np.float32(0.1)],
+            "ints": [1, np.int64(-7)],
+            "flags": [True, False, np.bool_(True), np.bool_(False)],
+            "none": None,
+            "text": 'é "quoted" back\\slash\nnewline',
+            "tuple": (1, 2.5),
+            "array": np.array([[1.0, 2.0], [3.0, 0.5]]),
+            "nested": {"empty_list": [], "empty_dict": {}},
+        }
+        assert cli.dumps_canonical(doc) == "\n".join([
+            '{',
+            '  "floats": [',
+            '    0.10000000000000001,',
+            '    -0,',
+            '    null,',
+            '    null,',
+            '    null,',
+            '    0.10000000000000001,',
+            '    null,',
+            '    0.10000000149011612',
+            '  ],',
+            '  "ints": [',
+            '    1,',
+            '    -7',
+            '  ],',
+            '  "flags": [',
+            '    true,',
+            '    false,',
+            '    true,',
+            '    false',
+            '  ],',
+            '  "none": null,',
+            '  "text": "é \\"quoted\\" back\\\\slash\\nnewline",',
+            '  "tuple": [',
+            '    1,',
+            '    2.5',
+            '  ],',
+            '  "array": [',
+            '    [',
+            '      1,',
+            '      2',
+            '    ],',
+            '    [',
+            '      3,',
+            '      0.5',
+            '    ]',
+            '  ],',
+            '  "nested": {',
+            '    "empty_list": [],',
+            '    "empty_dict": {}',
+            '  }',
+            '}',
+            '',
+        ])
+        with pytest.raises(TypeError, match="set"):
+            cli.dumps_canonical({"nested": [{1}]})
+
 
 def drift_c():
     return [[i / 8, math.sin(2 * math.pi * (i / 8)), math.cos(3 * (i / 8))] for i in range(9)]

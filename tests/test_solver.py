@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import supmin as sm
-from supmin.energy import MidpointPowerRule
+from supmin import energy
+from supmin.energy import MidpointPowerRule, block_layout
 from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE, _lockstep,
                            _newton, _newton_direction, _stacked_solve, _start)
 
@@ -68,7 +69,7 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         rule = MidpointPowerRule(m, [(grid, None)])
         samples = rule.samples(model, v)
         hessian = rule.derivatives(model, v)[1]
-        return _newton_direction(grad, hessian, (m - 1) / samples.root)[free]
+        return _newton_direction(grad, hessian, (m - 1) / samples.root, rule.layout)[free]
 
     f = fval(values)
     f_evals, iterations = 1, 0
@@ -244,6 +245,11 @@ class TestSolveCounts:
         }
 
 
+def alone(k):
+    """The block layout of one system of k rows."""
+    return block_layout(np.zeros(k, dtype=int))
+
+
 class TestNewtonDirection:
     @staticmethod
     def system(rng, k, n, cols):
@@ -259,7 +265,7 @@ class TestNewtonDirection:
     def test_block_solve_matches_dense_solve(self, k, n, cols, rng):
         """Block cyclic reduction equals a dense solve of the same system."""
         diag, upper, rhs = self.system(rng, k, n, cols)
-        got = _stacked_solve(diag, upper, rhs, np.array([0]))
+        got = _stacked_solve(diag, upper, rhs, alone(k))
         want = np.linalg.solve(dense_block_tridiagonal(diag, upper), rhs.reshape(k * n, cols))
         assert np.max(np.abs(got.reshape(k * n, cols) - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -276,7 +282,7 @@ class TestNewtonDirection:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        _stacked_solve(diag, upper, rhs, np.array([0]))
+        _stacked_solve(diag, upper, rhs, alone(k))
         assert len(calls) == k.bit_length(), calls
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8, 17])
@@ -289,9 +295,9 @@ class TestNewtonDirection:
         zero = np.zeros((1, 2, 2))
         upper = np.concatenate([uppers[0], zero, uppers[1], zero, uppers[2]])
         got = _stacked_solve(np.concatenate(diags), upper, np.concatenate(rhss),
-                             np.array([0, k, 2 * k]))
+                             block_layout(np.repeat([0, 1, 2], k)))
         for solved, system in zip(np.split(got, 3), systems):
-            assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
+            assert np.array_equal(solved, _stacked_solve(*system, alone(len(system[0]))))
 
     @pytest.mark.parametrize("draw", range(4))
     def test_block_solve_batch_of_padded_sizes_matches_each_alone(self, draw):
@@ -305,9 +311,9 @@ class TestNewtonDirection:
         zero = np.zeros((1, 2, 2))
         upper = np.concatenate([uppers[0], zero, uppers[1], zero, uppers[2]])
         got = _stacked_solve(np.concatenate(diags), upper, np.concatenate(rhss),
-                             np.array([0, 1, 6]))
+                             block_layout(np.repeat([0, 1, 2], [1, 5, 17])))
         for solved, system in zip(np.split(got, [1, 6]), systems):
-            assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
+            assert np.array_equal(solved, _stacked_solve(*system, alone(len(system[0]))))
 
     @pytest.mark.parametrize("singular", [(1,), (0, 2), (0, 1, 2)])
     def test_singular_systems_keep_nan_rows(self, singular, rng):
@@ -323,12 +329,12 @@ class TestNewtonDirection:
         zero = np.zeros((1, 2, 2))
         upper = np.concatenate([uppers[0], zero, uppers[1], zero, uppers[2]])
         got = _stacked_solve(np.concatenate(diags), upper, np.concatenate(rhss),
-                             np.array([0, k, 2 * k]))
+                             block_layout(np.repeat([0, 1, 2], k)))
         for i, (solved, system) in enumerate(zip(np.split(got, 3), systems)):
             if i in singular:
                 assert np.all(np.isnan(solved))
             else:
-                assert np.array_equal(solved, _stacked_solve(*system, np.array([0])))
+                assert np.array_equal(solved, _stacked_solve(*system, alone(len(system[0]))))
 
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_direction_solves_the_exact_hessian(self, m):
@@ -346,7 +352,7 @@ class TestNewtonDirection:
         grad, hessian = rule.derivatives(model, values)
         hess = dense_root_hessian(model, sm.Path(grid, values), m)
         want = np.linalg.solve(hess, -grad.ravel())
-        got = _newton_direction(grad, hessian, (m - 1) / samples.root).ravel()
+        got = _newton_direction(grad, hessian, (m - 1) / samples.root, rule.layout).ravel()
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.all(got.reshape(grad.shape)[[0, -1]] == 0.0)
 
@@ -362,7 +368,8 @@ class TestNewtonDirection:
         samples = rule.samples(model, init.values)
         grad, hessian = rule.derivatives(model, init.values)
         assert np.any(grad != 0.0)
-        assert np.all(np.isnan(_newton_direction(grad, hessian, 1.0 / samples.root)))
+        assert np.all(np.isnan(_newton_direction(grad, hessian, 1.0 / samples.root,
+                                                 rule.layout)))
         path, stats = sm.minimize_power(model, grid, bmap, 2, init)
         assert stats.converged
         np.testing.assert_allclose(path.values, sm.interpolate_affine(bmap, grid).values,
@@ -709,6 +716,32 @@ class TestLockstep:
             for rec, ref in zip(res.records, alone.records, strict=True):
                 self.assert_same_solve((rec.path, rec.stats), (ref.path, ref.stats))
             self.assert_records_solved_alone(model, grid, bmap, init, res, options)
+
+    def test_block_layout_is_built_once_per_stacked_rule(self, monkeypatch):
+        """Each rule that serves Newton requests works out its block layout
+        once, at its first round, and every later round of the same set of
+        problems reuses it."""
+        layouts, rounds = [], []
+        build, derivatives = energy.block_layout, MidpointPowerRule.derivatives
+
+        def counting_build(system):
+            layouts.append(system)
+            return build(system)
+
+        def counting_derivatives(rule, model, values):
+            rounds.append(rule)  # keeps the rule alive, so no two share an id
+            return derivatives(rule, model, values)
+
+        monkeypatch.setattr(energy, "block_layout", counting_build)
+        monkeypatch.setattr(MidpointPowerRule, "derivatives", counting_derivatives)
+        model = sm.PowerNormModel(8.0, [0.5, -0.25])
+        sm.solver.m_sweep_many(model, list(self.audit_style_problems().values()),
+                               sm.SweepSchedule(m_max=16), sm.SolveOptions(max_iters=6))
+        rules = list({id(rule): rule for rule in rounds}.values())
+        # one layout per rule, in the order the rules first served a round
+        assert len(layouts) == len(rules)
+        assert all(system is rule.node_problem for system, rule in zip(layouts, rules))
+        assert len(rounds) > 2 * len(rules)
 
     def test_restart_batch_matches_each_problem_alone(self):
         """Every restart of every problem runs in one batch; each problem's
