@@ -5,7 +5,9 @@ node-aligned subintervals with the candidate's own boundary values and
 reports the deficit of the restricted candidate against each local
 competitor: a positive deficit beyond tolerance refutes absolute minimality.
 The local sweeps run as one lockstep batch (``solver.m_sweep_many``), and
-the restricted sups are slices of one evaluation of the candidate.
+the restricted sups are slices of one evaluation of the candidate.  The
+audit's settings, ``AuditConfig``, are defined in ``options``, beside the
+sweep's.
 
 ``build_comparison`` glues affine boundary layers of width delta onto an
 interior profile; ``endpoint_quotient_scan`` drives the glued paths along a
@@ -21,34 +23,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .energy import MidpointPowerRule, power_energy, sup_energy
-from .errors import SupminError, check_count
+from .errors import SupminError
 from .lagrangian import LagrangianModel
+from .options import AuditConfig, _check_tol_audit
 from .path import AffineMap, Grid, Path, difference_quotient
-from .solver import SolveOptions, SweepSchedule, m_sweep_many
-
-
-def _check_tol_audit(tol_audit: float) -> None:
-    """Raise ``SupminError`` unless the relative tolerance is positive."""
-    if not tol_audit > 0:  # written so that NaN fails it
-        raise SupminError("tol_audit must be positive")
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    num_subintervals: int = 20
-    min_elements: int = 3
-    tol_audit: float = 1e-3  # relative
-    seed: int = 0
-    schedule: SweepSchedule | None = None
-    options: SolveOptions | None = None
-
-    def __post_init__(self):
-        check_count(self.num_subintervals, 1, "audit config counts must be positive integers")
-        # a subinterval of one element has no free node to re-solve
-        check_count(self.min_elements, 2,
-                    "audit config counts must be positive integers, min_elements at least 2")
-        check_count(self.seed, 0, "audit seed must be an integer >= 0")
-        _check_tol_audit(self.tol_audit)
+from .solver import m_sweep_many
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from typing import get_type_hints
 import numpy as np
 
 from ._io import dumps_canonical, fmt_float, write_csv
-from .aronsson import ResidualProfile, residual_profile
-from .audit import AuditConfig, audit_absolute_minimality
 from .errors import ConfigError, NonFinite, SupminError
 from .lagrangian import (
     Box,
@@ -39,8 +37,8 @@ from .lagrangian import (
     check_level_convexity,
     radial_profile,
 )
+from .options import AuditConfig, SolveOptions, SweepSchedule
 from .path import AffineMap, Grid, Path
-from .solver import SolveOptions, SweepSchedule, m_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -245,12 +243,32 @@ def load_config(config_path: str) -> RunConfig:
 # -- subcommands ---------------------------------------------------------------
 
 
+# The pipelines import their modules at their first call, so that loading a
+# config loads no solver.  They stay names of this module, where a caller can
+# wrap them (``perfbench/tracing.py`` does).
+def m_sweep(*args, **kwargs):
+    from .solver import m_sweep
+    return m_sweep(*args, **kwargs)
+
+
+def residual_profile(*args, **kwargs):
+    from .aronsson import residual_profile
+    return residual_profile(*args, **kwargs)
+
+
+def audit_absolute_minimality(*args, **kwargs):
+    from .audit import audit_absolute_minimality
+    return audit_absolute_minimality(*args, **kwargs)
+
+
 # the ``SolveStats`` of a sweep.json record in order, ``objective`` as its normalized root
 _RECORD_STATS = ("objective", "iterations", "stop_reason", "converged", "grad_norm", "f_evals",
                  "g_evals")
 
 
 def run_solve(config: RunConfig, output_dir: FsPath) -> int:
+    from .aronsson import ResidualProfile
+
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "paths").mkdir(exist_ok=True)

@@ -142,13 +142,6 @@ class AffineMap:
         return self.b0 + self.b1 * float(x)
 
 
-@dataclass(frozen=True)
-class PathSample:
-    value: np.ndarray
-    slope: np.ndarray
-    element: int
-
-
 def interpolate_affine(bmap: AffineMap, grid: Grid) -> Path:
     """Nodal sampling of the affine map: values[i] = b0 + b1 * x_i exactly."""
     values = bmap.b0[None, :] + grid.nodes[:, None] * bmap.b1[None, :]
@@ -161,15 +154,16 @@ def _containing_element(grid: Grid, x: float) -> int:
     return min(max(idx - 1, 0), grid.num_elements - 1)
 
 
-def eval_and_slope(path: Path, x: float) -> PathSample:
-    """Interpolated value and element slope at x; left element wins at nodes."""
+def eval_and_slope(path: Path, x: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Interpolated value, element slope and element index at x; left element
+    wins at nodes."""
     x = float(x)
     if not path.grid.a <= x <= path.grid.b:  # written so that NaN fails it
         raise SupminError(f"x={x} outside [{path.grid.a}, {path.grid.b}]")
     e = _containing_element(path.grid, x)
     x0 = path.grid.nodes[e]
     slope = (path.values[e + 1] - path.values[e]) / (path.grid.nodes[e + 1] - x0)
-    return PathSample(path.values[e] + (x - x0) * slope, slope, e)
+    return path.values[e] + (x - x0) * slope, slope, e
 
 
 def difference_quotient(path: Path, y: float, t: float) -> np.ndarray:
@@ -182,7 +176,7 @@ def difference_quotient(path: Path, y: float, t: float) -> np.ndarray:
     t = float(t)
     if t == 0.0:
         raise SupminError("difference quotient needs t != 0")
-    return (eval_and_slope(path, y + t).value - eval_and_slope(path, y).value) / t
+    return (eval_and_slope(path, y + t)[0] - eval_and_slope(path, y)[0]) / t
 
 
 def quotient_scale(path: Path, y: float, t: float) -> float:

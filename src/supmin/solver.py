@@ -58,7 +58,9 @@ it is accepted and convergence is quadratic), halves it (``BACKTRACK`` =
 0.5) until the Armijo condition with the customary constant
 ``SUFFICIENT_DECREASE`` = 1e-4 holds, and fails below ``MIN_STEP`` = 1e-20,
 far below the resolution of a double at unit scale.  What a caller sets in
-``SolveOptions`` is the iteration budget.
+``SolveOptions`` is the iteration budget, and in ``SweepSchedule`` the
+exponents and restarts; both are defined in ``options``, which a config
+reader can load without this module.
 
 A solve converges when the Newton decrement reaches the round-off floor of
 the objective: ``-g.d <= eps f``, with d the direction the iteration was
@@ -86,6 +88,7 @@ import numpy as np
 from .energy import MidpointPowerRule, segment_sums
 from .errors import NonFinite, SupminError, check_count
 from .lagrangian import LagrangianModel
+from .options import SolveOptions, SweepSchedule
 from .path import AffineMap, Grid, Path, interpolate_affine
 
 
@@ -93,14 +96,6 @@ INIT_STEP = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-20
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iters: int = 2000
-
-    def __post_init__(self):
-        check_count(self.max_iters, 1, "max_iters must be positive, an integer")
 
 
 @dataclass(frozen=True)
@@ -123,23 +118,6 @@ class SolveStats:
     def g_evals(self) -> int:
         """Gradient evaluations: the start and every accepted trial."""
         return self.iterations + 1
-
-
-@dataclass(frozen=True)
-class SweepSchedule:
-    m_max: int = 1024
-    tol_sweep: float = 1e-4
-    restarts: int = 1
-
-    def __post_init__(self):
-        check_count(self.m_max, 2, "schedule needs m_max >= 2, an integer")
-        if not self.tol_sweep > 0:  # written so that NaN fails it
-            raise SupminError("tol_sweep must be positive")
-        check_count(self.restarts, 1, "restarts must be >= 1, an integer")
-
-    def exponents(self) -> list[int]:
-        """2, 4, 8, ... up to m_max."""
-        return [2**k for k in range(1, self.m_max.bit_length())]
 
 
 @dataclass(frozen=True)

@@ -60,20 +60,20 @@ class TestEvalAndSlope:
         bmap = sm.AffineMap([0.3, -1.0], [1.5, 0.5])
         path = sm.interpolate_affine(bmap, random_grid(rng))
         for x in rng.uniform(0.0, 1.0, size=20):
-            s = sm.eval_and_slope(path, x)
-            np.testing.assert_allclose(s.value, bmap(x), atol=1e-12)
-            np.testing.assert_allclose(s.slope, bmap.b1, atol=1e-10)
+            value, slope, _ = sm.eval_and_slope(path, x)
+            np.testing.assert_allclose(value, bmap(x), atol=1e-12)
+            np.testing.assert_allclose(slope, bmap.b1, atol=1e-10)
 
     def test_two_element(self):
         path = sm.Path(sm.Grid(np.array([0.0, 0.5, 1.0])), np.array([[0.0], [0.0], [1.0]]))
-        s = sm.eval_and_slope(path, 0.75)
-        assert s.value[0] == pytest.approx(0.5) and s.slope[0] == pytest.approx(2.0)
-        assert s.element == 1
+        value, slope, element = sm.eval_and_slope(path, 0.75)
+        assert value[0] == pytest.approx(0.5) and slope[0] == pytest.approx(2.0)
+        assert element == 1
 
     def test_left_tie_break_at_node(self):
         path = sm.Path(sm.Grid(np.array([0.0, 0.5, 1.0])), np.array([[0.0], [0.0], [1.0]]))
-        s = sm.eval_and_slope(path, 0.5)
-        assert s.element == 0 and s.slope[0] == 0.0
+        _, slope, element = sm.eval_and_slope(path, 0.5)
+        assert element == 0 and slope[0] == 0.0
 
     def test_out_of_domain(self):
         path = sm.Path(sm.Grid(np.array([0.0, 0.5, 1.0])), np.zeros((3, 1)))
