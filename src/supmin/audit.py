@@ -135,8 +135,7 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     config = config or AuditConfig()
     pairs = sample_subintervals(candidate.grid, config)
     nodes = candidate.grid.nodes
-    rule = MidpointPowerRule(1, [(candidate.grid, None)])
-    sampled = rule.samples(model, candidate.values).sampled
+    sampled = MidpointPowerRule([(candidate.grid, None)]).evaluate(model, candidate.values)
     problems = []
     for k, (i, j) in enumerate(pairs):
         alpha, beta = float(nodes[i]), float(nodes[j])
@@ -293,14 +292,14 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
         raise SupminError("delta schedule must lie in (0, length/3)")
 
     u_left, u_right = psi.values[0], psi.values[-1]
-    rule = MidpointPowerRule(1, [(grid, None)])
+    rule = MidpointPowerRule([(grid, None)])
     left_entries, right_entries = [], []
     for d in deltas:
         i_left, i_right = snap_delta(grid, d, clamp=True)
         d_left = float(grid.nodes[i_left] - grid.a)
         d_right = float(grid.b - grid.nodes[i_right])
         glued = _glued_values(psi, u_left, u_right, i_left, i_right)
-        sampled = rule.samples(model, glued).sampled
+        sampled = rule.evaluate(model, glued)
         q_left = difference_quotient(psi, grid.a, d_left)
         q_right = difference_quotient(psi, grid.b, -d_right)
         # the samples of a layer over nodes i..j are elements i..j-1 of the whole grid's

@@ -243,31 +243,16 @@ def load_config(config_path: str) -> RunConfig:
 # -- subcommands ---------------------------------------------------------------
 
 
-# The pipelines import their modules at their first call, so that loading a
-# config loads no solver.  They stay names of this module, where a caller can
-# wrap them (``perfbench/tracing.py`` does).
-def m_sweep(*args, **kwargs):
-    from .solver import m_sweep
-    return m_sweep(*args, **kwargs)
-
-
-def residual_profile(*args, **kwargs):
-    from .aronsson import residual_profile
-    return residual_profile(*args, **kwargs)
-
-
-def audit_absolute_minimality(*args, **kwargs):
-    from .audit import audit_absolute_minimality
-    return audit_absolute_minimality(*args, **kwargs)
-
-
 # the ``SolveStats`` of a sweep.json record in order, ``objective`` as its normalized root
 _RECORD_STATS = ("objective", "iterations", "stop_reason", "converged", "grad_norm", "f_evals",
                  "g_evals")
 
 
+# Each command imports its pipeline when it runs, so that loading a config
+# loads no solver.
 def run_solve(config: RunConfig, output_dir: FsPath) -> int:
-    from .aronsson import ResidualProfile
+    from .aronsson import ResidualProfile, residual_profile
+    from .solver import m_sweep
 
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -352,6 +337,8 @@ def _candidate_mismatch(config: RunConfig, candidate: Path) -> str | None:
 
 
 def run_audit(config: RunConfig, output_dir: FsPath, solve_first: bool = False) -> int:
+    from .audit import audit_absolute_minimality
+
     if config.audit.min_elements > config.grid.num_elements:
         raise ConfigError("audit.min_elements",
                           f"exceeds the {config.grid.num_elements} elements of the grid")

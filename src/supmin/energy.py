@@ -14,25 +14,24 @@ so the normalized root stays finite up to m = 2^10 and beyond even where
 the integral S^m * sum_e len_e * (L_e/S)^m overflows.  Elements are always
 accumulated in ascending index order so results are bit-reproducible.
 
-One ``MidpointPowerRule`` holds this arithmetic.  Prepared once per order
-for a list of problems, each a grid and a subinterval of it, it holds the
-concatenated nodes and elements of all of them, so that one call serves a
-whole batch of solves.  It turns nodal values into ``PowerSamples`` with one
-``eval_many`` call, and nodal values into the gradient and the
-block-tridiagonal part of the Hessian with one ``jet_many`` call, whose
-values are the samples again: element e reads only nodes e and e + 1, so
-only neighbouring nodes are coupled.  Each problem's largest sample, power
-sum and root are segment reductions, rounded as that problem alone would
-round them.  The solver builds one rule per batch of solves, hands it
-nothing but the iterates' nodal values, and takes from it the layout of the
-batch's block systems (``block_layout``), built once per rule.
-``power_energy``, ``power_energy_gradient`` and ``sup_energy`` are one-call
-wrappers around a rule of one problem.
+One ``MidpointPowerRule`` holds this arithmetic: the geometry of the
+discrete problem and nothing else.  Prepared once for a list of problems,
+each a grid and a subinterval of it, it holds the concatenated nodes and
+elements of all of them, so that one call serves a whole batch of solves.
+It holds no order; each call that needs one takes it.  It turns nodal
+values into L at the samples with one ``eval_many`` call (``evaluate``),
+into ``PowerSamples`` of order m with the same call, and into the gradient
+and the block-tridiagonal part of the Hessian with one ``jet_many`` call,
+whose values are the samples again: element e reads only nodes e and
+e + 1, so only neighbouring nodes are coupled.  Each problem's largest
+sample, power sum and root are segment reductions, rounded as that problem
+alone would round them.  How the block systems are solved is the solver's
+business, not the rule's.  ``power_energy``, ``power_energy_gradient`` and
+``sup_energy`` are one-call wrappers around a rule of one problem.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,49 +84,6 @@ def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockLayout:
-    """Where a stack of uncoupled block-tridiagonal systems goes in a
-    batched block solve, worked out once per stack by ``block_layout``.
-
-    System k begins at row ``starts[k]``, and ``system`` is the system of
-    each row.  A system of K rows is padded to 2^p - 1 rows, p =
-    ``K.bit_length()``, and ``batches`` holds one entry per padded size,
-    ascending: ``(size, count, rows, slots, links, link_slots)``, the number
-    of systems of that size, their rows in the stack and their slots in the
-    flattened (count, size) batch, then their couplings in the stack, where
-    coupling i joins rows i and i + 1, and their slots in the flattened
-    (count, size + 1) batch, where coupling i joins rows i - 1 and i, so a
-    system's first is zero.
-    """
-
-    starts: np.ndarray
-    system: np.ndarray
-    batches: list
-
-
-def block_layout(system: np.ndarray) -> BlockLayout:
-    """The ``BlockLayout`` of the systems whose rows are numbered by
-    ``system``: ascending, each system's rows contiguous."""
-    counts = np.bincount(system)
-    starts = np.cumsum(counts) - counts
-    padded = np.array([(1 << k.bit_length()) - 1 for k in counts.tolist()])
-    batches = []
-    for size in sorted(set(padded.tolist())):
-        members = padded == size
-        first, count = starts[members], counts[members]
-        at = np.arange(len(count))
-        batches.append((size, len(count), _ranges(first, count), _ranges(at * size, count),
-                        _ranges(first, count - 1), _ranges(at * (size + 1) + 1, count - 1)))
-    return BlockLayout(starts, system, batches)
-
-
-def _ranges(firsts, counts):
-    """The concatenated ranges firsts[k], ..., firsts[k] + counts[k] - 1."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
-
-
-@dataclass(frozen=True)
 class PowerSamples:
     """The midpoint samples of a stack of paths: L at every element's sample
     point (``sampled``), and per problem the largest sample ``top`` and the
@@ -139,28 +95,28 @@ class PowerSamples:
 
 
 class MidpointPowerRule:
-    """The midpoint rule of the order-m power energy over a stack of
-    problems, prepared once: per element its index, clipped length, sample
-    point ``xs`` and offset ``theta`` in the element; per node whether it is
-    clamped; per problem its first element, first node and the length of
-    its subinterval.
+    """The midpoint rule over a stack of problems, prepared once: per
+    element its index, clipped length, sample point ``xs`` and offset
+    ``theta`` in the element; per node whether it is clamped; per problem
+    its first element, first node and the length of its subinterval.
 
     The rule is built in one pass over ``problems``, ``(grid, subinterval)``
     pairs (``None`` for the whole grid): their nodes are concatenated, each
     problem's subinterval ends are repeated over its nodes, and the element
-    that would join two problems is left out.  From nodal values,
-    ``samples`` evaluates L at the midpoints of every problem's path (one
-    ``eval_many`` call), and ``derivatives`` the gradient and the element
-    part of the Hessian (one ``jet_many`` call), both by the same helpers
-    ``_points`` and ``_powers``.  Every per-problem sum is rounded as the
-    same sum over that problem alone (``segment_sums``), and every other
-    operation acts on one element or node at a time, so a problem's numbers
-    do not depend on the problems it is built with, as long as the model's
-    value for a row does not depend on the other rows of its batch.
+    that would join two problems is left out.  It holds no order: from
+    nodal values, ``evaluate`` returns L at the midpoints of every
+    problem's path (one ``eval_many`` call), ``samples`` adds the power
+    root of order m, and ``derivatives`` gives the gradient and the element
+    part of the Hessian of that root (one ``jet_many`` call), both by the
+    same helpers ``_points`` and ``_powers``.  Every per-problem sum is
+    rounded as the same sum over that problem alone (``segment_sums``), and
+    every other operation acts on one element or node at a time, so a
+    problem's numbers do not depend on the problems it is built with, as
+    long as the model's value for a row does not depend on the other rows
+    of its batch.
     """
 
-    def __init__(self, m: int, problems):
-        check_count(m, 1, "power energy needs m >= 1, an integer")
+    def __init__(self, problems):
         bounds = np.array([_subinterval(grid, sub) for grid, sub in problems])
         sizes = [grid.nodes.size for grid, _ in problems]
         nodes = np.concatenate([grid.nodes for grid, _ in problems])
@@ -174,7 +130,6 @@ class MidpointPowerRule:
         joins[self.node_starts[1:] - 1] = True
         idx = np.nonzero((hi > lo) & ~joins)[0]
         lo, hi = lo[idx], hi[idx]
-        self.m = m
         self.idx = idx
         self.lengths = hi - lo
         self.xs = lo + 0.5 * self.lengths
@@ -190,12 +145,6 @@ class MidpointPowerRule:
         self.node_problem = node_problem
         self.elem_problem = node_problem[idx]
 
-    @functools.cached_property
-    def layout(self) -> BlockLayout:
-        """The ``BlockLayout`` of the element part of the Hessian, one
-        system per problem, built at its first use."""
-        return block_layout(self.node_problem)
-
     def _points(self, model: LagrangianModel, values: np.ndarray):
         """The map's value and slope at every element's sample point of the
         paths with nodal ``values`` (one row per node of the stack)."""
@@ -206,30 +155,37 @@ class MidpointPowerRule:
         slopes = (values[idx + 1] - values[idx]) / self.elem_len[:, None]
         return values[idx] + self.offsets * slopes, slopes
 
-    def _powers(self, sampled: np.ndarray):
-        """``(top, ratios, weight_sum, outer)`` of the samples L_e: per problem
-        the largest sample, the factored power sum and ``root / top``; per
-        element L_e / top."""
+    def _powers(self, sampled: np.ndarray, m: int):
+        """``(top, ratios, weight_sum, outer)`` of the samples L_e at order m:
+        per problem the largest sample, the factored power sum and
+        ``root / top``; per element L_e / top."""
         top = np.maximum.reduceat(sampled, self.elem_starts)
         ratios = sampled / np.where(top == 0.0, 1.0, top)[self.elem_problem]
-        weight_sum = segment_sums(self.lengths * ratios**self.m, self.elem_starts)
+        weight_sum = segment_sums(self.lengths * ratios**m, self.elem_starts)
         # one scalar power per problem: numpy's vector power may round differently
-        outer = np.array([(w / span) ** (1.0 / self.m)
+        outer = np.array([(w / span) ** (1.0 / m)
                           for w, span in zip(weight_sum.tolist(), self.spans)])
         if not np.all(np.isfinite(top * outer)):
             raise NonFinite("normalized power root is not finite")
         return top, ratios, weight_sum, outer
 
-    def samples(self, model: LagrangianModel, values: np.ndarray) -> PowerSamples:
-        """Samples of the paths with nodal ``values``, one row per stack node."""
-        sampled = model.eval_many(self.xs, *self._points(model, values))
-        top, _, _, outer = self._powers(sampled)
+    def evaluate(self, model: LagrangianModel, values: np.ndarray) -> np.ndarray:
+        """L at every element's sample point of the paths with nodal
+        ``values``, one row per stack node, from one ``eval_many`` call."""
+        return model.eval_many(self.xs, *self._points(model, values))
+
+    def samples(self, model: LagrangianModel, values: np.ndarray, m: int) -> PowerSamples:
+        """Samples of the paths with nodal ``values``, one row per stack
+        node, with each problem's power root of order m."""
+        check_count(m, 1, "power energy needs m >= 1, an integer")
+        sampled = self.evaluate(model, values)
+        top, _, _, outer = self._powers(sampled, m)
         return PowerSamples(sampled, top, top * outer)
 
-    def derivatives(self, model: LagrangianModel, values: np.ndarray):
+    def derivatives(self, model: LagrangianModel, values: np.ndarray, m: int):
         """Gradient and element part of the Hessian of each problem's
-        normalized root at the paths with nodal ``values``, from one
-        ``jet_many`` call: ``(grad, (diag, upper))``.
+        normalized root of order m at the paths with nodal ``values``, from
+        one ``jet_many`` call: ``(grad, (diag, upper))``.
 
         The jet's values are bitwise the samples (a ``LagrangianModel``
         contract), reduced as in ``samples``.  A problem whose samples all
@@ -249,10 +205,11 @@ class MidpointPowerRule:
         nodes to (eta_e, p_e).  The Hessian of the root is this minus
         ``(m-1)/root g g^T``, g the gradient.
         """
-        m, idx, theta, elem_len = self.m, self.idx, self.theta, self.elem_len
+        check_count(m, 1, "power energy needs m >= 1, an integer")
+        idx, theta, elem_len = self.idx, self.theta, self.elem_len
         n_nodes, n = values.shape
         jet = model.jet_many(self.xs, *self._points(model, values))
-        top, ratios, weight_sum, outer = self._powers(jet.value)
+        top, ratios, weight_sum, outer = self._powers(jet.value, m)
         problem = self.elem_problem
         # a problem whose samples all vanish has zero top, power sum and
         # root; dividing its entries by one instead of zero gives it zero rows
@@ -302,8 +259,7 @@ class MidpointPowerRule:
 def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:
     """Normalized root of the midpoint-rule mean of L^m, in factored,
     overflow-safe form, with the largest sample."""
-    rule = MidpointPowerRule(m, [(path.grid, subinterval)])
-    s = rule.samples(model, path.values)
+    s = MidpointPowerRule([(path.grid, subinterval)]).samples(model, path.values, m)
     return EnergyReport(float(s.root[0]), float(s.top[0]))
 
 
@@ -311,9 +267,8 @@ def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
     """Maximum of L(x, u(x), Du(x)) over the midpoint samples of every element
     intersecting (alpha, beta), partial elements sampled at the midpoint of
     their clipped part: the ``sup`` of ``power_energy`` for every m."""
-    # the largest sample does not depend on the order; m = 1 is the cheapest
-    rule = MidpointPowerRule(1, [(path.grid, subinterval)])
-    return float(rule.samples(model, path.values).top[0])
+    rule = MidpointPowerRule([(path.grid, subinterval)])
+    return float(np.max(rule.evaluate(model, path.values)))
 
 
 def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterval=None) -> np.ndarray:
@@ -324,11 +279,11 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterva
     sample is zero, a global minimum, every row is zero, and so it stays
     where the model has no jet at such a path (|p|^s, s < 2, at p = offset).
     """
-    rule = MidpointPowerRule(m, [(path.grid, subinterval)])
+    rule = MidpointPowerRule([(path.grid, subinterval)])
     try:
-        return rule.derivatives(model, path.values)[0]
+        return rule.derivatives(model, path.values, m)[0]
     except NonFinite:
-        if rule.samples(model, path.values).top[0] == 0.0:  # L vanishes at every sample
+        if not np.any(rule.evaluate(model, path.values)):  # L vanishes at every sample
             return np.zeros(path.values.shape)
         raise
 

@@ -366,6 +366,11 @@ def _velocity_dim(A: np.ndarray, c: SampledSignal) -> int:
     return rows
 
 
+def _deviation(A: np.ndarray, c: SampledSignal, xs, etas, ps) -> np.ndarray:
+    """Rows of w = p - V(x, eta), V(x, eta) = A eta + c(x)."""
+    return ps - (_apply(A, etas) + c.eval_many(xs))
+
+
 class DataAssimilationModel(LagrangianModel):
     """Squared observation mismatch plus squared law-of-motion mismatch:
     L = |k(x) - K eta|^2 + |p - V(x, eta)|^2 with V(x, eta) = A eta + c(x)."""
@@ -387,8 +392,7 @@ class DataAssimilationModel(LagrangianModel):
     def _mismatches(self, xs, etas, ps):
         """Rows of r = k(x) - K eta and w = p - V(x, eta)."""
         r = self.k.eval_many(xs) - _apply(self.K, etas)
-        w = ps - (_apply(self.A, etas) + self.c.eval_many(xs))
-        return r, w
+        return r, _deviation(self.A, self.c, xs, etas, ps)
 
     def eval_many(self, xs, etas, ps):
         with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFinite
@@ -454,20 +458,16 @@ class RadialModel(LagrangianModel):
         self.A = A
         self.c = c
 
-    def _deviation(self, xs, etas, ps):
-        """Rows of w = p - V(x, eta)."""
-        return ps - (_apply(self.A, etas) + self.c.eval_many(xs))
-
     def eval_many(self, xs, etas, ps):
         with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFinite
-            w = self._deviation(xs, etas, ps)
+            w = _deviation(self.A, self.c, xs, etas, ps)
             return self._checked(self.profile.f(0.5 * np.sum(w * w, axis=1)))
 
     def jet_many(self, xs, etas, ps):
         cdx = self.c.derivative_many(xs)
         # an overflowing row makes inf and NaN entries; the jet raises NonFinite
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self._deviation(xs, etas, ps)
+            w = _deviation(self.A, self.c, xs, etas, ps)
             t = 0.5 * np.sum(w * w, axis=1)
             f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
             f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]

@@ -18,12 +18,12 @@ one solve and yields the model calls it needs, each naming its grid and
 order.  One generator, ``_sweep``, holds one sweep and runs a ``_newton``
 per exponent.  One scheduler, ``_lockstep``, builds one rule over the
 grids of all pending calls of one kind and order and serves them with one
-call, the lowest order first.  So a round of solves makes one
+call at that order, the lowest order first.  So a round of solves makes one
 ``jet_many`` call, one block solve per padded system size and one
 ``eval_many`` call per line-search step, however many problems it holds.
-A rule works out where its problems' block systems go in those solves
-once, at its first Newton round (``MidpointPowerRule.layout``), and every
-later round of the same problems reuses it.
+Where a stack's block systems go in those solves (``block_layout``) is
+worked out once per stack of problems, at its first Newton round, and
+every later round of the same stack reuses it.
 ``m_sweep_many`` runs sweeps this way, every restart of each; the audit
 runs all its subintervals as one such batch.  ``minimize_power`` is one
 ``_newton`` run alone, and ``m_sweep`` the batch of one sweep.  A
@@ -250,29 +250,33 @@ def _lockstep(model, solves) -> list:
     samples before directions: a round's jets wait until every line search
     of the round has ended, and a sweep's next exponent until every solve
     of the current one has.  So each call is the one that a batch of one
-    exponent's solves makes.  The rule of each set of requests is kept
-    while the order holds."""
-    requests, outcomes, stacks, order = {}, [None] * len(solves), {}, 0
+    exponent's solves makes.  Each set of requests keeps its rule, and
+    from its first Newton round its ``block_layout``, while the order
+    holds; both caches are cleared when the order rises, for memory, since
+    no set of requests at the old order remains."""
+    requests, outcomes, rules, layouts, order = {}, [None] * len(solves), {}, {}, 0
 
-    def stack(ids):
+    def rule(ids):
         key = tuple(ids)
-        if key not in stacks:
-            stacks[key] = MidpointPowerRule(order, [(requests[i][1], None) for i in key])
-        return stacks[key]
+        if key not in rules:
+            rules[key] = MidpointPowerRule([(requests[i][1], None) for i in key])
+        return rules[key]
 
     def values(ids):
         return np.concatenate([requests[i][3] for i in ids])
 
     def samples(ids):
-        sampled = stack(ids).samples(model, values(ids))
+        sampled = rule(ids).samples(model, values(ids), order)
         return list(zip(sampled.root.tolist(), sampled.top.tolist()))
 
     def newton(ids):
-        rule = stack(ids)
-        starts = rule.node_starts
-        grad, hessian = rule.derivatives(model, values(ids))
+        key, stack = tuple(ids), rule(ids)
+        starts = stack.node_starts
+        grad, hessian = stack.derivatives(model, values(ids), order)
         sigma = (order - 1) / np.array([requests[i][4] for i in ids])
-        d = _newton_direction(grad, hessian, sigma, rule.layout)
+        if key not in layouts:
+            layouts[key] = block_layout(stack.node_problem)
+        d = _newton_direction(grad, hessian, sigma, layouts[key])
         slopes = segment_sums(d * grad, starts).tolist()
         with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
             grad_sq = segment_sums(grad * grad, starts).tolist()
@@ -296,7 +300,8 @@ def _lockstep(model, solves) -> list:
         lowest = min(m for _, _, m, *_ in requests.values())
         if lowest > order:
             order = lowest
-            stacks.clear()
+            rules.clear()
+            layouts.clear()
         pending = {i: kind for i, (kind, _, m, *_) in requests.items() if m == order}
         kind = "samples" if "samples" in pending.values() else "newton"
         ids = sorted(i for i, k in pending.items() if k == kind)
@@ -335,8 +340,7 @@ def _attributed(run, ids, error=NonFinite):
 def _newton_direction(grad, hessian, sigma, layout):
     """The Newton direction -H^{-1} grad of the normalized root, one row per
     node, or NaN rows where the element part of H is singular, for a stack
-    of problems laid out by ``layout`` (``MidpointPowerRule.layout``), one
-    sigma each.
+    of problems laid out by ``layout`` (``block_layout``), one sigma each.
 
     ``hessian`` is the block-tridiagonal element part B = (diag, upper) of
     H from ``MidpointPowerRule.derivatives``, and H is B minus the rank-one
@@ -361,9 +365,52 @@ def _newton_direction(grad, hessian, sigma, layout):
         return -z / scale[layout.system][:, None]
 
 
+@dataclass(frozen=True)
+class BlockLayout:
+    """Where a stack of uncoupled block-tridiagonal systems goes in a
+    batched block solve, worked out once per stack by ``block_layout``.
+
+    System k begins at row ``starts[k]``, and ``system`` is the system of
+    each row.  A system of K rows is padded to 2^p - 1 rows, p =
+    ``K.bit_length()``, and ``batches`` holds one entry per padded size,
+    ascending: ``(size, count, rows, slots, links, link_slots)``, the number
+    of systems of that size, their rows in the stack and their slots in the
+    flattened (count, size) batch, then their couplings in the stack, where
+    coupling i joins rows i and i + 1, and their slots in the flattened
+    (count, size + 1) batch, where coupling i joins rows i - 1 and i, so a
+    system's first is zero.
+    """
+
+    starts: np.ndarray
+    system: np.ndarray
+    batches: list
+
+
+def block_layout(system: np.ndarray) -> BlockLayout:
+    """The ``BlockLayout`` of the systems whose rows are numbered by
+    ``system``: ascending, each system's rows contiguous."""
+    counts = np.bincount(system)
+    starts = np.cumsum(counts) - counts
+    padded = np.array([(1 << k.bit_length()) - 1 for k in counts.tolist()])
+    batches = []
+    for size in sorted(set(padded.tolist())):
+        members = padded == size
+        first, count = starts[members], counts[members]
+        at = np.arange(len(count))
+        batches.append((size, len(count), _ranges(first, count), _ranges(at * size, count),
+                        _ranges(first, count - 1), _ranges(at * (size + 1) + 1, count - 1)))
+    return BlockLayout(starts, system, batches)
+
+
+def _ranges(firsts, counts):
+    """The concatenated ranges firsts[k], ..., firsts[k] + counts[k] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
+
+
 def _stacked_solve(diag, upper, rhs, layout):
     """B^{-1} rhs for a stack of uncoupled block-tridiagonal systems laid
-    out by ``layout`` (``energy.block_layout``), with NaN rows for a
+    out by ``layout`` (``block_layout``), with NaN rows for a
     singular one.
 
     Each system is padded to its layout's size with identity pivots, zero

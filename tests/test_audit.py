@@ -155,6 +155,31 @@ class TestAbsoluteMinimalityAudit:
             assert entry.stop_reasons[-1] == "max_iters"
             assert entry.error == f"m={2 ** len(entry.stop_reasons)}: stopped at max_iters"
 
+    def test_aborted_local_sweep_inconclusive(self):
+        """L = 1/|p|^2 is infinite at p = 0, where a zigzag candidate's chord
+        between two equal end values starts its local sweep: that sweep
+        aborts at m = 2, and its subinterval is inconclusive with a NaN
+        local sup, while the subintervals between unequal ends are decided."""
+        def inverse_square(xs, etas, ps):
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.sum(ps * ps, axis=1)
+
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        zigzag = sm.Path(grid, (np.arange(9) % 2).astype(float)[:, None])
+        report = sm.audit_absolute_minimality(sm.CustomModel(inverse_square, 1), zigzag,
+                                              sm.AuditConfig(num_subintervals=6, seed=0))
+        # the zigzag takes equal values at the ends of an even number of elements
+        even = [round(8 * (e.beta - e.alpha)) % 2 == 0 for e in report.entries]
+        aborted = [e for e, flag in zip(report.entries, even) if flag]
+        decided = [e for e, flag in zip(report.entries, even) if not flag]
+        assert aborted and decided
+        for entry in aborted:
+            assert entry.status == "inconclusive"
+            assert np.isnan(entry.sup_local_solution) and np.isnan(entry.deficit)
+            assert entry.error == "m=2: Lagrangian evaluation is not finite"
+            assert entry.stop_reasons == []
+        assert all(e.status != "inconclusive" for e in decided)
+        assert report.max_deficit == max(e.deficit for e in decided)
 
     def test_model_dimension_mismatch(self):
         cand = sm.interpolate_affine(sm.AffineMap([0.0], [1.0]), sm.Grid.uniform(0.0, 1.0, 17))

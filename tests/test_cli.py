@@ -39,6 +39,15 @@ def da_lagrangian():
     }
 
 
+def one_iteration_config(tmp_path):
+    """A drift config on 17 nodes whose solves at m = 2 and 4 each stop at
+    their one allowed iteration."""
+    lagrangian = dict(da_lagrangian(), c=[[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]])
+    return write_config(tmp_path, lagrangian=lagrangian, grid_points=17,
+                        boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
+                        solve={"max_iters": 1}, schedule={"m_max": 4})
+
+
 RADIAL = {"kind": "radial", "profile": {"name": "power", "gamma": 1.5},
           "A": [[0.0, 1.0], [-1.0, 0.0]], "c": [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]}
 MIN_NORMS = {"kind": "min_norms", "centers": [[1.0, 0.0], [-1.0, 0.0]], "exponent": 2.0}
@@ -156,11 +165,7 @@ class TestSolve:
     def test_unconverged_record_exit_2(self, tmp_path, capsys):
         """A sweep whose solves stop at ``max_iters`` writes every
         artifact but does not exit 0, and names each such record."""
-        lagrangian = dict(da_lagrangian(),
-                          c=[[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]])
-        cfg = write_config(tmp_path, lagrangian=lagrangian, grid_points=17,
-                          boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
-                          solve={"max_iters": 1}, schedule={"m_max": 4})
+        cfg = one_iteration_config(tmp_path)
         assert cli.main(["solve", cfg]) == 2
         out = tmp_path / "out"
         for name in ("sweep.json", "candidate.csv", "energies.csv", "residuals.csv"):
@@ -197,6 +202,11 @@ class TestSolve:
         # a sampling box whose width overflows fails before numpy samples it
         ("check", {"box": {"p": [-1e308, 1e308]}},
          "check: box ranges need lo <= hi and a finite width hi - lo"),
+        # the top-level fields' own range and length checks
+        ("N", 0, "N: N >= 1 required"),
+        ("grid_points", 2, "grid_points: grid_points >= 3 required"),
+        ("seed", -1, "seed: seed must be nonnegative"),
+        ("boundary", {"b0": [0.0], "b1": [1.0, 0.0]}, "boundary.b0: length must equal N = 2"),
     ])
     def test_section_fields(self, tmp_path, capsys, section, body, message):
         cfg = write_config(tmp_path, **{section: body})
@@ -350,6 +360,21 @@ class TestSolve:
         assert config.plan == sm.SamplePlan(box=sm.Box(x=(0.0, 1.0), p=(-1.0, 1.0)), seed=7)
         assert config.plan.num_triples == 500
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("array.json", "[1, 2]", "config must be a JSON object"),
+        ("missing.json", None, "No such file or directory"),
+    ], ids=["top_level_array", "missing_file"])
+    def test_unusable_config_file(self, tmp_path, capsys, name, text, message):
+        """A config file that is missing, or whose top level is not a JSON
+        object, exits 1 with one stderr line naming the file."""
+        f = tmp_path / name
+        if text is not None:
+            f.write_text(text)
+        for command in ("solve", "audit", "check"):
+            assert cli.main([command, str(f)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"{f}: ") and message in err and err.count("\n") == 1
+
     def test_json_parse_error_line_anchored(self, tmp_path, capsys):
         f = tmp_path / "broken.json"
         f.write_text('{\n  "domain": [0, 1],\n  "N": \n}\n')
@@ -406,6 +431,16 @@ class TestAudit:
                 in captured.err)
         assert "no violations" not in captured.out
 
+    def test_solve_first_stops_at_an_unconverged_solve(self, tmp_path, capsys):
+        """``--solve-first`` whose solve stops at ``max_iters`` exits 2 with
+        the solve's artifacts and audits nothing."""
+        cfg = one_iteration_config(tmp_path)
+        assert cli.main(["audit", cfg, "--solve-first"]) == 2
+        out = tmp_path / "out"
+        assert (out / "sweep.json").exists() and (out / "candidate.csv").exists()
+        assert not (out / "audit.json").exists()
+        assert "solve: m=2 stopped at max_iters" in capsys.readouterr().err
+
     def test_min_elements_beyond_grid_rejected_before_solving(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid_points=5, audit={"min_elements": 10})
         assert cli.main(["audit", cfg, "--solve-first"]) == 1
@@ -452,6 +487,19 @@ class TestAudit:
         assert cli.main(["audit", cfg]) == 1
         err = capsys.readouterr().err
         assert str(csv) in err and message in err
+
+    def test_candidate_without_header_names_the_file(self, tmp_path, capsys):
+        """A candidate CSV whose first line is not an ``x,...`` header is
+        refused before any model call, naming the file."""
+        cfg = write_config(tmp_path, grid_points=5)
+        out = tmp_path / "out"
+        out.mkdir()
+        csv = out / "candidate.csv"
+        csv.write_text("".join(f"{k / 4!r},0.0,0.0\n" for k in range(5)))
+        assert cli.main(["audit", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"audit: {csv}: path CSV must start with header 'x,u1,...'\n")
+        assert not (out / "audit.json").exists()
 
     def test_solve_totals_count_every_solve(self, tmp_path, monkeypatch):
         """On the drift oracle at 33 nodes (the benchmark's ``audit-drift``), the

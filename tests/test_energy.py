@@ -35,6 +35,15 @@ def fd_root_gradient(model, path, m, subinterval=None):
     return grad
 
 
+# each energy that takes a subinterval
+SUBINTERVAL_ENERGIES = [
+    pytest.param(lambda model, path, sub: sm.sup_energy(model, path, sub), id="sup_energy"),
+    pytest.param(lambda model, path, sub: sm.power_energy(model, path, 4, sub), id="power_energy"),
+    pytest.param(lambda model, path, sub: sm.power_energy_gradient(model, path, 4, sub),
+                 id="power_energy_gradient"),
+]
+
+
 class TestSupEnergy:
     def test_affine_slope_two(self):
         path = affine_path([0.0, 0.0], [2.0, 0.0])
@@ -50,16 +59,18 @@ class TestSupEnergy:
         with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(0\.5, 0\.5\)"):
             sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.5, 0.5))
 
-    @pytest.mark.parametrize("energy", [
-        lambda model, path, sub: sm.sup_energy(model, path, sub),
-        lambda model, path, sub: sm.power_energy(model, path, 4, sub),
-        lambda model, path, sub: sm.power_energy_gradient(model, path, 4, sub),
-    ], ids=["sup_energy", "power_energy", "power_energy_gradient"])
+    @pytest.mark.parametrize("energy", SUBINTERVAL_ENERGIES)
     @pytest.mark.parametrize("subinterval", [(NAN, 0.5), (0.0, NAN)],
                              ids=["nan_alpha", "nan_beta"])
     def test_nan_end(self, energy, subinterval):
         """A NaN end fails the subinterval checks instead of reaching numpy."""
         with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(.*nan.*\)"):
+            energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), subinterval)
+
+    @pytest.mark.parametrize("energy", SUBINTERVAL_ENERGIES)
+    @pytest.mark.parametrize("subinterval", [(-0.5, 0.5), (0.5, 1.5)], ids=["left", "right"])
+    def test_subinterval_outside_the_grid(self, energy, subinterval):
+        with pytest.raises(sm.SupminError, match=r"not inside \[0\.0, 1\.0\]"):
             energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), subinterval)
 
     def test_model_dimension_mismatch(self):
@@ -212,9 +223,9 @@ class TestGradient:
         zero = affine_path([0.0, 0.0], [1.0, 0.0]).values
         other = random_path(rng, grid=grid, dim=2).values
         for m in (1, 2, 8):
-            alone = MidpointPowerRule(m, [(grid, None)]).derivatives(model, other)
-            rule = MidpointPowerRule(m, [(grid, None)] * 2)
-            grad, (diag, upper) = rule.derivatives(model, np.concatenate([zero, other]))
+            alone = MidpointPowerRule([(grid, None)]).derivatives(model, other, m)
+            rule = MidpointPowerRule([(grid, None)] * 2)
+            grad, (diag, upper) = rule.derivatives(model, np.concatenate([zero, other]), m)
             assert np.all(grad[:9] == 0.0) and np.all(upper[:9] == 0.0)
             assert np.all(diag[1:8] == 0.0) and np.array_equal(diag[[0, 8]], [np.eye(2)] * 2)
             assert np.array_equal(grad[9:], alone[0])
@@ -230,15 +241,15 @@ class TestGradient:
                     (fine, (fine.nodes[2] + 0.01, fine.nodes[11] - 0.02))]
         paths = [random_path(rng, grid=grid, dim=2).values for grid, _ in problems]
         values = np.concatenate(paths)
+        rule = MidpointPowerRule(problems)
         for m in (1, 4, 64):
-            rule = MidpointPowerRule(m, problems)
-            samples = rule.samples(model, values)
-            grad, (diag, upper) = rule.derivatives(model, values)
+            samples = rule.samples(model, values, m)
+            grad, (diag, upper) = rule.derivatives(model, values, m)
             node = elem = 0
             for k, (problem, own_values) in enumerate(zip(problems, paths)):
-                alone = MidpointPowerRule(m, [problem])
-                own = alone.samples(model, own_values)
-                own_grad, (own_diag, own_upper) = alone.derivatives(model, own_values)
+                alone = MidpointPowerRule([problem])
+                own = alone.samples(model, own_values, m)
+                own_grad, (own_diag, own_upper) = alone.derivatives(model, own_values, m)
                 nodes, elems = len(own_values), own.sampled.size
                 assert samples.root[k] == own.root[0] and samples.top[k] == own.top[0]
                 assert np.array_equal(samples.sampled[elem:elem + elems], own.sampled)
@@ -247,6 +258,22 @@ class TestGradient:
                 assert np.array_equal(upper[node:node + nodes - 1], own_upper)
                 node, elem = node + nodes, elem + elems
             assert (node, elem) == (len(values), samples.sampled.size)
+            assert np.array_equal(rule.evaluate(model, values), samples.sampled)
+
+    @pytest.mark.parametrize("m", [0, 2.5, True])
+    def test_order_is_checked_before_the_model_is_called(self, m):
+        """The rule takes its order per call, and rejects one that is not an
+        integer >= 1 before it calls the model."""
+        model = sm.PowerNormModel(2.0, [0.5, 0.0])
+
+        def refused(*args):
+            raise AssertionError("the model was called")
+        model.eval_many = model.jet_many = refused
+        path = affine_path([0.0, 0.0], [1.0, -1.0])
+        rule = MidpointPowerRule([(path.grid, None)])
+        for call in (rule.samples, rule.derivatives):
+            with pytest.raises(sm.SupminError, match="power energy needs m >= 1"):
+                call(model, path.values, m)
 
     def test_matches_finite_differences(self, rng):
         worst = 0.0
@@ -282,9 +309,9 @@ class TestGradient:
 def dense_root_hessian(model, path, m, subinterval=None):
     """The Hessian of the normalized root over every node: the rule's
     block-tridiagonal element part assembled densely, minus (m-1)/root g g^T."""
-    rule = MidpointPowerRule(m, [(path.grid, subinterval)])
-    samples = rule.samples(model, path.values)
-    grad, hessian = rule.derivatives(model, path.values)
+    rule = MidpointPowerRule([(path.grid, subinterval)])
+    samples = rule.samples(model, path.values, m)
+    grad, hessian = rule.derivatives(model, path.values, m)
     g = grad.ravel()
     return (dense_block_tridiagonal(*hessian)
             - (m - 1) / samples.root * np.outer(g, g))
@@ -337,7 +364,7 @@ class TestHessian:
             path = random_path(rng, grid=grid, dim=2, scale=0.5)
             exact = dense_root_hessian(model, path, m, sub)
             fd = fd_root_hessian(model, path, m, sub)
-            clamped = np.repeat(MidpointPowerRule(m, [(grid, sub)]).clamped, 2)
+            clamped = np.repeat(MidpointPowerRule([(grid, sub)]).clamped, 2)
             free = np.ix_(~clamped, ~clamped)
             worst = max(worst, np.max(np.abs(exact[free] - fd[free]))
                         / (1.0 + np.max(np.abs(exact[free]))))

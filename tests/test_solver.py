@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import supmin as sm
-from supmin import energy
-from supmin.energy import MidpointPowerRule, block_layout
+from supmin.energy import MidpointPowerRule
 from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE, _lockstep,
-                           _newton, _newton_direction, _stacked_solve, _start)
+                           _newton, _newton_direction, _stacked_solve, _start, block_layout)
 
 from conftest import ROTATION, dense_block_tridiagonal, drift_model, record_sweep_solves
 from test_energy import dense_root_hessian
@@ -66,10 +65,10 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         return sm.power_energy_gradient(model, sm.Path(grid, v), m)
 
     def newton(v, grad):
-        rule = MidpointPowerRule(m, [(grid, None)])
-        samples = rule.samples(model, v)
-        hessian = rule.derivatives(model, v)[1]
-        return _newton_direction(grad, hessian, (m - 1) / samples.root, rule.layout)[free]
+        rule = MidpointPowerRule([(grid, None)])
+        samples = rule.samples(model, v, m)
+        hessian = rule.derivatives(model, v, m)[1]
+        return _newton_direction(grad, hessian, (m - 1) / samples.root, alone(len(v)))[free]
 
     f = fval(values)
     f_evals, iterations = 1, 0
@@ -347,12 +346,12 @@ class TestNewtonDirection:
         # far from it the weights ratio^(m-1) make H singular to round-off
         values = sm.minimize_power(model, grid, bmap, m)[0].values.copy()
         values[1:-1] += np.random.default_rng(5).normal(scale=1e-3, size=values[1:-1].shape)
-        rule = MidpointPowerRule(m, [(grid, None)])
-        samples = rule.samples(model, values)
-        grad, hessian = rule.derivatives(model, values)
+        rule = MidpointPowerRule([(grid, None)])
+        samples = rule.samples(model, values, m)
+        grad, hessian = rule.derivatives(model, values, m)
         hess = dense_root_hessian(model, sm.Path(grid, values), m)
         want = np.linalg.solve(hess, -grad.ravel())
-        got = _newton_direction(grad, hessian, (m - 1) / samples.root, rule.layout).ravel()
+        got = _newton_direction(grad, hessian, (m - 1) / samples.root, alone(17)).ravel()
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.all(got.reshape(grad.shape)[[0, -1]] == 0.0)
 
@@ -364,12 +363,11 @@ class TestNewtonDirection:
         model = sm.PowerNormModel(4.0, [0.0])
         bmap = sm.AffineMap([0.0], [1.0])
         init = sm.Path(grid, np.array([[0.0], [0.0], [0.0], [0.5], [1.0]]))
-        rule = MidpointPowerRule(2, [(grid, None)])
-        samples = rule.samples(model, init.values)
-        grad, hessian = rule.derivatives(model, init.values)
+        rule = MidpointPowerRule([(grid, None)])
+        samples = rule.samples(model, init.values, 2)
+        grad, hessian = rule.derivatives(model, init.values, 2)
         assert np.any(grad != 0.0)
-        assert np.all(np.isnan(_newton_direction(grad, hessian, 1.0 / samples.root,
-                                                 rule.layout)))
+        assert np.all(np.isnan(_newton_direction(grad, hessian, 1.0 / samples.root, alone(5))))
         path, stats = sm.minimize_power(model, grid, bmap, 2, init)
         assert stats.converged
         np.testing.assert_allclose(path.values, sm.interpolate_affine(bmap, grid).values,
@@ -718,21 +716,21 @@ class TestLockstep:
             self.assert_records_solved_alone(model, grid, bmap, init, res, options)
 
     def test_block_layout_is_built_once_per_stacked_rule(self, monkeypatch):
-        """Each rule that serves Newton requests works out its block layout
-        once, at its first round, and every later round of the same set of
-        problems reuses it."""
+        """Each stacked rule that serves Newton requests gets its block
+        layout once, at its first round, and every later round of the same
+        set of problems reuses it."""
         layouts, rounds = [], []
-        build, derivatives = energy.block_layout, MidpointPowerRule.derivatives
+        build, derivatives = sm.solver.block_layout, MidpointPowerRule.derivatives
 
         def counting_build(system):
             layouts.append(system)
             return build(system)
 
-        def counting_derivatives(rule, model, values):
+        def counting_derivatives(rule, model, values, m):
             rounds.append(rule)  # keeps the rule alive, so no two share an id
-            return derivatives(rule, model, values)
+            return derivatives(rule, model, values, m)
 
-        monkeypatch.setattr(energy, "block_layout", counting_build)
+        monkeypatch.setattr(sm.solver, "block_layout", counting_build)
         monkeypatch.setattr(MidpointPowerRule, "derivatives", counting_derivatives)
         model = sm.PowerNormModel(8.0, [0.5, -0.25])
         sm.solver.m_sweep_many(model, list(self.audit_style_problems().values()),
