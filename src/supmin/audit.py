@@ -4,10 +4,12 @@
 node-aligned subintervals with the candidate's own boundary values and
 reports the deficit of the restricted candidate against each local
 competitor: a positive deficit beyond tolerance refutes absolute minimality.
-The local sweeps run as one lockstep batch (``solver.m_sweep_many``), and
-the restricted sups are slices of one evaluation of the candidate.  The
-audit's settings, ``AuditConfig``, are defined in ``options``, beside the
-sweep's.
+A local sweep that aborted, stopped short, or ended above the restricted
+candidate's sup beyond tolerance decides nothing (inconclusive).  Each
+subinterval is the discrete problem on the grid of its nodes.  The local
+sweeps run as one lockstep batch (``solver.m_sweep_many``), and the
+restricted sups are slices of one evaluation of the candidate.  The audit's
+settings, ``AuditConfig``, are defined in ``options``, beside the sweep's.
 
 ``build_comparison`` glues affine boundary layers of width delta onto an
 interior profile; ``endpoint_quotient_scan`` drives the glued paths along a
@@ -104,13 +106,18 @@ def sample_subintervals(grid: Grid, config: AuditConfig) -> list[tuple[int, int]
 def _entry(alpha, beta, sup_global, sweep, config) -> SubintervalAudit:
     sup_local, deficit, status, error = (sweep.sup_of_candidate, float("nan"),
                                          "inconclusive", sweep.error)
+    allowance = config.tol_audit * (1.0 + sup_global)
     if sweep.aborted:
         sup_local = float("nan")
     elif not (last := sweep.records[-1]).stats.converged:
         error = f"m={last.m}: stopped at {last.stats.stop_reason}"
+    elif sup_local > sup_global + allowance:
+        # the restricted candidate is a competitor the local sweep did not match
+        error = (f"local sup {sup_local!r} above the restricted candidate's sup "
+                 f"{sup_global!r}: the local min-max was not found")
     else:
         deficit = sup_global - sup_local
-        status = "violation" if deficit > config.tol_audit * (1.0 + sup_global) else "ok"
+        status = "violation" if deficit > allowance else "ok"
     return SubintervalAudit(alpha, beta, sup_global, sup_local, deficit, status, error,
                             [rec.stats.stop_reason for rec in sweep.records],
                             sweep.solve_totals)
@@ -121,21 +128,22 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     """Compare the restricted candidate to a fresh local re-solve on each
     distinct sampled subinterval (its boundary carrier is the chord through
     the candidate's values there).  Both sups are midpoint-rule values, those
-    of the discrete problem the local sweep minimises.  A local sweep that
-    aborted, or whose last solve stopped at ``max_iters`` or ``line_search``
-    before its Newton decrement reached the round-off floor, makes its
-    subinterval inconclusive (NaN deficit), excluded from pass/fail; a report
-    with no conclusive subinterval does not pass.
+    of the discrete problem the local sweep minimises.  A subinterval is
+    inconclusive (NaN deficit), excluded from pass/fail, when its local
+    sweep aborted, when its last solve stopped at ``max_iters`` or
+    ``line_search``, or when its local sup lies above the restricted sup by
+    more than ``tol_audit * (1 + sup)``: the restricted candidate competes
+    there, so that sweep missed the local min-max.  A report with no
+    conclusive subinterval does not pass.
 
-    The subintervals are node-aligned, so the samples of the restricted
-    candidate over nodes i..j are elements i..j-1 of one midpoint evaluation
-    on the whole grid, the rows ``sup_energy`` would evaluate.  The local
-    sweeps, and every restart of each, run as one lockstep batch
-    (``m_sweep_many``)."""
+    The restricted candidate over nodes i..j, ``Path(Grid(nodes[i:j+1]),
+    values[i:j+1])``, has bitwise the samples of elements i..j-1 of one
+    midpoint evaluation on the whole grid.  The local sweeps, and every
+    restart of each, run as one lockstep batch (``m_sweep_many``)."""
     config = config or AuditConfig()
     pairs = sample_subintervals(candidate.grid, config)
     nodes = candidate.grid.nodes
-    sampled = MidpointPowerRule([(candidate.grid, None)]).evaluate(model, candidate.values)
+    sampled = MidpointPowerRule([candidate.grid]).evaluate(model, candidate.values)
     problems = []
     for k, (i, j) in enumerate(pairs):
         alpha, beta = float(nodes[i]), float(nodes[j])
@@ -225,18 +233,18 @@ class SemicontinuityResult:
 
 
 def semicontinuity_check(model: LagrangianModel, approx_paths, limit_path: Path,
-                         subinterval=None, tol_audit: float = 1e-3) -> SemicontinuityResult:
+                         tol_audit: float = 1e-3) -> SemicontinuityResult:
     """Check sup_energy(limit) <= liminf of the normalized power roots of the
     approximating paths, the liminf estimated as the minimum over the last
-    half of the finite sequence."""
+    half of the finite sequence, every energy over the paths' whole grid."""
     _check_tol_audit(tol_audit)
     if len(approx_paths) < 3:
         raise SupminError("semicontinuity check needs at least 3 approximating paths")
     ms = [m for m, _ in approx_paths]
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise SupminError("exponents must be strictly increasing")
-    lhs = sup_energy(model, limit_path, subinterval)
-    roots = [power_energy(model, p, m, subinterval).normalized_root for m, p in approx_paths]
+    lhs = sup_energy(model, limit_path)
+    roots = [power_energy(model, p, m).normalized_root for m, p in approx_paths]
     liminf_est = float(min(roots[len(roots) // 2 :]))
     passed = lhs <= liminf_est + tol_audit * (1.0 + lhs)
     return SemicontinuityResult(float(lhs), liminf_est, passed, roots)
@@ -292,7 +300,7 @@ def endpoint_quotient_scan(model: LagrangianModel, psi: Path, delta_schedule=Non
         raise SupminError("delta schedule must lie in (0, length/3)")
 
     u_left, u_right = psi.values[0], psi.values[-1]
-    rule = MidpointPowerRule([(grid, None)])
+    rule = MidpointPowerRule([grid])
     left_entries, right_entries = [], []
     for d in deltas:
         i_left, i_right = snap_delta(grid, d, clamp=True)

@@ -1,23 +1,26 @@
 """Sup-energy, stabilized power-mean energies, their gradients, Jensen gaps.
 
-Every energy of a path over (alpha, beta) samples L by one rule: the midpoint
-of each element intersecting the subinterval, clipped to it, weighted by the
-clipped length.  The slope is element-constant, so only (x, u(x)) vary inside
-an element and the rule is second-order.  The power energy of order m is the
-rule's integral of L^m; the sup energy is the largest sample, the limit of
-its normalized roots as m grows, so the sup reported for a minimiser is the
-value of the same discrete problem the solver minimises.
+Every energy of a path samples L by one rule: the midpoint of each element
+of its grid, weighted by the element's length.  The slope is element-constant,
+so only (x, u(x)) vary inside an element and the rule is second-order.  The
+power energy of order m is the rule's integral of L^m; the sup energy is the
+largest sample, the limit of its normalized roots as m grows, so the sup
+reported for a minimiser is the value of the same discrete problem the
+solver minimises.
 
 Power energies are evaluated in factored form: with S the largest sample,
-  root  = S * ( sum_e len_e * (L_e/S)^m / (beta-alpha) )^(1/m),
+  root  = S * ( sum_e len_e * (L_e/S)^m / (b-a) )^(1/m),
 so the normalized root stays finite up to m = 2^10 and beyond even where
 the integral S^m * sum_e len_e * (L_e/S)^m overflows.  Elements are always
 accumulated in ascending index order so results are bit-reproducible.
 
+An energy over nodes i..j is that of the restricted path
+``Path(Grid(nodes[i:j+1]), values[i:j+1])``, a discrete problem of its own.
+
 One ``MidpointPowerRule`` holds this arithmetic: the geometry of the
-discrete problem and nothing else.  Prepared once for a list of problems,
-each a grid and a subinterval of it, it holds the concatenated nodes and
-elements of all of them, so that one call serves a whole batch of solves.
+discrete problem and nothing else.  Prepared once for a list of grids, one
+per problem, it holds the concatenated nodes and elements of all of them, so
+that one call serves a whole batch of solves.
 It holds no order; each call that needs one takes it.  It turns nodal
 values into L at the samples with one ``eval_many`` call (``evaluate``),
 into ``PowerSamples`` of order m with the same call, and into the gradient
@@ -27,7 +30,7 @@ e + 1, so only neighbouring nodes are coupled.  Each problem's largest
 sample, power sum and root are segment reductions, rounded as that problem
 alone would round them.  How the block systems are solved is the solver's
 business, not the rule's.  ``power_energy``, ``power_energy_gradient`` and
-``sup_energy`` are one-call wrappers around a rule of one problem.
+``sup_energy`` are one-call wrappers around a rule of one grid.
 """
 
 from __future__ import annotations
@@ -38,31 +41,20 @@ import numpy as np
 
 from .errors import NonFinite, SupminError, check_count
 from .lagrangian import LagrangianModel, check_width
-from .path import Grid, Path
+from .path import Path
 
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Power energy of one order over one subinterval.
+    """Power energy of one order of a path over its grid.
 
     ``normalized_root`` is the overflow-safe m-th root of the mean of L^m;
     ``sup`` is the maximum of L over the same samples, which is
-    ``sup_energy`` of the path over the subinterval for every m.
+    ``sup_energy`` of the path for every m.
     """
 
     normalized_root: float
     sup: float
-
-
-def _subinterval(grid: Grid, subinterval) -> tuple[float, float]:
-    if subinterval is None:
-        return grid.a, grid.b
-    alpha, beta = float(subinterval[0]), float(subinterval[1])
-    if not alpha < beta:  # written so that a NaN end fails it, as the next check
-        raise SupminError(f"need alpha < beta, got ({alpha}, {beta})")
-    if not (grid.a <= alpha and beta <= grid.b):
-        raise SupminError(f"({alpha}, {beta}) not inside [{grid.a}, {grid.b}]")
-    return alpha, beta
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -96,19 +88,18 @@ class PowerSamples:
 
 class MidpointPowerRule:
     """The midpoint rule over a stack of problems, prepared once: per
-    element its index, clipped length, sample point ``xs`` and offset
-    ``theta`` in the element; per node whether it is clamped; per problem
-    its first element, first node and the length of its subinterval.
+    element its index, length, sample point ``xs`` and offset ``theta`` in
+    the element; per node whether it is clamped; per problem its first
+    element, first node and the length of its grid.
 
-    The rule is built in one pass over ``problems``, ``(grid, subinterval)``
-    pairs (``None`` for the whole grid): their nodes are concatenated, each
-    problem's subinterval ends are repeated over its nodes, and the element
-    that would join two problems is left out.  It holds no order: from
-    nodal values, ``evaluate`` returns L at the midpoints of every
-    problem's path (one ``eval_many`` call), ``samples`` adds the power
-    root of order m, and ``derivatives`` gives the gradient and the element
-    part of the Hessian of that root (one ``jet_many`` call), both by the
-    same helpers ``_points`` and ``_powers``.  Every per-problem sum is
+    The rule is built in one pass over ``grids``, one per problem: their
+    nodes are concatenated, each grid's two end nodes are clamped, and the
+    element that would join two problems is left out.  It holds no order:
+    from nodal values, ``evaluate`` returns L at the midpoints of every
+    problem's path (one ``eval_many`` call), ``samples`` adds the power root
+    of order m, and ``derivatives`` gives the gradient and the element part
+    of the Hessian of that root (one ``jet_many`` call), both by the same
+    helpers ``_points`` and ``_powers``.  Every per-problem sum is
     rounded as the same sum over that problem alone (``segment_sums``), and
     every other operation acts on one element or node at a time, so a
     problem's numbers do not depend on the problems it is built with, as
@@ -116,34 +107,26 @@ class MidpointPowerRule:
     of its batch.
     """
 
-    def __init__(self, problems):
-        bounds = np.array([_subinterval(grid, sub) for grid, sub in problems])
-        sizes = [grid.nodes.size for grid, _ in problems]
-        nodes = np.concatenate([grid.nodes for grid, _ in problems])
-        node_problem = np.repeat(np.arange(len(sizes)), sizes)
-        alpha, beta = bounds[node_problem, 0], bounds[node_problem, 1]
+    def __init__(self, grids):
+        sizes = [grid.nodes.size for grid in grids]
+        nodes = np.concatenate([grid.nodes for grid in grids])
         self.node_starts = np.cumsum(sizes) - sizes
-        lo = np.maximum(nodes[:-1], alpha[:-1])
-        hi = np.minimum(nodes[1:], beta[:-1])
-        # the elements overlapping (alpha, beta), but none joining two problems
-        joins = np.zeros(nodes.size - 1, dtype=bool)
-        joins[self.node_starts[1:] - 1] = True
-        idx = np.nonzero((hi > lo) & ~joins)[0]
-        lo, hi = lo[idx], hi[idx]
-        self.idx = idx
-        self.lengths = hi - lo
-        self.xs = lo + 0.5 * self.lengths
+        ends = self.node_starts + sizes - 1
+        # every element but those that would join two problems
+        self.idx = idx = np.delete(np.arange(nodes.size - 1), ends[:-1])
         self.elem_len = nodes[idx + 1] - nodes[idx]
+        self.xs = nodes[idx] + 0.5 * self.elem_len
         offsets = self.xs - nodes[idx]
         self.offsets = offsets[:, None]
         self.theta = (offsets / self.elem_len)[:, None]
-        # a grid's end nodes are always clamped, so the problems never couple
-        self.clamped = (nodes <= alpha) | (nodes >= beta)
-        self.spans = (bounds[:, 1] - bounds[:, 0]).tolist()
-        self.elem_starts = np.searchsorted(idx, self.node_starts)
+        # each grid's two end nodes are clamped, so the problems never couple
+        self.clamped = np.zeros(nodes.size, dtype=bool)
+        self.clamped[self.node_starts] = self.clamped[ends] = True
+        self.spans = [grid.b - grid.a for grid in grids]
+        self.elem_starts = self.node_starts - np.arange(len(sizes))
         # the problem of each node and of each element
-        self.node_problem = node_problem
-        self.elem_problem = node_problem[idx]
+        self.node_problem = np.repeat(np.arange(len(sizes)), sizes)
+        self.elem_problem = self.node_problem[idx]
 
     def _points(self, model: LagrangianModel, values: np.ndarray):
         """The map's value and slope at every element's sample point of the
@@ -161,7 +144,7 @@ class MidpointPowerRule:
         ``root / top``; per element L_e / top."""
         top = np.maximum.reduceat(sampled, self.elem_starts)
         ratios = sampled / np.where(top == 0.0, 1.0, top)[self.elem_problem]
-        weight_sum = segment_sums(self.lengths * ratios**m, self.elem_starts)
+        weight_sum = segment_sums(self.elem_len * ratios**m, self.elem_starts)
         # one scalar power per problem: numpy's vector power may round differently
         outer = np.array([(w / span) ** (1.0 / m)
                           for w, span in zip(weight_sum.tolist(), self.spans)])
@@ -194,8 +177,8 @@ class MidpointPowerRule:
 
         ``grad`` has one row per node.  The element part is block
         tridiagonal: ``diag[i]`` couples node i with itself, ``upper[i]``
-        node i with node i + 1, each N x N.  Clamped nodes (on or outside the
-        closed subinterval) get zero gradient rows, identity diagonal blocks
+        node i with node i + 1, each N x N.  Clamped nodes (each grid's two
+        end nodes) get zero gradient rows, identity diagonal blocks
         and no coupling, so the stack's element part is block diagonal, one
         block-tridiagonal system per problem.
 
@@ -214,7 +197,7 @@ class MidpointPowerRule:
         # a problem whose samples all vanish has zero top, power sum and
         # root; dividing its entries by one instead of zero gives it zero rows
         vanished = (top == 0.0)[problem]
-        scale = outer[problem] * self.lengths / np.where(vanished, 1.0, weight_sum[problem])
+        scale = outer[problem] * elem_len / np.where(vanished, 1.0, weight_sum[problem])
         # d(root)/dL_e in factored form: stays representable for every m
         coeffs = scale * ratios ** (m - 1)
         d_slope = jet.dp / elem_len[:, None]
@@ -256,30 +239,28 @@ class MidpointPowerRule:
         return grad, (diag, upper)
 
 
-def power_energy(model: LagrangianModel, path: Path, m: int, subinterval=None) -> EnergyReport:
-    """Normalized root of the midpoint-rule mean of L^m, in factored,
-    overflow-safe form, with the largest sample."""
-    s = MidpointPowerRule([(path.grid, subinterval)]).samples(model, path.values, m)
+def power_energy(model: LagrangianModel, path: Path, m: int) -> EnergyReport:
+    """Normalized root of the midpoint-rule mean of L^m over the path's
+    grid, in factored, overflow-safe form, with the largest sample."""
+    s = MidpointPowerRule([path.grid]).samples(model, path.values, m)
     return EnergyReport(float(s.root[0]), float(s.top[0]))
 
 
-def sup_energy(model: LagrangianModel, path: Path, subinterval=None) -> float:
-    """Maximum of L(x, u(x), Du(x)) over the midpoint samples of every element
-    intersecting (alpha, beta), partial elements sampled at the midpoint of
-    their clipped part: the ``sup`` of ``power_energy`` for every m."""
-    rule = MidpointPowerRule([(path.grid, subinterval)])
-    return float(np.max(rule.evaluate(model, path.values)))
+def sup_energy(model: LagrangianModel, path: Path) -> float:
+    """Maximum of L(x, u(x), Du(x)) over the midpoint samples of the path's
+    elements: the ``sup`` of ``power_energy`` for every m."""
+    return float(np.max(MidpointPowerRule([path.grid]).evaluate(model, path.values)))
 
 
-def power_energy_gradient(model: LagrangianModel, path: Path, m: int, subinterval=None) -> np.ndarray:
+def power_energy_gradient(model: LagrangianModel, path: Path, m: int) -> np.ndarray:
     """Gradient of the normalized power root with respect to nodal values.
 
-    Rows for nodes on or outside the closed subinterval are zero: boundary
-    nodes are clamped Dirichlet data of the comparison problem.  Where every
+    The rows of the two end nodes are zero: they are clamped Dirichlet data
+    of the comparison problem.  Where every
     sample is zero, a global minimum, every row is zero, and so it stays
     where the model has no jet at such a path (|p|^s, s < 2, at p = offset).
     """
-    rule = MidpointPowerRule([(path.grid, subinterval)])
+    rule = MidpointPowerRule([path.grid])
     try:
         return rule.derivatives(model, path.values, m)[0]
     except NonFinite:

@@ -259,7 +259,7 @@ def _lockstep(model, solves) -> list:
     def rule(ids):
         key = tuple(ids)
         if key not in rules:
-            rules[key] = MidpointPowerRule([(requests[i][1], None) for i in key])
+            rules[key] = MidpointPowerRule([requests[i][1] for i in key])
         return rules[key]
 
     def values(ids):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import supmin as sm
+from supmin.energy import MidpointPowerRule
 
 
 def one_row(x, *vectors):
@@ -26,6 +27,19 @@ def random_path(rng, grid=None, dim=None, scale=1.0):
     grid = grid if grid is not None else random_grid(rng)
     dim = dim if dim is not None else int(rng.integers(1, 4))
     return sm.Path(grid, rng.normal(scale=scale, size=(grid.nodes.size, dim)))
+
+
+def restricted_sup(model, path, i, j):
+    """``sup_energy`` of ``path`` over nodes i..j: that of the path restricted
+    to the grid of those nodes, ``Path(Grid(nodes[i:j+1]), values[i:j+1])``.
+    A grid has at least 3 nodes, so a single element is restricted together
+    with a neighbour and keeps only its own sample; the midpoint rule
+    samples each element from its own two nodes alone."""
+    lo = min(i, path.grid.nodes.size - 3)
+    hi = max(j, lo + 2)
+    grid = sm.Grid(path.grid.nodes[lo : hi + 1])
+    sampled = MidpointPowerRule([grid]).evaluate(model, path.values[lo : hi + 1])
+    return float(np.max(sampled[i - lo : j - lo]))
 
 
 def random_builtin_model(rng, dim):

@@ -12,7 +12,7 @@ import pytest
 import supmin as sm
 from supmin import cli
 
-from conftest import random_builtin_model, random_path
+from conftest import random_builtin_model, random_path, restricted_sup
 from test_path import weighted_slope_oracle
 from test_energy import fd_root_gradient
 
@@ -249,11 +249,10 @@ def test_c11_comparison_map_gluing():
         delta = float(rng.uniform(0.07, 0.32))
         glued = sm.build_comparison(u_l, u_r, psi, delta)
         i_l, i_r = sm.snap_delta(psi.grid, delta)
-        nodes = psi.grid.nodes
         bound = max(
-            sm.sup_energy(model, glued, (nodes[0], nodes[i_l])),
+            restricted_sup(model, glued, 0, i_l),
             sm.sup_energy(model, psi),
-            sm.sup_energy(model, glued, (nodes[i_r], nodes[-1])),
+            restricted_sup(model, glued, i_r, psi.grid.nodes.size - 1),
         )
         whole = sm.sup_energy(model, glued)
         assert whole <= bound * (1 + 1e-12) + 1e-12

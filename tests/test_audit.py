@@ -3,7 +3,7 @@ import pytest
 
 import supmin as sm
 
-from conftest import drift_model, random_builtin_model, random_path
+from conftest import drift_model, random_builtin_model, random_path, restricted_sup
 
 EPS = np.finfo(float).eps
 
@@ -159,7 +159,10 @@ class TestAbsoluteMinimalityAudit:
         """L = 1/|p|^2 is infinite at p = 0, where a zigzag candidate's chord
         between two equal end values starts its local sweep: that sweep
         aborts at m = 2, and its subinterval is inconclusive with a NaN
-        local sup, while the subintervals between unequal ends are decided."""
+        local sup.  Between unequal ends the local sweeps converge, but to
+        0.140625, above the zigzag's own 1/64: they have not found the local
+        min-max, so those subintervals are inconclusive too, with both sups
+        in their error, and the report does not pass."""
         def inverse_square(xs, etas, ps):
             with np.errstate(divide="ignore"):
                 return 1.0 / np.sum(ps * ps, axis=1)
@@ -171,15 +174,75 @@ class TestAbsoluteMinimalityAudit:
         # the zigzag takes equal values at the ends of an even number of elements
         even = [round(8 * (e.beta - e.alpha)) % 2 == 0 for e in report.entries]
         aborted = [e for e, flag in zip(report.entries, even) if flag]
-        decided = [e for e, flag in zip(report.entries, even) if not flag]
-        assert aborted and decided
+        converged = [e for e, flag in zip(report.entries, even) if not flag]
+        assert aborted and converged
         for entry in aborted:
             assert entry.status == "inconclusive"
             assert np.isnan(entry.sup_local_solution) and np.isnan(entry.deficit)
             assert entry.error == "m=2: Lagrangian evaluation is not finite"
             assert entry.stop_reasons == []
-        assert all(e.status != "inconclusive" for e in decided)
-        assert report.max_deficit == max(e.deficit for e in decided)
+        for entry in converged:
+            assert entry.status == "inconclusive" and np.isnan(entry.deficit)
+            assert entry.stop_reasons[-1] == "decrement"
+            assert entry.sup_global_restricted == 1.0 / 64.0
+            assert entry.sup_local_solution == pytest.approx(0.140625, rel=1e-12)
+            assert entry.error == (f"local sup {entry.sup_local_solution!r} above the restricted "
+                                   "candidate's sup 0.015625: the local min-max was not found")
+        assert not report.passed and np.isnan(report.max_deficit)
+
+    def test_local_sup_above_the_restricted_sup_decides_nothing(self):
+        """The restricted candidate competes on its own subinterval, so a
+        converged local sweep whose sup lies above the candidate's by more
+        than tol_audit (1 + sup) has not found the local min-max: its entry
+        is inconclusive.  Within that allowance it is ``ok``, and a local
+        sup below the candidate's by more than it is a violation."""
+        model = sm.PowerNormModel(2.0, [0.0])
+        config = sm.AuditConfig()
+        [sweep] = sm.solver.m_sweep_many(model, [(sm.Grid.uniform(0.0, 1.0, 5),
+                                                  sm.AffineMap([0.0], [1.0]), None, 0)])
+        local = sweep.sup_of_candidate
+        assert sweep.records[-1].stats.converged and local == pytest.approx(1.0, rel=1e-12)
+        allowance = config.tol_audit * (1.0 + 0.5)
+        for sup_global, status in ((0.5, "inconclusive"), (local - 0.5 * allowance, "ok"),
+                                   (local, "ok"), (local + 0.5 * allowance, "ok"),
+                                   (2.0, "violation")):
+            entry = sm.audit._entry(0.0, 1.0, sup_global, sweep, config)
+            assert entry.status == status and entry.sup_local_solution == local
+            if status == "inconclusive":
+                assert np.isnan(entry.deficit)
+                assert entry.error == (f"local sup {local!r} above the restricted candidate's "
+                                       "sup 0.5: the local min-max was not found")
+            else:
+                assert entry.deficit == sup_global - local and entry.error is None
+
+    @pytest.mark.parametrize("kind", ["power_norm", "data_assimilation", "radial", "min_norms"])
+    def test_restricted_sup_is_sup_energy_of_the_restricted_candidate(self, kind, rng):
+        """On a jittered grid, each entry's ``sup_global_restricted`` is
+        bitwise ``sup_energy`` of the candidate restricted to the grid of
+        its nodes i..j, the discrete problem its local sweep solves."""
+        signal = sm.SampledSignal(np.linspace(-0.5, 1.5, 5), rng.normal(scale=0.5, size=(5, 2)))
+        model = {
+            "power_norm": lambda: sm.PowerNormModel(1.5, rng.normal(size=2)),
+            "data_assimilation": lambda: sm.DataAssimilationModel(
+                rng.normal(scale=0.5, size=(1, 2)),
+                sm.SampledSignal(np.linspace(-0.5, 1.5, 5), rng.normal(scale=0.5, size=(5, 1))),
+                rng.normal(scale=0.3, size=(2, 2)), signal),
+            "radial": lambda: sm.RadialModel(sm.radial_profile("shift", beta=0.5, gamma=1.7),
+                                             rng.normal(scale=0.3, size=(2, 2)), signal),
+            "min_norms": lambda: sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
+        }[kind]()
+        nodes = np.linspace(0.0, 1.0, 13)
+        nodes[1:-1] += rng.uniform(-0.3, 0.3, 11) / 12
+        cand = random_path(rng, grid=sm.Grid(nodes), dim=2, scale=0.5)
+        config = sm.AuditConfig(num_subintervals=8, seed=int(rng.integers(100)),
+                                schedule=sm.SweepSchedule(m_max=4))
+        report = sm.audit_absolute_minimality(model, cand, config)
+        pairs = sm.audit.sample_subintervals(cand.grid, config)
+        assert len(report.entries) == len(pairs) > 1
+        for entry, (i, j) in zip(report.entries, pairs):
+            assert (entry.alpha, entry.beta) == (nodes[i], nodes[j])
+            restricted = sm.Path(sm.Grid(nodes[i : j + 1]), cand.values[i : j + 1])
+            assert entry.sup_global_restricted == sm.sup_energy(model, restricted)
 
     def test_model_dimension_mismatch(self):
         cand = sm.interpolate_affine(sm.AffineMap([0.0], [1.0]), sm.Grid.uniform(0.0, 1.0, 17))
@@ -256,9 +319,8 @@ class TestBuildComparison:
             delta = float(rng.uniform(0.07, 0.32))
             glued = sm.build_comparison(u_left, u_right, psi, delta)
             i_left, i_right = sm.snap_delta(psi.grid, delta)
-            nodes = psi.grid.nodes
-            left_sup = sm.sup_energy(model, glued, (nodes[0], nodes[i_left]))
-            right_sup = sm.sup_energy(model, glued, (nodes[i_right], nodes[-1]))
+            left_sup = restricted_sup(model, glued, 0, i_left)
+            right_sup = restricted_sup(model, glued, i_right, psi.grid.nodes.size - 1)
             interior_sup = sm.sup_energy(model, psi)
             whole = sm.sup_energy(model, glued)
             bound = max(left_sup, interior_sup, right_sup)
@@ -344,13 +406,13 @@ class TestEndpointQuotientScan:
             for entry in scan.left:
                 i_left, _ = sm.snap_delta(psi.grid, entry.delta, clamp=True)
                 glued = sm.build_comparison(psi.values[0], psi.values[-1], psi, entry.delta)
-                direct = sm.sup_energy(model, glued, (psi.grid.a, psi.grid.nodes[i_left]))
+                direct = restricted_sup(model, glued, 0, i_left)
                 assert entry.layer_sup == direct
 
     def test_every_layer_sup_is_sup_energy_bitwise(self, rng):
         """At every width of the default schedule, clamped ones too, each
-        layer sup is ``sup_energy`` over that layer of the path glued node
-        by node, bitwise, on both sides of a jittered grid."""
+        layer sup is ``sup_energy`` of the path glued node by node,
+        restricted to that layer, bitwise, on both sides of a jittered grid."""
         for _ in range(6):
             dim = int(rng.integers(1, 3))
             model = random_builtin_model(rng, dim)
@@ -371,8 +433,8 @@ class TestEndpointQuotientScan:
                         u_right - psi.values[i_right])
                 values[0], values[-1] = u_left, u_right
                 glued = sm.Path(psi.grid, values)
-                assert left.layer_sup == sm.sup_energy(model, glued, (0.0, xl))
-                assert right.layer_sup == sm.sup_energy(model, glued, (xr, 1.0))
+                assert left.layer_sup == restricted_sup(model, glued, 0, i_left)
+                assert right.layer_sup == restricted_sup(model, glued, i_right, num - 1)
 
     def test_schedule_validation(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)

@@ -5,10 +5,9 @@ import supmin as sm
 from supmin.energy import MidpointPowerRule
 
 from conftest import (ROTATION, dense_block_tridiagonal, drift_model, random_builtin_model,
-                      random_path)
+                      random_path, restricted_sup)
 
 EPS = np.finfo(float).eps
-NAN = float("nan")
 
 
 def spike_path():
@@ -19,7 +18,7 @@ def affine_path(b0, b1, num_nodes=9, a=0.0, b=1.0):
     return sm.interpolate_affine(sm.AffineMap(b0, b1), sm.Grid.uniform(a, b, num_nodes))
 
 
-def fd_root_gradient(model, path, m, subinterval=None):
+def fd_root_gradient(model, path, m):
     """Central finite differences of the normalized root over interior nodes."""
     grad = np.zeros_like(path.values)
     base = np.array(path.values)
@@ -29,19 +28,10 @@ def fd_root_gradient(model, path, m, subinterval=None):
             up, dn = base.copy(), base.copy()
             up[i, j] += h
             dn[i, j] -= h
-            fp = sm.power_energy(model, sm.Path(path.grid, up), m, subinterval).normalized_root
-            fm = sm.power_energy(model, sm.Path(path.grid, dn), m, subinterval).normalized_root
+            fp = sm.power_energy(model, sm.Path(path.grid, up), m).normalized_root
+            fm = sm.power_energy(model, sm.Path(path.grid, dn), m).normalized_root
             grad[i, j] = (fp - fm) / (2 * h)
     return grad
-
-
-# each energy that takes a subinterval
-SUBINTERVAL_ENERGIES = [
-    pytest.param(lambda model, path, sub: sm.sup_energy(model, path, sub), id="sup_energy"),
-    pytest.param(lambda model, path, sub: sm.power_energy(model, path, 4, sub), id="power_energy"),
-    pytest.param(lambda model, path, sub: sm.power_energy_gradient(model, path, 4, sub),
-                 id="power_energy_gradient"),
-]
 
 
 class TestSupEnergy:
@@ -52,27 +42,6 @@ class TestSupEnergy:
     def test_spike_max(self):
         assert sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path()) == 4.0
 
-    def test_subinterval_excludes_steep_element(self):
-        assert sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.0, 0.4)) == 0.0
-
-    def test_empty_interval(self):
-        with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(0\.5, 0\.5\)"):
-            sm.sup_energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), (0.5, 0.5))
-
-    @pytest.mark.parametrize("energy", SUBINTERVAL_ENERGIES)
-    @pytest.mark.parametrize("subinterval", [(NAN, 0.5), (0.0, NAN)],
-                             ids=["nan_alpha", "nan_beta"])
-    def test_nan_end(self, energy, subinterval):
-        """A NaN end fails the subinterval checks instead of reaching numpy."""
-        with pytest.raises(sm.SupminError, match=r"need alpha < beta, got \(.*nan.*\)"):
-            energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), subinterval)
-
-    @pytest.mark.parametrize("energy", SUBINTERVAL_ENERGIES)
-    @pytest.mark.parametrize("subinterval", [(-0.5, 0.5), (0.5, 1.5)], ids=["left", "right"])
-    def test_subinterval_outside_the_grid(self, energy, subinterval):
-        with pytest.raises(sm.SupminError, match=r"not inside \[0\.0, 1\.0\]"):
-            energy(sm.PowerNormModel(2.0, [0.0]), spike_path(), subinterval)
-
     def test_model_dimension_mismatch(self):
         path = affine_path([0.0, 0.0], [2.0, 0.0])
         with pytest.raises(sm.SupminError, match="path dimension 2 differs from the model "
@@ -81,7 +50,8 @@ class TestSupEnergy:
 
     def test_equals_power_energy_sup_bitwise(self, rng):
         """One rule: the sup energy is the largest midpoint sample of every
-        power energy, for models that read x and u too."""
+        power energy, for models that read x and u too, of a path and of
+        the path restricted to random nodes i..j."""
         signal = sm.SampledSignal(np.linspace(-0.5, 1.5, 5), rng.normal(scale=0.5, size=(5, 2)))
         models = [
             sm.PowerNormModel(1.5, rng.normal(size=2)),
@@ -99,11 +69,14 @@ class TestSupEnergy:
         for model in models:
             for _ in range(10):
                 path = random_path(rng, dim=2)
-                lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-                for sub in (None, (lo, hi)):
-                    sup = sm.sup_energy(model, path, sub)
+                nodes, size = path.grid.nodes, path.grid.nodes.size
+                i = int(rng.integers(0, size - 2))
+                j = int(rng.integers(i + 2, size))
+                restricted = sm.Path(sm.Grid(nodes[i : j + 1]), path.values[i : j + 1])
+                for p in (path, restricted):
+                    sup = sm.sup_energy(model, p)
                     for m in (1, 2, 64, 1024):
-                        assert sup == sm.power_energy(model, path, m, sub).sup
+                        assert sup == sm.power_energy(model, p, m).sup
 
 
 class TestPowerEnergy:
@@ -163,11 +136,12 @@ class TestPowerMeanProperties:
         for _ in range(30):
             model = random_builtin_model(rng, int(rng.integers(1, 4)))
             path = random_path(rng, dim=model.dim)
-            nodes = path.grid.nodes
-            cuts = sorted(set(rng.choice(nodes[1:-1], size=min(2, nodes.size - 2), replace=False)))
-            bounds = [nodes[0], *cuts, nodes[-1]]
+            size = path.grid.nodes.size
+            cuts = sorted(set(rng.choice(np.arange(1, size - 1), size=min(2, size - 2),
+                                         replace=False).tolist()))
+            bounds = [0, *cuts, size - 1]
             whole = sm.sup_energy(model, path)
-            parts = max(sm.sup_energy(model, path, (lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+            parts = max(restricted_sup(model, path, i, j) for i, j in zip(bounds, bounds[1:]))
             assert parts == pytest.approx(whole, rel=1e-12, abs=1e-12)
 
 
@@ -223,8 +197,8 @@ class TestGradient:
         zero = affine_path([0.0, 0.0], [1.0, 0.0]).values
         other = random_path(rng, grid=grid, dim=2).values
         for m in (1, 2, 8):
-            alone = MidpointPowerRule([(grid, None)]).derivatives(model, other, m)
-            rule = MidpointPowerRule([(grid, None)] * 2)
+            alone = MidpointPowerRule([grid]).derivatives(model, other, m)
+            rule = MidpointPowerRule([grid] * 2)
             grad, (diag, upper) = rule.derivatives(model, np.concatenate([zero, other]), m)
             assert np.all(grad[:9] == 0.0) and np.all(upper[:9] == 0.0)
             assert np.all(diag[1:8] == 0.0) and np.array_equal(diag[[0, 8]], [np.eye(2)] * 2)
@@ -232,14 +206,13 @@ class TestGradient:
             assert np.array_equal(diag[9:], alone[1][0]) and np.array_equal(upper[9:], alone[1][1])
 
     def test_one_rule_over_many_problems(self, rng):
-        """One rule over whole grids of 9 and 17 nodes and a subinterval of
-        17 nodes that clips partial elements gives each problem the samples
-        and derivatives of its own rule, bit for bit."""
+        """One rule over grids of 9 and 17 nodes and a 10-node sub-grid of
+        the 17 gives each problem the samples and derivatives of its own
+        rule, bit for bit."""
         model = drift_model(ROTATION)
         fine = sm.Grid.uniform(0.0, 1.0, 17)
-        problems = [(sm.Grid.uniform(0.0, 1.0, 9), None), (fine, None),
-                    (fine, (fine.nodes[2] + 0.01, fine.nodes[11] - 0.02))]
-        paths = [random_path(rng, grid=grid, dim=2).values for grid, _ in problems]
+        problems = [sm.Grid.uniform(0.0, 1.0, 9), fine, sm.Grid(fine.nodes[2:12])]
+        paths = [random_path(rng, grid=grid, dim=2).values for grid in problems]
         values = np.concatenate(paths)
         rule = MidpointPowerRule(problems)
         for m in (1, 4, 64):
@@ -270,7 +243,7 @@ class TestGradient:
             raise AssertionError("the model was called")
         model.eval_many = model.jet_many = refused
         path = affine_path([0.0, 0.0], [1.0, -1.0])
-        rule = MidpointPowerRule([(path.grid, None)])
+        rule = MidpointPowerRule([path.grid])
         for call in (rule.samples, rule.derivatives):
             with pytest.raises(sm.SupminError, match="power energy needs m >= 1"):
                 call(model, path.values, m)
@@ -285,31 +258,12 @@ class TestGradient:
             worst = max(worst, np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(analytic))))
         assert worst < 1e-5
 
-    def test_boundary_rows_zero_on_subinterval(self, rng):
-        model = random_builtin_model(rng, 2)
-        path = random_path(rng, grid=sm.Grid.uniform(0.0, 1.0, 17), dim=2)
-        nodes = path.grid.nodes
-        grad = sm.power_energy_gradient(model, path, 4, (nodes[3], nodes[9]))
-        assert np.all(grad[: 4] == 0.0) and np.all(grad[9:] == 0.0)
-        assert np.any(grad[4:9] != 0.0)
-
-    def test_subinterval_gradient_matches_fd(self, rng):
-        model = random_builtin_model(rng, 2)
-        path = random_path(rng, grid=sm.Grid.uniform(0.0, 1.0, 17), dim=2)
-        nodes = path.grid.nodes
-        sub = (nodes[3], nodes[9])
-        analytic = sm.power_energy_gradient(model, path, 4, sub)
-        fd = fd_root_gradient(model, path, 4, sub)
-        fd[:4] = 0.0
-        fd[9:] = 0.0  # clamped rows by convention
-        rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(analytic)))
-        assert rel < 1e-5
 
 
-def dense_root_hessian(model, path, m, subinterval=None):
+def dense_root_hessian(model, path, m):
     """The Hessian of the normalized root over every node: the rule's
     block-tridiagonal element part assembled densely, minus (m-1)/root g g^T."""
-    rule = MidpointPowerRule([(path.grid, subinterval)])
+    rule = MidpointPowerRule([path.grid])
     samples = rule.samples(model, path.values, m)
     grad, hessian = rule.derivatives(model, path.values, m)
     g = grad.ravel()
@@ -317,7 +271,7 @@ def dense_root_hessian(model, path, m, subinterval=None):
             - (m - 1) / samples.root * np.outer(g, g))
 
 
-def fd_root_hessian(model, path, m, subinterval=None, h=1e-4):
+def fd_root_hessian(model, path, m, h=1e-4):
     """Central differences of ``power_energy_gradient`` in every nodal value."""
     base = np.array(path.values)
     cols = []
@@ -326,8 +280,8 @@ def fd_root_hessian(model, path, m, subinterval=None, h=1e-4):
             up, dn = base.copy(), base.copy()
             up[i, j] += h
             dn[i, j] -= h
-            cols.append((sm.power_energy_gradient(model, sm.Path(path.grid, up), m, subinterval)
-                         - sm.power_energy_gradient(model, sm.Path(path.grid, dn), m, subinterval)
+            cols.append((sm.power_energy_gradient(model, sm.Path(path.grid, up), m)
+                         - sm.power_energy_gradient(model, sm.Path(path.grid, dn), m)
                          ).ravel() / (2 * h))
     return np.column_stack(cols)
 
@@ -358,13 +312,12 @@ class TestHessian:
             "scaled": lambda: sm.ScaledModel(da, 3.0),
         }[name]()
         grid = sm.Grid.uniform(0.0, 1.0, 9)
-        nodes = grid.nodes
         worst = 0.0
-        for m, sub in ((2, None), (8, None), (4, (nodes[1] + 0.03, nodes[6] - 0.05))):
-            path = random_path(rng, grid=grid, dim=2, scale=0.5)
-            exact = dense_root_hessian(model, path, m, sub)
-            fd = fd_root_hessian(model, path, m, sub)
-            clamped = np.repeat(MidpointPowerRule([(grid, sub)]).clamped, 2)
+        for m, own in ((2, grid), (8, grid), (4, sm.Grid(grid.nodes[1:7]))):
+            path = random_path(rng, grid=own, dim=2, scale=0.5)
+            exact = dense_root_hessian(model, path, m)
+            fd = fd_root_hessian(model, path, m)
+            clamped = np.repeat(MidpointPowerRule([own]).clamped, 2)
             free = np.ix_(~clamped, ~clamped)
             worst = max(worst, np.max(np.abs(exact[free] - fd[free]))
                         / (1.0 + np.max(np.abs(exact[free]))))

@@ -65,7 +65,7 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
         return sm.power_energy_gradient(model, sm.Path(grid, v), m)
 
     def newton(v, grad):
-        rule = MidpointPowerRule([(grid, None)])
+        rule = MidpointPowerRule([grid])
         samples = rule.samples(model, v, m)
         hessian = rule.derivatives(model, v, m)[1]
         return _newton_direction(grad, hessian, (m - 1) / samples.root, alone(len(v)))[free]
@@ -346,7 +346,7 @@ class TestNewtonDirection:
         # far from it the weights ratio^(m-1) make H singular to round-off
         values = sm.minimize_power(model, grid, bmap, m)[0].values.copy()
         values[1:-1] += np.random.default_rng(5).normal(scale=1e-3, size=values[1:-1].shape)
-        rule = MidpointPowerRule([(grid, None)])
+        rule = MidpointPowerRule([grid])
         samples = rule.samples(model, values, m)
         grad, hessian = rule.derivatives(model, values, m)
         hess = dense_root_hessian(model, sm.Path(grid, values), m)
@@ -363,7 +363,7 @@ class TestNewtonDirection:
         model = sm.PowerNormModel(4.0, [0.0])
         bmap = sm.AffineMap([0.0], [1.0])
         init = sm.Path(grid, np.array([[0.0], [0.0], [0.0], [0.5], [1.0]]))
-        rule = MidpointPowerRule([(grid, None)])
+        rule = MidpointPowerRule([grid])
         samples = rule.samples(model, init.values, 2)
         grad, hessian = rule.derivatives(model, init.values, 2)
         assert np.any(grad != 0.0)
