@@ -28,7 +28,7 @@ from .energy import MidpointPowerRule, power_energy, sup_energy
 from .errors import SupminError
 from .lagrangian import LagrangianModel
 from .options import AuditConfig, _check_tol_audit
-from .path import AffineMap, Grid, Path, difference_quotient
+from .path import AffineMap, Grid, Path, difference_quotient, interpolate_affine
 from .solver import m_sweep_many
 
 
@@ -45,6 +45,7 @@ class SubintervalAudit:
     status: str  # "ok" | "violation" | "inconclusive"
     error: str | None
     stop_reasons: list  # the ``stop_reason`` of each record of the local sweep
+    sweep_stop_reason: str  # the local sweep's: "tol_sweep" | "m_max" | "aborted"
     solve_totals: dict  # the local sweep's ``SweepResult.solve_totals``
 
 
@@ -120,7 +121,7 @@ def _entry(alpha, beta, sup_global, sweep, config) -> SubintervalAudit:
         status = "violation" if deficit > allowance else "ok"
     return SubintervalAudit(alpha, beta, sup_global, sup_local, deficit, status, error,
                             [rec.stats.stop_reason for rec in sweep.records],
-                            sweep.solve_totals)
+                            sweep.stop_reason, sweep.solve_totals)
 
 
 def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
@@ -149,8 +150,9 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
         alpha, beta = float(nodes[i]), float(nodes[j])
         u_a, u_b = candidate.values[i], candidate.values[j]
         b1 = (u_b - u_a) / (beta - alpha)
-        chord = AffineMap(u_a - b1 * alpha, b1)
-        problems.append((Grid(nodes[i : j + 1]), chord, None, config.seed + 1000 + k))
+        grid = Grid(nodes[i : j + 1])
+        start = interpolate_affine(AffineMap(u_a - b1 * alpha, b1), grid).values
+        problems.append((grid, start, config.seed + 1000 + k))
     sweeps = m_sweep_many(model, problems, config.schedule, config.options)
     entries = [_entry(float(nodes[i]), float(nodes[j]), float(np.max(sampled[i:j])), sweep, config)
                for (i, j), sweep in zip(pairs, sweeps)]

@@ -23,14 +23,15 @@ per problem, it holds the concatenated nodes and elements of all of them, so
 that one call serves a whole batch of solves.
 It holds no order; each call that needs one takes it.  It turns nodal
 values into L at the samples with one ``eval_many`` call (``evaluate``),
-into ``PowerSamples`` of order m with the same call, and into the gradient
-and the block-tridiagonal part of the Hessian with one ``jet_many`` call,
-whose values are the samples again: element e reads only nodes e and
-e + 1, so only neighbouring nodes are coupled.  Each problem's largest
-sample, power sum and root are segment reductions, rounded as that problem
-alone would round them.  How the block systems are solved is the solver's
-business, not the rule's.  ``power_energy``, ``power_energy_gradient`` and
-``sup_energy`` are one-call wrappers around a rule of one grid.
+into each problem's power root of order m and largest sample with the same
+call (``samples``), and into the gradient and the block-tridiagonal part of
+the Hessian with one ``jet_many`` call, whose values are the samples again:
+element e reads only nodes e and e + 1, so only neighbouring nodes are
+coupled.  Each problem's largest sample, power sum and root are segment
+reductions, rounded as that problem alone would round them.  How the block
+systems are solved is the solver's business, not the rule's.
+``power_energy``, ``power_energy_gradient`` and ``sup_energy`` are one-call
+wrappers around a rule of one grid.
 """
 
 from __future__ import annotations
@@ -75,17 +76,6 @@ def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(padded, heads)
 
 
-@dataclass(frozen=True)
-class PowerSamples:
-    """The midpoint samples of a stack of paths: L at every element's sample
-    point (``sampled``), and per problem the largest sample ``top`` and the
-    normalized power root ``root``, both zero where every sample is zero."""
-
-    sampled: np.ndarray
-    top: np.ndarray
-    root: np.ndarray
-
-
 class MidpointPowerRule:
     """The midpoint rule over a stack of problems, prepared once: per
     element its index, length, sample point ``xs`` and offset ``theta`` in
@@ -96,15 +86,15 @@ class MidpointPowerRule:
     nodes are concatenated, each grid's two end nodes are clamped, and the
     element that would join two problems is left out.  It holds no order:
     from nodal values, ``evaluate`` returns L at the midpoints of every
-    problem's path (one ``eval_many`` call), ``samples`` adds the power root
-    of order m, and ``derivatives`` gives the gradient and the element part
-    of the Hessian of that root (one ``jet_many`` call), both by the same
-    helpers ``_points`` and ``_powers``.  Every per-problem sum is
-    rounded as the same sum over that problem alone (``segment_sums``), and
-    every other operation acts on one element or node at a time, so a
-    problem's numbers do not depend on the problems it is built with, as
-    long as the model's value for a row does not depend on the other rows
-    of its batch.
+    problem's path (one ``eval_many`` call), ``samples`` reduces them to
+    each problem's power root of order m and largest sample, and
+    ``derivatives`` gives the gradient and the element part of the Hessian
+    of that root (one ``jet_many`` call), both by the same helpers
+    ``_points`` and ``_powers``.  Every per-problem sum is rounded as the
+    same sum over that problem alone (``segment_sums``), and every other
+    operation acts on one element or node at a time, so a problem's numbers
+    do not depend on the problems it is built with, as long as the model's
+    value for a row does not depend on the other rows of its batch.
     """
 
     def __init__(self, grids):
@@ -157,13 +147,14 @@ class MidpointPowerRule:
         ``values``, one row per stack node, from one ``eval_many`` call."""
         return model.eval_many(self.xs, *self._points(model, values))
 
-    def samples(self, model: LagrangianModel, values: np.ndarray, m: int) -> PowerSamples:
-        """Samples of the paths with nodal ``values``, one row per stack
-        node, with each problem's power root of order m."""
+    def samples(self, model: LagrangianModel, values: np.ndarray, m: int):
+        """``(root, top)`` of the paths with nodal ``values``, one row per
+        stack node: per problem the normalized power root of order m and the
+        largest sample, both zero where every sample is zero.  The samples
+        themselves are ``evaluate``'s."""
         check_count(m, 1, "power energy needs m >= 1, an integer")
-        sampled = self.evaluate(model, values)
-        top, _, _, outer = self._powers(sampled, m)
-        return PowerSamples(sampled, top, top * outer)
+        top, _, _, outer = self._powers(self.evaluate(model, values), m)
+        return top * outer, top
 
     def derivatives(self, model: LagrangianModel, values: np.ndarray, m: int):
         """Gradient and element part of the Hessian of each problem's
@@ -242,8 +233,8 @@ class MidpointPowerRule:
 def power_energy(model: LagrangianModel, path: Path, m: int) -> EnergyReport:
     """Normalized root of the midpoint-rule mean of L^m over the path's
     grid, in factored, overflow-safe form, with the largest sample."""
-    s = MidpointPowerRule([path.grid]).samples(model, path.values, m)
-    return EnergyReport(float(s.root[0]), float(s.top[0]))
+    root, top = MidpointPowerRule([path.grid]).samples(model, path.values, m)
+    return EnergyReport(float(root[0]), float(top[0]))
 
 
 def sup_energy(model: LagrangianModel, path: Path) -> float:

@@ -25,14 +25,14 @@ Where a stack's block systems go in those solves (``block_layout``) is
 worked out once per stack of problems, at its first Newton round, and
 every later round of the same stack reuses it.
 ``m_sweep_many`` runs sweeps this way, every restart of each; the audit
-runs all its subintervals as one such batch.  ``minimize_power`` is one
-``_newton`` run alone, and ``m_sweep`` the batch of one sweep.  A
-problem's numbers do not depend on its batch: every operation acts on one
-problem's rows, its sums are rounded as its own, and its block system is
-solved exactly as alone.  When a stacked call raises
-``NonFinite``, or a batch of block systems ``LinAlgError``, each problem
-is run alone to find the failing ones, and only those fail
-(``_attributed``).
+runs all its subintervals as one such batch.  A batched problem is its grid
+and started nodal values, whose two ends are the clamped data (``_start``).
+``minimize_power`` is one ``_newton`` run alone, and ``m_sweep`` the batch
+of one sweep.  A problem's numbers do not depend on its batch: every
+operation acts on one problem's rows, its sums are rounded as its own, and
+its block system is solved exactly as alone.  When a stacked call raises
+``NonFinite``, or a batch of block systems ``LinAlgError``, each problem is
+run alone to find the failing ones, and only those fail (``_attributed``).
 
 The midpoint rule couples only neighbouring nodes, so the Hessian of the
 root is block tridiagonal with N x N blocks (``MidpointPowerRule.derivatives``)
@@ -174,17 +174,16 @@ def minimize_power(model: LagrangianModel, grid: Grid, boundary: AffineMap, m: i
     """
     check_count(m, 1, "power energy needs m >= 1, an integer")
     max_iters = (options or SolveOptions()).max_iters
-    [outcome] = _lockstep(model, [_newton(grid, m, _start(model, grid, boundary, init)[1],
-                                          max_iters)])
+    [outcome] = _lockstep(model, [_newton(grid, m, _start(model, grid, boundary, init), max_iters)])
     if isinstance(outcome, NonFinite):
         raise outcome
     return outcome[:2]
 
 
 def _start(model, grid, boundary, init):
-    """``(init, values)``: ``init``, the affine interpolant when it is None,
-    checked against the grid and the model, and its nodal values with the
-    ends clamped to the boundary."""
+    """The nodal values of ``init``, the affine interpolant when it is None,
+    checked against the grid and the model, with the ends clamped to the
+    boundary."""
     if init is None:
         init = interpolate_affine(boundary, grid)
     if init.grid.nodes.shape != grid.nodes.shape or np.any(init.grid.nodes != grid.nodes):
@@ -195,34 +194,36 @@ def _start(model, grid, boundary, init):
     values = np.array(init.values)
     values[0] = boundary(grid.a)
     values[-1] = boundary(grid.b)
-    return init, values
+    return values
 
 
 def _newton(grid, m, values, max_iters):
     """One damped Newton solve of order m from the nodal ``values`` on
     ``grid``, as a generator: it yields ``("samples", grid, m, values)``
     for the normalized root and largest sample ``(root, top)`` of a path,
-    and ``("newton", grid, m, values, f)`` for ``(grad, d, g.d, |g|^2,
-    max|g|)`` at the path with root f, d the Newton direction, and returns
-    ``(path, stats, sup)``.  A step thus hands on only an iterate's values
-    and two floats.  A ``NonFinite`` thrown in at the start or at a jet
-    ends the solve; at a trial it rejects the step."""
+    and ``("newton", grid, m, values, f)`` for ``(grad, d, g.d)`` at the
+    path with root f, d the Newton direction, and returns ``(path, stats,
+    sup)``; |g|^2 and max|g| it takes itself, on the fallback and at the
+    stop.  A ``NonFinite`` thrown in at the start or at a jet ends the
+    solve; at a trial it rejects the step."""
     f, top = yield "samples", grid, m, values
     f_evals, iterations = 1, 0
 
-    def outcome(stop_reason, grad_norm):
+    def outcome(stop_reason, grad=None):
+        grad_norm = 0.0 if grad is None else float(np.max(np.abs(grad)))
         return Path(grid, values), SolveStats(iterations, grad_norm, f, stop_reason, f_evals), top
 
     while True:
         if f == 0.0:  # L >= 0, so this is a global minimum
-            return outcome("decrement", 0.0)
-        grad, d, slope, grad_sq, grad_norm = yield "newton", grid, m, values, f
+            return outcome("decrement")
+        grad, d, slope = yield "newton", grid, m, values, f
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
-            d, slope = -grad, -grad_sq
+            with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
+                d, slope = -grad, -float(np.sum(grad * grad))
         if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
-            return outcome("decrement", grad_norm)
+            return outcome("decrement", grad)
         if iterations >= max_iters:
-            return outcome("max_iters", grad_norm)
+            return outcome("max_iters", grad)
         step = INIT_STEP
         while True:
             trial = values + step * d
@@ -235,7 +236,7 @@ def _newton(grid, m, values, max_iters):
                 pass
             step *= BACKTRACK
             if step < MIN_STEP:
-                return outcome("line_search", grad_norm)
+                return outcome("line_search", grad)
         values, f, top = trial, trial_f, trial_top
         iterations += 1
 
@@ -253,7 +254,13 @@ def _lockstep(model, solves) -> list:
     exponent's solves makes.  Each set of requests keeps its rule, and
     from its first Newton round its ``block_layout``, while the order
     holds; both caches are cleared when the order rises, for memory, since
-    no set of requests at the old order remains."""
+    no set of requests at the old order remains.  Measured on a 2-CPU
+    Xeon: rebuilding the layout every round (about 92 us for the
+    19-problem ``audit-drift`` stack) was slower in 6 of 6 alternating
+    pairs of ``perfbench`` ``pipeline_ref_s``, 0.0551 -> 0.0566 s on
+    ``audit-drift`` and 0.0509 -> 0.0518 s on ``min-norms``; keeping rules
+    across exponents cut rule builds from 41 to 37 but raised the 257-node
+    DA-rot audit's peak RSS from 40.1 to 46.6 MB."""
     requests, outcomes, rules, layouts, order = {}, [None] * len(solves), {}, {}, 0
 
     def rule(ids):
@@ -266,24 +273,20 @@ def _lockstep(model, solves) -> list:
         return np.concatenate([requests[i][3] for i in ids])
 
     def samples(ids):
-        sampled = rule(ids).samples(model, values(ids), order)
-        return list(zip(sampled.root.tolist(), sampled.top.tolist()))
+        root, top = rule(ids).samples(model, values(ids), order)
+        return list(zip(root.tolist(), top.tolist()))
 
     def newton(ids):
         key, stack = tuple(ids), rule(ids)
-        starts = stack.node_starts
         grad, hessian = stack.derivatives(model, values(ids), order)
         sigma = (order - 1) / np.array([requests[i][4] for i in ids])
         if key not in layouts:
             layouts[key] = block_layout(stack.node_problem)
         d = _newton_direction(grad, hessian, sigma, layouts[key])
-        slopes = segment_sums(d * grad, starts).tolist()
-        with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
-            grad_sq = segment_sums(grad * grad, starts).tolist()
-        norms = np.maximum.reduceat(np.abs(grad).ravel(), starts * grad.shape[1]).tolist()
-        bounds = np.append(starts, len(grad)).tolist()
-        return [(grad[lo:hi], d[lo:hi], *sums)
-                for lo, hi, *sums in zip(bounds, bounds[1:], slopes, grad_sq, norms)]
+        slopes = segment_sums(d * grad, stack.node_starts).tolist()
+        bounds = np.append(stack.node_starts, len(grad)).tolist()
+        return [(grad[lo:hi], d[lo:hi], slope)
+                for lo, hi, slope in zip(bounds, bounds[1:], slopes)]
 
     def resume(i, reply):
         step = solves[i].throw if isinstance(reply, NonFinite) else solves[i].send
@@ -503,31 +506,31 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
     tie within tol_sweep are all reported.  This is the batch of one of
     ``m_sweep_many``.
     """
-    return m_sweep_many(model, [(grid, boundary, init, seed)], schedule, options)[0]
+    return m_sweep_many(model, [(grid, _start(model, grid, boundary, init), seed)], schedule,
+                        options)[0]
 
 
 def m_sweep_many(model: LagrangianModel, problems, schedule: SweepSchedule | None = None,
                  options: SolveOptions | None = None) -> list:
-    """``m_sweep`` of each of ``problems``, (grid, boundary, init, seed)
-    tuples, with every restart of every problem run as one ``_sweep``
-    generator, all run together by ``_lockstep``."""
+    """``m_sweep`` of each of ``problems``, (grid, values, seed) triples
+    whose nodal ``values`` are started (``_start``); every restart of every
+    problem runs as one ``_sweep`` generator, all run together by
+    ``_lockstep``."""
     schedule = schedule or SweepSchedule()
     max_iters = (options or SolveOptions()).max_iters
-    starts = [_restart_starts(grid, boundary, init, schedule.restarts, seed)
-              for grid, boundary, init, seed in problems]
-    runs = iter(_lockstep(model, [_sweep(model, grid, boundary, start, schedule, max_iters)
-                                  for (grid, boundary, _, _), group in zip(problems, starts)
+    starts = [_restart_starts(values, schedule.restarts, seed) for _, values, seed in problems]
+    runs = iter(_lockstep(model, [_sweep(grid, start, schedule, max_iters)
+                                  for (grid, _, _), group in zip(problems, starts)
                                   for start in group]))
     return [_best_of([next(runs) for _ in group], schedule) for group in starts]
 
 
-def _sweep(model, grid, boundary, init, schedule, max_iters):
-    """One sweep from ``init`` (None for the affine interpolant), as a
-    generator that runs a ``_newton`` solve per exponent, each warm-started
-    from the last one's path, and returns its ``SweepResult``.  The sweep
-    stops when its roots settle (``tol_sweep``), after m_max (``m_max``),
-    or when a solve fails (``aborted``)."""
-    init, values = _start(model, grid, boundary, init)
+def _sweep(grid, values, schedule, max_iters):
+    """One sweep from the started nodal ``values``, as a generator that
+    runs a ``_newton`` solve per exponent, each warm-started from the last
+    one's path, and returns its ``SweepResult``, its start the candidate
+    if none ran.  The sweep stops when its roots settle (``tol_sweep``),
+    after m_max (``m_max``), or when a solve fails (``aborted``)."""
     records, prev_root, sup = [], None, np.nan
     stop_reason, error = "m_max", None
     for m in schedule.exponents():
@@ -543,25 +546,24 @@ def _sweep(model, grid, boundary, init, schedule, max_iters):
             stop_reason = "tol_sweep"
             break
         prev_root = root
-    return SweepResult(records, records[-1].path if records else init, sup, stop_reason, error,
-                       solves=[rec.stats for rec in records])
+    return SweepResult(records, records[-1].path if records else Path(grid, values), sup,
+                       stop_reason, error, solves=[rec.stats for rec in records])
 
 
-def _restart_starts(grid, boundary, init, restarts, seed) -> list:
-    """The start of each restart: init itself when there is one restart;
-    else init (or the affine interpolant), then perturbations of it drawn
-    from ``seed``."""
+def _restart_starts(values, restarts, seed) -> list:
+    """The nodal values of each restart's start: ``values`` itself when
+    there is one restart; else ``values``, then perturbations of its
+    interior drawn from ``seed``."""
     check_count(seed, 0, "sweep seed must be an integer >= 0")
     if restarts == 1:
-        return [init]
+        return [values]
     rng = np.random.default_rng(seed)
-    base = init if init is not None else interpolate_affine(boundary, grid)
-    scale = 1.0 + float(np.max(np.abs(base.values)))
-    starts = [base]
+    scale = 1.0 + float(np.max(np.abs(values)))
+    starts = [values]
     for _ in range(restarts - 1):
-        values = np.array(base.values)
-        values[1:-1] += rng.normal(scale=0.1 * scale, size=values[1:-1].shape)
-        starts.append(Path(grid, values))
+        start = np.array(values)
+        start[1:-1] += rng.normal(scale=0.1 * scale, size=start[1:-1].shape)
+        starts.append(start)
     return starts
 
 

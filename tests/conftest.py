@@ -90,6 +90,14 @@ def dense_block_tridiagonal(diag, upper):
     return dense.reshape(k * n, k * n)
 
 
+def started(model, problems):
+    """``(grid, boundary, init, seed)`` problems as the started problems
+    ``(grid, values, seed)`` that ``solver.m_sweep_many`` takes, the values
+    those of ``m_sweep``'s start."""
+    return [(grid, sm.solver._start(model, grid, boundary, init), seed)
+            for grid, boundary, init, seed in problems]
+
+
 def record_sweep_solves(monkeypatch):
     """Hook ``solver._newton``, the generator behind every solve, and return
     the stats of every solve it completes, one list per sweep, the sweeps in

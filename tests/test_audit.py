@@ -3,7 +3,7 @@ import pytest
 
 import supmin as sm
 
-from conftest import drift_model, random_builtin_model, random_path, restricted_sup
+from conftest import drift_model, random_builtin_model, random_path, restricted_sup, started
 
 EPS = np.finfo(float).eps
 
@@ -190,6 +190,44 @@ class TestAbsoluteMinimalityAudit:
                                    "candidate's sup 0.015625: the local min-max was not found")
         assert not report.passed and np.isnan(report.max_deficit)
 
+    def test_entries_report_their_local_sweep_stop_reason(self):
+        """Each entry carries the stop reason of its local sweep, the one that
+        sweep reports alone, and ``audit.json`` writes it after
+        ``stop_reasons``.  DA-rot's local sweeps on a 9-node candidate
+        either settle or run every exponent up to 16; the inverse square's
+        abort on the zigzag's even subintervals."""
+        model = sm.DataAssimilationModel(
+            [[1.0, 0.0]], sm.SampledSignal.from_rows([[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]]),
+            [[0.0, 1.0], [-1.0, 0.0]],
+            sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 0.0]]))
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        schedule = sm.SweepSchedule(m_max=16)
+        cand = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], [1.0, 1.0]), schedule).candidate
+        config = sm.AuditConfig(num_subintervals=8, seed=1, schedule=schedule)
+        report = sm.audit_absolute_minimality(model, cand, config)
+        nodes = grid.nodes
+        for k, ((i, j), entry) in enumerate(zip(sm.audit.sample_subintervals(grid, config),
+                                                report.entries, strict=True)):
+            b1 = (cand.values[j] - cand.values[i]) / (nodes[j] - nodes[i])
+            chord = sm.AffineMap(cand.values[i] - b1 * nodes[i], b1)
+            alone = sm.m_sweep(model, sm.Grid(nodes[i : j + 1]), chord, schedule,
+                               seed=config.seed + 1000 + k)
+            assert entry.sweep_stop_reason == alone.stop_reason
+        assert {e.sweep_stop_reason for e in report.entries} == {"tol_sweep", "m_max"}
+        keys = list(report.to_json_dict()["subintervals"][0])
+        assert keys[keys.index("stop_reasons") + 1] == "sweep_stop_reason"
+
+        def inverse_square(xs, etas, ps):
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.sum(ps * ps, axis=1)
+
+        zigzag = sm.Path(grid, (np.arange(9) % 2).astype(float)[:, None])
+        report = sm.audit_absolute_minimality(sm.CustomModel(inverse_square, 1), zigzag,
+                                              sm.AuditConfig(num_subintervals=6, seed=0))
+        for entry in report.entries:
+            assert (entry.sweep_stop_reason == "aborted") == (entry.stop_reasons == [])
+        assert "aborted" in {e.sweep_stop_reason for e in report.entries}
+
     def test_local_sup_above_the_restricted_sup_decides_nothing(self):
         """The restricted candidate competes on its own subinterval, so a
         converged local sweep whose sup lies above the candidate's by more
@@ -198,8 +236,9 @@ class TestAbsoluteMinimalityAudit:
         sup below the candidate's by more than it is a violation."""
         model = sm.PowerNormModel(2.0, [0.0])
         config = sm.AuditConfig()
-        [sweep] = sm.solver.m_sweep_many(model, [(sm.Grid.uniform(0.0, 1.0, 5),
-                                                  sm.AffineMap([0.0], [1.0]), None, 0)])
+        [sweep] = sm.solver.m_sweep_many(model, started(model, [(sm.Grid.uniform(0.0, 1.0, 5),
+                                                                 sm.AffineMap([0.0], [1.0]),
+                                                                 None, 0)]))
         local = sweep.sup_of_candidate
         assert sweep.records[-1].stats.converged and local == pytest.approx(1.0, rel=1e-12)
         allowance = config.tol_audit * (1.0 + 0.5)

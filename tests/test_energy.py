@@ -216,22 +216,24 @@ class TestGradient:
         values = np.concatenate(paths)
         rule = MidpointPowerRule(problems)
         for m in (1, 4, 64):
-            samples = rule.samples(model, values, m)
+            root, top = rule.samples(model, values, m)
+            sampled = rule.evaluate(model, values)
             grad, (diag, upper) = rule.derivatives(model, values, m)
             node = elem = 0
             for k, (problem, own_values) in enumerate(zip(problems, paths)):
                 alone = MidpointPowerRule([problem])
-                own = alone.samples(model, own_values, m)
+                own_root, own_top = alone.samples(model, own_values, m)
+                own_sampled = alone.evaluate(model, own_values)
                 own_grad, (own_diag, own_upper) = alone.derivatives(model, own_values, m)
-                nodes, elems = len(own_values), own.sampled.size
-                assert samples.root[k] == own.root[0] and samples.top[k] == own.top[0]
-                assert np.array_equal(samples.sampled[elem:elem + elems], own.sampled)
+                nodes, elems = len(own_values), own_sampled.size
+                assert root[k] == own_root[0] and top[k] == own_top[0]
+                assert np.array_equal(sampled[elem:elem + elems], own_sampled)
+                assert top[k] == np.max(sampled[elem:elem + elems])
                 assert np.array_equal(grad[node:node + nodes], own_grad)
                 assert np.array_equal(diag[node:node + nodes], own_diag)
                 assert np.array_equal(upper[node:node + nodes - 1], own_upper)
                 node, elem = node + nodes, elem + elems
-            assert (node, elem) == (len(values), samples.sampled.size)
-            assert np.array_equal(rule.evaluate(model, values), samples.sampled)
+            assert (node, elem) == (len(values), sampled.size)
 
     @pytest.mark.parametrize("m", [0, 2.5, True])
     def test_order_is_checked_before_the_model_is_called(self, m):
@@ -264,11 +266,11 @@ def dense_root_hessian(model, path, m):
     """The Hessian of the normalized root over every node: the rule's
     block-tridiagonal element part assembled densely, minus (m-1)/root g g^T."""
     rule = MidpointPowerRule([path.grid])
-    samples = rule.samples(model, path.values, m)
+    root, _ = rule.samples(model, path.values, m)
     grad, hessian = rule.derivatives(model, path.values, m)
     g = grad.ravel()
     return (dense_block_tridiagonal(*hessian)
-            - (m - 1) / samples.root * np.outer(g, g))
+            - (m - 1) / root * np.outer(g, g))
 
 
 def fd_root_hessian(model, path, m, h=1e-4):

@@ -9,7 +9,7 @@ from supmin.energy import MidpointPowerRule
 from supmin.solver import (BACKTRACK, INIT_STEP, MIN_STEP, SUFFICIENT_DECREASE, _lockstep,
                            _newton, _newton_direction, _stacked_solve, _start, block_layout)
 
-from conftest import ROTATION, dense_block_tridiagonal, drift_model, record_sweep_solves
+from conftest import ROTATION, dense_block_tridiagonal, drift_model, record_sweep_solves, started
 from test_energy import dense_root_hessian
 
 
@@ -66,9 +66,9 @@ def reference_minimize_power(model, grid, boundary, m, init=None, options=None):
 
     def newton(v, grad):
         rule = MidpointPowerRule([grid])
-        samples = rule.samples(model, v, m)
+        root, _ = rule.samples(model, v, m)
         hessian = rule.derivatives(model, v, m)[1]
-        return _newton_direction(grad, hessian, (m - 1) / samples.root, alone(len(v)))[free]
+        return _newton_direction(grad, hessian, (m - 1) / root, alone(len(v)))[free]
 
     f = fval(values)
     f_evals, iterations = 1, 0
@@ -184,7 +184,7 @@ def newton_batch(model, problems, m):
     boundary, init) triples, run together by ``_lockstep``: per problem
     ``(path, stats, sup)`` or the ``NonFinite`` that ended it."""
     max_iters = sm.SolveOptions().max_iters
-    return _lockstep(model, [_newton(grid, m, _start(model, grid, bmap, init)[1], max_iters)
+    return _lockstep(model, [_newton(grid, m, _start(model, grid, bmap, init), max_iters)
                              for grid, bmap, init in problems])
 
 
@@ -347,11 +347,11 @@ class TestNewtonDirection:
         values = sm.minimize_power(model, grid, bmap, m)[0].values.copy()
         values[1:-1] += np.random.default_rng(5).normal(scale=1e-3, size=values[1:-1].shape)
         rule = MidpointPowerRule([grid])
-        samples = rule.samples(model, values, m)
+        root, _ = rule.samples(model, values, m)
         grad, hessian = rule.derivatives(model, values, m)
         hess = dense_root_hessian(model, sm.Path(grid, values), m)
         want = np.linalg.solve(hess, -grad.ravel())
-        got = _newton_direction(grad, hessian, (m - 1) / samples.root, alone(17)).ravel()
+        got = _newton_direction(grad, hessian, (m - 1) / root, alone(17)).ravel()
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.all(got.reshape(grad.shape)[[0, -1]] == 0.0)
 
@@ -364,10 +364,10 @@ class TestNewtonDirection:
         bmap = sm.AffineMap([0.0], [1.0])
         init = sm.Path(grid, np.array([[0.0], [0.0], [0.0], [0.5], [1.0]]))
         rule = MidpointPowerRule([grid])
-        samples = rule.samples(model, init.values, 2)
+        root, _ = rule.samples(model, init.values, 2)
         grad, hessian = rule.derivatives(model, init.values, 2)
         assert np.any(grad != 0.0)
-        assert np.all(np.isnan(_newton_direction(grad, hessian, 1.0 / samples.root, alone(5))))
+        assert np.all(np.isnan(_newton_direction(grad, hessian, 1.0 / root, alone(5))))
         path, stats = sm.minimize_power(model, grid, bmap, 2, init)
         assert stats.converged
         np.testing.assert_allclose(path.values, sm.interpolate_affine(bmap, grid).values,
@@ -424,6 +424,26 @@ class TestConvergenceUnderRefinement:
 
 
 class TestMinimizePower:
+    @pytest.mark.parametrize("case", ["decrement", "root zero", "max_iters", "line_search"])
+    def test_grad_norm_is_the_largest_gradient_entry_of_the_path(self, case):
+        """``grad_norm`` is max|g| of the returned path's gradient, bit for
+        bit, whichever way the solve stops; 0.0 where the root is zero."""
+        grid, coarse = sm.Grid.uniform(0.0, 1.0, 17), sm.Grid.uniform(0.0, 1.0, 5)
+        plane, line = sm.AffineMap([0.0, 0.0], [1.0, -0.5]), sm.AffineMap([0.0], [1.0])
+        model, grid, bmap, init, options = {
+            "decrement": (drift_model(), grid, plane, None, None),
+            "root zero": (sm.PowerNormModel(2.0, [1.0]), grid, line, None, None),
+            "max_iters": (da_rot_model(), grid, plane, None, sm.SolveOptions(max_iters=2)),
+            "line_search": (sm.PowerNormModel(300.0, [0.0]), coarse, line,
+                            sm.Path(coarse, np.array([[0.0], [0.25], [0.6], [0.75], [1.0]])),
+                            None),
+        }[case]
+        path, stats = sm.minimize_power(model, grid, bmap, 2, init, options)
+        assert stats.stop_reason == ("decrement" if case == "root zero" else case)
+        grad = sm.power_energy_gradient(model, path, 2)
+        assert stats.grad_norm == float(np.max(np.abs(grad)))
+        assert (stats.grad_norm == 0.0) == (case == "root zero")
+
     def test_affine_already_optimal(self):
         grid = sm.Grid.uniform(0.0, 1.0, 33)
         bmap = sm.AffineMap([0.0, 0.0], [1.0, 0.0])
@@ -605,6 +625,20 @@ class TestSweep:
         assert res.stop_reason == "aborted" and res.records == []
         assert res.solve_totals == {"iterations": 0, "f_evals": 0, "g_evals": 0}
 
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_sweep_aborted_at_its_start_offers_the_clamped_start(self, restarts):
+        """A sweep that aborts before its first record offers its started
+        path as the candidate: the init with its two ends clamped to the
+        boundary values, not the init as given.  |p|^300 overflows on the
+        steep elements of the start, and of its perturbed restart."""
+        grid = sm.Grid.uniform(0.0, 1.0, 5)
+        init = sm.Path(grid, np.array([[0.5], [0.5], [1e3], [0.5], [2.0]]))
+        res = sm.m_sweep(sm.PowerNormModel(300.0, [0.0]), grid, sm.AffineMap([0.0], [1.0]),
+                         sm.SweepSchedule(restarts=restarts), init=init)
+        assert res.aborted and res.records == []
+        assert res.error == "m=2: Lagrangian evaluation is not finite"
+        assert np.array_equal(res.candidate.values, [[0.0], [0.5], [1e3], [0.5], [1.0]])
+
     def test_every_exponent_run_stops_at_m_max(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
         bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
@@ -697,7 +731,7 @@ class TestLockstep:
         problems = self.audit_style_problems()
         schedule, options = sm.SweepSchedule(m_max=16), sm.SolveOptions(max_iters=6)
         batched = dict(zip(problems, sm.solver.m_sweep_many(
-            model, list(problems.values()), schedule, options)))
+            model, started(model, problems.values()), schedule, options)))
         reasons = {name: [rec.stats.stop_reason for rec in res.records]
                    for name, res in batched.items()}
         assert reasons["quick"] == ["decrement", "decrement"]
@@ -733,7 +767,7 @@ class TestLockstep:
         monkeypatch.setattr(sm.solver, "block_layout", counting_build)
         monkeypatch.setattr(MidpointPowerRule, "derivatives", counting_derivatives)
         model = sm.PowerNormModel(8.0, [0.5, -0.25])
-        sm.solver.m_sweep_many(model, list(self.audit_style_problems().values()),
+        sm.solver.m_sweep_many(model, started(model, self.audit_style_problems().values()),
                                sm.SweepSchedule(m_max=16), sm.SolveOptions(max_iters=6))
         rules = list({id(rule): rule for rule in rounds}.values())
         # one layout per rule, in the order the rules first served a round
@@ -747,7 +781,8 @@ class TestLockstep:
         model = sm.PowerNormModel(8.0, [0.5, -0.25])
         problems = self.audit_style_problems()
         schedule, options = sm.SweepSchedule(m_max=8, restarts=3), sm.SolveOptions(max_iters=6)
-        batched = sm.solver.m_sweep_many(model, list(problems.values()), schedule, options)
+        batched = sm.solver.m_sweep_many(model, started(model, problems.values()), schedule,
+                                         options)
         for (grid, bmap, init, seed), res in zip(problems.values(), batched):
             alone = sm.m_sweep(model, grid, bmap, schedule, options, init, seed)
             assert (res.stop_reason, res.error) == (alone.stop_reason, alone.error)
