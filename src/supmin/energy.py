@@ -76,11 +76,17 @@ def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(padded, heads)
 
 
+# the node pairs (left, left), (right, right) and (left, right) of an
+# element's Hessian blocks, as the first nodes and the second nodes
+_BLOCKS = (np.array([0, 1, 0]), np.array([0, 1, 1]))
+
+
 class MidpointPowerRule:
     """The midpoint rule over a stack of problems, prepared once: per
-    element its index, length, sample point ``xs`` and offset ``theta`` in
-    the element; per node whether it is clamped; per problem its first
-    element, first node and the length of its grid.
+    element its two nodes, length, sample point ``xs`` and the weights of
+    its nodes in J_e, the map from them to (eta_e, p_e); per node whether it
+    is clamped, and per link whether it touches a clamped node; per problem
+    its first element, first node and the length of its grid.
 
     The rule is built in one pass over ``grids``, one per problem: their
     nodes are concatenated, each grid's two end nodes are clamped, and the
@@ -104,14 +110,24 @@ class MidpointPowerRule:
         ends = self.node_starts + sizes - 1
         # every element but those that would join two problems
         self.idx = idx = np.delete(np.arange(nodes.size - 1), ends[:-1])
-        self.elem_len = nodes[idx + 1] - nodes[idx]
+        self.right = right = idx + 1
+        self.elem_len = nodes[right] - nodes[idx]
         self.xs = nodes[idx] + 0.5 * self.elem_len
         offsets = self.xs - nodes[idx]
         self.offsets = offsets[:, None]
-        self.theta = (offsets / self.elem_len)[:, None]
+        theta = (offsets / self.elem_len)[:, None]
+        # J_e's weights of the left and right node, on eta 1 - theta and
+        # theta, on p -1/len and 1/len; and their products, the weights of
+        # the Hessian blocks of _BLOCKS, each (eta eta, eta p, p eta, p p)
+        inv_len = 1.0 / self.elem_len[:, None]
+        self.eta_w, self.p_w = np.stack([1.0 - theta, theta]), np.stack([-inv_len, inv_len])
+        eta_a, eta_b, p_a, p_b = (w[nodes, :, :, None] for w in (self.eta_w, self.p_w)
+                                  for nodes in _BLOCKS)
+        self.block_w = (eta_a * eta_b, eta_a * p_b, p_a * eta_b, p_a * p_b)
         # each grid's two end nodes are clamped, so the problems never couple
         self.clamped = np.zeros(nodes.size, dtype=bool)
         self.clamped[self.node_starts] = self.clamped[ends] = True
+        self.clamped_links = self.clamped[:-1] | self.clamped[1:]
         self.spans = [grid.b - grid.a for grid in grids]
         self.elem_starts = self.node_starts - np.arange(len(sizes))
         # the problem of each node and of each element
@@ -121,11 +137,11 @@ class MidpointPowerRule:
     def _points(self, model: LagrangianModel, values: np.ndarray):
         """The map's value and slope at every element's sample point of the
         paths with nodal ``values`` (one row per node of the stack)."""
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise SupminError("path values must be finite")
         check_width(model, path=values)
         idx = self.idx
-        slopes = (values[idx + 1] - values[idx]) / self.elem_len[:, None]
+        slopes = (values[self.right] - values[idx]) / self.elem_len[:, None]
         return values[idx] + self.offsets * slopes, slopes
 
     def _powers(self, sampled: np.ndarray, m: int):
@@ -138,7 +154,7 @@ class MidpointPowerRule:
         # one scalar power per problem: numpy's vector power may round differently
         outer = np.array([(w / span) ** (1.0 / m)
                           for w, span in zip(weight_sum.tolist(), self.spans)])
-        if not np.all(np.isfinite(top * outer)):
+        if not np.isfinite(top * outer).all():
             raise NonFinite("normalized power root is not finite")
         return top, ratios, weight_sum, outer
 
@@ -180,7 +196,8 @@ class MidpointPowerRule:
         ``(m-1)/root g g^T``, g the gradient.
         """
         check_count(m, 1, "power energy needs m >= 1, an integer")
-        idx, theta, elem_len = self.idx, self.theta, self.elem_len
+        idx, right, elem_len = self.idx, self.right, self.elem_len
+        eta_w, p_w = self.eta_w, self.p_w
         n_nodes, n = values.shape
         jet = model.jet_many(self.xs, *self._points(model, values))
         top, ratios, weight_sum, outer = self._powers(jet.value, m)
@@ -195,37 +212,32 @@ class MidpointPowerRule:
         grad = np.zeros((n_nodes, n))
         # each node takes its left element's right share and its right element's
         # left share; two terms added to zero round the same in either order
-        grad[idx] += coeffs[:, None] * ((1.0 - theta) * jet.deta - d_slope)
-        grad[idx + 1] += coeffs[:, None] * (theta * jet.deta + d_slope)
+        grad[idx] += coeffs[:, None] * (eta_w[0] * jet.deta - d_slope)
+        grad[right] += coeffs[:, None] * (eta_w[1] * jet.deta + d_slope)
 
         # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
         rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0)
                     / np.where(vanished, 1.0, top[problem]))[:, None, None]
-        # the eta and p weights of an element's left and right node in J_e
-        eta_w = (1.0 - theta[:, :, None], theta[:, :, None])
-        inv_len = (1.0 / elem_len)[:, None, None]
-        p_w = (-inv_len, inv_len)
         dpeta_t = jet.dpeta.transpose(0, 2, 1)
-        v = [eta_w[a][:, :, 0] * jet.deta + p_w[a][:, :, 0] * jet.dp for a in (0, 1)]
-
-        def block(a, b):
-            return coeffs[:, None, None] * (
-                eta_w[a] * eta_w[b] * jet.detaeta + eta_w[a] * p_w[b] * dpeta_t
-                + p_w[a] * eta_w[b] * jet.dpeta + p_w[a] * p_w[b] * jet.dpp) \
-                + rank_one * v[a][:, :, None] * v[b][:, None, :]
-
+        # J_e^T grad L_e, the left and right node's part
+        v = eta_w * jet.deta + p_w * jet.dp
+        w_ee, w_ep, w_pe, w_pp = self.block_w
+        # the three blocks of _BLOCKS at once, each as it would be alone
+        blocks = coeffs[:, None, None] * (w_ee * jet.detaeta + w_ep * dpeta_t + w_pe * jet.dpeta
+                                          + w_pp * jet.dpp) \
+            + rank_one * v[_BLOCKS[0], :, :, None] * v[_BLOCKS[1], :, None, :]
         diag = np.zeros((n_nodes, n, n))
         upper = np.zeros((n_nodes - 1, n, n))
-        diag[idx] += block(0, 0)
-        diag[idx + 1] += block(1, 1)
-        upper[idx] += block(0, 1)
+        diag[idx] += blocks[0]
+        diag[right] += blocks[1]
+        upper[idx] += blocks[2]
         clamped = self.clamped
         grad[clamped] = 0.0
         diag[clamped] = np.eye(n)
-        upper[clamped[:-1] | clamped[1:]] = 0.0
-        if not np.all(np.isfinite(grad)):
+        upper[self.clamped_links] = 0.0
+        if not np.isfinite(grad).all():
             raise NonFinite("power energy gradient is not finite")
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(upper))):
+        if not (np.isfinite(diag).all() and np.isfinite(upper).all()):
             raise NonFinite("power energy Hessian is not finite")
         return grad, (diag, upper)
 

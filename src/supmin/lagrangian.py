@@ -194,7 +194,7 @@ class JetDerivatives:
     detaeta: np.ndarray
 
     def __post_init__(self):
-        if not all(np.all(np.isfinite(getattr(self, f.name))) for f in fields(self)):
+        if not all(np.isfinite(getattr(self, f.name)).all() for f in fields(self)):
             raise NonFinite("jet contains non-finite entries")
 
     def map(self, fn) -> "JetDerivatives":
@@ -309,9 +309,9 @@ class LagrangianModel:
 
     @staticmethod
     def _checked(values: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NonFinite("Lagrangian evaluation is not finite")
-        if np.any(values < 0):
+        if (values < 0).any():
             raise SupminError("Lagrangian evaluation is negative")
         return values
 
@@ -373,7 +373,12 @@ def _deviation(A: np.ndarray, c: SampledSignal, xs, etas, ps) -> np.ndarray:
 
 class DataAssimilationModel(LagrangianModel):
     """Squared observation mismatch plus squared law-of-motion mismatch:
-    L = |k(x) - K eta|^2 + |p - V(x, eta)|^2 with V(x, eta) = A eta + c(x)."""
+    L = |k(x) - K eta|^2 + |p - V(x, eta)|^2 with V(x, eta) = A eta + c(x).
+
+    The second-order blocks of its jet do not depend on the row: ``dpp`` is
+    2I, ``dpeta`` -2A and ``detaeta`` 2K^T K + 2A^T A.  They are built once,
+    with the factors -2K^T and 2A^T of ``deta``, and ``jet_many`` returns
+    read-only broadcasts of them."""
 
     def __init__(self, K, k: SampledSignal, A, c: SampledSignal):
         K = _mat(K, "K")
@@ -388,6 +393,11 @@ class DataAssimilationModel(LagrangianModel):
         self.k = k
         self.A = A
         self.c = c
+        # what every jet shares: the factors of deta, and dpp, dpeta, detaeta
+        self._deta_factors = (-2.0 * K.T, 2.0 * A.T)
+        self._blocks = (2.0 * np.eye(n), -2.0 * A, 2.0 * (K.T @ K) + 2.0 * (A.T @ A))
+        for a in (*self._deta_factors, *self._blocks):
+            a.flags.writeable = False
 
     def _mismatches(self, xs, etas, ps):
         """Rows of r = k(x) - K eta and w = p - V(x, eta)."""
@@ -397,23 +407,22 @@ class DataAssimilationModel(LagrangianModel):
     def eval_many(self, xs, etas, ps):
         with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFinite
             r, w = self._mismatches(xs, etas, ps)
-            return self._checked(np.sum(r * r, axis=1) + np.sum(w * w, axis=1))
+            return self._checked((r * r).sum(axis=1) + (w * w).sum(axis=1))
 
     def jet_many(self, xs, etas, ps):
         kdx = self.k.derivative_many(xs)
         cdx = self.c.derivative_many(xs)
-        m, n = ps.shape
+        shape = (len(ps), self.dim, self.dim)
+        dpp, dpeta, detaeta = (np.broadcast_to(b, shape) for b in self._blocks)
+        k_t, a_t = self._deta_factors
         # an overflowing row makes inf and NaN entries; the jet raises NonFinite
         with np.errstate(over="ignore", invalid="ignore"):
             r, w = self._mismatches(xs, etas, ps)
             return JetDerivatives(
-                np.sum(r * r, axis=1) + np.sum(w * w, axis=1), 2.0 * w,
-                _apply(-2.0 * self.K.T, r) - _apply(2.0 * self.A.T, w),
-                2.0 * np.sum(r * kdx, axis=1) - 2.0 * np.sum(w * cdx, axis=1),
-                np.broadcast_to(2.0 * np.eye(n), (m, n, n)),
-                np.broadcast_to(-2.0 * self.A, (m, n, n)),
-                -2.0 * cdx,
-                np.broadcast_to(2.0 * (self.K.T @ self.K) + 2.0 * (self.A.T @ self.A), (m, n, n)),
+                (r * r).sum(axis=1) + (w * w).sum(axis=1), 2.0 * w,
+                _apply(k_t, r) - _apply(a_t, w),
+                2.0 * (r * kdx).sum(axis=1) - 2.0 * (w * cdx).sum(axis=1),
+                dpp, dpeta, -2.0 * cdx, detaeta,
             )
 
 

@@ -21,9 +21,10 @@ grids of all pending calls of one kind and order and serves them with one
 call at that order, the lowest order first.  So a round of solves makes one
 ``jet_many`` call, one block solve per padded system size and one
 ``eval_many`` call per line-search step, however many problems it holds.
-Where a stack's block systems go in those solves (``block_layout``) is
-worked out once per stack of problems, at its first Newton round, and
-every later round of the same stack reuses it.
+Where a stack's block systems go in those solves (``block_layout``), and
+the padded batches they are solved in, are built once per stack of
+problems, at its first Newton round; every later round of the same stack
+only scatters its rows into them.
 ``m_sweep_many`` runs sweeps this way, every restart of each; the audit
 runs all its subintervals as one such batch.  A batched problem is its grid
 and started nodal values, whose two ends are the clamped data (``_start``).
@@ -96,6 +97,8 @@ INIT_STEP = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-20
+# the spacing of doubles at 1, the round-off floor of the Newton decrement
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ def _newton(grid, m, values, max_iters):
         if not -np.inf < slope < 0.0:  # no finite descent; fall back to steepest descent
             with np.errstate(over="ignore"):  # an infinite |g|^2 fails the Armijo test
                 d, slope = -grad, -float(np.sum(grad * grad))
-        if -slope <= np.finfo(float).eps * f:  # the decrement is at f's round-off floor
+        if -slope <= _EPS * f:  # the decrement is at f's round-off floor
             return outcome("decrement", grad)
         if iterations >= max_iters:
             return outcome("max_iters", grad)
@@ -251,16 +254,21 @@ def _lockstep(model, solves) -> list:
     samples before directions: a round's jets wait until every line search
     of the round has ended, and a sweep's next exponent until every solve
     of the current one has.  So each call is the one that a batch of one
-    exponent's solves makes.  Each set of requests keeps its rule, and
-    from its first Newton round its ``block_layout``, while the order
-    holds; both caches are cleared when the order rises, for memory, since
-    no set of requests at the old order remains.  Measured on a 2-CPU
-    Xeon: rebuilding the layout every round (about 92 us for the
-    19-problem ``audit-drift`` stack) was slower in 6 of 6 alternating
-    pairs of ``perfbench`` ``pipeline_ref_s``, 0.0551 -> 0.0566 s on
-    ``audit-drift`` and 0.0509 -> 0.0518 s on ``min-norms``; keeping rules
-    across exponents cut rule builds from 41 to 37 but raised the 257-node
-    DA-rot audit's peak RSS from 40.1 to 46.6 MB."""
+    exponent's solves makes.  Each set of requests keeps its rule while
+    the order holds, and the set of Newton requests its ``block_layout``,
+    with the padded batches of its block solves, from its first round
+    until the set changes; so a round builds no geometry, weights or
+    padding, only its own rows.  Within an order the set of Newton requests
+    only shrinks, as solves end, so a dropped layout is never needed again;
+    keeping them all raised the peak RSS of the 257-node, 64-subinterval
+    DA-rot audit from 43.3 to 44.8 MB.  The rules are cleared when the order
+    rises, for memory, since no set of requests at the old order remains.
+    Measured on a 2-CPU Xeon: rebuilding the layout every round (about
+    92 us for the 19-problem ``audit-drift`` stack) was slower in 6 of 6
+    alternating pairs of ``perfbench`` ``pipeline_ref_s``, 0.0551 ->
+    0.0566 s on ``audit-drift`` and 0.0509 -> 0.0518 s on ``min-norms``;
+    keeping rules across exponents cut rule builds from 41 to 37 but
+    raised the 257-node DA-rot audit's peak RSS from 40.1 to 46.6 MB."""
     requests, outcomes, rules, layouts, order = {}, [None] * len(solves), {}, {}, 0
 
     def rule(ids):
@@ -281,6 +289,7 @@ def _lockstep(model, solves) -> list:
         grad, hessian = stack.derivatives(model, values(ids), order)
         sigma = (order - 1) / np.array([requests[i][4] for i in ids])
         if key not in layouts:
+            layouts.clear()  # no earlier set of Newton requests recurs at this order
             layouts[key] = block_layout(stack.node_problem)
         d = _newton_direction(grad, hessian, sigma, layouts[key])
         slopes = segment_sums(d * grad, stack.node_starts).tolist()
@@ -371,7 +380,8 @@ def _newton_direction(grad, hessian, sigma, layout):
 @dataclass(frozen=True)
 class BlockLayout:
     """Where a stack of uncoupled block-tridiagonal systems goes in a
-    batched block solve, worked out once per stack by ``block_layout``.
+    batched block solve, worked out once per stack by ``block_layout``,
+    with the padded batches it is solved in.
 
     System k begins at row ``starts[k]``, and ``system`` is the system of
     each row.  A system of K rows is padded to 2^p - 1 rows, p =
@@ -381,12 +391,26 @@ class BlockLayout:
     flattened (count, size) batch, then their couplings in the stack, where
     coupling i joins rows i and i + 1, and their slots in the flattened
     (count, size + 1) batch, where coupling i joins rows i - 1 and i, so a
-    system's first is zero.
+    system's first is zero.  ``padded`` gives each batch's buffers.
     """
 
     starts: np.ndarray
     system: np.ndarray
     batches: list
+    buffers: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def padded(self, n: int, c: int) -> list:
+        """One ``(pivots, coupling, right)`` per batch, (count, size, N, N),
+        (count, size + 1, N, N) and (count, size, N, C), for N x N blocks
+        and C right-hand columns.  They are built at the first call for
+        (N, C) with identity pivots and zero couplings and right-hand sides,
+        and kept: every solve writes the same slots, so the padding stays."""
+        if (n, c) not in self.buffers:
+            self.buffers[n, c] = [(np.broadcast_to(np.eye(n), (count, size, n, n)).copy(),
+                                   np.zeros((count, size + 1, n, n)),
+                                   np.zeros((count, size, n, c)))
+                                  for size, count, *_ in self.batches]
+        return self.buffers[n, c]
 
 
 def block_layout(system: np.ndarray) -> BlockLayout:
@@ -420,19 +444,18 @@ def _stacked_solve(diag, upper, rhs, layout):
     couplings and zero right-hand sides, and the systems of one padded size
     are solved as one batch (``_block_tridiagonal_solve``).  Each is laid
     out exactly as it would be alone, so a system's solution does not
-    depend on the others.  The layout is worked out once per stack, so a
-    call only scatters, solves and gathers.  When a batch raises
-    ``LinAlgError``, ``_attributed`` finds the singular systems, and the
-    rest are solved without them.
+    depend on the others.  The layout and its padded batches are built once
+    per stack (``BlockLayout.padded``), so a call only scatters its systems'
+    rows into them, solves and gathers; the solve leaves its arguments as
+    they are.  When a batch raises ``LinAlgError``, ``_attributed`` finds
+    the singular systems, and the rest are solved without them.
     """
     out = np.empty_like(rhs)
     n, c = rhs.shape[1:]
-    for size, count, rows, slots, links, link_slots in layout.batches:
-        pivots = np.broadcast_to(np.eye(n), (count, size, n, n)).copy()
+    for (size, count, rows, slots, links, link_slots), (pivots, coupling, right) in zip(
+            layout.batches, layout.padded(n, c)):
         pivots.reshape(-1, n, n)[slots] = diag[rows]
-        coupling = np.zeros((count, size + 1, n, n))
         coupling.reshape(-1, n, n)[link_slots] = upper[links]
-        right = np.zeros((count, size, n, c))
         right.reshape(-1, n, c)[slots] = rhs[rows]
         try:
             solved = _block_tridiagonal_solve(pivots, coupling, right)

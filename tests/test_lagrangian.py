@@ -438,6 +438,34 @@ class TestJet:
         j2 = doubled.jet_many(*one_row(0.0, [0.0], [3.0]))
         assert j2.value[0] == 2.0 * j1.value[0] and np.array_equal(j2.dp, 2.0 * j1.dp)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_da_constant_blocks_are_closed_forms_and_read_only(self, rng, dim):
+        """The DA jet's second-order blocks, built once per model, are the
+        closed forms 2I, -2A and 2K^T K + 2A^T A at every row, bitwise.  A
+        write into them raises, so no caller can change the model's cached
+        blocks, and a scaled model scales them."""
+        K, A = rng.normal(size=(2, dim)), rng.normal(size=(dim, dim))
+        model = sm.DataAssimilationModel(
+            K, sm.SampledSignal(np.linspace(0.0, 1.0, 3), rng.normal(size=(3, 2))), A,
+            sm.SampledSignal(np.linspace(0.0, 1.0, 4), rng.normal(size=(4, dim))))
+        closed = {"dpp": 2.0 * np.eye(dim), "dpeta": -2.0 * A,
+                  "detaeta": 2.0 * (K.T @ K) + 2.0 * (A.T @ A)}
+        rows = (rng.uniform(size=5), rng.normal(size=(5, dim)), rng.normal(size=(5, dim)))
+        for _ in range(2):  # the second jet reads the blocks after the failed writes
+            jet = model.jet_many(*rows)
+            for name, block in closed.items():
+                got = getattr(jet, name)
+                assert got.shape == (5, dim, dim)
+                assert np.array_equal(got, np.broadcast_to(block, got.shape)), name
+                with pytest.raises(ValueError):
+                    got[0, 0, 0] = 1.0
+                with pytest.raises(ValueError):
+                    got += 1.0
+        scaled = sm.ScaledModel(model, 3.0).jet_many(*rows)
+        for name, block in closed.items():
+            assert np.array_equal(getattr(scaled, name),
+                                  np.broadcast_to(3.0 * block, (5, dim, dim))), name
+
 
 class TestRowNorms:
     """Every row norm of a model is ``_squared_distances`` under a square

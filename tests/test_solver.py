@@ -314,6 +314,32 @@ class TestNewtonDirection:
         for solved, system in zip(np.split(got, [1, 6]), systems):
             assert np.array_equal(solved, _stacked_solve(*system, alone(len(system[0]))))
 
+    @pytest.mark.parametrize("draw", range(3))
+    def test_block_solve_reuses_its_layout_buffers(self, draw):
+        """One layout solves two stacks of other systems, padded to 1, 7 and
+        31 rows, the second with a singular one: each call gets bit for bit
+        what a freshly built layout gets, so every call fills the padded
+        batches that the layout keeps with its own rows."""
+        rng = np.random.default_rng([draw, 20261020])
+        sizes = (1, 5, 17)
+        system = np.repeat([0, 1, 2], sizes)
+        layout = block_layout(system)
+        for singular in (None, 1):
+            systems = [self.system(rng, k, 2, 1) for k in sizes]
+            if singular is not None:
+                systems[singular] = (np.zeros_like(systems[singular][0]),
+                                     np.zeros_like(systems[singular][1]), systems[singular][2])
+            diags, uppers, rhss = zip(*systems)
+            zero = np.zeros((1, 2, 2))
+            stack = (np.concatenate(diags),
+                     np.concatenate([uppers[0], zero, uppers[1], zero, uppers[2]]),
+                     np.concatenate(rhss))
+            got = _stacked_solve(*stack, layout)
+            assert np.array_equal(got, _stacked_solve(*stack, block_layout(system)),
+                                  equal_nan=True)
+            assert np.isnan(got[1:6]).all() == (singular == 1)
+            assert not np.isnan(got[np.r_[0, 6:23]]).any()
+
     @pytest.mark.parametrize("singular", [(1,), (0, 2), (0, 1, 2)])
     def test_singular_systems_keep_nan_rows(self, singular, rng):
         """A singular system of a batch, here one of zero blocks, gets NaN
