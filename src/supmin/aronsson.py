@@ -1,8 +1,9 @@
 """Row-batched vectorial Aronsson operator and residual profiles along paths.
 
 At a point x with value eta, slope p and curvature xx, and with J the
-model's jet at (x, eta, p) and Q the orthogonal projection onto the
-hyperplane normal to J.dp, the operator assembles
+model's jet at (x, eta, p), its x-derivatives dx and dpx
+(``x_jet_many``) and Q the orthogonal projection onto the hyperplane
+normal to J.dp, the operator assembles
 
     [ dp (x) dp + L * Q * dpp ] xx
     + (deta . p + dx) dp
@@ -15,7 +16,8 @@ reported as-is, never smoothed.  ``normal_projection`` treats |xi| at or
 below 1e-12 * (1 + |xi|) as zero, so round-off near dp = 0 cannot blow the
 projection up.
 
-``aronsson_operator`` evaluates it at rows of points from one batched jet;
+``aronsson_operator`` evaluates it at rows of points from one batched jet
+and one batched x-jet;
 ``residual_profile`` feeds it the interior nodes of a path, and
 ``ResidualProfile.to_csv`` writes the profile to a named file through
 ``_io.write_csv``.
@@ -49,7 +51,8 @@ def normal_projection(xi) -> np.ndarray:
 
 
 def aronsson_operator(model: LagrangianModel, xs, values, slopes, curvatures) -> np.ndarray:
-    """The operator at rows of points, shape (M, N), from one batched jet.
+    """The operator at rows of points, shape (M, N), from one batched jet
+    and one batched x-jet.
 
     ``xs`` is (M,); ``values``, ``slopes`` and ``curvatures`` are (M, N).
     A width other than the model's ``dim``, a row count other than the
@@ -64,11 +67,14 @@ def aronsson_operator(model: LagrangianModel, xs, values, slopes, curvatures) ->
         if not np.all(np.isfinite(rows)):
             raise SupminError(f"{name} must be finite")
     jet = model.jet_many(xs, values, slopes)
+    dx, dpx = model.x_jet_many(xs, values, slopes)
+    if not (np.isfinite(dx).all() and np.isfinite(dpx).all()):
+        raise NonFinite("jet contains non-finite entries")
     proj = normal_projection(jet.dp)
     scale = jet.value[:, None, None] * proj
     lead = jet.dp[:, :, None] * jet.dp[:, None, :] + scale @ jet.dpp
-    lower = (np.sum(jet.deta * slopes, axis=1) + jet.dx)[:, None] * jet.dp
-    drift_arg = (jet.dpeta @ slopes[:, :, None])[:, :, 0] + jet.dpx - jet.deta
+    lower = (np.sum(jet.deta * slopes, axis=1) + dx)[:, None] * jet.dp
+    drift_arg = (jet.dpeta @ slopes[:, :, None])[:, :, 0] + dpx - jet.deta
     drift = (scale @ drift_arg[:, :, None])[:, :, 0]
     out = (lead @ curvatures[:, :, None])[:, :, 0] + lower + drift
     if not np.all(np.isfinite(out)):

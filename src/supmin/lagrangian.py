@@ -1,29 +1,27 @@
 """Lagrangian models L(x, eta, p) >= 0 with jets and hypothesis checkers.
 
 Arguments follow the convention (x, eta, p): position in the interval, map
-value in R^N, derivative in R^N.  A model answers two batched calls on rows
-xs (M,), etas (M, N), ps (M, N):
+value in R^N, derivative in R^N.  A model answers three batched calls on
+rows xs (M,), etas (M, N), ps (M, N):
 
-* ``eval_many`` the values of L, shape (M,);
-* ``jet_many``  the values with every first and second derivative, one
-  ``JetDerivatives`` whose fields carry a leading row axis.  The power
-  energy's gradient and Hessian (``MidpointPowerRule.derivatives``) read
-  ``dp``, ``deta`` and the (eta, p) blocks of one such jet; the residual
-  profile reads ``dx`` and ``dpx`` too.
+* ``eval_many``  the values of L, shape (M,);
+* ``jet_many``   the values with the (eta, p) derivatives the power energy
+  reads, one ``JetDerivatives`` whose fields carry a leading row axis;
+* ``x_jet_many`` the x-derivatives the residual profile reads too.
 
-These two are the only ways to evaluate a model.  They take rows as they
+These three are the only ways to evaluate a model.  They take rows as they
 come; every entry point that takes points or paths rejects a width that is
 not the model's ``dim`` (``check_width``).  Each constructor checks that its
 fields agree in shape, and its message names the fields it compares.  The
-base class derives ``jet_many`` from ``eval_many`` by central finite
-differences, one call on every shifted row of the stencil (51 rows per row
-at N=2); the analytic families override it.
+base class derives both jets from ``eval_many`` by central finite
+differences, one call on every shifted row of their stencils (41 and 10
+rows per row at N=2); the analytic families override them.
 Built-in families:
 
 * ``PowerNormModel``        L = |p - offset|^s
 * ``DataAssimilationModel`` L = |k(x) - K eta|^2 + |p - (A eta + c(x))|^2
 * ``RadialModel``           L = f(|p - (A eta + c(x))|^2 / 2) for an increasing profile f
-* ``MinOfNormsModel``       L = min_k |p - center_k|^s, finite-difference jets
+* ``MinOfNormsModel``       L = min_k |p - center_k|^s, the nearest center's jet
 * ``CustomModel``           user callable of rows, finite-difference jets
 
 ``check_level_convexity`` and ``check_growth_bounds`` are sampling
@@ -35,6 +33,7 @@ config carries its ``lagrangian.growth`` block to ``check_growth_bounds``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -68,8 +67,12 @@ def _mat(v, name: str) -> np.ndarray:
 def _apply(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """mat @ row for every row, summed row by row: BLAS rounds a one-row
     product differently from a many-row one, and a row's result must not
-    depend on the batch it came in."""
-    return np.sum(rows[:, None, :] * mat[None, :, :], axis=2)
+    depend on the batch it came in.  Added onto zeros one column at a time,
+    bitwise numpy's sum over a short trailing axis, -0.0 + -0.0 = +0.0 too."""
+    total = np.zeros((len(rows), len(mat)))
+    for row_j, mat_j in zip(rows.T, mat.T):
+        total += row_j[:, None] * mat_j
+    return total
 
 
 def _squared_distances(ps: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -173,28 +176,28 @@ class GrowthParams:
 
 @dataclass(frozen=True)
 class JetDerivatives:
-    """Value and partial derivatives of L at rows (x, eta, p).
+    """Value and (eta, p) derivatives of L at rows (x, eta, p).
 
-    ``dp``/``deta`` are gradients in p and eta, ``dx`` the x-derivative;
-    ``dpp``, ``dpeta``, ``dpx`` are the second-order blocks taken against p
-    first, and ``detaeta`` the Hessian in eta.  ``dpp`` and ``detaeta`` are
-    symmetric.
-    From ``jet_many`` every field has a leading row axis: ``value`` and
-    ``dx`` (M,), ``dp``, ``deta``, ``dpx`` (M, N), the blocks (M, N, N).
-    Construction rejects non-finite entries, once for the whole batch.
+    ``dp``/``deta`` are gradients in p and eta; ``dpp``, ``dpeta`` are the
+    second-order blocks taken against p first, and ``detaeta`` the Hessian
+    in eta.  ``dpp`` and ``detaeta`` are symmetric.
+    From ``jet_many`` every field has a leading row axis: ``value`` (M,),
+    ``dp``, ``deta`` (M, N), the blocks (M, N, N).
+    Construction rejects non-finite entries, once for the whole batch, in
+    every writeable field: a read-only one is a constant block that its
+    model checked when it was built.
     """
 
     value: np.ndarray
     dp: np.ndarray
     deta: np.ndarray
-    dx: np.ndarray
     dpp: np.ndarray
     dpeta: np.ndarray
-    dpx: np.ndarray
     detaeta: np.ndarray
 
     def __post_init__(self):
-        if not all(np.isfinite(getattr(self, f.name)).all() for f in fields(self)):
+        if not all(np.isfinite(a).all() for a in (getattr(self, f.name) for f in fields(self))
+                   if a.flags.writeable):
             raise NonFinite("jet contains non-finite entries")
 
     def map(self, fn) -> "JetDerivatives":
@@ -225,19 +228,18 @@ def check_width(model: LagrangianModel, **arrays) -> None:
 @functools.cache
 def _fd_stencil(n: int):
     """The shifts of ``LagrangianModel.jet_many``'s stencil at N = n, as
-    signs over z = (p, eta, x), built once per n and read-only:
+    signs over z = (p, eta), built once per n and read-only:
     ``(first, second, (i, j))``.  ``first`` holds the h1 shifts +-e_i;
-    ``second`` the h2 shifts +-e_i but x, then the corners ++, +-, -+, --
-    of each pair (i[q], j[q]) that a jet block reports.
+    ``second`` the h2 shifts +-e_i, then the corners ++, +-, -+, -- of
+    each pair (i[q], j[q]), i < j.
     """
-    k = 2 * n + 1
+    k = 2 * n
     eye = np.eye(k)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if i < n or j < k - 1]
-    first = np.array([s * eye[i] for i in range(k) for s in (1, -1)])
-    second = np.array([s * eye[i] for i in range(k - 1) for s in (1, -1)]
-                      + [si * eye[i] + sj * eye[j] for i, j in pairs
+    i, j = np.triu_indices(k, 1)
+    first = np.array([s * eye[a] for a in range(k) for s in (1, -1)])
+    second = np.array([s * eye[a] for a in range(k) for s in (1, -1)]
+                      + [si * eye[a] + sj * eye[b] for a, b in zip(i, j)
                          for si in (1, -1) for sj in (1, -1)])
-    i, j = np.array(pairs).T
     for a in (first, second, i, j):
         a.flags.writeable = False
     return first, second, (i, j)
@@ -246,15 +248,16 @@ def _fd_stencil(n: int):
 class LagrangianModel:
     """Base class: nonnegative L(x, eta, p), evaluated and differentiated by rows.
 
-    Subclasses implement ``eval_many``; ``jet_many`` defaults to central
-    finite differences of it, one ``eval_many`` call on all rows of the
-    stencil (51 rows per row at N=2).  That call needs ``eval_many``'s value
-    for a row not to depend on the other rows of its batch (``_apply``
-    keeps products so), and the solver, which evaluates many problems in
-    one call, needs the same of ``jet_many``.  The ``value`` of
-    ``jet_many`` is ``eval_many`` of the same rows, bitwise: a Newton step
-    reads its iterate's samples from the jet.  Models are immutable after
-    construction and all evaluation methods are pure.
+    Subclasses implement ``eval_many``; ``jet_many`` and ``x_jet_many``
+    default to central finite differences of it, one ``eval_many`` call on
+    all rows of their stencil (41 and 10 rows per row at N=2).  That call
+    needs ``eval_many``'s value for a row not to depend on the other rows
+    of its batch (``_apply`` keeps products so), and the solver, which
+    evaluates many problems in one call, needs the same of ``jet_many``.
+    The ``value`` of ``jet_many`` is ``eval_many`` of the same rows,
+    bitwise: a Newton step reads its iterate's samples from the jet.
+    Models are immutable after construction and all evaluation methods are
+    pure.
     """
 
     def __init__(self, dim: int):
@@ -268,16 +271,15 @@ class LagrangianModel:
         """Central-difference jet of ``eval_many`` at every row, from one
         ``eval_many`` call on the stencil's shifted copies of all rows.
 
-        A row is a point z = (p, eta, x).  Its stencil is z itself,
-        z +- h1 e_i for every coordinate, z +- h2 e_i for every coordinate
-        but x, and the corners z +- h2 e_i +- h2 e_j for every pair i < j
-        that a block reports: (p, p), (p, eta), (p, x) and (eta, eta).  The
-        steps are h1 = eps^(1/3)*(1+|z_i|) and h2 = eps^(1/4)*(1+|z_i|).  A
-        mixed difference is f(++) - f(+-) - f(-+) + f(--), signs of
-        (e_i, e_j), taken once and mirrored.
+        Each row keeps its x.  Its stencil over z = (p, eta) is z itself,
+        z +- h1 e_i and z +- h2 e_i for every coordinate, and the corners
+        z +- h2 e_i +- h2 e_j for every pair i < j.  The steps are
+        h1 = eps^(1/3)*(1+|z_i|) and h2 = eps^(1/4)*(1+|z_i|).  A mixed
+        difference is f(++) - f(+-) - f(-+) + f(--), signs of (e_i, e_j),
+        taken once and mirrored.
         """
         m, n = ps.shape
-        z = np.column_stack([ps, etas, xs])
+        z = np.column_stack([ps, etas])
         k = z.shape[1]
         h1, h2 = _FD_FIRST * (1.0 + np.abs(z)), _FD_SECOND * (1.0 + np.abs(z))
         first_signs, second_signs, (i, j) = _fd_stencil(n)
@@ -287,25 +289,45 @@ class LagrangianModel:
             # an unshifted coordinate keeps its exact value, -0.0 included
             return np.where(signs != 0, z + signs * h, z)
 
-        rows = np.concatenate([z[None], shifted(first_signs, h1),
-                               shifted(second_signs, h2)]).reshape(-1, k)
-        f = self.eval_many(*(np.ascontiguousarray(a)
-                             for a in (rows[:, -1], rows[:, n:-1], rows[:, :n]))).reshape(-1, m)
+        stencil = np.concatenate([z[None], shifted(first_signs, h1), shifted(second_signs, h2)])
+        rows = stencil.reshape(-1, k)
+        f = self.eval_many(np.tile(xs, len(stencil)), np.ascontiguousarray(rows[:, n:]),
+                           np.ascontiguousarray(rows[:, :n])).reshape(-1, m)
 
-        value, first, diagonal = f[0], f[1 : 2 * k + 1], f[2 * k + 1 : 4 * k - 1]
-        corners = f[4 * k - 1 :].reshape(len(i), 4, m)
+        value, first, diagonal = f[0], f[1 : 2 * k + 1], f[2 * k + 1 : 4 * k + 1]
+        corners = f[4 * k + 1 :].reshape(len(i), 4, m)
         grad = ((first[0::2] - first[1::2]) / (2 * h1.T)).T
         hess = np.zeros((m, k, k))
-        d = np.arange(k - 1)
-        hess[:, d, d] = ((diagonal[0::2] - 2 * value + diagonal[1::2]) / h2.T[:-1] ** 2).T
+        d = np.arange(k)
+        hess[:, d, d] = ((diagonal[0::2] - 2 * value + diagonal[1::2]) / h2.T**2).T
         hess[:, i, j] = hess[:, j, i] = (
             (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3])
             / (4 * h2.T[i] * h2.T[j])).T
-        eta = slice(n, k - 1)
         # C-ordered fields: numpy may sum the rows of a strided view in another order
         return JetDerivatives(*(np.ascontiguousarray(a) for a in (
-            value, grad[:, :n], grad[:, eta], grad[:, -1],
-            hess[:, :n, :n], hess[:, :n, eta], hess[:, :n, -1], hess[:, eta, eta])))
+            value, grad[:, :n], grad[:, n:], hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:])))
+
+    def x_jet_many(self, xs: np.ndarray, etas: np.ndarray,
+                   ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(dx, dpx)``, (M,) and (M, N): the x-derivative of L and its
+        mixed (p, x) block at every row, non-finite entries as they come.
+        The base class differences one ``eval_many`` call on x +- h1 and the
+        corners (p +- h2 e_i, x +- h2) of every row, steps as ``jet_many``'s.
+        """
+        m, n = ps.shape
+        h1, h2 = _FD_FIRST * (1.0 + np.abs(xs)), _FD_SECOND * (1.0 + np.abs(xs))
+        hp = _FD_SECOND * (1.0 + np.abs(ps))
+        x_rows, p_rows = [xs + h1, xs - h1], [ps, ps]
+        for i, si, sj in itertools.product(range(n), (1.0, -1.0), (1.0, -1.0)):
+            x_rows.append(xs + sj * h2)
+            p_rows.append(ps.copy())
+            p_rows[-1][:, i] += si * hp[:, i]
+        f = self.eval_many(np.concatenate(x_rows), np.tile(etas, (len(x_rows), 1)),
+                           np.concatenate(p_rows)).reshape(-1, m)
+        corners = f[2:].reshape(n, 4, m)
+        dpx = ((corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3])
+               / (4 * hp.T * h2)).T
+        return (f[0] - f[1]) / (2 * h1), np.ascontiguousarray(dpx)
 
     @staticmethod
     def _checked(values: np.ndarray) -> np.ndarray:
@@ -314,6 +336,28 @@ class LagrangianModel:
         if (values < 0).any():
             raise SupminError("Lagrangian evaluation is negative")
         return values
+
+
+def _power_jet(s: float, w: np.ndarray, rho: np.ndarray, singular: str) -> JetDerivatives:
+    """The jet of |p - c|^s at rows w = p - c, with rho = |w| as the model's
+    ``eval_many`` computes it, so that the jet's value is bitwise its value.
+    At w = 0 for s < 2 it raises NonFinite(``singular``)."""
+    n = w.shape[1]
+    apex = rho == 0.0
+    if s < 2 and np.any(apex):
+        # |w|^s has no two-sided jet at w = 0 below quadratic growth
+        raise NonFinite(singular)
+    safe = np.where(apex, 1.0, rho)
+    zeros = np.zeros_like(w)
+    # an infinite rho (overflow) makes NaN slopes; the jet raises NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = w / safe[:, None]
+        value = rho**s
+        dp = (s * rho ** (s - 1))[:, None] * unit
+        dpp = (s * safe ** (s - 2))[:, None, None] * (
+            np.eye(n) + (s - 2) * unit[:, :, None] * unit[:, None, :])
+    dpp[apex] = 2.0 * np.eye(n) if s == 2 else 0.0
+    return JetDerivatives(value, dp, zeros, dpp, np.zeros_like(dpp), np.zeros_like(dpp))
 
 
 class PowerNormModel(LagrangianModel):
@@ -333,26 +377,13 @@ class PowerNormModel(LagrangianModel):
             return self._checked(rho**self.exponent)
 
     def jet_many(self, xs, etas, ps):
-        s, n = self.exponent, self.dim
-        w = ps - self.offset[None, :]
         with np.errstate(over="ignore"):
             rho = np.sqrt(_squared_distances(ps, self.offset))
-        apex = rho == 0.0
-        if s < 2 and np.any(apex):
-            # |w|^s has no two-sided jet at w = 0 below quadratic growth
-            raise NonFinite("power-norm jet is singular at p = offset for s < 2")
-        safe = np.where(apex, 1.0, rho)
-        unit = w / safe[:, None]
-        zeros = np.zeros_like(w)
-        # an infinite rho (overflow) makes NaN slopes; the jet raises NonFinite
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = rho**s
-            dp = (s * rho ** (s - 1))[:, None] * unit
-            dpp = (s * safe ** (s - 2))[:, None, None] * (
-                np.eye(n) + (s - 2) * unit[:, :, None] * unit[:, None, :])
-        dpp[apex] = 2.0 * np.eye(n) if s == 2 else 0.0
-        return JetDerivatives(value, dp, zeros, np.zeros_like(rho), dpp,
-                              np.zeros_like(dpp), zeros, np.zeros_like(dpp))
+        return _power_jet(self.exponent, ps - self.offset[None, :], rho,
+                          "power-norm jet is singular at p = offset for s < 2")
+
+    def x_jet_many(self, xs, etas, ps):
+        return np.zeros(len(ps)), np.zeros_like(ps)  # L does not read x
 
 
 def _velocity_dim(A: np.ndarray, c: SampledSignal) -> int:
@@ -394,8 +425,13 @@ class DataAssimilationModel(LagrangianModel):
         self.A = A
         self.c = c
         # what every jet shares: the factors of deta, and dpp, dpeta, detaeta
-        self._deta_factors = (-2.0 * K.T, 2.0 * A.T)
-        self._blocks = (2.0 * np.eye(n), -2.0 * A, 2.0 * (K.T @ K) + 2.0 * (A.T @ A))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._deta_factors = (-2.0 * K.T, 2.0 * A.T)
+            self._blocks = (2.0 * np.eye(n), -2.0 * A, 2.0 * (K.T @ K) + 2.0 * (A.T @ A))
+        # an entry of K or A whose double overflows overflows its square on
+        # this block's diagonal, so the other blocks are finite if this one is
+        if not np.isfinite(self._blocks[2]).all():
+            raise SupminError("K and A are too large: 2 K^T K + 2 A^T A overflows")
         for a in (*self._deta_factors, *self._blocks):
             a.flags.writeable = False
 
@@ -410,20 +446,21 @@ class DataAssimilationModel(LagrangianModel):
             return self._checked((r * r).sum(axis=1) + (w * w).sum(axis=1))
 
     def jet_many(self, xs, etas, ps):
-        kdx = self.k.derivative_many(xs)
-        cdx = self.c.derivative_many(xs)
         shape = (len(ps), self.dim, self.dim)
         dpp, dpeta, detaeta = (np.broadcast_to(b, shape) for b in self._blocks)
         k_t, a_t = self._deta_factors
         # an overflowing row makes inf and NaN entries; the jet raises NonFinite
         with np.errstate(over="ignore", invalid="ignore"):
             r, w = self._mismatches(xs, etas, ps)
-            return JetDerivatives(
-                (r * r).sum(axis=1) + (w * w).sum(axis=1), 2.0 * w,
-                _apply(k_t, r) - _apply(a_t, w),
-                2.0 * (r * kdx).sum(axis=1) - 2.0 * (w * cdx).sum(axis=1),
-                dpp, dpeta, -2.0 * cdx, detaeta,
-            )
+            return JetDerivatives((r * r).sum(axis=1) + (w * w).sum(axis=1), 2.0 * w,
+                                  _apply(k_t, r) - _apply(a_t, w), dpp, dpeta, detaeta)
+
+    def x_jet_many(self, xs, etas, ps):
+        kdx = self.k.derivative_many(xs)
+        cdx = self.c.derivative_many(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, w = self._mismatches(xs, etas, ps)
+            return 2.0 * (r * kdx).sum(axis=1) - 2.0 * (w * cdx).sum(axis=1), -2.0 * cdx
 
 
 @dataclass(frozen=True)
@@ -472,25 +509,34 @@ class RadialModel(LagrangianModel):
             w = _deviation(self.A, self.c, xs, etas, ps)
             return self._checked(self.profile.f(0.5 * np.sum(w * w, axis=1)))
 
+    def _profile_terms(self, xs, etas, ps):
+        """Rows of w = p - V(x, eta), t = |w|^2 / 2, f'(t) and f''(t), the
+        last two as columns."""
+        w = _deviation(self.A, self.c, xs, etas, ps)
+        t = 0.5 * np.sum(w * w, axis=1)
+        f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
+        f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
+        return w, t, f1, f2
+
     def jet_many(self, xs, etas, ps):
-        cdx = self.c.derivative_many(xs)
         # an overflowing row makes inf and NaN entries; the jet raises NonFinite
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _deviation(self.A, self.c, xs, etas, ps)
-            t = 0.5 * np.sum(w * w, axis=1)
-            f1 = np.broadcast_to(self.profile.df(t), t.shape)[:, None]
-            f2 = np.broadcast_to(self.profile.ddf(t), t.shape)[:, None]
+            w, t, f1, f2 = self._profile_terms(xs, etas, ps)
             at_w = _apply(self.A.T, w)
-            w_cdx = np.sum(w * cdx, axis=1)[:, None]
             return JetDerivatives(
                 self.profile.f(t), f1 * w, -f1 * at_w,
-                (-f1 * w_cdx)[:, 0],
                 f1[:, :, None] * np.eye(self.dim) + f2[:, :, None] * w[:, :, None] * w[:, None, :],
                 -f2[:, :, None] * w[:, :, None] * at_w[:, None, :] - f1[:, :, None] * self.A,
-                -f2 * w_cdx * w - f1 * cdx,
                 f1[:, :, None] * (self.A.T @ self.A)
                 + f2[:, :, None] * at_w[:, :, None] * at_w[:, None, :],
             )
+
+    def x_jet_many(self, xs, etas, ps):
+        cdx = self.c.derivative_many(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, _, f1, f2 = self._profile_terms(xs, etas, ps)
+            w_cdx = np.sum(w * cdx, axis=1)[:, None]
+            return (-f1 * w_cdx)[:, 0], -f2 * w_cdx * w - f1 * cdx
 
 
 class CustomModel(LagrangianModel):
@@ -526,6 +572,19 @@ class MinOfNormsModel(LagrangianModel):
             # square is the least distance, bitwise
             return self._checked(np.sqrt(nearest) ** self.exponent)
 
+    def jet_many(self, xs, etas, ps):
+        """The jet of |p - c|^s at the nearest center c, the first on a tie
+        (``argmin``'s rule): one-sided where two centers are equally near."""
+        with np.errstate(over="ignore"):
+            squares = np.array([_squared_distances(ps, c) for c in self.centers])
+            nearest = np.argmin(squares, axis=0)
+            w = ps - self.centers[nearest]
+        return _power_jet(self.exponent, w, np.sqrt(squares[nearest, np.arange(len(ps))]),
+                          "min-of-norms jet is singular at a center for s < 2")
+
+    def x_jet_many(self, xs, etas, ps):
+        return np.zeros(len(ps)), np.zeros_like(ps)  # L does not read x
+
 
 class ScaledModel(LagrangianModel):
     """factor * L for a positive factor; jets scale exactly."""
@@ -546,6 +605,11 @@ class ScaledModel(LagrangianModel):
         jet = self.inner.jet_many(xs, etas, ps)
         with np.errstate(over="ignore"):
             return jet.map(lambda v: self.factor * v)
+
+    def x_jet_many(self, xs, etas, ps):
+        dx, dpx = self.inner.x_jet_many(xs, etas, ps)
+        with np.errstate(over="ignore"):
+            return self.factor * dx, self.factor * dpx
 
 
 # -- sampling certifications --------------------------------------------------

@@ -43,8 +43,11 @@ def restricted_sup(model, path, i, j):
 
 
 def random_builtin_model(rng, dim):
-    """One of the three built-in families with random moderate parameters."""
-    kind = rng.integers(0, 3)
+    """One of the four built-in families with random moderate parameters."""
+    kind = rng.integers(0, 4)
+    if kind == 3:
+        centers = rng.normal(size=(int(rng.integers(2, 4)), dim))
+        return sm.MinOfNormsModel(centers, float(rng.uniform(0.5, 4.0)))
     if kind == 0:
         s = float(rng.uniform(0.5, 4.0))
         return sm.PowerNormModel(s, rng.normal(size=dim))

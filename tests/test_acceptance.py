@@ -360,7 +360,7 @@ WEIGHTED_D = np.array([1.0, -0.5])  # b0 = 0, b1 = D
 
 class WeightedModel(sm.LagrangianModel):
     """L = a(x)|p|^2 for a positive weight a with derivative da, and its
-    analytic jet."""
+    analytic jet and x-jet."""
 
     def __init__(self, weight, dweight):
         super().__init__(2)
@@ -371,12 +371,14 @@ class WeightedModel(sm.LagrangianModel):
 
     def jet_many(self, xs, etas, ps):
         a, sq = self.weight(xs), np.sum(ps * ps, axis=1)
-        da = self.dweight(xs)
         m, n = ps.shape
         zeros = np.zeros((m, n, n))
-        return sm.JetDerivatives(a * sq, 2.0 * a[:, None] * ps, np.zeros_like(ps), da * sq,
-                                 2.0 * a[:, None, None] * np.eye(n), zeros,
-                                 2.0 * da[:, None] * ps, zeros)
+        return sm.JetDerivatives(a * sq, 2.0 * a[:, None] * ps, np.zeros_like(ps),
+                                 2.0 * a[:, None, None] * np.eye(n), zeros, zeros)
+
+    def x_jet_many(self, xs, etas, ps):
+        da = self.dweight(xs)
+        return da * np.sum(ps * ps, axis=1), 2.0 * da[:, None] * ps
 
 
 def test_c15_weighted_oracle_moves_with_m():

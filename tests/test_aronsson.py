@@ -14,7 +14,8 @@ def half_square_1d():
 def scalar_aronsson_oracle(model, x, eta, p, xx):
     """Directly coded scalar operator: d/dx[L(x, u, u')] * L_p at the point."""
     jet = model.jet_many(*one_row(x, [eta], [p]))
-    total_derivative = jet.dx[0] + jet.deta[0, 0] * p + jet.dp[0, 0] * xx
+    dx, _ = model.x_jet_many(*one_row(x, [eta], [p]))
+    total_derivative = dx[0] + jet.deta[0, 0] * p + jet.dp[0, 0] * xx
     return total_derivative * jet.dp[0, 0]
 
 

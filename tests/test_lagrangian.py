@@ -10,19 +10,32 @@ import supmin as sm
 from conftest import one_row, random_builtin_model
 
 
+def blocks(jet):
+    """The fields of a ``JetDerivatives``, or an x-jet's ``(dx, dpx)``, by name."""
+    if isinstance(jet, tuple):
+        return dict(zip(("dx", "dpx"), jet))
+    return {f.name: getattr(jet, f.name) for f in dataclasses.fields(jet)}
+
+
 def jet_block_errors(a, b):
-    """Per-block relative deviation between two jets."""
-    out = []
-    for name in ("value", "dp", "deta", "dx", "dpp", "dpeta", "dpx", "detaeta"):
-        xa, xb = np.atleast_1d(getattr(a, name)), np.atleast_1d(getattr(b, name))
-        out.append(np.max(np.abs(xa - xb)) / (1.0 + np.max(np.abs(xb))))
-    return max(out)
+    """Per-block relative deviation between two jets or two x-jets."""
+    b = blocks(b)
+    return max(np.max(np.abs(np.atleast_1d(xa) - b[name])) / (1.0 + np.max(np.abs(b[name])))
+               for name, xa in blocks(a).items())
+
+
+def assert_fields_equal(jet, ref, *context):
+    """Every block of a jet or an x-jet equals the same-named entry of the
+    dict ``ref``, bitwise."""
+    for name, value in blocks(jet).items():
+        assert np.array_equal(value, ref[name]), (*context, name)
 
 
 def loop_reference_jet(model, xs, etas, ps):
-    """The central-difference jet as one ``eval_many`` call per shifted row
-    set (51 at N=2): the reference the batched stencil of
-    ``LagrangianModel.jet_many`` must equal bitwise."""
+    """The central-difference jet and x-jet as one ``eval_many`` call per
+    shifted row set, a dict of the fields ``value`` to ``detaeta`` and
+    ``dx``, ``dpx``: the reference the batched stencils of
+    ``LagrangianModel.jet_many`` and ``x_jet_many`` must equal bitwise."""
     f = model.eval_many
     eps = np.finfo(float).eps
     m, n = ps.shape
@@ -77,12 +90,14 @@ def loop_reference_jet(model, xs, etas, ps):
             f(xs + h2x, etas, up) - f(xs - h2x, etas, up)
             - f(xs + h2x, etas, down) + f(xs - h2x, etas, down)
         ) / (4 * hi * h2x)
-    return sm.JetDerivatives(value, dp, deta, dx, dpp, dpeta, dpx, detaeta)
+    return dict(value=value, dp=dp, deta=deta, dx=dx, dpp=dpp, dpeta=dpeta, dpx=dpx,
+                detaeta=detaeta)
 
 
-def per_call_stencil_jet(model, xs, etas, ps):
-    """``LagrangianModel.jet_many`` with its stencil's sign rows and pairs
-    rebuilt on every call, as the stencil was built before it was cached."""
+def stencil_51_jet(model, xs, etas, ps):
+    """A reference copy of the 51-row stencil (at N = 2) that computed every
+    jet field, ``dx`` and ``dpx`` included, with its sign rows and pairs
+    rebuilt on every call: a dict of the eight fields."""
     eps = np.finfo(float).eps
     m, n = ps.shape
     z = np.column_stack([ps, etas, xs])
@@ -115,7 +130,7 @@ def per_call_stencil_jet(model, xs, etas, ps):
         (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3])
         / (4 * h2.T[i] * h2.T[j])).T
     eta = slice(n, k - 1)
-    return sm.JetDerivatives(*(np.ascontiguousarray(a) for a in (
+    return dict(zip(("value", "dp", "deta", "dx", "dpp", "dpeta", "dpx", "detaeta"), (
         value, grad[:, :n], grad[:, eta], grad[:, -1],
         hess[:, :n, :n], hess[:, :n, eta], hess[:, :n, -1], hess[:, eta, eta])))
 
@@ -282,10 +297,12 @@ class TestEval:
 
 class TestJet:
     def test_power_norm_square_jet(self):
-        jet = sm.PowerNormModel(2.0, [0.0, 0.0]).jet_many(*one_row(0.1, [3.0, 1.0], [1.0, 2.0]))
+        model, row = sm.PowerNormModel(2.0, [0.0, 0.0]), one_row(0.1, [3.0, 1.0], [1.0, 2.0])
+        jet = model.jet_many(*row)
         np.testing.assert_allclose(jet.dp[0], [2.0, 4.0], atol=1e-14)
         np.testing.assert_allclose(jet.dpp[0], 2.0 * np.eye(2), atol=1e-14)
-        assert np.all(jet.deta[0] == 0.0) and jet.dx[0] == 0.0
+        dx, dpx = model.x_jet_many(*row)
+        assert np.all(jet.deta[0] == 0.0) and dx[0] == 0.0 and np.all(dpx == 0.0)
 
     def test_da_minimum_at_velocity(self):
         v = [1.5, -0.5]
@@ -302,22 +319,29 @@ class TestJet:
         worst = 0.0
         for _ in range(100):
             row = one_row(rng.uniform(0.0, 1.0), rng.normal(size=2), rng.normal(scale=2.0, size=2))
-            worst = max(worst, jet_block_errors(mirror.jet_many(*row), model.jet_many(*row)))
+            worst = max(worst, jet_block_errors(mirror.jet_many(*row), model.jet_many(*row)),
+                        jet_block_errors(mirror.x_jet_many(*row), model.x_jet_many(*row)))
         assert worst < 1e-6
 
     def test_fd_consistency_all_builtins(self, rng):
-        worst = 0.0
-        for _ in range(20):
+        """Each built-in family's jet matches the base class's finite
+        differences, away from a centre and from a tie of two."""
+        worst, kinds = 0.0, set()
+        for _ in range(40):
             dim = int(rng.integers(1, 4))
             model = random_builtin_model(rng, dim)
             x = rng.uniform(0.05, 0.95, size=1)
             eta = rng.uniform(-10, 10, size=(1, dim))
             p = rng.uniform(-10, 10, size=(1, dim))
-            if np.linalg.norm(p - getattr(model, "offset", np.full(dim, np.inf))) < 0.5:
-                continue  # keep clear of the power-norm apex
+            centers = np.atleast_2d(getattr(model, "centers",
+                                            getattr(model, "offset", np.empty((0, dim)))))
+            gaps = np.diff(np.sort(np.linalg.norm(p - centers, axis=1)), prepend=0.0)
+            if centers.size and gaps.min() < 0.5:
+                continue  # keep clear of an apex and of a kink between two centres
+            kinds.add(type(model))
             fd = sm.LagrangianModel.jet_many(model, x, eta, p)
             worst = max(worst, jet_block_errors(fd, model.jet_many(x, eta, p)))
-        assert worst < 1e-5
+        assert len(kinds) == 4 and worst < 1e-5
 
     def test_batch_equals_stacked_rows(self, rng):
         """jet_many and eval_many on a batch equal their one-row calls stacked, bitwise."""
@@ -379,16 +403,18 @@ class TestJet:
                 # so the order of a mixed difference's terms shows in its last bits
                 ps[1:6] = centers[0] + 1e-3 * rng.normal(size=(len(ps[1:6]), dim))
                 ps[0, 0] = -0.0  # stays -0.0 in every row that does not shift it
-                jet = sm.LagrangianModel.jet_many(model, xs, etas, ps)
                 ref = loop_reference_jet(model, xs, etas, ps)
-                for f in dataclasses.fields(jet):
-                    assert np.array_equal(getattr(jet, f.name), getattr(ref, f.name)), \
-                        (type(model), rows, f.name)
+                assert_fields_equal(sm.LagrangianModel.jet_many(model, xs, etas, ps), ref,
+                                    type(model), rows)
+                assert_fields_equal(sm.LagrangianModel.x_jet_many(model, xs, etas, ps),
+                                    ref, type(model), rows)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_fd_jet_equals_per_call_stencil(self, rng, dim):
-        """The cached stencil gives every field of the stencil rebuilt per
-        call, bitwise."""
+        """The cached 41-row stencil (at N = 2) gives the value, dp, deta and
+        (eta, p) blocks of the 51-row stencil that also took the
+        x-derivatives, rebuilt per call, bitwise; ``x_jet_many``'s own
+        stencil gives its dx and dpx, bitwise."""
         centers = rng.normal(size=(2, dim))
         models = [
             sm.MinOfNormsModel(centers, exponent=1.3),
@@ -401,19 +427,19 @@ class TestJet:
         ps[1:4] = centers[0] + 1e-3 * rng.normal(size=(3, dim))
         ps[0, 0] = etas[0, -1] = -0.0
         for model in models:
-            jet = model.jet_many(xs, etas, ps)
-            ref = per_call_stencil_jet(model, xs, etas, ps)
-            for f in dataclasses.fields(jet):
-                assert np.array_equal(getattr(jet, f.name), getattr(ref, f.name)), \
-                    (type(model), f.name)
+            ref = stencil_51_jet(model, xs, etas, ps)
+            assert_fields_equal(sm.LagrangianModel.jet_many(model, xs, etas, ps), ref, type(model))
+            assert_fields_equal(sm.LagrangianModel.x_jet_many(model, xs, etas, ps),
+                                ref, type(model))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stencil_built_once_and_read_only(self, dim):
         stencil = sm.lagrangian._fd_stencil(dim)
         assert sm.lagrangian._fd_stencil(dim) is stencil
         first, second, (i, j) = stencil
-        k = 2 * dim + 1
-        assert first.shape == (2 * k, k) and second.shape == (2 * (k - 1) + 4 * len(i), k)
+        k = 2 * dim
+        assert first.shape == (2 * k, k) and second.shape == (2 * k + 4 * len(i), k)
+        assert len(i) == k * (k - 1) // 2
         for array in (first, second, i, j):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -465,6 +491,110 @@ class TestJet:
         for name, block in closed.items():
             assert np.array_equal(getattr(scaled, name),
                                   np.broadcast_to(3.0 * block, (5, dim, dim))), name
+
+
+    @pytest.mark.parametrize("family", ["power_norm", "data_assimilation", "identity", "shift",
+                                        "power", "min_norms", "scaled"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_x_jet_matches_finite_differences(self, rng, family, dim):
+        """Each analytic ``x_jet_many`` matches the base class's finite
+        differences within 1e-5, at rows whose x-stencil stays off the
+        signals' knots."""
+        knots = np.linspace(-0.5, 1.5, 5)
+        c = sm.SampledSignal(knots, rng.normal(scale=0.5, size=(5, dim)))
+        A = rng.normal(scale=0.3, size=(dim, dim))
+        if family == "power_norm":
+            model = sm.PowerNormModel(2.5, rng.normal(size=dim))
+        elif family == "min_norms":
+            model = sm.MinOfNormsModel(rng.normal(size=(3, dim)), 1.7)
+        elif family in ("data_assimilation", "scaled"):
+            model = sm.DataAssimilationModel(rng.normal(scale=0.5, size=(2, dim)),
+                                             sm.SampledSignal(knots, rng.normal(size=(5, 2))), A, c)
+            model = sm.ScaledModel(model, 2.5) if family == "scaled" else model
+        else:
+            model = sm.RadialModel(sm.radial_profile(family, beta=0.5, gamma=1.7), A, c)
+        xs = np.concatenate([rng.uniform(0.05, 0.45, size=5), rng.uniform(0.55, 0.95, size=5)])
+        etas = rng.normal(size=(10, dim))
+        ps = rng.normal(scale=2.0, size=(10, dim))
+        fd = sm.LagrangianModel.x_jet_many(model, xs, etas, ps)
+        dx, dpx = model.x_jet_many(xs, etas, ps)
+        assert dx.shape == (10,) and dpx.shape == (10, dim)
+        assert jet_block_errors((dx, dpx), fd) < 1e-5
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
+    def test_min_norms_jet_is_the_nearest_power_norm_jet(self, rng, dim, exponent):
+        """The min-of-norms jet is the nearest centre's power-norm jet,
+        bitwise.  At a centre it raises below quadratic growth, as the power
+        norm does."""
+        centers = rng.normal(size=(3, dim))
+        model = sm.MinOfNormsModel(centers, exponent)
+        xs, etas, ps = rng.uniform(size=12), rng.normal(size=(12, dim)), rng.normal(size=(12, dim))
+        nearest = np.argmin([np.sum((ps - c) ** 2, axis=1) for c in centers], axis=0)
+        jet = model.jet_many(xs, etas, ps)
+        for i, k in enumerate(nearest):
+            ref = sm.PowerNormModel(exponent, centers[k]).jet_many(*one_row(xs[i], etas[i], ps[i]))
+            for name, block in blocks(ref).items():
+                assert np.array_equal(getattr(jet, name)[i], block[0]), (i, name)
+        assert len(set(nearest)) > 1
+        ps[1] = centers[2]
+        if exponent < 2:
+            with pytest.raises(sm.NonFinite, match="singular at a center"):
+                model.jet_many(xs, etas, ps)
+        else:
+            assert np.array_equal(model.jet_many(xs, etas, ps).dp[1], np.zeros(dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_min_norms_tie_takes_the_first_center(self, rng, dim):
+        """On rows equidistant from two centres, mirror images in the first
+        coordinate, the jet is the first centre's ``PowerNormModel`` jet,
+        bitwise, in either order of the centres."""
+        first = rng.normal(size=dim)
+        second = first * np.where(np.arange(dim) == 0, -1.0, 1.0)
+        ps = rng.normal(size=(6, dim))
+        ps[:, 0] = 0.0
+        ps[0, 0] = -0.0
+        xs, etas = rng.uniform(size=6), rng.normal(size=(6, dim))
+        slopes = []
+        for centers in ([first, second], [second, first]):
+            model = sm.MinOfNormsModel(centers, 2.5)
+            jet = model.jet_many(xs, etas, ps)
+            ref = sm.PowerNormModel(2.5, centers[0]).jet_many(xs, etas, ps)
+            assert_fields_equal(jet, blocks(ref))
+            assert np.array_equal(jet.value, model.eval_many(xs, etas, ps))
+            slopes.append(jet.dp)
+        assert not np.array_equal(*slopes)  # the tie is one-sided
+
+    def test_apply_equals_broadcast_sum(self, rng):
+        """``_apply`` adds its products onto zeros one column at a time:
+        bitwise the broadcast sum ``np.sum(rows[:, None, :] * mat, axis=2)``
+        it replaced, signed zeros included (that sum gives +0.0 for
+        -0.0 + -0.0), at N = 1 to 4."""
+        for n in (1, 2, 3, 4):
+            for _ in range(20):
+                rows = rng.normal(size=(190, n)) * 10.0 ** rng.integers(-8, 9, size=(190, n))
+                mat = rng.normal(size=(int(rng.integers(1, 5)), n))
+                rows[rng.random(rows.shape) < 0.3] = 0.0
+                rows[rng.random(rows.shape) < 0.3] = -0.0
+                mat[rng.random(mat.shape) < 0.3] = -0.0
+                got = sm.lagrangian._apply(mat, rows)
+                ref = np.sum(rows[:, None, :] * mat[None, :, :], axis=2)
+                assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
+                                                                   np.signbit(ref)), n
+        both_negative = sm.lagrangian._apply(np.array([[1.0, 1.0]]), np.array([[-0.0, -0.0]]))
+        assert not np.signbit(both_negative).any()
+
+    @pytest.mark.parametrize("K, A", [([[1e200, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]),
+                                      ([[1.0, 0.0]], [[0.0, 2e154], [-1.0, 0.0]])],
+                             ids=["K", "A"])
+    def test_da_overflowing_blocks_rejected_at_construction(self, K, A):
+        """A DA model whose 2 K^T K + 2 A^T A overflows is rejected when it
+        is built, with no floating-point warning: its jets return the
+        constant blocks unchecked."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sm.SupminError, match="K and A are too large"):
+                make_da(K, [[0.0, 0.5], [1.0, 0.2]], A, [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
 
 class TestRowNorms:
@@ -557,7 +687,9 @@ class TestCustomModel:
         model.eval_many(xs, etas, ps)
         assert calls == [7]
         model.jet_many(xs, etas, ps)
-        assert calls == [7, 51 * 7]  # the finite-difference stencil at N = 2
+        assert calls == [7, 41 * 7]  # the finite-difference stencil at N = 2
+        model.x_jet_many(xs, etas, ps)
+        assert calls == [7, 41 * 7, 10 * 7]  # x +- h1 and four corners per p coordinate
 
     @pytest.mark.parametrize("result, shape", [
         (lambda xs: 1.0, "()"),
