@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _HOMES = {name: module for module, names in (
     ("aronsson", ("ResidualProfile", "aronsson_operator", "normal_projection",
                   "residual_profile")),
-    ("audit", ("AuditReport", "EndpointScan", "ScanEntry", "SemicontinuityResult",
-               "SubintervalAudit", "audit_absolute_minimality", "build_comparison",
-               "endpoint_quotient_scan", "semicontinuity_check", "snap_delta")),
+    ("audit", ("AuditReport", "EndpointScan", "ScanEntry", "SubintervalAudit",
+               "audit_absolute_minimality", "build_comparison", "endpoint_quotient_scan",
+               "snap_delta")),
     ("energy", ("EnergyReport", "jensen_gap", "power_energy", "power_energy_gradient",
                 "sup_energy")),
     ("errors", ("ConfigError", "NonFinite", "SupminError")),

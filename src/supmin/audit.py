@@ -14,8 +14,7 @@ settings, ``AuditConfig``, are defined in ``options``, beside the sweep's.
 ``build_comparison`` glues affine boundary layers of width delta onto an
 interior profile; ``endpoint_quotient_scan`` drives the glued paths along a
 shrinking delta schedule and compares the boundary-layer energies against the
-global sup energy; ``semicontinuity_check`` tests the liminf inequality for a
-finite family of approximating paths against a limit path.
+global sup energy.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .energy import MidpointPowerRule, power_energy, sup_energy
+from .energy import MidpointPowerRule, sup_energy
 from .errors import SupminError
 from .lagrangian import LagrangianModel
 from .options import AuditConfig, _check_tol_audit
@@ -45,7 +44,7 @@ class SubintervalAudit:
     status: str  # "ok" | "violation" | "inconclusive"
     error: str | None
     stop_reasons: list  # the ``stop_reason`` of each record of the local sweep
-    sweep_stop_reason: str  # the local sweep's: "tol_sweep" | "m_max" | "aborted"
+    sweep_stop_reason: str  # the local sweep's: "settled" | "m_max" | "aborted"
     solve_totals: dict  # the local sweep's ``SweepResult.solve_totals``
 
 
@@ -223,33 +222,7 @@ def build_comparison(u_left, u_right, psi: Path, delta: float) -> Path:
     return Path(psi.grid, _glued_values(psi, u_left, u_right, i_left, i_right))
 
 
-# -- proof-step checks ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SemicontinuityResult:
-    lhs: float
-    liminf_rhs_estimate: float
-    passed: bool
-    roots: list
-
-
-def semicontinuity_check(model: LagrangianModel, approx_paths, limit_path: Path,
-                         tol_audit: float = 1e-3) -> SemicontinuityResult:
-    """Check sup_energy(limit) <= liminf of the normalized power roots of the
-    approximating paths, the liminf estimated as the minimum over the last
-    half of the finite sequence, every energy over the paths' whole grid."""
-    _check_tol_audit(tol_audit)
-    if len(approx_paths) < 3:
-        raise SupminError("semicontinuity check needs at least 3 approximating paths")
-    ms = [m for m, _ in approx_paths]
-    if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
-        raise SupminError("exponents must be strictly increasing")
-    lhs = sup_energy(model, limit_path)
-    roots = [power_energy(model, p, m).normalized_root for m, p in approx_paths]
-    liminf_est = float(min(roots[len(roots) // 2 :]))
-    passed = lhs <= liminf_est + tol_audit * (1.0 + lhs)
-    return SemicontinuityResult(float(lhs), liminf_est, passed, roots)
+# -- endpoint quotients -------------------------------------------------------
 
 
 @dataclass(frozen=True)

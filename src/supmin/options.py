@@ -24,13 +24,10 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SweepSchedule:
     m_max: int = 1024
-    tol_sweep: float = 1e-4
     restarts: int = 1
 
     def __post_init__(self):
         check_count(self.m_max, 2, "schedule needs m_max >= 2, an integer")
-        if not self.tol_sweep > 0:  # written so that NaN fails it
-            raise SupminError("tol_sweep must be positive")
         check_count(self.restarts, 1, "restarts must be >= 1, an integer")
 
     def exponents(self) -> list[int]:

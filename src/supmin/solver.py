@@ -76,8 +76,16 @@ scaled to the grid, the model or the exponent.  f = 0 is a global minimum
 (L >= 0) and stops the solve too.  A solve stops for one of three reasons,
 reported as ``SolveStats.stop_reason``: ``decrement`` (the only one that
 counts as converged), ``max_iters`` or ``line_search`` (no step down to
-``MIN_STEP`` passed the Armijo test).  A sweep reports its own
-``stop_reason``: ``tol_sweep``, ``m_max`` or ``aborted``.
+``MIN_STEP`` passed the Armijo test).
+
+A sweep stops at the same floor: when two consecutive normalized roots
+agree to round-off, ``|root - prev_root| <= eps root``, doubling m moved
+the root by nothing that shows, as where L is constant along the
+minimiser.  A sweep whose roots still move runs on to m_max.  So neither a
+solve nor a sweep has a tolerance.  A sweep reports its own
+``stop_reason``: ``settled`` (that rule), ``m_max`` or ``aborted``.
+Restarts whose sups agree within ``TIE_TOL (1 + sup)``, at distinct
+candidates, are reported as ties.
 """
 
 from __future__ import annotations
@@ -97,7 +105,10 @@ INIT_STEP = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-20
+# relative gap within which two restarts' sups tie
+TIE_TOL = 1e-4
 # the spacing of doubles at 1, the round-off floor of the Newton decrement
+# and of a sweep's roots
 _EPS = np.finfo(float).eps
 
 
@@ -134,10 +145,11 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One sweep's records and candidate.  ``stop_reason`` is ``tol_sweep``
-    (the roots settled), ``m_max`` (every exponent ran) or ``aborted`` (a
-    solve failed); ``solves`` holds the stats of every solve run, across all
-    restarts, whereas ``records`` keeps the chosen sweep's alone."""
+    """One sweep's records and candidate.  ``stop_reason`` is ``settled``
+    (two consecutive roots agreed to round-off), ``m_max`` (every exponent
+    ran) or ``aborted`` (a solve failed); ``solves`` holds the stats of
+    every solve run, across all restarts, whereas ``records`` keeps the
+    chosen sweep's alone."""
 
     records: list
     candidate: Path
@@ -519,14 +531,14 @@ def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
             schedule: SweepSchedule | None = None, options: SolveOptions | None = None,
             init: Path | None = None, seed: int = 0) -> SweepResult:
     """Warm-started solves over m = 2, 4, 8, ... up to m_max,
-    stopping early once the normalized roots settle within tol_sweep.
+    stopping early once two consecutive normalized roots agree to round-off.
 
     The final minimizer is the candidate; its sup energy over the whole
     interval, the largest sample of the midpoint rule the solves minimise,
     is reported alongside the root sequence.  With restarts > 1 the
     sweep is repeated from seeded perturbed initial paths and the candidate
     with the smallest sup energy wins; distinct candidates whose sup energies
-    tie within tol_sweep are all reported.  This is the batch of one of
+    tie within ``TIE_TOL`` are all reported.  This is the batch of one of
     ``m_sweep_many``.
     """
     return m_sweep_many(model, [(grid, _start(model, grid, boundary, init), seed)], schedule,
@@ -545,15 +557,16 @@ def m_sweep_many(model: LagrangianModel, problems, schedule: SweepSchedule | Non
     runs = iter(_lockstep(model, [_sweep(grid, start, schedule, max_iters)
                                   for (grid, _, _), group in zip(problems, starts)
                                   for start in group]))
-    return [_best_of([next(runs) for _ in group], schedule) for group in starts]
+    return [_best_of([next(runs) for _ in group]) for group in starts]
 
 
 def _sweep(grid, values, schedule, max_iters):
     """One sweep from the started nodal ``values``, as a generator that
     runs a ``_newton`` solve per exponent, each warm-started from the last
     one's path, and returns its ``SweepResult``, its start the candidate
-    if none ran.  The sweep stops when its roots settle (``tol_sweep``),
-    after m_max (``m_max``), or when a solve fails (``aborted``)."""
+    if none ran.  The sweep stops when two consecutive roots agree to
+    round-off (``settled``), after m_max (``m_max``), or when a solve fails
+    (``aborted``)."""
     records, prev_root, sup = [], None, np.nan
     stop_reason, error = "m_max", None
     for m in schedule.exponents():
@@ -564,9 +577,8 @@ def _sweep(grid, values, schedule, max_iters):
             break
         records.append(SweepRecord(m, path, stats))
         values, root = path.values, stats.objective
-        settled = schedule.tol_sweep * (1.0 + abs(root))
-        if prev_root is not None and abs(root - prev_root) <= settled:
-            stop_reason = "tol_sweep"
+        if prev_root is not None and abs(root - prev_root) <= _EPS * root:
+            stop_reason = "settled"
             break
         prev_root = root
     return SweepResult(records, records[-1].path if records else Path(grid, values), sup,
@@ -590,16 +602,16 @@ def _restart_starts(values, restarts, seed) -> list:
     return starts
 
 
-def _best_of(results, schedule) -> SweepResult:
+def _best_of(results) -> SweepResult:
     """The restart whose candidate has the smallest sup energy, with every
     restart's sup, the distinct candidates that tie with it within
-    tol_sweep, and the solves of all of them."""
+    ``TIE_TOL``, and the solves of all of them."""
     if len(results) == 1:
         return results[0]
     sups = [res.sup_of_candidate if not res.aborted else np.inf for res in results]
     best = int(np.argmin(sups))
     chosen = results[best]
-    tol = schedule.tol_sweep * (1.0 + abs(sups[best]))
+    tol = TIE_TOL * (1.0 + abs(sups[best]))
     ties = [
         res.candidate
         for i, res in enumerate(results)

@@ -80,10 +80,9 @@ def test_c02_data_assimilation_closed_form(da_sweep):
 
 def test_c03_monotone_root_limit(da_sweep):
     _, _, sweep = da_sweep
-    tol = sm.SweepSchedule().tol_sweep
     roots = sweep.c_sequence
     for lo, hi in zip(roots, roots[1:]):
-        assert lo <= hi + 10 * tol
+        assert lo <= hi + 10 * 1e-4
     assert abs(roots[-1] - sweep.sup_of_candidate) <= 0.05 * sweep.sup_of_candidate
     print("c03 monotone normalized-root limit: PASS")
 
@@ -386,18 +385,18 @@ def test_c15_weighted_oracle_moves_with_m():
     t_e = |D| w_e / sum_f h_f w_f, w_e = a_e^(-m/(2m-1)) at the element
     midpoints, and its root is (sum_e h_e (a_e t_e^2)^m)^(1/m).  As m grows
     the sup tends to V = (|D| / sum_e h_e a_e^(-1/2))^2, its excess over V
-    halving per doubling of m.  tol_sweep = 1e-300 runs every exponent."""
+    halving per doubling of m.  The default schedule runs every exponent,
+    and at m_max the sup lies within the audit's tolerance of V."""
     model = WeightedModel(lambda x: 1.0 + 0.8 * np.sin(2 * np.pi * x) ** 2,
                           lambda x: 1.6 * np.pi * np.sin(4 * np.pi * x))
     size = np.linalg.norm(WEIGHTED_D)
-    schedule = sm.SweepSchedule(tol_sweep=1e-300)
     worst_root, worst_slope = 0.0, 0.0
     for num_nodes in (17, 65, 257):
         grid = sm.Grid.uniform(0.0, 1.0, num_nodes)
         h = grid.element_lengths
         a = model.weight(grid.nodes[:-1] + 0.5 * h)
         value = (size / np.sum(h * a**-0.5)) ** 2
-        sweep = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], WEIGHTED_D), schedule)
+        sweep = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], WEIGHTED_D))
         assert [rec.m for rec in sweep.records] == [2**k for k in range(1, 11)]
         excess = []
         for rec in sweep.records:
@@ -414,6 +413,7 @@ def test_c15_weighted_oracle_moves_with_m():
         ratios = np.array(excess[1:]) / np.array(excess[:-1])
         assert np.all((ratios >= 0.40) & (ratios <= 0.51)), (num_nodes, ratios)
         assert np.all(ratios[2:] >= 0.48), (num_nodes, ratios)
+        assert excess[-1] < sm.AuditConfig().tol_audit, (num_nodes, excess[-1])
     assert worst_root <= 1e-14 and worst_slope <= 1e-9, (worst_root, worst_slope)
     print(f"c15 weighted oracle: PASS (roots {worst_root:.1e}, slopes {worst_slope:.1e})")
 
@@ -439,11 +439,10 @@ def test_c16_weighted_oracle_refinement():
             total = mp.quad(lambda x: a(x) ** -q, [0, 1])
             energy = mp.quad(lambda x: (a(x) * (size * a(x) ** -q / total) ** 2) ** m, [0, 1])
             exact.append(float(energy ** (mp.mpf(1) / m)))
-    schedule = sm.SweepSchedule(tol_sweep=1e-300)
     errors = []
     for num_nodes in (17, 65, 257):
         sweep = sm.m_sweep(model, sm.Grid.uniform(0.0, 1.0, num_nodes),
-                           sm.AffineMap([0.0, 0.0], WEIGHTED_D), schedule)
+                           sm.AffineMap([0.0, 0.0], WEIGHTED_D))
         assert [rec.m for rec in sweep.records] == exponents
         assert all(rec.stats.stop_reason == "decrement" for rec in sweep.records)
         errors.append([abs(rec.stats.objective - root) / root

@@ -17,9 +17,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the public names, by the module that defines them
 PUBLIC = {
     "aronsson": ["ResidualProfile", "aronsson_operator", "normal_projection", "residual_profile"],
-    "audit": ["AuditReport", "EndpointScan", "ScanEntry", "SemicontinuityResult",
-              "SubintervalAudit", "audit_absolute_minimality", "build_comparison",
-              "endpoint_quotient_scan", "semicontinuity_check", "snap_delta"],
+    "audit": ["AuditReport", "EndpointScan", "ScanEntry", "SubintervalAudit",
+              "audit_absolute_minimality", "build_comparison", "endpoint_quotient_scan",
+              "snap_delta"],
     "energy": ["EnergyReport", "jensen_gap", "power_energy", "power_energy_gradient",
                "sup_energy"],
     "errors": ["ConfigError", "NonFinite", "SupminError"],

@@ -709,8 +709,12 @@ class TestLevelConvexity:
                                        sm.SamplePlan(num_triples=300, seed=1))
         assert res.passed and not res.witnesses
 
-    def test_data_assimilation_passes(self, rng):
-        model = random_builtin_model(np.random.default_rng(5), 2)
+    def test_data_assimilation_passes(self):
+        # DA-rot's model: convex in p, so level-convex
+        model = sm.DataAssimilationModel(
+            [[1.0, 0.0]], sm.SampledSignal.from_rows([[0.0, 0.5], [0.5, -0.3], [1.0, 0.2]]),
+            [[0.0, 1.0], [-1.0, 0.0]],
+            sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 0.0]]))
         res = sm.check_level_convexity(model, sm.SamplePlan(num_triples=300, seed=2))
         assert res.passed
 
@@ -941,12 +945,6 @@ def _five_node_path():
     return sm.Path(sm.Grid.uniform(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)[:, None])
 
 
-def _semicontinuity_with_tol(tol_audit):
-    path = _five_node_path()
-    return sm.semicontinuity_check(sm.PowerNormModel(2.0, [0.0]), [(2, path), (4, path), (8, path)],
-                                   path, tol_audit=tol_audit)
-
-
 def _minimize_power_of_order(m):
     return sm.minimize_power(sm.PowerNormModel(2.0, [1.0]), sm.Grid.uniform(0.0, 1.0, 5),
                              sm.AffineMap([0.0], [1.0]), m)
@@ -954,7 +952,6 @@ def _minimize_power_of_order(m):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: sm.SolveOptions(max_iters=NAN), "max_iters must be positive"),
-    (lambda: sm.SweepSchedule(tol_sweep=NAN), "tol_sweep must be positive"),
     (lambda: sm.AuditConfig(tol_audit=NAN), "tol_audit must be positive"),
     (lambda: sm.AuditConfig(num_subintervals=NAN), "audit config counts must be positive"),
     (lambda: sm.AuditConfig(min_elements=NAN), "audit config counts must be positive"),
@@ -987,12 +984,11 @@ def _minimize_power_of_order(m):
     (lambda: sm.eval_and_slope(_five_node_path(), NAN), "outside"),
     (lambda: sm.difference_quotient(_five_node_path(), 0.5, NAN), "outside"),
     (lambda: sm.Grid.uniform(0.0, 1.0, 17.5), "grid needs at least 3 nodes"),
-    (lambda: _semicontinuity_with_tol(NAN), "tol_audit must be positive"),
     (lambda: sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), _five_node_path(),
                                        [0.2], tol_audit=NAN), "tol_audit must be positive"),
     # finite ends whose difference overflows
     (lambda: sm.Box(p=(-1e308, 1e308)), "a finite width"),
-], ids=["max_iters", "tol_sweep", "tol_audit", "audit_subintervals", "audit_min_elements",
+], ids=["max_iters", "tol_audit", "audit_subintervals", "audit_min_elements",
         "audit_min_elements_one",
         "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
@@ -1000,7 +996,7 @@ def _minimize_power_of_order(m):
         "audit_subintervals_float", "audit_seed_negative", "plan_triples_nan",
         "plan_levels_nan", "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
         "power_order_float", "solve_order_float", "solve_order_nan", "eval_and_slope_nan",
-        "quotient_t_nan", "grid_nodes_float", "semicontinuity_tol_nan", "scan_tol_nan",
+        "quotient_t_nan", "grid_nodes_float", "scan_tol_nan",
         "box_width_overflow"])
 def test_range_checks_reject_nan(build, message):
     """A NaN compares false with every bound, so each check is written to

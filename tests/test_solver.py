@@ -590,7 +590,7 @@ class TestSweep:
         res = sm.m_sweep(sm.PowerNormModel(2.0, [0.0, 0.0]), grid, bmap)
         assert np.allclose(res.c_sequence, 1.0, atol=1e-12)
         assert res.sup_of_candidate == pytest.approx(1.0, abs=1e-12)
-        assert res.stop_reason == "tol_sweep" and len(res.records) == 2
+        assert res.stop_reason == "settled" and len(res.records) == 2
         assert [rec.stats.stop_reason for rec in res.records] == ["decrement"] * 2
         assert np.array_equal(res.candidate.values,
                               sm.interpolate_affine(bmap, grid).values)
@@ -608,17 +608,15 @@ class TestSweep:
         # Jensen lower bound |b1 - v|^2 = 2 is attained by the chord
         assert res.sup_of_candidate == pytest.approx(2.0, rel=0.01)
         # sup consistency against the last normalized root
-        tol = sm.SweepSchedule().tol_sweep
-        assert res.sup_of_candidate >= res.c_sequence[-1] - 10 * tol
+        assert res.sup_of_candidate >= res.c_sequence[-1] - 10 * 1e-4
 
     def test_roots_nondecreasing(self):
         grid = sm.Grid.uniform(0.0, 1.0, 33)
         bmap = sm.AffineMap([0.0], [2.0])
-        schedule = sm.SweepSchedule(tol_sweep=1e-6)
-        res = sm.m_sweep(sm.PowerNormModel(2.0, [1.0]), grid, bmap, schedule)
+        res = sm.m_sweep(sm.PowerNormModel(2.0, [1.0]), grid, bmap)
         roots = res.c_sequence
         for lo, hi in zip(roots, roots[1:]):
-            assert lo <= hi + 10 * schedule.tol_sweep
+            assert lo <= hi + 10 * 1e-6
 
     def test_endpoints_pinned_every_record(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
