@@ -2,9 +2,9 @@
 
 Minimizes the sup over an interval of a nonnegative Lagrangian L(x, u, Du)
 among vector-valued paths with affine boundary data by sweeping minimizers of
-power-mean energies to high exponents, then audits the defining properties of
-the result: absolute minimality on subintervals, Jensen/level-convexity gaps,
-and the residual of the associated second-order system.
+power-mean energies to high exponents, then audits the result and its model:
+absolute minimality on subintervals, sampled level convexity and growth bounds
+of L, and the residual of the associated second-order system.
 
 ``import supmin`` loads none of its modules: a public name's module is
 imported the first time the name is looked up (PEP 562), so a caller that
@@ -19,11 +19,8 @@ __version__ = "0.1.0"
 _HOMES = {name: module for module, names in (
     ("aronsson", ("ResidualProfile", "aronsson_operator", "normal_projection",
                   "residual_profile")),
-    ("audit", ("AuditReport", "EndpointScan", "ScanEntry", "SubintervalAudit",
-               "audit_absolute_minimality", "build_comparison", "endpoint_quotient_scan",
-               "snap_delta")),
-    ("energy", ("EnergyReport", "jensen_gap", "power_energy", "power_energy_gradient",
-                "sup_energy")),
+    ("audit", ("AuditReport", "SubintervalAudit", "audit_absolute_minimality")),
+    ("energy", ("EnergyReport", "power_energy", "power_energy_gradient", "sup_energy")),
     ("errors", ("ConfigError", "NonFinite", "SupminError")),
     ("lagrangian", ("Box", "CheckResult", "CustomModel", "DataAssimilationModel",
                     "GrowthParams", "JetDerivatives", "LagrangianModel", "MinOfNormsModel",
@@ -31,8 +28,7 @@ _HOMES = {name: module for module, names in (
                     "SamplePlan", "ScaledModel", "check_growth_bounds",
                     "check_level_convexity", "radial_profile")),
     ("options", ("AuditConfig", "SolveOptions", "SweepSchedule")),
-    ("path", ("AffineMap", "Grid", "Path", "difference_quotient", "eval_and_slope",
-              "interpolate_affine")),
+    ("path", ("AffineMap", "Grid", "Path", "interpolate_affine")),
     ("solver", ("SolveStats", "SweepRecord", "SweepResult", "m_sweep", "minimize_power")),
 ) for name in names}
 

@@ -1,4 +1,4 @@
-"""Sup-energy, stabilized power-mean energies, their gradients, Jensen gaps.
+"""Sup-energy, stabilized power-mean energies and their gradients.
 
 Every energy of a path samples L by one rule: the midpoint of each element
 of its grid, weighted by the element's length.  The slope is element-constant,
@@ -270,26 +270,3 @@ def power_energy_gradient(model: LagrangianModel, path: Path, m: int) -> np.ndar
         if not np.any(rule.evaluate(model, path.values)):  # L vanishes at every sample
             return np.zeros(path.values.shape)
         raise
-
-
-def jensen_gap(model: LagrangianModel, x: float, eta, weights, p_list) -> float:
-    """max_i L(x, eta, p_i) - L(x, eta, sum_i w_i p_i).
-
-    Nonnegative (within the level-convexity tolerance) whenever L(x, eta, .)
-    is level-convex; a negative gap exhibits a failure of level convexity.
-    """
-    ps = [np.atleast_1d(np.asarray(p, dtype=float)) for p in p_list]
-    if not ps:
-        raise SupminError("p_list must be nonempty")
-    w = np.asarray(weights, dtype=float)
-    # written so that NaN weights fail it
-    if not (w.shape == (len(ps),) and np.all(w >= 0) and abs(float(np.sum(w)) - 1.0) <= 1e-12):
-        raise SupminError("weights must be nonnegative and sum to 1 within 1e-12")
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    check_width(model, eta=eta)
-    for p in ps:
-        check_width(model, p=p)
-    rows = np.stack(ps)
-    rows = np.vstack([rows, np.sum(w[:, None] * rows, axis=0)])
-    values = model.eval_many(np.full(len(rows), float(x)), np.tile(eta, (len(rows), 1)), rows)
-    return float(np.max(values[:-1]) - values[-1])

@@ -35,12 +35,6 @@ class SweepSchedule:
         return [2**k for k in range(1, self.m_max.bit_length())]
 
 
-def _check_tol_audit(tol_audit: float) -> None:
-    """Raise ``SupminError`` unless the relative tolerance is positive."""
-    if not tol_audit > 0:  # written so that NaN fails it
-        raise SupminError("tol_audit must be positive")
-
-
 @dataclass(frozen=True)
 class AuditConfig:
     num_subintervals: int = 20
@@ -56,4 +50,5 @@ class AuditConfig:
         check_count(self.min_elements, 2,
                     "audit config counts must be positive integers, min_elements at least 2")
         check_count(self.seed, 0, "audit seed must be an integer >= 0")
-        _check_tol_audit(self.tol_audit)
+        if not self.tol_audit > 0:  # written so that NaN fails it
+            raise SupminError("tol_audit must be positive")

@@ -1,4 +1,4 @@
-"""Grids, piecewise-linear vector paths, affine boundary maps, difference quotients.
+"""Grids, piecewise-linear vector paths and affine boundary maps.
 
 A path u : [a, b] -> R^N is stored by its nodal values on a strictly
 increasing grid and interpolated linearly inside each element, so its
@@ -146,47 +146,3 @@ def interpolate_affine(bmap: AffineMap, grid: Grid) -> Path:
     """Nodal sampling of the affine map: values[i] = b0 + b1 * x_i exactly."""
     values = bmap.b0[None, :] + grid.nodes[:, None] * bmap.b1[None, :]
     return Path(grid, values)
-
-
-def _containing_element(grid: Grid, x: float) -> int:
-    # Left element at interior nodes (tie-break rule); clamped at the ends.
-    idx = int(np.searchsorted(grid.nodes, x, side="left"))
-    return min(max(idx - 1, 0), grid.num_elements - 1)
-
-
-def eval_and_slope(path: Path, x: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Interpolated value, element slope and element index at x; left element
-    wins at nodes."""
-    x = float(x)
-    if not path.grid.a <= x <= path.grid.b:  # written so that NaN fails it
-        raise SupminError(f"x={x} outside [{path.grid.a}, {path.grid.b}]")
-    e = _containing_element(path.grid, x)
-    x0 = path.grid.nodes[e]
-    slope = (path.values[e + 1] - path.values[e]) / (path.grid.nodes[e + 1] - x0)
-    return path.values[e] + (x - x0) * slope, slope, e
-
-
-def difference_quotient(path: Path, y: float, t: float) -> np.ndarray:
-    """(u(y+t) - u(y)) / t for y, y+t in [a, b], t != 0.
-
-    For piecewise-linear paths this equals the element-length-weighted
-    average of the element slopes between y and y+t, within 8*eps*scale
-    where scale = ``quotient_scale(path, y, t)``.
-    """
-    t = float(t)
-    if t == 0.0:
-        raise SupminError("difference quotient needs t != 0")
-    return (eval_and_slope(path, y + t)[0] - eval_and_slope(path, y)[0]) / t
-
-
-def quotient_scale(path: Path, y: float, t: float) -> float:
-    """Floating-point error scale of the difference-quotient identity."""
-    lo, hi = (y, y + t) if t > 0 else (y + t, y)
-    nodes = path.grid.nodes
-    spanned = (nodes[1:] > lo) & (nodes[:-1] < hi)
-    node_mask = np.zeros(nodes.size, dtype=bool)
-    node_mask[:-1] |= spanned
-    node_mask[1:] |= spanned
-    umax = float(np.max(np.abs(path.values[node_mask]))) if node_mask.any() else 0.0
-    return (int(np.count_nonzero(spanned)) + 4) * (1.0 + umax) / abs(t)
-

@@ -3,9 +3,7 @@ import pytest
 
 import supmin as sm
 
-from conftest import drift_model, random_builtin_model, random_path, restricted_sup, started
-
-EPS = np.finfo(float).eps
+from conftest import drift_model, random_path, started
 
 
 def tent_path(num_nodes=33, height=1.0):
@@ -295,166 +293,3 @@ class TestAbsoluteMinimalityAudit:
                                                  "dimension 2"):
             sm.audit_absolute_minimality(sm.PowerNormModel(2.0, [0.0, 0.0]), cand,
                                          sm.AuditConfig(num_subintervals=3, seed=1))
-
-
-class TestBuildComparison:
-    def test_affine_self_gluing_is_identity(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 33)
-        psi = sm.interpolate_affine(sm.AffineMap([0.2, -0.4], [1.0, 3.0]), grid)
-        glued = sm.build_comparison(psi.values[0], psi.values[-1], psi, 0.25)
-        assert np.max(np.abs(glued.values - psi.values)) < 1e-13
-
-    def test_layer_slope_formula(self, rng):
-        psi = random_path(rng, grid=sm.Grid.uniform(0.0, 1.0, 33), dim=2)
-        u_left = psi.values[0] + np.array([0.5, -1.0])
-        u_right = psi.values[-1] + np.array([-0.25, 0.75])
-        delta = 0.2
-        i_left, i_right = sm.snap_delta(psi.grid, delta)
-        d_eff = psi.grid.nodes[i_left] - psi.grid.a
-        glued = sm.build_comparison(u_left, u_right, psi, delta)
-        expected = (psi.values[i_left] - u_left) / d_eff
-        np.testing.assert_allclose(glued.element_slopes()[0], expected, rtol=1e-12)
-        assert np.array_equal(glued.values[0], u_left)
-        assert np.array_equal(glued.values[-1], u_right)
-
-    def test_interior_untouched_bitwise(self, rng):
-        psi = random_path(rng, grid=sm.Grid.uniform(0.0, 1.0, 33), dim=1)
-        glued = sm.build_comparison(psi.values[0] + 1.0, psi.values[-1] - 1.0, psi, 0.3)
-        i_left, i_right = sm.snap_delta(psi.grid, 0.3)
-        assert np.array_equal(glued.values[i_left : i_right + 1],
-                              psi.values[i_left : i_right + 1])
-
-    def test_boundary_value_convergence_bound(self):
-        # glued paths converge as the left value does, slopes within (2/delta)*dev
-        grid = sm.Grid.uniform(0.0, 1.0, 65)
-        psi = sm.interpolate_affine(sm.AffineMap([0.0], [1.0]), grid)
-        delta = 0.25
-        i_left, _ = sm.snap_delta(grid, delta)
-        d_eff = grid.nodes[i_left]
-        limit = sm.build_comparison(psi.values[0], psi.values[-1], psi, delta)
-        for k in range(1, 8):
-            dev = 2.0**-k
-            glued = sm.build_comparison(psi.values[0] + dev, psi.values[-1], psi, delta)
-            value_gap = np.max(np.abs(glued.values - limit.values))
-            slope_gap = np.max(np.abs(glued.element_slopes() - limit.element_slopes()))
-            assert value_gap <= dev * (1 + 1e-12)
-            assert slope_gap <= (2.0 / d_eff) * dev * (1 + 1e-12)
-
-    def test_bad_delta(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 9)
-        psi = sm.Path(grid, np.zeros((9, 1)))
-        with pytest.raises(sm.SupminError, match=r"delta must lie in \(0, 0\.333.*\), got 0\.5"):
-            sm.build_comparison([0.0], [0.0], psi, 0.5)
-        with pytest.raises(sm.SupminError, match=r"delta must lie in \(0, 0\.333.*\), got 0\.0"):
-            sm.build_comparison([0.0], [0.0], psi, 0.0)
-
-    def test_grid_too_coarse(self):
-        grid = sm.Grid(np.array([0.0, 0.4, 0.6, 1.0]))
-        psi = sm.Path(grid, np.zeros((4, 1)))
-        with pytest.raises(sm.SupminError, match="no grid node within delta=0.1 of an endpoint"):
-            sm.build_comparison([0.0], [0.0], psi, 0.1)
-
-    def test_max_splitting_inequality_random_gluings(self, rng):
-        for _ in range(40):
-            dim = int(rng.integers(1, 3))
-            model = random_builtin_model(rng, dim)
-            psi = random_path(rng, grid=sm.Grid.uniform(0.0, 1.0, 17), dim=dim)
-            u_left = psi.values[0] + rng.normal(scale=0.5, size=dim)
-            u_right = psi.values[-1] + rng.normal(scale=0.5, size=dim)
-            delta = float(rng.uniform(0.07, 0.32))
-            glued = sm.build_comparison(u_left, u_right, psi, delta)
-            i_left, i_right = sm.snap_delta(psi.grid, delta)
-            left_sup = restricted_sup(model, glued, 0, i_left)
-            right_sup = restricted_sup(model, glued, i_right, psi.grid.nodes.size - 1)
-            interior_sup = sm.sup_energy(model, psi)
-            whole = sm.sup_energy(model, glued)
-            bound = max(left_sup, interior_sup, right_sup)
-            assert whole <= bound * (1 + 1e-12) + 1e-12
-
-
-class TestEndpointQuotientScan:
-    def test_affine_tight(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 65)
-        v = np.array([1.5, -0.5])
-        psi = sm.interpolate_affine(sm.AffineMap([0.0, 0.0], v), grid)
-        model = sm.PowerNormModel(2.0, [0.0, 0.0])
-        scan = sm.endpoint_quotient_scan(model, psi)
-        sup = float(v @ v)
-        for entry in scan.left + scan.right:
-            np.testing.assert_allclose(entry.quotient, v, atol=1e-10)
-            assert entry.layer_sup == pytest.approx(sup, rel=1e-10)
-        assert scan.bounded and scan.left_cauchy and scan.right_cauchy
-        assert scan.global_sup == pytest.approx(sup, rel=1e-12)
-
-    def test_spike_quotients_converge_to_first_slope(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 33)
-        values = np.zeros((33, 1))
-        values[16, 0] = 1.0  # slopes: 0 ... 32, -32 ... 0
-        psi = sm.Path(grid, values)
-        model = sm.PowerNormModel(2.0, [0.0])
-        scan = sm.endpoint_quotient_scan(model, psi)
-        assert scan.left[-1].quotient[0] == pytest.approx(0.0, abs=1e-12)
-        assert scan.left[-1].layer_sup == pytest.approx(0.0, abs=1e-12)
-        assert scan.bounded  # layer sups stay below the global spike energy
-
-    def test_value_deviation_decreases(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 65)
-        psi = sm.interpolate_affine(sm.AffineMap([0.0], [2.0]), grid)
-        scan = sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), psi)
-        devs = [entry.value_dev for entry in scan.left]
-        for hi, lo in zip(devs, devs[1:]):
-            assert lo <= hi + 1e-12
-
-    def test_layer_sup_consistent_with_sup_energy(self, rng):
-        for _ in range(10):
-            dim = int(rng.integers(1, 3))
-            model = random_builtin_model(rng, dim)
-            psi = random_path(rng, grid=sm.Grid.uniform(0.0, 1.0, 33), dim=dim)
-            scan = sm.endpoint_quotient_scan(model, psi, [0.3, 0.15])
-            for entry in scan.left:
-                i_left, _ = sm.snap_delta(psi.grid, entry.delta, clamp=True)
-                glued = sm.build_comparison(psi.values[0], psi.values[-1], psi, entry.delta)
-                direct = restricted_sup(model, glued, 0, i_left)
-                assert entry.layer_sup == direct
-
-    def test_every_layer_sup_is_sup_energy_bitwise(self, rng):
-        """At every width of the default schedule, clamped ones too, each
-        layer sup is ``sup_energy`` of the path glued node by node,
-        restricted to that layer, bitwise, on both sides of a jittered grid."""
-        for _ in range(6):
-            dim = int(rng.integers(1, 3))
-            model = random_builtin_model(rng, dim)
-            num = int(rng.integers(9, 41))
-            nodes = np.linspace(0.0, 1.0, num)
-            nodes[1:-1] += rng.uniform(-0.2, 0.2, num - 2) / (num - 1)
-            psi = random_path(rng, grid=sm.Grid(nodes), dim=dim)
-            u_left, u_right = psi.values[0], psi.values[-1]
-            scan = sm.endpoint_quotient_scan(model, psi)
-            for left, right in zip(scan.left, scan.right):
-                i_left, i_right = sm.snap_delta(psi.grid, left.delta_requested, clamp=True)
-                xl, xr = nodes[i_left], nodes[i_right]
-                values = np.array(psi.values)
-                for k in range(i_left):
-                    values[k] = u_left + (nodes[k] - 0.0) / (xl - 0.0) * (psi.values[i_left] - u_left)
-                for k in range(i_right + 1, num):
-                    values[k] = psi.values[i_right] + (nodes[k] - xr) / (1.0 - xr) * (
-                        u_right - psi.values[i_right])
-                values[0], values[-1] = u_left, u_right
-                glued = sm.Path(psi.grid, values)
-                assert left.layer_sup == restricted_sup(model, glued, 0, i_left)
-                assert right.layer_sup == restricted_sup(model, glued, i_right, num - 1)
-
-    def test_schedule_validation(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 17)
-        psi = sm.Path(grid, np.zeros((17, 1)))
-        model = sm.PowerNormModel(2.0, [0.0])
-        with pytest.raises(sm.SupminError, match="delta schedule must be strictly decreasing"):
-            sm.endpoint_quotient_scan(model, psi, [0.1, 0.2])
-        with pytest.raises(sm.SupminError, match=r"delta schedule must lie in \(0, length/3\)"):
-            sm.endpoint_quotient_scan(model, psi, [0.5, 0.25])
-
-    def test_clamps_below_element_width(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 9)  # element width 1/8
-        psi = sm.Path(grid, np.linspace(0.0, 1.0, 9)[:, None])
-        scan = sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), psi)
-        assert scan.left[-1].delta == pytest.approx(1.0 / 8.0)

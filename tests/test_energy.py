@@ -326,49 +326,3 @@ class TestHessian:
             assert np.array_equal(exact[np.ix_(clamped, clamped)], np.eye(int(clamped.sum())))
             assert np.all(exact[np.ix_(clamped, ~clamped)] == 0.0)
         assert worst < 1e-6
-
-
-class TestJensenGap:
-    def test_norm_average(self):
-        model = sm.PowerNormModel(1.0, [0.0])
-        gap = sm.jensen_gap(model, 0.0, [0.0], [0.5, 0.5], [[0.0], [2.0]])
-        assert gap == pytest.approx(1.0, abs=1e-14)
-
-    def test_single_entry_zero(self):
-        model = sm.PowerNormModel(2.0, [0.0])
-        assert sm.jensen_gap(model, 0.0, [0.0], [1.0], [[1.3]]) == 0.0
-
-    def test_counterexample_negative(self):
-        model = sm.MinOfNormsModel([[2.0], [-2.0]], exponent=1.0)
-        gap = sm.jensen_gap(model, 0.0, [0.0], [0.5, 0.5], [[-2.0], [2.0]])
-        assert gap == -2.0
-
-    def test_bad_weights(self):
-        model = sm.PowerNormModel(2.0, [0.0])
-        with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
-            sm.jensen_gap(model, 0.0, [0.0], [0.7, 0.7], [[0.0], [1.0]])
-        with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
-            sm.jensen_gap(model, 0.0, [0.0], [-0.5, 1.5], [[0.0], [1.0]])
-        with pytest.raises(sm.SupminError, match="weights must be nonnegative and sum to 1 within 1e-12"):
-            sm.jensen_gap(model, 0.0, [0.0], [np.nan, np.nan], [[0.0], [1.0]])
-
-    def test_width_must_match_model(self):
-        """Unchecked, a 1-D model at 2-entry slopes returns 5.75."""
-        model = sm.PowerNormModel(2.0, [0.0])
-        with pytest.raises(sm.SupminError, match="p dimension 2 differs from the model "
-                                                 "dimension 1"):
-            sm.jensen_gap(model, 0.0, [0.0], [0.5, 0.5], [[0.0, 1.0], [2.0, 3.0]])
-        with pytest.raises(sm.SupminError, match="p dimension 2 differs"):
-            sm.jensen_gap(model, 0.0, [0.0], [0.5, 0.5], [[0.0], [2.0, 3.0]])
-        with pytest.raises(sm.SupminError, match="eta dimension 2 differs"):
-            sm.jensen_gap(model, 0.0, [0.0, 0.0], [0.5, 0.5], [[0.0], [2.0]])
-
-    def test_nonnegative_for_builtins(self, rng):
-        for _ in range(100):
-            dim = int(rng.integers(1, 4))
-            model = random_builtin_model(rng, dim)
-            k = int(rng.integers(2, 5))
-            weights = rng.dirichlet(np.ones(k))
-            ps = [rng.uniform(-5, 5, size=dim) for _ in range(k)]
-            gap = sm.jensen_gap(model, rng.uniform(0, 1), rng.normal(size=dim), weights, ps)
-            assert gap >= -1e-9

@@ -17,19 +17,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the public names, by the module that defines them
 PUBLIC = {
     "aronsson": ["ResidualProfile", "aronsson_operator", "normal_projection", "residual_profile"],
-    "audit": ["AuditReport", "EndpointScan", "ScanEntry", "SubintervalAudit",
-              "audit_absolute_minimality", "build_comparison", "endpoint_quotient_scan",
-              "snap_delta"],
-    "energy": ["EnergyReport", "jensen_gap", "power_energy", "power_energy_gradient",
-               "sup_energy"],
+    "audit": ["AuditReport", "SubintervalAudit", "audit_absolute_minimality"],
+    "energy": ["EnergyReport", "power_energy", "power_energy_gradient", "sup_energy"],
     "errors": ["ConfigError", "NonFinite", "SupminError"],
     "lagrangian": ["Box", "CheckResult", "CustomModel", "DataAssimilationModel", "GrowthParams",
                    "JetDerivatives", "LagrangianModel", "MinOfNormsModel", "PowerNormModel",
                    "RadialModel", "RadialProfile", "SampledSignal", "SamplePlan", "ScaledModel",
                    "check_growth_bounds", "check_level_convexity", "radial_profile"],
     "options": ["AuditConfig", "SolveOptions", "SweepSchedule"],
-    "path": ["AffineMap", "Grid", "Path", "difference_quotient", "eval_and_slope",
-             "interpolate_affine"],
+    "path": ["AffineMap", "Grid", "Path", "interpolate_affine"],
     "solver": ["SolveStats", "SweepRecord", "SweepResult", "m_sweep", "minimize_power"],
 }
 

@@ -931,18 +931,9 @@ class TestDecomposition:
 NAN = float("nan")
 
 
-def _scan_with_schedule(schedule):
-    psi = sm.Path(sm.Grid.uniform(0.0, 1.0, 17), np.zeros((17, 1)))
-    return sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), psi, schedule)
-
-
 def _power_energy_of_order(m):
     path = sm.Path(sm.Grid.uniform(0.0, 1.0, 5), np.zeros((5, 1)))
     return sm.power_energy(sm.PowerNormModel(2.0, [1.0]), path, m)
-
-
-def _five_node_path():
-    return sm.Path(sm.Grid.uniform(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)[:, None])
 
 
 def _minimize_power_of_order(m):
@@ -953,6 +944,8 @@ def _minimize_power_of_order(m):
 @pytest.mark.parametrize("build, message", [
     (lambda: sm.SolveOptions(max_iters=NAN), "max_iters must be positive"),
     (lambda: sm.AuditConfig(tol_audit=NAN), "tol_audit must be positive"),
+    (lambda: sm.AuditConfig(tol_audit=0.0), "tol_audit must be positive"),
+    (lambda: sm.AuditConfig(tol_audit=-1e-3), "tol_audit must be positive"),
     (lambda: sm.AuditConfig(num_subintervals=NAN), "audit config counts must be positive"),
     (lambda: sm.AuditConfig(min_elements=NAN), "audit config counts must be positive"),
     (lambda: sm.AuditConfig(min_elements=1), "audit config counts must be positive"),
@@ -963,8 +956,6 @@ def _minimize_power_of_order(m):
     (lambda: sm.radial_profile("power", gamma=NAN), "power profile needs gamma > 0"),
     (lambda: sm.radial_profile("shift", beta=np.inf), "shift profile needs beta >= 0, finite"),
     (lambda: sm.radial_profile("power", gamma=np.inf), "power profile needs gamma > 0, finite"),
-    (lambda: _scan_with_schedule([0.2, NAN]), "strictly decreasing"),
-    (lambda: _scan_with_schedule([NAN]), r"must lie in \(0, length/3\)"),
     # counts and seeds must be ints in range, not floats that fail deep in a run
     (lambda: sm.SolveOptions(max_iters=2.5), "max_iters must be positive"),
     (lambda: sm.SweepSchedule(m_max=8.0), "schedule needs m_max >= 2"),
@@ -981,23 +972,18 @@ def _minimize_power_of_order(m):
     (lambda: _power_energy_of_order(2.5), "power energy needs m >= 1"),
     (lambda: _minimize_power_of_order(2.5), "power energy needs m >= 1"),
     (lambda: _minimize_power_of_order(NAN), "power energy needs m >= 1"),
-    (lambda: sm.eval_and_slope(_five_node_path(), NAN), "outside"),
-    (lambda: sm.difference_quotient(_five_node_path(), 0.5, NAN), "outside"),
     (lambda: sm.Grid.uniform(0.0, 1.0, 17.5), "grid needs at least 3 nodes"),
-    (lambda: sm.endpoint_quotient_scan(sm.PowerNormModel(2.0, [0.0]), _five_node_path(),
-                                       [0.2], tol_audit=NAN), "tol_audit must be positive"),
     # finite ends whose difference overflows
     (lambda: sm.Box(p=(-1e308, 1e308)), "a finite width"),
-], ids=["max_iters", "tol_audit", "audit_subintervals", "audit_min_elements",
-        "audit_min_elements_one",
+], ids=["max_iters", "tol_audit", "tol_audit_zero", "tol_audit_negative",
+        "audit_subintervals", "audit_min_elements", "audit_min_elements_one",
         "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
-        "scan_order", "scan_range", "max_iters_float", "m_max_float", "restarts_float",
+        "max_iters_float", "m_max_float", "restarts_float",
         "audit_subintervals_float", "audit_seed_negative", "plan_triples_nan",
         "plan_levels_nan", "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
-        "power_order_float", "solve_order_float", "solve_order_nan", "eval_and_slope_nan",
-        "quotient_t_nan", "grid_nodes_float", "scan_tol_nan",
-        "box_width_overflow"])
+        "power_order_float", "solve_order_float", "solve_order_nan",
+        "grid_nodes_float", "box_width_overflow"])
 def test_range_checks_reject_nan(build, message):
     """A NaN compares false with every bound, so each check is written to
     fail, not pass, on it."""
