@@ -9,7 +9,9 @@ candidate's sup beyond tolerance decides nothing (inconclusive).  Each
 subinterval is the discrete problem on the grid of its nodes.  The local
 sweeps run as one lockstep batch (``solver.m_sweep_many``), and the
 restricted sups are slices of one evaluation of the candidate.  The audit's
-settings, ``AuditConfig``, are defined in ``options``, beside the sweep's.
+settings, ``AuditConfig``, are defined in ``options``, beside the sweep's;
+its tolerance and least subinterval are the constants ``TOL_AUDIT`` and
+``MIN_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from .lagrangian import LagrangianModel
 from .options import AuditConfig
 from .path import AffineMap, Grid, Path, interpolate_affine
 from .solver import m_sweep_many
+
+# the relative tolerance of a deficit: an allowance of TOL_AUDIT * (1 + sup)
+TOL_AUDIT = 1e-3
+# the fewest elements of a sampled subinterval; one element has no free node
+# to re-solve
+MIN_ELEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,6 @@ class SubintervalAudit:
 @dataclass(frozen=True)
 class AuditReport:
     entries: list
-    tol_audit: float
 
     @property
     def violations(self) -> list:
@@ -71,7 +78,7 @@ class AuditReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "tol_audit": self.tol_audit,
+            "tol_audit": TOL_AUDIT,
             "num_subintervals": len(self.entries),
             "violation_count": len(self.violations),
             "violations": self.violations,
@@ -84,24 +91,24 @@ class AuditReport:
 
 def sample_subintervals(grid: Grid, config: AuditConfig) -> list[tuple[int, int]]:
     """The distinct node pairs (i, j), in first-draw order, among
-    num_subintervals seeded random draws spanning at least min_elements
+    num_subintervals seeded random draws spanning at least ``MIN_ELEMENTS``
     elements each."""
     m_el = grid.num_elements
-    if m_el < config.min_elements:
+    if m_el < MIN_ELEMENTS:
         raise SupminError("grid has fewer elements than the audit minimum")
     rng = np.random.default_rng(config.seed)
     pairs = {}
     for _ in range(config.num_subintervals):
-        i = int(rng.integers(0, m_el - config.min_elements + 1))
-        j = int(rng.integers(i + config.min_elements, m_el + 1))
+        i = int(rng.integers(0, m_el - MIN_ELEMENTS + 1))
+        j = int(rng.integers(i + MIN_ELEMENTS, m_el + 1))
         pairs[i, j] = None
     return list(pairs)
 
 
-def _entry(alpha, beta, sup_global, sweep, config) -> SubintervalAudit:
+def _entry(alpha, beta, sup_global, sweep) -> SubintervalAudit:
     sup_local, deficit, status, error = (sweep.sup_of_candidate, float("nan"),
                                          "inconclusive", sweep.error)
-    allowance = config.tol_audit * (1.0 + sup_global)
+    allowance = TOL_AUDIT * (1.0 + sup_global)
     if sweep.aborted:
         sup_local = float("nan")
     elif not (last := sweep.records[-1]).stats.converged:
@@ -127,7 +134,7 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
     inconclusive (NaN deficit), excluded from pass/fail, when its local
     sweep aborted, when its last solve stopped at ``max_iters`` or
     ``line_search``, or when its local sup lies above the restricted sup by
-    more than ``tol_audit * (1 + sup)``: the restricted candidate competes
+    more than ``TOL_AUDIT * (1 + sup)``: the restricted candidate competes
     there, so that sweep missed the local min-max.  A report with no
     conclusive subinterval does not pass.
 
@@ -148,6 +155,6 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
         start = interpolate_affine(AffineMap(u_a - b1 * alpha, b1), grid).values
         problems.append((grid, start, config.seed + 1000 + k))
     sweeps = m_sweep_many(model, problems, config.schedule, config.options)
-    entries = [_entry(float(nodes[i]), float(nodes[j]), float(np.max(sampled[i:j])), sweep, config)
+    entries = [_entry(float(nodes[i]), float(nodes[j]), float(np.max(sampled[i:j])), sweep)
                for (i, j), sweep in zip(pairs, sweeps)]
-    return AuditReport(entries, config.tol_audit)
+    return AuditReport(entries)

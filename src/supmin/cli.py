@@ -337,11 +337,10 @@ def _candidate_mismatch(config: RunConfig, candidate: Path) -> str | None:
 
 
 def run_audit(config: RunConfig, output_dir: FsPath, solve_first: bool = False) -> int:
-    from .audit import audit_absolute_minimality
+    from .audit import MIN_ELEMENTS, audit_absolute_minimality
 
-    if config.audit.min_elements > config.grid.num_elements:
-        raise ConfigError("audit.min_elements",
-                          f"exceeds the {config.grid.num_elements} elements of the grid")
+    if config.grid.num_elements < MIN_ELEMENTS:
+        raise ConfigError("grid_points", f"the audit needs grid_points >= {MIN_ELEMENTS + 1}")
     out = FsPath(output_dir)
     candidate_csv = out / "candidate.csv"
     if solve_first:

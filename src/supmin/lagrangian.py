@@ -18,10 +18,10 @@ differences, one call on every shifted row of their stencils (41 and 10
 rows per row at N=2); the analytic families override them.
 Built-in families:
 
-* ``PowerNormModel``        L = |p - offset|^s
 * ``DataAssimilationModel`` L = |k(x) - K eta|^2 + |p - (A eta + c(x))|^2
 * ``RadialModel``           L = f(|p - (A eta + c(x))|^2 / 2) for an increasing profile f
 * ``MinOfNormsModel``       L = min_k |p - center_k|^s, the nearest center's jet
+* ``PowerNormModel``        L = |p - offset|^s, the min of norms with one center
 * ``CustomModel``           user callable of rows, finite-difference jets
 
 ``check_level_convexity`` and ``check_growth_bounds`` are sampling
@@ -338,15 +338,15 @@ class LagrangianModel:
         return values
 
 
-def _power_jet(s: float, w: np.ndarray, rho: np.ndarray, singular: str) -> JetDerivatives:
+def _power_jet(s: float, w: np.ndarray, rho: np.ndarray) -> JetDerivatives:
     """The jet of |p - c|^s at rows w = p - c, with rho = |w| as the model's
     ``eval_many`` computes it, so that the jet's value is bitwise its value.
-    At w = 0 for s < 2 it raises NonFinite(``singular``)."""
+    At w = 0 for s < 2 it raises NonFinite."""
     n = w.shape[1]
     apex = rho == 0.0
     if s < 2 and np.any(apex):
         # |w|^s has no two-sided jet at w = 0 below quadratic growth
-        raise NonFinite(singular)
+        raise NonFinite("jet of |p - c|^s is singular at p = c for s < 2")
     safe = np.where(apex, 1.0, rho)
     zeros = np.zeros_like(w)
     # an infinite rho (overflow) makes NaN slopes; the jet raises NonFinite
@@ -358,32 +358,6 @@ def _power_jet(s: float, w: np.ndarray, rho: np.ndarray, singular: str) -> JetDe
             np.eye(n) + (s - 2) * unit[:, :, None] * unit[:, None, :])
     dpp[apex] = 2.0 * np.eye(n) if s == 2 else 0.0
     return JetDerivatives(value, dp, zeros, dpp, np.zeros_like(dpp), np.zeros_like(dpp))
-
-
-class PowerNormModel(LagrangianModel):
-    """L = |p - offset|^s, level-convex for every s > 0."""
-
-    def __init__(self, exponent: float, offset):
-        offset = _vec(offset, "offset")
-        super().__init__(offset.size)
-        if not (exponent > 0 and np.isfinite(exponent)):
-            raise SupminError("exponent must be positive and finite")
-        self.exponent = float(exponent)
-        self.offset = offset
-
-    def eval_many(self, xs, etas, ps):
-        with np.errstate(over="ignore"):  # overflow surfaces as NonFinite
-            rho = np.sqrt(_squared_distances(ps, self.offset))
-            return self._checked(rho**self.exponent)
-
-    def jet_many(self, xs, etas, ps):
-        with np.errstate(over="ignore"):
-            rho = np.sqrt(_squared_distances(ps, self.offset))
-        return _power_jet(self.exponent, ps - self.offset[None, :], rho,
-                          "power-norm jet is singular at p = offset for s < 2")
-
-    def x_jet_many(self, xs, etas, ps):
-        return np.zeros(len(ps)), np.zeros_like(ps)  # L does not read x
 
 
 def _velocity_dim(A: np.ndarray, c: SampledSignal) -> int:
@@ -561,7 +535,7 @@ class MinOfNormsModel(LagrangianModel):
         centers = _mat(centers, "centers")
         super().__init__(centers.shape[1])
         if not (exponent > 0 and np.isfinite(exponent)):
-            raise SupminError("exponent must be positive")
+            raise SupminError("exponent must be positive and finite")
         self.centers = centers
         self.exponent = float(exponent)
 
@@ -579,11 +553,18 @@ class MinOfNormsModel(LagrangianModel):
             squares = np.array([_squared_distances(ps, c) for c in self.centers])
             nearest = np.argmin(squares, axis=0)
             w = ps - self.centers[nearest]
-        return _power_jet(self.exponent, w, np.sqrt(squares[nearest, np.arange(len(ps))]),
-                          "min-of-norms jet is singular at a center for s < 2")
+        return _power_jet(self.exponent, w, np.sqrt(squares[nearest, np.arange(len(ps))]))
 
     def x_jet_many(self, xs, etas, ps):
         return np.zeros(len(ps)), np.zeros_like(ps)  # L does not read x
+
+
+class PowerNormModel(MinOfNormsModel):
+    """L = |p - offset|^s, level-convex for every s > 0: the min of norms
+    with the one center ``offset``."""
+
+    def __init__(self, exponent: float, offset):
+        super().__init__([_vec(offset, "offset")], exponent)
 
 
 class ScaledModel(LagrangianModel):
@@ -620,6 +601,8 @@ class ScaledModel(LagrangianModel):
 # and 0.4 MB higher in blocks of 4,096 (peak RSS).  So the samplers evaluate in
 # blocks of whole samples up to this many points.
 _SAMPLE_ROWS = 4096
+# Mixes per sampled segment of ``check_level_convexity``: lambda = 1/6, ..., 5/6.
+T_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -640,12 +623,10 @@ class Box:
 class SamplePlan:
     num_triples: int = 500
     box: Box = field(default_factory=Box)
-    t_levels: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        for count in (self.num_triples, self.t_levels):
-            check_count(count, 1, "sample plan needs num_triples >= 1 and t_levels >= 1, integers")
+        check_count(self.num_triples, 1, "sample plan needs num_triples >= 1, an integer")
         check_count(self.seed, 0, "sample plan seed must be an integer >= 0")
 
 
@@ -706,7 +687,8 @@ def _sample_blocks(plan: SamplePlan, dim: int, num_p: int, points_per_sample: in
 
 
 def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None) -> CheckResult:
-    """Sample segments in p-space and flag L(mix) > max(L(p1), L(p2)) + tol,
+    """Sample segments in p-space and flag L(mix) > max(L(p1), L(p2)) + tol
+    at ``T_LEVELS`` evenly spaced interior mixes of each,
     tol = ``sample_tolerance(max(L(p1), L(p2)))``; each flagged mix is a
     ``LevelConvexityWitness``, by sample, then by lambda.  Each block of k
     samples is one ``eval_many`` call of at most ``_SAMPLE_ROWS`` rows, in
@@ -716,7 +698,7 @@ def check_level_convexity(model: LagrangianModel, plan: SamplePlan | None = None
     Necessary-only evidence: a pass certifies nothing beyond the samples.
     """
     plan = plan or SamplePlan()
-    lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
+    lams = np.linspace(0.0, 1.0, T_LEVELS + 2)[1:-1]
     kinds = 2 + lams.size
     witnesses = []
     for x, eta, ends in _sample_blocks(plan, model.dim, 2, kinds):

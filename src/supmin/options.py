@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SupminError, check_count
+from .errors import check_count
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,10 @@ class SweepSchedule:
 @dataclass(frozen=True)
 class AuditConfig:
     num_subintervals: int = 20
-    min_elements: int = 3
-    tol_audit: float = 1e-3  # relative
     seed: int = 0
     schedule: SweepSchedule | None = None
     options: SolveOptions | None = None
 
     def __post_init__(self):
-        check_count(self.num_subintervals, 1, "audit config counts must be positive integers")
-        # a subinterval of one element has no free node to re-solve
-        check_count(self.min_elements, 2,
-                    "audit config counts must be positive integers, min_elements at least 2")
+        check_count(self.num_subintervals, 1, "audit needs num_subintervals >= 1, an integer")
         check_count(self.seed, 0, "audit seed must be an integer >= 0")
-        if not self.tol_audit > 0:  # written so that NaN fails it
-            raise SupminError("tol_audit must be positive")

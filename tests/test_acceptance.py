@@ -85,7 +85,7 @@ def test_c03_monotone_root_limit(da_sweep):
 
 
 def test_c04_absolute_minimality_audit(affine_sweeps, da_sweep):
-    config = sm.AuditConfig(num_subintervals=20, tol_audit=1e-3, seed=42)
+    config = sm.AuditConfig(num_subintervals=20, seed=42)
     for s in (1.0, 2.0, 4.0):
         model, _, sweep = affine_sweeps[(s, 2)]
         report = sm.audit_absolute_minimality(model, sweep.candidate, config)
@@ -96,7 +96,7 @@ def test_c04_absolute_minimality_audit(affine_sweeps, da_sweep):
 
     spike = tent_candidate(65)
     model = sm.PowerNormModel(2.0, [0.0])
-    spike_config = sm.AuditConfig(num_subintervals=20, tol_audit=1e-3, seed=0)
+    spike_config = sm.AuditConfig(num_subintervals=20, seed=0)
     spike_report = sm.audit_absolute_minimality(model, spike, spike_config)
     assert len(spike_report.violations) >= 1
     pairs = sm.audit.sample_subintervals(spike.grid, spike_config)
@@ -356,7 +356,7 @@ def test_c15_weighted_oracle_moves_with_m():
         ratios = np.array(excess[1:]) / np.array(excess[:-1])
         assert np.all((ratios >= 0.40) & (ratios <= 0.51)), (num_nodes, ratios)
         assert np.all(ratios[2:] >= 0.48), (num_nodes, ratios)
-        assert excess[-1] < sm.AuditConfig().tol_audit, (num_nodes, excess[-1])
+        assert excess[-1] < sm.audit.TOL_AUDIT, (num_nodes, excess[-1])
     assert worst_root <= 1e-14 and worst_slope <= 1e-9, (worst_root, worst_slope)
     print(f"c15 weighted oracle: PASS (roots {worst_root:.1e}, slopes {worst_slope:.1e})")
 

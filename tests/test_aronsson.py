@@ -100,6 +100,24 @@ class TestOperator:
             sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]), np.zeros(3), rows["value"],
                                  rows["slope"], rows["curvature"])
 
+    def test_nonfinite_x_jet_raises(self):
+        """The x-jet is checked apart from the jet, which checks itself."""
+
+        class InfiniteInX(sm.PowerNormModel):
+            def x_jet_many(self, xs, etas, ps):
+                return np.full(len(xs), np.inf), np.zeros_like(ps)
+
+        with pytest.raises(sm.NonFinite, match="^jet contains non-finite entries$"):
+            sm.aronsson_operator(InfiniteInX(2.0, [0.0]), *one_row(0.5, [0.0], [1.0], [0.0]))
+
+    def test_overflowing_operator_raises(self):
+        """Finite rows can overflow the operator: for |p|^2 at slope 1 the
+        curvature term is 4 * curvature.  The overflow itself warns."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(sm.NonFinite, match="^operator value is not finite$"):
+                sm.aronsson_operator(sm.PowerNormModel(2.0, [0.0]),
+                                     *one_row(0.5, [0.0], [1.0], [1e308]))
+
     def test_vector_curvature_parallel_to_slope(self):
         # L = |p|^2: dp = 2p; with xx parallel to p the projected block dies,
         # leaving (dp . xx) dp = 4 (p . xx) p -- checked term by term.

@@ -67,12 +67,19 @@ class TestAbsoluteMinimalityAudit:
         assert report.passed
 
     def test_min_subinterval_length(self):
-        config = sm.AuditConfig(num_subintervals=50, min_elements=3, seed=5)
+        config = sm.AuditConfig(num_subintervals=50, seed=5)
         pairs = sm.audit.sample_subintervals(sm.Grid.uniform(0.0, 1.0, 17), config)
-        assert all(j - i >= 3 for i, j in pairs)
+        assert all(j - i >= sm.audit.MIN_ELEMENTS for i, j in pairs)
+
+    def test_grid_below_the_least_subinterval_rejected(self):
+        """Two elements hold no subinterval of ``MIN_ELEMENTS``; the CLI
+        refuses such a grid before it calls the audit."""
+        with pytest.raises(sm.SupminError,
+                           match="^grid has fewer elements than the audit minimum$"):
+            sm.audit.sample_subintervals(sm.Grid.uniform(0.0, 1.0, 3), sm.AuditConfig())
 
     def test_repeated_draws_audited_once(self, monkeypatch):
-        # on a 3-element grid with min_elements 3 every draw is the pair (0, 3)
+        # on a 3-element grid, the fewest an audit takes, every draw is the pair (0, 3)
         sweeps = []
         m_sweep_many = sm.audit.m_sweep_many
 
@@ -83,7 +90,7 @@ class TestAbsoluteMinimalityAudit:
         monkeypatch.setattr(sm.audit, "m_sweep_many", counted)
         grid = sm.Grid.uniform(0.0, 1.0, 4)
         cand = sm.interpolate_affine(sm.AffineMap([0.0], [1.0]), grid)
-        config = sm.AuditConfig(num_subintervals=20, min_elements=3)
+        config = sm.AuditConfig(num_subintervals=20)
         report = sm.audit_absolute_minimality(sm.PowerNormModel(2.0, [0.0]), cand, config)
         assert sm.audit.sample_subintervals(grid, config) == [(0, 3)]
         assert len(report.entries) == 1 and len(sweeps) == 1
@@ -235,21 +242,20 @@ class TestAbsoluteMinimalityAudit:
     def test_local_sup_above_the_restricted_sup_decides_nothing(self):
         """The restricted candidate competes on its own subinterval, so a
         converged local sweep whose sup lies above the candidate's by more
-        than tol_audit (1 + sup) has not found the local min-max: its entry
+        than TOL_AUDIT (1 + sup) has not found the local min-max: its entry
         is inconclusive.  Within that allowance it is ``ok``, and a local
         sup below the candidate's by more than it is a violation."""
         model = sm.PowerNormModel(2.0, [0.0])
-        config = sm.AuditConfig()
         [sweep] = sm.solver.m_sweep_many(model, started(model, [(sm.Grid.uniform(0.0, 1.0, 5),
                                                                  sm.AffineMap([0.0], [1.0]),
                                                                  None, 0)]))
         local = sweep.sup_of_candidate
         assert sweep.records[-1].stats.converged and local == pytest.approx(1.0, rel=1e-12)
-        allowance = config.tol_audit * (1.0 + 0.5)
+        allowance = sm.audit.TOL_AUDIT * (1.0 + 0.5)
         for sup_global, status in ((0.5, "inconclusive"), (local - 0.5 * allowance, "ok"),
                                    (local, "ok"), (local + 0.5 * allowance, "ok"),
                                    (2.0, "violation")):
-            entry = sm.audit._entry(0.0, 1.0, sup_global, sweep, config)
+            entry = sm.audit._entry(0.0, 1.0, sup_global, sweep)
             assert entry.status == status and entry.sup_local_solution == local
             if status == "inconclusive":
                 assert np.isnan(entry.deficit)

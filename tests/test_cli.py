@@ -185,7 +185,7 @@ class TestSolve:
         ("audit", {"seed": 1}, "audit.seed: unknown field"),
         ("check", {"seed": 1}, "check.seed: unknown field"),
         ("schedule", {"restarts": 2.5}, "schedule.restarts: expected int"),
-        ("check", {"t_levels": 0}, "check: sample plan needs"),
+        ("check", {"num_triples": 0}, "check: sample plan needs"),
         ("solve", {"history": 5}, "solve.history: unknown field"),
         ("schedule", {"factor": 4}, "schedule.factor: unknown field"),
         ("solve", {"grad_tol": 1e-8}, "solve.grad_tol: unknown field"),
@@ -210,6 +210,11 @@ class TestSolve:
         # the DA jet's constant blocks are checked once, when the model is built
         ("lagrangian", dict(da_lagrangian(), K=[[1e200, 0.0]]),
          "lagrangian: K and A are too large: 2 K^T K + 2 A^T A overflows"),
+        # the audit's tolerance and least subinterval and the check's mixes per
+        # segment are constants, not settings
+        ("audit", {"tol_audit": 1e-3}, "audit.tol_audit: unknown field"),
+        ("audit", {"min_elements": 3}, "audit.min_elements: unknown field"),
+        ("check", {"t_levels": 5}, "check.t_levels: unknown field"),
     ])
     def test_section_fields(self, tmp_path, capsys, section, body, message):
         cfg = write_config(tmp_path, **{section: body})
@@ -447,29 +452,32 @@ class TestAudit:
         assert "solve: m=2 stopped at max_iters" in capsys.readouterr().err
 
     def test_min_elements_beyond_grid_rejected_before_solving(self, tmp_path, capsys):
+        """``min_elements`` is no setting: the audit's least subinterval is
+        the constant ``audit.MIN_ELEMENTS``."""
         cfg = write_config(tmp_path, grid_points=5, audit={"min_elements": 10})
         assert cli.main(["audit", cfg, "--solve-first"]) == 1
-        assert "audit.min_elements: exceeds the 4 elements of the grid" in capsys.readouterr().err
+        assert capsys.readouterr().err == "audit.min_elements: unknown field\n"
         assert not (tmp_path / "out").exists()
 
     def test_three_node_grid_rejected_by_audit_alone(self, tmp_path, capsys):
-        """The default min_elements (3) exceeds the 2 elements of a 3-node
-        grid, which only the audit needs: solve and check run, and the audit
-        fails before solving."""
+        """The audit's least subinterval (3 elements) exceeds the 2 elements
+        of a 3-node grid, which only the audit needs: solve and check run,
+        and the audit fails before solving."""
         cfg = write_config(tmp_path, grid_points=3)
         assert cli.main(["solve", cfg]) == 0
         assert cli.main(["check", cfg]) == 0
         capsys.readouterr()
         fresh = tmp_path / "audit-out"
         assert cli.main(["audit", cfg, "--solve-first", "--output-dir", str(fresh)]) == 1
-        assert "audit.min_elements: exceeds the 2 elements of the grid" in capsys.readouterr().err
+        assert capsys.readouterr().err == "grid_points: the audit needs grid_points >= 4\n"
         assert not fresh.exists()
 
     def test_one_element_minimum_rejected_at_config_time(self, tmp_path, capsys):
-        """A one-element subinterval has no free node to re-solve."""
+        """A config that sets the audit's least subinterval fails as it is
+        read, also where the command is not ``audit``."""
         cfg = write_config(tmp_path, audit={"min_elements": 1})
         assert cli.main(["solve", cfg]) == 1
-        assert "audit: audit config counts must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "audit.min_elements: unknown field\n"
         assert not (tmp_path / "out").exists()
 
     def test_zero_subintervals_invalid(self, tmp_path):
@@ -536,8 +544,6 @@ class TestAudit:
         config = cli.load_config(cfg_path)
         candidate = sm.Path.from_csv(str(tmp_path / "out" / "candidate.csv"))
         audit_cfg = sm.AuditConfig(num_subintervals=config.audit.num_subintervals,
-                                   min_elements=config.audit.min_elements,
-                                   tol_audit=config.audit.tol_audit,
                                    seed=config.seed, schedule=config.schedule,
                                    options=config.solve)
         in_memory = sm.audit_absolute_minimality(config.model, candidate, audit_cfg)

@@ -235,6 +235,30 @@ class TestGradient:
                 node, elem = node + nodes, elem + elems
             assert (node, elem) == (len(values), sampled.size)
 
+    @pytest.mark.parametrize("dp, dpp, part", [(1e308, 1.0, "gradient"), (1.0, 1e308, "Hessian")])
+    def test_overflowing_derivatives_raise(self, dp, dpp, part):
+        """A finite jet whose slope or curvature is near the largest double
+        overflows the gradient (dp / h) or the Hessian (dpp / h^2): the rule
+        raises NonFinite rather than return it, and ``power_energy_gradient``
+        re-raises, as L = 1 does not vanish.  The overflow itself warns."""
+
+        class Steep(sm.LagrangianModel):
+            def eval_many(self, xs, etas, ps):
+                return np.ones(len(xs))
+
+            def jet_many(self, xs, etas, ps):
+                m, zeros = len(xs), np.zeros((len(xs), 1, 1))
+                return sm.JetDerivatives(np.ones(m), np.full((m, 1), dp), np.zeros((m, 1)),
+                                         np.full((m, 1, 1), dpp), zeros, zeros)
+
+        path = affine_path([0.0], [1.0], num_nodes=5)
+        message = f"^power energy {part} is not finite$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(sm.NonFinite, match=message):
+                MidpointPowerRule([path.grid]).derivatives(Steep(1), path.values, 4)
+            with pytest.raises(sm.NonFinite, match=message):
+                sm.power_energy_gradient(Steep(1), path, 4)
+
     @pytest.mark.parametrize("m", [0, 2.5, True])
     def test_order_is_checked_before_the_model_is_called(self, m):
         """The rule takes its order per call, and rejects one that is not an

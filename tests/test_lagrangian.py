@@ -171,7 +171,7 @@ def assert_matches_per_triple_loop(model, plan):
     per point, in its order, and more than ten of them."""
     L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
     rng = np.random.default_rng(plan.seed)
-    lams = np.linspace(0.0, 1.0, plan.t_levels + 2)[1:-1]
+    lams = np.linspace(0.0, 1.0, sm.lagrangian.T_LEVELS + 2)[1:-1]
     expected = []
     for _ in range(plan.num_triples):
         x = float(rng.uniform(*plan.box.x))
@@ -539,7 +539,8 @@ class TestJet:
         assert len(set(nearest)) > 1
         ps[1] = centers[2]
         if exponent < 2:
-            with pytest.raises(sm.NonFinite, match="singular at a center"):
+            with pytest.raises(sm.NonFinite,
+                               match=r"^jet of \|p - c\|\^s is singular at p = c for s < 2$"):
                 model.jet_many(xs, etas, ps)
         else:
             assert np.array_equal(model.jet_many(xs, etas, ps).dp[1], np.zeros(dim))
@@ -754,7 +755,7 @@ class TestLevelConvexity:
         """Block sampling reproduces the per-triple rng.uniform draws, the
         one-point evaluations and the witness order of a plain loop."""
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
-        plan = sm.SamplePlan(num_triples=1500, box=sm.Box(x=(0.25, 2.0)), t_levels=3, seed=9)
+        plan = sm.SamplePlan(num_triples=1500, box=sm.Box(x=(0.25, 2.0)), seed=9)
         assert_matches_per_triple_loop(model, plan)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -765,7 +766,7 @@ class TestLevelConvexity:
         model = two_wells(n)
         box = sm.Box(x=(0.25, 2.0), eta=(-1.0, 1.0), p=(-2.0, 2.0))
         assert_matches_per_triple_loop(
-            model, sm.SamplePlan(num_triples=1000, box=box, t_levels=4, seed=9))
+            model, sm.SamplePlan(num_triples=1000, box=box, seed=9))
 
 
 class TestGrowthBounds:
@@ -943,15 +944,10 @@ def _minimize_power_of_order(m):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: sm.SolveOptions(max_iters=NAN), "max_iters must be positive"),
-    (lambda: sm.AuditConfig(tol_audit=NAN), "tol_audit must be positive"),
-    (lambda: sm.AuditConfig(tol_audit=0.0), "tol_audit must be positive"),
-    (lambda: sm.AuditConfig(tol_audit=-1e-3), "tol_audit must be positive"),
-    (lambda: sm.AuditConfig(num_subintervals=NAN), "audit config counts must be positive"),
-    (lambda: sm.AuditConfig(min_elements=NAN), "audit config counts must be positive"),
-    (lambda: sm.AuditConfig(min_elements=1), "audit config counts must be positive"),
+    (lambda: sm.AuditConfig(num_subintervals=NAN), "audit needs num_subintervals >= 1"),
     (lambda: sm.GrowthParams(NAN, 0, 0, 2, 2), "growth constants must be nonnegative"),
-    (lambda: sm.MinOfNormsModel([[1.0]], exponent=NAN), "exponent must be positive"),
-    (lambda: sm.MinOfNormsModel([[1.0]], exponent=np.inf), "exponent must be positive"),
+    (lambda: sm.MinOfNormsModel([[1.0]], exponent=NAN), "exponent must be positive and finite"),
+    (lambda: sm.MinOfNormsModel([[1.0]], exponent=np.inf), "exponent must be positive and finite"),
     (lambda: sm.radial_profile("shift", beta=NAN), "shift profile needs beta >= 0"),
     (lambda: sm.radial_profile("power", gamma=NAN), "power profile needs gamma > 0"),
     (lambda: sm.radial_profile("shift", beta=np.inf), "shift profile needs beta >= 0, finite"),
@@ -960,11 +956,10 @@ def _minimize_power_of_order(m):
     (lambda: sm.SolveOptions(max_iters=2.5), "max_iters must be positive"),
     (lambda: sm.SweepSchedule(m_max=8.0), "schedule needs m_max >= 2"),
     (lambda: sm.SweepSchedule(restarts=2.0), "restarts must be >= 1"),
-    (lambda: sm.AuditConfig(num_subintervals=2.5), "audit config counts must be positive"),
+    (lambda: sm.AuditConfig(num_subintervals=2.5), "audit needs num_subintervals >= 1"),
     (lambda: sm.AuditConfig(seed=-1), "seed must be an integer >= 0"),
-    (lambda: sm.SamplePlan(num_triples=NAN), "needs num_triples >= 1 and t_levels >= 1"),
-    (lambda: sm.SamplePlan(t_levels=NAN), "needs num_triples >= 1 and t_levels >= 1"),
-    (lambda: sm.SamplePlan(num_triples=2.5), "needs num_triples >= 1 and t_levels >= 1"),
+    (lambda: sm.SamplePlan(num_triples=NAN), "needs num_triples >= 1"),
+    (lambda: sm.SamplePlan(num_triples=2.5), "needs num_triples >= 1"),
     (lambda: sm.SamplePlan(seed=-1), "seed must be an integer >= 0"),
     (lambda: sm.m_sweep(sm.PowerNormModel(2.0, [1.0]), sm.Grid.uniform(0.0, 1.0, 5),
                         sm.AffineMap([0.0], [1.0]), seed=-1), "seed must be an integer >= 0"),
@@ -975,17 +970,39 @@ def _minimize_power_of_order(m):
     (lambda: sm.Grid.uniform(0.0, 1.0, 17.5), "grid needs at least 3 nodes"),
     # finite ends whose difference overflows
     (lambda: sm.Box(p=(-1e308, 1e308)), "a finite width"),
-], ids=["max_iters", "tol_audit", "tol_audit_zero", "tol_audit_negative",
-        "audit_subintervals", "audit_min_elements", "audit_min_elements_one",
-        "growth_c1", "min_norms_nan",
+    # the constructors of paths, boundary maps, signals and scaled models
+    (lambda: sm.Path(sm.Grid.uniform(0.0, 1.0, 3), [0.0, NAN, 1.0]), "path values must be finite"),
+    (lambda: sm.AffineMap([0.0], [NAN]), "affine map coefficients must be finite"),
+    (lambda: sm.SampledSignal([0.0, 1.0], [1.0, NAN]), "signal values must be finite"),
+    (lambda: sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), NAN),
+     "scale factor must be positive and finite"),
+], ids=["max_iters", "audit_subintervals", "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
         "max_iters_float", "m_max_float", "restarts_float",
         "audit_subintervals_float", "audit_seed_negative", "plan_triples_nan",
-        "plan_levels_nan", "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
+        "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
         "power_order_float", "solve_order_float", "solve_order_nan",
-        "grid_nodes_float", "box_width_overflow"])
+        "grid_nodes_float", "box_width_overflow", "path_values", "affine_map", "signal_values",
+        "scale_factor"])
 def test_range_checks_reject_nan(build, message):
     """A NaN compares false with every bound, so each check is written to
     fail, not pass, on it."""
     with pytest.raises(sm.SupminError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sm.Path(sm.Grid.uniform(0.0, 1.0, 3), [0.0, 1.0]),
+     "values must have one row per grid node"),
+    (lambda: sm.AffineMap([0.0, 0.0], [1.0]), "b0 and b1 must be vectors of equal length"),
+    (lambda: sm.AffineMap([[0.0]], [[1.0]]), "b0 and b1 must be vectors of equal length"),
+    (lambda: sm.SampledSignal([0.0, 1.0], [[0.0], [1.0], [2.0]]),
+     "signal needs one value row per sample"),
+    (lambda: sm.ScaledModel(sm.PowerNormModel(2.0, [0.0]), 0.0),
+     "scale factor must be positive and finite"),
+], ids=["path_rows", "affine_lengths", "affine_matrix", "signal_rows", "scale_zero"])
+def test_constructors_reject_fields_that_disagree(build, message):
+    """Each constructor rejects fields of the wrong shape or range with a
+    message that names them."""
+    with pytest.raises(sm.SupminError, match=f"^{message}$"):
         build()

@@ -531,6 +531,15 @@ class TestMinimizePower:
                                                  "must equal the model dimension 1"):
             sm.minimize_power(sm.PowerNormModel(2.0, [0.0]), grid, bmap, 8, init)
 
+    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 9) ** 2],
+                             ids=["more_nodes", "other_nodes"])
+    def test_init_on_another_grid_rejected(self, nodes):
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        bmap = sm.AffineMap([0.0], [1.0])
+        init = sm.interpolate_affine(bmap, sm.Grid(nodes))
+        with pytest.raises(sm.SupminError, match="^init path must live on the solve grid$"):
+            sm.minimize_power(sm.PowerNormModel(2.0, [0.0]), grid, bmap, 8, init)
+
     def test_nonfinite_initial_objective(self):
         grid = sm.Grid.uniform(0.0, 1.0, 9)
         bmap = sm.AffineMap([0.0], [10.0])
