@@ -71,12 +71,13 @@ def aronsson_operator(model: LagrangianModel, xs, values, slopes, curvatures) ->
     if not (np.isfinite(dx).all() and np.isfinite(dpx).all()):
         raise NonFinite("jet contains non-finite entries")
     proj = normal_projection(jet.dp)
-    scale = jet.value[:, None, None] * proj
-    lead = jet.dp[:, :, None] * jet.dp[:, None, :] + scale @ jet.dpp
-    lower = (np.sum(jet.deta * slopes, axis=1) + dx)[:, None] * jet.dp
-    drift_arg = (jet.dpeta @ slopes[:, :, None])[:, :, 0] + dpx - jet.deta
-    drift = (scale @ drift_arg[:, :, None])[:, :, 0]
-    out = (lead @ curvatures[:, :, None])[:, :, 0] + lower + drift
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as NonFinite
+        scale = jet.value[:, None, None] * proj
+        lead = jet.dp[:, :, None] * jet.dp[:, None, :] + scale @ jet.dpp
+        lower = (np.sum(jet.deta * slopes, axis=1) + dx)[:, None] * jet.dp
+        drift_arg = (jet.dpeta @ slopes[:, :, None])[:, :, 0] + dpx - jet.deta
+        drift = (scale @ drift_arg[:, :, None])[:, :, 0]
+        out = (lead @ curvatures[:, :, None])[:, :, 0] + lower + drift
     if not np.all(np.isfinite(out)):
         raise NonFinite("operator value is not finite")
     return out

@@ -128,14 +128,15 @@ def _entry(alpha, beta, sup_global, sweep) -> SubintervalAudit:
 def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
                               config: AuditConfig | None = None) -> AuditReport:
     """Compare the restricted candidate to a fresh local re-solve on each
-    distinct sampled subinterval (its boundary carrier is the chord through
-    the candidate's values there).  Both sups are midpoint-rule values, those
-    of the discrete problem the local sweep minimises.  A subinterval is
-    inconclusive (NaN deficit), excluded from pass/fail, when its local
-    sweep aborted, when its last solve stopped at ``max_iters`` or
-    ``line_search``, or when its local sup lies above the restricted sup by
-    more than ``TOL_AUDIT * (1 + sup)``: the restricted candidate competes
-    there, so that sweep missed the local min-max.  A report with no
+    distinct sampled subinterval, started from the chord through the
+    candidate's values there and clamped to those two values bitwise.  Both
+    sups are midpoint-rule values, those of the discrete problem the local
+    sweep minimises.  A subinterval is inconclusive (NaN deficit), excluded
+    from pass/fail, when its local sweep aborted, when its last solve
+    stopped at ``max_iters`` or ``line_search``, or when its local sup lies
+    above the restricted sup by more than ``TOL_AUDIT * (1 + sup)``: the
+    restricted candidate competes there, so that sweep missed the local
+    min-max.  A report with no
     conclusive subinterval does not pass.
 
     The restricted candidate over nodes i..j, ``Path(Grid(nodes[i:j+1]),
@@ -152,7 +153,9 @@ def audit_absolute_minimality(model: LagrangianModel, candidate: Path,
         u_a, u_b = candidate.values[i], candidate.values[j]
         b1 = (u_b - u_a) / (beta - alpha)
         grid = Grid(nodes[i : j + 1])
-        start = interpolate_affine(AffineMap(u_a - b1 * alpha, b1), grid).values
+        start = np.array(interpolate_affine(AffineMap(u_a - b1 * alpha, b1), grid).values)
+        # the chord rounds its end values; the local problem's are the candidate's
+        start[0], start[-1] = u_a, u_b
         problems.append((grid, start, config.seed + 1000 + k))
     sweeps = m_sweep_many(model, problems, config.schedule, config.options)
     entries = [_entry(float(nodes[i]), float(nodes[j]), float(np.max(sampled[i:j])), sweep)

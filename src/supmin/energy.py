@@ -10,8 +10,9 @@ solver minimises.
 
 Power energies are evaluated in factored form: with S the largest sample,
   root  = S * ( sum_e len_e * (L_e/S)^m / (b-a) )^(1/m),
-so the normalized root stays finite up to m = 2^10 and beyond even where
-the integral S^m * sum_e len_e * (L_e/S)^m overflows.  Elements are always
+so the normalized root stays finite up to m = 2^10, the top of every sweep
+(``solver.EXPONENTS``), and beyond, even where the integral
+S^m * sum_e len_e * (L_e/S)^m overflows.  Elements are always
 accumulated in ascending index order so results are bit-reproducible.
 
 An energy over nodes i..j is that of the restricted path
@@ -202,35 +203,36 @@ class MidpointPowerRule:
         jet = model.jet_many(self.xs, *self._points(model, values))
         top, ratios, weight_sum, outer = self._powers(jet.value, m)
         problem = self.elem_problem
-        # a problem whose samples all vanish has zero top, power sum and
-        # root; dividing its entries by one instead of zero gives it zero rows
-        vanished = (top == 0.0)[problem]
-        scale = outer[problem] * elem_len / np.where(vanished, 1.0, weight_sum[problem])
-        # d(root)/dL_e in factored form: stays representable for every m
-        coeffs = scale * ratios ** (m - 1)
-        d_slope = jet.dp / elem_len[:, None]
-        grad = np.zeros((n_nodes, n))
-        # each node takes its left element's right share and its right element's
-        # left share; two terms added to zero round the same in either order
-        grad[idx] += coeffs[:, None] * (eta_w[0] * jet.deta - d_slope)
-        grad[right] += coeffs[:, None] * (eta_w[1] * jet.deta + d_slope)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as NonFinite
+            # a problem whose samples all vanish has zero top, power sum and
+            # root; dividing its entries by one instead of zero gives it zero rows
+            vanished = (top == 0.0)[problem]
+            scale = outer[problem] * elem_len / np.where(vanished, 1.0, weight_sum[problem])
+            # d(root)/dL_e in factored form: stays representable for every m
+            coeffs = scale * ratios ** (m - 1)
+            d_slope = jet.dp / elem_len[:, None]
+            grad = np.zeros((n_nodes, n))
+            # each node takes its left element's right share and its right element's
+            # left share; two terms added to zero round the same in either order
+            grad[idx] += coeffs[:, None] * (eta_w[0] * jet.deta - d_slope)
+            grad[right] += coeffs[:, None] * (eta_w[1] * jet.deta + d_slope)
 
-        # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
-        rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0)
-                    / np.where(vanished, 1.0, top[problem]))[:, None, None]
-        dpeta_t = jet.dpeta.transpose(0, 2, 1)
-        # J_e^T grad L_e, the left and right node's part
-        v = eta_w * jet.deta + p_w * jet.dp
-        w_ee, w_ep, w_pe, w_pp = self.block_w
-        # the three blocks of _BLOCKS at once, each as it would be alone
-        blocks = coeffs[:, None, None] * (w_ee * jet.detaeta + w_ep * dpeta_t + w_pe * jet.dpeta
-                                          + w_pp * jet.dpp) \
-            + rank_one * v[_BLOCKS[0], :, :, None] * v[_BLOCKS[1], :, None, :]
-        diag = np.zeros((n_nodes, n, n))
-        upper = np.zeros((n_nodes - 1, n, n))
-        diag[idx] += blocks[0]
-        diag[right] += blocks[1]
-        upper[idx] += blocks[2]
+            # (m-1) coeff_e / L_e in the same factored form; zero for m = 1
+            rank_one = ((m - 1) * scale * ratios ** max(m - 2, 0)
+                        / np.where(vanished, 1.0, top[problem]))[:, None, None]
+            dpeta_t = jet.dpeta.transpose(0, 2, 1)
+            # J_e^T grad L_e, the left and right node's part
+            v = eta_w * jet.deta + p_w * jet.dp
+            w_ee, w_ep, w_pe, w_pp = self.block_w
+            # the three blocks of _BLOCKS at once, each as it would be alone
+            blocks = coeffs[:, None, None] * (w_ee * jet.detaeta + w_ep * dpeta_t + w_pe * jet.dpeta
+                                              + w_pp * jet.dpp) \
+                + rank_one * v[_BLOCKS[0], :, :, None] * v[_BLOCKS[1], :, None, :]
+            diag = np.zeros((n_nodes, n, n))
+            upper = np.zeros((n_nodes - 1, n, n))
+            diag[idx] += blocks[0]
+            diag[right] += blocks[1]
+            upper[idx] += blocks[2]
         clamped = self.clamped
         grad[clamped] = 0.0
         diag[clamped] = np.eye(n)

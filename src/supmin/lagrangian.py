@@ -448,10 +448,8 @@ class RadialProfile:
 
 
 def radial_profile(name: str, *, beta: float = 0.0, gamma: float = 1.0) -> RadialProfile:
-    """Profiles: identity t, shift t+beta (finite beta >= 0), power
-    (1+t)^gamma - 1 (finite gamma > 0)."""
-    if name == "identity":
-        return RadialProfile(lambda t: t, lambda t: 1.0, lambda t: 0.0)
+    """Profiles: shift t+beta (finite beta >= 0; t itself at the default
+    beta = 0), power (1+t)^gamma - 1 (finite gamma > 0)."""
     if name == "shift":
         if not 0 <= beta < np.inf:
             raise SupminError("shift profile needs beta >= 0, finite")

@@ -1,5 +1,6 @@
 """The settings a run config fills: a solve's iteration budget, a sweep's
-exponents and a subinterval audit.
+restarts and a subinterval audit.  The sweep's exponents are not a setting:
+every sweep climbs the ladder ``solver.EXPONENTS``, 2, 4, ..., 1024.
 
 They live apart from the code that runs them, which imports them from here,
 so that reading and checking a config loads no solver.  This module imports
@@ -23,16 +24,10 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    m_max: int = 1024
     restarts: int = 1
 
     def __post_init__(self):
-        check_count(self.m_max, 2, "schedule needs m_max >= 2, an integer")
         check_count(self.restarts, 1, "restarts must be >= 1, an integer")
-
-    def exponents(self) -> list[int]:
-        """2, 4, 8, ... up to m_max."""
-        return [2**k for k in range(1, self.m_max.bit_length())]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ backtracking) on the normalized power root for one exponent m, by the
 ``power_energy_gradient``.  It evaluates L once per trial iterate, and
 takes the gradient and Hessian of an accepted trial from one jet at its
 nodal values; the line search keeps only the trial's root and largest
-sample.  ``m_sweep`` chains solves over the exponents m = 2, 4, 8,
-... up to ``m_max``, warm-starting each exponent from the previous
+sample.  ``m_sweep`` chains solves over the exponents ``EXPONENTS``, m =
+2, 4, 8, ..., 1024, warm-starting each exponent from the previous
 minimizer, and extracts the final path as the sup-energy candidate.
 Everything is deterministic: fixed accumulation order, no randomness unless
 restarts > 1, in which case the perturbed starts are drawn from a
@@ -52,16 +52,17 @@ convex or the Hessian is singular, the iteration steps along -g instead.
 A trial at which the model overflows is a rejected step, like one that
 fails the Armijo test.
 
-The line search is constant, not an option, as no caller has needed other
-values.  Each line search tries the full Newton step first (``INIT_STEP`` =
-1, the step that minimises the local quadratic model, so near a minimiser
-it is accepted and convergence is quadratic), halves it (``BACKTRACK`` =
-0.5) until the Armijo condition with the customary constant
-``SUFFICIENT_DECREASE`` = 1e-4 holds, and fails below ``MIN_STEP`` = 1e-20,
-far below the resolution of a double at unit scale.  What a caller sets in
-``SolveOptions`` is the iteration budget, and in ``SweepSchedule`` the
-exponents and restarts; both are defined in ``options``, which a config
-reader can load without this module.
+The exponents and the line search are constant, not options, as no caller
+has needed other values.  ``EXPONENTS`` runs up to 2^10, the top that the
+factored power root of ``energy`` is built to reach.  Each line search
+tries the full Newton step first (``INIT_STEP`` = 1, the step that
+minimises the local quadratic model, so near a minimiser it is accepted and
+convergence is quadratic), halves it (``BACKTRACK`` = 0.5) until the Armijo
+condition with the customary constant ``SUFFICIENT_DECREASE`` = 1e-4 holds,
+and fails below ``MIN_STEP`` = 1e-20, far below the resolution of a double
+at unit scale.  What a caller sets in ``SolveOptions`` is the iteration
+budget, and in ``SweepSchedule`` the restarts; both are defined in
+``options``, which a config reader can load without this module.
 
 A solve converges when the Newton decrement reaches the round-off floor of
 the objective: ``-g.d <= eps f``, with d the direction the iteration was
@@ -81,8 +82,8 @@ counts as converged), ``max_iters`` or ``line_search`` (no step down to
 A sweep stops at the same floor: when two consecutive normalized roots
 agree to round-off, ``|root - prev_root| <= eps root``, doubling m moved
 the root by nothing that shows, as where L is constant along the
-minimiser.  A sweep whose roots still move runs on to m_max.  So neither a
-solve nor a sweep has a tolerance.  A sweep reports its own
+minimiser.  A sweep whose roots still move runs on to the last exponent.
+So neither a solve nor a sweep has a tolerance.  A sweep reports its own
 ``stop_reason``: ``settled`` (that rule), ``m_max`` or ``aborted``.
 Restarts whose sups agree within ``TIE_TOL (1 + sup)``, at distinct
 candidates, are reported as ties.
@@ -101,6 +102,8 @@ from .options import SolveOptions, SweepSchedule
 from .path import AffineMap, Grid, Path, interpolate_affine
 
 
+# the exponents of every sweep: 2, 4, 8, ..., 1024
+EXPONENTS = tuple(2**k for k in range(1, 11))
 INIT_STEP = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
@@ -147,9 +150,9 @@ class SweepRecord:
 class SweepResult:
     """One sweep's records and candidate.  ``stop_reason`` is ``settled``
     (two consecutive roots agreed to round-off), ``m_max`` (every exponent
-    ran) or ``aborted`` (a solve failed); ``solves`` holds the stats of
-    every solve run, across all restarts, whereas ``records`` keeps the
-    chosen sweep's alone."""
+    of ``EXPONENTS`` ran) or ``aborted`` (a solve failed); ``solves`` holds
+    the stats of every solve run, across all restarts, whereas ``records``
+    keeps the chosen sweep's alone."""
 
     records: list
     candidate: Path
@@ -530,7 +533,7 @@ def _block_tridiagonal_solve(pivots, coupling, right):
 def m_sweep(model: LagrangianModel, grid: Grid, boundary: AffineMap,
             schedule: SweepSchedule | None = None, options: SolveOptions | None = None,
             init: Path | None = None, seed: int = 0) -> SweepResult:
-    """Warm-started solves over m = 2, 4, 8, ... up to m_max,
+    """Warm-started solves over ``EXPONENTS``, m = 2, 4, 8, ..., 1024,
     stopping early once two consecutive normalized roots agree to round-off.
 
     The final minimizer is the candidate; its sup energy over the whole
@@ -554,22 +557,22 @@ def m_sweep_many(model: LagrangianModel, problems, schedule: SweepSchedule | Non
     schedule = schedule or SweepSchedule()
     max_iters = (options or SolveOptions()).max_iters
     starts = [_restart_starts(values, schedule.restarts, seed) for _, values, seed in problems]
-    runs = iter(_lockstep(model, [_sweep(grid, start, schedule, max_iters)
+    runs = iter(_lockstep(model, [_sweep(grid, start, max_iters)
                                   for (grid, _, _), group in zip(problems, starts)
                                   for start in group]))
     return [_best_of([next(runs) for _ in group]) for group in starts]
 
 
-def _sweep(grid, values, schedule, max_iters):
+def _sweep(grid, values, max_iters):
     """One sweep from the started nodal ``values``, as a generator that
     runs a ``_newton`` solve per exponent, each warm-started from the last
     one's path, and returns its ``SweepResult``, its start the candidate
     if none ran.  The sweep stops when two consecutive roots agree to
-    round-off (``settled``), after m_max (``m_max``), or when a solve fails
-    (``aborted``)."""
+    round-off (``settled``), after the last exponent (``m_max``), or when a
+    solve fails (``aborted``)."""
     records, prev_root, sup = [], None, np.nan
     stop_reason, error = "m_max", None
-    for m in schedule.exponents():
+    for m in EXPONENTS:
         try:
             path, stats, sup = yield from _newton(grid, m, values, max_iters)
         except NonFinite as exc:

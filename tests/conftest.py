@@ -59,9 +59,11 @@ def random_builtin_model(rng, dim):
         k = sm.SampledSignal(xs, rng.normal(scale=0.5, size=(5, n_obs)))
         c = sm.SampledSignal(xs, rng.normal(scale=0.5, size=(5, dim)))
         return sm.DataAssimilationModel(K, k, A, c)
-    name = ("identity", "shift", "power")[int(rng.integers(0, 3))]
-    profile = sm.radial_profile(name, beta=float(rng.uniform(0.0, 2.0)),
-                                gamma=float(rng.uniform(0.5, 2.5)))
+    draw = int(rng.integers(0, 3))
+    beta, gamma = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.5, 2.5))
+    # draw 0 is the profile t itself: the shift at beta = 0
+    profile = sm.radial_profile(("shift", "shift", "power")[draw], beta=beta if draw else 0.0,
+                                gamma=gamma)
     A = rng.normal(scale=0.3, size=(dim, dim))
     xs = np.linspace(-0.5, 1.5, 5)
     c = sm.SampledSignal(xs, rng.normal(scale=0.5, size=(5, dim)))

@@ -48,7 +48,7 @@ def da_sweep():
     model = da_constant_velocity_model()
     grid = sm.Grid.uniform(0.0, 1.0, 129)
     bmap = sm.AffineMap([0.0, 0.0], [0.0, 1.0])
-    return model, bmap, sm.m_sweep(model, grid, bmap, sm.SweepSchedule(m_max=1024))
+    return model, bmap, sm.m_sweep(model, grid, bmap, sm.SweepSchedule())
 
 
 def tent_candidate(num_nodes=65):
@@ -328,8 +328,8 @@ def test_c15_weighted_oracle_moves_with_m():
     t_e = |D| w_e / sum_f h_f w_f, w_e = a_e^(-m/(2m-1)) at the element
     midpoints, and its root is (sum_e h_e (a_e t_e^2)^m)^(1/m).  As m grows
     the sup tends to V = (|D| / sum_e h_e a_e^(-1/2))^2, its excess over V
-    halving per doubling of m.  The default schedule runs every exponent,
-    and at m_max the sup lies within the audit's tolerance of V."""
+    halving per doubling of m.  The sweep runs every exponent,
+    and at m = 1024 the sup lies within the audit's tolerance of V."""
     model = WeightedModel(lambda x: 1.0 + 0.8 * np.sin(2 * np.pi * x) ** 2,
                           lambda x: 1.6 * np.pi * np.sin(4 * np.pi * x))
     size = np.linalg.norm(WEIGHTED_D)

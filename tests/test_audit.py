@@ -96,6 +96,31 @@ class TestAbsoluteMinimalityAudit:
         assert len(report.entries) == 1 and len(sweeps) == 1
         assert report.to_json_dict()["num_subintervals"] == 1
 
+    def test_local_problems_take_the_candidate_end_values(self, monkeypatch, rng):
+        """Each local problem starts from the chord through the candidate's
+        values at its ends, and its two clamped end values are the
+        candidate's own, bitwise: the chord's affine map rounds them."""
+        problems = []
+        m_sweep_many = sm.audit.m_sweep_many
+
+        def captured(model, batch, *args):
+            problems.extend(batch)
+            return m_sweep_many(model, batch, *args)
+
+        monkeypatch.setattr(sm.audit, "m_sweep_many", captured)
+        cand = random_path(rng, grid=sm.Grid.uniform(0.0, 1.0, 33), dim=2)
+        config = sm.AuditConfig(num_subintervals=20, seed=5)
+        sm.audit_absolute_minimality(sm.PowerNormModel(2.0, [0.0, 0.0]), cand, config)
+        pairs = sm.audit.sample_subintervals(cand.grid, config)
+        assert len(problems) == len(pairs) > 10
+        nodes = cand.grid.nodes
+        for (grid, start, _), (i, j) in zip(problems, pairs):
+            b1 = (cand.values[j] - cand.values[i]) / (nodes[j] - nodes[i])
+            chord = sm.interpolate_affine(sm.AffineMap(cand.values[i] - b1 * nodes[i], b1), grid)
+            assert np.array_equal(start[1:-1], chord.values[1:-1])
+            assert start[0].tobytes() == cand.values[i].tobytes()
+            assert start[-1].tobytes() == cand.values[j].tobytes()
+
     def test_solve_totals_sum_the_entries(self):
         model = drift_model()
         grid = sm.Grid.uniform(0.0, 1.0, 17)
@@ -145,23 +170,21 @@ class TestAbsoluteMinimalityAudit:
         """A local sweep whose last solve stops at max_iters decides
         nothing: every entry is inconclusive, with a NaN deficit and the
         exponent and stop reason in its error, and the report does not pass.
-        Up to m_max = 8 no local sweep converges at one iteration per solve.
-        (With the default m_max, five of the six run on until a solve
-        converges, and find violations on this chord candidate.)"""
-        model = sm.DataAssimilationModel(
-            np.zeros((1, 2)), sm.SampledSignal.from_rows([[0.0, 0.0], [1.0, 0.0]]),
-            np.zeros((2, 2)),
-            sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]]))
-        cand = sm.interpolate_affine(sm.AffineMap([0.0, 0.0], [1.0, -0.5]),
+        The weighted oracle L = (1 + 0.8 sin^2 2 pi x)|p|^2 has minimisers
+        that move with m, so at one iteration per solve no local solve from
+        the affine candidate's chords converges, at any exponent."""
+        def weighted(xs, etas, ps):
+            return (1.0 + 0.8 * np.sin(2 * np.pi * xs) ** 2) * np.sum(ps * ps, axis=1)
+
+        cand = sm.interpolate_affine(sm.AffineMap([0.0, 0.0], [1.0, 1.0]),
                                      sm.Grid.uniform(0.0, 1.0, 17))
-        config = sm.AuditConfig(num_subintervals=6, seed=2, schedule=sm.SweepSchedule(m_max=8),
-                                options=sm.SolveOptions(max_iters=1))
-        report = sm.audit_absolute_minimality(model, cand, config)
-        assert report.entries and not report.passed and np.isnan(report.max_deficit)
+        config = sm.AuditConfig(num_subintervals=6, seed=2, options=sm.SolveOptions(max_iters=1))
+        report = sm.audit_absolute_minimality(sm.CustomModel(weighted, 2), cand, config)
+        assert len(report.entries) == 6 and not report.passed and np.isnan(report.max_deficit)
         for entry in report.entries:
             assert entry.status == "inconclusive" and np.isnan(entry.deficit)
-            assert entry.stop_reasons[-1] == "max_iters"
-            assert entry.error == f"m={2 ** len(entry.stop_reasons)}: stopped at max_iters"
+            assert entry.stop_reasons == ["max_iters"] * len(sm.solver.EXPONENTS)
+            assert entry.error == "m=1024: stopped at max_iters"
 
     def test_aborted_local_sweep_inconclusive(self):
         """L = 1/|p|^2 is infinite at p = 0, where a zigzag candidate's chord
@@ -202,7 +225,7 @@ class TestAbsoluteMinimalityAudit:
         """Each entry carries the stop reason of its local sweep, the one that
         sweep reports alone, and ``audit.json`` writes it after
         ``stop_reasons``.  DA-rot's local sweeps on a 9-node candidate run
-        every exponent up to 16; the drift oracle's settle, L being constant
+        every exponent; the drift oracle's settle, L being constant
         along its minimisers; the inverse square's abort on the zigzag's even
         subintervals."""
         da_rot = sm.DataAssimilationModel(
@@ -211,7 +234,7 @@ class TestAbsoluteMinimalityAudit:
             sm.SampledSignal.from_rows([[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 0.0]]))
         grid = sm.Grid.uniform(0.0, 1.0, 9)
         nodes = grid.nodes
-        schedule = sm.SweepSchedule(m_max=16)
+        schedule = sm.SweepSchedule()
         config = sm.AuditConfig(num_subintervals=8, seed=1, schedule=schedule)
         for model, stop_reasons in ((da_rot, {"m_max"}), (drift_model(), {"settled"})):
             cand = sm.m_sweep(model, grid, sm.AffineMap([0.0, 0.0], [1.0, 1.0]),
@@ -283,8 +306,7 @@ class TestAbsoluteMinimalityAudit:
         nodes = np.linspace(0.0, 1.0, 13)
         nodes[1:-1] += rng.uniform(-0.3, 0.3, 11) / 12
         cand = random_path(rng, grid=sm.Grid(nodes), dim=2, scale=0.5)
-        config = sm.AuditConfig(num_subintervals=8, seed=int(rng.integers(100)),
-                                schedule=sm.SweepSchedule(m_max=4))
+        config = sm.AuditConfig(num_subintervals=8, seed=int(rng.integers(100)))
         report = sm.audit_absolute_minimality(model, cand, config)
         pairs = sm.audit.sample_subintervals(cand.grid, config)
         assert len(report.entries) == len(pairs) > 1

@@ -40,12 +40,11 @@ def da_lagrangian():
 
 
 def one_iteration_config(tmp_path):
-    """A drift config on 17 nodes whose solves at m = 2 and 4 each stop at
-    their one allowed iteration."""
-    lagrangian = dict(da_lagrangian(), c=[[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]])
-    return write_config(tmp_path, lagrangian=lagrangian, grid_points=17,
-                        boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
-                        solve={"max_iters": 1}, schedule={"m_max": 4})
+    """DA-rot on 17 nodes, whose solve at every exponent stops at its one
+    allowed iteration."""
+    return write_config(tmp_path, lagrangian=TRAFFIC_CONFIGS["da-rot"]["lagrangian"],
+                        grid_points=17, boundary={"b0": [0.0, 0.0], "b1": [1.0, 1.0]},
+                        solve={"max_iters": 1})
 
 
 RADIAL = {"kind": "radial", "profile": {"name": "power", "gamma": 1.5},
@@ -96,6 +95,10 @@ def lagrangian_messages():
                      id="profile-not-a-section"),
         pytest.param(dict(RADIAL, profile={"name": "cubic"}),
                      "lagrangian.profile: unknown radial profile 'cubic'", id="profile-unknown-name"),
+        # the profile t is the shift at beta = 0, not a name of its own
+        pytest.param(dict(RADIAL, profile={"name": "identity"}),
+                     "lagrangian.profile: unknown radial profile 'identity'",
+                     id="profile-identity"),
         pytest.param(without(POWER_NORM, "kind"), "lagrangian.kind: required field missing",
                      id="missing-kind"),
     ]
@@ -171,10 +174,11 @@ class TestSolve:
         for name in ("sweep.json", "candidate.csv", "energies.csv", "residuals.csv"):
             assert (out / name).exists()
         doc = json.loads((out / "sweep.json").read_text())
-        assert [rec["stop_reason"] for rec in doc["records"]] == ["max_iters", "max_iters"]
+        assert [rec["m"] for rec in doc["records"]] == list(sm.solver.EXPONENTS)
+        assert [rec["stop_reason"] for rec in doc["records"]] == ["max_iters"] * 10
         assert doc["aborted"] is False
         err = capsys.readouterr().err.splitlines()
-        assert err == ["solve: m=2 stopped at max_iters", "solve: m=4 stopped at max_iters"]
+        assert err == [f"solve: m={m} stopped at max_iters" for m in sm.solver.EXPONENTS]
 
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, schedule={"m_strt": 2})
@@ -210,11 +214,12 @@ class TestSolve:
         # the DA jet's constant blocks are checked once, when the model is built
         ("lagrangian", dict(da_lagrangian(), K=[[1e200, 0.0]]),
          "lagrangian: K and A are too large: 2 K^T K + 2 A^T A overflows"),
-        # the audit's tolerance and least subinterval and the check's mixes per
-        # segment are constants, not settings
+        # the audit's tolerance and least subinterval, the check's mixes per
+        # segment and the sweep's exponents are constants, not settings
         ("audit", {"tol_audit": 1e-3}, "audit.tol_audit: unknown field"),
         ("audit", {"min_elements": 3}, "audit.min_elements: unknown field"),
         ("check", {"t_levels": 5}, "check.t_levels: unknown field"),
+        ("schedule", {"m_max": 1024}, "schedule.m_max: unknown field"),
     ])
     def test_section_fields(self, tmp_path, capsys, section, body, message):
         cfg = write_config(tmp_path, **{section: body})
@@ -314,7 +319,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("overrides, once, twice", [
         ({}, '"grid_points": 65', '"grid_points": 65, "grid_points": 9'),
-        ({"schedule": {"m_max": 8}}, '"m_max": 8', '"m_max": 8, "m_max": 4'),
+        ({"schedule": {"restarts": 2}}, '"restarts": 2', '"restarts": 2, "restarts": 1'),
         ({"lagrangian": RADIAL}, '"gamma": 1.5', '"gamma": 1.5, "gamma": 3.0'),
     ], ids=["top_level", "section", "radial_profile"])
     def test_repeated_key_rejected(self, tmp_path, capsys, overrides, once, twice):
@@ -418,25 +423,27 @@ class TestAudit:
         assert doc["violation_count"] >= 1
 
     def test_no_conclusive_subinterval_exit_2(self, tmp_path, capsys):
-        """Local solves capped at one iteration, up to m_max = 8, decide no
-        subinterval: the audit writes its report but does not claim a clean
-        pass."""
-        lagrangian = dict(da_lagrangian(),
-                          c=[[0.0, 1.0, 0.0], [0.5, -1.0, 2.0], [1.0, 0.5, 0.0]])
-        cfg = write_config(tmp_path, lagrangian=lagrangian, grid_points=17,
-                          boundary={"b0": [0.0, 0.0], "b1": [1.0, -0.5]},
-                          solve={"max_iters": 1}, schedule={"m_max": 8},
+        """The min-of-norms zigzag, whose first component alternates slopes
+        +-1, has sup 1; the local sweeps from its chords, one restart each,
+        converge to sups of 1.44 to 2, above the restricted candidate's 1.
+        They decide no subinterval: the audit writes its report but does not
+        claim a clean pass."""
+        cfg = write_config(tmp_path, lagrangian=MIN_NORMS, grid_points=17,
+                          boundary={"b0": [0.0, 0.0], "b1": [0.0, 1.0]},
                           audit={"num_subintervals": 6}, seed=2)
         out = tmp_path / "out"
         out.mkdir()
-        chord = sm.interpolate_affine(sm.AffineMap([0.0, 0.0], [1.0, -0.5]),
-                                      sm.Grid.uniform(0.0, 1.0, 17))
-        chord.to_csv(str(out / "candidate.csv"))
+        grid = sm.Grid.uniform(0.0, 1.0, 17)
+        zigzag = np.column_stack([(np.arange(17) % 2) * grid.nodes[1], grid.nodes])
+        sm.Path(grid, zigzag).to_csv(str(out / "candidate.csv"))
         assert cli.main(["audit", cfg]) == 2
         captured = capsys.readouterr()
         doc = json.loads((out / "audit.json").read_text())
         statuses = {entry["status"] for entry in doc["subintervals"]}
         assert statuses == {"inconclusive"} and doc["violation_count"] == 0
+        for entry in doc["subintervals"]:
+            assert entry["sup_global_restricted"] == 1.0 < entry["sup_local_solution"]
+            assert entry["error"].endswith("the local min-max was not found")
         assert (f"audit: no conclusive subinterval among {doc['num_subintervals']}"
                 in captured.err)
         assert "no violations" not in captured.out

@@ -349,8 +349,8 @@ class TestJet:
                   sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0),
                   sm.CustomModel(lambda x, e, p: (p[:, 0] - x) ** 2
                                  + np.sin(e[:, 1]) ** 2 * p[:, 1] ** 4, dim=2)]
-        for name in ("identity", "shift", "power"):
-            models.append(sm.RadialModel(sm.radial_profile(name, beta=0.5, gamma=1.7),
+        for name, beta in (("shift", 0.0), ("shift", 0.5), ("power", 0.5)):
+            models.append(sm.RadialModel(sm.radial_profile(name, beta=beta, gamma=1.7),
                                          rng.normal(size=(2, 2)),
                                          sm.SampledSignal(np.linspace(0.0, 1.0, 4),
                                                           rng.normal(size=(4, 2)))))
@@ -391,9 +391,9 @@ class TestJet:
             sm.DataAssimilationModel(rng.normal(size=(2, dim)),
                                      sm.SampledSignal(knots, rng.normal(size=(5, 2))),
                                      rng.normal(size=(dim, dim)), c),
-        ] + [sm.RadialModel(sm.radial_profile(name, beta=0.5, gamma=1.7),
+        ] + [sm.RadialModel(sm.radial_profile(name, beta=beta, gamma=1.7),
                             rng.normal(size=(dim, dim)), c)
-             for name in ("identity", "shift", "power")]
+             for name, beta in (("shift", 0.0), ("shift", 0.5), ("power", 0.5))]
         for model in models:
             for rows in (1, 2, 7, 39):
                 xs = rng.uniform(-0.2, 1.2, size=rows)
@@ -511,6 +511,8 @@ class TestJet:
             model = sm.DataAssimilationModel(rng.normal(scale=0.5, size=(2, dim)),
                                              sm.SampledSignal(knots, rng.normal(size=(5, 2))), A, c)
             model = sm.ScaledModel(model, 2.5) if family == "scaled" else model
+        elif family == "identity":  # the profile t itself, the shift at beta = 0
+            model = sm.RadialModel(sm.radial_profile("shift"), A, c)
         else:
             model = sm.RadialModel(sm.radial_profile(family, beta=0.5, gamma=1.7), A, c)
         xs = np.concatenate([rng.uniform(0.05, 0.45, size=5), rng.uniform(0.55, 0.95, size=5)])
@@ -954,7 +956,6 @@ def _minimize_power_of_order(m):
     (lambda: sm.radial_profile("power", gamma=np.inf), "power profile needs gamma > 0, finite"),
     # counts and seeds must be ints in range, not floats that fail deep in a run
     (lambda: sm.SolveOptions(max_iters=2.5), "max_iters must be positive"),
-    (lambda: sm.SweepSchedule(m_max=8.0), "schedule needs m_max >= 2"),
     (lambda: sm.SweepSchedule(restarts=2.0), "restarts must be >= 1"),
     (lambda: sm.AuditConfig(num_subintervals=2.5), "audit needs num_subintervals >= 1"),
     (lambda: sm.AuditConfig(seed=-1), "seed must be an integer >= 0"),
@@ -978,7 +979,7 @@ def _minimize_power_of_order(m):
      "scale factor must be positive and finite"),
 ], ids=["max_iters", "audit_subintervals", "growth_c1", "min_norms_nan",
         "min_norms_inf", "shift_beta", "power_gamma", "shift_beta_inf", "power_gamma_inf",
-        "max_iters_float", "m_max_float", "restarts_float",
+        "max_iters_float", "restarts_float",
         "audit_subintervals_float", "audit_seed_negative", "plan_triples_nan",
         "plan_triples_float", "plan_seed_negative", "sweep_seed_negative",
         "power_order_float", "solve_order_float", "solve_order_nan",

@@ -221,7 +221,7 @@ class TestSolveCounts:
     def test_sweep_records_carry_counts(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
         bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
-        res = sm.m_sweep(drift_model(), grid, bmap, sm.SweepSchedule(m_max=8))
+        res = sm.m_sweep(drift_model(), grid, bmap, sm.SweepSchedule())
         current = None
         for rec in res.records:
             current, stats = sm.minimize_power(drift_model(), grid, bmap, rec.m, current)
@@ -234,7 +234,7 @@ class TestSolveCounts:
         grid = sm.Grid.uniform(0.0, 1.0, 17)
         bmap = sm.AffineMap([0.0, 0.0], [0.0, 1.0])
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
-        res = sm.m_sweep(model, grid, bmap, sm.SweepSchedule(m_max=8, restarts=3), seed=3)
+        res = sm.m_sweep(model, grid, bmap, sm.SweepSchedule(restarts=3), seed=3)
         solves = [stats for sweep in sweeps for stats in sweep]
         assert len(sweeps) == 3
         assert res.solves == solves and len(solves) > len(res.records)
@@ -446,7 +446,7 @@ class TestConvergenceUnderRefinement:
         res = sm.m_sweep(da_rot_model(), sm.Grid.uniform(0.0, 1.0, nodes),
                          sm.AffineMap([0.0, 0.0], [1.0, 1.0]), sm.SweepSchedule(),
                          sm.SolveOptions())
-        assert [rec.m for rec in res.records] == sm.SweepSchedule().exponents()
+        assert [rec.m for rec in res.records] == list(sm.solver.EXPONENTS)
         assert [rec.stats.stop_reason for rec in res.records] == ["decrement"] * len(res.records)
 
 
@@ -569,7 +569,7 @@ class TestMinimizePower:
         with pytest.raises(sm.NonFinite, match="jet contains non-finite entries"):
             sm.minimize_power(model, grid, bmap, 2, init)
         assert calls["jet_many"] > 1
-        res = sm.m_sweep(model, grid, bmap, sm.SweepSchedule(m_max=4), init=init)
+        res = sm.m_sweep(model, grid, bmap, sm.SweepSchedule(), init=init)
         assert res.aborted and res.records == []
         assert res.error == "m=2: jet contains non-finite entries"
 
@@ -586,10 +586,10 @@ class TestMinimizePower:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = sm.m_sweep(sm.PowerNormModel(300.0, [0.0]), grid, sm.AffineMap([0.0], [1.0]),
-                             sm.SweepSchedule(m_max=8), init=init)
+                             sm.SweepSchedule(), init=init)
         assert res.stop_reason == "m_max" and res.error is None
-        assert [rec.m for rec in res.records] == [2, 4, 8]
-        assert [rec.stats.stop_reason for rec in res.records] == ["line_search"] * 3
+        assert [rec.m for rec in res.records] == list(sm.solver.EXPONENTS)
+        assert [rec.stats.stop_reason for rec in res.records] == ["line_search"] * 10
 
 
 class TestSweep:
@@ -674,12 +674,14 @@ class TestSweep:
         assert np.array_equal(res.candidate.values, [[0.0], [0.5], [1e3], [0.5], [1.0]])
 
     def test_every_exponent_run_stops_at_m_max(self):
-        grid = sm.Grid.uniform(0.0, 1.0, 17)
-        bmap = sm.AffineMap([0.0, 0.0], [1.0, -0.5])
-        res = sm.m_sweep(drift_model(), grid, bmap, sm.SweepSchedule(m_max=2))
+        """DA-rot's roots still move at m = 1024 on 9 nodes: the sweep runs
+        every exponent and stops at ``m_max``."""
+        grid = sm.Grid.uniform(0.0, 1.0, 9)
+        bmap = sm.AffineMap([0.0, 0.0], [1.0, 1.0])
+        res = sm.m_sweep(da_rot_model(), grid, bmap, sm.SweepSchedule())
         assert res.stop_reason == "m_max" and not res.aborted
-        assert [rec.m for rec in res.records] == [2]
-        assert res.solve_totals["g_evals"] == res.records[0].stats.g_evals
+        assert [rec.m for rec in res.records] == list(sm.solver.EXPONENTS)
+        assert res.solve_totals["g_evals"] == sum(rec.stats.g_evals for rec in res.records)
 
     def test_multi_start_deterministic_and_no_worse(self):
         grid = sm.Grid.uniform(0.0, 1.0, 17)
@@ -694,15 +696,9 @@ class TestSweep:
         assert r1.sup_of_candidate <= single.sup_of_candidate + 1e-8
 
     def test_schedule_validation(self):
-        with pytest.raises(sm.SupminError):
-            sm.SweepSchedule(m_max=1)
-        with pytest.raises(sm.SupminError, match="schedule needs m_max >= 2"):
-            sm.SweepSchedule(m_max=float("nan"))
         with pytest.raises(sm.SupminError, match="restarts must be >= 1"):
             sm.SweepSchedule(restarts=float("nan"))
-        assert sm.SweepSchedule().exponents() == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-        assert sm.SweepSchedule(m_max=1000).exponents()[-1] == 512
-        assert sm.SweepSchedule(m_max=2).exponents() == [2]
+        assert sm.solver.EXPONENTS == (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 class SingularAtSlopeOne(sm.PowerNormModel):
@@ -763,7 +759,7 @@ class TestLockstep:
     def test_mixed_outcomes_match_solo_solves(self):
         model = sm.PowerNormModel(8.0, [0.5, -0.25])
         problems = self.audit_style_problems()
-        schedule, options = sm.SweepSchedule(m_max=16), sm.SolveOptions(max_iters=6)
+        schedule, options = sm.SweepSchedule(), sm.SolveOptions(max_iters=6)
         batched = dict(zip(problems, sm.solver.m_sweep_many(
             model, started(model, problems.values()), schedule, options)))
         reasons = {name: [rec.stats.stop_reason for rec in res.records]
@@ -802,7 +798,7 @@ class TestLockstep:
         monkeypatch.setattr(MidpointPowerRule, "derivatives", counting_derivatives)
         model = sm.PowerNormModel(8.0, [0.5, -0.25])
         sm.solver.m_sweep_many(model, started(model, self.audit_style_problems().values()),
-                               sm.SweepSchedule(m_max=16), sm.SolveOptions(max_iters=6))
+                               sm.SweepSchedule(), sm.SolveOptions(max_iters=6))
         rules = list({id(rule): rule for rule in rounds}.values())
         # one layout per rule, in the order the rules first served a round
         assert len(layouts) == len(rules)
@@ -814,7 +810,7 @@ class TestLockstep:
         choice among its restarts is the one it makes alone."""
         model = sm.PowerNormModel(8.0, [0.5, -0.25])
         problems = self.audit_style_problems()
-        schedule, options = sm.SweepSchedule(m_max=8, restarts=3), sm.SolveOptions(max_iters=6)
+        schedule, options = sm.SweepSchedule(restarts=3), sm.SolveOptions(max_iters=6)
         batched = sm.solver.m_sweep_many(model, started(model, problems.values()), schedule,
                                          options)
         for (grid, bmap, init, seed), res in zip(problems.values(), batched):
