@@ -93,10 +93,11 @@ def _build(path: str, cls, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
-def _array(obj, path: str, length: int | None = None) -> np.ndarray:
+def _array(obj, path: str, length: int | None = None, wrong_length: str = "") -> np.ndarray:
     """``obj`` as floats, each entry held to ``_get``'s rule for a float field:
-    an array of ``length`` entries if that is given, else a matrix of equal
-    rows if ``obj`` is a list of lists and an array if not."""
+    an array of ``length`` entries if that is given (else the error
+    ``wrong_length``), else a matrix of equal rows if ``obj`` is a list of
+    lists and an array if not."""
     matrix = (length is None and isinstance(obj, list) and len(obj) > 0
               and all(isinstance(row, list) for row in obj))
     rows = obj if matrix else [obj]
@@ -107,23 +108,19 @@ def _array(obj, path: str, length: int | None = None) -> np.ndarray:
     if not all(abs(v) <= sys.float_info.max for row in rows for v in row):
         raise ConfigError(path, f"expected a finite {2 if matrix else 1}-d array")
     if length is not None and len(obj) != length:
-        raise ConfigError(path, f"length must equal N = {length}")
+        raise ConfigError(path, wrong_length)
     return np.array(obj, dtype=float)
 
 
-def _growth(obj: dict | None, path: str) -> GrowthParams | None:
-    if obj is None:
-        return None
-    _reject_unknown(obj, path, {"C1", "C2", "C3", "q", "r", "h_bound"})
-    required = [_get(obj, path, key, float) for key in ("C1", "C2", "C3", "q", "r")]
-    h_bound = {"h_bound": _get(obj, path, "h_bound", float)} if "h_bound" in obj else {}
-    return _build(path, GrowthParams, *required, **h_bound)
+def _pair(obj, path: str) -> tuple[float, float]:
+    return tuple(_array(obj, path, 2, "expected two numbers [lo, hi]").tolist())
 
 
 # how a field is read by its annotation (None: unannotated), as a JSON type
 # and a reader of a value of that type; any other annotation by ``_get``'s rule
 _READERS = {
     None: (list, _array),
+    tuple[float, float]: (list, _pair),
     SampledSignal: (list, lambda rows, path: _build(path, SampledSignal.from_rows,
                                                     _array(rows, path))),
     RadialProfile: (dict, lambda obj, path: _call(obj, path, radial_profile)),
@@ -163,8 +160,7 @@ def parse_config(raw: dict) -> RunConfig:
     def section(name: str) -> dict:
         return _get(raw, "", name, dict, required=False, default={})
 
-    domain = _array(_get(raw, "", "domain", list), "domain", 2)
-    a, b = float(domain[0]), float(domain[1])
+    a, b = _pair(_get(raw, "", "domain", list), "domain")
     if not a < b:
         raise ConfigError("domain", "a < b required")
     if not np.isfinite(b - a):
@@ -179,14 +175,14 @@ def parse_config(raw: dict) -> RunConfig:
 
     boundary_obj = _get(raw, "", "boundary", dict)
     _reject_unknown(boundary_obj, "boundary", {"b0", "b1"})
-    b0 = _array(_get(boundary_obj, "boundary", "b0", list), "boundary.b0", dim)
-    b1 = _array(_get(boundary_obj, "boundary", "b1", list), "boundary.b1", dim)
+    b0, b1 = (_array(_get(boundary_obj, "boundary", key, list), f"boundary.{key}", dim,
+                     f"length must equal N = {dim}") for key in ("b0", "b1"))
 
     # the rank and shape of the model's fields are its constructor's rule
     model_obj = _get(raw, "", "lagrangian", dict)
     kind = _get(model_obj, "lagrangian", "kind", str)
-    growth = _growth(_get(model_obj, "lagrangian", "growth", dict, required=False),
-                     "lagrangian.growth")
+    growth_obj = _get(model_obj, "lagrangian", "growth", dict, required=False)
+    growth = None if growth_obj is None else _call(growth_obj, "lagrangian.growth", GrowthParams)
     if kind not in _MODELS:
         raise ConfigError("lagrangian.kind", f"unknown model kind '{kind}'")
     model = _call(model_obj, "lagrangian", _MODELS[kind], ("kind", "growth"))
@@ -203,12 +199,10 @@ def parse_config(raw: dict) -> RunConfig:
     audit = _call(section("audit"), "audit", AuditConfig, seed=seed, schedule=schedule,
                   options=solve)
 
+    # the box samples x over the domain, the only x where the problem evaluates L
     check_obj = section("check")
-    box_obj = _get(check_obj, "check", "box", dict, required=False, default={})
-    _reject_unknown(box_obj, "check.box", {"x", "eta", "p"})
-    ranges = {key: tuple(_array(val, f"check.box.{key}", 2).tolist())
-              for key, val in box_obj.items()}
-    box = _build("check", Box, **{"x": (a, b), **ranges})
+    box = _call(_get(check_obj, "check", "box", dict, required=False, default={}),
+                "check.box", Box, x=(a, b))
     plan = _call(check_obj, "check", SamplePlan, ("box",), box=box, seed=seed)
 
     output_dir = _get(raw, "", "output_dir", str)

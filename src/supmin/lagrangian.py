@@ -26,8 +26,8 @@ Built-in families:
 
 ``check_level_convexity`` and ``check_growth_bounds`` are sampling
 certifications: a pass is evidence, never a proof.  The growth bounds
-(``GrowthParams``) are a setting of that check, not of a model: the run
-config carries its ``lagrangian.growth`` block to ``check_growth_bounds``.
+(``GrowthParams``) are a setting of that check, not of a model, read field
+by field from the run config's ``lagrangian.growth`` block.
 """
 
 from __future__ import annotations
@@ -149,28 +149,27 @@ class SampledSignal:
 @dataclass(frozen=True)
 class GrowthParams:
     """Constants of the two-sided growth bound
-    c1*|p|^q - c2 <= L <= h(x,eta)*|p|^r + c3.
+    C1*|p|^q - C2 <= L <= h_bound*|p|^r + C3,
+    named as the config's ``lagrangian.growth`` block names them.
 
-    ``h_bound`` is a constant or a callable h(x, eta) of rows, x (k,) and
-    eta (k, N), that returns h at each row, (k,).  A
-    bound term whose coefficient (c1 or h) is 0 is 0, even where |p|^q or
-    |p|^r overflows; with a positive coefficient an overflowing power is an
-    infinite term, so every finite L violates that lower bound and meets
-    that upper bound."""
+    A bound term whose coefficient (C1 or h_bound) is 0 is 0, even where
+    |p|^q or |p|^r overflows; with a positive coefficient an overflowing
+    power is an infinite term, so every finite L violates that lower bound
+    and meets that upper bound."""
 
-    c1: float
-    c2: float
-    c3: float
+    C1: float
+    C2: float
+    C3: float
     q: float
     r: float
-    h_bound: float | Callable[[np.ndarray, np.ndarray], np.ndarray] = 1.0
+    h_bound: float = 1.0
 
     def __post_init__(self):
-        if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
+        if not all(c >= 0 for c in (self.C1, self.C2, self.C3)):
             raise SupminError("growth constants must be nonnegative")
         if not (0 < self.q <= self.r < np.inf):
             raise SupminError("0 < q <= r required")
-        if not (callable(self.h_bound) or 0 <= self.h_bound < np.inf):
+        if not 0 <= self.h_bound < np.inf:
             raise SupminError("h_bound must be finite and nonnegative")
 
 
@@ -203,15 +202,6 @@ class JetDerivatives:
     def map(self, fn) -> "JetDerivatives":
         """``fn`` applied to every field."""
         return JetDerivatives(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
-
-
-def _user_rows(values, rows: int, name: str) -> np.ndarray:
-    """The result of a user callable as floats, one per row: a shape other
-    than (rows,) raises SupminError rather than broadcasting."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (rows,):
-        raise SupminError(f"{name} returned shape {values.shape}, expected ({rows},)")
-    return values
 
 
 def check_width(model: LagrangianModel, **arrays) -> None:
@@ -522,7 +512,11 @@ class CustomModel(LagrangianModel):
         self.fn = fn
 
     def eval_many(self, xs, etas, ps):
-        return self._checked(_user_rows(self.fn(xs, etas, ps), len(xs), "custom model fn"))
+        values = np.asarray(self.fn(xs, etas, ps), dtype=float)
+        if values.shape != (len(xs),):  # rather than broadcast
+            raise SupminError(f"custom model fn returned shape {values.shape}, "
+                              f"expected ({len(xs)},)")
+        return self._checked(values)
 
 
 class MinOfNormsModel(LagrangianModel):
@@ -733,27 +727,19 @@ def check_growth_bounds(model: LagrangianModel, growth: GrowthParams,
     """Sample (x, eta, p) and check both sides of the growth bound: a side
     whose slack (L - lower or upper - L) is below ``-sample_tolerance(L)``
     is a ``GrowthWitness``, lower before upper for each sample.
-    ``worst_margins`` reports the least slack found on each side.  A
-    callable ``h_bound`` is called once per block of samples; a non-finite
-    value of it raises ``NonFinite``, since no comparison with it can fail."""
+    ``worst_margins`` reports the least slack found on each side."""
     plan = plan or SamplePlan()
     margins = np.full(2, np.inf)
     witnesses = []
     for x, eta, ps in _sample_blocks(plan, model.dim, 1, 1):
         p = ps[:, 0]
         val = model.eval_many(x, eta, p)
-        h = growth.h_bound
-        if callable(h):
-            h = _user_rows(h(x, eta), len(x), "h_bound")
-            if not np.all(np.isfinite(h)):
-                raise NonFinite("growth envelope h_bound is not finite at "
-                                f"x = {x[np.argmin(np.isfinite(h))]}")
         with np.errstate(over="ignore", invalid="ignore"):
             pn = np.sqrt(_squared_distances(p, np.zeros(model.dim)))
             # a zero coefficient makes a zero term, also where its power overflows
             lower, upper = (np.where(c == 0, 0.0, c * pn**e)
-                            for c, e in ((growth.c1, growth.q), (h, growth.r)))
-        bounds = np.stack([lower - growth.c2, upper + growth.c3])
+                            for c, e in ((growth.C1, growth.q), (growth.h_bound, growth.r)))
+        bounds = np.stack([lower - growth.C2, upper + growth.C3])
         slack = np.stack([val - bounds[0], bounds[1] - val])
         margins = np.minimum(margins, slack.min(axis=1))
         i, side = np.nonzero((slack < -sample_tolerance(val)).T)

@@ -269,21 +269,25 @@ def _lockstep(model, solves) -> list:
     samples before directions: a round's jets wait until every line search
     of the round has ended, and a sweep's next exponent until every solve
     of the current one has.  So each call is the one that a batch of one
-    exponent's solves makes.  Each set of requests keeps its rule while
-    the order holds, and the set of Newton requests its ``block_layout``,
-    with the padded batches of its block solves, from its first round
-    until the set changes; so a round builds no geometry, weights or
-    padding, only its own rows.  Within an order the set of Newton requests
-    only shrinks, as solves end, so a dropped layout is never needed again;
-    keeping them all raised the peak RSS of the 257-node, 64-subinterval
-    DA-rot audit from 43.3 to 44.8 MB.  The rules are cleared when the order
-    rises, for memory, since no set of requests at the old order remains.
-    Measured on a 2-CPU Xeon: rebuilding the layout every round (about
-    92 us for the 19-problem ``audit-drift`` stack) was slower in 6 of 6
-    alternating pairs of ``perfbench`` ``pipeline_ref_s``, 0.0551 ->
-    0.0566 s on ``audit-drift`` and 0.0509 -> 0.0518 s on ``min-norms``;
-    keeping rules across exponents cut rule builds from 41 to 37 but
-    raised the 257-node DA-rot audit's peak RSS from 40.1 to 46.6 MB."""
+    exponent's solves makes.  Each set of requests keeps its rule, and the
+    set of Newton requests its ``block_layout`` with the padded batches of
+    its block solves, until the set of Newton requests changes, which drops
+    all but the new set's; a rise of the order drops all.  So a round
+    builds no geometry, weights or padding, only its own rows.  Within an
+    order the set of Newton requests only shrinks, so a dropped layout is
+    never needed again, and a dropped rule only when an earlier round's
+    line-search set recurs.  Measured on a 2-CPU Xeon, in the 257-node,
+    64-subinterval DA-rot audit after its solve in the same process, that
+    makes 49 rule builds and a peak RSS of 42.5 MB; keeping every rule of
+    an order makes 47 builds and 43.1 MB, and every layout raised the peak
+    RSS from 43.3 to 44.8 MB; keeping only the last rule built makes 53
+    (22 instead of 14 in the 65-node, 3-restart DA-rot solve).  Rebuilding
+    the layout every round (about 92 us for the 19-problem ``audit-drift``
+    stack) was slower in 6 of 6 alternating pairs of ``perfbench``
+    ``pipeline_ref_s``, 0.0551 -> 0.0566 s on ``audit-drift`` and 0.0509
+    -> 0.0518 s on ``min-norms``; keeping rules across exponents cut rule
+    builds from 41 to 37 but raised the 257-node DA-rot audit's peak RSS
+    from 40.1 to 46.6 MB."""
     requests, outcomes, rules, layouts, order = {}, [None] * len(solves), {}, {}, 0
 
     def rule(ids):
@@ -303,9 +307,10 @@ def _lockstep(model, solves) -> list:
         key, stack = tuple(ids), rule(ids)
         grad, hessian = stack.derivatives(model, values(ids), order)
         sigma = (order - 1) / np.array([requests[i][4] for i in ids])
-        if key not in layouts:
-            layouts.clear()  # no earlier set of Newton requests recurs at this order
-            layouts[key] = block_layout(stack.node_problem)
+        if key not in layouts:  # no earlier set of Newton requests recurs at this order
+            rules.clear()
+            layouts.clear()
+            rules[key], layouts[key] = stack, block_layout(stack.node_problem)
         d = _newton_direction(grad, hessian, sigma, layouts[key])
         slopes = segment_sums(d * grad, stack.node_starts).tolist()
         bounds = np.append(stack.node_starts, len(grad)).tolist()

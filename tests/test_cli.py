@@ -205,7 +205,7 @@ class TestSolve:
         ("domain", [0.0, 5e-323], "domain: grid nodes must be strictly increasing"),
         # a sampling box whose width overflows fails before numpy samples it
         ("check", {"box": {"p": [-1e308, 1e308]}},
-         "check: box ranges need lo <= hi and a finite width hi - lo"),
+         "check.box: box ranges need lo <= hi and a finite width hi - lo"),
         # the top-level fields' own range and length checks
         ("N", 0, "N: N >= 1 required"),
         ("grid_points", 2, "grid_points: grid_points >= 3 required"),
@@ -220,6 +220,11 @@ class TestSolve:
         ("audit", {"min_elements": 3}, "audit.min_elements: unknown field"),
         ("check", {"t_levels": 5}, "check.t_levels: unknown field"),
         ("schedule", {"m_max": 1024}, "schedule.m_max: unknown field"),
+        # the box samples x over the domain, so x is not a setting
+        ("check", {"box": {"x": [0.0, 1.0]}}, "check.box.x: unknown field"),
+        # a pair is two numbers, whatever N is
+        ("domain", [0.0, 0.5, 1.0], "domain: expected two numbers [lo, hi]"),
+        ("check", {"box": {"p": [-1.0, 0.0, 1.0]}}, "check.box.p: expected two numbers [lo, hi]"),
     ])
     def test_section_fields(self, tmp_path, capsys, section, body, message):
         cfg = write_config(tmp_path, **{section: body})

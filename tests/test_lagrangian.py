@@ -193,7 +193,6 @@ def assert_matches_per_sample_loop(model, growth, plan):
     samples, per-sample ``rng.uniform`` draws and one ``eval_many`` call per
     point, in its order, and among them witnesses of both sides."""
     L = lambda x, eta, p: model.eval_many(*one_row(x, eta, p))[0]
-    h = growth.h_bound
     rng = np.random.default_rng(plan.seed)
     expected = []
     for _ in range(plan.num_triples):
@@ -202,8 +201,8 @@ def assert_matches_per_sample_loop(model, growth, plan):
         p = rng.uniform(*plan.box.p, size=model.dim)
         val = L(x, eta, p)
         pn = np.linalg.norm(p, axis=-1)
-        lower = growth.c1 * pn**growth.q - growth.c2
-        upper = float(h(np.array([x]), eta[None])[0]) * pn**growth.r + growth.c3
+        lower = growth.C1 * pn**growth.q - growth.C2
+        upper = growth.h_bound * pn**growth.r + growth.C3
         tol = 1e-9 * (1.0 + abs(val))
         if val - lower < -tol:
             expected.append(([x, *eta, *p, val, "lower"], lower))
@@ -803,14 +802,14 @@ class TestGrowthBounds:
 
     def test_matches_per_sample_loop(self):
         model = sm.MinOfNormsModel([[1.0, 0.0], [-1.0, 0.0]], exponent=2.0)
-        growth = sm.GrowthParams(0.6, 0.5, 0.2, 2.0, 2.0, lambda x, eta: 0.5 + x)
+        growth = sm.GrowthParams(0.6, 0.5, 0.2, 2.0, 2.0, 1.0)
         assert_matches_per_sample_loop(model, growth, sm.SamplePlan(num_triples=5000, seed=11))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_per_sample_loop_with_x_and_eta(self, n):
         """The same for a data-assimilation model (DA-rot at N = 2), which
         reads x and eta, with constants that give witnesses on both sides."""
-        growth = sm.GrowthParams(0.3, 1.0, 1.0, 2.0, 2.0, lambda x, eta: 1.0 + x)
+        growth = sm.GrowthParams(0.3, 1.0, 1.0, 2.0, 2.0, 1.5)
         assert_matches_per_sample_loop(da_model(n), growth,
                                        sm.SamplePlan(num_triples=5000, seed=11))
 
@@ -850,33 +849,6 @@ class TestGrowthBounds:
         |p|^4 <= h |p|^2 was certified where h = 1 has witnesses."""
         with pytest.raises(sm.SupminError, match="h_bound must be finite and nonnegative"):
             sm.GrowthParams(0.0, 0.0, 0.0, 2.0, 2.0, h_bound=h_bound)
-
-    def test_nonfinite_envelope_raises(self):
-        growth = sm.GrowthParams(0.0, 0.0, 0.0, 2.0, 2.0,
-                                 lambda x, eta: np.where(x > 0.5, np.nan, 1.0))
-        with pytest.raises(sm.NonFinite, match="growth envelope h_bound is not finite"):
-            sm.check_growth_bounds(sm.PowerNormModel(4.0, [0.0]), growth,
-                                   sm.SamplePlan(num_triples=200))
-
-    def test_callable_h_bound_called_once_per_sample_block(self):
-        blocks = []
-
-        def h(x, eta):
-            blocks.append((x.shape, eta.shape))
-            return 0.5 + x
-
-        growth = sm.GrowthParams(0.6, 0.5, 0.2, 2.0, 2.0, h)
-        rows = sm.lagrangian._SAMPLE_ROWS
-        plan = sm.SamplePlan(num_triples=rows + 100, seed=11)
-        sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0, 0.0]), growth, plan)
-        assert blocks == [((rows,), (rows, 2)), ((100,), (100, 2))]
-
-    def test_h_bound_result_of_another_shape_raises(self):
-        growth = sm.GrowthParams(0.0, 0.0, 0.0, 2.0, 2.0, lambda x, eta: 1.0)
-        with pytest.raises(sm.SupminError, match=re.escape("h_bound returned shape (), "
-                                                           "expected (50,)")):
-            sm.check_growth_bounds(sm.PowerNormModel(2.0, [0.0]), growth,
-                                   sm.SamplePlan(num_triples=50))
 
 
 class TestCheckResult:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -804,6 +806,33 @@ class TestLockstep:
         assert len(layouts) == len(rules)
         assert all(system is rule.node_problem for system, rule in zip(layouts, rules))
         assert len(rounds) > 2 * len(rules)
+
+    def test_new_newton_set_keeps_no_earlier_rule(self, monkeypatch):
+        """When the set of Newton requests changes, the lockstep drops every
+        rule but that set's own: those of earlier Newton sets and of their
+        line searches alike."""
+        built, held = weakref.WeakSet(), []
+        init, build = MidpointPowerRule.__init__, sm.solver.block_layout
+
+        def tracking_init(rule, grids):
+            init(rule, grids)
+            built.add(rule)
+
+        def counting_build(system):
+            gc.collect()
+            held.append(sorted(rule.node_problem is system for rule in built))
+            return build(system)
+
+        monkeypatch.setattr(MidpointPowerRule, "__init__", tracking_init)
+        monkeypatch.setattr(sm.solver, "block_layout", counting_build)
+        model = sm.PowerNormModel(8.0, [0.5, -0.25])
+        # not the overflowing problem: the traceback of its NonFinite holds
+        # the rule it failed in for one more step
+        problems = [p for name, p in self.audit_style_problems().items() if name != "overflow"]
+        sm.solver.m_sweep_many(model, started(model, problems), sm.SweepSchedule(),
+                               sm.SolveOptions(max_iters=6))
+        assert len(held) > len(sm.solver.EXPONENTS)  # the set changes within an order
+        assert held == [[True]] * len(held)
 
     def test_restart_batch_matches_each_problem_alone(self):
         """Every restart of every problem runs in one batch; each problem's
